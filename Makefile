@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test test-race race smoke-recover smoke-explain bench bench-sched bench-sched-scale bench-sched-scale-quick bench-ingest clean
+.PHONY: check fmt build vet test test-race race smoke-recover smoke-explain bench bench-e2e bench-compare bench-sched bench-sched-scale bench-sched-scale-quick bench-ingest clean
 
 check: fmt build vet test-race smoke-recover
 
@@ -44,6 +44,16 @@ smoke-recover:
 # byte-identical to the live RPC text.
 smoke-explain:
 	./scripts/smoke_explain.sh
+
+# The repository's benchmark (BENCHMARK.json, bench/README.md): five
+# workloads end to end and layer by layer, one result file under
+# bench/out/. bench-compare checks two result files against the declared
+# bounds: make bench-compare A=parent.json B=change.json
+bench-e2e:
+	$(GO) run ./bench
+
+bench-compare:
+	$(GO) run ./bench -compare $(A) $(B)
 
 # Scheduling-path microbenchmarks (ns/op, allocs/op, B/op, plus
 # cache/pool hit rates), captured as a machine-readable stream in

@@ -86,6 +86,17 @@ type Matcher struct {
 	// allowedge[k] marks edge k as having zero slack (usable).
 	allowedge []bool
 	queue     []int
+
+	// Scratch, so a warm solve allocates nothing but its result. leaves
+	// and path are transient (never live across a call that refills
+	// them); bestedgeto is all -1 between addBlossom calls; bestbuf[b]
+	// keeps the backing array behind blossombestedges[b], which must read
+	// nil when empty (blossomchilds and blossomendps are never tested for
+	// nil, so they keep their own backing arrays in place).
+	leaves     []int
+	path       []int
+	bestedgeto []int
+	bestbuf    [][]int
 }
 
 // Reset prepares the matcher for the graph with n vertices and the given
@@ -127,14 +138,16 @@ func (m *Matcher) Reset(n int, edges []Edge) {
 		m.inblossom[v] = v
 	}
 	m.blossomparent = resizeInts(m.blossomparent, 2*n, -1)
-	m.blossomchilds = clearLists(m.blossomchilds, 2*n)
+	m.blossomchilds = resizeLists(m.blossomchilds, 2*n)
 	m.blossombase = resizeInts(m.blossombase, 2*n, -1)
 	for v := 0; v < n; v++ {
 		m.blossombase[v] = v
 	}
-	m.blossomendps = clearLists(m.blossomendps, 2*n)
+	m.blossomendps = resizeLists(m.blossomendps, 2*n)
 	m.bestedge = resizeInts(m.bestedge, 2*n, -1)
 	m.blossombestedges = clearLists(m.blossombestedges, 2*n)
+	m.bestbuf = resizeLists(m.bestbuf, 2*n)
+	m.bestedgeto = resizeInts(m.bestedgeto, 2*n, -1)
 	m.unusedblossoms = m.unusedblossoms[:0]
 	for b := n; b < 2*n; b++ {
 		m.unusedblossoms = append(m.unusedblossoms, b)
@@ -191,10 +204,9 @@ func resizeLists(s [][]int, n int) [][]int {
 	return s
 }
 
-// clearLists returns s resized to n entries, each set to nil — parts of
-// the algorithm distinguish a nil list from an empty one (addBlossom's
-// blossombestedges fallback), so these must match fresh construction
-// exactly.
+// clearLists returns s resized to n entries, each set to nil — addBlossom
+// distinguishes a nil blossombestedges list from an empty one, so that
+// table must match fresh construction exactly.
 func clearLists(s [][]int, n int) [][]int {
 	if cap(s) < n {
 		return make([][]int, n)
@@ -261,7 +273,7 @@ func (m *Matcher) assignLabel(w, t, p int) {
 // scanBlossom traces back from vertices v and w to discover either a new
 // blossom (returns its base) or an augmenting path (returns -1).
 func (m *Matcher) scanBlossom(v, w int) int {
-	var path []int
+	path := m.path[:0]
 	base := -1
 	for v != -1 || w != -1 {
 		b := m.inblossom[v]
@@ -292,6 +304,7 @@ func (m *Matcher) scanBlossom(v, w int) int {
 	for _, b := range path {
 		m.label[b] = 1
 	}
+	m.path = path
 	return base
 }
 
@@ -307,7 +320,7 @@ func (m *Matcher) addBlossom(base, k int) {
 	m.blossombase[b] = base
 	m.blossomparent[b] = -1
 	m.blossomparent[bb] = b
-	var path, endps []int
+	path, endps := m.blossomchilds[b][:0], m.blossomendps[b][:0]
 	// Trace from bv up to bb.
 	for bv != bb {
 		m.blossomparent[bv] = b
@@ -340,53 +353,44 @@ func (m *Matcher) addBlossom(base, k int) {
 	m.label[b] = 1
 	m.labelend[b] = m.labelend[bb]
 	m.dualvar[b] = 0
-	var leaves []int
-	m.blossomLeaves(b, &leaves)
-	for _, leaf := range leaves {
+	m.leaves = m.leaves[:0]
+	m.blossomLeaves(b, &m.leaves)
+	for _, leaf := range m.leaves {
 		if m.label[m.inblossom[leaf]] == 2 {
 			// T-vertex inside the new S-blossom: queue it for scanning.
 			m.queue = append(m.queue, leaf)
 		}
 		m.inblossom[leaf] = b
 	}
-	// Compute the blossom's best-edge lists.
-	bestedgeto := fill(2*m.n, -1)
+	// Compute the blossom's best-edge lists: for every S-blossom reachable
+	// from a child of b, the least-slack edge to it.
 	for _, bv := range path {
-		var nblists [][]int
 		if m.blossombestedges[bv] == nil {
-			var lvs []int
-			m.blossomLeaves(bv, &lvs)
-			for _, vtx := range lvs {
-				lst := make([]int, 0, len(m.neighbend[vtx]))
+			m.leaves = m.leaves[:0]
+			m.blossomLeaves(bv, &m.leaves)
+			for _, vtx := range m.leaves {
 				for _, p := range m.neighbend[vtx] {
-					lst = append(lst, p/2)
+					m.noteBestEdge(b, p/2)
 				}
-				nblists = append(nblists, lst)
 			}
 		} else {
-			nblists = [][]int{m.blossombestedges[bv]}
-		}
-		for _, nblist := range nblists {
-			for _, kk := range nblist {
-				i, j := m.edges[kk].I, m.edges[kk].J
-				if m.inblossom[j] == b {
-					i, j = j, i
-				}
-				bj := m.inblossom[j]
-				if bj != b && m.label[bj] == 1 &&
-					(bestedgeto[bj] == -1 || m.slack(kk) < m.slack(bestedgeto[bj])) {
-					bestedgeto[bj] = kk
-				}
+			for _, kk := range m.blossombestedges[bv] {
+				m.noteBestEdge(b, kk)
 			}
 		}
 		m.blossombestedges[bv] = nil
 		m.bestedge[bv] = -1
 	}
-	var best []int
-	for _, kk := range bestedgeto {
+	best := m.bestbuf[b][:0]
+	for bj, kk := range m.bestedgeto {
 		if kk != -1 {
 			best = append(best, kk)
+			m.bestedgeto[bj] = -1
 		}
+	}
+	m.bestbuf[b] = best
+	if len(best) == 0 {
+		best = nil
 	}
 	m.blossombestedges[b] = best
 	m.bestedge[b] = -1
@@ -394,6 +398,20 @@ func (m *Matcher) addBlossom(base, k int) {
 		if m.bestedge[b] == -1 || m.slack(kk) < m.slack(m.bestedge[b]) {
 			m.bestedge[b] = kk
 		}
+	}
+}
+
+// noteBestEdge records edge kk in bestedgeto if it leaves the new blossom
+// b for another S-blossom with less slack than the edge recorded so far.
+func (m *Matcher) noteBestEdge(b, kk int) {
+	j := m.edges[kk].J
+	if m.inblossom[j] == b {
+		j = m.edges[kk].I
+	}
+	bj := m.inblossom[j]
+	if bj != b && m.label[bj] == 1 &&
+		(m.bestedgeto[bj] == -1 || m.slack(kk) < m.slack(m.bestedgeto[bj])) {
+		m.bestedgeto[bj] = kk
 	}
 }
 
@@ -408,9 +426,9 @@ func (m *Matcher) expandBlossom(b int, endstage bool) {
 			// Recursively expand sub-blossoms with zero dual.
 			m.expandBlossom(s, endstage)
 		} else {
-			var lvs []int
-			m.blossomLeaves(s, &lvs)
-			for _, vtx := range lvs {
+			m.leaves = m.leaves[:0]
+			m.blossomLeaves(s, &m.leaves)
+			for _, vtx := range m.leaves {
 				m.inblossom[vtx] = s
 			}
 		}
@@ -454,8 +472,9 @@ func (m *Matcher) expandBlossom(b int, endstage bool) {
 				j += jstep
 				continue
 			}
-			var lvs []int
-			m.blossomLeaves(bv, &lvs)
+			m.leaves = m.leaves[:0]
+			m.blossomLeaves(bv, &m.leaves)
+			lvs := m.leaves
 			v := lvs[len(lvs)-1]
 			for _, vtx := range lvs {
 				if m.label[vtx] != 0 {
@@ -479,8 +498,8 @@ func (m *Matcher) expandBlossom(b int, endstage bool) {
 	}
 	m.label[b] = -1
 	m.labelend[b] = -1
-	m.blossomchilds[b] = nil
-	m.blossomendps[b] = nil
+	m.blossomchilds[b] = m.blossomchilds[b][:0]
+	m.blossomendps[b] = m.blossomendps[b][:0]
 	m.blossombase[b] = -1
 	m.blossombestedges[b] = nil
 	m.bestedge[b] = -1
@@ -525,8 +544,8 @@ func (m *Matcher) augmentBlossom(b, v int) {
 		m.mate[m.endpoint[p^1]] = p
 	}
 	// Rotate the child list so that t (containing v) becomes the base.
-	m.blossomchilds[b] = append(m.blossomchilds[b][i:], m.blossomchilds[b][:i]...)
-	m.blossomendps[b] = append(m.blossomendps[b][i:], m.blossomendps[b][:i]...)
+	rotate(m.blossomchilds[b], i)
+	rotate(m.blossomendps[b], i)
 	m.blossombase[b] = m.blossombase[m.blossomchilds[b][0]]
 	if m.blossombase[b] != v {
 		panic("blossom: augmented base mismatch")
@@ -808,6 +827,13 @@ func mod(a, n int) int {
 		r += n
 	}
 	return r
+}
+
+// rotate moves s[i:] to the front of s, in place.
+func rotate(s []int, i int) {
+	reverse(s[:i])
+	reverse(s[i:])
+	reverse(s)
 }
 
 func reverse(s []int) {

@@ -84,3 +84,36 @@ func TestMatchPooledResultIsFresh(t *testing.T) {
 		t.Fatalf("pooled result aliased matcher state: got %v want %v", second, want)
 	}
 }
+
+// TestWarmSolveAllocatesOnlyResult pins the scratch contract: once a
+// Matcher has solved a graph, Reset+Solve on the same graph allocates the
+// returned mate slice and nothing else. The graphs are dense enough that
+// the solve builds, nests and expands blossoms (integer weights force
+// ties), so every scratch buffer is exercised.
+func TestWarmSolveAllocatesOnlyResult(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		n := 20 + rng.Intn(40)
+		var edges []Edge
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Intn(3) > 0 {
+					edges = append(edges, Edge{i, j, float64(1 + rng.Intn(9))})
+				}
+			}
+		}
+		var m Matcher
+		m.Reset(n, edges)
+		want := m.Solve(false)
+		allocs := testing.AllocsPerRun(5, func() {
+			m.Reset(n, edges)
+			if got := m.Solve(false); !equalMates(got, want) {
+				t.Fatalf("trial %d: warm solve diverged", trial)
+			}
+		})
+		if allocs != 1 {
+			t.Fatalf("trial %d (n=%d, %d edges): warm Reset+Solve allocates %v times, want 1 (the mate slice)",
+				trial, n, len(edges), allocs)
+		}
+	}
+}

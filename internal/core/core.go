@@ -12,8 +12,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -54,14 +56,17 @@ type Config struct {
 	// parallel.
 	RemainingIters func(*job.Job) int64
 	// Cache memoizes best-ordering group statistics (pair efficiencies,
-	// node γ/T, JCT-gate iteration times) across Blossom rounds and
-	// scheduling intervals. Profiles are immutable per job, so cached
-	// values are bit-identical to fresh computation and schedules do not
-	// depend on cache state. Nil disables memoization.
+	// node γ/T, JCT-gate iteration times) and execution plans across
+	// Blossom rounds and scheduling intervals, and interns job profiles
+	// into the class IDs the grouping graph is indexed by. Everything is
+	// keyed by profile contents, so cached values are bit-identical to
+	// fresh computation, schedules do not depend on cache state, and a job
+	// whose profile is rewritten simply lands in another class. Nil
+	// disables memoization (every node is then its own class).
 	Cache *interleave.EffCache
-	// EdgeWorkers bounds the worker pool that evaluates grouping-graph
-	// edge weights. 0 uses GOMAXPROCS; 1 forces serial construction.
-	// Edges are collected in deterministic (u,v) order either way.
+	// EdgeWorkers bounds the worker pool that fills the grouping graph's
+	// class-pair table and runs shard tasks. 0 uses GOMAXPROCS; 1 forces
+	// serial construction. Results are identical either way.
 	EdgeWorkers int
 	// SparseTopK bounds the grouping graph handed to the Blossom matcher
 	// in sparse mode: each node contributes only its SparseTopK
@@ -87,11 +92,11 @@ type Config struct {
 	// uses DefaultShardNodeThreshold.
 	ShardNodeThreshold int
 	// Planner, when non-nil, carries grouping state across scheduling
-	// rounds: an ID-keyed pair-statistics cache, and — with
-	// PlanState.Incremental — per-bucket dirty tracking that replays the
-	// previous round's proposal stream for buckets whose exact signature
-	// is unchanged. Replay is bit-identical to full re-matching by
-	// construction. A PlanState must not be shared between policies.
+	// rounds: telemetry, and — with PlanState.Incremental — per-bucket
+	// dirty tracking that replays the previous round's proposal stream
+	// for buckets whose exact signature is unchanged. Replay is
+	// bit-identical to full re-matching by construction. A PlanState must
+	// not be shared between policies.
 	Planner *PlanState
 }
 
@@ -194,18 +199,22 @@ func (g Group) ExecutionIterTime(cfg interleave.Config) time.Duration {
 type node struct {
 	jobs     []*job.Job
 	profiles []workload.StageTimes
-	gamma    float64       // cached standalone interleaving efficiency
-	iterTime time.Duration // cached standalone group iteration time
-	// statsDone marks gamma/iterTime as computed. bucketGraph fills the
-	// stats for every node before fanning out, so the worker pool only
-	// ever reads them.
-	statsDone bool
+	// cls holds the members' profile classes in member order, interned on
+	// first use (Config.classes); the zero value means not yet classified.
+	cls interleave.Classes
 	// remSum/remMax cache the summed and maximum remaining-iteration
 	// estimates of the members (JCT gate inputs). Estimates are stable
 	// within one Plan call (RemainingIters must be pure per call), so
-	// they are filled once per node, serially, before the workers run.
+	// they are filled once per node.
 	remSum, remMax int64
 	remDone        bool
+}
+
+// stat is a group's best-ordering iteration time and interleaving
+// efficiency.
+type stat struct {
+	t   time.Duration
+	eff float64
 }
 
 func (c Config) maxGroup() int {
@@ -281,10 +290,18 @@ func (c Config) PlanWithSeeds(seeds [][]*job.Job, jobs []*job.Job, capacityGPUs 
 		}
 	}
 	for gpus, bjobs := range jobBuckets {
-		for _, j := range bjobs {
-			buckets[gpus] = append(buckets[gpus], &node{
-				jobs: []*job.Job{j}, profiles: []workload.StageTimes{j.Profile}})
+		// One slab per bucket instead of three allocations per job: the
+		// single-member slices are capacity-1 windows, so merging (which
+		// copies) can never write through them.
+		slab := make([]node, len(bjobs))
+		profs := make([]workload.StageTimes, len(bjobs))
+		nodes := slices.Grow(buckets[gpus], len(bjobs))
+		for i, j := range bjobs {
+			profs[i] = j.Profile
+			slab[i] = node{jobs: bjobs[i : i+1 : i+1], profiles: profs[i : i+1 : i+1]}
+			nodes = append(nodes, &slab[i])
 		}
+		buckets[gpus] = nodes
 	}
 	if c.UseBlossom {
 		c.planRounds(buckets, capacityGPUs)
@@ -318,26 +335,27 @@ func (c Config) GroupBucket(jobs []*job.Job) []Group {
 	return c.Plan(jobs, 0)
 }
 
-// groupStats returns the best-ordering iteration time and efficiency of
-// a profile multiset, memoized through the configured cache (fresh
-// computation when Cache is nil — the values are identical either way).
-func (c Config) groupStats(profiles []workload.StageTimes) (time.Duration, float64) {
-	return c.Cache.GroupStats(c.Interleave, profiles)
+// groupStats returns the best-ordering statistics of a profile multiset,
+// memoized through the configured cache (fresh computation when Cache is
+// nil — the values are identical either way).
+func (c Config) groupStats(profiles []workload.StageTimes) stat {
+	t, eff := c.Cache.GroupStats(c.Interleave, profiles)
+	return stat{t: t, eff: eff}
 }
 
-// nodeStats computes (and caches on the node) its standalone interleaving
-// efficiency γ and group iteration time T under its best ordering.
-func (c Config) nodeStats(n *node) (gamma float64, iterTime time.Duration) {
-	if !n.statsDone {
-		n.iterTime, n.gamma = c.groupStats(n.profiles)
-		n.statsDone = true
+// classes returns the node's member classes, interning them on first use.
+// With a nil Cache the tuple stays zero: the node is its own class.
+func (c Config) classes(n *node) interleave.Classes {
+	if n.cls[0] == 0 {
+		for i, p := range n.profiles {
+			n.cls[i] = c.Cache.Class(p)
+		}
 	}
-	return n.gamma, n.iterTime
+	return n.cls
 }
 
 // nodeRemStats fills the node's remaining-iteration aggregates (JCT gate
-// inputs). Like nodeStats, it is computed serially before the edge
-// workers fan out so the parallel phase is read-only on node state.
+// inputs).
 func (c Config) nodeRemStats(n *node) {
 	if n.remDone {
 		return
@@ -369,11 +387,7 @@ func (c Config) nodeRemStats(n *node) {
 // materializing the merged node and summing member by member — without
 // the two slice allocations per evaluated pair that used to dominate the
 // planning profile.
-func (c Config) jctGain(u, v *node, mergedIter time.Duration) time.Duration {
-	_, tu := c.nodeStats(u)
-	_, tv := c.nodeStats(v)
-	c.nodeRemStats(u)
-	c.nodeRemStats(v)
+func jctGain(u, v *node, tu, tv, mergedIter time.Duration) time.Duration {
 	mergedSum := time.Duration(u.remSum+v.remSum) * mergedIter
 	// Sequential baseline, both orders.
 	fu := time.Duration(u.remMax) * tu
@@ -391,10 +405,15 @@ func (c Config) jctGain(u, v *node, mergedIter time.Duration) time.Duration {
 
 // mergeNodes concatenates two nodes (Algorithm 1's MergeNode).
 func mergeNodes(u, v *node) *node {
-	return &node{
+	m := &node{
 		jobs:     append(append([]*job.Job{}, u.jobs...), v.jobs...),
 		profiles: append(append([]workload.StageTimes{}, u.profiles...), v.profiles...),
 	}
+	if u.cls[0] != 0 && v.cls[0] != 0 {
+		m.cls = u.cls
+		copy(m.cls[len(u.jobs):], v.cls[:])
+	}
+	return m
 }
 
 // proposal is one Blossom-matched pair a sweep may accept.
@@ -407,61 +426,28 @@ type proposal struct {
 	accepted bool
 }
 
-// pairStats returns the interleaving efficiency and combined iteration
-// time of merging two nodes — the matching edge weight and the JCT gate
-// input — from a single memo lookup. Single-job pairs are served from the
-// planner's ID-keyed cache when one is configured; everything else goes
-// through the canonical-multiset EffCache. All paths compute identical
-// values.
-func (c Config) pairStats(u, v *node) (eff float64, iterTime time.Duration) {
-	nu, nv := len(u.profiles), len(v.profiles)
-	if nu+nv > interleave.MaxGroupSize {
-		return math.Inf(-1), 0
-	}
-	ps := c.Planner
-	single := ps != nil && nu == 1 && nv == 1
-	var key pairKey
-	if single {
-		key, single = makePairKey(u.jobs[0].ID, v.jobs[0].ID)
-	}
-	if single {
-		if e, ok := ps.pairLookup(key); ok {
-			return e.eff, e.iterTime
-		}
-	}
-	var buf [interleave.MaxGroupSize]workload.StageTimes
-	copy(buf[:], u.profiles)
-	copy(buf[nu:], v.profiles)
-	t, eff := c.groupStats(buf[:nu+nv])
-	if single {
-		ps.pairStore(key, pairEntry{iterTime: t, eff: eff})
-	}
-	return eff, t
-}
-
-// mergeGain evaluates a candidate merge under the configured gate, given
-// the pair's efficiency (combined) and combined iteration time. It
-// returns the gate's benefit score (used to rank accepted merges) and
-// whether the merge passes.
-func (c Config) mergeGain(u, v *node, combined float64, mergedIter time.Duration) (float64, bool) {
+// mergeGain evaluates a candidate merge of u and v (u before v in bucket
+// order) under the configured gate, given their standalone statistics and
+// those of the merged group. It returns the gate's benefit score (used to
+// rank accepted merges) and whether the merge passes. GateJCT reads the
+// nodes' remaining-iteration aggregates, which must already be filled.
+func (c Config) mergeGain(u, v *node, su, sv, merged stat) (float64, bool) {
 	switch c.Gate {
 	case GateJCT:
-		g := c.jctGain(u, v, mergedIter).Seconds()
+		g := jctGain(u, v, su.t, sv.t, merged.t).Seconds()
 		return g, g > 0
 	case GateNone:
-		return combined, true
+		return merged.eff, true
 	default: // GateThroughput
 		k := float64(workload.NumResources)
-		gu, _ := c.nodeStats(u)
-		gv, _ := c.nodeStats(v)
-		g := k*combined + 1 - k*gu - k*gv
+		g := k*merged.eff + 1 - k*su.eff - k*sv.eff
 		return g, g > 0
 	}
 }
 
-// parallelEdgeThreshold is the bucket size below which graph construction
-// stays serial: the worker-pool setup costs more than it saves on the
-// handful of pairs a small bucket produces.
+// parallelEdgeThreshold is the class count below which the class-pair
+// table is filled serially: the worker-pool setup costs more than it saves
+// on the handful of pairs a small table holds.
 const parallelEdgeThreshold = 48
 
 // edgeWorkers resolves the configured pool bound.
@@ -472,18 +458,80 @@ func (c Config) edgeWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// bucketEdges is bucketGraph without the gain column, for callers (and
-// tests) that only need the matching graph.
-func (c Config) bucketEdges(nodes []*node) []blossom.Edge {
-	edges, _ := c.bucketGraph(nodes)
-	return edges
+// fanOut runs fn(0), …, fn(n-1) on up to workers goroutines, handing out
+// indices dynamically (tasks differ in size, so a static split would leave
+// workers idle); workers ≤ 1 runs serially on the caller's goroutine.
+// Callers write results into slots indexed by i, so the outcome does not
+// depend on worker interleaving.
+func fanOut(n, workers int, fn func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
-// edgeRow is one worker-produced row of the grouping graph: the edges for
-// a fixed u with their gate gains in matching positions.
-type edgeRow struct {
+// graphScratch is the working set of one bucketGraph call, recycled through
+// scratchPool so a warm planning round builds its graphs without
+// allocating. The returned edges and gains alias it: they are valid until
+// the scratch is reused.
+type graphScratch struct {
 	edges []blossom.Edge
 	gains []float64
+	index map[interleave.Classes]int32 // canonical class tuple → local class
+	local []int32                      // node → local class
+	rep   []int32                      // local class → its first node
+	multi []bool                       // local class has at least two nodes
+	self  []stat                       // local class → standalone statistics
+	pair  []stat                       // C×C merged statistics, symmetric
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(graphScratch) }}
+
+// classify assigns every node its local class — a dense index over the
+// distinct canonical (sorted) class tuples present, in order of first
+// appearance — and returns the class count. Unclassified nodes (nil Cache)
+// each form their own class.
+func (c Config) classify(nodes []*node, s *graphScratch) int {
+	if s.index == nil {
+		s.index = make(map[interleave.Classes]int32)
+	}
+	clear(s.index)
+	s.local, s.rep, s.multi = s.local[:0], s.rep[:0], s.multi[:0]
+	for i, nd := range nodes {
+		k := int32(len(s.rep))
+		if key := c.classes(nd); key[0] != 0 {
+			slices.Sort(key[:len(nd.jobs)]) // unused (zero) slots stay at the tail
+			if prev, ok := s.index[key]; ok {
+				k = prev
+				s.multi[k] = true
+			} else {
+				s.index[key] = k
+			}
+		}
+		if int(k) == len(s.rep) {
+			s.rep = append(s.rep, int32(i))
+			s.multi = append(s.multi, false)
+		}
+		s.local = append(s.local, k)
+	}
+	return len(s.rep)
 }
 
 // bucketGraph builds the gain-gated grouping graph for one round in one
@@ -492,85 +540,71 @@ type edgeRow struct {
 // gate gain of every surviving edge is returned alongside it, so matched
 // pairs never re-evaluate the gate.
 //
-// The O(n²) weight evaluations fan out over a bounded worker pool, one
-// row (fixed u, all v > u) at a time; rows are concatenated in u order,
-// so the edge list — and therefore the Blossom matching and every
-// downstream schedule — is identical to serial construction.
-func (c Config) bucketGraph(nodes []*node) ([]blossom.Edge, []float64) {
+// An edge weight is a pure function of the two nodes' profile multisets,
+// and candidates are instances of a few profile classes, so the weights
+// are computed once per class pair that occurs into a dense C×C table
+// (filled over the bounded worker pool, one row at a time) and the O(n²)
+// pair loop is a table read plus the gate arithmetic. Edges come out in
+// u-major (u,v) order whatever the pool does, so the Blossom matching and
+// every downstream schedule are those of pair-by-pair construction.
+func (c Config) bucketGraph(nodes []*node, s *graphScratch) ([]blossom.Edge, []float64) {
 	maxSize := c.maxGroup()
 	n := len(nodes)
-	// Precompute node stats serially: mergeGain consults them from the
-	// workers, and filling them up front keeps the parallel phase
-	// read-only on shared node state.
-	jct := c.Gate == GateJCT
-	for _, nd := range nodes {
-		c.nodeStats(nd)
-		if jct {
+	if c.Gate == GateJCT {
+		for _, nd := range nodes {
 			c.nodeRemStats(nd)
 		}
 	}
-	rows := make([]edgeRow, n)
-	row := func(u int) {
-		// One exact-capacity allocation per row: append-growth churn on
-		// the hot path costs more than the (short-lived) overshoot for
-		// rows the gate thins out.
-		edges := make([]blossom.Edge, 0, n-u-1)
-		gains := make([]float64, 0, n-u-1)
+	nc := c.classify(nodes, s)
+	// Every cell is written by the fill below, so stale contents are fine.
+	s.self = slices.Grow(s.self[:0], nc)[:nc]
+	s.pair = slices.Grow(s.pair[:0], nc*nc)[:nc*nc]
+	var fills atomic.Uint64
+	workers := c.edgeWorkers()
+	if nc < parallelEdgeThreshold {
+		workers = 1
+	}
+	fanOut(nc, workers, func(a int) {
+		ra := nodes[s.rep[a]].profiles
+		s.self[a] = c.groupStats(ra)
+		var buf [interleave.MaxGroupSize]workload.StageTimes
+		copy(buf[:], ra)
+		filled := 0
+		for b := a; b < nc; b++ {
+			rb := nodes[s.rep[b]].profiles
+			m := stat{eff: math.Inf(-1)} // does not fit, or never occurs
+			if len(ra)+len(rb) <= maxSize && (a != b || s.multi[a]) {
+				copy(buf[len(ra):], rb)
+				m = c.groupStats(buf[:len(ra)+len(rb)])
+				filled++
+			}
+			s.pair[a*nc+b], s.pair[b*nc+a] = m, m
+		}
+		fills.Add(uint64(filled))
+	})
+	if ps := c.Planner; ps != nil {
+		ps.pairMiss.Add(fills.Load())
+		ps.pairHits.Add(uint64(n*(n-1)/2) - fills.Load())
+	}
+	edges, gains := s.edges[:0], s.gains[:0]
+	for u := 0; u < n-1; u++ {
+		cu := int(s.local[u])
+		row := s.pair[cu*nc : (cu+1)*nc]
 		for v := u + 1; v < n; v++ {
-			if len(nodes[u].jobs)+len(nodes[v].jobs) > maxSize {
+			cv := s.local[v]
+			m := row[cv]
+			if m.eff <= c.MinEfficiency {
 				continue
 			}
-			w, tm := c.pairStats(nodes[u], nodes[v])
-			if math.IsInf(w, -1) || w <= c.MinEfficiency {
-				continue
-			}
-			g, ok := c.mergeGain(nodes[u], nodes[v], w, tm)
+			g, ok := c.mergeGain(nodes[u], nodes[v], s.self[cu], s.self[cv], m)
 			if !ok {
 				continue
 			}
-			edges = append(edges, blossom.Edge{I: u, J: v, Weight: w})
+			edges = append(edges, blossom.Edge{I: u, J: v, Weight: m.eff})
 			gains = append(gains, g)
 		}
-		rows[u] = edgeRow{edges: edges, gains: gains}
 	}
-	workers := c.edgeWorkers()
-	if workers > n-1 {
-		workers = n - 1
-	}
-	if workers <= 1 || n < parallelEdgeThreshold {
-		for u := 0; u < n-1; u++ {
-			row(u)
-		}
-	} else {
-		// Dynamic row assignment: rows shrink as u grows, so a static
-		// split would leave the tail workers idle.
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					u := int(next.Add(1)) - 1
-					if u >= n-1 {
-						return
-					}
-					row(u)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	total := 0
-	for _, r := range rows {
-		total += len(r.edges)
-	}
-	edges := make([]blossom.Edge, 0, total)
-	gains := make([]float64, 0, total)
-	for _, r := range rows {
-		edges = append(edges, r.edges...)
-		gains = append(gains, r.gains...)
-	}
+	s.edges, s.gains = edges, gains
 	if k := c.sparseTopK(); n >= c.sparseThreshold() && k < n-1 {
 		edges, gains = sparsifyEdges(edges, gains, n, k)
 	}
@@ -726,11 +760,11 @@ func (c Config) planRounds(buckets map[int][]*node, capacityGPUs int) {
 		}
 		// Accept the most beneficial merges first; each accepted merge
 		// frees one resource set of the bucket's size.
-		sort.SliceStable(proposals, func(i, k int) bool {
-			if proposals[i].gain != proposals[k].gain {
-				return proposals[i].gain > proposals[k].gain
+		slices.SortStableFunc(proposals, func(a, b proposal) int {
+			if a.gain != b.gain {
+				return cmp.Compare(b.gain, a.gain)
 			}
-			return proposals[i].bucket > proposals[k].bucket
+			return cmp.Compare(b.bucket, a.bucket)
 		})
 		accepted := 0
 		for i := range proposals {
@@ -856,7 +890,12 @@ func (c Config) greedyRounds(buckets map[int][]*node, capacityGPUs int) {
 // finalize computes the execution plan for a finished node and reorders
 // its members into plan order.
 func (c Config) finalize(n *node, gpus int) Group {
-	plan := c.Interleave.PlanGroup(n.profiles, c.WorstOrdering)
+	var plan interleave.Plan
+	if c.WorstOrdering {
+		plan = c.Interleave.PlanGroup(n.profiles, true)
+	} else {
+		plan = c.Cache.PlanGroup(c.Interleave, c.classes(n), n.profiles)
+	}
 	ordered := make([]*job.Job, len(n.jobs))
 	for pos, idx := range plan.Order {
 		ordered[pos] = n.jobs[idx]

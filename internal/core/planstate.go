@@ -1,48 +1,12 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"muri/internal/job"
 	"muri/internal/metrics"
 )
-
-// DefaultPairCacheEntries bounds each generation of the ID-keyed pair
-// statistics cache (~32 B per entry, two generations resident — ~16 MB
-// both generations full). Sized for ~10k concurrently-pending jobs: a
-// generation that evicts while a pair is still being re-evaluated every
-// round turns cheap hits into ~4 µs group-statistics recomputations.
-const DefaultPairCacheEntries = 1 << 18
-
-// pairKey identifies an unordered pair of single-job nodes by member job
-// ID, packed min<<32|max so lookups take the runtime's uint64 fast path
-// (the cache sits on the per-pair hot loop of edge construction). Job
-// profiles are immutable for a job's lifetime, so pair statistics keyed
-// by ID are valid for as long as the PlanState lives — across Blossom
-// sweeps and across scheduling rounds.
-type pairKey uint64
-
-// makePairKey packs an ID pair. ok is false when either ID falls outside
-// [0, 2^32) — such pairs skip the cache rather than risk a collision.
-func makePairKey(a, b job.ID) (pairKey, bool) {
-	if a > b {
-		a, b = b, a
-	}
-	if uint64(a)|uint64(b) >= 1<<32 {
-		return 0, false
-	}
-	return pairKey(uint64(a)<<32 | uint64(b)), true
-}
-
-// pairEntry memoizes the best-ordering statistics of a two-job group:
-// the combined iteration time (the JCT gate's input) and the interleaving
-// efficiency (the matching edge weight).
-type pairEntry struct {
-	iterTime time.Duration
-	eff      float64
-}
 
 // cachedProp is one recorded matching proposal: node indices within the
 // bucket at the sweep it was generated, the edge weight, the gate's gain,
@@ -70,43 +34,29 @@ type bucketCache struct {
 	sweeps []cachedSweep
 }
 
-// PlanState carries grouping state across scheduling rounds. It has two
-// independent roles:
+// PlanState carries grouping state across scheduling rounds: the planner's
+// counters, and — with Incremental set — per-bucket dirty tracking. Each
+// plan records every bucket's proposal stream, and the next plan replays
+// the stream for buckets whose exact signature (member IDs, their profile
+// classes, plus the gate-relevant remaining-iteration estimates, in
+// candidate order) is unchanged. Any divergence in the central acceptance
+// loop promotes the bucket back to fresh matching from the next sweep, so
+// incremental planning is bit-identical to full re-matching by
+// construction (see DESIGN.md §10).
 //
-//   - An ID-keyed two-generation pair-statistics cache that fronts the
-//     canonical-multiset EffCache for single-job pairs — the dominant
-//     lookup in sweep 0 — with a far cheaper 16-byte key. Values pass
-//     through the same computation, so cached statistics are
-//     bit-identical to fresh ones and cache state never changes a
-//     scheduling decision.
-//
-//   - With Incremental set, per-bucket dirty tracking: each plan records
-//     every bucket's proposal stream, and the next plan replays the
-//     stream for buckets whose exact signature (member IDs plus the
-//     gate-relevant remaining-iteration estimates, in candidate order)
-//     is unchanged. Any divergence in the central acceptance loop
-//     promotes the bucket back to fresh matching from the next sweep, so
-//     incremental planning is bit-identical to full re-matching by
-//     construction (see DESIGN.md §10).
-//
-// A PlanState must be owned by a single policy instance: the pair cache
-// assumes job IDs are unique and profiles immutable within one run, and
-// the replay cache assumes a consistent Config between rounds. The pair
-// cache is safe for concurrent use by the edge and shard workers; the
-// replay bookkeeping is only touched between parallel sections.
+// A PlanState must be owned by a single policy instance: the replay cache
+// assumes a consistent Config between rounds. The counters are safe for
+// concurrent use by the shard workers; the replay bookkeeping is only
+// touched between parallel sections.
 type PlanState struct {
 	// Incremental enables cross-round bucket replay. Off, the PlanState
-	// still provides the pair cache and telemetry.
+	// still provides telemetry.
 	Incremental bool
-
-	mu  sync.RWMutex
-	max int
-	cur map[pairKey]pairEntry
-	old map[pairKey]pairEntry
 
 	buckets map[int]*bucketCache
 
 	shards int
+	mu     sync.RWMutex
 	// tasksBy counts matching tasks per shard index. Sized under mu in
 	// beginPlan (between parallel sections); shard workers only Add.
 	tasksBy   []atomic.Uint64
@@ -115,54 +65,16 @@ type PlanState struct {
 	fixpoints atomic.Uint64
 	fresh     atomic.Uint64
 	tasks     atomic.Uint64
-	pairHits  atomic.Uint64
-	pairMiss  atomic.Uint64
-	marks     atomic.Uint64
+	// pairHits/pairMiss count the grouping graph's class-pair table:
+	// reads served by an already-filled cell, and cells filled.
+	pairHits atomic.Uint64
+	pairMiss atomic.Uint64
+	marks    atomic.Uint64
 }
 
-// NewPlanState returns a PlanState with the default pair-cache bound and
-// incremental replay enabled.
+// NewPlanState returns a PlanState with incremental replay enabled.
 func NewPlanState() *PlanState {
-	return &PlanState{
-		Incremental: true,
-		max:         DefaultPairCacheEntries,
-		cur:         make(map[pairKey]pairEntry),
-		buckets:     make(map[int]*bucketCache),
-	}
-}
-
-// pairLookup consults the two-generation pair cache, re-promoting hits
-// found in the old generation (same policy as EffCache).
-func (ps *PlanState) pairLookup(key pairKey) (pairEntry, bool) {
-	ps.mu.RLock()
-	e, ok := ps.cur[key]
-	inOld := false
-	if !ok {
-		e, ok = ps.old[key]
-		inOld = ok
-	}
-	ps.mu.RUnlock()
-	if !ok {
-		ps.pairMiss.Add(1)
-		return pairEntry{}, false
-	}
-	ps.pairHits.Add(1)
-	if inOld {
-		ps.pairStore(key, e)
-	}
-	return e, true
-}
-
-// pairStore inserts into the current generation, rotating generations at
-// the size bound. Writers racing on one key store bit-identical values.
-func (ps *PlanState) pairStore(key pairKey, e pairEntry) {
-	ps.mu.Lock()
-	if len(ps.cur) >= ps.max {
-		ps.old = ps.cur
-		ps.cur = make(map[pairKey]pairEntry, ps.max)
-	}
-	ps.cur[key] = e
-	ps.mu.Unlock()
+	return &PlanState{Incremental: true, buckets: make(map[int]*bucketCache)}
 }
 
 // ensureShards grows the per-shard task counters to n slots, carrying
@@ -204,7 +116,6 @@ func (ps *PlanState) Stats() metrics.ShardStats {
 		return metrics.ShardStats{}
 	}
 	ps.mu.RLock()
-	entries := len(ps.cur) + len(ps.old)
 	var byShard []uint64
 	if len(ps.tasksBy) > 0 {
 		byShard = make([]uint64, len(ps.tasksBy))
@@ -223,43 +134,34 @@ func (ps *PlanState) Stats() metrics.ShardStats {
 		TasksByShard:   byShard,
 		PairHits:       ps.pairHits.Load(),
 		PairMisses:     ps.pairMiss.Load(),
-		PairEntries:    entries,
 		DirtyMarks:     ps.marks.Load(),
 	}
 }
 
-// sigEqual compares two bucket signatures.
-func sigEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // bucketSig flattens the bucket's initial nodes into an exact signature:
-// a length separator per node, then each member's job ID, and — when the
-// JCT gate consumes them — each member's remaining-iteration estimate.
-// Everything else the proposal stream depends on (profiles keyed by job
-// ID, the Config, the shard layout as a function of epoch) is constant
-// across rounds, so an equal signature implies an identical stream.
+// a length separator per node, then each member's job ID and profile
+// class (the stage times themselves when a nil Cache leaves the node
+// unclassified), and — when the JCT gate consumes them — each member's
+// remaining-iteration estimate. Profiles are part of the signature because
+// estimators rewrite them mid-run. Everything else the proposal stream
+// depends on (the Config, the shard layout as a function of epoch) is
+// constant across rounds, so an equal signature implies an identical
+// stream.
 func (c Config) bucketSig(st *bucketState) []int64 {
 	jct := c.Gate == GateJCT
-	width := 2
-	if jct {
-		width = 3
-	}
-	sig := make([]int64, 0, width*len(st.nodes))
+	sig := make([]int64, 0, 4*len(st.nodes))
 	for _, nd := range st.nodes {
 		// Separators are negative; job IDs are non-negative in every
 		// trace and daemon path, so node boundaries are unambiguous.
 		sig = append(sig, -int64(len(nd.jobs))-1)
-		for _, j := range nd.jobs {
-			sig = append(sig, int64(j.ID))
+		cls := c.classes(nd)
+		for i, j := range nd.jobs {
+			sig = append(sig, int64(j.ID), int64(cls[i]))
+			if cls[i] == 0 {
+				for _, d := range j.Profile {
+					sig = append(sig, int64(d))
+				}
+			}
 			if jct {
 				rem := j.RemainingIterations()
 				if c.RemainingIters != nil {
@@ -285,7 +187,7 @@ func (ps *PlanState) beginPlan(c Config, states []*bucketState) {
 	}
 	for _, st := range states {
 		st.sig = c.bucketSig(st)
-		if bc := ps.buckets[st.gpus]; bc != nil && sigEqual(bc.sig, st.sig) {
+		if bc := ps.buckets[st.gpus]; bc != nil && slices.Equal(bc.sig, st.sig) {
 			st.bc = bc
 			st.clean = true
 		}

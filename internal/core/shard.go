@@ -2,8 +2,6 @@ package core
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"muri/internal/blossom"
 	"muri/internal/job"
@@ -166,8 +164,7 @@ func (c Config) sweepProposals(st *bucketState, sweep int) []cachedProp {
 
 // freshProposals runs edge construction and Blossom matching over the
 // bucket, splitting large buckets into deterministic shards that run as
-// tasks on a bounded worker pool with indexed result slots (the same
-// determinism-despite-concurrency pattern as the EdgeWorkers pool).
+// tasks on the bounded worker pool with indexed result slots (fanOut).
 // Shard streams are concatenated in shard order, so the result is a pure
 // function of (nodes, epoch, config) regardless of worker interleaving,
 // and Shards=1 — or any bucket below the threshold — follows the exact
@@ -196,32 +193,9 @@ func (c Config) freshProposals(st *bucketState) []cachedProp {
 	sub := c
 	sub.EdgeWorkers = 1
 	results := make([][]cachedProp, shards)
-	workers := c.edgeWorkers()
-	if workers > shards {
-		workers = shards
-	}
-	if workers <= 1 {
-		for s := range parts {
-			results[s] = sub.matchShard(st.nodes, parts[s])
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					s := int(next.Add(1)) - 1
-					if s >= shards {
-						return
-					}
-					results[s] = sub.matchShard(st.nodes, parts[s])
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	fanOut(shards, c.edgeWorkers(), func(i int) {
+		results[i] = sub.matchShard(st.nodes, parts[i])
+	})
 	total := 0
 	for _, r := range results {
 		total += len(r)
@@ -311,12 +285,14 @@ func (c Config) matchNodes(nodes []*node, gidx []int32) []cachedProp {
 	if len(nodes) < 2 {
 		return nil
 	}
-	edges, gains := c.bucketGraph(nodes)
+	s := scratchPool.Get().(*graphScratch)
+	defer scratchPool.Put(s)
+	edges, gains := c.bucketGraph(nodes, s)
 	if len(edges) == 0 {
 		return nil
 	}
 	mate := blossom.MatchPooled(len(nodes), edges, false)
-	var props []cachedProp
+	props := make([]cachedProp, 0, len(nodes)/2)
 	for k, e := range edges {
 		if mate[e.I] != e.J {
 			continue

@@ -17,9 +17,10 @@ const DefaultCacheEntries = 1 << 15
 
 // effKey canonically identifies a group-statistics computation: the
 // multiset of member profiles (sorted, so member order is irrelevant)
-// plus the contention overhead they were inflated with. Profiles are
-// immutable for a job's lifetime, which is what makes memoization across
-// Blossom rounds and scheduling intervals sound.
+// plus the contention overhead they were inflated with. The key is the
+// profile contents, not the job, so memoization across Blossom rounds and
+// scheduling intervals stays sound when an estimator rewrites a job's
+// profile: the job simply maps to another key.
 type effKey struct {
 	n        int
 	overhead float64
@@ -30,8 +31,28 @@ type effKey struct {
 // are stored: for a fixed profile multiset, efficiency is a strictly
 // decreasing function of iteration time (γ = Σ used / (k·T) with Σ used
 // fixed), so (T, γ) is unique across member orderings — the permutation
-// itself is not, and is recomputed where needed (group finalization).
+// itself is not, and is memoized separately by ordered tuple (PlanGroup).
 type effEntry struct {
+	iterTime time.Duration
+	eff      float64
+}
+
+// Classes is the class-ID tuple of a group's members (see EffCache.Class)
+// in member order. IDs start at 1; zero marks an unused slot, so the zero
+// value means "not classified".
+type Classes [MaxGroupSize]uint32
+
+// planKey identifies a best-ordering plan: the chosen permutation depends
+// on member order, so the tuple is ordered, not a multiset.
+type planKey struct {
+	overhead float64
+	cls      Classes
+}
+
+// planEntry is a memoized Plan with the permutation held by value, so
+// every hit hands out its own Order slice.
+type planEntry struct {
+	order    [MaxGroupSize]int8
 	iterTime time.Duration
 	eff      float64
 }
@@ -50,11 +71,21 @@ type effEntry struct {
 // Determinism invariant: a cached value is always bit-identical to the
 // fresh computation, so cache state (including which entries were
 // evicted) can never change a scheduling decision — only its cost.
+//
+// The cache also interns stage-time vectors into class IDs (Class) and
+// memoizes best-ordering plans by ordered class tuple (PlanGroup). Both
+// maps are created on first use and dropped whole at the size bound; class
+// IDs are never reused, so an ID denotes the same profile for the cache's
+// lifetime and a dropped interner only costs re-interning.
 type EffCache struct {
-	mu   sync.RWMutex
-	max  int
-	cur  map[effKey]effEntry
-	old  map[effKey]effEntry
+	mu        sync.RWMutex
+	max       int
+	cur       map[effKey]effEntry
+	old       map[effKey]effEntry
+	classes   map[workload.StageTimes]uint32
+	lastClass uint32
+	plans     map[planKey]planEntry
+
 	hits atomic.Uint64
 	miss atomic.Uint64
 	evic atomic.Uint64
@@ -138,6 +169,66 @@ func (ec *EffCache) put(key effKey, e effEntry) {
 	ec.mu.Unlock()
 }
 
+// Class interns a stage-time vector: equal vectors get equal IDs, distinct
+// vectors distinct ones. The values depend on interning order and carry no
+// meaning beyond equality. A nil receiver returns 0 (not classified).
+func (ec *EffCache) Class(p workload.StageTimes) uint32 {
+	if ec == nil {
+		return 0
+	}
+	ec.mu.RLock()
+	id, ok := ec.classes[p]
+	ec.mu.RUnlock()
+	if ok {
+		return id
+	}
+	ec.mu.Lock()
+	defer ec.mu.Unlock()
+	if id, ok := ec.classes[p]; ok {
+		return id
+	}
+	if ec.classes == nil || len(ec.classes) >= ec.max {
+		ec.classes = make(map[workload.StageTimes]uint32)
+	}
+	ec.lastClass++
+	ec.classes[p] = ec.lastClass
+	return ec.lastClass
+}
+
+// PlanGroup is the memoized form of Config.PlanGroup with the best
+// ordering. cls must hold the classes of times, in the same order; a nil
+// receiver or an unclassified tuple computes fresh.
+func (ec *EffCache) PlanGroup(cfg Config, cls Classes, times []workload.StageTimes) Plan {
+	if ec == nil || cls[0] == 0 {
+		return cfg.PlanGroup(times, false)
+	}
+	key := planKey{overhead: cfg.Overhead, cls: cls}
+	ec.mu.RLock()
+	e, ok := ec.plans[key]
+	ec.mu.RUnlock()
+	if ok {
+		ec.hits.Add(1)
+		order := make(Ordering, len(times))
+		for i := range order {
+			order[i] = int(e.order[i])
+		}
+		return Plan{Order: order, IterTime: e.iterTime, Efficiency: e.eff}
+	}
+	ec.miss.Add(1)
+	plan := cfg.PlanGroup(times, false)
+	e = planEntry{iterTime: plan.IterTime, eff: plan.Efficiency}
+	for i, idx := range plan.Order {
+		e.order[i] = int8(idx)
+	}
+	ec.mu.Lock()
+	if ec.plans == nil || len(ec.plans) >= ec.max {
+		ec.plans = make(map[planKey]planEntry)
+	}
+	ec.plans[key] = e
+	ec.mu.Unlock()
+	return plan
+}
+
 // PairEfficiency is the memoized form of Config.PairEfficiency: the
 // best-ordering interleaving efficiency of the union of two candidate
 // member sets, or -Inf when the union exceeds MaxGroupSize. A nil
@@ -160,7 +251,7 @@ func (ec *EffCache) Stats() metrics.CacheStats {
 		return metrics.CacheStats{}
 	}
 	ec.mu.RLock()
-	entries := len(ec.cur) + len(ec.old)
+	entries := len(ec.cur) + len(ec.old) + len(ec.plans)
 	ec.mu.RUnlock()
 	return metrics.CacheStats{
 		Hits:      ec.hits.Load(),

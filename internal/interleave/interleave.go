@@ -232,17 +232,7 @@ func (c Config) PlanGroup(times []workload.StageTimes, worst bool) Plan {
 	if len(times) > MaxGroupSize {
 		panic(fmt.Sprintf("interleave: group of %d exceeds max %d", len(times), MaxGroupSize))
 	}
-	inflated := c.Inflate(times)
-	var (
-		order Ordering
-		T     time.Duration
-		eff   float64
-	)
-	if worst {
-		order, T, eff = WorstOrdering(inflated)
-	} else {
-		order, T, eff = BestOrdering(inflated)
-	}
+	order, T, eff := searchOrdering(c.Inflate(times), !worst)
 	return Plan{Order: order, IterTime: T, Efficiency: eff}
 }
 

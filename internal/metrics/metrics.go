@@ -294,8 +294,8 @@ type HeapStats struct {
 // ShardStats summarizes sharded and incremental grouping activity (see
 // DESIGN.md §10): how many bucket-sweeps were served from the cross-round
 // replay cache or the same-plan fixpoint shortcut versus matched fresh,
-// how many per-shard matching tasks ran, and how the ID-keyed pair-stat
-// cache performed.
+// how many per-shard matching tasks ran, and how much of the pair loop the
+// class-pair table absorbed.
 type ShardStats struct {
 	// Shards is the configured shard count (1 = unsharded).
 	Shards int
@@ -316,11 +316,10 @@ type ShardStats struct {
 	// TasksByShard breaks ShardTasks down by shard index; the engine's
 	// tracer renders one row per entry. Empty when sharding never engaged.
 	TasksByShard []uint64
-	// PairHits and PairMisses count lookups of the ID-keyed pair
-	// statistics cache.
+	// PairHits and PairMisses count the grouping graph's class-pair
+	// statistics table: pair reads served by an already-filled cell, and
+	// cells filled (one group-statistics lookup each).
 	PairHits, PairMisses uint64
-	// PairEntries is the resident pair-cache entry count at snapshot time.
-	PairEntries int
 	// DirtyMarks counts decision-stream dirty notifications forwarded by
 	// the engine (arrivals, completions, faults, preemptions).
 	DirtyMarks uint64

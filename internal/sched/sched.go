@@ -306,7 +306,7 @@ type Muri struct {
 }
 
 // EnableIncremental attaches a fresh core.PlanState to the grouping
-// config, turning on the ID-keyed pair cache and cross-round bucket
+// config, turning on planner telemetry and cross-round bucket
 // replay (see core.PlanState). Call before the first Plan.
 func (m *Muri) EnableIncremental() {
 	m.Grouping.Planner = core.NewPlanState()
@@ -477,26 +477,24 @@ func (m *Muri) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
 		groups = m.Grouping.Plan(candidates, capacity)
 	}
 	m.rememberGroups(groups)
-	// Rank groups by their most urgent member (position in the priority
-	// order), so capacity goes to the highest-priority work first.
-	rank := make(map[job.ID]int, len(ordered))
-	for i, j := range ordered {
-		rank[j.ID] = i
-	}
-	groupRank := func(g core.Group) int {
-		best := len(ordered)
-		for _, j := range g.Jobs {
-			if r := rank[j.ID]; r < best {
-				best = r
+	// Rank groups by their most urgent member, so capacity goes to the
+	// highest-priority work first. ordered is sorted by entryCmp, a total
+	// order, so comparing two groups' most urgent members under entryCmp
+	// is comparing their positions in ordered; each group's is found once.
+	ranked := make([]rankedGroup, len(groups))
+	for i, g := range groups {
+		best := muriEntry{j: g.Jobs[0], key: m.PriorityKey(now, g.Jobs[0])}
+		for _, j := range g.Jobs[1:] {
+			if e := (muriEntry{j: j, key: m.PriorityKey(now, j)}); entryCmp(e, best) < 0 {
+				best = e
 			}
 		}
-		return best
+		ranked[i] = rankedGroup{best: best, g: g}
 	}
-	sort.SliceStable(groups, func(i, k int) bool {
-		return groupRank(groups[i]) < groupRank(groups[k])
-	})
+	slices.SortStableFunc(ranked, func(a, b rankedGroup) int { return entryCmp(a.best, b.best) })
 	units := make([]Unit, 0, len(groups)+len(ordered)-cut)
-	for _, g := range groups {
+	for _, r := range ranked {
+		g := r.g
 		mode := Interleaved
 		if len(g.Jobs) == 1 {
 			mode = Exclusive
@@ -519,6 +517,12 @@ func (m *Muri) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
 type muriEntry struct {
 	j   *job.Job
 	key float64
+}
+
+// rankedGroup pairs a planned group with its most urgent member.
+type rankedGroup struct {
+	best muriEntry
+	g    core.Group
 }
 
 // entryLess is the total priority order: key, then submission time, then
@@ -569,16 +573,7 @@ func (m *Muri) orderJobs(jobs []*job.Job, budget int) []*job.Job {
 	}
 	entries := m.scratch[:len(jobs)]
 	for i, j := range jobs {
-		var key float64
-		if m.KnownDurations {
-			key = j.SRSF()
-		} else {
-			key = j.LAS2D()
-		}
-		if m.QuantizeEstimates {
-			key = quantPow2(key)
-		}
-		entries[i] = muriEntry{j: j, key: key}
+		entries[i] = muriEntry{j: j, key: m.PriorityKey(0, j)}
 	}
 	n := len(entries)
 	if m.BackfillLimit > 0 {
