@@ -1,17 +1,24 @@
 # Development entry points. `make check` is the gate every change must
-# pass: gofmt, build, vet, and the full test suite under the race
+# pass: gofmt, lint-sort, build, vet, and the full test suite under the race
 # detector (the scheduling path runs worker pools and a shared cache, so
 # -race is not optional).
 
 GO ?= go
 
-.PHONY: check fmt build vet test test-race race smoke-recover smoke-explain bench bench-e2e bench-compare bench-sched bench-sched-scale bench-sched-scale-quick bench-ingest clean
+.PHONY: check fmt lint-sort build vet test test-race race smoke-recover smoke-explain bench bench-e2e bench-compare bench-sched bench-sched-scale bench-sched-scale-quick bench-ingest clean
 
-check: fmt build vet test-race smoke-recover
+check: fmt lint-sort build vet test-race smoke-recover
 
 # Fail if any file needs reformatting (prints the offenders).
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# The scheduling path sorts with the generic slices package: the
+# reflection sorts (sort.Slice, sort.SliceStable) were the hottest frames
+# of a non-grouping round, so they may not come back outside tests.
+lint-sort:
+	@out=$$(grep -rn 'sort\.Slice\(Stable\)\?(' --include='*.go' internal/sched internal/engine internal/sim internal/core | grep -v '_test\.go:'); \
+	if [ -n "$$out" ]; then echo "reflection sort on the scheduling path:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -60,7 +67,7 @@ bench-compare:
 # BENCH_sched.json for before/after comparison. See DESIGN.md
 # "Performance architecture" and §6.
 bench-sched:
-	$(GO) test -run '^$$' -bench 'PlanLarge|ScheduleHotLoop|SimulatorThroughput|BlossomScalability|PredictionOnline|ExplainOverhead' \
+	$(GO) test -run '^$$' -bench 'PlanLarge|ScheduleHotLoop|ReconcileSRTF1500|SimulatorThroughput|BlossomScalability|PredictionOnline|ExplainOverhead' \
 		-benchtime 3x -benchmem -json . | tee BENCH_sched.json
 
 # End-to-end scale runs: the 2,000- and 5,755-job Philly traces replayed

@@ -635,3 +635,25 @@ func BenchmarkScheduleHotLoop(b *testing.B) {
 	}
 	b.ReportMetric(p.Grouping.Cache.Stats().HitRate(), "cache-hit-rate")
 }
+
+// BenchmarkReconcileSRTF1500 is the bypass path end to end: Philly
+// trace 4 cut to 1,500 jobs, replayed event-driven under SRTF, so no
+// grouping layer runs and every round is the policy's ordering plus
+// engine.Reconcile plus the simulator's bookkeeping (the bench ledger's
+// sim-bypass shape). Run with -benchmem: allocs/op is the per-replay
+// count the round scratch is meant to hold down.
+func BenchmarkReconcileSRTF1500(b *testing.B) {
+	gen := trace.PhillyConfigs(64)[3]
+	gen.Jobs = 1500
+	tr := trace.Generate(gen)
+	cfg := sim.DefaultConfig()
+	cfg.EventDriven = true
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := sim.Run(cfg, tr, sched.SRTF())
+		if res.Summary.Jobs != len(tr.Specs) {
+			b.Fatal("incomplete run")
+		}
+		b.ReportMetric(float64(res.Engine.Rounds), "rounds")
+	}
+}

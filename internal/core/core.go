@@ -16,7 +16,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -286,7 +285,7 @@ func (c Config) PlanWithSeeds(seeds [][]*job.Job, jobs []*job.Job, capacityGPUs 
 		if !seen[gpus] {
 			seen[gpus] = true
 			keys = append(keys, gpus)
-			sort.Sort(sort.Reverse(sort.IntSlice(keys)))
+			slices.SortFunc(keys, func(a, b int) int { return cmp.Compare(b, a) })
 		}
 	}
 	for gpus, bjobs := range jobBuckets {
@@ -711,7 +710,7 @@ func (c Config) roundSetup(buckets map[int][]*node, capacityGPUs int) (keys []in
 		keys = append(keys, gpus)
 		demand += gpus * len(nodes)
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(keys)))
+	slices.SortFunc(keys, func(a, b int) int { return cmp.Compare(b, a) })
 	unconstrained = capacityGPUs <= 0
 	maxRounds = c.rounds()
 	if !unconstrained {
@@ -920,7 +919,7 @@ func BucketByGPUs(jobs []*job.Job) (keys []int, buckets map[int][]*job.Job) {
 	for k := range buckets {
 		keys = append(keys, k)
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(keys)))
+	slices.SortFunc(keys, func(a, b int) int { return cmp.Compare(b, a) })
 	return keys, buckets
 }
 

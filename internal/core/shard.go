@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"muri/internal/blossom"
 	"muri/internal/job"
@@ -233,15 +234,9 @@ func (c Config) rebalance(sub Config, st *bucketState, out []cachedProp) []cache
 		for i := range idxs {
 			idxs[i] = i
 		}
-		sort.Slice(idxs, func(a, b int) bool {
-			pa, pb := out[idxs[a]], out[idxs[b]]
-			if pa.weight != pb.weight {
-				return pa.weight < pb.weight
-			}
-			if pa.u != pb.u {
-				return pa.u < pb.u
-			}
-			return pa.v < pb.v
+		slices.SortFunc(idxs, func(a, b int) int {
+			pa, pb := out[a], out[b]
+			return cmp.Or(cmp.Compare(pa.weight, pb.weight), cmp.Compare(pa.u, pb.u), cmp.Compare(pa.v, pb.v))
 		})
 		drop := make([]bool, len(out))
 		for _, i := range idxs[:weak] {
@@ -259,7 +254,7 @@ func (c Config) rebalance(sub Config, st *bucketState, out []cachedProp) []cache
 	if len(left) < 2 {
 		return out
 	}
-	sort.Slice(left, func(a, b int) bool { return left[a] < left[b] })
+	slices.Sort(left)
 	return append(out, sub.matchShard(st.nodes, left)...)
 }
 

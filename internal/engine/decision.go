@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -92,6 +92,8 @@ func memberIDs(u sched.Unit) []job.ID {
 	for i, j := range u.Jobs {
 		ids[i] = j.ID
 	}
-	sort.Slice(ids, func(i, k int) bool { return ids[i] < ids[k] })
+	if len(ids) > 1 {
+		slices.Sort(ids)
+	}
 	return ids
 }

@@ -14,8 +14,9 @@
 package engine
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -173,9 +174,9 @@ type Engine struct {
 	// sink is the policy's decision feedback hook, resolved once at
 	// construction (nil when the policy is not a DecisionSink).
 	sink DecisionSink
-	// seenScratch is the queue-rebuild dedup set, reused across rounds so
-	// a steady-state fleet stops paying per-round map growth.
-	seenScratch map[job.ID]bool
+	// round is Reconcile's working memory, reused across rounds so a
+	// steady-state round allocates only what its Outcome hands out.
+	round roundScratch
 	// lastWaitCause gates provenance emission to cause transitions: one
 	// record when a waiting job's classification changes, not one per
 	// round. Entries clear when the job places, requeues, faults, or
@@ -207,7 +208,49 @@ func New(cfg Config) *Engine {
 		sink:          sink,
 		keyer:         keyer,
 		lastWaitCause: make(map[job.ID]string),
+		round: roundScratch{
+			placedJobs:  make(map[job.ID]bool),
+			claimed:     make(map[job.ID]bool),
+			bumped:      make(map[job.ID]bool),
+			seen:        make(map[job.ID]bool),
+			currentKeys: make(map[string]bool),
+			keySet:      make(map[string]bool),
+		},
 	}
+}
+
+// admittedUnit is one unit that passed the admission walk, with its
+// canonical key computed once for the whole round.
+type admittedUnit struct {
+	key  string
+	spec sched.Unit
+}
+
+// roundScratch is everything one Reconcile round builds and drops; none
+// of it reaches the Outcome, whose slices are allocated per round.
+type roundScratch struct {
+	// placedJobs: jobs holding resources after this round. claimed: jobs
+	// admitted this round or untouchably running. bumped: jobs whose
+	// bypass count already rose this round. seen: dedup set of the
+	// pending rebuild, then of the wait-cause walk.
+	placedJobs, claimed, bumped, seen map[job.ID]bool
+	// currentKeys are the keys running as the round begins; keySet the
+	// admitted (Differential) or placed (ReplaceAll) keys of the kill diff.
+	currentKeys, keySet map[string]bool
+	admitted            []admittedUnit
+	skipped             []sched.Unit
+}
+
+func (r *roundScratch) reset() {
+	clear(r.placedJobs)
+	clear(r.claimed)
+	clear(r.bumped)
+	clear(r.currentKeys)
+	clear(r.keySet)
+	// Dropped specs would otherwise pin last round's job slices.
+	clear(r.admitted)
+	clear(r.skipped)
+	r.admitted, r.skipped = r.admitted[:0], r.skipped[:0]
 }
 
 // emitCause publishes one provenance annotation (no-op without a hook).
@@ -520,7 +563,9 @@ type Placement struct {
 	Restart bool
 }
 
-// Outcome is the result of one scheduling round.
+// Outcome is the result of one scheduling round. Every slice is freshly
+// allocated and the driver may retain it, except Kept, which aliases
+// Input.Current on non-preemptive rounds.
 type Outcome struct {
 	// Planned is the policy's raw unit list, before admission.
 	Planned []sched.Unit
@@ -554,12 +599,12 @@ func (e *Engine) Reconcile(in Input) Outcome {
 	preempt := e.cfg.Policy.Preemptive()
 	units := e.cfg.Policy.Plan(in.Now, in.Candidates, in.Capacity)
 	out := Outcome{Planned: units}
-
-	curKeys := make([]string, len(in.Current))
-	currentKeys := make(map[string]bool, len(in.Current))
+	r := &e.round
+	r.reset()
 	for i := range in.Current {
-		curKeys[i] = UnitKey(in.Current[i].Spec)
-		currentKeys[curKeys[i]] = true
+		c := &in.Current[i]
+		c.key = UnitKey(c.Spec)
+		r.currentKeys[c.key] = true
 	}
 
 	// Capacity budget and already-claimed jobs. Preemptive rounds
@@ -567,7 +612,7 @@ func (e *Engine) Reconcile(in Input) Outcome {
 	// allocations, Differential counts running units as reclaimable.
 	// Non-preemptive rounds keep running units and their members off the
 	// table.
-	placedJobs := make(map[job.ID]bool)
+	placedJobs, claimed := r.placedJobs, r.claimed
 	var free int
 	switch {
 	case preempt && e.cfg.Style == ReplaceAll:
@@ -583,117 +628,61 @@ func (e *Engine) Reconcile(in Input) Outcome {
 		for _, c := range in.Current {
 			for _, j := range c.Spec.Jobs {
 				placedJobs[j.ID] = true
+				claimed[j.ID] = true
 			}
 		}
 	}
 
-	// Anti-starvation: units whose members have been bypassed too many
-	// rounds jump to the front of the admission order (stable within each
-	// class), so a large multi-GPU unit cannot be blocked forever by a
-	// stream of small higher-priority units.
-	starving := func(spec sched.Unit) bool {
-		for _, j := range spec.Jobs {
-			if e.bypassed[j.ID] >= e.cfg.StarvationPatience {
-				return true
-			}
-		}
-		return false
-	}
-	// Classify each unit once; when nothing is starving (the common round)
-	// the planner's order is already the admission order.
-	orderedUnits := units
-	if len(e.bypassed) > 0 {
-		var starv []bool
-		nStarv := 0
-		for i, spec := range units {
-			if starving(spec) {
-				if starv == nil {
-					starv = make([]bool, len(units))
-				}
-				starv[i] = true
-				nStarv++
-			}
-		}
-		if nStarv > 0 {
-			ordered := make([]sched.Unit, 0, len(units))
-			for i, spec := range units {
-				if starv[i] {
-					ordered = append(ordered, spec)
-					if e.cfg.Provenance != nil {
-						for _, j := range spec.Jobs {
-							if e.bypassed[j.ID] >= e.cfg.StarvationPatience {
-								e.emitCause(CauseEvent{Job: j.ID, Cause: CauseStarvationBoost, Note: true,
-									Detail: "boosted to the front after " + strconv.Itoa(e.bypassed[j.ID]) + " bypassed rounds"})
-							}
-						}
-					}
-				}
-			}
-			for i, spec := range units {
-				if !starv[i] {
-					ordered = append(ordered, spec)
-				}
-			}
-			orderedUnits = ordered
-		}
-	}
+	orderedUnits := e.starvationOrder(units)
 
 	// Admission: walk in priority order, admitting units that fit in the
 	// remaining capacity. Units skipped for capacity while a later unit
-	// is admitted accumulate a bypass count.
-	admitted := make([]sched.Unit, 0, len(orderedUnits))
-	skipped := make([]sched.Unit, 0, len(orderedUnits))
-	bumped := make(map[job.ID]bool)
-	claimed := make(map[job.ID]bool, len(placedJobs)+len(orderedUnits))
-	for id := range placedJobs {
-		claimed[id] = true
-	}
+	// is admitted accumulate a bypass count. The walk stops once nothing
+	// is free, which is exact: every unit needs at least one GPU, and only
+	// an admission claims jobs, bumps bypass counts or changes what
+	// emitWaitCauses reads (DESIGN.md §8).
 	for _, spec := range orderedUnits {
-		conflict := false
-		for _, j := range spec.Jobs {
-			if claimed[j.ID] {
-				conflict = true
-				break
-			}
+		if free <= 0 {
+			break
 		}
-		if conflict {
+		if slices.ContainsFunc(spec.Jobs, func(j *job.Job) bool { return claimed[j.ID] }) {
 			continue
 		}
 		if spec.GPUs > free {
-			skipped = append(skipped, spec)
+			r.skipped = append(r.skipped, spec)
 			continue
 		}
 		free -= spec.GPUs
-		admitted = append(admitted, spec)
+		r.admitted = append(r.admitted, admittedUnit{key: UnitKey(spec), spec: spec})
 		for _, j := range spec.Jobs {
 			claimed[j.ID] = true
 		}
-		for _, sk := range skipped {
+		for _, sk := range r.skipped {
 			for _, j := range sk.Jobs {
-				if !bumped[j.ID] {
-					bumped[j.ID] = true
+				if !r.bumped[j.ID] {
+					r.bumped[j.ID] = true
 					e.bypassed[j.ID]++
 				}
 			}
 		}
-		skipped = skipped[:0]
+		r.skipped = r.skipped[:0]
 	}
 
 	// Preemption reconciliation. Differential keeps re-admitted keys,
 	// kills the rest (through the driver, so capacity frees before
 	// placement), and places only the new keys. ReplaceAll re-places the
 	// whole admitted set; kills fall out of the key diff afterwards.
-	toPlace := admitted
+	toPlace := r.admitted
 	if preempt && e.cfg.Style == Differential {
-		admittedKeys := make(map[string]bool, len(admitted))
-		for _, spec := range admitted {
-			admittedKeys[UnitKey(spec)] = true
+		for _, a := range r.admitted {
+			r.keySet[a.key] = true
 		}
-		keptKeys := make(map[string]bool)
-		for i, c := range in.Current {
-			if admittedKeys[curKeys[i]] {
+		for _, c := range in.Current {
+			if r.keySet[c.key] {
 				out.Kept = append(out.Kept, c)
-				keptKeys[curKeys[i]] = true
+				for _, j := range c.Spec.Jobs {
+					placedJobs[j.ID] = true
+				}
 				continue
 			}
 			out.Killed = append(out.Killed, c)
@@ -701,15 +690,11 @@ func (e *Engine) Reconcile(in Input) Outcome {
 				in.Kill(c)
 			}
 		}
-		for _, c := range out.Kept {
-			for _, j := range c.Spec.Jobs {
-				placedJobs[j.ID] = true
-			}
-		}
+		// An admitted unit whose key is current was just kept.
 		toPlace = toPlace[:0]
-		for _, spec := range admitted {
-			if !keptKeys[UnitKey(spec)] {
-				toPlace = append(toPlace, spec)
+		for _, a := range r.admitted {
+			if !r.currentKeys[a.key] {
+				toPlace = append(toPlace, a)
 			}
 		}
 	} else if !preempt {
@@ -719,14 +704,24 @@ func (e *Engine) Reconcile(in Input) Outcome {
 	// Placement: descending GPU order so large units claim whole machines
 	// before small units fragment them (§5). Member classification uses
 	// the previous round's placement memory.
-	sort.SliceStable(toPlace, func(i, k int) bool { return toPlace[i].GPUs > toPlace[k].GPUs })
-	for _, spec := range toPlace {
-		key := UnitKey(spec)
+	slices.SortStableFunc(toPlace, func(a, b admittedUnit) int { return cmp.Compare(b.spec.GPUs, a.spec.GPUs) })
+	nMembers := 0
+	for _, a := range toPlace {
+		nMembers += len(a.spec.Jobs)
+	}
+	if len(toPlace) > 0 {
+		out.Placements = make([]Placement, 0, len(toPlace))
+	}
+	members := make([]Member, nMembers) // one backing array for the round
+	for _, a := range toPlace {
+		key, spec := a.key, a.spec
 		handle, ok := in.Placer.Place(key, spec)
 		if !ok {
 			continue // fragmentation despite descending order; rare
 		}
-		p := Placement{Key: key, Spec: spec, Handle: handle, Members: make([]Member, len(spec.Jobs))}
+		n := len(spec.Jobs)
+		p := Placement{Key: key, Spec: spec, Handle: handle, Members: members[:n:n]}
+		members = members[n:]
 		for i, j := range spec.Jobs {
 			prev, wasRunning := e.prevKeys[j.ID]
 			m := Member{Job: j}
@@ -750,12 +745,11 @@ func (e *Engine) Reconcile(in Input) Outcome {
 	// ReplaceAll kill diff: current units whose key did not survive into
 	// the placed set were preempted.
 	if preempt && e.cfg.Style == ReplaceAll {
-		placedKeys := make(map[string]bool, len(out.Placements))
 		for _, p := range out.Placements {
-			placedKeys[p.Key] = true
+			r.keySet[p.Key] = true
 		}
-		for i, c := range in.Current {
-			if !placedKeys[curKeys[i]] {
+		for _, c := range in.Current {
+			if !r.keySet[c.key] {
 				out.Killed = append(out.Killed, c)
 			}
 		}
@@ -766,15 +760,15 @@ func (e *Engine) Reconcile(in Input) Outcome {
 	// emit nothing.
 	var killCause string
 	if e.cfg.Provenance != nil && len(out.Killed) > 0 {
-		killCause = e.preemptorDetail(&out, currentKeys)
+		killCause = e.preemptorDetail(&out, r.currentKeys)
 	}
 	for _, c := range out.Killed {
 		e.stats.Preemptions++
 		out.Decisions = append(out.Decisions,
-			e.emit(Decision{Action: ActKill, Key: UnitKey(c.Spec), Jobs: memberIDs(c.Spec), Cause: killCause}))
+			e.emit(Decision{Action: ActKill, Key: c.key, Jobs: memberIDs(c.Spec), Cause: killCause}))
 	}
 	for _, p := range out.Placements {
-		if currentKeys[p.Key] {
+		if r.currentKeys[p.Key] {
 			continue
 		}
 		e.stats.Launches++
@@ -786,8 +780,7 @@ func (e *Engine) Reconcile(in Input) Outcome {
 	}
 
 	// Rebuild the pending queue and the placement memory.
-	e.prevKeys = make(map[job.ID]string, len(placedJobs))
-	newPending := make([]*job.Job, 0, len(in.Pending))
+	newPending := make([]*job.Job, 0, max(len(in.Pending), len(in.Candidates)))
 	for _, j := range in.Pending {
 		if !placedJobs[j.ID] {
 			j.State = job.Pending
@@ -796,12 +789,8 @@ func (e *Engine) Reconcile(in Input) Outcome {
 	}
 	if preempt {
 		// Preempted-but-not-replaced jobs rejoin the queue.
-		if e.seenScratch == nil {
-			e.seenScratch = make(map[job.ID]bool, len(newPending))
-		} else {
-			clear(e.seenScratch)
-		}
-		seen := e.seenScratch
+		seen := r.seen
+		clear(seen)
 		for _, j := range newPending {
 			seen[j.ID] = true
 		}
@@ -815,27 +804,18 @@ func (e *Engine) Reconcile(in Input) Outcome {
 		// The queue is usually already Submit-ordered (pending was sorted
 		// last round and candidates arrive in submit order); a stable sort
 		// of a sorted slice is the identity, so skipping it is exact.
-		bySubmit := func(i, k int) bool {
-			return newPending[i].Submit < newPending[k].Submit
-		}
-		if !sort.SliceIsSorted(newPending, bySubmit) {
-			sort.SliceStable(newPending, bySubmit)
+		bySubmit := func(a, b *job.Job) int { return cmp.Compare(a.Submit, b.Submit) }
+		if !slices.IsSortedFunc(newPending, bySubmit) {
+			slices.SortStableFunc(newPending, bySubmit)
 		}
 	}
 	out.Pending = newPending
-	remember := func(spec sched.Unit) {
-		key := UnitKey(spec)
-		for _, j := range spec.Jobs {
-			e.prevKeys[j.ID] = key
-			delete(e.bypassed, j.ID)      // running resets starvation credit
-			delete(e.lastWaitCause, j.ID) // next wait re-classifies from scratch
-		}
-	}
+	clear(e.prevKeys)
 	for _, c := range out.Kept {
-		remember(c.Spec)
+		e.remember(c.key, c.Spec.Jobs)
 	}
 	for _, p := range out.Placements {
-		remember(p.Spec)
+		e.remember(p.Key, p.Spec.Jobs)
 	}
 
 	depth := 0
@@ -846,10 +826,58 @@ func (e *Engine) Reconcile(in Input) Outcome {
 	}
 	e.stats.QueueDepth = depth
 	if e.cfg.Provenance != nil {
-		e.emitWaitCauses(in, orderedUnits, claimed, placedJobs, &out)
+		e.emitWaitCauses(in, orderedUnits, &out)
 	}
 	e.traceRound(in, &out)
 	return out
+}
+
+// remember records a running unit's members in the placement memory.
+func (e *Engine) remember(key string, jobs []*job.Job) {
+	for _, j := range jobs {
+		e.prevKeys[j.ID] = key
+		delete(e.bypassed, j.ID)      // running resets starvation credit
+		delete(e.lastWaitCause, j.ID) // next wait re-classifies from scratch
+	}
+}
+
+// starvationOrder applies anti-starvation to the planner's order: units
+// whose members have been bypassed too many rounds jump to the front of
+// the admission order (stable within each class), so a large multi-GPU
+// unit cannot be blocked forever by a stream of small higher-priority
+// units. When nothing is starving (the common round) the planner's order
+// is already the admission order and is returned as is.
+func (e *Engine) starvationOrder(units []sched.Unit) []sched.Unit {
+	starving := func(j *job.Job) bool { return e.bypassed[j.ID] >= e.cfg.StarvationPatience }
+	// The ledger is small (only units skipped while capacity remained
+	// enter it), so scanning it beats probing it once per planned job.
+	overdue := false
+	for _, n := range e.bypassed {
+		overdue = overdue || n >= e.cfg.StarvationPatience
+	}
+	if !overdue {
+		return units
+	}
+	starved := func(spec sched.Unit) bool { return slices.ContainsFunc(spec.Jobs, starving) }
+	ordered := make([]sched.Unit, 0, len(units))
+	for _, spec := range units {
+		if !starved(spec) {
+			continue
+		}
+		ordered = append(ordered, spec)
+		for _, j := range spec.Jobs {
+			if e.cfg.Provenance != nil && starving(j) {
+				e.emitCause(CauseEvent{Job: j.ID, Cause: CauseStarvationBoost, Note: true,
+					Detail: "boosted to the front after " + strconv.Itoa(e.bypassed[j.ID]) + " bypassed rounds"})
+			}
+		}
+	}
+	for _, spec := range units {
+		if !starved(spec) {
+			ordered = append(ordered, spec)
+		}
+	}
+	return ordered
 }
 
 // preemptorDetail names the work that displaced this round's kills: the
@@ -865,7 +893,7 @@ func (e *Engine) preemptorDetail(out *Outcome, currentKeys map[string]bool) stri
 	if len(ids) == 0 {
 		return "capacity reclaimed (no replacement launched)"
 	}
-	sort.Slice(ids, func(i, k int) bool { return ids[i] < ids[k] })
+	slices.Sort(ids)
 	var b strings.Builder
 	b.WriteString("preempted by job")
 	if len(ids) > 1 {
@@ -907,9 +935,10 @@ func launchDetail(spec sched.Unit) string {
 // the comparator key values and blocker identities when the policy
 // exposes them. Walk order follows the admission order, so emission is
 // deterministic.
-func (e *Engine) emitWaitCauses(in Input, orderedUnits []sched.Unit, claimed, placedJobs map[job.ID]bool, out *Outcome) {
+func (e *Engine) emitWaitCauses(in Input, orderedUnits []sched.Unit, out *Outcome) {
 	blockers := e.blockerDetail(in.Now, out)
-	seen := make(map[job.ID]bool)
+	claimed, placedJobs, seen := e.round.claimed, e.round.placedJobs, e.round.seen
+	clear(seen)
 	for _, spec := range orderedUnits {
 		for _, j := range spec.Jobs {
 			if placedJobs[j.ID] || seen[j.ID] || j.State == job.Done {

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 
 	"muri/internal/sched"
@@ -16,14 +16,18 @@ import (
 // restart; any change in composition or mode produces a new key and
 // forces a relaunch.
 func UnitKey(u sched.Unit) string {
-	ids := make([]int64, len(u.Jobs))
-	for i, j := range u.Jobs {
-		ids[i] = int64(j.ID)
+	// Stack buffers: groups hold at most a handful of members, and a key
+	// is a short string, so the only allocation is the returned string.
+	var idBuf [8]int64
+	ids := idBuf[:0]
+	for _, j := range u.Jobs {
+		ids = append(ids, int64(j.ID))
 	}
-	sort.Slice(ids, func(i, k int) bool { return ids[i] < ids[k] })
-	mode := u.Mode.String()
-	buf := make([]byte, 0, len(mode)+1+8*len(ids))
-	buf = append(buf, mode...)
+	if len(ids) > 1 {
+		slices.Sort(ids)
+	}
+	var keyBuf [64]byte
+	buf := append(keyBuf[:0], u.Mode.String()...)
 	buf = append(buf, ':')
 	for i, id := range ids {
 		if i > 0 {

@@ -32,4 +32,7 @@ type Current struct {
 	// Handle identifies the unit to the driver (simulator *unit, daemon
 	// group ID).
 	Handle any
+	// key is UnitKey(Spec), stamped by Reconcile as the round begins so
+	// the copies in Outcome.Kept and Outcome.Killed carry it.
+	key string
 }

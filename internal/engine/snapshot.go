@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"muri/internal/job"
@@ -214,7 +214,7 @@ func (e *Engine) PhasesInOrder() []struct {
 	for id := range e.records {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	out := make([]struct {
 		ID    job.ID
 		Phase Phase

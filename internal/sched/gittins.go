@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -112,7 +113,7 @@ func (g *Gittins) snapshotHistory() []float64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.dirty {
-		sort.Float64s(g.history)
+		slices.Sort(g.history)
 		g.dirty = false
 	}
 	return append([]float64(nil), g.history...)
@@ -164,10 +165,8 @@ func gittinsIndex(history []float64, quanta []time.Duration, a float64) float64 
 func (g *Gittins) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
 	history := g.snapshotHistory()
 	quanta := g.quanta()
-	ordered := append([]*job.Job{}, jobs...)
-	sortJobs(ordered, func(j *job.Job) float64 {
+	return exclusiveUnits(sortJobs(jobs, func(j *job.Job) float64 {
 		a := j.Attained.Seconds() * float64(j.GPUs)
 		return -gittinsIndex(history, quanta, a) // highest index first
-	})
-	return exclusiveUnits(ordered)
+	}))
 }

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"sort"
 	"time"
 
 	"muri/internal/job"
@@ -43,15 +42,9 @@ func (DRF) Preemptive() bool { return true }
 // hold if granted, smallest first (progressive filling), tie-broken by
 // arrival.
 func (DRF) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
-	type cand struct {
-		j        *job.Job
-		dominant float64
-	}
-	cands := make([]cand, len(jobs))
-	for i, j := range jobs {
-		d := demandVector(j)
+	return exclusiveUnits(sortJobs(jobs, func(j *job.Job) float64 {
 		max := 0.0
-		for _, v := range d {
+		for _, v := range demandVector(j) {
 			if v > max {
 				max = v
 			}
@@ -62,22 +55,8 @@ func (DRF) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
 		if capacity > 0 {
 			share /= float64(capacity)
 		}
-		cands[i] = cand{j: j, dominant: share}
-	}
-	sort.SliceStable(cands, func(i, k int) bool {
-		if cands[i].dominant != cands[k].dominant {
-			return cands[i].dominant < cands[k].dominant
-		}
-		if cands[i].j.Submit != cands[k].j.Submit {
-			return cands[i].j.Submit < cands[k].j.Submit
-		}
-		return cands[i].j.ID < cands[k].j.ID
-	})
-	units := make([]Unit, len(cands))
-	for i, c := range cands {
-		units[i] = Unit{Jobs: []*job.Job{c.j}, GPUs: c.j.GPUs, Mode: Exclusive}
-	}
-	return units
+		return share
+	}))
 }
 
 // Tetris implements Tetris-style multi-resource packing: jobs are scored
@@ -113,10 +92,6 @@ func (t Tetris) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
 	for r := range remaining {
 		remaining[r] = 1
 	}
-	type cand struct {
-		j     *job.Job
-		score float64
-	}
 	// Normalize the SRTF term across the candidate set.
 	maxRem := time.Duration(1)
 	for _, j := range jobs {
@@ -124,28 +99,13 @@ func (t Tetris) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
 			maxRem = r
 		}
 	}
-	cands := make([]cand, len(jobs))
-	for i, j := range jobs {
+	return exclusiveUnits(sortJobs(jobs, func(j *job.Job) float64 {
 		d := demandVector(j)
 		align := 0.0
 		for r := range d {
 			align += d[r] * remaining[r]
 		}
 		srtf := 1 - float64(j.RemainingTime())/float64(maxRem)
-		cands[i] = cand{j: j, score: (1-w)*align + w*srtf}
-	}
-	sort.SliceStable(cands, func(i, k int) bool {
-		if cands[i].score != cands[k].score {
-			return cands[i].score > cands[k].score // higher score first
-		}
-		if cands[i].j.Submit != cands[k].j.Submit {
-			return cands[i].j.Submit < cands[k].j.Submit
-		}
-		return cands[i].j.ID < cands[k].j.ID
-	})
-	units := make([]Unit, len(cands))
-	for i, c := range cands {
-		units[i] = Unit{Jobs: []*job.Job{c.j}, GPUs: c.j.GPUs, Mode: Exclusive}
-	}
-	return units
+		return -((1-w)*align + w*srtf) // higher score first
+	}))
 }

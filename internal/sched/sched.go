@@ -6,10 +6,10 @@
 package sched
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"time"
 
 	"muri/internal/core"
@@ -77,26 +77,49 @@ type Policy interface {
 	Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit
 }
 
-// sortJobs sorts jobs by the given key ascending, breaking ties by
-// submission time then ID for determinism.
-func sortJobs(jobs []*job.Job, key func(*job.Job) float64) {
-	sort.SliceStable(jobs, func(i, k int) bool {
-		a, b := key(jobs[i]), key(jobs[k])
-		if a != b {
-			return a < b
-		}
-		if jobs[i].Submit != jobs[k].Submit {
-			return jobs[i].Submit < jobs[k].Submit
-		}
-		return jobs[i].ID < jobs[k].ID
-	})
+// sortJobs returns jobs in ascending key order, ties broken by submission
+// time then ID, in a fresh slice. It is the one ordering primitive every
+// policy ranks through: the key is evaluated once per job, the generic
+// sort moves 16-byte entries, and entryCmp is a total order, so the
+// result equals a stable sort's whatever the algorithm.
+func sortJobs(jobs []*job.Job, key func(*job.Job) float64) []*job.Job {
+	entries := decorate(nil, jobs, key)
+	slices.SortFunc(entries, entryCmp)
+	return undecorate(entries)
 }
 
-// exclusiveUnits wraps each job in its own unit, preserving order.
+// decorate pairs every job with its key, reusing scratch when it fits.
+func decorate(scratch []muriEntry, jobs []*job.Job, key func(*job.Job) float64) []muriEntry {
+	if cap(scratch) < len(jobs) {
+		scratch = make([]muriEntry, len(jobs))
+	}
+	entries := scratch[:len(jobs)]
+	for i, j := range jobs {
+		entries[i] = muriEntry{j: j, key: key(j)}
+	}
+	return entries
+}
+
+// undecorate copies the entries' jobs into a fresh slice — never scratch:
+// exclusiveUnits hands out windows of it and drivers retain units.
+func undecorate(entries []muriEntry) []*job.Job {
+	ordered := make([]*job.Job, len(entries))
+	for i := range entries {
+		ordered[i] = entries[i].j
+	}
+	return ordered
+}
+
+// exclusiveUnits wraps each job in its own unit, preserving order. A
+// unit's Jobs is a one-element window of jobs with its capacity clipped
+// to one: no per-job allocation, and an append to one unit's Jobs
+// reallocates instead of overwriting its neighbour. The units own jobs
+// from here on, and a retained unit keeps the whole array alive (the
+// daemon copies Jobs out when a launch outlives the round).
 func exclusiveUnits(jobs []*job.Job) []Unit {
 	units := make([]Unit, len(jobs))
 	for i, j := range jobs {
-		units[i] = Unit{Jobs: []*job.Job{j}, GPUs: j.GPUs, Mode: Exclusive}
+		units[i] = Unit{Jobs: jobs[i : i+1 : i+1], GPUs: j.GPUs, Mode: Exclusive}
 	}
 	return units
 }
@@ -120,9 +143,7 @@ func (p priorityPolicy) PriorityKey(now time.Duration, j *job.Job) float64 {
 }
 
 func (p priorityPolicy) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
-	ordered := append([]*job.Job{}, jobs...)
-	sortJobs(ordered, func(j *job.Job) float64 { return p.key(now, j) })
-	return exclusiveUnits(ordered)
+	return exclusiveUnits(sortJobs(jobs, func(j *job.Job) float64 { return p.key(now, j) }))
 }
 
 // FIFO schedules jobs exclusively in arrival order without preemption.
@@ -198,8 +219,7 @@ func (a AntMan) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
 	if degree < 1 {
 		degree = 2
 	}
-	ordered := append([]*job.Job{}, jobs...)
-	sortJobs(ordered, func(j *job.Job) float64 { return j.Submit.Seconds() })
+	ordered := sortJobs(jobs, func(j *job.Job) float64 { return j.Submit.Seconds() })
 	var units []Unit
 	pendingByGPU := make(map[int][]*job.Job)
 	flush := func(g int) {
@@ -227,13 +247,13 @@ func (a AntMan) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
 			gs = append(gs, g)
 		}
 	}
-	sort.Ints(gs)
+	slices.Sort(gs)
 	for _, g := range gs {
 		flush(g)
 	}
 	// Restore global FIFO order across units (earliest member first).
-	sort.SliceStable(units, func(i, k int) bool {
-		return units[i].Jobs[0].Submit < units[k].Jobs[0].Submit
+	slices.SortStableFunc(units, func(a, b Unit) int {
+		return cmp.Compare(a.Jobs[0].Submit, b.Jobs[0].Submit)
 	})
 	return units
 }
@@ -525,42 +545,34 @@ type rankedGroup struct {
 	g    core.Group
 }
 
-// entryLess is the total priority order: key, then submission time, then
-// ID. IDs are unique, so the order has no ties and any comparison sort
-// yields the same permutation as the stable sort it replaces.
-func entryLess(a, b muriEntry) bool {
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	if a.j.Submit != b.j.Submit {
-		return a.j.Submit < b.j.Submit
-	}
-	return a.j.ID < b.j.ID
-}
-
-// entryCmp is entryLess as a three-way comparison. It is a total order
-// (job IDs are unique), so sorted output is unique regardless of the
-// sort algorithm's stability.
+// entryCmp is the total priority order: key, then submission time, then
+// ID. NaN keys rank after every number and equal to each other (a
+// comparator that returns "not less" both ways for NaN is not a strict
+// weak order, and an unstable sort may then misplace unrelated jobs). IDs
+// are unique, so the order has no ties and any comparison sort yields the
+// same permutation as a stable one.
 func entryCmp(a, b muriEntry) int {
 	switch {
-	case a.key != b.key:
-		if a.key < b.key {
+	case a.key < b.key:
+		return -1
+	case a.key > b.key:
+		return 1
+	case a.key != b.key: // at least one NaN
+		if aNaN, bNaN := a.key != a.key, b.key != b.key; aNaN != bNaN {
+			if aNaN {
+				return 1
+			}
 			return -1
 		}
-		return 1
-	case a.j.Submit != b.j.Submit:
-		if a.j.Submit < b.j.Submit {
-			return -1
-		}
-		return 1
-	case a.j.ID != b.j.ID:
-		if a.j.ID < b.j.ID {
-			return -1
-		}
-		return 1
 	}
-	return 0
+	if c := cmp.Compare(a.j.Submit, b.j.Submit); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.j.ID, b.j.ID)
 }
+
+// entryLess is entryCmp as a strict less-than.
+func entryLess(a, b muriEntry) bool { return entryCmp(a, b) < 0 }
 
 // orderJobs returns jobs in priority order. With BackfillLimit set, only
 // the top budget+BackfillLimit jobs (by GPU-demand accounting, every job
@@ -568,28 +580,16 @@ func entryCmp(a, b muriEntry) int {
 // quickselect instead of sorted — the result is identical to sorting
 // everything and truncating.
 func (m *Muri) orderJobs(jobs []*job.Job, budget int) []*job.Job {
-	if cap(m.scratch) < len(jobs) {
-		m.scratch = make([]muriEntry, len(jobs))
-	}
-	entries := m.scratch[:len(jobs)]
-	for i, j := range jobs {
-		entries[i] = muriEntry{j: j, key: m.PriorityKey(0, j)}
-	}
-	n := len(entries)
+	m.scratch = decorate(m.scratch, jobs, func(j *job.Job) float64 { return m.PriorityKey(0, j) })
+	entries := m.scratch
 	if m.BackfillLimit > 0 {
-		if need := budget + m.BackfillLimit; need < n {
+		if need := budget + m.BackfillLimit; need < len(entries) {
 			selectTop(entries, need)
-			n = need
+			entries = entries[:need]
 		}
 	}
-	// The generic sort swaps 16-byte entries directly; the reflection-based
-	// sort.Slice was the single hottest call in large-fleet profiles.
-	slices.SortFunc(entries[:n], entryCmp)
-	ordered := make([]*job.Job, n)
-	for i := range entries[:n] {
-		ordered[i] = entries[i].j
-	}
-	return ordered
+	slices.SortFunc(entries, entryCmp)
+	return undecorate(entries)
 }
 
 // selectTop partitions entries so the k smallest (by entryLess) occupy

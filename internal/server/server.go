@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -1368,6 +1369,10 @@ func (s *Server) launchLocked(exec *executorConn, u sched.Unit, key string) (int
 		return 0, false
 	}
 	exec.free -= u.GPUs
+	// The group outlives the round, and an exclusive unit's Jobs is a
+	// window of the round's whole ordered queue: copy it out so a
+	// long-running group does not pin that array.
+	u.Jobs = slices.Clone(u.Jobs)
 	g := &groupState{id: gid, key: key, exec: exec, gpus: u.GPUs, jobs: ids, spec: u, since: time.Now()}
 	s.groups[gid] = g
 	for _, id := range ids {

@@ -10,9 +10,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -319,6 +320,13 @@ type sim struct {
 	// explFaults counts per-job transient faults for the synthesized
 	// fault-ledger records (nil unless cfg.Explain is set).
 	explFaults map[job.ID]int
+
+	// Per-round scratch of schedule, reused across rounds. The engine
+	// and the policies read these during Reconcile and retain none of
+	// them (Outcome.Kept may alias current, and is not kept here).
+	candidates []*job.Job
+	current    []engine.Current
+	oldCarry   map[job.ID]float64
 }
 
 // jobFault is one scheduled transient job fault.
@@ -356,9 +364,10 @@ func Run(cfg Config, tr trace.Trace, policy sched.Policy) Result {
 		cfg.StarvationPatience = 5
 	}
 	s := &sim{
-		cfg:     cfg,
-		cluster: cluster.New(cfg.Machines, cfg.GPUsPerMachine),
-		policy:  policy,
+		cfg:      cfg,
+		cluster:  cluster.New(cfg.Machines, cfg.GPUsPerMachine),
+		policy:   policy,
+		oldCarry: make(map[job.ID]float64),
 	}
 	// With provenance enabled, tee the decision stream into the explain
 	// builder as synthesized WAL records (the exact shape the daemon
@@ -453,7 +462,7 @@ func (s *sim) buildJobs(tr trace.Trace) {
 		s.refreshBelief(j)
 		s.all = append(s.all, j)
 	}
-	sort.SliceStable(s.all, func(i, k int) bool { return s.all[i].Submit < s.all[k].Submit })
+	slices.SortStableFunc(s.all, func(a, b *job.Job) int { return cmp.Compare(a.Submit, b.Submit) })
 }
 
 // loop drives virtual time: admit arrivals, run the policy, advance
@@ -787,16 +796,14 @@ func (p simPlacer) Place(_ string, u sched.Unit) (any, bool) {
 // become live simulation state (iteration times, straggler slowdowns,
 // carry restoration, restart overhead, transient-fault draws).
 func (s *sim) schedule() {
-	var candidates []*job.Job
+	candidates := append(s.candidates[:0], s.pending...)
 	if s.policy.Preemptive() {
 		// Preemptive policies reconsider everything unfinished.
-		candidates = append(candidates, s.pending...)
 		for _, u := range s.running {
 			candidates = append(candidates, u.spec.Jobs...)
 		}
-	} else {
-		candidates = append(candidates, s.pending...)
 	}
+	s.candidates = candidates
 	// Prediction mode: re-read every candidate's believed profile before
 	// the policy sees it, so completions observed since the last round
 	// reshape this round's priorities and groupings.
@@ -815,16 +822,16 @@ func (s *sim) schedule() {
 	}
 	// Remember per-job fractional progress so continuing jobs lose no
 	// partial iterations across intervals.
-	oldCarry := make(map[job.ID]float64)
+	oldCarry := s.oldCarry
+	clear(oldCarry)
+	current := s.current[:0]
 	for _, u := range s.running {
 		for i, j := range u.spec.Jobs {
 			oldCarry[j.ID] = u.carry[i]
 		}
+		current = append(current, engine.Current{Spec: u.spec, Handle: u})
 	}
-	current := make([]engine.Current, len(s.running))
-	for i, u := range s.running {
-		current[i] = engine.Current{Spec: u.spec, Handle: u}
-	}
+	s.current = current
 	out := s.eng.Reconcile(engine.Input{
 		Now:        s.now,
 		Candidates: candidates,
