@@ -13,11 +13,12 @@ check: fmt lint-sort build vet test-race smoke-recover
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# The scheduling path sorts with the generic slices package: the
-# reflection sorts (sort.Slice, sort.SliceStable) were the hottest frames
-# of a non-grouping round, so they may not come back outside tests.
+# The scheduling path — the daemon's round included — sorts with the
+# generic slices package: the reflection sorts (sort.Slice,
+# sort.SliceStable) were the hottest frames of a non-grouping round, so
+# they may not come back outside tests.
 lint-sort:
-	@out=$$(grep -rn 'sort\.Slice\(Stable\)\?(' --include='*.go' internal/sched internal/engine internal/sim internal/core | grep -v '_test\.go:'); \
+	@out=$$(grep -rn 'sort\.Slice\(Stable\)\?(' --include='*.go' internal/sched internal/engine internal/sim internal/core internal/server | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then echo "reflection sort on the scheduling path:"; echo "$$out"; exit 1; fi
 
 build:

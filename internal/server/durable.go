@@ -18,7 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -154,6 +154,7 @@ func (s *Server) restoreLocked(rec *wal.Recovery) {
 	// resumes from the last durable virtual instant instead of zero.
 	now := time.Now()
 	s.started = now.Add(-time.Duration(float64(clockV) * s.cfg.TimeScale))
+	s.rebuildLiveLocked()
 	// Reconcile job.State with the engine's replayed phases and find
 	// orphans: jobs running at crash time whose executors have not yet
 	// re-registered. They get one liveness window to be adopted back.
@@ -178,6 +179,20 @@ func (s *Server) restoreLocked(rec *wal.Recovery) {
 		s.log.Info("recovered from wal", "records", s.walReplayed,
 			"jobs", len(s.jobs), "orphans", orphans, "term", s.term.Load())
 	}
+}
+
+// rebuildLiveLocked re-derives the live index from the job table and the
+// engine's phases. Snapshot load and replay materialize jobs (and finish
+// or dead-letter them) without touching the index, so every recovery —
+// restart and standby promotion alike — ends here. Callers hold s.mu.
+func (s *Server) rebuildLiveLocked() {
+	s.live = s.live[:0]
+	for id, js := range s.jobs {
+		if ph := s.eng.PhaseOf(job.ID(id)); ph != engine.PhaseDone && ph != engine.PhaseDeadletter {
+			s.live = append(s.live, js)
+		}
+	}
+	slices.SortFunc(s.live, cmpJobState)
 }
 
 // applySnapshotLocked loads one full checkpoint. Callers hold s.mu.
@@ -541,7 +556,7 @@ func (s *Server) buildSnapshotLocked() *wal.Snapshot {
 	for id := range s.jobs {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		js := s.jobs[id]
 		j := wal.JobSnapshot{
@@ -608,10 +623,10 @@ func (s *Server) freezeForAdoptionLocked(wallNow time.Time) bool {
 	if s.w == nil || s.adoptUntil.IsZero() {
 		return false
 	}
-	var orphans []int64
-	for id, js := range s.jobs {
-		if js.groupID == 0 && s.eng.PhaseOf(job.ID(id)) == engine.PhaseRunning {
-			orphans = append(orphans, id)
+	var orphans []*jobState // ascending job ID, as live is: a deterministic requeue stream
+	for _, js := range s.live {
+		if js.groupID == 0 && s.eng.PhaseOf(job.ID(js.spec.ID)) == engine.PhaseRunning {
+			orphans = append(orphans, js)
 		}
 	}
 	if len(orphans) == 0 {
@@ -621,14 +636,12 @@ func (s *Server) freezeForAdoptionLocked(wallNow time.Time) bool {
 	if wallNow.Before(s.adoptUntil) {
 		return true
 	}
-	sort.Slice(orphans, func(i, j int) bool { return orphans[i] < orphans[j] })
-	for _, id := range orphans {
-		js := s.jobs[id]
+	for _, js := range orphans {
 		s.walProgressLocked(js)
 		js.faultLog = append(js.faultLog, faultRecord{
 			at: wallNow, err: "executor did not re-register after recovery"})
 		s.faults.Requeues++
-		s.eng.RequeueWithCause(job.ID(id), engine.ReasonMachineLost,
+		s.eng.RequeueWithCause(job.ID(js.spec.ID), engine.ReasonMachineLost,
 			"executor did not re-register after recovery")
 	}
 	s.log.Warn("adoption grace expired; orphans requeued", "jobs", len(orphans))
@@ -680,8 +693,8 @@ func (s *Server) adoptGroupLocked(e *executorConn, rg *proto.RunningGroup) bool 
 		js.lastSeen = now
 	}
 	e.free -= rg.GPUs
-	s.groups[rg.GroupID] = &groupState{id: rg.GroupID, key: rg.Key, exec: e,
-		gpus: rg.GPUs, jobs: ids, spec: unit, since: now}
+	s.addGroupLocked(&groupState{id: rg.GroupID, key: rg.Key, exec: e,
+		gpus: rg.GPUs, jobs: ids, spec: unit, since: now})
 	if rg.GroupID > s.nextGroup {
 		s.nextGroup = rg.GroupID
 	}

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"muri/internal/engine"
 	"muri/internal/ingest"
 	"muri/internal/proto"
 	"muri/internal/sched"
@@ -32,10 +33,60 @@ func pendSpec(tenant string) proto.JobSpec {
 	}
 }
 
+// TestIdleArrivalDispatchesWithoutLinger pins MaxBatchDelay as a
+// throttle: a submission that finds the schedule loop quiet launches
+// without waiting the delay out, and one right behind it is held until
+// the delay has passed since that round.
+func TestIdleArrivalDispatchesWithoutLinger(t *testing.T) {
+	const delay = 300 * time.Millisecond
+	launched := make(chan time.Time, 8) // one stamp per launch decision; two expected
+	h := startHarness(t, Config{
+		Interval:      time.Minute, // rounds come from kicks, not the ticker
+		MaxBatchDelay: delay,
+		Observer: func(d engine.Decision) {
+			if d.Action == engine.ActLaunch {
+				launched <- time.Now()
+			}
+		},
+	}, 1, nil)
+	c := h.client(t)
+	// The executor's registration ran a round; let the loop go quiet.
+	time.Sleep(delay + 50*time.Millisecond)
+
+	awaitLaunch := func() time.Time {
+		t.Helper()
+		select {
+		case at := <-launched:
+			return at
+		case <-time.After(10 * time.Second):
+			t.Fatal("no launch decision")
+			return time.Time{}
+		}
+	}
+	sent := time.Now()
+	if _, err := c.SubmitSpec(pendSpec("")); err != nil {
+		t.Fatal(err)
+	}
+	first := awaitLaunch()
+	if took := first.Sub(sent); took > delay/2 {
+		t.Errorf("arrival on a quiet daemon launched after %v, want well under MaxBatchDelay %v", took, delay)
+	}
+	if _, err := c.SubmitSpec(pendSpec("")); err != nil {
+		t.Fatal(err)
+	}
+	// The second round may start no sooner than delay after the first
+	// ended, and the first launch preceded that end.
+	if gap := awaitLaunch().Sub(first); gap < delay {
+		t.Errorf("arrival %v behind a round launched %v after it, want at least MaxBatchDelay %v",
+			time.Since(first), gap, delay)
+	}
+}
+
 // TestBurstSubmissionsCollapseRounds is the kick-collapse regression
 // test: a 1k-job burst over the pipelined stream must cost a handful of
 // engine rounds, not one per job. Before batched admission every submit
-// kicked its own round; the issue's bar is a ≥10× collapse.
+// kicked its own round; the issue's bar is a ≥10× collapse, which the
+// MaxBatchDelay spacing between event-driven rounds holds.
 func TestBurstSubmissionsCollapseRounds(t *testing.T) {
 	h := startHarness(t, Config{
 		Policy:        sched.FIFO(), // non-preemptive, cheap rounds at depth 1000
@@ -109,8 +160,9 @@ func TestIngestBackpressureAndShutdown(t *testing.T) {
 		h := startHarness(t, Config{
 			IngestCapacity: 8,
 			Interval:       time.Hour,
-			// A long linger holds the drain back so concurrent submitters
-			// deterministically overrun the 8-slot queue.
+			// A long spacing between event-driven rounds holds the drain
+			// back (the executor's registration just ran one), so concurrent
+			// submitters deterministically overrun the 8-slot queue.
 			MaxBatchDelay: 400 * time.Millisecond,
 		}, 1, nil)
 		const senders, per = 4, 10

@@ -1,0 +1,432 @@
+// Tests for round assembly: the ascending-ID indexes scheduleLocked
+// walks must always equal a scan-and-sort of the maps they shadow, and a
+// round's cost must not grow with the jobs that have finished.
+package server
+
+import (
+	"fmt"
+	"io"
+	"math/rand"
+	"net"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"slices"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"muri/internal/engine"
+	"muri/internal/job"
+	"muri/internal/proto"
+)
+
+// roundRig drives a Server with no listener and no schedule loop: the
+// test calls the message handlers and scheduleLocked itself, and fake
+// executors are handleExecutor goroutines on pipes whose far end is
+// discarded, so every step is synchronous.
+type roundRig struct {
+	t     *testing.T
+	srv   *Server
+	execs sync.WaitGroup
+	pipes []net.Conn
+}
+
+func newRoundRig(t *testing.T, cfg Config) *roundRig {
+	t.Helper()
+	cfg.Logf = func(string, ...any) {}
+	r := &roundRig{t: t, srv: New(cfg)}
+	if err := r.srv.startDurability(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.stop)
+	return r
+}
+
+// register brings up one fake executor offering groups for adoption and
+// returns once the daemon has accepted or refused it.
+func (r *roundRig) register(id string, gpus int, groups []proto.RunningGroup) {
+	r.t.Helper()
+	near, far := net.Pipe()
+	r.pipes = append(r.pipes, far)
+	acked := make(chan struct{})
+	go func() {
+		if _, err := proto.NewCodec(far).Read(); err == nil { // the RegisterAck
+			close(acked)
+		}
+		_, _ = io.Copy(io.Discard, far) // launches, kills, profile requests
+	}()
+	r.execs.Add(1)
+	go func() {
+		defer r.execs.Done()
+		r.srv.handleExecutor(near, proto.NewCodec(near),
+			&proto.Register{MachineID: id, GPUs: gpus, Groups: groups})
+	}()
+	select {
+	case <-acked:
+	case <-time.After(10 * time.Second):
+		r.t.Fatalf("executor %s never got a register ack", id)
+	}
+}
+
+// stop closes the daemon and every fake executor.
+func (r *roundRig) stop() {
+	r.srv.Close()
+	for _, p := range r.pipes {
+		p.Close()
+	}
+	r.execs.Wait()
+}
+
+// referenceRoundLocked is the round assembly the indexes replaced, kept
+// as the oracle: collect every job and group ID, sort, filter.
+func referenceRoundLocked(s *Server, wallNow time.Time) ([]*job.Job, []engine.Current) {
+	ids := make([]int64, 0, len(s.jobs))
+	for id := range s.jobs {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	var candidates []*job.Job
+	for _, id := range ids {
+		js := s.jobs[id]
+		ph := s.eng.PhaseOf(job.ID(id))
+		if ph == engine.PhasePending && wallNow.Before(js.notBefore) {
+			continue
+		}
+		if ph == engine.PhasePending || (s.cfg.Policy.Preemptive() && ph == engine.PhaseRunning) {
+			candidates = append(candidates, js.job)
+		}
+	}
+	gids := make([]int64, 0, len(s.groups))
+	for gid := range s.groups {
+		gids = append(gids, gid)
+	}
+	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
+	current := make([]engine.Current, 0, len(gids))
+	for _, gid := range gids {
+		current = append(current, engine.Current{Spec: s.groups[gid].spec, Handle: gid})
+	}
+	return candidates, current
+}
+
+// indexMismatchLocked compares the indexed round input with the
+// reference, and each index with the map it shadows; it returns the
+// first difference, or "" (returned, not failed: the caller holds s.mu,
+// which the rig's cleanup needs).
+func indexMismatchLocked(s *Server) string {
+	now := time.Now()
+	wantC, wantG := referenceRoundLocked(s, now)
+	if got := s.roundCandidatesLocked(now); !slices.Equal(got, wantC) {
+		return fmt.Sprintf("indexed candidates %v, full scan %v", jobIDs(got), jobIDs(wantC))
+	}
+	sameGroup := func(a, b engine.Current) bool {
+		return a.Handle == b.Handle && reflect.DeepEqual(a.Spec, b.Spec)
+	}
+	if got := s.roundCurrentLocked(); !slices.EqualFunc(got, wantG, sameGroup) {
+		return fmt.Sprintf("indexed current groups %v, full scan %v", got, wantG)
+	}
+	var live []int64
+	for id := range s.jobs {
+		if ph := s.eng.PhaseOf(job.ID(id)); ph != engine.PhaseDone && ph != engine.PhaseDeadletter {
+			live = append(live, id)
+		}
+	}
+	slices.Sort(live)
+	var gotLive []int64
+	for _, js := range s.live {
+		gotLive = append(gotLive, js.spec.ID)
+	}
+	if !slices.Equal(gotLive, live) {
+		return fmt.Sprintf("live index %v, non-terminal jobs %v", gotLive, live)
+	}
+	var execs []string
+	for id := range s.executors {
+		execs = append(execs, id)
+	}
+	slices.Sort(execs)
+	var gotExecs []string
+	for _, e := range s.execOrder {
+		gotExecs = append(gotExecs, e.id)
+	}
+	if !slices.Equal(gotExecs, execs) {
+		return fmt.Sprintf("executor order %v, registered %v", gotExecs, execs)
+	}
+	return ""
+}
+
+// check fails the test if an index has drifted from its map.
+func (r *roundRig) check(when string) {
+	r.t.Helper()
+	r.srv.mu.Lock()
+	diff := indexMismatchLocked(r.srv)
+	r.srv.mu.Unlock()
+	if diff != "" {
+		r.t.Fatalf("%s: %s", when, diff)
+	}
+}
+
+func jobIDs(jobs []*job.Job) []job.ID {
+	ids := make([]job.ID, len(jobs))
+	for i, j := range jobs {
+		ids[i] = j.ID
+	}
+	return ids
+}
+
+// round runs one scheduling round, checking the indexes on what the
+// round is about to see and on what it leaves behind.
+func (r *roundRig) round() {
+	r.t.Helper()
+	s := r.srv
+	s.mu.Lock()
+	s.drainIngestLocked()
+	before := indexMismatchLocked(s)
+	s.scheduleLocked()
+	after := indexMismatchLocked(s)
+	s.mu.Unlock()
+	if before != "" {
+		r.t.Fatalf("before round: %s", before)
+	}
+	if after != "" {
+		r.t.Fatalf("after round: %s", after)
+	}
+}
+
+// offers snapshots the groups each executor would re-offer after the
+// daemon dies under it.
+func (r *roundRig) offers() map[string][]proto.RunningGroup {
+	s := r.srv
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[string][]proto.RunningGroup)
+	for _, g := range s.groups {
+		rg := proto.RunningGroup{GroupID: g.id, Key: g.key, GPUs: g.gpus}
+		for _, id := range g.jobs {
+			rg.Jobs = append(rg.Jobs, proto.RunningJob{ID: id, DoneIterations: s.jobs[id].job.DoneIterations})
+		}
+		out[g.exec.id] = append(out[g.exec.id], rg)
+	}
+	return out
+}
+
+// TestRoundAssemblyMatchesFullScan walks a seeded random lifecycle —
+// submit, profile, progress, done (on time and straggling), fault and
+// backoff, dead-letter, kill, executor drop and rejoin, crash + recover,
+// standby promotion — and checks around every round that the indexed
+// candidate and Current lists equal the scan-and-sort they replaced.
+func TestRoundAssemblyMatchesFullScan(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { roundLifecycle(t, seed) })
+	}
+}
+
+func roundLifecycle(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	cfg := Config{
+		FaultBackoffBase: time.Millisecond,
+		FaultBackoffMax:  3 * time.Millisecond,
+		FaultRetryBudget: 2,
+		LivenessTimeout:  time.Hour, // the fake executors never heartbeat
+		StateDir:         t.TempDir(),
+		FsyncEvery:       4, // a crash loses a short tail
+		SnapshotEvery:    20 * time.Millisecond,
+		ElectionTTL:      time.Hour, // promotion is the test's call
+	}
+	const machines, gpus = 3, 4
+	machine := func(i int) string { return fmt.Sprintf("m%d", i) }
+	rig := newRoundRig(t, cfg)
+	for i := 0; i < machines; i++ {
+		rig.register(machine(i), gpus, nil)
+	}
+
+	// restart kills the daemon and brings up its successor — the same
+	// state dir restarted, or a copy of it promoted from standby — with
+	// a random subset of executors returning to offer their groups.
+	restart := func(promote bool) {
+		offers := rig.offers()
+		rig.srv.Crash()
+		rig.stop()
+		next := cfg
+		if promote {
+			next.StateDir = t.TempDir()
+			copyDir(t, cfg.StateDir, next.StateDir)
+			next.StandbyOf = "127.0.0.1:1" // nothing listens: the leader is dead
+		}
+		rig = newRoundRig(t, next)
+		if promote {
+			rig.srv.promote()
+			next.StandbyOf = ""
+		}
+		cfg = next
+		for i := 0; i < machines; i++ {
+			if rng.Intn(4) > 0 {
+				rig.register(machine(i), gpus, offers[machine(i)])
+			}
+		}
+		rig.check("after recovery")
+		if rng.Intn(2) == 0 {
+			rig.srv.mu.Lock()
+			rig.srv.adoptUntil = time.Now() // the missing executors never return
+			rig.srv.mu.Unlock()
+		}
+	}
+
+	// pick returns a random job in one of the given phases, or nil.
+	pick := func(phases ...engine.Phase) *jobState {
+		s := rig.srv
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		var in []*jobState
+		for id, js := range s.jobs {
+			if slices.Contains(phases, s.eng.PhaseOf(job.ID(id))) {
+				in = append(in, js)
+			}
+		}
+		if len(in) == 0 {
+			return nil
+		}
+		slices.SortFunc(in, cmpJobState) // map order must not leak into the seeded walk
+		return in[rng.Intn(len(in))]
+	}
+
+	for step := 0; step < 500; step++ {
+		s := rig.srv
+		switch op := rng.Intn(100); {
+		case op < 30: // submit; one spec in six needs a profiling dry run first
+			spec := pendSpec("")
+			spec.GPUs = 1 + rng.Intn(2)
+			spec.Iterations = 1000
+			if rng.Intn(6) == 0 {
+				spec.Model, spec.Stages = "dqn", [4]time.Duration{}
+			}
+			if _, err := s.submit(spec); err != nil {
+				t.Fatal(err)
+			}
+		case op < 35:
+			s.onProfiled(&proto.Profiled{Model: "dqn", Stages: pendSpec("").Stages})
+		case op < 50:
+			if js := pick(engine.PhaseRunning); js != nil {
+				s.onProgress(&proto.Progress{GroupID: js.groupID, Jobs: []proto.JobProgress{
+					{ID: js.spec.ID, DoneIterations: js.job.DoneIterations + int64(rng.Intn(200))}}})
+			}
+		case op < 65:
+			if js := pick(engine.PhaseRunning); js != nil {
+				s.onJobDone(&proto.JobDone{GroupID: js.groupID, JobID: js.spec.ID})
+			}
+		case op < 68: // a completion straggling in for a requeued or parked job
+			if js := pick(engine.PhasePending, engine.PhaseDeadletter); js != nil {
+				s.onJobDone(&proto.JobDone{GroupID: js.groupID, JobID: js.spec.ID})
+			}
+		case op < 80: // fault: backs off, and past the budget dead-letters
+			if js := pick(engine.PhaseRunning); js != nil {
+				s.onFault(&proto.Fault{GroupID: js.groupID, JobID: js.spec.ID, Error: "boom"}, "")
+			}
+		case op < 85: // kill the whole group under a running job
+			if js := pick(engine.PhaseRunning); js != nil {
+				if err := s.injectFault(&proto.InjectFault{JobID: js.spec.ID}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case op < 90: // executor drop, or rejoin if it is already gone
+			id := machine(rng.Intn(machines))
+			if s.injectFault(&proto.InjectFault{Machine: id}) != nil {
+				rig.register(id, gpus, nil)
+			}
+		case op < 93:
+			restart(false)
+		case op < 95:
+			restart(true)
+		default:
+			time.Sleep(time.Millisecond) // let a backoff window lapse
+		}
+		rig.check(fmt.Sprintf("step %d", step))
+		if rng.Intn(2) == 0 {
+			rig.round()
+		}
+	}
+	st := rig.srv.status()
+	t.Logf("seed %d: %d jobs (%d done, %d dead-lettered, %d running), %d rounds since the last recovery",
+		seed, len(st.Jobs), st.Done, st.DeadLetter, st.Running, st.Engine.Rounds)
+}
+
+// copyDir copies the regular files of one state directory into another.
+func copyDir(t *testing.T, from, to string) {
+	t.Helper()
+	entries, err := os.ReadDir(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(from, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(to, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRoundCostIndependentOfDoneJobs pins the round to O(live): with the
+// same 16 running jobs, a round allocates the same with no finished jobs
+// behind it and with 20,000 (the scan it replaced sized and sorted a
+// slice of every job ever admitted).
+func TestRoundCostIndependentOfDoneJobs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	rig := newRoundRig(t, Config{TraceEvents: 64, LivenessTimeout: time.Hour}) // a trace ring that is full either way
+	rig.register("m0", 16, nil)
+	s := rig.srv
+	submit := func() int64 {
+		id, err := s.submit(pendSpec(""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	for i := 0; i < 16; i++ {
+		submit()
+	}
+	round := func() {
+		s.mu.Lock()
+		s.scheduleLocked()
+		s.mu.Unlock()
+	}
+	measure := func() (allocs float64, bytes uint64) {
+		for i := 0; i < 100; i++ {
+			round() // launch everything, fill the trace ring, settle the scratch
+		}
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, round)
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+	}
+	allocs0, bytes0 := measure()
+	if st := s.status(); st.Running != 16 {
+		t.Fatalf("%d jobs running, want 16", st.Running)
+	}
+	for i := 0; i < 20000; i++ {
+		id := submit()
+		s.mu.Lock()
+		s.drainIngestLocked()
+		s.mu.Unlock()
+		s.onJobDone(&proto.JobDone{JobID: id})
+	}
+	allocsN, bytesN := measure()
+	if st := s.status(); st.Running != 16 || st.Done != 20000 {
+		t.Fatalf("%d running, %d done, want 16 and 20000", st.Running, st.Done)
+	}
+	t.Logf("round with 16 live jobs: %.0f allocs / %d B behind 0 finished jobs, %.0f allocs / %d B behind 20000",
+		allocs0, bytes0, allocsN, bytesN)
+	if allocsN != allocs0 {
+		t.Errorf("a round allocates %.0f times behind 20000 finished jobs, %.0f behind none", allocsN, allocs0)
+	}
+	if bytesN > bytes0+1024 {
+		t.Errorf("a round allocates %d B behind 20000 finished jobs, %d B behind none", bytesN, bytes0)
+	}
+}

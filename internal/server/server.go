@@ -12,13 +12,13 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"log"
 	"net"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,11 +108,14 @@ type Config struct {
 	// round admits (the rest carry to the next round). Zero means
 	// unlimited: every arrival since the last round joins one batch.
 	IngestMaxBatch int
-	// MaxBatchDelay is how long the schedule loop lingers after an
-	// event wakeup to coalesce more arrivals into the same admission
-	// round. Zero runs the round immediately; small values (1–10ms)
-	// trade bounded extra latency for larger admission batches under
-	// trickle load.
+	// MaxBatchDelay is the minimum spacing between event-driven
+	// scheduling rounds. An event (arrival, completion, fault) that finds
+	// the schedule loop quiet for at least this long runs its round at
+	// once; one that lands sooner waits out the remainder, and every
+	// event arriving meanwhile joins the same round. It caps the round
+	// rate under churn — and with it preemption relaunches — at
+	// 1/MaxBatchDelay without delaying an isolated arrival. Zero runs a
+	// round per event.
 	MaxBatchDelay time.Duration
 	// TenantRate is each tenant's sustained submission rate in jobs per
 	// second (token bucket keyed on JobSpec.Tenant); zero disables rate
@@ -207,6 +210,25 @@ type groupState struct {
 	since time.Time
 }
 
+func cmpJobState(a, b *jobState) int     { return cmp.Compare(a.spec.ID, b.spec.ID) }
+func cmpGroupState(a, b *groupState) int { return cmp.Compare(a.id, b.id) }
+func cmpExecutor(a, b *executorConn) int { return cmp.Compare(a.id, b.id) }
+
+// insertSorted adds v to the ascending slice s; the newest job or group
+// carries the highest ID, so the usual case is an append.
+func insertSorted[T any](s []T, v T, by func(T, T) int) []T {
+	i, _ := slices.BinarySearchFunc(s, v, by)
+	return slices.Insert(s, i, v)
+}
+
+// removeSorted drops v from the ascending slice s if present.
+func removeSorted[T any](s []T, v T, by func(T, T) int) []T {
+	if i, ok := slices.BinarySearchFunc(s, v, by); ok {
+		return slices.Delete(s, i, i+1)
+	}
+	return s
+}
+
 // Server is the scheduler daemon.
 type Server struct {
 	cfg Config
@@ -220,7 +242,20 @@ type Server struct {
 	executors map[string]*executorConn
 	jobs      map[int64]*jobState
 	groups    map[int64]*groupState
-	profiles  map[string][4]time.Duration
+	// Ascending-ID views kept next to the maps, so a round walks them in
+	// decision-stream order without collecting and sorting keys: live is
+	// every job that is neither done nor dead-lettered (jobs is never
+	// pruned, so a round must not scale with it), groupOrder is groups'
+	// values, execOrder is executors' values. Updated where the maps are;
+	// recovery rebuilds live wholesale (rebuildLiveLocked).
+	live       []*jobState
+	groupOrder []*groupState
+	execOrder  []*executorConn
+	// candidates and current are scheduleLocked's engine-input buffers,
+	// refilled every round (neither the engine nor a policy retains them).
+	candidates []*job.Job
+	current    []engine.Current
+	profiles   map[string][4]time.Duration
 	// profiling maps each model with an in-flight dry run to the executor
 	// serving it, so an eviction can release the request for a retry.
 	profiling map[string]string
@@ -256,8 +291,10 @@ type Server struct {
 	// func-backed so every scrape agrees with the status RPC.
 	reg *telemetry.Registry
 	// jctHist observes each finished job's virtual JCT in seconds;
-	// roundHist observes each scheduling round's wall latency in seconds.
-	jctHist, roundHist *telemetry.Histogram
+	// roundHist observes each scheduling round's wall latency in seconds;
+	// firstDispatchHist observes each job's wall seconds from accept to
+	// its first launch.
+	jctHist, roundHist, firstDispatchHist *telemetry.Histogram
 	// waitAttrHist observes, per cause, each finished job's exact
 	// wait-time attribution in virtual seconds.
 	waitAttrHist *telemetry.HistogramVec
@@ -606,6 +643,7 @@ func (s *Server) handleExecutor(conn net.Conn, codec *proto.Codec, reg *proto.Re
 		return
 	}
 	s.executors[e.id] = e
+	s.execOrder = insertSorted(s.execOrder, e, cmpExecutor)
 	rejoined := s.seenMachines[e.id]
 	s.seenMachines[e.id] = true
 	if rejoined {
@@ -671,6 +709,7 @@ func (s *Server) dropExecutor(e *executorConn) {
 	}
 	e.gone = true
 	delete(s.executors, e.id)
+	s.execOrder = removeSorted(s.execOrder, e, cmpExecutor)
 	if s.closed {
 		// The daemon is dying, not the machine: connections drop because
 		// Close/Crash closed them. Leave the jobs bound so recovery sees
@@ -695,16 +734,14 @@ func (s *Server) dropExecutor(e *executorConn) {
 	}
 	requeued := 0
 	// Walk the dead executor's groups in ascending group-ID order so the
-	// engine's requeue decision stream is deterministic.
-	gids := make([]int64, 0, len(s.groups))
-	for gid, g := range s.groups {
-		if g.exec == e {
-			gids = append(gids, gid)
+	// engine's requeue decision stream is deterministic, filtering them
+	// out of groupOrder in place.
+	kept := s.groupOrder[:0]
+	for _, g := range s.groupOrder {
+		if g.exec != e {
+			kept = append(kept, g)
+			continue
 		}
-	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
-	for _, gid := range gids {
-		g := s.groups[gid]
 		for _, jid := range g.jobs {
 			if js := s.jobs[jid]; js != nil && s.eng.PhaseOf(job.ID(jid)) == engine.PhaseRunning {
 				s.walProgressLocked(js)
@@ -717,8 +754,10 @@ func (s *Server) dropExecutor(e *executorConn) {
 				requeued++
 			}
 		}
-		delete(s.groups, gid)
+		delete(s.groups, g.id)
 	}
+	clear(s.groupOrder[len(kept):])
+	s.groupOrder = kept
 	s.log.Warn("executor dropped", "machine", e.id, "requeued", requeued)
 	s.kickSchedule()
 }
@@ -925,6 +964,7 @@ func (s *Server) admitLocked(it *ingest.Item, now time.Time) {
 	js.job = job.New(job.ID(spec.ID), model, spec.GPUs, spec.Iterations, s.virtualNowLocked())
 	js.job.DoneIterations = spec.DoneIterations
 	s.jobs[spec.ID] = js
+	s.live = insertSorted(s.live, js, cmpJobState)
 	s.submitWaitHist.Observe(now.Sub(it.At).Seconds())
 }
 
@@ -968,12 +1008,12 @@ func (s *Server) onProfiled(p *proto.Profiled) {
 		Profile: &wal.ProfileRecord{Model: p.Model, Stages: p.Stages}})
 	var st workload.StageTimes
 	copy(st[:], p.Stages[:])
-	for id, js := range s.jobs {
-		if s.eng.PhaseOf(job.ID(id)) == engine.PhaseProfiling && js.spec.Model == p.Model {
+	for _, js := range s.live {
+		if id := job.ID(js.spec.ID); s.eng.PhaseOf(id) == engine.PhaseProfiling && js.spec.Model == p.Model {
 			js.spec.Stages = p.Stages
 			js.job.Profile = st
 			js.job.TrueProfile = st
-			s.eng.SetPhase(job.ID(id), engine.PhasePending)
+			s.eng.SetPhase(id, engine.PhasePending)
 		}
 	}
 	s.kickSchedule()
@@ -1021,6 +1061,7 @@ func (s *Server) onJobDone(d *proto.JobDone) {
 		// completed); nothing to finalize.
 		return
 	}
+	s.live = removeSorted(s.live, js, cmpJobState) // a no-op if it was dead-lettered first
 	js.finishedAt = time.Now()
 	js.job.DoneIterations = js.job.Iterations
 	js.job.State = job.Done
@@ -1087,6 +1128,7 @@ func (s *Server) recordJobFaultLocked(js *jobState, origin, errMsg string) {
 	fr := &wal.FaultRecord{Job: js.spec.ID, Origin: origin, Err: errMsg,
 		Faults: s.eng.FaultsOf(id), DeadLettered: deadlettered}
 	if deadlettered {
+		s.live = removeSorted(s.live, js, cmpJobState)
 		s.walAppendLocked(&wal.Record{Kind: wal.KindFault, Fault: fr})
 		s.faults.DeadLettered++
 		s.log.Error("job dead-lettered", "job", js.spec.ID, "faults", s.eng.FaultsOf(id),
@@ -1112,34 +1154,43 @@ func (s *Server) detachFromGroupLocked(groupID, jobID int64) {
 	if g == nil {
 		return
 	}
-	var rest []int64
-	for _, id := range g.jobs {
-		if id != jobID {
-			rest = append(rest, id)
-		}
-	}
-	g.jobs = rest
+	g.jobs = slices.DeleteFunc(g.jobs, func(id int64) bool { return id == jobID })
 	if len(g.jobs) == 0 {
 		g.exec.free += g.gpus
-		delete(s.groups, groupID)
+		s.removeGroupLocked(g)
 	}
+}
+
+// addGroupLocked and removeGroupLocked keep groups and its ascending
+// view groupOrder in step. Callers hold s.mu.
+func (s *Server) addGroupLocked(g *groupState) {
+	s.groups[g.id] = g
+	s.groupOrder = insertSorted(s.groupOrder, g, cmpGroupState)
+}
+
+func (s *Server) removeGroupLocked(g *groupState) {
+	delete(s.groups, g.id)
+	s.groupOrder = removeSorted(s.groupOrder, g, cmpGroupState)
 }
 
 // scheduleLoop replans periodically and on events: the paper's scheduler
 // "is periodically invoked on events like job arrival and job
-// completion" (§3). Event kicks coalesce through a 1-slot channel, and —
-// when MaxBatchDelay is set — the loop lingers briefly after a kick so a
-// trickle of arrivals lands in one admission round instead of N.
+// completion" (§3). Event kicks coalesce through a 1-slot channel, and
+// MaxBatchDelay throttles them: a kick that finds the loop quiet for at
+// least that long runs its round at once, one that lands sooner lingers
+// only the remainder, absorbing further kicks — so an isolated arrival
+// is not delayed, and a burst still costs one round per MaxBatchDelay.
 func (s *Server) scheduleLoop() {
 	defer s.wg.Done()
 	t := time.NewTicker(s.cfg.Interval)
 	defer t.Stop()
+	var lastRound time.Time // when the previous round finished
 	for {
 		select {
 		case <-t.C:
 		case <-s.kick:
-			if d := s.cfg.MaxBatchDelay; d > 0 {
-				linger := time.NewTimer(d)
+			if wait := s.cfg.MaxBatchDelay - time.Since(lastRound); wait > 0 {
+				linger := time.NewTimer(wait)
 			coalesce:
 				for {
 					select {
@@ -1157,6 +1208,7 @@ func (s *Server) scheduleLoop() {
 		}
 		s.scheduleLocked()
 		s.mu.Unlock()
+		lastRound = time.Now()
 	}
 }
 
@@ -1175,6 +1227,8 @@ func (s *Server) scheduleLocked() {
 	if s.notLeader.Load() {
 		return
 	}
+	wallNow := time.Now()
+	defer func() { s.roundHist.Observe(time.Since(wallNow).Seconds()) }()
 	// Batched admission first: every submission accepted since the last
 	// round joins the candidate set in one engine round.
 	s.drainIngestLocked()
@@ -1182,8 +1236,6 @@ func (s *Server) scheduleLocked() {
 	// Worker-monitor liveness: evict executors whose lease expired. A
 	// hung machine keeps its TCP connection open, so read errors alone
 	// are not enough.
-	wallNow := time.Now()
-	defer func() { s.roundHist.Observe(time.Since(wallNow).Seconds()) }()
 	for _, e := range s.executors {
 		if wallNow.After(e.leaseExpiry) {
 			dead := e
@@ -1223,15 +1275,19 @@ func (s *Server) scheduleLocked() {
 		return
 	}
 	// Retry profiling for jobs stuck without an executor earlier.
-	for id, js := range s.jobs {
-		_, inflight := s.profiling[js.spec.Model]
-		if s.eng.PhaseOf(job.ID(id)) == engine.PhaseProfiling && !inflight {
-			if _, ok := s.profiles[js.spec.Model]; ok {
-				js.spec.Stages = s.profiles[js.spec.Model]
-				s.eng.SetPhase(job.ID(id), engine.PhasePending)
-			} else {
-				s.requestProfileLocked(js.spec.Model)
-			}
+	for _, js := range s.live {
+		id := job.ID(js.spec.ID)
+		if s.eng.PhaseOf(id) != engine.PhaseProfiling {
+			continue
+		}
+		if _, inflight := s.profiling[js.spec.Model]; inflight {
+			continue
+		}
+		if stages, ok := s.profiles[js.spec.Model]; ok {
+			js.spec.Stages = stages
+			s.eng.SetPhase(id, engine.PhasePending)
+		} else {
+			s.requestProfileLocked(js.spec.Model)
 		}
 	}
 	capacity := 0
@@ -1241,40 +1297,9 @@ func (s *Server) scheduleLocked() {
 	if capacity == 0 {
 		return
 	}
-	// Candidates: pending plus (for preemptive policies) running jobs, in
-	// ascending job-ID order so the engine's decision stream is
-	// deterministic. Jobs still in their post-fault backoff window sit
-	// out this round.
-	ids := make([]int64, 0, len(s.jobs))
-	for id := range s.jobs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var candidates []*job.Job
-	for _, id := range ids {
-		js := s.jobs[id]
-		ph := s.eng.PhaseOf(job.ID(id))
-		if ph == engine.PhasePending && wallNow.Before(js.notBefore) {
-			continue
-		}
-		if ph == engine.PhasePending || (s.cfg.Policy.Preemptive() && ph == engine.PhaseRunning) {
-			candidates = append(candidates, js.job)
-		}
-	}
+	candidates := s.roundCandidatesLocked(wallNow)
 	if len(candidates) == 0 {
 		return
-	}
-	// Current groups, in ascending group-ID order (again: determinism of
-	// the kill stream). The engine re-derives each unit's key from the
-	// spec; the handle is the group ID, passed back verbatim on kills.
-	gids := make([]int64, 0, len(s.groups))
-	for gid := range s.groups {
-		gids = append(gids, gid)
-	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
-	current := make([]engine.Current, 0, len(gids))
-	for _, gid := range gids {
-		current = append(current, engine.Current{Spec: s.groups[gid].spec, Handle: gid})
 	}
 	// One engine round: plan, admit (with anti-starvation), reconcile
 	// preemptions (kills run through killGroupLocked so capacity frees
@@ -1284,10 +1309,40 @@ func (s *Server) scheduleLocked() {
 		Now:        s.virtualNowLocked(),
 		Candidates: candidates,
 		Capacity:   capacity,
-		Current:    current,
+		Current:    s.roundCurrentLocked(),
 		Placer:     &serverPlacer{s: s},
 		Kill:       func(c engine.Current) { s.killGroupLocked(c.Handle.(int64)) },
 	})
+}
+
+// roundCandidatesLocked fills s.candidates with the jobs the policy may
+// plan over: pending plus (for preemptive policies) running jobs, in
+// ascending job-ID order so the engine's decision stream is
+// deterministic. Jobs still in their post-fault backoff window sit out
+// this round. Callers hold s.mu.
+func (s *Server) roundCandidatesLocked(wallNow time.Time) []*job.Job {
+	preemptive := s.cfg.Policy.Preemptive()
+	s.candidates = s.candidates[:0]
+	for _, js := range s.live {
+		ph := s.eng.PhaseOf(job.ID(js.spec.ID))
+		if (ph == engine.PhasePending && !wallNow.Before(js.notBefore)) ||
+			(ph == engine.PhaseRunning && preemptive) {
+			s.candidates = append(s.candidates, js.job)
+		}
+	}
+	return s.candidates
+}
+
+// roundCurrentLocked fills s.current with the launched groups in
+// ascending group-ID order (again: determinism of the kill stream). The
+// engine re-derives each unit's key from the spec; the handle is the
+// group ID, passed back verbatim on kills. Callers hold s.mu.
+func (s *Server) roundCurrentLocked() []engine.Current {
+	s.current = s.current[:0]
+	for _, g := range s.groupOrder {
+		s.current = append(s.current, engine.Current{Spec: g.spec, Handle: g.id})
+	}
+	return s.current
 }
 
 // serverPlacer adapts the daemon's executor pool to the engine's Placer
@@ -1326,13 +1381,7 @@ func (p *serverPlacer) Reset() {}
 // GPUs (best fit). Callers hold s.mu.
 func (s *Server) pickExecutorLocked(gpus int) *executorConn {
 	var best *executorConn
-	ids := make([]string, 0, len(s.executors))
-	for id := range s.executors {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		e := s.executors[id]
+	for _, e := range s.execOrder { // ascending machine ID breaks ties
 		if e.free >= gpus && (best == nil || e.free < best.free) {
 			best = e
 		}
@@ -1373,14 +1422,15 @@ func (s *Server) launchLocked(exec *executorConn, u sched.Unit, key string) (int
 	// window of the round's whole ordered queue: copy it out so a
 	// long-running group does not pin that array.
 	u.Jobs = slices.Clone(u.Jobs)
-	g := &groupState{id: gid, key: key, exec: exec, gpus: u.GPUs, jobs: ids, spec: u, since: time.Now()}
-	s.groups[gid] = g
+	now := time.Now()
+	s.addGroupLocked(&groupState{id: gid, key: key, exec: exec, gpus: u.GPUs, jobs: ids, spec: u, since: now})
 	for _, id := range ids {
 		js := s.jobs[id]
 		js.groupID = gid
-		js.lastSeen = time.Now()
+		js.lastSeen = now
 		if js.job.StartedAt < 0 {
 			js.job.StartedAt = s.virtualNowLocked()
+			s.firstDispatchHist.Observe(now.Sub(js.submittedAt).Seconds())
 		}
 	}
 	if s.w != nil {
@@ -1412,7 +1462,7 @@ func (s *Server) killGroupLocked(gid int64) {
 		}
 	}
 	g.exec.free += g.gpus
-	delete(s.groups, gid)
+	s.removeGroupLocked(g)
 }
 
 // injectFault applies a client-requested chaos injection: kill a running
@@ -1466,7 +1516,7 @@ func (s *Server) status() proto.StatusAck {
 	for id := range s.jobs {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	var jctSum, jctMax time.Duration
 	for _, id := range ids {
 		js := s.jobs[id]

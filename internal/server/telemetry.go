@@ -146,8 +146,11 @@ func (s *Server) initMetrics() {
 		"Virtual seconds of finished jobs' lifetime attributed to each wait cause.",
 		"cause", metrics.ExponentialBounds(1, 2, 16)...)
 	s.roundHist = r.Histogram("muri_round_latency_seconds",
-		"Wall-clock latency of scheduling rounds.",
+		"Wall-clock latency of scheduling rounds, admission drain included.",
 		metrics.ExponentialBounds(1e-6, 10, 8)...)
+	s.firstDispatchHist = r.Histogram("muri_first_dispatch_seconds",
+		"Wall-clock seconds from a submission's accept to its first launch.",
+		metrics.ExponentialBounds(1e-4, 2, 20)...)
 
 	// Durability & failover. Everything is func-backed off the same
 	// state the status RPC's DurabilitySummary reads, so the two can

@@ -98,6 +98,9 @@ func TestMetricsEndpointMatchesStatus(t *testing.T) {
 	if got := samples["muri_jct_seconds_count"]; int(got) != st.Done {
 		t.Errorf("JCT histogram holds %v observations, %d jobs done", got, st.Done)
 	}
+	if got := samples["muri_first_dispatch_seconds_count"]; int(got) != st.Done {
+		t.Errorf("first-dispatch histogram holds %v observations, %d jobs launched and done", got, st.Done)
+	}
 	if samples["muri_round_latency_seconds_count"] == 0 {
 		t.Error("round-latency histogram never observed a round")
 	}
