@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt lint-sort build vet test test-race race smoke-recover smoke-explain bench bench-e2e bench-compare bench-sched bench-sched-scale bench-sched-scale-quick bench-ingest clean
+.PHONY: check fmt lint-sort build vet test test-race race smoke-recover smoke-explain bench bench-e2e bench-compare bench-sched-scale bench-ingest clean
 
 check: fmt lint-sort build vet test-race smoke-recover
 
@@ -63,36 +63,22 @@ bench-e2e:
 bench-compare:
 	$(GO) run ./bench -compare $(A) $(B)
 
-# Scheduling-path microbenchmarks (ns/op, allocs/op, B/op, plus
-# cache/pool hit rates), captured as a machine-readable stream in
-# BENCH_sched.json for before/after comparison. See DESIGN.md
-# "Performance architecture" and §6.
-bench-sched:
-	$(GO) test -run '^$$' -bench 'PlanLarge|ScheduleHotLoop|ReconcileSRTF1500|SimulatorThroughput|BlossomScalability|PredictionOnline|ExplainOverhead' \
-		-benchtime 3x -benchmem -json . | tee BENCH_sched.json
-
-# End-to-end scale runs: the 2,000- and 5,755-job Philly traces replayed
-# through the event-driven simulator under Muri-L, plus the sharded
-# incremental muri-l-scale runs (5,755 jobs at 1 and 4 shards, and the
-# philly-10000 tier), appended to BENCH_sched.json. Use
-# bench-sched-scale-quick (truncated traces, Shards=4, no record) for a
-# smoke run.
+# Fleet tiers the driver's benchmark is too short for: the 2,000- and
+# 5,755-job Philly traces under Muri-L, the muri-l-scale shard sweep on the
+# 5,755-job trace, and the philly-10000 tier, one table with wall time and
+# the planner counters (bench/README.md).
 bench-sched-scale:
-	$(GO) test -run '^$$' -bench 'SchedScale' -benchtime 1x -benchmem -timeout 60m -json . | tee -a BENCH_sched.json
-
-bench-sched-scale-quick:
-	$(GO) run ./cmd/murisim -experiment scale -quick -shards 4
+	$(GO) run ./cmd/murisim -experiment scale
 
 # Ingest throughput: a self-hosted daemon loaded at 120k submissions/min
 # over both transports for 30s. Reports p50/p99 submit latency,
-# accept/reject/throttle counts, and engine rounds/sec; the JSON line is
-# appended to BENCH_sched.json next to the scheduling benchmarks.
+# accept/reject/throttle counts, and engine rounds/sec as one JSON line.
 bench-ingest:
-	$(GO) run ./cmd/loadgen -selfhost -transport both -rate 120000 -duration 30s -json | tee -a BENCH_sched.json
+	$(GO) run ./cmd/loadgen -selfhost -transport both -rate 120000 -duration 30s -json
 
 # Full evaluation benchmark sweep (regenerates every table/figure once).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 clean:
-	rm -f BENCH_sched.json cpu.pprof mem.pprof
+	rm -f cpu.pprof mem.pprof

@@ -336,26 +336,11 @@ func trimFloat(f float64) string {
 	return s
 }
 
-// BenchmarkSimulatorThroughput times one full simulation run of a
-// 250-job trace under Muri-S — the unit of work behind every figure.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	tr := benchTrace()
-	cfg := sim.DefaultConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := sim.Run(cfg, tr, sched.NewMuriS())
-		if res.Summary.Jobs != len(tr.Specs) {
-			b.Fatal("incomplete run")
-		}
-	}
-}
-
 // BenchmarkExplainOverhead prices the decision-provenance tax: the same
 // 250-job simulator run with provenance off (the nil-gated default —
 // every cause annotation short-circuits before allocating) and with a
-// live explain.Builder folding the synthesized record stream. The two
-// sub-benchmark ns/op lines land side by side in BENCH_sched.json; the
-// budget is <3% on the scheduling hot path.
+// live explain.Builder folding the synthesized record stream. The budget
+// between the two sub-benchmarks' ns/op is <3% on the scheduling hot path.
 func BenchmarkExplainOverhead(b *testing.B) {
 	tr := benchTrace()
 	b.Run("nil-gated", func(b *testing.B) {
@@ -388,9 +373,9 @@ func BenchmarkExplainOverhead(b *testing.B) {
 // BenchmarkPredictionOnline times a full prediction-mode run (DESIGN.md
 // §13): the 250-job trace under ±50% profile drift with the online
 // estimator learning from completions and SRTF ranking by its
-// predictions. Reported metrics track the prediction-mode row in
-// BENCH_sched.json: the estimator's mean absolute relative error, how
-// many completions were scored, and how many beliefs were re-seeded.
+// predictions. Reported metrics: the estimator's mean absolute relative
+// error, how many completions were scored, and how many beliefs were
+// re-seeded.
 func BenchmarkPredictionOnline(b *testing.B) {
 	tr := benchTrace()
 	var meanErr float64
@@ -411,79 +396,6 @@ func BenchmarkPredictionOnline(b *testing.B) {
 	b.ReportMetric(meanErr, "pred-err")
 	b.ReportMetric(float64(scored), "pred-scored")
 	b.ReportMetric(float64(reseeds), "pred-reseeds")
-}
-
-// benchSchedScale replays one full Philly trace end-to-end through the
-// event-driven simulator under Muri-L — the whole-system scale runs
-// `make bench-sched-scale` appends to BENCH_sched.json. Heap and
-// matcher-pool counters are reported so the record tracks how hard the
-// scheduling-path machinery worked, not just how long.
-func benchSchedScale(b *testing.B, traceIdx int) {
-	tr := trace.Generate(trace.PhillyConfigs(64)[traceIdx])
-	cfg := sim.DefaultConfig()
-	cfg.EventDriven = true
-	var res sim.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res = sim.Run(cfg, tr, sched.NewMuriL())
-		if res.Summary.Jobs != len(tr.Specs) {
-			b.Fatalf("incomplete run: %d/%d jobs", res.Summary.Jobs, len(tr.Specs))
-		}
-	}
-	b.ReportMetric(float64(res.Heap.Peak), "heap-peak")
-	b.ReportMetric(float64(res.Heap.Rebuilds), "heap-rebuilds")
-	b.ReportMetric(float64(res.Heap.Fixes), "heap-fixes")
-	b.ReportMetric(blossom.PoolStats().HitRate(), "pool-hit-rate")
-}
-
-// BenchmarkSchedScale2000 is the trace2 (2,000 jobs) end-to-end run.
-func BenchmarkSchedScale2000(b *testing.B) { benchSchedScale(b, 1) }
-
-// BenchmarkSchedScale5755 is the trace4 (5,755 jobs) end-to-end run —
-// the paper's largest trace, exercising sparse grouping, the pooled
-// matcher, and the completion heap at full scale.
-func BenchmarkSchedScale5755(b *testing.B) { benchSchedScale(b, 3) }
-
-// benchSchedScaleSharded is the sharded-incremental counterpart of
-// benchSchedScale: the same end-to-end replay under the muri-l-scale
-// policy (quantized estimates, incremental replay, the given shard
-// count), reporting the planner's reuse counters next to the usual
-// scheduling-path metrics.
-func benchSchedScaleSharded(b *testing.B, gen trace.GenConfig, shards int) {
-	tr := trace.Generate(gen)
-	cfg := sim.DefaultConfig()
-	cfg.EventDriven = true
-	var res sim.Result
-	var plan metrics.ShardStats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := sched.NewMuriLScale(shards)
-		res = sim.Run(cfg, tr, p)
-		if res.Summary.Jobs != len(tr.Specs) {
-			b.Fatalf("incomplete run: %d/%d jobs", res.Summary.Jobs, len(tr.Specs))
-		}
-		plan = p.PlanStats()
-	}
-	b.ReportMetric(100*plan.ReuseRatio(), "sweep-reuse-%")
-	b.ReportMetric(float64(plan.ShardTasks), "shard-tasks")
-	b.ReportMetric(float64(res.Heap.Peak), "heap-peak")
-	b.ReportMetric(blossom.PoolStats().HitRate(), "pool-hit-rate")
-}
-
-// BenchmarkSchedScale5755Shards{1,4} bracket the shard sweep on the
-// paper's largest trace; Shards1 isolates the incremental/quantization
-// win, Shards4 adds the sharded matching cut.
-func BenchmarkSchedScale5755Shards1(b *testing.B) {
-	benchSchedScaleSharded(b, trace.PhillyConfigs(64)[3], 1)
-}
-
-func BenchmarkSchedScale5755Shards4(b *testing.B) {
-	benchSchedScaleSharded(b, trace.PhillyConfigs(64)[3], 4)
-}
-
-// BenchmarkSchedScale10000Shards4 is the beyond-paper philly-10000 tier.
-func BenchmarkSchedScale10000Shards4(b *testing.B) {
-	benchSchedScaleSharded(b, trace.ScaleConfigs(64)[0], 4)
 }
 
 // BenchmarkAblationStickiness compares Muri-L with and without sticky
@@ -569,91 +481,4 @@ func BenchmarkMultiResourceBaselines(b *testing.B) {
 	b.ReportMetric(metrics.Speedup(tetris.Summary.AvgJCT, srtf.Summary.AvgJCT), "srtf-jct-speedup-vs-tetris")
 	b.ReportMetric(metrics.Speedup(tetris.Summary.AvgJCT, muriS.Summary.AvgJCT), "muri-s-jct-speedup-vs-tetris")
 	b.ReportMetric(metrics.Speedup(drf.Summary.AvgJCT, muriS.Summary.AvgJCT), "muri-s-jct-speedup-vs-drf")
-}
-
-// benchMixedJobs builds a large candidate set spanning the whole model
-// zoo and several GPU buckets with spread-out progress — the shape of a
-// busy cluster's scheduling interval.
-func benchMixedJobs(n int) []*job.Job {
-	zoo := workload.Zoo()
-	gpuMix := []int{1, 1, 1, 1, 2, 2, 4, 8}
-	jobs := make([]*job.Job, n)
-	for i := 0; i < n; i++ {
-		j := job.New(job.ID(i), zoo[i%len(zoo)], gpuMix[i%len(gpuMix)], 100_000, 0)
-		j.DoneIterations = int64(i * 37 % 80_000)
-		jobs[i] = j
-	}
-	return jobs
-}
-
-// BenchmarkPlanLarge times Algorithm 1 end-to-end on 1,200 mixed-GPU
-// jobs — beyond the paper's 1,000-job scalability claim — and reports
-// the pair-efficiency cache hit rate. Repeated iterations model repeated
-// scheduling intervals over a stable candidate set, the case the memo
-// cache exists for.
-func BenchmarkPlanLarge(b *testing.B) {
-	jobs := benchMixedJobs(1200)
-	cfg := core.DefaultConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(cfg.Plan(jobs, 64)) == 0 {
-			b.Fatal("no groups")
-		}
-	}
-	b.ReportMetric(cfg.Cache.Stats().HitRate(), "cache-hit-rate")
-}
-
-// BenchmarkPlanLarge2000 is the Philly-trace-2 scale point (2,000 jobs):
-// its single-GPU bucket crosses the sparsification threshold, so this is
-// the benchmark that exercises sparse candidate graphs plus the pooled
-// matcher end-to-end. Reports matcher-pool reuse alongside the cache hit
-// rate.
-func BenchmarkPlanLarge2000(b *testing.B) {
-	jobs := benchMixedJobs(2000)
-	cfg := core.DefaultConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(cfg.Plan(jobs, 64)) == 0 {
-			b.Fatal("no groups")
-		}
-	}
-	b.ReportMetric(cfg.Cache.Stats().HitRate(), "cache-hit-rate")
-	b.ReportMetric(blossom.PoolStats().HitRate(), "pool-hit-rate")
-}
-
-// BenchmarkScheduleHotLoop times the full Muri-S policy hot path (sort,
-// candidate cut, grouping, ranking) on 1,000 jobs — the per-interval
-// work the simulator performs thousands of times per figure.
-func BenchmarkScheduleHotLoop(b *testing.B) {
-	jobs := benchMixedJobs(1000)
-	p := sched.NewMuriS()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(p.Plan(0, jobs, 64)) == 0 {
-			b.Fatal("no units")
-		}
-	}
-	b.ReportMetric(p.Grouping.Cache.Stats().HitRate(), "cache-hit-rate")
-}
-
-// BenchmarkReconcileSRTF1500 is the bypass path end to end: Philly
-// trace 4 cut to 1,500 jobs, replayed event-driven under SRTF, so no
-// grouping layer runs and every round is the policy's ordering plus
-// engine.Reconcile plus the simulator's bookkeeping (the bench ledger's
-// sim-bypass shape). Run with -benchmem: allocs/op is the per-replay
-// count the round scratch is meant to hold down.
-func BenchmarkReconcileSRTF1500(b *testing.B) {
-	gen := trace.PhillyConfigs(64)[3]
-	gen.Jobs = 1500
-	tr := trace.Generate(gen)
-	cfg := sim.DefaultConfig()
-	cfg.EventDriven = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := sim.Run(cfg, tr, sched.SRTF())
-		if res.Summary.Jobs != len(tr.Specs) {
-			b.Fatal("incomplete run")
-		}
-		b.ReportMetric(float64(res.Engine.Rounds), "rounds")
-	}
 }

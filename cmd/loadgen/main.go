@@ -189,8 +189,7 @@ func avg(n, d int) float64 {
 	return float64(n) / float64(d)
 }
 
-// report is the machine-readable result line (appended to
-// BENCH_sched.json by `make bench-ingest`).
+// report is the machine-readable result line (`make bench-ingest`).
 type report struct {
 	Name       string  `json:"name"`
 	Transport  string  `json:"transport"`

@@ -90,7 +90,6 @@ func main() {
 		traceOut    = flag.String("trace-out", "", "single run: write a Chrome trace-event JSON file (Perfetto)")
 		timelineOut = flag.String("timeline-out", "", "single run: write the job-lifecycle timeline as JSONL")
 		policy      = flag.String("policy", "muri-l", "single run: scheduling policy")
-		incremental = flag.Bool("incremental", false, "single run: attach the incremental planner to the muri policies")
 		explainRun  = flag.Bool("explain", false, "single run: fold decision provenance and print the wait-time attribution sweep")
 		explainJob  = flag.Int64("explain-job", 0, "single run: also print this job's full explanation (implies -explain)")
 	)
@@ -103,7 +102,7 @@ func main() {
 	}
 
 	if *traceOut != "" || *timelineOut != "" || *explainRun || *explainJob > 0 {
-		if err := runSingle(*machines, *gpus, *maxJobs, *policy, *traceOut, *timelineOut, shardList, *incremental, *explainRun || *explainJob > 0, *explainJob); err != nil {
+		if err := runSingle(*machines, *gpus, *maxJobs, *policy, *traceOut, *timelineOut, shardList, *explainRun || *explainJob > 0, *explainJob); err != nil {
 			fmt.Fprintf(os.Stderr, "murisim: %v\n", err)
 			os.Exit(1)
 		}
@@ -235,8 +234,8 @@ func parseShards(s string) ([]int, error) {
 
 // runSingle simulates the trace1 workload once with instrumentation
 // attached and writes the requested artifacts.
-func runSingle(machines, gpus, maxJobs int, policyName, traceOut, timelineOut string, shards []int, incremental, explainRun bool, explainJob int64) error {
-	p, err := singlePolicy(policyName, shards, incremental)
+func runSingle(machines, gpus, maxJobs int, policyName, traceOut, timelineOut string, shards []int, explainRun bool, explainJob int64) error {
+	p, err := singlePolicy(policyName, shards)
 	if err != nil {
 		return err
 	}
@@ -344,18 +343,11 @@ func writeTimeline(path string, events []sim.Event) error {
 
 // singlePolicy maps a policy name to its constructor (the subset of
 // murisched's table that makes sense for a one-off simulation). The
-// shards list and incremental flag tune the muri policies.
-func singlePolicy(name string, shards []int, incremental bool) (sched.Policy, error) {
+// first shards value parameterizes muri-l-scale (default 4).
+func singlePolicy(name string, shards []int) (sched.Policy, error) {
 	shard := 4
 	if len(shards) > 0 {
 		shard = shards[0]
-	}
-	tune := func(m *sched.Muri) *sched.Muri {
-		if incremental {
-			m.Grouping.Shards = shard
-			m.EnableIncremental()
-		}
-		return m
 	}
 	switch name {
 	case "fifo":
@@ -365,9 +357,9 @@ func singlePolicy(name string, shards []int, incremental bool) (sched.Policy, er
 	case "srsf":
 		return sched.SRSF(), nil
 	case "muri-s":
-		return tune(sched.NewMuriS()), nil
+		return sched.NewMuriS(), nil
 	case "muri-l":
-		return tune(sched.NewMuriL()), nil
+		return sched.NewMuriL(), nil
 	case "muri-l-scale":
 		return sched.NewMuriLScale(shard), nil
 	default:

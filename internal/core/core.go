@@ -14,10 +14,8 @@ package core
 import (
 	"cmp"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"muri/internal/blossom"
@@ -41,9 +39,6 @@ type Config struct {
 	// WorstOrdering reproduces the "Muri-L w/ worst ordering" ablation:
 	// groups execute with the least-efficient stage ordering.
 	WorstOrdering bool
-	// MinEfficiency drops pairings whose interleaving efficiency does not
-	// exceed it. Zero keeps every positive-efficiency pairing.
-	MinEfficiency float64
 	// Gate selects the merge-benefit check (see Gate constants).
 	Gate Gate
 	// RemainingIters estimates a job's remaining iterations for GateJCT.
@@ -51,8 +46,7 @@ type Config struct {
 	// Muri-L supplies the least-attained-service heuristic: for
 	// heavy-tailed DL duration distributions, a job's expected remaining
 	// work is proportional to what it has already attained. It must be
-	// safe for concurrent calls: the grouping-graph workers invoke it in
-	// parallel.
+	// safe for concurrent calls: shard tasks invoke it in parallel.
 	RemainingIters func(*job.Job) int64
 	// Cache memoizes best-ordering group statistics (pair efficiencies,
 	// node γ/T, JCT-gate iteration times) and execution plans across
@@ -63,75 +57,21 @@ type Config struct {
 	// whose profile is rewritten simply lands in another class. Nil
 	// disables memoization (every node is then its own class).
 	Cache *interleave.EffCache
-	// EdgeWorkers bounds the worker pool that fills the grouping graph's
-	// class-pair table and runs shard tasks. 0 uses GOMAXPROCS; 1 forces
-	// serial construction. Results are identical either way.
-	EdgeWorkers int
-	// SparseTopK bounds the grouping graph handed to the Blossom matcher
-	// in sparse mode: each node contributes only its SparseTopK
-	// highest-efficiency candidate edges, and an edge survives when either
-	// endpoint ranks it. Zero uses DefaultSparseTopK.
-	SparseTopK int
-	// SparseNodeThreshold is the bucket node count at or above which
-	// candidate graphs are sparsified before matching. Below it the full
-	// gated graph is matched exactly, so small-bucket schedules are
-	// bit-identical to exhaustive construction. Zero uses
-	// DefaultSparseNodeThreshold; negative disables sparsification
-	// entirely (exact mode at every scale).
-	SparseNodeThreshold int
-	// Shards splits large buckets into deterministic shards that are
-	// edge-constructed and matched independently (concurrently on
-	// multicore hosts), cutting the quadratic pair-evaluation and cubic
-	// matching cost by the shard count. 0 or 1 keeps whole-bucket
-	// matching; plans at Shards=1 are bit-identical to the serial path
-	// and deterministic at any shard count (DESIGN.md §10).
+	// Shards splits buckets of shardNodeThreshold nodes or more into
+	// deterministic shards that are edge-constructed and matched
+	// independently (concurrently on multicore hosts), cutting the
+	// quadratic pair-evaluation and cubic matching cost by the shard
+	// count. 0 or 1 keeps whole-bucket matching, which is exact
+	// Algorithm 1 at every bucket size; plans at Shards=1 are
+	// bit-identical to the unsharded path and deterministic at any shard
+	// count (DESIGN.md §10).
 	Shards int
-	// ShardNodeThreshold is the bucket node count at or above which
-	// sharding engages; smaller buckets are always matched whole. Zero
-	// uses DefaultShardNodeThreshold.
-	ShardNodeThreshold int
 	// Planner, when non-nil, carries grouping state across scheduling
-	// rounds: telemetry, and — with PlanState.Incremental — per-bucket
-	// dirty tracking that replays the previous round's proposal stream
-	// for buckets whose exact signature is unchanged. Replay is
-	// bit-identical to full re-matching by construction. A PlanState must
-	// not be shared between policies.
+	// rounds: counters, and per-bucket dirty tracking that replays the
+	// previous round's proposal stream for buckets whose exact signature
+	// is unchanged. Replay is bit-identical to full re-matching by
+	// construction. A PlanState must not be shared between policies.
 	Planner *PlanState
-}
-
-// Sparsification defaults: Philly-scale buckets (≳1,000 single-GPU jobs)
-// produce O(n²)-edge graphs whose O(V³) matching dominates planning; the
-// top-16 candidate graph keeps total matching weight within a small bound
-// of exact (TestSparseMatchingWeightBound, DESIGN.md §6) at O(n·k) edges.
-const (
-	// DefaultSparseTopK is the per-node candidate bound in sparse mode.
-	DefaultSparseTopK = 16
-	// DefaultSparseNodeThreshold is the bucket size at which
-	// sparsification engages; buckets the paper's own scales produce per
-	// scheduling interval (CandidateFactor × capacity) stay below it and
-	// remain exact.
-	DefaultSparseNodeThreshold = 256
-)
-
-// sparseTopK resolves the configured per-node candidate bound.
-func (c Config) sparseTopK() int {
-	if c.SparseTopK > 0 {
-		return c.SparseTopK
-	}
-	return DefaultSparseTopK
-}
-
-// sparseThreshold resolves the bucket size at which sparse mode engages;
-// math.MaxInt means never (exact mode).
-func (c Config) sparseThreshold() int {
-	switch {
-	case c.SparseNodeThreshold > 0:
-		return c.SparseNodeThreshold
-	case c.SparseNodeThreshold < 0:
-		return math.MaxInt
-	default:
-		return DefaultSparseNodeThreshold
-	}
 }
 
 // Gate chooses how a candidate merge is judged beneficial before it can
@@ -444,48 +384,6 @@ func (c Config) mergeGain(u, v *node, su, sv, merged stat) (float64, bool) {
 	}
 }
 
-// parallelEdgeThreshold is the class count below which the class-pair
-// table is filled serially: the worker-pool setup costs more than it saves
-// on the handful of pairs a small table holds.
-const parallelEdgeThreshold = 48
-
-// edgeWorkers resolves the configured pool bound.
-func (c Config) edgeWorkers() int {
-	if c.EdgeWorkers > 0 {
-		return c.EdgeWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// fanOut runs fn(0), …, fn(n-1) on up to workers goroutines, handing out
-// indices dynamically (tasks differ in size, so a static split would leave
-// workers idle); workers ≤ 1 runs serially on the caller's goroutine.
-// Callers write results into slots indexed by i, so the outcome does not
-// depend on worker interleaving.
-func fanOut(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // graphScratch is the working set of one bucketGraph call, recycled through
 // scratchPool so a warm planning round builds its graphs without
 // allocating. The returned edges and gains alias it: they are valid until
@@ -541,11 +439,11 @@ func (c Config) classify(nodes []*node, s *graphScratch) int {
 //
 // An edge weight is a pure function of the two nodes' profile multisets,
 // and candidates are instances of a few profile classes, so the weights
-// are computed once per class pair that occurs into a dense C×C table
-// (filled over the bounded worker pool, one row at a time) and the O(n²)
-// pair loop is a table read plus the gate arithmetic. Edges come out in
-// u-major (u,v) order whatever the pool does, so the Blossom matching and
-// every downstream schedule are those of pair-by-pair construction.
+// are computed once per class pair that occurs into a dense C×C table and
+// the O(n²) pair loop is a table read plus the gate arithmetic. Edges come
+// out in u-major (u,v) order, so the Blossom matching and every downstream
+// schedule are those of pair-by-pair construction. Every gated edge is
+// handed to the matcher: Algorithm 1 is exact at every bucket size.
 func (c Config) bucketGraph(nodes []*node, s *graphScratch) ([]blossom.Edge, []float64) {
 	maxSize := c.maxGroup()
 	n := len(nodes)
@@ -558,32 +456,26 @@ func (c Config) bucketGraph(nodes []*node, s *graphScratch) ([]blossom.Edge, []f
 	// Every cell is written by the fill below, so stale contents are fine.
 	s.self = slices.Grow(s.self[:0], nc)[:nc]
 	s.pair = slices.Grow(s.pair[:0], nc*nc)[:nc*nc]
-	var fills atomic.Uint64
-	workers := c.edgeWorkers()
-	if nc < parallelEdgeThreshold {
-		workers = 1
-	}
-	fanOut(nc, workers, func(a int) {
+	fills := 0
+	for a := 0; a < nc; a++ {
 		ra := nodes[s.rep[a]].profiles
 		s.self[a] = c.groupStats(ra)
 		var buf [interleave.MaxGroupSize]workload.StageTimes
 		copy(buf[:], ra)
-		filled := 0
 		for b := a; b < nc; b++ {
 			rb := nodes[s.rep[b]].profiles
 			m := stat{eff: math.Inf(-1)} // does not fit, or never occurs
 			if len(ra)+len(rb) <= maxSize && (a != b || s.multi[a]) {
 				copy(buf[len(ra):], rb)
 				m = c.groupStats(buf[:len(ra)+len(rb)])
-				filled++
+				fills++
 			}
 			s.pair[a*nc+b], s.pair[b*nc+a] = m, m
 		}
-		fills.Add(uint64(filled))
-	})
+	}
 	if ps := c.Planner; ps != nil {
-		ps.pairMiss.Add(fills.Load())
-		ps.pairHits.Add(uint64(n*(n-1)/2) - fills.Load())
+		ps.pairMiss.Add(uint64(fills))
+		ps.pairHits.Add(uint64(n*(n-1)/2 - fills))
 	}
 	edges, gains := s.edges[:0], s.gains[:0]
 	for u := 0; u < n-1; u++ {
@@ -592,7 +484,7 @@ func (c Config) bucketGraph(nodes []*node, s *graphScratch) ([]blossom.Edge, []f
 		for v := u + 1; v < n; v++ {
 			cv := s.local[v]
 			m := row[cv]
-			if m.eff <= c.MinEfficiency {
+			if m.eff <= 0 {
 				continue
 			}
 			g, ok := c.mergeGain(nodes[u], nodes[v], s.self[cu], s.self[cv], m)
@@ -604,94 +496,7 @@ func (c Config) bucketGraph(nodes []*node, s *graphScratch) ([]blossom.Edge, []f
 		}
 	}
 	s.edges, s.gains = edges, gains
-	if k := c.sparseTopK(); n >= c.sparseThreshold() && k < n-1 {
-		edges, gains = sparsifyEdges(edges, gains, n, k)
-	}
 	return edges, gains
-}
-
-// sparsifyEdges keeps, for every node, its k highest-weight incident
-// edges; an edge survives when either endpoint ranks it among its top k.
-// The survivors keep the input's deterministic u-major (u,v) order, and
-// per-node ranking breaks weight ties by lower edge index — i.e. by
-// lexicographic (u,v) — so the sparse graph is a pure function of the
-// dense one. The gains column is filtered in lockstep; both input slices
-// are filtered in place.
-func sparsifyEdges(edges []blossom.Edge, gains []float64, n, k int) ([]blossom.Edge, []float64) {
-	// CSR incidence index: deg doubles as the prefix-offset array.
-	deg := make([]int, n+1)
-	for _, e := range edges {
-		deg[e.I+1]++
-		deg[e.J+1]++
-	}
-	needSelect := false
-	for v := 1; v <= n; v++ {
-		if deg[v] > k {
-			needSelect = true
-		}
-		deg[v] += deg[v-1]
-	}
-	if !needSelect {
-		return edges, gains
-	}
-	incident := make([]int32, 2*len(edges))
-	next := make([]int, n)
-	copy(next, deg[:n])
-	for i, e := range edges {
-		incident[next[e.I]] = int32(i)
-		next[e.I]++
-		incident[next[e.J]] = int32(i)
-		next[e.J]++
-	}
-	keep := make([]bool, len(edges))
-	// top is the reusable top-k selection buffer, kept sorted by
-	// (weight desc, edge index asc). Insertion selection beats sort.Slice
-	// here: k is small, most candidates lose to the current k-th entry
-	// after warm-up, and no per-node closure or swapper is allocated.
-	top := make([]int32, 0, k)
-	ranksAbove := func(a, b int32) bool {
-		wa, wb := edges[a].Weight, edges[b].Weight
-		if wa != wb {
-			return wa > wb
-		}
-		return a < b
-	}
-	for v := 0; v < n; v++ {
-		ids := incident[deg[v]:deg[v+1]]
-		if len(ids) <= k {
-			for _, id := range ids {
-				keep[id] = true
-			}
-			continue
-		}
-		top = top[:0]
-		for _, id := range ids {
-			if len(top) == k && !ranksAbove(id, top[k-1]) {
-				continue
-			}
-			pos := len(top)
-			for pos > 0 && ranksAbove(id, top[pos-1]) {
-				pos--
-			}
-			if len(top) < k {
-				top = append(top, 0)
-			}
-			copy(top[pos+1:], top[pos:])
-			top[pos] = id
-		}
-		for _, id := range top {
-			keep[id] = true
-		}
-	}
-	out := edges[:0]
-	outGains := gains[:0]
-	for i := range edges {
-		if keep[i] {
-			out = append(out, edges[i])
-			outGains = append(outGains, gains[i])
-		}
-	}
-	return out, outGains
 }
 
 // maxCapacitySweeps bounds the merge passes of capacity-constrained

@@ -261,16 +261,6 @@ func TestGroupingImprovesAggregateThroughput(t *testing.T) {
 	}
 }
 
-func TestMinEfficiencyFiltersPairs(t *testing.T) {
-	cfg := ideal()
-	cfg.MinEfficiency = 2 // impossible: no edge survives
-	jobs := []*job.Job{cpuHeavy(0), gpuHeavy(1)}
-	groups := cfg.GroupBucket(jobs)
-	if len(groups) != 2 {
-		t.Errorf("got %d groups, want 2 singletons when every edge is filtered", len(groups))
-	}
-}
-
 func TestDeterministicGrouping(t *testing.T) {
 	mk := func() []*job.Job {
 		var jobs []*job.Job

@@ -12,13 +12,6 @@ import (
 	"muri/internal/workload"
 )
 
-// bucketEdges is bucketGraph without the gain column, on a scratch of its
-// own so the returned edges stay valid across calls.
-func (c Config) bucketEdges(nodes []*node) []blossom.Edge {
-	edges, _ := c.bucketGraph(nodes, new(graphScratch))
-	return edges
-}
-
 // randomBucket draws one bucket's nodes: single jobs plus pre-merged
 // nodes of 2–3 members, with profiles either drawn from a small pool
 // (many duplicates, the zoo case) or all distinct (the noisy-profile
@@ -78,7 +71,7 @@ func pairwiseGraph(c Config, nodes []*node) ([]blossom.Edge, []float64) {
 			}
 			both := append(append([]workload.StageTimes{}, nu.profiles...), nv.profiles...)
 			t, eff := fresh.GroupStats(c.Interleave, both)
-			if eff <= c.MinEfficiency {
+			if eff <= 0 {
 				continue
 			}
 			c.nodeRemStats(nu)
@@ -91,47 +84,21 @@ func pairwiseGraph(c Config, nodes []*node) ([]blossom.Edge, []float64) {
 			gains = append(gains, g)
 		}
 	}
-	if k := c.sparseTopK(); len(nodes) >= c.sparseThreshold() && k < len(nodes)-1 {
-		edges, gains = sparsifyEdges(edges, gains, len(nodes), k)
-	}
 	return edges, gains
 }
 
 // TestBucketGraphMatchesPairwise is the property behind the class-indexed
 // graph: over random buckets and every configuration axis the table
 // depends on, bucketGraph's edges and gains equal (==, bit for bit) the
-// pair-by-pair reference, on a cold scratch and on a reused one.
+// pair-by-pair reference, on a cold scratch and on a reused one. The 256-
+// and 300-node buckets at the default config pin that no gated edge is
+// withheld from the matcher at any size.
 func TestBucketGraphMatchesPairwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	remaining := func(j *job.Job) int64 { return 1 + j.DoneIterations/3 }
 	scratch := new(graphScratch)
-	for trial := 0; trial < 300; trial++ {
-		c := DefaultConfig()
-		c.MaxGroupSize = 2 + trial%3
-		c.Gate = []Gate{GateThroughput, GateJCT, GateNone}[(trial/3)%3]
-		if trial%2 == 0 {
-			c.Cache = nil
-		}
-		if rng.Intn(2) == 0 {
-			c.RemainingIters = remaining
-		}
-		if rng.Intn(3) == 0 {
-			c.MinEfficiency = 0.5
-		}
-		c.SparseNodeThreshold = -1
-		if rng.Intn(2) == 0 {
-			c.SparseNodeThreshold, c.SparseTopK = 8, 3
-		}
-		c.EdgeWorkers = 1 + rng.Intn(4)
-		n := 2 + rng.Intn(30)
-		if trial%10 == 0 {
-			n = parallelEdgeThreshold + rng.Intn(20) // engage the pool
-		}
-		distinct := rng.Intn(3) == 0
-		nodes := randomBucket(rng, n, distinct)
-		label := fmt.Sprintf("trial %d (n=%d k=%d gate=%d cache=%v distinct=%v sparse=%d)",
-			trial, n, c.MaxGroupSize, c.Gate, c.Cache != nil, distinct, c.SparseNodeThreshold)
-
+	check := func(label string, c Config, nodes []*node) {
+		t.Helper()
 		wantE, wantG := pairwiseGraph(c, nodes)
 		for pass, s := range []*graphScratch{new(graphScratch), scratch} {
 			gotE, gotG := c.bucketGraph(nodes, s)
@@ -145,6 +112,28 @@ func TestBucketGraphMatchesPairwise(t *testing.T) {
 						label, pass, i, gotE[i], gotG[i], wantE[i], wantG[i])
 				}
 			}
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		c := DefaultConfig()
+		c.MaxGroupSize = 2 + trial%3
+		c.Gate = []Gate{GateThroughput, GateJCT, GateNone}[(trial/3)%3]
+		if trial%2 == 0 {
+			c.Cache = nil
+		}
+		if rng.Intn(2) == 0 {
+			c.RemainingIters = remaining
+		}
+		n := 2 + rng.Intn(30)
+		distinct := rng.Intn(3) == 0
+		label := fmt.Sprintf("trial %d (n=%d k=%d gate=%d cache=%v distinct=%v)",
+			trial, n, c.MaxGroupSize, c.Gate, c.Cache != nil, distinct)
+		check(label, c, randomBucket(rng, n, distinct))
+	}
+	for _, n := range []int{256, 300} {
+		for _, distinct := range []bool{false, true} {
+			check(fmt.Sprintf("default config (n=%d distinct=%v)", n, distinct),
+				DefaultConfig(), randomBucket(rng, n, distinct))
 		}
 	}
 }

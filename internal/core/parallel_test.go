@@ -39,11 +39,8 @@ func groupsFingerprint(groups []Group) string {
 }
 
 // TestPlanParallelAndCachedUnchanged is the determinism guard for the
-// scheduling-path overhaul: serial vs pooled edge construction, and
-// cacheless vs cached evaluation, must produce identical plans for every
-// gate. Run under -race this also exercises the worker pool for data
-// races (the node-stats precompute, the shared cache, the concurrent
-// RemainingIters calls).
+// shared cache: cacheless, cached and evicting (tiny) caches must produce
+// identical plans for every gate.
 func TestPlanParallelAndCachedUnchanged(t *testing.T) {
 	remaining := func(j *job.Job) int64 {
 		if j.DoneIterations > 100 {
@@ -53,28 +50,25 @@ func TestPlanParallelAndCachedUnchanged(t *testing.T) {
 	}
 	for _, gate := range []Gate{GateThroughput, GateJCT, GateNone} {
 		for _, capacity := range []int{0, 64} {
-			variant := func(workers int, cache *interleave.EffCache) string {
+			variant := func(cache *interleave.EffCache) string {
 				cfg := DefaultConfig()
 				cfg.Gate = gate
-				cfg.EdgeWorkers = workers
 				cfg.Cache = cache
 				if gate == GateJCT {
 					cfg.RemainingIters = remaining
 				}
 				return groupsFingerprint(cfg.Plan(mixedJobs(160), capacity))
 			}
-			base := variant(1, nil)
+			base := variant(nil)
 			if base == "" {
 				t.Fatalf("gate %v cap %d: empty plan", gate, capacity)
 			}
 			for name, got := range map[string]string{
-				"parallel-nocache":   variant(8, nil),
-				"serial-cache":       variant(1, interleave.NewEffCache(0)),
-				"parallel-cache":     variant(8, interleave.NewEffCache(0)),
-				"parallel-tinycache": variant(8, interleave.NewEffCache(16)),
+				"cache":     variant(interleave.NewEffCache(0)),
+				"tinycache": variant(interleave.NewEffCache(16)),
 			} {
 				if got != base {
-					t.Errorf("gate %v cap %d: %s plan differs from serial-nocache\nbase:\n%s\ngot:\n%s",
+					t.Errorf("gate %v cap %d: %s plan differs from nocache\nbase:\n%s\ngot:\n%s",
 						gate, capacity, name, base, got)
 				}
 			}
@@ -100,46 +94,5 @@ func TestPlanCacheReuseAcrossCalls(t *testing.T) {
 	}
 	if st2.Hits <= st1.Hits {
 		t.Errorf("second plan recorded no cache hits: %+v -> %+v", st1, st2)
-	}
-}
-
-// TestBucketEdgesParallelMatchesSerial drives bucketEdges directly at a
-// size above the parallel threshold and compares the edge lists.
-func TestBucketEdgesParallelMatchesSerial(t *testing.T) {
-	jobs := mixedJobs(100)
-	nodes := make([]*node, 0, len(jobs))
-	for _, j := range jobs {
-		if j.GPUs != 1 {
-			continue
-		}
-		nodes = append(nodes, &node{jobs: []*job.Job{j}, profiles: []workload.StageTimes{j.Profile}})
-	}
-	if len(nodes) < parallelEdgeThreshold {
-		t.Fatalf("need ≥%d nodes, have %d", parallelEdgeThreshold, len(nodes))
-	}
-	mk := func(workers int) Config {
-		cfg := DefaultConfig()
-		cfg.EdgeWorkers = workers
-		return cfg
-	}
-	// Fresh node copies per run: bucketEdges memoizes stats on the nodes.
-	clone := func() []*node {
-		out := make([]*node, len(nodes))
-		for i, n := range nodes {
-			out[i] = &node{jobs: n.jobs, profiles: n.profiles}
-		}
-		return out
-	}
-	serial := mk(1).bucketEdges(clone())
-	for _, workers := range []int{2, 4, 8} {
-		parallel := mk(workers).bucketEdges(clone())
-		if len(parallel) != len(serial) {
-			t.Fatalf("workers=%d: %d edges, serial %d", workers, len(parallel), len(serial))
-		}
-		for i := range serial {
-			if parallel[i] != serial[i] {
-				t.Fatalf("workers=%d: edge %d = %+v, serial %+v", workers, i, parallel[i], serial[i])
-			}
-		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"muri/internal/metrics"
@@ -35,31 +34,23 @@ type bucketCache struct {
 }
 
 // PlanState carries grouping state across scheduling rounds: the planner's
-// counters, and — with Incremental set — per-bucket dirty tracking. Each
-// plan records every bucket's proposal stream, and the next plan replays
-// the stream for buckets whose exact signature (member IDs, their profile
-// classes, plus the gate-relevant remaining-iteration estimates, in
-// candidate order) is unchanged. Any divergence in the central acceptance
-// loop promotes the bucket back to fresh matching from the next sweep, so
-// incremental planning is bit-identical to full re-matching by
-// construction (see DESIGN.md §10).
+// counters and per-bucket dirty tracking. Each plan records every bucket's
+// proposal stream, and the next plan replays the stream for buckets whose
+// exact signature (member IDs, their profile classes, plus the
+// gate-relevant remaining-iteration estimates, in candidate order) is
+// unchanged. Any divergence in the central acceptance loop promotes the
+// bucket back to fresh matching from the next sweep, so incremental
+// planning is bit-identical to full re-matching by construction (see
+// DESIGN.md §10).
 //
 // A PlanState must be owned by a single policy instance: the replay cache
 // assumes a consistent Config between rounds. The counters are safe for
 // concurrent use by the shard workers; the replay bookkeeping is only
 // touched between parallel sections.
 type PlanState struct {
-	// Incremental enables cross-round bucket replay. Off, the PlanState
-	// still provides telemetry.
-	Incremental bool
-
 	buckets map[int]*bucketCache
 
-	shards int
-	mu     sync.RWMutex
-	// tasksBy counts matching tasks per shard index. Sized under mu in
-	// beginPlan (between parallel sections); shard workers only Add.
-	tasksBy   []atomic.Uint64
+	shards    int
 	rounds    atomic.Uint64
 	replays   atomic.Uint64
 	fixpoints atomic.Uint64
@@ -72,31 +63,9 @@ type PlanState struct {
 	marks    atomic.Uint64
 }
 
-// NewPlanState returns a PlanState with incremental replay enabled.
+// NewPlanState returns a PlanState with an empty replay cache.
 func NewPlanState() *PlanState {
-	return &PlanState{Incremental: true, buckets: make(map[int]*bucketCache)}
-}
-
-// ensureShards grows the per-shard task counters to n slots, carrying
-// accumulated counts over. Called only between parallel sections.
-func (ps *PlanState) ensureShards(n int) {
-	ps.mu.Lock()
-	if len(ps.tasksBy) < n {
-		nb := make([]atomic.Uint64, n)
-		for i := range ps.tasksBy {
-			nb[i].Store(ps.tasksBy[i].Load())
-		}
-		ps.tasksBy = nb
-	}
-	ps.mu.Unlock()
-}
-
-// shardTask counts one matching task on shard index s.
-func (ps *PlanState) shardTask(s int) {
-	ps.tasks.Add(1)
-	if s >= 0 && s < len(ps.tasksBy) {
-		ps.tasksBy[s].Add(1)
-	}
+	return &PlanState{buckets: make(map[int]*bucketCache)}
 }
 
 // MarkDirty records decision-stream dirty notifications (arrivals,
@@ -115,15 +84,6 @@ func (ps *PlanState) Stats() metrics.ShardStats {
 	if ps == nil {
 		return metrics.ShardStats{}
 	}
-	ps.mu.RLock()
-	var byShard []uint64
-	if len(ps.tasksBy) > 0 {
-		byShard = make([]uint64, len(ps.tasksBy))
-		for i := range ps.tasksBy {
-			byShard[i] = ps.tasksBy[i].Load()
-		}
-	}
-	ps.mu.RUnlock()
 	return metrics.ShardStats{
 		Shards:         ps.shards,
 		PlanRounds:     ps.rounds.Load(),
@@ -131,7 +91,6 @@ func (ps *PlanState) Stats() metrics.ShardStats {
 		FixpointSweeps: ps.fixpoints.Load(),
 		FreshSweeps:    ps.fresh.Load(),
 		ShardTasks:     ps.tasks.Load(),
-		TasksByShard:   byShard,
 		PairHits:       ps.pairHits.Load(),
 		PairMisses:     ps.pairMiss.Load(),
 		DirtyMarks:     ps.marks.Load(),
@@ -179,12 +138,6 @@ func (c Config) bucketSig(st *bucketState) []int64 {
 func (ps *PlanState) beginPlan(c Config, states []*bucketState) {
 	ps.rounds.Add(1)
 	ps.shards = c.shardCount()
-	if ps.shards > 1 {
-		ps.ensureShards(ps.shards)
-	}
-	if !ps.Incremental {
-		return
-	}
 	for _, st := range states {
 		st.sig = c.bucketSig(st)
 		if bc := ps.buckets[st.gpus]; bc != nil && slices.Equal(bc.sig, st.sig) {
@@ -199,9 +152,6 @@ func (ps *PlanState) beginPlan(c Config, states []*bucketState) {
 // signature check makes them harmless and the map stays small (one entry
 // per distinct GPU requirement).
 func (ps *PlanState) finishPlan(states []*bucketState) {
-	if !ps.Incremental {
-		return
-	}
 	for _, st := range states {
 		ps.buckets[st.gpus] = &bucketCache{sig: st.sig, sweeps: st.rec}
 	}

@@ -2,7 +2,10 @@ package core
 
 import (
 	"cmp"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"muri/internal/blossom"
 	"muri/internal/job"
@@ -14,9 +17,9 @@ import (
 // concurrently on multicore hosts. Small buckets are matched whole:
 // splitting them saves little and costs matching quality.
 const (
-	// DefaultShardNodeThreshold is the bucket node count at or above
-	// which sharding engages.
-	DefaultShardNodeThreshold = 32
+	// shardNodeThreshold is the bucket node count at or above which
+	// sharding engages.
+	shardNodeThreshold = 32
 	// minShardNodes caps the shard count so every shard keeps enough
 	// nodes for the matcher to have real choices (quality bound,
 	// TestShardedMatchingWeightBound).
@@ -31,20 +34,12 @@ func (c Config) shardCount() int {
 	return 1
 }
 
-// shardThreshold resolves the bucket size at which sharding engages.
-func (c Config) shardThreshold() int {
-	if c.ShardNodeThreshold > 0 {
-		return c.ShardNodeThreshold
-	}
-	return DefaultShardNodeThreshold
-}
-
 // effectiveShards returns how many shards an n-node bucket is split into:
 // 1 below the threshold, and never so many that shards drop below
 // minShardNodes expected nodes.
 func (c Config) effectiveShards(n int) int {
 	s := c.shardCount()
-	if s <= 1 || n < c.shardThreshold() {
+	if s <= 1 || n < shardNodeThreshold {
 		return 1
 	}
 	if max := n / minShardNodes; s > max {
@@ -165,7 +160,7 @@ func (c Config) sweepProposals(st *bucketState, sweep int) []cachedProp {
 
 // freshProposals runs edge construction and Blossom matching over the
 // bucket, splitting large buckets into deterministic shards that run as
-// tasks on the bounded worker pool with indexed result slots (fanOut).
+// tasks on up to GOMAXPROCS goroutines with indexed result slots (fanOut).
 // Shard streams are concatenated in shard order, so the result is a pure
 // function of (nodes, epoch, config) regardless of worker interleaving,
 // and Shards=1 — or any bucket below the threshold — follows the exact
@@ -185,17 +180,11 @@ func (c Config) freshProposals(st *bucketState) []cachedProp {
 		parts[s] = append(parts[s], int32(i))
 	}
 	if ps := c.Planner; ps != nil {
-		for s := 0; s < shards; s++ {
-			ps.shardTask(s)
-		}
+		ps.tasks.Add(uint64(shards))
 	}
-	// Shard tasks are the unit of parallelism here; force the per-shard
-	// edge construction serial so the pools do not multiply.
-	sub := c
-	sub.EdgeWorkers = 1
 	results := make([][]cachedProp, shards)
-	fanOut(shards, c.edgeWorkers(), func(i int) {
-		results[i] = sub.matchShard(st.nodes, parts[i])
+	fanOut(shards, func(i int) {
+		results[i] = c.matchShard(st.nodes, parts[i])
 	})
 	total := 0
 	for _, r := range results {
@@ -205,7 +194,37 @@ func (c Config) freshProposals(st *bucketState) []cachedProp {
 	for _, r := range results {
 		out = append(out, r...)
 	}
-	return c.rebalance(sub, st, out)
+	return c.rebalance(st, out)
+}
+
+// fanOut runs the shard tasks fn(0), …, fn(n-1) on up to GOMAXPROCS
+// goroutines, handing out indices dynamically (shards differ in size, so a
+// static split would leave workers idle); on one P it runs serially on the
+// caller's goroutine. Callers write results into slots indexed by i, so the
+// outcome does not depend on worker interleaving.
+func fanOut(n int, fn func(i int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // rebalance is the cheap cross-shard pass that holds the sharded
@@ -217,7 +236,7 @@ func (c Config) freshProposals(st *bucketState) []cachedProp {
 // max-weight matching over it can only improve the total weight; the
 // subset is an eighth of the bucket, so the extra cost is n²/128 pair
 // evaluations against the n²/2S the shards already paid.
-func (c Config) rebalance(sub Config, st *bucketState, out []cachedProp) []cachedProp {
+func (c Config) rebalance(st *bucketState, out []cachedProp) []cachedProp {
 	matched := make([]bool, len(st.nodes))
 	for _, p := range out {
 		matched[p.u] = true
@@ -255,7 +274,7 @@ func (c Config) rebalance(sub Config, st *bucketState, out []cachedProp) []cache
 		return out
 	}
 	slices.Sort(left)
-	return append(out, sub.matchShard(st.nodes, left)...)
+	return append(out, c.matchShard(st.nodes, left)...)
 }
 
 // matchShard matches the sub-bucket selected by idx, mapping proposal

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -8,6 +9,34 @@ import (
 	"muri/internal/job"
 	"muri/internal/workload"
 )
+
+// planFingerprint serializes a plan's group structure for equality checks.
+func planFingerprint(groups []Group) string {
+	s := ""
+	for _, g := range groups {
+		s += fmt.Sprintf("[%d:", g.GPUs)
+		for _, j := range g.Jobs {
+			s += fmt.Sprintf("%d,", j.ID)
+		}
+		s += "]"
+	}
+	return s
+}
+
+// singleGPUJobs builds n single-GPU jobs with random stage shapes: one
+// bucket, every node its own class.
+func singleGPUJobs(n int, seed int64) []*job.Job {
+	rng := rand.New(rand.NewSource(seed))
+	jobs := make([]*job.Job, 0, n)
+	for i := 0; i < n; i++ {
+		var st workload.StageTimes
+		for r := 0; r < workload.NumResources; r++ {
+			st[r] = time.Duration(rng.Intn(200)+10) * time.Millisecond
+		}
+		jobs = append(jobs, mkJob(i, 1, st))
+	}
+	return jobs
+}
 
 // TestShardOfProperties pins the shard hash contract: assignments are in
 // range, stable for a fixed (id, epoch), and the epoch salt actually
@@ -44,73 +73,61 @@ func TestShardOfProperties(t *testing.T) {
 // minimum-nodes-per-shard cap.
 func TestEffectiveShards(t *testing.T) {
 	cases := []struct {
-		shards, threshold, n, want int
+		shards, n, want int
 	}{
-		{0, 0, 1000, 1},  // unsharded config
-		{1, 0, 1000, 1},  // explicit serial
-		{4, 0, 31, 1},    // below default threshold
-		{4, 0, 32, 2},    // at threshold, capped by 32/16
-		{4, 0, 64, 4},    // full fan-out
-		{8, 0, 64, 4},    // capped: 64/16 = 4 shards
-		{8, 0, 1000, 8},  // large bucket, full fan-out
-		{4, 100, 64, 1},  // custom threshold not reached
-		{4, 100, 100, 4}, // custom threshold reached
+		{0, 1000, 1}, // unsharded config
+		{1, 1000, 1}, // explicit serial
+		{4, 31, 1},   // below the threshold
+		{4, 32, 2},   // at threshold, capped by 32/16
+		{4, 64, 4},   // full fan-out
+		{8, 64, 4},   // capped: 64/16 = 4 shards
+		{8, 1000, 8}, // large bucket, full fan-out
 	}
 	for _, tc := range cases {
-		c := Config{Shards: tc.shards, ShardNodeThreshold: tc.threshold}
+		c := Config{Shards: tc.shards}
 		if got := c.effectiveShards(tc.n); got != tc.want {
-			t.Errorf("effectiveShards(shards=%d thr=%d n=%d) = %d, want %d",
-				tc.shards, tc.threshold, tc.n, got, tc.want)
+			t.Errorf("effectiveShards(shards=%d n=%d) = %d, want %d",
+				tc.shards, tc.n, got, tc.want)
 		}
 	}
 }
 
-// TestShardsOneBitIdentical is the sharding safety property: Shards=1 —
-// with any worker-pool width — must produce exactly the plan of the
-// unsharded configuration.
+// TestShardsOneBitIdentical is the sharding safety property: Shards=1 must
+// produce exactly the plan of the unsharded configuration.
 func TestShardsOneBitIdentical(t *testing.T) {
 	base := DefaultConfig()
-	want := planFingerprint(base.Plan(sparseJobs(300, 21), 64))
+	want := planFingerprint(base.Plan(singleGPUJobs(300, 21), 64))
 
 	one := DefaultConfig()
 	one.Shards = 1
-	if got := planFingerprint(one.Plan(sparseJobs(300, 21), 64)); got != want {
+	if got := planFingerprint(one.Plan(singleGPUJobs(300, 21), 64)); got != want {
 		t.Fatalf("Shards=1 plan differs from unsharded:\n%s\nvs\n%s", got, want)
-	}
-	wide := DefaultConfig()
-	wide.Shards = 1
-	wide.EdgeWorkers = 8
-	if got := planFingerprint(wide.Plan(sparseJobs(300, 21), 64)); got != want {
-		t.Fatalf("Shards=1/EdgeWorkers=8 plan differs from unsharded:\n%s\nvs\n%s", got, want)
 	}
 }
 
-// TestShardedPlanDeterministic runs sharded planning repeatedly and
-// across worker-pool widths: shard tasks run concurrently, but indexed
-// result slots and shard-order concatenation make the plan a pure
-// function of (jobs, config).
+// TestShardedPlanDeterministic runs sharded planning repeatedly: shard
+// tasks run concurrently, but indexed result slots and shard-order
+// concatenation make the plan a pure function of (jobs, config).
 func TestShardedPlanDeterministic(t *testing.T) {
-	mk := func(workers int) string {
+	mk := func() string {
 		c := DefaultConfig()
 		c.Shards = 4
-		c.EdgeWorkers = workers
-		return planFingerprint(c.Plan(sparseJobs(300, 22), 64))
+		return planFingerprint(c.Plan(singleGPUJobs(300, 22), 64))
 	}
-	want := mk(1)
+	want := mk()
 	if want == "" {
 		t.Fatal("empty plan")
 	}
 	for run := 0; run < 3; run++ {
-		if got := mk(8); got != want {
+		if got := mk(); got != want {
 			t.Fatalf("sharded plan not deterministic (run %d):\n%s\nvs\n%s", run, got, want)
 		}
 	}
 }
 
 // TestShardedMatchingWeightBound is the sharding quality property
-// (DESIGN.md §10, mirroring the sparsification bound in
-// TestSparseMatchingWeightBound): one sharded sweep retains at least 97%
-// of the unsharded matching weight. Pair efficiencies cluster near the
+// (DESIGN.md §10): one sharded sweep retains at least 97% of the
+// unsharded (exact) matching weight. Pair efficiencies cluster near the
 // top of the scale, so a random node partition still offers every node a
 // near-best partner inside its own shard.
 func TestShardedMatchingWeightBound(t *testing.T) {
@@ -127,13 +144,12 @@ func TestShardedMatchingWeightBound(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(int64(300 + trial)))
 		n := 100 + rng.Intn(150)
-		jobs := sparseJobs(n, int64(400+trial))
+		jobs := singleGPUJobs(n, int64(400+trial))
 		nodes := make([]*node, len(jobs))
 		for i, j := range jobs {
 			nodes[i] = &node{jobs: []*job.Job{j}, profiles: []workload.StageTimes{j.Model.Stages}}
 		}
 		serial := DefaultConfig()
-		serial.SparseNodeThreshold = -1
 		dense := weight(serial.matchNodes(nodes, nil))
 
 		sharded := serial

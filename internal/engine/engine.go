@@ -370,9 +370,8 @@ func (e *Engine) traceRound(in Input, out *Outcome) {
 	e.traceShards(pid, in.Now)
 }
 
-// traceShards renders the policy's incremental/sharded grouping counters:
-// one row per shard index with its cumulative task count, plus a summary
-// row with the sweep-reuse breakdown.
+// traceShards renders the policy's incremental/sharded grouping counters
+// as one summary row with the sweep-reuse breakdown.
 func (e *Engine) traceShards(pid int, now time.Duration) {
 	prov, ok := e.cfg.Policy.(PlanStatsProvider)
 	if !ok {
@@ -382,13 +381,6 @@ func (e *Engine) traceShards(pid int, now time.Duration) {
 	st := prov.PlanStats()
 	if st.PlanRounds == 0 {
 		return
-	}
-	for s, n := range st.TasksByShard {
-		tid := tr.Thread(pid, "shard-"+strconv.Itoa(s))
-		tr.Instant(pid, tid, "tasks "+strconv.FormatUint(n, 10), "shard", now, map[string]any{
-			"shard": s,
-			"tasks": n,
-		})
 	}
 	tid := tr.Thread(pid, "plan")
 	tr.Instant(pid, tid, "plan "+strconv.FormatUint(st.PlanRounds, 10), "shard", now, map[string]any{

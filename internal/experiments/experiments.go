@@ -636,8 +636,7 @@ func (o Options) scaleShards() []int {
 // the philly-10000 tier at the largest shard count. With Scale50k set it
 // also runs the 50,000-job tier (muri-l-scale plus a backfill-window
 // cap — an explicit approximation, see sched.Muri.BackfillLimit).
-// `make bench-sched-scale` records the equivalent runs as benchmarks in
-// BENCH_sched.json.
+// `make bench-sched-scale` runs it.
 func (o Options) Scale() ([]ScaleResult, Table) {
 	var out []ScaleResult
 	t := Table{

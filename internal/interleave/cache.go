@@ -60,7 +60,7 @@ type planEntry struct {
 // EffCache memoizes best-ordering group statistics — the quantity behind
 // PairEfficiency edge weights, node γ/T statistics, and the JCT merge
 // gate — keyed by the canonical profile multiset. It is safe for
-// concurrent use by the parallel grouping-graph workers.
+// concurrent use by the planner's shard tasks.
 //
 // The size bound uses two generations (à la fastcache): inserts go to the
 // current generation; when it fills, the previous generation is dropped

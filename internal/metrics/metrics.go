@@ -313,9 +313,6 @@ type ShardStats struct {
 	// ShardTasks counts per-shard matching tasks executed (a fresh sweep
 	// of a sharded bucket contributes its shard count).
 	ShardTasks uint64
-	// TasksByShard breaks ShardTasks down by shard index; the engine's
-	// tracer renders one row per entry. Empty when sharding never engaged.
-	TasksByShard []uint64
 	// PairHits and PairMisses count the grouping graph's class-pair
 	// statistics table: pair reads served by an already-filled cell, and
 	// cells filled (one group-statistics lookup each).

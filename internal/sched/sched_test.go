@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -217,6 +218,38 @@ func TestMuriCandidateBudget(t *testing.T) {
 	}
 	if units[0].Jobs[0].ID != 0 {
 		t.Errorf("most urgent job should head the plan, got %v", ids(units))
+	}
+}
+
+// TestCandidateCutBoundsBuckets pins the traffic bound exact matching
+// rests on (Algorithm 1 line 3): however long the queue, the grouping layer
+// sees at most CandidateFactor × capacity GPUs' worth of jobs, so a bucket
+// never exceeds 4 × capacity ÷ GPUs-per-job nodes. The jobs are counted
+// where the grouping layer reads them, through Grouping.RemainingIters.
+func TestCandidateCutBoundsBuckets(t *testing.T) {
+	const capacity = 64
+	zoo := workload.Zoo()
+	var jobs []*job.Job
+	for i := 0; i < 2000; i++ {
+		jobs = append(jobs, job.New(job.ID(i), zoo[i%len(zoo)], 1, int64(1000+37*i), 0))
+	}
+	for _, p := range []*Muri{NewMuriS(), NewMuriL(), NewMuriLScale(4)} {
+		var mu sync.Mutex // shard tasks call RemainingIters concurrently
+		seen := make(map[job.ID]bool)
+		inner := p.Grouping.RemainingIters
+		p.Grouping.RemainingIters = func(j *job.Job) int64 {
+			mu.Lock()
+			seen[j.ID] = true
+			mu.Unlock()
+			if inner == nil {
+				return j.RemainingIterations()
+			}
+			return inner(j)
+		}
+		p.Plan(0, jobs, capacity)
+		if len(seen) == 0 || len(seen) > 4*capacity {
+			t.Errorf("%s: grouping saw %d distinct jobs, want 1..%d", p.Name(), len(seen), 4*capacity)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -10,8 +11,8 @@ import (
 )
 
 // determinismTrace is a seeded trace small enough to simulate repeatedly
-// but large enough to force grouping, queueing, preemption, and the
-// parallel edge-construction path.
+// but large enough to force grouping, queueing, preemption, and sharded
+// matching.
 func determinismTrace() trace.Trace {
 	cfg := trace.PhillyConfigs(64)[0]
 	cfg.Jobs = 120
@@ -33,8 +34,8 @@ func fingerprint(r Result) string {
 // scheduling path: repeated runs over the same seeded trace must be
 // byte-identical in summary and per-job completion times, for both Muri
 // variants, with and without event-driven wake-ups. The pair-efficiency
-// cache, the edge worker pool, and the simulator's completion-estimate
-// memo must all be invisible in the results.
+// cache and the simulator's completion-estimate memo must be invisible in
+// the results.
 func TestRunDeterministic(t *testing.T) {
 	tr := determinismTrace()
 	cases := []struct {
@@ -69,21 +70,24 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 // TestRunDeterministicAcrossWorkerCounts pins the schedule against the
-// serial edge-construction path: a run whose grouping graph is built by
-// one worker must match one built by many.
+// serial shard-task path: a muri-l-scale run whose shards are matched on
+// one P must match one whose shards are matched by four workers.
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	tr := determinismTrace()
-	run := func(workers int) string {
-		p := sched.NewMuriS()
-		p.Grouping.EdgeWorkers = workers
-		return fingerprint(Run(DefaultConfig(), tr, p))
+	run := func(procs int) string {
+		runtime.GOMAXPROCS(procs)
+		p := sched.NewMuriLScale(4)
+		out := fingerprint(Run(DefaultConfig(), tr, p))
+		if p.PlanStats().ShardTasks == 0 {
+			t.Fatal("sharding never engaged; the test would prove nothing")
+		}
+		return out
 	}
 	serial := run(1)
-	for _, workers := range []int{2, 8} {
-		if got := run(workers); got != serial {
-			t.Fatalf("EdgeWorkers=%d schedule differs from serial\nserial:\n%.2000s\ngot:\n%.2000s",
-				workers, serial, got)
-		}
+	if got := run(4); got != serial {
+		t.Fatalf("GOMAXPROCS=4 schedule differs from serial\nserial:\n%.2000s\ngot:\n%.2000s",
+			serial, got)
 	}
 }
 
