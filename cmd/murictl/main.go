@@ -91,12 +91,12 @@ func main() {
 		}
 		fmt.Println(line)
 		if d := st.Durability; d != nil {
-			dur := fmt.Sprintf("durability: role=%s term=%d wal=%d@%d lsn=%d snapshot_lsn=%d",
-				d.Role, d.Term, d.WALSegment, d.WALOffset, d.WALLSN, d.SnapshotLSN)
+			dur := fmt.Sprintf("durability: role=%s term=%d wal=%d@%d lsn=%d durable_lsn=%d unsynced=%d snapshot_lsn=%d",
+				d.Role, d.Term, d.WALSegment, d.WALOffset, d.WALLSN, d.DurableLSN, d.Unsynced, d.SnapshotLSN)
 			if d.SnapshotAge > 0 {
 				dur += fmt.Sprintf(" snapshot_age=%v", d.SnapshotAge.Round(time.Second))
 			}
-			dur += fmt.Sprintf(" fsync_every=%d appends=%d fsyncs=%d", d.FsyncEvery, d.Appends, d.Fsyncs)
+			dur += fmt.Sprintf(" fsync_every=%d appends=%d fsyncs=%d sync_stalls=%d", d.FsyncEvery, d.Appends, d.Fsyncs, d.SyncStalls)
 			if d.Role == "standby" {
 				dur += fmt.Sprintf(" repl_lag=%d", d.ReplLag)
 			} else if d.Standbys > 0 {

@@ -82,7 +82,7 @@ func main() {
 		drainWait   = flag.Duration("drain-timeout", time.Minute, "on SIGINT, how long to wait for running groups before closing")
 
 		stateDir     = flag.String("state-dir", "", "durability directory: WAL + snapshots (empty = in-memory daemon)")
-		fsyncEvery   = flag.Int("fsync-every", 0, "fsync the WAL every N records (0 = default 64; 1 = per record)")
+		fsyncEvery   = flag.Int("fsync-every", 0, "at most N-1 WAL records unsynced when an append returns; the fsync itself runs in the background (0 = default 64; 1 = durable on append)")
 		snapEvery    = flag.Duration("snapshot-interval", 0, "full-state snapshot cadence (0 = default 10s)")
 		segmentBytes = flag.Int64("segment-bytes", 0, "WAL segment size cap in bytes (0 = default)")
 		standbyOf    = flag.String("standby-of", "", "run as warm standby replicating the leader at this address (requires -state-dir)")

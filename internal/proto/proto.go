@@ -379,6 +379,11 @@ type DurabilitySummary struct {
 	WALSegment uint64 `json:"wal_segment"`
 	WALOffset  int64  `json:"wal_offset"`
 	WALLSN     uint64 `json:"wal_lsn"`
+	// DurableLSN is the last record covered by a completed fsync;
+	// Unsynced = WALLSN − DurableLSN is the live loss window, below
+	// FsyncEvery whenever no append is in progress.
+	DurableLSN uint64 `json:"durable_lsn"`
+	Unsynced   uint64 `json:"unsynced"`
 	// SnapshotLSN is the latest snapshot's covered LSN (0 if none);
 	// SnapshotAge is how long ago it was taken.
 	SnapshotLSN uint64        `json:"snapshot_lsn,omitempty"`
@@ -388,11 +393,13 @@ type DurabilitySummary struct {
 	// standby — this replica's records behind the leader stream.
 	Standbys int    `json:"standbys,omitempty"`
 	ReplLag  uint64 `json:"repl_lag,omitempty"`
-	// FsyncEvery is the configured fsync batch size; Appends and Fsyncs
-	// are lifetime WAL counters.
+	// FsyncEvery is the configured loss bound in records; Appends and
+	// Fsyncs are lifetime WAL counters, SyncStalls the appends among them
+	// that waited for the disk at the bound.
 	FsyncEvery int    `json:"fsync_every,omitempty"`
 	Appends    uint64 `json:"appends"`
 	Fsyncs     uint64 `json:"fsyncs"`
+	SyncStalls uint64 `json:"sync_stalls,omitempty"`
 }
 
 // IngestSummary mirrors the admission front door's counters on the wire:

@@ -451,7 +451,13 @@ func (s *Server) walAppendLocked(rec *wal.Record) {
 		return
 	}
 	if _, err := s.w.Append(rec); err != nil {
-		s.log.Error("wal append failed", "kind", string(rec.Kind), "err", err)
+		// A failed disk makes the writer's error sticky: every append from
+		// then on returns it. Log when it appears or changes; count the rest.
+		s.walFailed++
+		if msg := err.Error(); msg != s.walErr {
+			s.walErr = msg
+			s.log.Error("wal append failed", "kind", string(rec.Kind), "err", err, "failed_appends", s.walFailed)
+		}
 	}
 }
 
@@ -526,9 +532,8 @@ func (s *Server) snapshotLocked() {
 // buildSnapshotLocked assembles the full-state checkpoint. Callers hold
 // s.mu.
 func (s *Server) buildSnapshotLocked() *wal.Snapshot {
-	pos := s.w.Position()
 	sn := &wal.Snapshot{
-		LSN:            pos.LSN,
+		LSN:            s.w.Stats().LSN,
 		Term:           s.term.Load(),
 		TakenWall:      time.Now().UnixNano(),
 		V:              int64(s.virtualNowLocked()),
@@ -1085,12 +1090,14 @@ func (s *Server) durabilitySummaryLocked() *proto.DurabilitySummary {
 		Term:       s.term.Load(),
 		FsyncEvery: s.cfg.FsyncEvery,
 	}
-	pos := s.w.Position()
-	d.WALSegment, d.WALOffset, d.WALLSN = pos.Segment, pos.Offset, pos.LSN
-	appends, fsyncs, snapLSN, snapWall := s.w.Stats()
-	d.Appends, d.Fsyncs, d.SnapshotLSN = appends, fsyncs, snapLSN
-	if snapWall != 0 {
-		d.SnapshotAge = time.Since(time.Unix(0, snapWall))
+	// One reading: the committer moves Fsyncs and DurableLSN without
+	// s.mu, so two reads could straddle a commit.
+	st := s.w.Stats()
+	d.WALSegment, d.WALOffset, d.WALLSN = st.Segment, st.Offset, st.LSN
+	d.DurableLSN, d.Unsynced = st.DurableLSN, st.LSN-st.DurableLSN
+	d.Appends, d.Fsyncs, d.SyncStalls, d.SnapshotLSN = st.Appends, st.Fsyncs, st.SyncStalls, st.SnapshotLSN
+	if st.SnapshotWall != 0 {
+		d.SnapshotAge = time.Since(time.Unix(0, st.SnapshotWall))
 	}
 	if s.role == roleStandby {
 		if l, a := s.leaderLSN.Load(), s.appliedLSN.Load(); l > a {
@@ -1103,8 +1110,8 @@ func (s *Server) durabilitySummaryLocked() *proto.DurabilitySummary {
 				continue
 			}
 			d.Standbys++
-			if a := sub.acked.Load(); pos.LSN > a && pos.LSN-a > d.ReplLag {
-				d.ReplLag = pos.LSN - a
+			if a := sub.acked.Load(); st.LSN > a && st.LSN-a > d.ReplLag {
+				d.ReplLag = st.LSN - a
 			}
 		}
 		s.replMu.Unlock()
@@ -1124,12 +1131,12 @@ func (s *Server) replLagLocked() uint64 {
 		}
 		return 0
 	}
-	pos := s.w.Position()
+	lsn := s.w.Stats().LSN
 	var lag uint64
 	s.replMu.Lock()
 	for _, sub := range s.subs {
-		if a := sub.acked.Load(); !sub.gone && pos.LSN > a && pos.LSN-a > lag {
-			lag = pos.LSN - a
+		if a := sub.acked.Load(); !sub.gone && lsn > a && lsn-a > lag {
+			lag = lsn - a
 		}
 	}
 	s.replMu.Unlock()
@@ -1139,8 +1146,9 @@ func (s *Server) replLagLocked() uint64 {
 // Crash simulates a process crash for tests: the WAL descriptor is
 // abandoned without flushing (records buffered in user space are lost,
 // exactly as in a SIGKILL), every connection and the listener close,
-// and background loops stop. Disk state afterwards is precisely what
-// fsync had made durable.
+// and background loops stop. Disk state afterwards is at least what
+// fsync had made durable, plus whatever was written through before an
+// fsync that never finished.
 func (s *Server) Crash() {
 	s.mu.Lock()
 	if s.closed {

@@ -15,6 +15,7 @@ import (
 	"muri/internal/proto"
 	"muri/internal/sched"
 	"muri/internal/telemetry"
+	"muri/internal/wal"
 )
 
 // decisionTap collects decision strings across goroutines, like the
@@ -543,6 +544,49 @@ func TestDebugCrashRefusedWithoutFlag(t *testing.T) {
 	}
 }
 
+// TestFsyncBatchLossWindow names documented loss window (0): a crash
+// loses at most FsyncEvery−1 of the records appended before it. The
+// daemon is crashed mid-run with the committer's background fsyncs in
+// play, and the log on disk is held against the append count the status
+// RPC reported just before.
+func TestFsyncBatchLossWindow(t *testing.T) {
+	const every = 8
+	dir := t.TempDir()
+	h := startHarness(t, Config{
+		StateDir:      dir,
+		FsyncEvery:    every,
+		SnapshotEvery: time.Hour, // the whole log stays in Recovery.Records
+	}, 1, nil)
+	c := h.client(t)
+	const jobs = 36
+	for i := 0; i < jobs; i++ {
+		if _, err := c.Submit("gpt2", 1, 20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := waitStatus(t, c, "half the jobs done",
+		func(st proto.StatusAck) bool { return st.Done >= jobs/2 })
+	d := st.Durability
+	if d == nil || d.Unsynced >= every || d.WALLSN-d.DurableLSN != d.Unsynced {
+		t.Fatalf("live loss window out of bounds: %+v", d)
+	}
+	h.srv.Crash()
+	rec, err := wal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Appends after the status read only shrink the left side.
+	if lost := int(d.Appends) - len(rec.Records); lost >= every {
+		t.Fatalf("crash lost %d of %d appended records, bound is %d", lost, d.Appends, every-1)
+	}
+	if uint64(len(rec.Records)) < d.DurableLSN {
+		t.Fatalf("recovered %d records, fewer than the durable frontier %d", len(rec.Records), d.DurableLSN)
+	}
+	if d.Fsyncs == 0 {
+		t.Fatalf("no fsync batch completed before the crash: %+v", d)
+	}
+}
+
 // TestDurabilityMetricsMatchStatus extends the metrics≡status
 // acceptance to the durability surface: the muri_wal_* and muri_repl_*
 // samples must equal the DurabilitySummary the status RPC reports.
@@ -582,17 +626,20 @@ func TestDurabilityMetricsMatchStatus(t *testing.T) {
 		t.Fatalf("role = %q, want solo", d.Role)
 	}
 	for name, want := range map[string]float64{
-		"muri_wal_appends_total":  float64(d.Appends),
-		"muri_wal_fsyncs_total":   float64(d.Fsyncs),
-		"muri_wal_replayed_total": 0,
-		"muri_wal_lsn":            float64(d.WALLSN),
-		"muri_wal_segment":        float64(d.WALSegment),
-		"muri_wal_offset":         float64(d.WALOffset),
-		"muri_wal_snapshot_lsn":   float64(d.SnapshotLSN),
-		"muri_role":               0, // solo
-		"muri_term":               float64(d.Term),
-		"muri_repl_standbys":      float64(d.Standbys),
-		"muri_repl_lag_records":   float64(d.ReplLag),
+		"muri_wal_appends_total":     float64(d.Appends),
+		"muri_wal_fsyncs_total":      float64(d.Fsyncs),
+		"muri_wal_sync_stalls_total": float64(d.SyncStalls),
+		"muri_wal_replayed_total":    0,
+		"muri_wal_lsn":               float64(d.WALLSN),
+		"muri_wal_durable_lsn":       float64(d.DurableLSN),
+		"muri_wal_unsynced_records":  float64(d.Unsynced),
+		"muri_wal_segment":           float64(d.WALSegment),
+		"muri_wal_offset":            float64(d.WALOffset),
+		"muri_wal_snapshot_lsn":      float64(d.SnapshotLSN),
+		"muri_role":                  0, // solo
+		"muri_term":                  float64(d.Term),
+		"muri_repl_standbys":         float64(d.Standbys),
+		"muri_repl_lag_records":      float64(d.ReplLag),
 	} {
 		got, ok := samples[name]
 		if !ok {
@@ -605,6 +652,11 @@ func TestDurabilityMetricsMatchStatus(t *testing.T) {
 	}
 	if d.Appends == 0 || d.Fsyncs == 0 || d.WALLSN == 0 {
 		t.Errorf("durability summary never counted WAL work: %+v", d)
+	}
+	// FsyncEvery 1 is durable on return: nothing unsynced between appends,
+	// and every append waited for the disk.
+	if d.DurableLSN != d.WALLSN || d.Unsynced != 0 || d.SyncStalls != d.Appends {
+		t.Errorf("fsync-every 1 left a loss window: %+v", d)
 	}
 	if d.SnapshotLSN == 0 {
 		t.Errorf("snapshot cadence never published a snapshot: %+v", d)

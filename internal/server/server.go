@@ -128,8 +128,9 @@ type Config struct {
 	// pointed at the same directory replays to the exact pre-crash
 	// state. Empty disables the WAL (in-memory daemon, as before).
 	StateDir string
-	// FsyncEvery batches WAL fsyncs: one fsync per N appended records
-	// (and on shutdown). 1 is fsync-per-record; zero means 64.
+	// FsyncEvery bounds the WAL's loss window: at most N−1 records are
+	// unsynced when an append returns; the fsync itself runs in the
+	// background (and on shutdown). 1 is durable-on-append; zero means 64.
 	FsyncEvery int
 	// SnapshotEvery is the full-state checkpoint cadence; recovery
 	// replays only the WAL tail past the newest snapshot. Zero means 10s.
@@ -332,6 +333,11 @@ type Server struct {
 	// returning executor, or the deadline passes and they requeue.
 	adoptUntil  time.Time
 	walReplayed int
+	// walErr is the text of the last append failure logged and walFailed
+	// the failures since start: the writer's error is sticky, so
+	// walAppendLocked logs a change and counts the repeats.
+	walErr    string
+	walFailed uint64
 	// replayLostOrigin threads a machine-loss record's origin to the
 	// requeue decisions replayed right after it (replay-only state).
 	replayLostOrigin string
@@ -553,7 +559,7 @@ func (s *Server) Close() {
 	s.mu.Lock()
 	if s.w != nil {
 		if err := s.w.Close(); err != nil {
-			s.log.Error("wal close failed", "err", err)
+			s.log.Error("wal close failed", "err", err, "failed_appends", s.walFailed)
 		}
 	}
 	s.mu.Unlock()

@@ -12,6 +12,7 @@ import (
 	"muri/internal/ingest"
 	"muri/internal/metrics"
 	"muri/internal/telemetry"
+	"muri/internal/wal"
 	"muri/internal/workload"
 )
 
@@ -155,48 +156,48 @@ func (s *Server) initMetrics() {
 	// Durability & failover. Everything is func-backed off the same
 	// state the status RPC's DurabilitySummary reads, so the two can
 	// never disagree; all figures read 0 when the WAL is disabled.
-	walCounter := func(pick func() uint64) func() uint64 {
-		return func() uint64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			if s.w == nil {
-				return 0
-			}
-			return pick()
+	// One wal.Stats reading per sample: the committer advances Fsyncs and
+	// DurableLSN outside s.mu, so separate reads could straddle a commit.
+	walStats := func() (st wal.Stats) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.w != nil {
+			st = s.w.Stats()
 		}
+		return st
 	}
 	r.CounterFunc("muri_wal_appends_total", "Records appended to the WAL.",
-		walCounter(func() uint64 { a, _, _, _ := s.w.Stats(); return a }))
+		func() uint64 { return walStats().Appends })
 	r.CounterFunc("muri_wal_fsyncs_total", "WAL fsync batches flushed to disk.",
-		walCounter(func() uint64 { _, f, _, _ := s.w.Stats(); return f }))
+		func() uint64 { return walStats().Fsyncs })
+	r.CounterFunc("muri_wal_sync_stalls_total", "Appends that waited for the disk at the fsync-every bound.",
+		func() uint64 { return walStats().SyncStalls })
 	r.CounterFunc("muri_wal_replayed_total", "Records replayed from the WAL at the last recovery.",
-		walCounter(func() uint64 { return uint64(s.walReplayed) }))
-	walGauge := func(pick func() float64) func() float64 {
-		return func() float64 {
+		func() uint64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			if s.w == nil {
-				return 0
-			}
-			return pick()
-		}
-	}
+			return uint64(s.walReplayed)
+		})
 	r.GaugeFunc("muri_wal_lsn", "Last assigned WAL log sequence number.",
-		walGauge(func() float64 { return float64(s.w.Position().LSN) }))
+		func() float64 { return float64(walStats().LSN) })
+	r.GaugeFunc("muri_wal_durable_lsn", "Last WAL log sequence number covered by a completed fsync.",
+		func() float64 { return float64(walStats().DurableLSN) })
+	r.GaugeFunc("muri_wal_unsynced_records", "Records appended since the last completed fsync (the live loss window).",
+		func() float64 { st := walStats(); return float64(st.LSN - st.DurableLSN) })
 	r.GaugeFunc("muri_wal_segment", "Active WAL segment number (its first LSN).",
-		walGauge(func() float64 { return float64(s.w.Position().Segment) }))
+		func() float64 { return float64(walStats().Segment) })
 	r.GaugeFunc("muri_wal_offset", "Write offset into the active WAL segment.",
-		walGauge(func() float64 { return float64(s.w.Position().Offset) }))
+		func() float64 { return float64(walStats().Offset) })
 	r.GaugeFunc("muri_wal_snapshot_lsn", "LSN of the newest durable snapshot.",
-		walGauge(func() float64 { _, _, lsn, _ := s.w.Stats(); return float64(lsn) }))
+		func() float64 { return float64(walStats().SnapshotLSN) })
 	r.GaugeFunc("muri_wal_snapshot_age_seconds", "Age of the newest durable snapshot.",
-		walGauge(func() float64 {
-			_, _, _, wall := s.w.Stats()
+		func() float64 {
+			wall := walStats().SnapshotWall
 			if wall == 0 {
 				return 0
 			}
 			return time.Since(time.Unix(0, wall)).Seconds()
-		}))
+		})
 	r.GaugeFunc("muri_role", "Daemon election role (0 solo, 1 leader, 2 standby, 3 fenced).",
 		func() float64 {
 			s.mu.Lock()

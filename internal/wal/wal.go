@@ -9,11 +9,12 @@
 //	snap-<LSN>.snap      one framed wal.Snapshot record
 //
 // Records carry monotonically increasing LSNs. Appends are buffered in
-// user space and fsynced every Options.SyncEvery records (and on
-// Sync/Close), so a crash loses at most the unsynced tail — recovery
-// treats a torn or corrupt record as the end of the log, truncates it,
-// and resumes from the last durable prefix. The same byte frames are
-// streamed verbatim to warm standbys, whose replica WALs are therefore
+// user space and group-committed by a background goroutine that owns the
+// fsync; an append never returns with Options.SyncEvery or more records
+// unsynced, so a crash loses at most that tail — recovery treats a torn
+// or corrupt record as the end of the log, truncates it, and resumes
+// from the last durable prefix. The same byte frames are streamed
+// verbatim to warm standbys, whose replica WALs are therefore
 // byte-identical to the leader's.
 package wal
 
@@ -50,6 +51,12 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// fsyncFile is the one place segment data reaches the disk. A variable
+// so in-package tests can swap in a slow or failing disk.
+var fsyncFile = (*os.File).Sync
+
+var errClosed = errors.New("wal: writer closed")
+
 // Corruption reports where a WAL scan stopped: the segment's first LSN,
 // the byte offset of the bad frame inside that segment, and why. A torn
 // tail (crash mid-write) surfaces here and is expected; recovery
@@ -75,17 +82,37 @@ type Position struct {
 	LSN uint64
 }
 
+// Stats is one consistent reading of the writer: where the log stands,
+// how much of it is durable, and the lifetime counters. LSN − DurableLSN
+// is the live loss window; it is below SyncEvery whenever no append is
+// in progress.
+type Stats struct {
+	Position
+	// DurableLSN is the last LSN covered by a completed fsync.
+	DurableLSN uint64
+	// Appends and Fsyncs are lifetime counts. SyncStalls counts appends
+	// that found the log at the SyncEvery bound (or the segment full) and
+	// waited for the disk before returning; with SyncEvery = 1 that is
+	// every append.
+	Appends, Fsyncs, SyncStalls uint64
+	// SnapshotLSN and SnapshotWall describe the latest snapshot (0 if none).
+	SnapshotLSN  uint64
+	SnapshotWall int64
+}
+
 // Options configures a Writer.
 type Options struct {
 	// SegmentBytes rotates to a fresh segment once the active one grows
 	// past this size. Default 8 MiB.
 	SegmentBytes int64
-	// SyncEvery fsyncs after this many appended records. 1 = every
-	// record; larger values batch fsyncs and widen the loss window by
-	// the same count. Default 64.
+	// SyncEvery bounds the loss window: at most SyncEvery−1 records are
+	// unsynced when an append returns. 1 = durable on return. For larger
+	// values the fsync itself runs in the background, started at half the
+	// bound; an append that reaches the bound waits for it. Default 64.
 	SyncEvery int
 	// OnSync observes each fsync: its latency and how many records it
-	// made durable. Telemetry hook; may be nil.
+	// made durable. Called under the writer lock, from the committer
+	// goroutine or the syncing caller. Telemetry hook; may be nil.
 	OnSync func(d time.Duration, records int)
 	// OnAppend observes each appended frame (header + payload, the exact
 	// bytes on disk) under the writer lock, in LSN order. Replication
@@ -104,7 +131,10 @@ func (o *Options) defaults() {
 
 // Writer appends records to the log. Safe for concurrent use.
 type Writer struct {
-	mu   sync.Mutex
+	mu sync.Mutex
+	// cond (on mu) wakes the committer when there is a batch to fsync or
+	// the writer closed, and wakes callers waiting for inflight to clear.
+	cond *sync.Cond
 	dir  string
 	opts Options
 
@@ -113,11 +143,21 @@ type Writer struct {
 	segFirst uint64 // first LSN of the active segment
 	segOff   int64  // bytes appended to the active segment (incl. buffered)
 	nextLSN  uint64
-	pending  int // records appended since the last fsync
+	durable  uint64 // last LSN covered by a completed fsync
 	closed   bool
+
+	// inflight is set while the committer fsyncs f with mu released.
+	// Anything that closes or replaces f waits for it to clear.
+	inflight bool
+	// err is the first write-through or fsync failure. Sticky: the page
+	// cache's state after a failed fsync is unknown, so the records it
+	// covered are never retired and every later call returns it.
+	err  error
+	done chan struct{} // closed when the committer has exited
 
 	appends   uint64
 	fsyncs    uint64
+	stalls    uint64
 	snapLSN   uint64
 	snapWall  int64
 	snapValid bool
@@ -146,10 +186,12 @@ func Open(dir string, opts Options) (*Writer, error) {
 			return nil, fmt.Errorf("wal: truncating torn tail: %w", err)
 		}
 	}
-	w := &Writer{dir: dir, opts: opts, nextLSN: rec.NextLSN}
+	w := &Writer{dir: dir, opts: opts, nextLSN: rec.NextLSN, done: make(chan struct{})}
+	w.cond = sync.NewCond(&w.mu)
 	if w.nextLSN == 0 {
 		w.nextLSN = 1
 	}
+	w.durable = w.nextLSN - 1
 	if s := rec.Snapshot; s != nil {
 		w.snapLSN = s.LSN
 		w.snapWall = s.TakenWall
@@ -158,6 +200,7 @@ func Open(dir string, opts Options) (*Writer, error) {
 	if err := w.openSegmentLocked(); err != nil {
 		return nil, err
 	}
+	go w.commitLoop()
 	return w, nil
 }
 
@@ -170,10 +213,11 @@ func snapName(lsn uint64) string {
 }
 
 // openSegmentLocked starts a new segment whose first record will be
-// nextLSN. Caller holds w.mu (or is constructing w).
+// nextLSN. Caller holds w.mu (or is constructing w) with no fsync in
+// flight.
 func (w *Writer) openSegmentLocked() error {
 	if w.bw != nil {
-		if err := w.flushLocked(true); err != nil {
+		if err := w.commitLocked(false); err != nil {
 			return err
 		}
 		w.f.Close()
@@ -201,12 +245,12 @@ func frame(buf []byte, payload []byte) []byte {
 }
 
 // Append assigns the next LSN to rec, encodes and buffers it, and
-// fsyncs if the batch threshold is reached. It returns the assigned LSN.
+// returns the assigned LSN with fewer than SyncEvery records unsynced.
 func (w *Writer) Append(rec *Record) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return 0, errors.New("wal: writer closed")
+	if err := w.usableLocked(); err != nil {
+		return 0, err
 	}
 	rec.LSN = w.nextLSN
 	payload, err := json.Marshal(rec)
@@ -223,8 +267,8 @@ func (w *Writer) Append(rec *Record) (uint64, error) {
 func (w *Writer) AppendRaw(lsn uint64, fr []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return errors.New("wal: writer closed")
+	if err := w.usableLocked(); err != nil {
+		return err
 	}
 	if lsn != w.nextLSN {
 		return fmt.Errorf("wal: raw append LSN %d, want %d", lsn, w.nextLSN)
@@ -241,20 +285,85 @@ func (w *Writer) appendFrameLocked(lsn uint64, fr []byte) error {
 	}
 	w.segOff += int64(len(fr))
 	w.nextLSN = lsn + 1
-	w.pending++
 	w.appends++
 	if w.opts.OnAppend != nil {
 		w.opts.OnAppend(lsn, fr)
 	}
-	if w.pending >= w.opts.SyncEvery {
-		if err := w.syncLocked(); err != nil {
-			return err
-		}
+	// Back-pressure keeps the loss bound: rather than return with
+	// SyncEvery records unsynced, wait out the committer's fsync and, if
+	// that did not cover enough, fsync here. Rotation syncs and closes
+	// the segment, so it waits the same way. Each wait releases w.mu, so
+	// re-check everything after it.
+	full := func() bool {
+		return w.unsynced() >= w.opts.SyncEvery || w.segOff >= w.opts.SegmentBytes
 	}
-	if w.segOff >= w.opts.SegmentBytes {
-		return w.openSegmentLocked()
+	if full() {
+		w.stalls++
+	}
+	for full() {
+		if w.inflight {
+			w.cond.Wait()
+			if err := w.usableLocked(); err != nil {
+				return err
+			}
+			continue
+		}
+		if w.segOff >= w.opts.SegmentBytes {
+			return w.openSegmentLocked()
+		}
+		return w.commitLocked(false)
+	}
+	if w.unsynced() >= w.kickAt() && !w.inflight {
+		w.cond.Broadcast()
 	}
 	return nil
+}
+
+// unsynced is the live loss window: records appended but not yet covered
+// by a completed fsync.
+func (w *Writer) unsynced() int { return int(w.nextLSN - 1 - w.durable) }
+
+// kickAt is the unsynced count that starts a background fsync: half the
+// bound, so the disk works while the second half of the batch arrives.
+func (w *Writer) kickAt() int { return (w.opts.SyncEvery + 1) / 2 }
+
+// usableLocked gates every mutating call on the writer still being open
+// and the disk never having failed under it.
+func (w *Writer) usableLocked() error {
+	if w.closed {
+		return errClosed
+	}
+	return w.err
+}
+
+// quiesceLocked waits until no background fsync is in flight, so the
+// caller may fsync, close or replace w.f. The wait releases w.mu: other
+// appends, or a Close, may have run by the time it returns.
+func (w *Writer) quiesceLocked() error {
+	for w.inflight {
+		w.cond.Wait()
+	}
+	return w.usableLocked()
+}
+
+// commitLoop is the committer goroutine: whenever half a batch is
+// unsynced it commits with the lock released around the fsync, so
+// appenders (and whatever lock they hold) keep going meanwhile. It has
+// no timer: fewer than kickAt records stay buffered until more arrive or
+// someone calls Sync/Close.
+func (w *Writer) commitLoop() {
+	defer close(w.done)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for {
+		for !w.closed && (w.err != nil || w.unsynced() < w.kickAt()) {
+			w.cond.Wait()
+		}
+		if w.closed {
+			return
+		}
+		_ = w.commitLocked(true) // nobody to return to: a failure stays in w.err for the next caller
+	}
 }
 
 // Sync flushes buffered records and fsyncs the active segment. After it
@@ -262,51 +371,76 @@ func (w *Writer) appendFrameLocked(lsn uint64, fr []byte) error {
 func (w *Writer) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return errors.New("wal: writer closed")
-	}
-	return w.syncLocked()
-}
-
-func (w *Writer) syncLocked() error { return w.flushLocked(true) }
-
-func (w *Writer) flushLocked(fsync bool) error {
-	if err := w.bw.Flush(); err != nil {
+	if err := w.quiesceLocked(); err != nil {
 		return err
 	}
-	if !fsync || w.pending == 0 {
+	return w.commitLocked(false)
+}
+
+// commitLocked writes the buffer through and fsyncs the active segment,
+// making every record appended so far durable. With release set (the
+// committer only) w.mu is dropped around the fsync and inflight marks
+// w.f as in use; otherwise the caller keeps the lock throughout and must
+// have quiesced first.
+func (w *Writer) commitLocked(release bool) error {
+	if w.err != nil {
+		return w.err
+	}
+	if err := w.bw.Flush(); err != nil {
+		w.err = err
+		return err
+	}
+	upto := w.nextLSN - 1
+	if upto == w.durable {
 		return nil
+	}
+	f := w.f
+	if release {
+		w.inflight = true
+		w.mu.Unlock()
 	}
 	// The torn-tail window: buffered bytes are in the page cache but not
 	// durable until the fsync below.
 	crashpoint.Hit(crashpoint.MidFsync)
 	start := time.Now()
-	if err := w.f.Sync(); err != nil {
+	err := fsyncFile(f)
+	d := time.Since(start)
+	if release {
+		w.mu.Lock()
+		w.inflight = false
+		w.cond.Broadcast()
+	}
+	if err != nil {
+		w.err = err
 		return err
 	}
-	n := w.pending
-	w.pending = 0
+	n := int(upto - w.durable)
+	w.durable = upto
 	w.fsyncs++
 	if w.opts.OnSync != nil {
-		w.opts.OnSync(time.Since(start), n)
+		w.opts.OnSync(d, n)
 	}
 	return nil
 }
 
 // Position reports the active segment, its append offset, and the last
 // assigned LSN.
-func (w *Writer) Position() Position {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return Position{Segment: w.segFirst, Offset: w.segOff, LSN: w.nextLSN - 1}
-}
+func (w *Writer) Position() Position { return w.Stats().Position }
 
-// Stats reports lifetime append and fsync counts plus the latest
-// snapshot's LSN and wall time (0 if none).
-func (w *Writer) Stats() (appends, fsyncs, snapLSN uint64, snapWall int64) {
+// Stats reads position, durable frontier and counters under one lock
+// acquisition, so no two fields straddle a commit.
+func (w *Writer) Stats() Stats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.appends, w.fsyncs, w.snapLSN, w.snapWall
+	return Stats{
+		Position:     Position{Segment: w.segFirst, Offset: w.segOff, LSN: w.nextLSN - 1},
+		DurableLSN:   w.durable,
+		Appends:      w.appends,
+		Fsyncs:       w.fsyncs,
+		SyncStalls:   w.stalls,
+		SnapshotLSN:  w.snapLSN,
+		SnapshotWall: w.snapWall,
+	}
 }
 
 // WriteSnapshot persists s atomically (temp file + rename), records it
@@ -315,12 +449,12 @@ func (w *Writer) Stats() (appends, fsyncs, snapLSN uint64, snapWall int64) {
 func (w *Writer) WriteSnapshot(s *Snapshot) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return errors.New("wal: writer closed")
+	if err := w.quiesceLocked(); err != nil {
+		return err
 	}
 	// Records the snapshot claims to cover must be durable before the
 	// snapshot can supersede them.
-	if err := w.syncLocked(); err != nil {
+	if err := w.commitLocked(false); err != nil {
 		return err
 	}
 	payload, err := json.Marshal(s)
@@ -391,8 +525,8 @@ func (w *Writer) InstallSnapshot(fr []byte) (*Snapshot, error) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return nil, errors.New("wal: writer closed")
+	if err := w.quiesceLocked(); err != nil {
+		return nil, err
 	}
 	if w.bw != nil {
 		w.bw.Flush()
@@ -418,7 +552,7 @@ func (w *Writer) InstallSnapshot(fr []byte) (*Snapshot, error) {
 	w.snapWall = s.TakenWall
 	w.snapValid = true
 	w.nextLSN = s.LSN + 1
-	w.pending = 0
+	w.durable = s.LSN
 	return &s, w.openSegmentLocked()
 }
 
@@ -448,33 +582,39 @@ func (w *Writer) pruneLocked() {
 	}
 }
 
-// Close fsyncs the tail and closes the active segment. The graceful
-// counterpart of Abandon.
-func (w *Writer) Close() error {
+// Close fsyncs the tail, closes the active segment and stops the
+// committer. The graceful counterpart of Abandon.
+func (w *Writer) Close() error { return w.shutdown(true) }
+
+// Abandon closes the file descriptor without flushing user-space
+// buffers: everything since the last write-through is lost, exactly as
+// in a crash. Test hook for in-process kill -9 simulation.
+func (w *Writer) Abandon() { _ = w.shutdown(false) } // a crash reports nothing
+
+// shutdown waits out the in-flight fsync, closes the segment (committing
+// the tail first when flush is set), and returns once the committer has
+// exited. A second call is a no-op.
+func (w *Writer) shutdown(flush bool) error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
+	for w.inflight {
+		w.cond.Wait()
+	}
 	if w.closed {
+		w.mu.Unlock()
 		return nil
 	}
-	err := w.flushLocked(true)
-	w.closed = true
+	var err error
+	if flush {
+		err = w.commitLocked(false)
+	}
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
-	return err
-}
-
-// Abandon closes the file descriptor without flushing user-space
-// buffers: everything since the last fsync is lost, exactly as in a
-// crash. Test hook for in-process kill -9 simulation.
-func (w *Writer) Abandon() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return
-	}
 	w.closed = true
-	w.f.Close()
+	w.cond.Broadcast()
+	w.mu.Unlock()
+	<-w.done
+	return err
 }
 
 // Recovery is the result of scanning a state dir: the latest loadable
