@@ -19,6 +19,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"muri/internal/job"
@@ -209,10 +210,6 @@ func New(cfg Config) *Engine {
 		keyer:         keyer,
 		lastWaitCause: make(map[job.ID]string),
 		round: roundScratch{
-			placedJobs:  make(map[job.ID]bool),
-			claimed:     make(map[job.ID]bool),
-			bumped:      make(map[job.ID]bool),
-			seen:        make(map[job.ID]bool),
 			currentKeys: make(map[string]bool),
 			keySet:      make(map[string]bool),
 		},
@@ -226,31 +223,45 @@ type admittedUnit struct {
 	spec sched.Unit
 }
 
+// stamps hands every round a process-unique mark value. One source for
+// all engines: two engines may alternate rounds over the same jobs (a
+// test's reference engine beside the one under test), and a per-engine
+// counter would let each read the other's marks as its own.
+var stamps atomic.Uint64
+
 // roundScratch is everything one Reconcile round builds and drops; none
 // of it reaches the Outcome, whose slices are allocated per round.
+//
+// The round's per-job sets live on the jobs themselves (job.Sched), each
+// set while its field equals stamp: Placed — the job holds resources
+// after this round; Claimed — admitted this round or untouchably running;
+// Bumped — its bypass count already rose this round; Seen — already in
+// the rebuilt pending queue (the wait-cause walk dedups on Seen under a
+// stamp of its own).
 type roundScratch struct {
-	// placedJobs: jobs holding resources after this round. claimed: jobs
-	// admitted this round or untouchably running. bumped: jobs whose
-	// bypass count already rose this round. seen: dedup set of the
-	// pending rebuild, then of the wait-cause walk.
-	placedJobs, claimed, bumped, seen map[job.ID]bool
+	stamp uint64
 	// currentKeys are the keys running as the round begins; keySet the
 	// admitted (Differential) or placed (ReplaceAll) keys of the kill diff.
 	currentKeys, keySet map[string]bool
 	admitted            []admittedUnit
 	skipped             []sched.Unit
+	// boosted is a starvation-boosted round's admission order, boostedAt
+	// the planner positions of the units moved to its front; requeued the
+	// preempted-but-unplaced tail of the pending rebuild.
+	boosted   []sched.Unit
+	boostedAt []int
+	requeued  []*job.Job
 }
 
 func (r *roundScratch) reset() {
-	clear(r.placedJobs)
-	clear(r.claimed)
-	clear(r.bumped)
+	r.stamp = stamps.Add(1)
 	clear(r.currentKeys)
 	clear(r.keySet)
 	// Dropped specs would otherwise pin last round's job slices.
 	clear(r.admitted)
 	clear(r.skipped)
-	r.admitted, r.skipped = r.admitted[:0], r.skipped[:0]
+	clear(r.boosted)
+	r.admitted, r.skipped, r.boosted = r.admitted[:0], r.skipped[:0], r.boosted[:0]
 }
 
 // emitCause publishes one provenance annotation (no-op without a hook).
@@ -604,7 +615,7 @@ func (e *Engine) Reconcile(in Input) Outcome {
 	// allocations, Differential counts running units as reclaimable.
 	// Non-preemptive rounds keep running units and their members off the
 	// table.
-	placedJobs, claimed := r.placedJobs, r.claimed
+	stamp := r.stamp
 	var free int
 	switch {
 	case preempt && e.cfg.Style == ReplaceAll:
@@ -619,8 +630,7 @@ func (e *Engine) Reconcile(in Input) Outcome {
 		free = in.Placer.Free()
 		for _, c := range in.Current {
 			for _, j := range c.Spec.Jobs {
-				placedJobs[j.ID] = true
-				claimed[j.ID] = true
+				j.Sched.Placed, j.Sched.Claimed = stamp, stamp
 			}
 		}
 	}
@@ -637,7 +647,7 @@ func (e *Engine) Reconcile(in Input) Outcome {
 		if free <= 0 {
 			break
 		}
-		if slices.ContainsFunc(spec.Jobs, func(j *job.Job) bool { return claimed[j.ID] }) {
+		if slices.ContainsFunc(spec.Jobs, func(j *job.Job) bool { return j.Sched.Claimed == stamp }) {
 			continue
 		}
 		if spec.GPUs > free {
@@ -647,12 +657,12 @@ func (e *Engine) Reconcile(in Input) Outcome {
 		free -= spec.GPUs
 		r.admitted = append(r.admitted, admittedUnit{key: UnitKey(spec), spec: spec})
 		for _, j := range spec.Jobs {
-			claimed[j.ID] = true
+			j.Sched.Claimed = stamp
 		}
 		for _, sk := range r.skipped {
 			for _, j := range sk.Jobs {
-				if !r.bumped[j.ID] {
-					r.bumped[j.ID] = true
+				if j.Sched.Bumped != stamp {
+					j.Sched.Bumped = stamp
 					e.bypassed[j.ID]++
 				}
 			}
@@ -673,7 +683,7 @@ func (e *Engine) Reconcile(in Input) Outcome {
 			if r.keySet[c.key] {
 				out.Kept = append(out.Kept, c)
 				for _, j := range c.Spec.Jobs {
-					placedJobs[j.ID] = true
+					j.Sched.Placed = stamp
 				}
 				continue
 			}
@@ -728,7 +738,7 @@ func (e *Engine) Reconcile(in Input) Outcome {
 		}
 		for _, j := range spec.Jobs {
 			j.State = job.Running
-			placedJobs[j.ID] = true
+			j.Sched.Placed = stamp
 			e.markRunning(j.ID)
 		}
 		out.Placements = append(out.Placements, p)
@@ -774,32 +784,23 @@ func (e *Engine) Reconcile(in Input) Outcome {
 	// Rebuild the pending queue and the placement memory.
 	newPending := make([]*job.Job, 0, max(len(in.Pending), len(in.Candidates)))
 	for _, j := range in.Pending {
-		if !placedJobs[j.ID] {
+		if j.Sched.Placed != stamp {
 			j.State = job.Pending
+			j.Sched.Seen = stamp
 			newPending = append(newPending, j)
 		}
 	}
 	if preempt {
 		// Preempted-but-not-replaced jobs rejoin the queue.
-		seen := r.seen
-		clear(seen)
-		for _, j := range newPending {
-			seen[j.ID] = true
-		}
+		kept := len(newPending)
 		for _, j := range in.Candidates {
-			if !placedJobs[j.ID] && !seen[j.ID] && j.State != job.Done {
+			if j.Sched.Placed != stamp && j.Sched.Seen != stamp && j.State != job.Done {
 				j.State = job.Pending
+				j.Sched.Seen = stamp
 				newPending = append(newPending, j)
-				seen[j.ID] = true
 			}
 		}
-		// The queue is usually already Submit-ordered (pending was sorted
-		// last round and candidates arrive in submit order); a stable sort
-		// of a sorted slice is the identity, so skipping it is exact.
-		bySubmit := func(a, b *job.Job) int { return cmp.Compare(a.Submit, b.Submit) }
-		if !slices.IsSortedFunc(newPending, bySubmit) {
-			slices.SortStableFunc(newPending, bySubmit)
-		}
+		r.requeued = sortBySubmit(newPending, kept, r.requeued)
 	}
 	out.Pending = newPending
 	clear(e.prevKeys)
@@ -812,7 +813,7 @@ func (e *Engine) Reconcile(in Input) Outcome {
 
 	depth := 0
 	for _, j := range in.Candidates {
-		if !placedJobs[j.ID] && j.State != job.Done {
+		if j.Sched.Placed != stamp && j.State != job.Done {
 			depth++
 		}
 	}
@@ -822,6 +823,37 @@ func (e *Engine) Reconcile(in Input) Outcome {
 	}
 	e.traceRound(in, &out)
 	return out
+}
+
+// sortBySubmit stable-sorts queue by submission time, given that
+// queue[:kept] is the driver's own queue (sorted last round, arrivals
+// appended in submit order) and queue[kept:] this round's requeued jobs.
+// The whole is usually in order already; otherwise only the tail is
+// sorted and merged in from the back, the head winning ties — the
+// permutation a stable sort of the whole yields. tail is the merge's
+// scratch, returned for reuse.
+func sortBySubmit(queue []*job.Job, kept int, tail []*job.Job) []*job.Job {
+	bySubmit := func(a, b *job.Job) int { return cmp.Compare(a.Submit, b.Submit) }
+	if !slices.IsSortedFunc(queue[:kept], bySubmit) {
+		slices.SortStableFunc(queue, bySubmit) // a driver that queues out of order
+		return tail
+	}
+	// The tail together with the head's last entry: in order, so is the whole.
+	if slices.IsSortedFunc(queue[max(kept-1, 0):], bySubmit) {
+		return tail
+	}
+	tail = append(tail[:0], queue[kept:]...)
+	slices.SortStableFunc(tail, bySubmit)
+	i, w := kept-1, len(queue)-1
+	for k := len(tail) - 1; k >= 0; w-- {
+		if i >= 0 && queue[i].Submit > tail[k].Submit {
+			queue[w], i = queue[i], i-1
+		} else {
+			queue[w], k = tail[k], k-1
+		}
+	}
+	clear(tail)
+	return tail
 }
 
 // remember records a running unit's members in the placement memory.
@@ -838,7 +870,9 @@ func (e *Engine) remember(key string, jobs []*job.Job) {
 // the admission order (stable within each class), so a large multi-GPU
 // unit cannot be blocked forever by a stream of small higher-priority
 // units. When nothing is starving (the common round) the planner's order
-// is already the admission order and is returned as is.
+// is already the admission order and is returned as is; a boosted order
+// is built in the round's scratch, which only the admission walk and
+// emitWaitCauses read.
 func (e *Engine) starvationOrder(units []sched.Unit) []sched.Unit {
 	starving := func(j *job.Job) bool { return e.bypassed[j.ID] >= e.cfg.StarvationPatience }
 	// The ledger is small (only units skipped while capacity remained
@@ -850,13 +884,12 @@ func (e *Engine) starvationOrder(units []sched.Unit) []sched.Unit {
 	if !overdue {
 		return units
 	}
-	starved := func(spec sched.Unit) bool { return slices.ContainsFunc(spec.Jobs, starving) }
-	ordered := make([]sched.Unit, 0, len(units))
-	for _, spec := range units {
-		if !starved(spec) {
+	ordered, at := e.round.boosted, e.round.boostedAt[:0]
+	for i, spec := range units {
+		if !slices.ContainsFunc(spec.Jobs, starving) {
 			continue
 		}
-		ordered = append(ordered, spec)
+		ordered, at = append(ordered, spec), append(at, i)
 		for _, j := range spec.Jobs {
 			if e.cfg.Provenance != nil && starving(j) {
 				e.emitCause(CauseEvent{Job: j.ID, Cause: CauseStarvationBoost, Note: true,
@@ -864,11 +897,15 @@ func (e *Engine) starvationOrder(units []sched.Unit) []sched.Unit {
 			}
 		}
 	}
-	for _, spec := range units {
-		if !starved(spec) {
-			ordered = append(ordered, spec)
-		}
+	// Everything else follows in planner order: the stretches between the
+	// boosted units.
+	from := 0
+	for _, i := range at {
+		ordered = append(ordered, units[from:i]...)
+		from = i + 1
 	}
+	ordered = append(ordered, units[from:]...)
+	e.round.boosted, e.round.boostedAt = ordered, at
 	return ordered
 }
 
@@ -929,14 +966,13 @@ func launchDetail(spec sched.Unit) string {
 // deterministic.
 func (e *Engine) emitWaitCauses(in Input, orderedUnits []sched.Unit, out *Outcome) {
 	blockers := e.blockerDetail(in.Now, out)
-	claimed, placedJobs, seen := e.round.claimed, e.round.placedJobs, e.round.seen
-	clear(seen)
+	stamp, seen := e.round.stamp, stamps.Add(1)
 	for _, spec := range orderedUnits {
 		for _, j := range spec.Jobs {
-			if placedJobs[j.ID] || seen[j.ID] || j.State == job.Done {
+			if j.Sched.Placed == stamp || j.Sched.Seen == seen || j.State == job.Done {
 				continue
 			}
-			seen[j.ID] = true
+			j.Sched.Seen = seen
 			var cause, detail string
 			switch {
 			case in.Capacity <= 0:
@@ -944,7 +980,7 @@ func (e *Engine) emitWaitCauses(in Input, orderedUnits []sched.Unit, out *Outcom
 			case spec.GPUs > in.Capacity:
 				cause = CauseCapacity
 				detail = "needs " + strconv.Itoa(spec.GPUs) + " GPUs, cluster capacity " + strconv.Itoa(in.Capacity)
-			case claimed[j.ID]:
+			case j.Sched.Claimed == stamp:
 				cause = CauseCapacity
 				detail = "admitted but fragmented: no machine with " + strconv.Itoa(spec.GPUs) + " free GPUs"
 			default:

@@ -2,7 +2,9 @@ package engine_test
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -307,6 +309,227 @@ func runExitScript(t *testing.T, sc exitScript, provenance bool) {
 	}
 }
 
+// markSetup is one engine configuration of TestRoundMarksIsolatedAcrossEngines.
+type markSetup struct {
+	policy   func() sched.Policy
+	capacity int
+}
+
+// markDriver is the driver's side of one engine over one job set: its
+// placer, its running units and its pending queue.
+type markDriver struct {
+	placer  *fakePlacer
+	current []engine.Current
+	pending []*job.Job
+}
+
+// markRound is what one round leaves behind that the round marks decide.
+type markRound struct {
+	Decisions []string
+	Causes    []causeMark
+	Pending   []job.ID
+	Bypassed  map[int64]int
+}
+
+// markSet builds the scripted job set with IDs base+1..base+24: mixed GPU
+// sizes and distinct lengths, so SRTF and FIFO disagree about it.
+func markSet(t *testing.T, base int64) []*job.Job {
+	sizes := []int{1, 1, 2, 1, 4, 1, 8, 2}
+	jobs := make([]*job.Job, 24)
+	for i := range jobs {
+		jobs[i] = newJob(t, base+int64(i)+1, sizes[i%len(sizes)])
+		jobs[i].Iterations = int64(1000 + 37*((i*11)%len(jobs)))
+		jobs[i].Submit = time.Duration(i) * time.Minute
+	}
+	return jobs
+}
+
+// play runs round r of the script for one engine over one job set: six
+// jobs at the start and two more every round, one departure a round from
+// the fourth on. The script is a function of r alone, so every engine
+// given the set sees the same queue events.
+func (d *markDriver) play(e *engine.Engine, causes *[]causeMark, setup markSetup, jobs []*job.Job, r int) markRound {
+	arrived := func(n int) int { return min(len(jobs), 6+2*n) }
+	gone := map[*job.Job]bool{}
+	for q := 3; q <= r; q++ {
+		if i := (q * 7) % len(jobs); i < arrived(q) {
+			gone[jobs[i]] = true
+		}
+	}
+	first := 0
+	if r > 0 {
+		first = arrived(r - 1)
+	}
+	d.pending = append(d.pending, jobs[first:arrived(r)]...)
+	d.pending = slices.DeleteFunc(d.pending, func(j *job.Job) bool { return gone[j] })
+	d.current = slices.DeleteFunc(d.current, func(c engine.Current) bool {
+		if gone[c.Spec.Jobs[0]] {
+			d.placer.free += c.Spec.GPUs
+		}
+		return gone[c.Spec.Jobs[0]]
+	})
+	preempt := setup.policy().Preemptive()
+	candidates := d.pending
+	if preempt {
+		candidates = nil
+		for _, j := range jobs[:arrived(r)] {
+			if !gone[j] {
+				candidates = append(candidates, j)
+			}
+		}
+	}
+	*causes = (*causes)[:0]
+	out := e.Reconcile(engine.Input{
+		Now: time.Duration(r) * time.Minute, Candidates: candidates, Pending: d.pending,
+		Capacity: setup.capacity, Current: d.current, Placer: d.placer,
+	})
+	d.pending = out.Pending
+	d.current = slices.Clone(out.Kept)
+	for _, p := range out.Placements {
+		d.current = append(d.current, engine.Current{Spec: p.Spec, Handle: p.Key})
+	}
+	rec := markRound{Decisions: decisionStrings(out.Decisions), Causes: slices.Clone(*causes), Bypassed: map[int64]int{}}
+	for _, j := range out.Pending {
+		rec.Pending = append(rec.Pending, j.ID)
+	}
+	for id, n := range e.Snapshot().Bypassed {
+		if id > int64(jobs[0].ID)-1 && id <= int64(jobs[len(jobs)-1].ID) {
+			rec.Bypassed[id] = n
+		}
+	}
+	return rec
+}
+
+// TestRoundMarksIsolatedAcrossEngines: the round's per-job sets are marks
+// on the jobs, so two engines that take turns over one job set — each
+// with its own policy instance, capacity and driver state — must decide
+// exactly what each decides alone, and so must one engine serving two job
+// sets in turn. A stamp that two rounds could share (a per-engine round
+// counter) fails the first half.
+func TestRoundMarksIsolatedAcrossEngines(t *testing.T) {
+	const rounds = 12
+	setups := []markSetup{
+		{policy: sched.SRTF, capacity: 8},
+		{policy: sched.FIFO, capacity: 12},
+	}
+	type actor struct {
+		setup  markSetup
+		e      *engine.Engine
+		d      *markDriver
+		causes *[]causeMark
+	}
+	newActor := func(setup markSetup, d *markDriver) *actor {
+		causes := &[]causeMark{}
+		return &actor{setup: setup, d: d, causes: causes, e: engine.New(engine.Config{
+			Policy: setup.policy(), Style: engine.ReplaceAll, StarvationPatience: 2,
+			Provenance: func(ev engine.CauseEvent) {
+				*causes = append(*causes, causeMark{ev.Job, ev.Cause, ev.Note})
+			},
+		})}
+	}
+	newDriver := func(setup markSetup) *markDriver { return &markDriver{placer: newFakePlacer(setup.capacity)} }
+	alone := func(setup markSetup, base int64) []markRound {
+		a, jobs := newActor(setup, newDriver(setup)), markSet(t, base)
+		recs := make([]markRound, rounds)
+		for r := range recs {
+			recs[r] = a.d.play(a.e, a.causes, setup, jobs, r)
+		}
+		return recs
+	}
+	want := [][]markRound{alone(setups[0], 0), alone(setups[1], 0)}
+	var sawLedger, sawBoost, sawQueue bool
+	for _, rec := range want[0] {
+		sawLedger = sawLedger || len(rec.Bypassed) > 0
+		sawQueue = sawQueue || len(rec.Pending) > 0
+		sawBoost = sawBoost || slices.ContainsFunc(rec.Causes, func(m causeMark) bool { return m.Note })
+	}
+	if !sawLedger || !sawBoost || !sawQueue {
+		t.Fatalf("script never reached its states: bypass ledger %v, boost %v, pending queue %v", sawLedger, sawBoost, sawQueue)
+	}
+
+	// Two engines, one job set, alternating.
+	shared := markSet(t, 0)
+	actors := []*actor{newActor(setups[0], newDriver(setups[0])), newActor(setups[1], newDriver(setups[1]))}
+	for r := 0; r < rounds; r++ {
+		for i, a := range actors {
+			if got := a.d.play(a.e, a.causes, a.setup, shared, r); !reflect.DeepEqual(got, want[i][r]) {
+				t.Fatalf("engine %d of two over one job set, round %d:\n got %+v\nalone %+v", i, r, got, want[i][r])
+			}
+		}
+	}
+
+	// One engine, two job sets, alternating: each set has its own driver.
+	one := newActor(setups[0], nil)
+	sets := [][]*job.Job{markSet(t, 0), markSet(t, 1000)}
+	wantSets := [][]markRound{want[0], alone(setups[0], 1000)}
+	drivers := []*markDriver{newDriver(setups[0]), newDriver(setups[0])}
+	for r := 0; r < rounds; r++ {
+		for i, jobs := range sets {
+			if got := drivers[i].play(one.e, one.causes, one.setup, jobs, r); !reflect.DeepEqual(got, wantSets[i][r]) {
+				t.Fatalf("one engine over two job sets, set %d, round %d:\n got %+v\nalone %+v", i, r, got, wantSets[i][r])
+			}
+		}
+	}
+}
+
+// TestPendingRebuildMatchesStableSort: the rebuilt queue is the driver's
+// queue minus what was placed, plus the preempted-but-unplaced
+// candidates, stably sorted by submit time — whether the engine gets
+// there by finding it sorted, by merging the sorted tail in, or (a driver
+// that queues out of order) by sorting the whole.
+func TestPendingRebuildMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(40)
+		jobs := make([]*job.Job, n)
+		for i := range jobs {
+			jobs[i] = newJob(t, int64(i+1), 1)
+			jobs[i].Submit = time.Duration(rng.Intn(8)) * time.Minute // heavy ties
+		}
+		// Some jobs are queued, the rest were running; the policy ranks
+		// them in ID order and capacity decides who stays out.
+		var pending []*job.Job
+		for _, j := range jobs {
+			if rng.Intn(2) == 0 {
+				pending = append(pending, j)
+			}
+		}
+		if trial%5 != 0 { // every fifth driver queues out of order
+			slices.SortStableFunc(pending, func(a, b *job.Job) int { return int(a.Submit - b.Submit) })
+		}
+		e := engine.New(engine.Config{Style: engine.ReplaceAll,
+			Policy: scriptedPolicy{preempt: true, plan: func(_ time.Duration, jobs []*job.Job, _ int) []sched.Unit {
+				units := make([]sched.Unit, len(jobs))
+				for i, j := range jobs {
+					units[i] = sched.Unit{Jobs: []*job.Job{j}, GPUs: 1, Mode: sched.Exclusive}
+				}
+				return units
+			}}})
+		capacity := rng.Intn(n + 1)
+		out := e.Reconcile(engine.Input{Candidates: jobs, Pending: pending, Capacity: capacity, Placer: newFakePlacer(capacity)})
+		placed := map[*job.Job]bool{}
+		for _, p := range out.Placements {
+			placed[p.Spec.Jobs[0]] = true
+		}
+		var want []*job.Job
+		queued := map[*job.Job]bool{}
+		for _, j := range pending {
+			if !placed[j] {
+				want, queued[j] = append(want, j), true
+			}
+		}
+		for _, j := range jobs {
+			if !placed[j] && !queued[j] {
+				want = append(want, j)
+			}
+		}
+		slices.SortStableFunc(want, func(a, b *job.Job) int { return int(a.Submit - b.Submit) })
+		if !slices.Equal(out.Pending, want) {
+			t.Fatalf("trial %d: rebuilt queue diverges from the stable sort", trial)
+		}
+	}
+}
+
 // reconcileAllocCeiling bounds a warm preemptive ReplaceAll round over
 // 1,000 single-job candidates on 64 GPUs. What remains is per placed
 // unit (two key strings: as a current unit and as an admitted one), plus
@@ -335,32 +558,89 @@ func TestReconcileAllocBudget(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	const n, gpus = 1000, 64
-	jobs := make([]*job.Job, n)
-	for i := range jobs {
-		jobs[i] = newJob(t, int64(i+1), 1)
-		jobs[i].Iterations = int64(1000 + 7*((i*37)%n)) // distinct SRTF keys, shuffled
+	newJobs := func() []*job.Job {
+		jobs := make([]*job.Job, n)
+		for i := range jobs {
+			jobs[i] = newJob(t, int64(i+1), 1)
+			jobs[i].Iterations = int64(1000 + 7*((i*37)%n)) // distinct SRTF keys, shuffled
+		}
+		return jobs
 	}
-	e := engine.New(engine.Config{Policy: sched.SRTF(), Style: engine.ReplaceAll})
-	placer := &budgetPlacer{capacity: gpus, free: gpus}
-	var current []engine.Current
-	round := func() {
-		out := e.Reconcile(engine.Input{
-			Candidates: jobs, Pending: nil, Capacity: gpus, Current: current, Placer: placer,
-		})
-		current = current[:0]
-		for _, p := range out.Placements {
-			current = append(current, engine.Current{Spec: p.Spec})
-			p.Spec.Jobs[0].StartedAt = 0
+	// drive returns a function that runs one round and reports the units it
+	// placed.
+	drive := func(jobs []*job.Job) func() []engine.Current {
+		e := engine.New(engine.Config{Policy: sched.SRTF(), Style: engine.ReplaceAll})
+		placer := &budgetPlacer{capacity: gpus, free: gpus}
+		var current []engine.Current
+		return func() []engine.Current {
+			out := e.Reconcile(engine.Input{
+				Candidates: jobs, Pending: nil, Capacity: gpus, Current: current, Placer: placer,
+			})
+			current = current[:0]
+			for _, p := range out.Placements {
+				current = append(current, engine.Current{Spec: p.Spec})
+				p.Spec.Jobs[0].StartedAt = 0
+			}
+			return current
 		}
 	}
-	round()
-	round()
-	if len(current) != gpus {
-		t.Fatalf("warm-up placed %d units, want %d", len(current), gpus)
-	}
-	allocs := testing.AllocsPerRun(20, round)
-	t.Logf("warm ReplaceAll round over %d candidates on %d GPUs: %.0f allocs", n, gpus, allocs)
-	if allocs > reconcileAllocCeiling {
-		t.Fatalf("warm round allocates %.0f times, ceiling %d", allocs, reconcileAllocCeiling)
-	}
+
+	t.Run("plain", func(t *testing.T) {
+		round := drive(newJobs())
+		round()
+		if placed := round(); len(placed) != gpus {
+			t.Fatalf("warm-up placed %d units, want %d", len(placed), gpus)
+		}
+		allocs := testing.AllocsPerRun(20, func() { round() })
+		t.Logf("warm ReplaceAll round over %d candidates on %d GPUs: %.0f allocs", n, gpus, allocs)
+		if allocs > reconcileAllocCeiling {
+			t.Fatalf("warm round allocates %.0f times, ceiling %d", allocs, reconcileAllocCeiling)
+		}
+	})
+
+	// A starving 8-GPU unit behind 1-GPU units: ranked 60th, it finds five
+	// GPUs free and is bypassed while the stream behind it fills them, so
+	// every sixth round it is boosted to the front (and then preempted
+	// again). A boosted round reorders all n units; that must cost what
+	// any other round costs, not a copy of them (80 B each).
+	t.Run("boosted", func(t *testing.T) {
+		jobs := newJobs()
+		slices.SortFunc(jobs, func(a, b *job.Job) int { return int(a.Iterations - b.Iterations) })
+		big := jobs[59]
+		big.GPUs = 8
+		round := drive(jobs)
+		var mem runtime.MemStats
+		measure := func() (boosted bool, mallocs, bytes uint64) {
+			runtime.ReadMemStats(&mem)
+			m0, b0 := mem.Mallocs, mem.TotalAlloc
+			placed := round()
+			runtime.ReadMemStats(&mem)
+			boosted = slices.ContainsFunc(placed, func(c engine.Current) bool { return c.Spec.Jobs[0] == big })
+			return boosted, mem.Mallocs - m0, mem.TotalAlloc - b0
+		}
+		for i := 0; i < 12; i++ { // warm up through two boosts
+			round()
+		}
+		var plainBytes, boostedBytes, boosts uint64
+		for i := 0; i < 24; i++ {
+			boosted, mallocs, bytes := measure()
+			if mallocs > reconcileAllocCeiling {
+				t.Fatalf("round %d (boosted %v) allocates %d times, ceiling %d", i, boosted, mallocs, reconcileAllocCeiling)
+			}
+			if boosted {
+				boosts++
+				boostedBytes = max(boostedBytes, bytes)
+			} else {
+				plainBytes = max(plainBytes, bytes)
+			}
+		}
+		t.Logf("%d boosted rounds of 24 over %d candidates: %d B at most, other rounds %d B", boosts, n, boostedBytes, plainBytes)
+		if boosts == 0 {
+			t.Fatal("the 8-GPU unit was never boosted")
+		}
+		if boostedBytes > plainBytes+16<<10 {
+			t.Fatalf("a boosted round allocates %d B, any other round %d B: the boost scales with the %d candidates",
+				boostedBytes, plainBytes, n)
+		}
+	})
 }

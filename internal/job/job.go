@@ -74,6 +74,27 @@ type Job struct {
 	FinishedAt time.Duration
 	// Restarts counts how many times the job was preempted and restarted.
 	Restarts int
+
+	// Sched is the scheduling path's per-job scratch.
+	Sched Sched
+}
+
+// Sched is scratch the scheduling path keeps on the job itself, so a
+// round starts from what the last one knew instead of re-deriving it
+// through ID-keyed maps. It belongs to the one engine and the one policy
+// instance that schedule the job (the same owner that writes State) and
+// is never serialized, hashed or compared. Every field is a hint its
+// reader validates, so a stale or foreign value costs time, never
+// correctness.
+type Sched struct {
+	// Rank is the job's index in its policy's previous ordering. The policy
+	// trusts it only when that ordering still holds this job there.
+	Rank uint32
+	// Placed, Claimed, Bumped and Seen are the engine's round marks: each
+	// is set when it holds the stamp of the round in progress. Stamps are
+	// process-unique, so a mark left by another round — or another engine
+	// — reads as unset.
+	Placed, Claimed, Bumped, Seen uint64
 }
 
 // New constructs a pending job with the given identity and requirements.

@@ -150,7 +150,7 @@ func TestOrderingMatchesReference(t *testing.T) {
 	}
 	history := gittins.snapshotHistory()
 	keyed := func(p Policy) func([]*job.Job) []Unit {
-		key := p.(priorityPolicy).key
+		key := p.(*priorityPolicy).key
 		return func(jobs []*job.Job) []Unit {
 			return refExclusive(refOrder(jobs, func(j *job.Job) float64 { return key(now, j) }, false))
 		}
@@ -180,19 +180,31 @@ func TestOrderingMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for q := 0; q < 200; q++ {
 		jobs := tiedQueue(rng)
-		for _, c := range policies {
-			got, want := c.p.Plan(now, jobs, capacity), c.ref(jobs)
-			if !sameUnits(got, want) {
-				t.Fatalf("queue %d, %s: units\n got %v\nwant %v", q, c.p.Name(), ids(got), ids(want))
+		muris := []*Muri{NewMuriS(), NewMuriL()}
+		// Three consecutive rounds on the same instances, with progress in
+		// between: from the second round on the stateful policies rank from
+		// the order they remember.
+		for round := 0; round < 3; round++ {
+			for _, c := range policies {
+				got, want := c.p.Plan(now, jobs, capacity), c.ref(jobs)
+				if !sameUnits(got, want) {
+					t.Fatalf("queue %d round %d, %s: units\n got %v\nwant %v", q, round, c.p.Name(), ids(got), ids(want))
+				}
 			}
-		}
-		// Muri's grouping sits behind the same ordering step; the order it
-		// feeds Algorithm 1 (and backfills from) is what must not move.
-		for _, m := range []*Muri{NewMuriS(), NewMuriL()} {
-			got := m.orderJobs(jobs, 3*capacity)
-			want := refOrder(jobs, func(j *job.Job) float64 { return m.PriorityKey(now, j) }, false)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("queue %d, %s: orderJobs diverges from the reference sort", q, m.Name())
+			// Muri's grouping sits behind the same ordering step; the order it
+			// feeds Algorithm 1 (and backfills from) is what must not move.
+			for _, m := range muris {
+				got := m.orderJobs(jobs, 3*capacity)
+				want := refOrder(jobs, func(j *job.Job) float64 { return m.PriorityKey(now, j) }, false)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("queue %d round %d, %s: orderJobs diverges from the reference sort", q, round, m.Name())
+				}
+			}
+			for _, j := range jobs {
+				if rng.Intn(3) == 0 {
+					j.DoneIterations = min(j.Iterations, j.DoneIterations+int64(50*rng.Intn(3)))
+					j.Attained += time.Duration(rng.Intn(3)) * time.Hour
+				}
 			}
 		}
 	}

@@ -33,7 +33,7 @@ func predictedRemaining(est profile.Estimator, j *job.Job) time.Duration {
 
 // SRTFPredicted is SRTF ordered by predicted remaining run time.
 func SRTFPredicted(est profile.Estimator) Policy {
-	return priorityPolicy{name: "srtf-pred", preemptive: true,
+	return &priorityPolicy{name: "srtf-pred", preemptive: true,
 		key: func(_ time.Duration, j *job.Job) float64 {
 			return predictedRemaining(est, j).Seconds()
 		}}
@@ -42,7 +42,7 @@ func SRTFPredicted(est profile.Estimator) Policy {
 // SRSFPredicted is SRSF ordered by predicted remaining service
 // (predicted remaining time × GPUs).
 func SRSFPredicted(est profile.Estimator) Policy {
-	return priorityPolicy{name: "srsf-pred", preemptive: true,
+	return &priorityPolicy{name: "srsf-pred", preemptive: true,
 		key: func(_ time.Duration, j *job.Job) float64 {
 			return predictedRemaining(est, j).Seconds() * float64(j.GPUs)
 		}}

@@ -77,35 +77,112 @@ type Policy interface {
 	Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit
 }
 
-// sortJobs returns jobs in ascending key order, ties broken by submission
-// time then ID, in a fresh slice. It is the one ordering primitive every
-// policy ranks through: the key is evaluated once per job, the generic
-// sort moves 16-byte entries, and entryCmp is a total order, so the
-// result equals a stable sort's whatever the algorithm.
+// ranker is the one ordering primitive every policy ranks through:
+// ascending key, ties broken by submission time then ID. entryCmp is a
+// strict total order, so the sorted permutation is unique and any exact
+// algorithm returns it; this one starts from the order it returned last
+// round. Every job carries its index in that order (job.Sched.Rank), so
+// a round costs O(n + f log f) with f the arrivals plus the jobs that
+// changed place, instead of a sort of all n from an arbitrary order. The
+// zero ranker has no history and is a plain full sort. Not safe for
+// concurrent use; a policy that keeps one belongs to one engine.
+type ranker struct {
+	// prev is the order returned last round, which the units built from it
+	// alias; it is only read. keys[i] is the key prev[i] ranked with.
+	prev []*job.Job
+	keys []float64
+	// slots[i] is this round's entry for prev[i]; fresh collects the
+	// entries without a valid hint or found out of place. Both hold no job
+	// between rounds.
+	slots, fresh []muriEntry
+}
+
+// sortJobs ranks jobs with no history and leaves none: the full sort. It
+// writes nothing to the jobs, so the stateless policies that rank through
+// it stay safe to call from several goroutines over the same jobs.
 func sortJobs(jobs []*job.Job, key func(*job.Job) float64) []*job.Job {
-	entries := decorate(nil, jobs, key)
-	slices.SortFunc(entries, entryCmp)
-	return undecorate(entries)
+	var r ranker
+	return r.rankBy(jobs, key, entryCmp, false)
 }
 
-// decorate pairs every job with its key, reusing scratch when it fits.
-func decorate(scratch []muriEntry, jobs []*job.Job, key func(*job.Job) float64) []muriEntry {
-	if cap(scratch) < len(jobs) {
-		scratch = make([]muriEntry, len(jobs))
-	}
-	entries := scratch[:len(jobs)]
-	for i, j := range jobs {
-		entries[i] = muriEntry{j: j, key: key(j)}
-	}
-	return entries
+// rank returns jobs in entryCmp order in a fresh slice — never scratch:
+// exclusiveUnits hands out windows of it and drivers retain units. The
+// key is evaluated once per job.
+func (r *ranker) rank(jobs []*job.Job, key func(*job.Job) float64) []*job.Job {
+	return r.rankBy(jobs, key, entryCmp, true)
 }
 
-// undecorate copies the entries' jobs into a fresh slice — never scratch:
-// exclusiveUnits hands out windows of it and drivers retain units.
-func undecorate(entries []muriEntry) []*job.Job {
-	ordered := make([]*job.Job, len(entries))
-	for i := range entries {
-		ordered[i] = entries[i].j
+// rankBy is rank with the comparator as a parameter, so a test can count
+// comparisons (order must be entryCmp), and with the choice to remember:
+// a ranker that will not be asked again records neither the order nor the
+// jobs' ranks in it.
+func (r *ranker) rankBy(jobs []*job.Job, key func(*job.Job) float64, order func(a, b muriEntry) int, remember bool) []*job.Job {
+	prev, was := r.prev, r.keys
+	if cap(r.slots) < len(prev) {
+		r.slots = make([]muriEntry, len(prev))
+	}
+	slots, fresh := r.slots[:len(prev)], r.fresh[:0]
+	// Scatter each job into the slot it held last round. The hint is
+	// validated by identity, not trusted: another policy instance may have
+	// ranked the job since, it may have been outside last round's queue,
+	// and a job passed twice finds its slot taken.
+	for _, j := range jobs {
+		e := muriEntry{j: j, key: key(j)}
+		if i := int(j.Sched.Rank); i < len(prev) && prev[i] == j && slots[i].j == nil {
+			slots[i] = e
+		} else {
+			fresh = append(fresh, e)
+		}
+	}
+	// Sweep the slots once, compacting the non-decreasing run to the front
+	// (with the keys it had) and moving whatever breaks it to fresh. Of a
+	// descending pair the entry whose key changed is the one out of place:
+	// entries with unchanged keys are still in last round's order among
+	// themselves. So a kept entry that moved gives way to a newcomer that
+	// did not (a key that rose, 2D-LAS), and otherwise the newcomer goes (a
+	// key that fell, SRTF) — each moved job costs one fresh entry, and the
+	// comparisons, not the keys' history, are what make the run sorted.
+	w := 0
+sweep:
+	for i, e := range slots {
+		if e.j == nil {
+			continue
+		}
+		for w > 0 && order(slots[w-1], e) > 0 {
+			if e.key != was[i] || slots[w-1].key == was[w-1] {
+				fresh = append(fresh, e)
+				continue sweep
+			}
+			w--
+			fresh = append(fresh, slots[w])
+		}
+		slots[w], was[w] = e, was[i]
+		w++
+	}
+	run := slots[:w]
+	slices.SortFunc(fresh, order)
+	ordered := make([]*job.Job, len(jobs))
+	if remember {
+		r.keys = slices.Grow(r.keys[:0], len(jobs))[:len(jobs)]
+	}
+	i, k := 0, 0
+	for n := range ordered {
+		var e muriEntry
+		if k == len(fresh) || (i < len(run) && order(run[i], fresh[k]) <= 0) {
+			e, i = run[i], i+1
+		} else {
+			e, k = fresh[k], k+1
+		}
+		ordered[n] = e.j
+		if remember {
+			r.keys[n], e.j.Sched.Rank = e.key, uint32(n)
+		}
+	}
+	clear(slots)
+	clear(fresh)
+	r.fresh = fresh
+	if remember {
+		r.prev = ordered
 	}
 	return ordered
 }
@@ -130,46 +207,47 @@ type priorityPolicy struct {
 	name       string
 	preemptive bool
 	key        func(now time.Duration, j *job.Job) float64
+	order      ranker
 }
 
-func (p priorityPolicy) Name() string     { return p.name }
-func (p priorityPolicy) Preemptive() bool { return p.preemptive }
+func (p *priorityPolicy) Name() string     { return p.name }
+func (p *priorityPolicy) Preemptive() bool { return p.preemptive }
 
 // PriorityKey exposes the comparator key that orders job j (lower runs
 // first) — the engine's provenance layer uses it to explain why a job
 // ranked behind its blockers.
-func (p priorityPolicy) PriorityKey(now time.Duration, j *job.Job) float64 {
+func (p *priorityPolicy) PriorityKey(now time.Duration, j *job.Job) float64 {
 	return p.key(now, j)
 }
 
-func (p priorityPolicy) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
-	return exclusiveUnits(sortJobs(jobs, func(j *job.Job) float64 { return p.key(now, j) }))
+func (p *priorityPolicy) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
+	return exclusiveUnits(p.order.rank(jobs, func(j *job.Job) float64 { return p.key(now, j) }))
 }
 
 // FIFO schedules jobs exclusively in arrival order without preemption.
 func FIFO() Policy {
-	return priorityPolicy{name: "fifo", preemptive: false,
+	return &priorityPolicy{name: "fifo", preemptive: false,
 		key: func(_ time.Duration, j *job.Job) float64 { return j.Submit.Seconds() }}
 }
 
 // SRTF is Shortest Remaining Time First: preemptive, exclusive, ordered
 // by remaining run time (GPU count ignored).
 func SRTF() Policy {
-	return priorityPolicy{name: "srtf", preemptive: true,
+	return &priorityPolicy{name: "srtf", preemptive: true,
 		key: func(_ time.Duration, j *job.Job) float64 { return j.RemainingTime().Seconds() }}
 }
 
 // SRSF is Shortest Remaining Service First (Tiresias's duration-aware
 // metric): preemptive, exclusive, ordered by remaining time × GPUs.
 func SRSF() Policy {
-	return priorityPolicy{name: "srsf", preemptive: true,
+	return &priorityPolicy{name: "srsf", preemptive: true,
 		key: func(_ time.Duration, j *job.Job) float64 { return j.SRSF() }}
 }
 
 // Tiresias is the 2D-LAS configuration of Tiresias: preemptive,
 // exclusive, ordered by attained service × GPUs, so new jobs run first.
 func Tiresias() Policy {
-	return priorityPolicy{name: "tiresias", preemptive: true,
+	return &priorityPolicy{name: "tiresias", preemptive: true,
 		key: func(_ time.Duration, j *job.Job) float64 { return j.LAS2D() }}
 }
 
@@ -179,7 +257,7 @@ func Tiresias() Policy {
 // captures the ordering property the paper's comparison relies on; the
 // full auction protocol is out of scope (see DESIGN.md §1).
 func Themis() Policy {
-	return priorityPolicy{name: "themis", preemptive: true,
+	return &priorityPolicy{name: "themis", preemptive: true,
 		key: func(now time.Duration, j *job.Job) float64 {
 			total := j.TotalTime().Seconds()
 			if total <= 0 {
@@ -321,8 +399,8 @@ type Muri struct {
 
 	// prevGroups remembers the last plan's multi-job groups for Sticky.
 	prevGroups [][]job.ID
-	// scratch is the reusable candidate-ordering buffer.
-	scratch []muriEntry
+	// order ranks the queue, starting from last round's order.
+	order ranker
 }
 
 // EnableIncremental attaches a fresh core.PlanState to the grouping
@@ -571,67 +649,15 @@ func entryCmp(a, b muriEntry) int {
 	return cmp.Compare(a.j.ID, b.j.ID)
 }
 
-// entryLess is entryCmp as a strict less-than.
-func entryLess(a, b muriEntry) bool { return entryCmp(a, b) < 0 }
-
 // orderJobs returns jobs in priority order. With BackfillLimit set, only
 // the top budget+BackfillLimit jobs (by GPU-demand accounting, every job
-// needs ≥1 GPU) can ever be used, so the rest are partitioned away with
-// quickselect instead of sorted — the result is identical to sorting
-// everything and truncating.
+// needs ≥1 GPU) can ever be used, so the order is truncated there.
 func (m *Muri) orderJobs(jobs []*job.Job, budget int) []*job.Job {
-	m.scratch = decorate(m.scratch, jobs, func(j *job.Job) float64 { return m.PriorityKey(0, j) })
-	entries := m.scratch
-	if m.BackfillLimit > 0 {
-		if need := budget + m.BackfillLimit; need < len(entries) {
-			selectTop(entries, need)
-			entries = entries[:need]
-		}
+	ordered := m.order.rank(jobs, func(j *job.Job) float64 { return m.PriorityKey(0, j) })
+	if need := budget + m.BackfillLimit; m.BackfillLimit > 0 && need < len(ordered) {
+		ordered = ordered[:need]
 	}
-	slices.SortFunc(entries, entryCmp)
-	return undecorate(entries)
-}
-
-// selectTop partitions entries so the k smallest (by entryLess) occupy
-// entries[:k], in arbitrary order. Median-of-three quickselect; the
-// result set is unique because the order is total.
-func selectTop(entries []muriEntry, k int) {
-	lo, hi := 0, len(entries)-1
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		// Median-of-three pivot, moved to lo.
-		if entryLess(entries[mid], entries[lo]) {
-			entries[mid], entries[lo] = entries[lo], entries[mid]
-		}
-		if entryLess(entries[hi], entries[lo]) {
-			entries[hi], entries[lo] = entries[lo], entries[hi]
-		}
-		if entryLess(entries[hi], entries[mid]) {
-			entries[hi], entries[mid] = entries[mid], entries[hi]
-		}
-		pivot := entries[mid]
-		i, j := lo, hi
-		for i <= j {
-			for entryLess(entries[i], pivot) {
-				i++
-			}
-			for entryLess(pivot, entries[j]) {
-				j--
-			}
-			if i <= j {
-				entries[i], entries[j] = entries[j], entries[i]
-				i++
-				j--
-			}
-		}
-		if k <= j {
-			hi = j
-		} else if k > i {
-			lo = i
-		} else {
-			return
-		}
-	}
+	return ordered
 }
 
 // extractSeeds reconstructs the previous plan's multi-job groups from the

@@ -11,8 +11,10 @@ import (
 	"time"
 
 	"muri/internal/engine"
+	"muri/internal/executor"
 	"muri/internal/job"
 	"muri/internal/proto"
+	"muri/internal/sched"
 )
 
 // fastFaultConfig keeps retry backoffs tiny so fault tests run quickly.
@@ -297,6 +299,143 @@ func TestHeartbeatTimeoutEvicts(t *testing.T) {
 	}
 	if st.Faults == nil || st.Faults.Crashes < 1 {
 		t.Errorf("fault summary = %+v, want the eviction counted as a crash", st.Faults)
+	}
+}
+
+// pipeListener hands the daemon net.Pipe connections. A pipe has no
+// buffer, so the first frame written to a peer that stopped reading
+// blocks — the state a TCP connection reaches once its socket buffers
+// fill.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+}
+
+func newPipeListener() *pipeListener {
+	return &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error   { close(l.done); return nil }
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
+
+// dial returns the peer's end of a fresh connection to the daemon.
+func (l *pipeListener) dial(t *testing.T) net.Conn {
+	t.Helper()
+	peer, srv := net.Pipe()
+	select {
+	case l.conns <- srv:
+	case <-time.After(2 * time.Second):
+		t.Fatal("daemon is not accepting connections")
+	}
+	return peer
+}
+
+// TestHungExecutorDoesNotHoldServerLock: an executor that stops reading
+// — while its heartbeats keep the lease fresh, so only the send path can
+// notice — must cost a scheduling round at most one liveness timeout.
+// Launch frames are written under Server.mu; without a write deadline the
+// round, Status and every other executor's handlers block behind the
+// hung peer for good.
+func TestHungExecutorDoesNotHoldServerLock(t *testing.T) {
+	cfg := fastFaultConfig()
+	cfg.Interval = 20 * time.Millisecond
+	cfg.LivenessTimeout = 200 * time.Millisecond
+	cfg.TimeScale = 0.0005
+	cfg.ReportEvery = 20 * time.Millisecond
+	cfg.Policy = sched.FIFO()
+	cfg.Logf = t.Logf
+	srv := New(cfg)
+	ln := newPipeListener()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done(); _ = srv.Serve(ln) }()
+	t.Cleanup(func() { srv.Close(); wg.Wait() })
+
+	// The hung machine registers, takes job 1's Launch, then never reads
+	// again. Closing its end (deferred, so before srv.Close) releases a
+	// daemon still blocked on it.
+	hung := ln.dial(t)
+	defer hung.Close()
+	codec := newTestCodec(hung)
+	if err := codec.register("a-hung", 8); err != nil {
+		t.Fatal(err)
+	}
+	submit := func() {
+		t.Helper()
+		if _, err := srv.submit(proto.JobSpec{Model: "gpt2", GPUs: 4, Iterations: 1_000_000,
+			Stages: parityStages}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit()
+	if m, err := codec.c.Read(); err != nil || m.Type != proto.TypeLaunch {
+		t.Fatalf("hung executor's first frame = %+v, %v; want job 1's launch", m, err)
+	}
+	stopBeat := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stopBeat:
+				return
+			case <-time.After(40 * time.Millisecond):
+				if codec.c.Write(&proto.Message{Type: proto.TypeHeartbeat}) != nil {
+					return
+				}
+			}
+		}
+	}()
+	defer close(stopBeat)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	healthy := &executor.Agent{MachineID: "b-healthy", GPUs: 8, Logf: t.Logf,
+		HeartbeatEvery: 40 * time.Millisecond}
+	conn := ln.dial(t)
+	wg.Add(1)
+	go func() { defer wg.Done(); _ = healthy.Serve(ctx, conn) }()
+	waitFor(t, 2*time.Second, func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.executors) == 2
+	}, "healthy executor never registered")
+
+	// Job 2 best-fits onto the hung machine's four free GPUs: its Launch
+	// is the frame nobody reads.
+	submit()
+	answered := make(chan proto.StatusAck, 1)
+	go func() {
+		time.Sleep(50 * time.Millisecond) // let the round reach the blocked send
+		answered <- srv.status()
+	}()
+	select {
+	case <-answered:
+	case <-time.After(time.Second):
+		t.Fatal("Status did not answer within 1s: a round is blocked on the hung executor")
+	}
+	// The failed send closed the connection, the reader dropped the
+	// machine and requeued job 1; both jobs now run on the healthy one.
+	waitFor(t, 3*time.Second, func() bool {
+		st := srv.status()
+		return st.Executors == 1 && st.Running == 2 &&
+			st.Faults != nil && st.Faults.Crashes == 1 && st.Faults.Requeues == 1
+	}, "hung executor was not dropped with its job requeued onto the healthy one")
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for _, g := range srv.groups {
+		if g.exec.id != "b-healthy" {
+			t.Errorf("group %d still bound to %s", g.id, g.exec.id)
+		}
 	}
 }
 

@@ -189,15 +189,31 @@ type executorConn struct {
 	wmu   sync.Mutex
 	conn  net.Conn
 	gone  bool
+	// sendTimeout bounds one send (the liveness timeout: an executor that
+	// takes longer to drain a frame has outlived its lease anyway).
+	sendTimeout time.Duration
 	// leaseExpiry is the liveness lease: renewed by every inbound
 	// message, checked by the worker monitor each scheduling round.
 	leaseExpiry time.Time
 }
 
+// send writes one frame under a deadline. Launch and Kill frames are sent
+// under Server.mu, so an executor that stops reading must not block the
+// write for good: that would stall the round, Status, every other
+// executor's handlers and the lease eviction that would remove it. A send
+// that fails closes the connection — a partial frame corrupts the stream
+// — and the executor's reader then requeues its groups (dropExecutor).
 func (e *executorConn) send(m *proto.Message) error {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	return e.codec.Write(m)
+	err := e.conn.SetWriteDeadline(time.Now().Add(e.sendTimeout))
+	if err == nil {
+		err = e.codec.Write(m)
+	}
+	if err != nil {
+		e.conn.Close()
+	}
+	return err
 }
 
 // groupState is one launched group.
@@ -624,7 +640,8 @@ func (s *Server) handleConn(conn net.Conn) {
 // handleExecutor serves one executor connection until it drops.
 func (s *Server) handleExecutor(conn net.Conn, codec *proto.Codec, reg *proto.Register) {
 	e := &executorConn{id: reg.MachineID, gpus: reg.GPUs, free: reg.GPUs,
-		codec: codec, conn: conn, leaseExpiry: time.Now().Add(s.cfg.LivenessTimeout)}
+		codec: codec, conn: conn, sendTimeout: s.cfg.LivenessTimeout,
+		leaseExpiry: time.Now().Add(s.cfg.LivenessTimeout)}
 	s.mu.Lock()
 	// Fencing: an executor that has seen a higher election term carries
 	// proof this daemon was deposed; and a standby/fenced daemon serves
@@ -1234,7 +1251,17 @@ func (s *Server) scheduleLocked() {
 		return
 	}
 	wallNow := time.Now()
-	defer func() { s.roundHist.Observe(time.Since(wallNow).Seconds()) }()
+	defer func() {
+		held := time.Since(wallNow)
+		s.roundHist.Observe(held.Seconds())
+		// Leases do not run while a round holds s.mu: the readers that
+		// renew them wait behind it, so a round that stalled on one hung
+		// executor (a send blocks for up to LivenessTimeout) would otherwise
+		// find every healthy executor's lease expired as well.
+		for _, e := range s.execOrder {
+			e.leaseExpiry = e.leaseExpiry.Add(held)
+		}
+	}()
 	// Batched admission first: every submission accepted since the last
 	// round joins the candidate set in one engine round.
 	s.drainIngestLocked()
