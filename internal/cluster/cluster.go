@@ -70,17 +70,39 @@ func (c *Cluster) FreeGPUs() int { return c.total - c.down - c.used }
 func (c *Cluster) UsedGPUs() int { return c.used }
 
 // Alloc records a placement: how many GPUs were taken from each machine.
+// An allocation on one machine — the common case, made every round for
+// every running unit — names that machine inline; only one that spans
+// machines carries a table. The zero Alloc holds nothing.
 type Alloc struct {
-	// Slots maps machine ID to the number of GPUs taken on it.
-	Slots map[int]int
 	// GPUs is the total size of the allocation.
 	GPUs int
+	// machine is the host of a single-machine allocation. spread, when
+	// non-nil, maps machine ID to the GPUs taken on it instead.
+	machine int
+	spread  map[int]int
+}
+
+// On returns the number of GPUs the allocation holds on machine id.
+func (a Alloc) On(id int) int {
+	switch {
+	case a.spread != nil:
+		return a.spread[id]
+	case id == a.machine:
+		return a.GPUs
+	}
+	return 0
 }
 
 // Machines returns the machine IDs of the allocation in ascending order.
 func (a Alloc) Machines() []int {
-	ids := make([]int, 0, len(a.Slots))
-	for id := range a.Slots {
+	if a.spread == nil {
+		if a.GPUs == 0 {
+			return nil
+		}
+		return []int{a.machine}
+	}
+	ids := make([]int, 0, len(a.spread))
+	for id := range a.spread {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
@@ -113,7 +135,7 @@ func (c *Cluster) Allocate(gpus int) (Alloc, bool) {
 		}
 		c.machines[best].free -= gpus
 		c.used += gpus
-		return Alloc{Slots: map[int]int{best: gpus}, GPUs: gpus}, true
+		return Alloc{GPUs: gpus, machine: best}, true
 	}
 	// Multi-machine job: needs ⌈gpus/per⌉ machines; all but the last must
 	// be fully free (distributed workers are balanced across machines).
@@ -127,37 +149,46 @@ func (c *Cluster) Allocate(gpus int) (Alloc, bool) {
 	if len(fullyFree) < need {
 		return Alloc{}, false
 	}
-	slots := make(map[int]int, need)
+	spread := make(map[int]int, need)
 	remaining := gpus
 	for _, id := range fullyFree[:need] {
 		take := per
 		if take > remaining {
 			take = remaining
 		}
-		slots[id] = take
+		spread[id] = take
 		c.machines[id].free -= take
 		remaining -= take
 	}
 	c.used += gpus
-	return Alloc{Slots: slots, GPUs: gpus}, true
+	return Alloc{GPUs: gpus, spread: spread}, true
 }
 
 // Release returns an allocation's GPUs to the cluster.
 func (c *Cluster) Release(a Alloc) {
-	for id, n := range a.Slots {
-		if id < 0 || id >= len(c.machines) {
-			panic(fmt.Sprintf("cluster: release on unknown machine %d", id))
+	if a.spread == nil {
+		c.release(a.machine, a.GPUs)
+	} else {
+		for id, n := range a.spread {
+			c.release(id, n)
 		}
-		m := c.machines[id]
-		if m.free+n > m.GPUs {
-			panic(fmt.Sprintf("cluster: over-release on machine %d", id))
-		}
-		m.free += n
 	}
 	c.used -= a.GPUs
 	if c.used < 0 {
 		panic("cluster: negative usage after release")
 	}
+}
+
+// release returns n GPUs to machine id.
+func (c *Cluster) release(id, n int) {
+	if id < 0 || id >= len(c.machines) {
+		panic(fmt.Sprintf("cluster: release on unknown machine %d", id))
+	}
+	m := c.machines[id]
+	if m.free+n > m.GPUs {
+		panic(fmt.Sprintf("cluster: over-release on machine %d", id))
+	}
+	m.free += n
 }
 
 // Reset frees every allocation. Schedulers that recompute the whole

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -38,8 +39,8 @@ func TestSingleMachineBestFit(t *testing.T) {
 	if !ok {
 		t.Fatal("first allocation failed")
 	}
-	if len(a0.Slots) != 1 {
-		t.Fatalf("allocation spans %d machines, want 1", len(a0.Slots))
+	if len(a0.Machines()) != 1 {
+		t.Fatalf("allocation spans %d machines, want 1", len(a0.Machines()))
 	}
 	// A 4-GPU request should best-fit onto the half-full machine.
 	a1, ok := c.Allocate(4)
@@ -65,8 +66,8 @@ func TestMultiMachineNeedsFullyFree(t *testing.T) {
 	if !ok {
 		t.Fatal("allocate 16 failed with two free machines")
 	}
-	if len(a.Slots) != 2 {
-		t.Errorf("16-GPU allocation spans %d machines, want 2", len(a.Slots))
+	if len(a.Machines()) != 2 {
+		t.Errorf("16-GPU allocation spans %d machines, want 2", len(a.Machines()))
 	}
 	// Another 16 GPUs cannot fit: no two fully free machines remain.
 	if _, ok := c.Allocate(16); ok {
@@ -192,8 +193,8 @@ func TestDownMachinesExcludedFromPlacement(t *testing.T) {
 		if !ok {
 			t.Fatalf("allocate 4 (%d) failed with two machines up", i)
 		}
-		if a.Slots[0] != 0 {
-			t.Fatalf("allocation landed on down machine: %v", a.Slots)
+		if a.On(0) != 0 {
+			t.Fatalf("allocation landed on down machine: %v", a.Machines())
 		}
 	}
 	if _, ok := c.Allocate(1); ok {
@@ -204,8 +205,8 @@ func TestDownMachinesExcludedFromPlacement(t *testing.T) {
 	if _, ok := c.Allocate(12); ok {
 		t.Error("12-GPU allocation succeeded with only 8 GPUs in service")
 	}
-	if a, ok := c.Allocate(8); !ok || a.Slots[0] != 0 {
-		t.Errorf("8-GPU allocation = %v ok=%v, want machines 1+2", a.Slots, ok)
+	if a, ok := c.Allocate(8); !ok || a.On(0) != 0 {
+		t.Errorf("8-GPU allocation = %v ok=%v, want machines 1+2", a.Machines(), ok)
 	}
 	// Reset preserves availability; SetUp restores it.
 	c.Reset()
@@ -242,4 +243,71 @@ func TestSetDownIsIdempotentAndChecksDrain(t *testing.T) {
 		}
 	}()
 	c.SetDown(0) // best-fit put the 4-GPU job on machine 0
+}
+
+// TestAllocShapesAgree: an allocation on one machine names it inline and
+// one that spans machines carries a table; everything a caller can ask of
+// either — Machines, per-machine counts, Release, the over-release panic —
+// answers the same way.
+func TestAllocShapesAgree(t *testing.T) {
+	for _, gpus := range []int{1, 3, 4, 7, 8, 12} { // 4 per machine: three of these span
+		c := New(4, 4)
+		if _, ok := c.Allocate(2); !ok { // machine 0 is part-used
+			t.Fatal("allocate 2 failed")
+		}
+		before := make([]int, 4)
+		for i, m := range c.Machines() {
+			before[i] = m.Free()
+		}
+		a, ok := c.Allocate(gpus)
+		if !ok {
+			t.Fatalf("allocate %d failed", gpus)
+		}
+		if a.GPUs != gpus {
+			t.Errorf("%d GPUs: Alloc.GPUs = %d", gpus, a.GPUs)
+		}
+		var hosts []int
+		sum := 0
+		for i, m := range c.Machines() {
+			took := before[i] - m.Free()
+			if got := a.On(i); got != took {
+				t.Errorf("%d GPUs: On(%d) = %d, machine lost %d", gpus, i, got, took)
+			}
+			if took > 0 {
+				hosts = append(hosts, i)
+			}
+			sum += took
+		}
+		if got := a.Machines(); !slices.Equal(got, hosts) || sum != gpus {
+			t.Errorf("%d GPUs: Machines() = %v, GPUs left machines %v (%d in all)", gpus, got, hosts, sum)
+		}
+		if want := (gpus + 3) / 4; len(hosts) != want {
+			t.Errorf("%d GPUs span %d machines, want %d", gpus, len(hosts), want)
+		}
+		if a.On(-1) != 0 || a.On(99) != 0 {
+			t.Errorf("%d GPUs: On reports GPUs on machines that do not exist", gpus)
+		}
+		c.Release(a)
+		for i, m := range c.Machines() {
+			if m.Free() != before[i] {
+				t.Errorf("%d GPUs: release left machine %d with %d free, want %d", gpus, i, m.Free(), before[i])
+			}
+		}
+		if c.UsedGPUs() != 2 {
+			t.Errorf("%d GPUs: used = %d after release, want 2", gpus, c.UsedGPUs())
+		}
+		c.Reset() // every machine full again, so a second release must overflow one
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d GPUs: releasing into a full machine should panic", gpus)
+				}
+			}()
+			c.Release(a)
+		}()
+	}
+	var zero Alloc
+	if zero.Machines() != nil || zero.On(0) != 0 {
+		t.Errorf("zero Alloc holds %v", zero.Machines())
+	}
 }

@@ -229,8 +229,11 @@ type admittedUnit struct {
 // counter would let each read the other's marks as its own.
 var stamps atomic.Uint64
 
-// roundScratch is everything one Reconcile round builds and drops; none
-// of it reaches the Outcome, whose slices are allocated per round.
+// roundScratch is one Reconcile round's working memory, reused by the
+// next. Of the Outcome, Placements (and their Members), Decisions and
+// Killed live here and are valid until the next Reconcile; what a driver
+// keeps longer — a placed unit's Jobs, the rebuilt queue — is allocated
+// per round.
 //
 // The round's per-job sets live on the jobs themselves (job.Sched), each
 // set while its field equals stamp: Placed — the job holds resources
@@ -245,12 +248,16 @@ type roundScratch struct {
 	currentKeys, keySet map[string]bool
 	admitted            []admittedUnit
 	skipped             []sched.Unit
-	// boosted is a starvation-boosted round's admission order, boostedAt
-	// the planner positions of the units moved to its front; requeued the
+	// boostedAt are the planner positions, ascending, of the units a
+	// starvation-boosted round admits first; requeued the
 	// preempted-but-unplaced tail of the pending rebuild.
-	boosted   []sched.Unit
 	boostedAt []int
 	requeued  []*job.Job
+	// The Outcome's engine-owned slices.
+	placements []Placement
+	members    []Member
+	decisions  []Decision
+	killed     []Current
 }
 
 func (r *roundScratch) reset() {
@@ -260,8 +267,13 @@ func (r *roundScratch) reset() {
 	// Dropped specs would otherwise pin last round's job slices.
 	clear(r.admitted)
 	clear(r.skipped)
-	clear(r.boosted)
-	r.admitted, r.skipped, r.boosted = r.admitted[:0], r.skipped[:0], r.boosted[:0]
+	clear(r.placements)
+	clear(r.members)
+	clear(r.decisions)
+	clear(r.killed)
+	r.admitted, r.skipped, r.boostedAt = r.admitted[:0], r.skipped[:0], r.boostedAt[:0]
+	r.placements, r.members = r.placements[:0], r.members[:0]
+	r.decisions, r.killed = r.decisions[:0], r.killed[:0]
 }
 
 // emitCause publishes one provenance annotation (no-op without a hook).
@@ -555,7 +567,8 @@ type Member struct {
 type Placement struct {
 	// Key is the unit's canonical key.
 	Key string
-	// Spec is the placed unit.
+	// Spec is the placed unit. Its Jobs is the unit's own copy, not a
+	// window into the policy's buffers, and the driver may keep it.
 	Spec sched.Unit
 	// Handle is the placer's opaque placement handle.
 	Handle any
@@ -566,9 +579,12 @@ type Placement struct {
 	Restart bool
 }
 
-// Outcome is the result of one scheduling round. Every slice is freshly
-// allocated and the driver may retain it, except Kept, which aliases
-// Input.Current on non-preemptive rounds.
+// Outcome is the result of one scheduling round. What a driver keeps past
+// the round is its own: each Placement's Spec.Jobs and Pending. The rest
+// is lent (DESIGN.md §8): Planned belongs to the policy until its next
+// Plan; Placements, their Members, Decisions and Killed to the engine
+// until the next Reconcile; Kept aliases Input.Current on non-preemptive
+// rounds.
 type Outcome struct {
 	// Planned is the policy's raw unit list, before admission.
 	Planned []sched.Unit
@@ -635,7 +651,7 @@ func (e *Engine) Reconcile(in Input) Outcome {
 		}
 	}
 
-	orderedUnits := e.starvationOrder(units)
+	e.boostStarving(units)
 
 	// Admission: walk in priority order, admitting units that fit in the
 	// remaining capacity. Units skipped for capacity while a later unit
@@ -643,16 +659,16 @@ func (e *Engine) Reconcile(in Input) Outcome {
 	// is free, which is exact: every unit needs at least one GPU, and only
 	// an admission claims jobs, bumps bypass counts or changes what
 	// emitWaitCauses reads (DESIGN.md §8).
-	for _, spec := range orderedUnits {
+	admissionOrder(units, r.boostedAt, func(spec sched.Unit) bool {
 		if free <= 0 {
-			break
+			return false
 		}
 		if slices.ContainsFunc(spec.Jobs, func(j *job.Job) bool { return j.Sched.Claimed == stamp }) {
-			continue
+			return true
 		}
 		if spec.GPUs > free {
 			r.skipped = append(r.skipped, spec)
-			continue
+			return true
 		}
 		free -= spec.GPUs
 		r.admitted = append(r.admitted, admittedUnit{key: UnitKey(spec), spec: spec})
@@ -668,7 +684,8 @@ func (e *Engine) Reconcile(in Input) Outcome {
 			}
 		}
 		r.skipped = r.skipped[:0]
-	}
+		return true
+	})
 
 	// Preemption reconciliation. Differential keeps re-admitted keys,
 	// kills the rest (through the driver, so capacity frees before
@@ -687,7 +704,7 @@ func (e *Engine) Reconcile(in Input) Outcome {
 				}
 				continue
 			}
-			out.Killed = append(out.Killed, c)
+			r.killed = append(r.killed, c)
 			if in.Kill != nil {
 				in.Kill(c)
 			}
@@ -705,23 +722,27 @@ func (e *Engine) Reconcile(in Input) Outcome {
 
 	// Placement: descending GPU order so large units claim whole machines
 	// before small units fragment them (§5). Member classification uses
-	// the previous round's placement memory.
+	// the previous round's placement memory. A placed unit outlives the
+	// round and the policy's buffers, so ownership starts here: each unit
+	// about to be placed gets its own copy of its members, all of them
+	// carved from the one array this round allocates for the purpose.
 	slices.SortStableFunc(toPlace, func(a, b admittedUnit) int { return cmp.Compare(b.spec.GPUs, a.spec.GPUs) })
 	nMembers := 0
 	for _, a := range toPlace {
 		nMembers += len(a.spec.Jobs)
 	}
-	if len(toPlace) > 0 {
-		out.Placements = make([]Placement, 0, len(toPlace))
-	}
-	members := make([]Member, nMembers) // one backing array for the round
+	owned := make([]*job.Job, nMembers)
+	r.members = slices.Grow(r.members, nMembers)[:nMembers]
+	members := r.members
 	for _, a := range toPlace {
 		key, spec := a.key, a.spec
+		n := len(spec.Jobs)
+		copy(owned[:n], spec.Jobs)
+		spec.Jobs, owned = owned[:n:n], owned[n:]
 		handle, ok := in.Placer.Place(key, spec)
 		if !ok {
 			continue // fragmentation despite descending order; rare
 		}
-		n := len(spec.Jobs)
 		p := Placement{Key: key, Spec: spec, Handle: handle, Members: members[:n:n]}
 		members = members[n:]
 		for i, j := range spec.Jobs {
@@ -741,8 +762,9 @@ func (e *Engine) Reconcile(in Input) Outcome {
 			j.Sched.Placed = stamp
 			e.markRunning(j.ID)
 		}
-		out.Placements = append(out.Placements, p)
+		r.placements = append(r.placements, p)
 	}
+	out.Placements = r.placements
 
 	// ReplaceAll kill diff: current units whose key did not survive into
 	// the placed set were preempted.
@@ -752,10 +774,11 @@ func (e *Engine) Reconcile(in Input) Outcome {
 		}
 		for _, c := range in.Current {
 			if !r.keySet[c.key] {
-				out.Killed = append(out.Killed, c)
+				r.killed = append(r.killed, c)
 			}
 		}
 	}
+	out.Killed = r.killed
 
 	// Decision stream: kills first (current order), then launches
 	// (placement order). Same-key re-placements are continuations and
@@ -766,7 +789,7 @@ func (e *Engine) Reconcile(in Input) Outcome {
 	}
 	for _, c := range out.Killed {
 		e.stats.Preemptions++
-		out.Decisions = append(out.Decisions,
+		r.decisions = append(r.decisions,
 			e.emit(Decision{Action: ActKill, Key: c.key, Jobs: memberIDs(c.Spec), Cause: killCause}))
 	}
 	for _, p := range out.Placements {
@@ -778,8 +801,9 @@ func (e *Engine) Reconcile(in Input) Outcome {
 		if e.cfg.Provenance != nil {
 			d.Cause = launchDetail(p.Spec)
 		}
-		out.Decisions = append(out.Decisions, e.emit(d))
+		r.decisions = append(r.decisions, e.emit(d))
 	}
+	out.Decisions = r.decisions
 
 	// Rebuild the pending queue and the placement memory.
 	newPending := make([]*job.Job, 0, max(len(in.Pending), len(in.Candidates)))
@@ -819,7 +843,7 @@ func (e *Engine) Reconcile(in Input) Outcome {
 	}
 	e.stats.QueueDepth = depth
 	if e.cfg.Provenance != nil {
-		e.emitWaitCauses(in, orderedUnits, &out)
+		e.emitWaitCauses(in, units, &out)
 	}
 	e.traceRound(in, &out)
 	return out
@@ -865,15 +889,14 @@ func (e *Engine) remember(key string, jobs []*job.Job) {
 	}
 }
 
-// starvationOrder applies anti-starvation to the planner's order: units
+// boostStarving applies anti-starvation to the planner's order: units
 // whose members have been bypassed too many rounds jump to the front of
 // the admission order (stable within each class), so a large multi-GPU
 // unit cannot be blocked forever by a stream of small higher-priority
-// units. When nothing is starving (the common round) the planner's order
-// is already the admission order and is returned as is; a boosted order
-// is built in the round's scratch, which only the admission walk and
-// emitWaitCauses read.
-func (e *Engine) starvationOrder(units []sched.Unit) []sched.Unit {
+// units. It records the planner positions of those units in the round's
+// boostedAt and moves nothing: when nothing is starving (the common round)
+// that is empty and the planner's order is the admission order.
+func (e *Engine) boostStarving(units []sched.Unit) {
 	starving := func(j *job.Job) bool { return e.bypassed[j.ID] >= e.cfg.StarvationPatience }
 	// The ledger is small (only units skipped while capacity remained
 	// enter it), so scanning it beats probing it once per planned job.
@@ -882,14 +905,13 @@ func (e *Engine) starvationOrder(units []sched.Unit) []sched.Unit {
 		overdue = overdue || n >= e.cfg.StarvationPatience
 	}
 	if !overdue {
-		return units
+		return
 	}
-	ordered, at := e.round.boosted, e.round.boostedAt[:0]
 	for i, spec := range units {
 		if !slices.ContainsFunc(spec.Jobs, starving) {
 			continue
 		}
-		ordered, at = append(ordered, spec), append(at, i)
+		e.round.boostedAt = append(e.round.boostedAt, i)
 		for _, j := range spec.Jobs {
 			if e.cfg.Provenance != nil && starving(j) {
 				e.emitCause(CauseEvent{Job: j.ID, Cause: CauseStarvationBoost, Note: true,
@@ -897,16 +919,26 @@ func (e *Engine) starvationOrder(units []sched.Unit) []sched.Unit {
 			}
 		}
 	}
-	// Everything else follows in planner order: the stretches between the
-	// boosted units.
-	from := 0
-	for _, i := range at {
-		ordered = append(ordered, units[from:i]...)
-		from = i + 1
+}
+
+// admissionOrder visits units in admission order until visit returns
+// false: the boosted units (ascending planner positions), then everything
+// else in planner order — the stretches between them.
+func admissionOrder(units []sched.Unit, boostedAt []int, visit func(sched.Unit) bool) {
+	for _, i := range boostedAt {
+		if !visit(units[i]) {
+			return
+		}
 	}
-	ordered = append(ordered, units[from:]...)
-	e.round.boosted, e.round.boostedAt = ordered, at
-	return ordered
+	for i, spec := range units {
+		if len(boostedAt) > 0 && boostedAt[0] == i {
+			boostedAt = boostedAt[1:]
+			continue
+		}
+		if !visit(spec) {
+			return
+		}
+	}
 }
 
 // preemptorDetail names the work that displaced this round's kills: the
@@ -964,10 +996,10 @@ func launchDetail(spec sched.Unit) string {
 // the comparator key values and blocker identities when the policy
 // exposes them. Walk order follows the admission order, so emission is
 // deterministic.
-func (e *Engine) emitWaitCauses(in Input, orderedUnits []sched.Unit, out *Outcome) {
+func (e *Engine) emitWaitCauses(in Input, units []sched.Unit, out *Outcome) {
 	blockers := e.blockerDetail(in.Now, out)
 	stamp, seen := e.round.stamp, stamps.Add(1)
-	for _, spec := range orderedUnits {
+	admissionOrder(units, e.round.boostedAt, func(spec sched.Unit) bool {
 		for _, j := range spec.Jobs {
 			if j.Sched.Placed == stamp || j.Sched.Seen == seen || j.State == job.Done {
 				continue
@@ -996,7 +1028,8 @@ func (e *Engine) emitWaitCauses(in Input, orderedUnits []sched.Unit, out *Outcom
 				e.emitCause(CauseEvent{Job: j.ID, Cause: cause, Detail: detail})
 			}
 		}
-	}
+		return true
+	})
 }
 
 // blockerDetail renders the round's highest-priority placed work (the

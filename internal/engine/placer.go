@@ -12,7 +12,8 @@ import "muri/internal/sched"
 type Placer interface {
 	// Free returns the currently unallocated GPU capacity.
 	Free() int
-	// Place tries to place u. The returned handle is opaque to the engine
+	// Place tries to place u, whose Jobs is the unit's own copy: the
+	// placer may keep u. The returned handle is opaque to the engine
 	// and is passed back to the driver on the unit's Placement (the
 	// simulator stores a cluster.Alloc, the daemon a group ID). ok=false
 	// means the unit does not fit right now (fragmentation, send failure)

@@ -604,16 +604,19 @@ func (o Options) Figure14() ([]Figure14Result, Table) {
 }
 
 // ScaleResult is one end-to-end scale run's outcome: the usual summary
-// plus wall-clock runtime and the scheduling-path performance counters
-// (engine decision activity, completion-heap activity, Blossom
-// matcher-pool reuse, and the sharded/incremental planner counters for
-// this run alone).
+// plus wall-clock runtime, the garbage the run made (bytes allocated and
+// collector cycles, process-wide around the run) and the scheduling-path
+// performance counters (engine decision activity, completion-heap
+// activity, Blossom matcher-pool reuse, and the sharded/incremental
+// planner counters for this run alone).
 type ScaleResult struct {
 	Trace   string
 	Sched   string
 	Shards  int
 	Jobs    int
 	Wall    time.Duration
+	AllocMB float64
+	GCs     uint32
 	Summary metrics.Summary
 	Engine  metrics.EngineStats
 	Heap    metrics.HeapStats
@@ -641,7 +644,7 @@ func (o Options) Scale() ([]ScaleResult, Table) {
 	var out []ScaleResult
 	t := Table{
 		Title:  "Scheduling-path scale runs (Muri-L, event-driven)",
-		Header: []string{"trace", "jobs", "sched", "shards", "wall", "avg JCT", "makespan", "rounds", "reuse%", "tasks", "pool hit%"},
+		Header: []string{"trace", "jobs", "sched", "shards", "wall", "avg JCT", "makespan", "rounds", "reuse%", "tasks", "pool hit%", "alloc MB", "GCs"},
 	}
 	all := o.traces()
 	scale := trace.ScaleConfigs(o.capacity())
@@ -670,9 +673,12 @@ func (o Options) Scale() ([]ScaleResult, Table) {
 		cfg := o.simConfig()
 		cfg.EventDriven = true
 		before := blossom.PoolStats()
+		var mem0, mem1 runtime.MemStats
+		runtime.ReadMemStats(&mem0)
 		start := time.Now()
 		res := sim.Run(cfg, ru.tr, ru.policy)
 		wall := time.Since(start)
+		runtime.ReadMemStats(&mem1)
 		after := blossom.PoolStats()
 		plan := ru.policy.PlanStats()
 		r := ScaleResult{
@@ -681,6 +687,8 @@ func (o Options) Scale() ([]ScaleResult, Table) {
 			Shards:  ru.policy.Grouping.Shards,
 			Jobs:    res.Summary.Jobs,
 			Wall:    wall,
+			AllocMB: float64(mem1.TotalAlloc-mem0.TotalAlloc) / (1 << 20),
+			GCs:     mem1.NumGC - mem0.NumGC,
 			Summary: res.Summary,
 			Engine:  res.Engine,
 			Heap:    res.Heap,
@@ -703,6 +711,8 @@ func (o Options) Scale() ([]ScaleResult, Table) {
 			f2(100 * plan.ReuseRatio()),
 			strconv.FormatUint(plan.ShardTasks, 10),
 			f2(100 * r.Pool.HitRate()),
+			strconv.FormatFloat(r.AllocMB, 'f', 0, 64),
+			strconv.FormatUint(uint64(r.GCs), 10),
 		})
 	}
 	return out, t

@@ -73,7 +73,9 @@ type Policy interface {
 	Preemptive() bool
 	// Plan returns candidate units in descending placement priority.
 	// capacity is the cluster's total GPU count; policies use it to bound
-	// how many queue entries they consider.
+	// how many queue entries they consider. The result and every Unit.Jobs
+	// in it may live in buffers the policy reuses: they are valid until its
+	// next Plan, and a caller that keeps a unit longer copies Jobs out.
 	Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit
 }
 
@@ -87,14 +89,26 @@ type Policy interface {
 // zero ranker has no history and is a plain full sort. Not safe for
 // concurrent use; a policy that keeps one belongs to one engine.
 type ranker struct {
-	// prev is the order returned last round, which the units built from it
-	// alias; it is only read. keys[i] is the key prev[i] ranked with.
-	prev []*job.Job
-	keys []float64
+	// prev is the order returned last round, only read while this round's
+	// is written into spare, the order returned the round before; then the
+	// two trade places. keys[i] is the key prev[i] ranked with.
+	prev, spare []*job.Job
+	keys        []float64
 	// slots[i] is this round's entry for prev[i]; fresh collects the
 	// entries without a valid hint or found out of place. Both hold no job
 	// between rounds.
 	slots, fresh []muriEntry
+}
+
+// resized returns buf with length n for the caller to overwrite, growing
+// it amortized. What a shrinking buffer cuts off is zeroed, so it pins
+// nothing and a later regrowth within capacity finds zeros.
+func resized[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		clear(buf[n:])
+		return buf[:n]
+	}
+	return slices.Grow(buf[:0], n)[:n]
 }
 
 // sortJobs ranks jobs with no history and leaves none: the full sort. It
@@ -105,9 +119,9 @@ func sortJobs(jobs []*job.Job, key func(*job.Job) float64) []*job.Job {
 	return r.rankBy(jobs, key, entryCmp, false)
 }
 
-// rank returns jobs in entryCmp order in a fresh slice — never scratch:
-// exclusiveUnits hands out windows of it and drivers retain units. The
-// key is evaluated once per job.
+// rank returns jobs in entryCmp order in a buffer the ranker owns, valid
+// until the next rank: whoever keeps a unit past that copies its window
+// out (the engine does, at placement). The key is evaluated once per job.
 func (r *ranker) rank(jobs []*job.Job, key func(*job.Job) float64) []*job.Job {
 	return r.rankBy(jobs, key, entryCmp, true)
 }
@@ -115,13 +129,11 @@ func (r *ranker) rank(jobs []*job.Job, key func(*job.Job) float64) []*job.Job {
 // rankBy is rank with the comparator as a parameter, so a test can count
 // comparisons (order must be entryCmp), and with the choice to remember:
 // a ranker that will not be asked again records neither the order nor the
-// jobs' ranks in it.
+// jobs' ranks in it, and its result is the caller's to keep.
 func (r *ranker) rankBy(jobs []*job.Job, key func(*job.Job) float64, order func(a, b muriEntry) int, remember bool) []*job.Job {
 	prev, was := r.prev, r.keys
-	if cap(r.slots) < len(prev) {
-		r.slots = make([]muriEntry, len(prev))
-	}
-	slots, fresh := r.slots[:len(prev)], r.fresh[:0]
+	r.slots = resized(r.slots, len(prev))
+	slots, fresh := r.slots, r.fresh[:0]
 	// Scatter each job into the slot it held last round. The hint is
 	// validated by identity, not trusted: another policy instance may have
 	// ranked the job since, it may have been outside last round's queue,
@@ -161,9 +173,9 @@ sweep:
 	}
 	run := slots[:w]
 	slices.SortFunc(fresh, order)
-	ordered := make([]*job.Job, len(jobs))
+	ordered := resized(r.spare, len(jobs))
 	if remember {
-		r.keys = slices.Grow(r.keys[:0], len(jobs))[:len(jobs)]
+		r.keys = resized(r.keys, len(jobs))
 	}
 	i, k := 0, 0
 	for n := range ordered {
@@ -182,23 +194,27 @@ sweep:
 	clear(fresh)
 	r.fresh = fresh
 	if remember {
-		r.prev = ordered
+		r.prev, r.spare = ordered, prev
 	}
 	return ordered
 }
 
-// exclusiveUnits wraps each job in its own unit, preserving order. A
-// unit's Jobs is a one-element window of jobs with its capacity clipped
-// to one: no per-job allocation, and an append to one unit's Jobs
-// reallocates instead of overwriting its neighbour. The units own jobs
-// from here on, and a retained unit keeps the whole array alive (the
-// daemon copies Jobs out when a launch outlives the round).
+// exclusiveUnits wraps each job in its own unit, preserving order, in a
+// fresh slice.
 func exclusiveUnits(jobs []*job.Job) []Unit {
 	units := make([]Unit, len(jobs))
+	fillExclusive(units, jobs)
+	return units
+}
+
+// fillExclusive sets units[i] to job i's own unit. A unit's Jobs is a
+// one-element window of jobs with its capacity clipped to one: no per-job
+// allocation, and an append to one unit's Jobs reallocates instead of
+// overwriting its neighbour. The windows live as long as jobs does.
+func fillExclusive(units []Unit, jobs []*job.Job) {
 	for i, j := range jobs {
 		units[i] = Unit{Jobs: jobs[i : i+1 : i+1], GPUs: j.GPUs, Mode: Exclusive}
 	}
-	return units
 }
 
 // priorityPolicy is a generic exclusive-allocation policy ordered by a
@@ -208,6 +224,8 @@ type priorityPolicy struct {
 	preemptive bool
 	key        func(now time.Duration, j *job.Job) float64
 	order      ranker
+	// units is the buffer Plan builds its result in.
+	units []Unit
 }
 
 func (p *priorityPolicy) Name() string     { return p.name }
@@ -221,7 +239,10 @@ func (p *priorityPolicy) PriorityKey(now time.Duration, j *job.Job) float64 {
 }
 
 func (p *priorityPolicy) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
-	return exclusiveUnits(p.order.rank(jobs, func(j *job.Job) float64 { return p.key(now, j) }))
+	ordered := p.order.rank(jobs, func(j *job.Job) float64 { return p.key(now, j) })
+	p.units = resized(p.units, len(ordered))
+	fillExclusive(p.units, ordered)
+	return p.units
 }
 
 // FIFO schedules jobs exclusively in arrival order without preemption.
@@ -401,6 +422,10 @@ type Muri struct {
 	prevGroups [][]job.ID
 	// order ranks the queue, starting from last round's order.
 	order ranker
+	// ranked and units are the buffers Plan ranks its groups and builds its
+	// result in.
+	ranked []rankedGroup
+	units  []Unit
 }
 
 // EnableIncremental attaches a fresh core.PlanState to the grouping
@@ -579,7 +604,8 @@ func (m *Muri) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
 	// highest-priority work first. ordered is sorted by entryCmp, a total
 	// order, so comparing two groups' most urgent members under entryCmp
 	// is comparing their positions in ordered; each group's is found once.
-	ranked := make([]rankedGroup, len(groups))
+	m.ranked = resized(m.ranked, len(groups))
+	ranked := m.ranked
 	for i, g := range groups {
 		best := muriEntry{j: g.Jobs[0], key: m.PriorityKey(now, g.Jobs[0])}
 		for _, j := range g.Jobs[1:] {
@@ -590,15 +616,6 @@ func (m *Muri) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
 		ranked[i] = rankedGroup{best: best, g: g}
 	}
 	slices.SortStableFunc(ranked, func(a, b rankedGroup) int { return entryCmp(a.best, b.best) })
-	units := make([]Unit, 0, len(groups)+len(ordered)-cut)
-	for _, r := range ranked {
-		g := r.g
-		mode := Interleaved
-		if len(g.Jobs) == 1 {
-			mode = Exclusive
-		}
-		units = append(units, Unit{Jobs: g.Jobs, GPUs: g.GPUs, Mode: mode, Plan: g.Plan})
-	}
 	// Jobs beyond the grouping budget still back-fill exclusively: when a
 	// high-priority multi-GPU unit cannot be placed, the spare capacity
 	// must not idle while the queue has work.
@@ -606,8 +623,17 @@ func (m *Muri) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
 	if m.BackfillLimit > 0 && len(backfill) > m.BackfillLimit {
 		backfill = backfill[:m.BackfillLimit]
 	}
-	units = append(units, exclusiveUnits(backfill)...)
-	return units
+	m.units = resized(m.units, len(groups)+len(backfill))
+	for i, r := range ranked {
+		g := r.g
+		mode := Interleaved
+		if len(g.Jobs) == 1 {
+			mode = Exclusive
+		}
+		m.units[i] = Unit{Jobs: g.Jobs, GPUs: g.GPUs, Mode: mode, Plan: g.Plan}
+	}
+	fillExclusive(m.units[len(groups):], backfill)
+	return m.units
 }
 
 // muriEntry pairs a job with its precomputed priority key so the sort

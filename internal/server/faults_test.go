@@ -341,11 +341,111 @@ func (l *pipeListener) dial(t *testing.T) net.Conn {
 
 // TestHungExecutorDoesNotHoldServerLock: an executor that stops reading
 // — while its heartbeats keep the lease fresh, so only the send path can
-// notice — must cost a scheduling round at most one liveness timeout.
-// Launch frames are written under Server.mu; without a write deadline the
-// round, Status and every other executor's handlers block behind the
-// hung peer for good.
+// notice — must cost whoever sends to it under Server.mu at most one
+// liveness timeout, and must cost the healthy executors nothing. Launch
+// and Kill frames are written under Server.mu; without a write deadline
+// the round, Status and every other executor's handlers block behind the
+// hung peer for good, and without crediting the blocked time back to the
+// leases the healthy executors, whose renewals waited behind the lock,
+// are evicted with it.
 func TestHungExecutorDoesNotHoldServerLock(t *testing.T) {
+	t.Run("launch", func(t *testing.T) {
+		h := startHung(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		healthy := &executor.Agent{MachineID: "b-healthy", GPUs: 8, Logf: t.Logf,
+			HeartbeatEvery: 40 * time.Millisecond}
+		conn := h.ln.dial(t)
+		h.wg.Add(1)
+		go func() { defer h.wg.Done(); _ = healthy.Serve(ctx, conn) }()
+		h.waitExecutors(t, 2)
+
+		// Job 2 best-fits onto the hung machine's four free GPUs: its Launch
+		// is the frame nobody reads.
+		h.submit(t)
+		h.statusAnswers(t)
+		// The failed send closed the connection, the reader dropped the
+		// machine and requeued job 1; both jobs now run on the healthy one.
+		waitFor(t, 3*time.Second, func() bool {
+			st := h.srv.status()
+			return st.Executors == 1 && st.Running == 2 &&
+				st.Faults != nil && st.Faults.Crashes == 1 && st.Faults.Requeues == 1
+		}, "hung executor was not dropped with its job requeued onto the healthy one")
+		h.srv.mu.Lock()
+		defer h.srv.mu.Unlock()
+		for _, g := range h.srv.groups {
+			if g.exec.id != "b-healthy" {
+				t.Errorf("group %d still bound to %s", g.id, g.exec.id)
+			}
+		}
+	})
+
+	// An injected fault kills job 1's group: the Kill is the frame nobody
+	// reads, sent under Server.mu outside any round. The healthy machine
+	// here never heartbeats, so its lease moves only when the daemon
+	// credits it: by the time the send gives up the lease as registered
+	// has lapsed, and one hung executor plus one injected fault would evict
+	// the healthy one too.
+	t.Run("inject-fault", func(t *testing.T) {
+		h := startHung(t)
+		conn := h.ln.dial(t)
+		defer conn.Close()
+		healthy := newTestCodec(conn)
+		if err := healthy.register("b-healthy", 8); err != nil {
+			t.Fatal(err)
+		}
+		h.wg.Add(1)
+		go func() { // reads whatever the daemon sends, answers nothing
+			defer h.wg.Done()
+			for {
+				if _, err := healthy.c.Read(); err != nil {
+					return
+				}
+			}
+		}()
+		h.waitExecutors(t, 2)
+		lease := func() time.Time {
+			h.srv.mu.Lock()
+			defer h.srv.mu.Unlock()
+			return h.srv.executors["b-healthy"].leaseExpiry
+		}
+		registered := lease()
+
+		injected := make(chan error, 1)
+		start := time.Now()
+		go func() { injected <- h.srv.injectFault(&proto.InjectFault{JobID: 1}) }()
+		h.statusAnswers(t)
+		if err := <-injected; err != nil {
+			t.Fatal(err)
+		}
+		held := time.Since(start)
+		if held < h.srv.cfg.LivenessTimeout/2 {
+			t.Fatalf("injectFault returned after %v: the Kill never blocked on the hung executor", held)
+		}
+		// Rounds run in between and credit what they held; none of that can
+		// reach half a liveness timeout.
+		if credited := lease().Sub(registered); credited < held-h.srv.cfg.LivenessTimeout/2 {
+			t.Fatalf("injectFault held the lock %v and credited the healthy executor's lease %v", held, credited)
+		}
+		h.srv.mu.Lock()
+		defer h.srv.mu.Unlock()
+		if h.srv.leaseEvictions != 0 || h.srv.executors["b-healthy"] == nil {
+			t.Fatalf("%d lease evictions, healthy executor registered: %v", h.srv.leaseEvictions, h.srv.executors["b-healthy"] != nil)
+		}
+	})
+}
+
+// hungHarness is a daemon on an in-memory listener with one executor,
+// "a-hung", that registered, took job 1's Launch and reads nothing more,
+// while its heartbeats keep its lease fresh.
+type hungHarness struct {
+	srv *Server
+	ln  *pipeListener
+	wg  *sync.WaitGroup
+}
+
+func startHung(t *testing.T) *hungHarness {
+	t.Helper()
 	cfg := fastFaultConfig()
 	cfg.Interval = 20 * time.Millisecond
 	cfg.LivenessTimeout = 200 * time.Millisecond
@@ -353,37 +453,28 @@ func TestHungExecutorDoesNotHoldServerLock(t *testing.T) {
 	cfg.ReportEvery = 20 * time.Millisecond
 	cfg.Policy = sched.FIFO()
 	cfg.Logf = t.Logf
-	srv := New(cfg)
-	ln := newPipeListener()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); _ = srv.Serve(ln) }()
-	t.Cleanup(func() { srv.Close(); wg.Wait() })
+	h := &hungHarness{srv: New(cfg), ln: newPipeListener(), wg: &sync.WaitGroup{}}
+	h.wg.Add(1)
+	go func() { defer h.wg.Done(); _ = h.srv.Serve(h.ln) }()
+	t.Cleanup(func() { h.srv.Close(); h.wg.Wait() })
 
-	// The hung machine registers, takes job 1's Launch, then never reads
-	// again. Closing its end (deferred, so before srv.Close) releases a
-	// daemon still blocked on it.
-	hung := ln.dial(t)
-	defer hung.Close()
+	// Closing the hung machine's end (a Cleanup registered after the
+	// daemon's, so run before it) releases a daemon still blocked on it.
+	hung := h.ln.dial(t)
+	t.Cleanup(func() { hung.Close() })
 	codec := newTestCodec(hung)
 	if err := codec.register("a-hung", 8); err != nil {
 		t.Fatal(err)
 	}
-	submit := func() {
-		t.Helper()
-		if _, err := srv.submit(proto.JobSpec{Model: "gpt2", GPUs: 4, Iterations: 1_000_000,
-			Stages: parityStages}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	submit()
+	h.submit(t)
 	if m, err := codec.c.Read(); err != nil || m.Type != proto.TypeLaunch {
 		t.Fatalf("hung executor's first frame = %+v, %v; want job 1's launch", m, err)
 	}
 	stopBeat := make(chan struct{})
-	wg.Add(1)
+	t.Cleanup(func() { close(stopBeat) })
+	h.wg.Add(1)
 	go func() {
-		defer wg.Done()
+		defer h.wg.Done()
 		for {
 			select {
 			case <-stopBeat:
@@ -395,47 +486,39 @@ func TestHungExecutorDoesNotHoldServerLock(t *testing.T) {
 			}
 		}
 	}()
-	defer close(stopBeat)
+	return h
+}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	healthy := &executor.Agent{MachineID: "b-healthy", GPUs: 8, Logf: t.Logf,
-		HeartbeatEvery: 40 * time.Millisecond}
-	conn := ln.dial(t)
-	wg.Add(1)
-	go func() { defer wg.Done(); _ = healthy.Serve(ctx, conn) }()
+func (h *hungHarness) submit(t *testing.T) {
+	t.Helper()
+	if _, err := h.srv.submit(proto.JobSpec{Model: "gpt2", GPUs: 4, Iterations: 1_000_000,
+		Stages: parityStages}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func (h *hungHarness) waitExecutors(t *testing.T, n int) {
+	t.Helper()
 	waitFor(t, 2*time.Second, func() bool {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return len(srv.executors) == 2
+		h.srv.mu.Lock()
+		defer h.srv.mu.Unlock()
+		return len(h.srv.executors) == n
 	}, "healthy executor never registered")
+}
 
-	// Job 2 best-fits onto the hung machine's four free GPUs: its Launch
-	// is the frame nobody reads.
-	submit()
+// statusAnswers requires a Status reply within a second of a send to the
+// hung executor having started.
+func (h *hungHarness) statusAnswers(t *testing.T) {
+	t.Helper()
 	answered := make(chan proto.StatusAck, 1)
 	go func() {
-		time.Sleep(50 * time.Millisecond) // let the round reach the blocked send
-		answered <- srv.status()
+		time.Sleep(50 * time.Millisecond) // let the send reach the hung peer
+		answered <- h.srv.status()
 	}()
 	select {
 	case <-answered:
 	case <-time.After(time.Second):
-		t.Fatal("Status did not answer within 1s: a round is blocked on the hung executor")
-	}
-	// The failed send closed the connection, the reader dropped the
-	// machine and requeued job 1; both jobs now run on the healthy one.
-	waitFor(t, 3*time.Second, func() bool {
-		st := srv.status()
-		return st.Executors == 1 && st.Running == 2 &&
-			st.Faults != nil && st.Faults.Crashes == 1 && st.Faults.Requeues == 1
-	}, "hung executor was not dropped with its job requeued onto the healthy one")
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	for _, g := range srv.groups {
-		if g.exec.id != "b-healthy" {
-			t.Errorf("group %d still bound to %s", g.id, g.exec.id)
-		}
+		t.Fatal("Status did not answer within 1s: the daemon is blocked on the hung executor")
 	}
 }
 

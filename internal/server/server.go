@@ -1243,6 +1243,17 @@ func (s *Server) kickSchedule() {
 	}
 }
 
+// creditLeasesLocked pushes every lease out by held, the time the caller
+// kept s.mu across executor sends. Leases do not run meanwhile: the
+// readers that renew them wait behind the lock, so a caller that stalled
+// on one hung executor (a send blocks for up to LivenessTimeout) would
+// otherwise leave every healthy executor's lease expired as well.
+func (s *Server) creditLeasesLocked(held time.Duration) {
+	for _, e := range s.execOrder {
+		e.leaseExpiry = e.leaseExpiry.Add(held)
+	}
+}
+
 // scheduleLocked runs one scheduling round. Callers hold s.mu.
 func (s *Server) scheduleLocked() {
 	// A standby or fenced daemon plans nothing: its engine state is
@@ -1254,13 +1265,7 @@ func (s *Server) scheduleLocked() {
 	defer func() {
 		held := time.Since(wallNow)
 		s.roundHist.Observe(held.Seconds())
-		// Leases do not run while a round holds s.mu: the readers that
-		// renew them wait behind it, so a round that stalled on one hung
-		// executor (a send blocks for up to LivenessTimeout) would otherwise
-		// find every healthy executor's lease expired as well.
-		for _, e := range s.execOrder {
-			e.leaseExpiry = e.leaseExpiry.Add(held)
-		}
+		s.creditLeasesLocked(held)
 	}()
 	// Batched admission first: every submission accepted since the last
 	// round joins the candidate set in one engine round.
@@ -1451,10 +1456,8 @@ func (s *Server) launchLocked(exec *executorConn, u sched.Unit, key string) (int
 		return 0, false
 	}
 	exec.free -= u.GPUs
-	// The group outlives the round, and an exclusive unit's Jobs is a
-	// window of the round's whole ordered queue: copy it out so a
-	// long-running group does not pin that array.
-	u.Jobs = slices.Clone(u.Jobs)
+	// The group outlives the round; u.Jobs is the unit's own copy already
+	// (the engine makes it before Place).
 	now := time.Now()
 	s.addGroupLocked(&groupState{id: gid, key: key, exec: exec, gpus: u.GPUs, jobs: ids, spec: u, since: now})
 	for _, id := range ids {
@@ -1519,6 +1522,9 @@ func (s *Server) injectFault(req *proto.InjectFault) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// The Kill below is sent under s.mu, like a round's.
+	locked := time.Now()
+	defer func() { s.creditLeasesLocked(time.Since(locked)) }()
 	js := s.jobs[req.JobID]
 	if js == nil {
 		return fmt.Errorf("server: unknown job %d", req.JobID)

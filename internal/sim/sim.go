@@ -241,25 +241,22 @@ func (u *unit) earliest(now time.Duration) (time.Duration, bool) {
 	return u.estAt, u.estAt >= 0
 }
 
-// memberIterTimes computes each member's effective iteration time under
-// the unit's sharing mode.
-func memberIterTimes(u sched.Unit, cfg interleave.Config) []time.Duration {
+// memberIterTimes writes each member's effective iteration time under
+// the unit's sharing mode into out, which has one entry per member.
+func memberIterTimes(out []time.Duration, u sched.Unit, cfg interleave.Config) {
 	switch u.Mode {
 	case sched.Exclusive:
-		return []time.Duration{u.Jobs[0].SerialIterTime()}
+		out[0] = u.Jobs[0].SerialIterTime()
 	case sched.Interleaved:
 		times := make([]workload.StageTimes, len(u.Jobs))
 		for i, j := range u.Jobs {
 			times[i] = j.TrueProfile
 		}
 		T := interleave.IterationTime(cfg.Inflate(times))
-		out := make([]time.Duration, len(u.Jobs))
 		for i := range out {
 			out[i] = T
 		}
-		return out
 	case sched.SpaceShared:
-		out := make([]time.Duration, len(u.Jobs))
 		for i, j := range u.Jobs {
 			others := make([]workload.StageTimes, 0, len(u.Jobs)-1)
 			for k, o := range u.Jobs {
@@ -270,7 +267,6 @@ func memberIterTimes(u sched.Unit, cfg interleave.Config) []time.Duration {
 			slow := sched.SpaceSharedSlowdown(j.TrueProfile, others)
 			out[i] = time.Duration(float64(j.SerialIterTime()) * slow)
 		}
-		return out
 	default:
 		panic("sim: unknown unit mode")
 	}
@@ -605,7 +601,7 @@ func (s *sim) crashMachine(e faults.MachineEvent) {
 	s.traceFault("crash "+machineLabel(e.Machine), e.Time, map[string]any{"machine": e.Machine})
 	var still []*unit
 	for _, u := range s.running {
-		if u.alloc.Slots[e.Machine] == 0 {
+		if u.alloc.On(e.Machine) == 0 {
 			still = append(still, u)
 			continue
 		}
@@ -840,22 +836,33 @@ func (s *sim) schedule() {
 		Current:    current,
 		Placer:     simPlacer{s.cluster},
 	})
-	var placed []*unit
 	if s.policy.Preemptive() {
 		// ReplaceAll re-placed everything; the engine's placements are
 		// the entire new running set.
 		s.running = nil
-	} else {
-		placed = append(placed, s.running...) // keep current units
 	}
+	placed := make([]*unit, 0, len(s.running)+len(out.Placements))
+	placed = append(placed, s.running...) // keep current units
+	// The round's units and their per-member slices are carved from one
+	// slab each: a preemptive round re-creates the whole running set.
+	members := 0
 	for _, p := range out.Placements {
-		u := &unit{
+		members += len(p.Spec.Jobs)
+	}
+	units := make([]unit, len(out.Placements))
+	iterTimes, carries := make([]time.Duration, members), make([]float64, members)
+	for k, p := range out.Placements {
+		n := len(p.Spec.Jobs)
+		u := &units[k]
+		*u = unit{
 			spec:     p.Spec,
 			alloc:    p.Handle.(cluster.Alloc),
 			readyAt:  s.now,
-			iterTime: memberIterTimes(p.Spec, s.cfg.Interleave),
-			carry:    make([]float64, len(p.Spec.Jobs)),
+			iterTime: iterTimes[:n:n],
+			carry:    carries[:n:n],
 		}
+		iterTimes, carries = iterTimes[n:], carries[n:]
+		memberIterTimes(u.iterTime, p.Spec, s.cfg.Interleave)
 		if s.plan != nil {
 			// A unit runs at the pace of its slowest machine: distributed
 			// workers synchronize every iteration, so one straggler drags
@@ -1141,7 +1148,8 @@ func (s *sim) retime(u *unit) {
 		mode = sched.Exclusive
 	}
 	shrunk := sched.Unit{Jobs: live, GPUs: u.spec.GPUs, Mode: mode}
-	times := memberIterTimes(shrunk, s.cfg.Interleave)
+	times := make([]time.Duration, len(live))
+	memberIterTimes(times, shrunk, s.cfg.Interleave)
 	k := 0
 	for i, j := range u.spec.Jobs {
 		if j.State != job.Done {

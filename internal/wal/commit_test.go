@@ -312,3 +312,232 @@ func TestGroupCommitNoGoroutineLeak(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// swapFsyncDir replaces the directory's disk for one test, under the same
+// rules as swapFsync.
+func swapFsyncDir(t *testing.T, fn func(*os.File) error) {
+	t.Helper()
+	orig := fsyncDir
+	fsyncDir = fn
+	t.Cleanup(func() { fsyncDir = orig })
+}
+
+// TestDirSyncErrorSticky: a failed directory fsync is a failed fsync. It
+// surfaces from the call that needed it — the first commit of a fresh
+// segment, a snapshot publish — nothing it covered is retired, and every
+// later call reports it. A filesystem that refuses directory fsync
+// (os.ErrInvalid) is not a failure.
+func TestDirSyncErrorSticky(t *testing.T) {
+	dirGone := errors.New("directory gone")
+	stuck := func(t *testing.T, w *Writer, failed error, durable uint64) {
+		t.Helper()
+		if !errors.Is(failed, dirGone) {
+			t.Fatalf("got %v, want the directory fsync's error", failed)
+		}
+		if lsn, err := w.Append(testRecord(9)); err != failed || lsn != 0 {
+			t.Fatalf("append after failure: lsn %d err %v, want sticky %v", lsn, err, failed)
+		}
+		if err := w.Sync(); err != failed {
+			t.Fatalf("Sync after failure: %v, want sticky %v", err, failed)
+		}
+		if st := w.Stats(); st.DurableLSN != durable {
+			t.Fatalf("durable frontier %d after a failed directory fsync, want %d", st.DurableLSN, durable)
+		}
+		if err := w.Close(); err != failed {
+			t.Fatalf("Close after failure: %v, want sticky %v", err, failed)
+		}
+	}
+	t.Run("first commit of a segment", func(t *testing.T) {
+		swapFsyncDir(t, func(*os.File) error { return dirGone })
+		w, err := Open(t.TempDir(), Options{SyncEvery: 1})
+		if err != nil {
+			t.Fatal(err) // Open creates the segment and owes the fsync to its first commit
+		}
+		_, failed := w.Append(testRecord(1))
+		stuck(t, w, failed, 0)
+	})
+	t.Run("background commit", func(t *testing.T) {
+		swapFsyncDir(t, func(*os.File) error { return dirGone })
+		w, err := Open(t.TempDir(), Options{SyncEvery: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var failed error
+		for i := 1; i <= 5 && failed == nil; i++ {
+			_, failed = w.Append(testRecord(i))
+		}
+		stuck(t, w, failed, 0)
+	})
+	t.Run("snapshot publish", func(t *testing.T) {
+		w, err := Open(t.TempDir(), Options{SyncEvery: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustAppend(t, w, 1)
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		swapFsyncDir(t, func(*os.File) error { return dirGone }) // committer parked: 0 unsynced
+		stuck(t, w, w.WriteSnapshot(&Snapshot{LSN: 1}), 1)
+	})
+	t.Run("refused is tolerated", func(t *testing.T) {
+		swapFsyncDir(t, func(*os.File) error { return &os.PathError{Op: "sync", Path: "dir", Err: os.ErrInvalid} })
+		w, err := Open(t.TempDir(), Options{SyncEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustAppend(t, w, 1)
+		if err := w.WriteSnapshot(&Snapshot{LSN: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if st := w.Stats(); st.DurableLSN != 1 {
+			t.Fatalf("durable frontier %d, want 1", st.DurableLSN)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestDurableWaitsForDirSync: a segment's records are durable only once
+// the directory names the segment durably. While that fsync is pending —
+// the data fsync already done — the frontier stands still and appends
+// below the bound keep returning; it moves when the directory fsync
+// completes, and the segment pays it once.
+func TestDurableWaitsForDirSync(t *testing.T) {
+	dirSync, started, release := gatedFsync()
+	swapFsyncDir(t, dirSync)
+	var dataSyncs int
+	swapFsync(t, func(f *os.File) error { dataSyncs++; return f.Sync() })
+	w, err := Open(t.TempDir(), Options{SyncEvery: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for i := 1; i <= 4; i++ { // the 4th kicks the committer
+		mustAppend(t, w, i)
+	}
+	<-started // the data fsync is done, the directory's is not
+	mustAppend(t, w, 5)
+	if st := w.Stats(); st.DurableLSN != 0 || st.Fsyncs != 0 {
+		t.Fatalf("frontier moved with the directory fsync pending: %+v", st)
+	}
+	close(release)
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.Stats(); st.DurableLSN != 5 {
+		t.Fatalf("durable frontier %d after Sync, want 5", st.DurableLSN)
+	}
+	// The segment is named now: later commits fsync data only.
+	swapFsyncDir(t, func(*os.File) error { t.Error("directory fsynced again for the same segment"); return nil })
+	mustAppend(t, w, 6)
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if dataSyncs < 2 {
+		t.Fatalf("%d data fsyncs, want one per commit", dataSyncs)
+	}
+}
+
+// TestDirSyncProperty extends the loss-bound property to the directory:
+// under concurrent appenders and constant rotation, whenever the frontier
+// moves the active segment's directory entry is durable, no record of a
+// segment whose entry is still pending is ever counted, and the loss
+// bound holds throughout.
+func TestDirSyncProperty(t *testing.T) {
+	swapFsync(t, slowFsync(time.Millisecond))
+	swapFsyncDir(t, slowFsync(time.Millisecond))
+	for _, every := range []int{1, 3, 8} {
+		var w *Writer
+		w, err := Open(t.TempDir(), Options{
+			SegmentBytes: 512,
+			SyncEvery:    every,
+			OnSync: func(time.Duration, int) { // under w.mu
+				if w.dirDirty {
+					t.Errorf("SyncEvery %d: frontier moved to %d with segment %d's directory entry pending", every, w.durable, w.segFirst)
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const appenders, each = 4, 40
+		var wg sync.WaitGroup
+		for a := 0; a < appenders; a++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					lsn, err := w.Append(testRecord(i))
+					if err != nil {
+						t.Errorf("SyncEvery %d: append: %v", every, err)
+						return
+					}
+					w.mu.Lock()
+					if w.dirDirty && w.durable >= w.segFirst {
+						t.Errorf("SyncEvery %d: record %d of segment %d durable before the segment's directory entry", every, w.durable, w.segFirst)
+					}
+					if int64(lsn)-int64(w.durable) >= int64(every) {
+						t.Errorf("SyncEvery %d: append %d returned with durable frontier at %d", every, lsn, w.durable)
+					}
+					w.mu.Unlock()
+				}
+			}()
+		}
+		wg.Wait()
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st := w.Stats(); st.DurableLSN != appenders*each || st.Segment == 1 {
+			t.Errorf("SyncEvery %d: after close durable=%d active segment=%d, want every record durable across rotations", every, st.DurableLSN, st.Segment)
+		}
+	}
+}
+
+// TestCrashBetweenCreateAndFirstCommit: a segment that was created but
+// never committed may or may not survive a crash — its directory entry
+// was not yet owed to the disk. Either way recovery ends at the previous
+// segment's tail and the next writer carries on from there.
+func TestCrashBetweenCreateAndFirstCommit(t *testing.T) {
+	for _, entryLost := range []bool{false, true} {
+		dir := t.TempDir()
+		w, err := Open(dir, Options{SegmentBytes: 256, SyncEvery: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for w.Stats().Segment == 1 { // until the first rotation
+			n++
+			mustAppend(t, w, n)
+		}
+		st := w.Stats()
+		if st.Offset != 0 || st.DurableLSN != uint64(n) || st.Segment != uint64(n+1) {
+			t.Fatalf("after rotation: %+v, want an empty segment %d and %d durable records", st, n+1, n)
+		}
+		w.Abandon()
+		fresh := filepath.Join(dir, segName(st.Segment))
+		if _, err := os.Stat(fresh); err != nil {
+			t.Fatalf("the rotated-to segment is missing: %v", err)
+		}
+		if entryLost {
+			if err := os.Remove(fresh); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := mustRecoverPrefix(t, dir, n); got != n {
+			t.Fatalf("entry lost %v: recovered %d records, want %d", entryLost, got, n)
+		}
+		w, err = Open(dir, Options{SyncEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lsn := mustAppend(t, w, n+1); lsn != uint64(n+1) {
+			t.Fatalf("entry lost %v: first append after recovery got LSN %d, want %d", entryLost, lsn, n+1)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		mustRecoverPrefix(t, dir, n+1)
+	}
+}

@@ -55,6 +55,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // so in-package tests can swap in a slow or failing disk.
 var fsyncFile = (*os.File).Sync
 
+// fsyncDir is the same seam for the state directory, whose fsync makes a
+// created or renamed entry durable.
+var fsyncDir = (*os.File).Sync
+
 var errClosed = errors.New("wal: writer closed")
 
 // Corruption reports where a WAL scan stopped: the segment's first LSN,
@@ -145,6 +149,11 @@ type Writer struct {
 	nextLSN  uint64
 	durable  uint64 // last LSN covered by a completed fsync
 	closed   bool
+	// dirDirty is set while the active segment's directory entry may not be
+	// durable: from its creation until the directory fsync that follows the
+	// segment's first data fsync. No record in the segment counts as durable
+	// before then.
+	dirDirty bool
 
 	// inflight is set while the committer fsyncs f with mu released.
 	// Anything that closes or replaces f waits for it to clear.
@@ -214,7 +223,9 @@ func snapName(lsn uint64) string {
 
 // openSegmentLocked starts a new segment whose first record will be
 // nextLSN. Caller holds w.mu (or is constructing w) with no fsync in
-// flight.
+// flight. The directory is not fsynced here but with the segment's first
+// commit: an entry that names no durable record has nothing to lose, and
+// this runs inside Open and, at every rotation, under the caller's lock.
 func (w *Writer) openSegmentLocked() error {
 	if w.bw != nil {
 		if err := w.commitLocked(false); err != nil {
@@ -231,7 +242,8 @@ func (w *Writer) openSegmentLocked() error {
 	w.bw = bufio.NewWriterSize(f, 1<<16)
 	w.segFirst = w.nextLSN
 	w.segOff = 0
-	return syncDir(w.dir)
+	w.dirDirty = true
+	return nil
 }
 
 // frame encodes payload into buf as [len][crc][payload], reusing buf.
@@ -377,11 +389,13 @@ func (w *Writer) Sync() error {
 	return w.commitLocked(false)
 }
 
-// commitLocked writes the buffer through and fsyncs the active segment,
+// commitLocked writes the buffer through and fsyncs the active segment —
+// and, on the segment's first commit, the directory that names it —
 // making every record appended so far durable. With release set (the
-// committer only) w.mu is dropped around the fsync and inflight marks
-// w.f as in use; otherwise the caller keeps the lock throughout and must
-// have quiesced first.
+// committer only) w.mu is dropped around the fsyncs and inflight marks
+// w.f as in use, which also keeps the segment from rotating meanwhile;
+// otherwise the caller keeps the lock throughout and must have quiesced
+// first.
 func (w *Writer) commitLocked(release bool) error {
 	if w.err != nil {
 		return w.err
@@ -394,7 +408,7 @@ func (w *Writer) commitLocked(release bool) error {
 	if upto == w.durable {
 		return nil
 	}
-	f := w.f
+	f, dirDirty := w.f, w.dirDirty
 	if release {
 		w.inflight = true
 		w.mu.Unlock()
@@ -404,6 +418,9 @@ func (w *Writer) commitLocked(release bool) error {
 	crashpoint.Hit(crashpoint.MidFsync)
 	start := time.Now()
 	err := fsyncFile(f)
+	if err == nil && dirDirty {
+		err = syncDir(w.dir)
+	}
 	d := time.Since(start)
 	if release {
 		w.mu.Lock()
@@ -414,6 +431,7 @@ func (w *Writer) commitLocked(release bool) error {
 		w.err = err
 		return err
 	}
+	w.dirDirty = false
 	n := int(upto - w.durable)
 	w.durable = upto
 	w.fsyncs++
@@ -484,7 +502,7 @@ func (w *Writer) WriteSnapshot(s *Snapshot) error {
 	if err := os.Rename(tmp, filepath.Join(w.dir, snapName(s.LSN))); err != nil {
 		return err
 	}
-	if err := syncDir(w.dir); err != nil {
+	if err := w.syncDirLocked(); err != nil {
 		return err
 	}
 	w.snapLSN = s.LSN
@@ -545,7 +563,7 @@ func (w *Writer) InstallSnapshot(fr []byte) (*Snapshot, error) {
 	if err := os.WriteFile(filepath.Join(w.dir, snapName(s.LSN)), fr, 0o644); err != nil {
 		return nil, err
 	}
-	if err := syncDir(w.dir); err != nil {
+	if err := w.syncDirLocked(); err != nil {
 		return nil, err
 	}
 	w.snapLSN = s.LSN
@@ -813,16 +831,29 @@ func parseName(name, prefix, suffix string) (uint64, bool) {
 	return lsn, err == nil
 }
 
+// syncDirLocked fsyncs the state directory with w.mu held and no fsync in
+// flight. A failure is sticky, like a segment fsync's: what the directory
+// holds after it is unknown.
+func (w *Writer) syncDirLocked() error {
+	if err := syncDir(w.dir); err != nil {
+		w.err = err
+		return err
+	}
+	w.dirDirty = false
+	return nil
+}
+
 // syncDir fsyncs a directory so renames and creates within it are
-// durable. Best-effort on platforms where directories reject fsync.
+// durable. Filesystems that refuse directory fsync (os.ErrInvalid) are
+// tolerated; any other failure is the caller's.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, os.ErrInvalid) {
-		return nil // tolerate filesystems that refuse directory fsync
+	if err := fsyncDir(d); err != nil && !errors.Is(err, os.ErrInvalid) {
+		return err // an *os.PathError: names the operation and the directory
 	}
 	return nil
 }
