@@ -13,14 +13,18 @@ check: fmt lint-sort build vet test-race smoke-recover
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# Three things that may not come (back) outside tests. The scheduling
+# Four things that may not come (back) outside tests. The scheduling
 # path — the daemon's round included — sorts with the generic slices
 # package, not the reflection sorts (sort.Slice, sort.SliceStable), and
 # the engine keeps a round's per-job sets as stamps on the jobs
 # (job.Sched), not as ID-keyed maps: both were the hottest frames of a
 # non-grouping round. And nothing under internal/ tunes the collector
 # (debug.SetGCPercent, debug.SetMemoryLimit, a heap ballast): a round's
-# garbage is kept small by not making it.
+# garbage is kept small by not making it. And the daemon changes the
+# engine's recoverable state (Track, SetPhase, MarkDone, ApplyDecision,
+# ReplayFault) only from internal/server/apply.go, where each WAL record
+# kind has the one function live handlers and replay share: a call from
+# anywhere else is the start of a second interpreter.
 lint-sort:
 	@out=$$(grep -rn 'sort\.Slice\(Stable\)\?(' --include='*.go' internal/sched internal/engine internal/sim internal/core internal/server | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then echo "reflection sort on the scheduling path:"; echo "$$out"; exit 1; fi
@@ -28,6 +32,8 @@ lint-sort:
 	if [ -n "$$out" ]; then echo "ID-keyed round set in the engine (mark job.Sched instead):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rniE 'debug\.Set(GCPercent|MemoryLimit)|ballast' --include='*.go' internal | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then echo "GC tuning under internal/ (make less garbage instead):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -nE 'eng\.(Track|SetPhase|MarkDone|ApplyDecision|ReplayFault)\(' internal/server/*.go | grep -v '_test\.go:' | grep -v '^internal/server/apply\.go:'); \
+	if [ -n "$$out" ]; then echo "engine state changed outside internal/server/apply.go (commit a record instead):"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

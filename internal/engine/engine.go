@@ -484,6 +484,31 @@ func (e *Engine) RequeueWithCause(id job.ID, reason Reason, cause string) Decisi
 	return e.emit(d)
 }
 
+// Preempt records a unit the driver killed outside a round (the daemon's
+// injected job fault takes the victim's whole group down) as a kill
+// decision for its key, with the state change replaying that decision
+// makes (ApplyDecision).
+func (e *Engine) Preempt(key string, ids []job.ID, cause string) Decision {
+	e.preempt(ids)
+	d := Decision{Action: ActKill, Key: key, Jobs: ids}
+	if e.cfg.Provenance != nil {
+		d.Cause = cause
+	}
+	return e.emit(d)
+}
+
+// preempt counts one killed unit: its members leave the placement memory
+// and tracked running ones return to pending.
+func (e *Engine) preempt(ids []job.ID) {
+	e.stats.Preemptions++
+	for _, id := range ids {
+		delete(e.prevKeys, id)
+		if r := e.records[id]; r != nil && r.Phase == PhaseRunning {
+			r.Phase = PhasePending
+		}
+	}
+}
+
 // RecordFault records a job-level fault: retry budget is spent and the
 // job is either requeued (with the returned backoff) or dead-lettered.
 // The job's progress is untouched — the next launch resumes from its

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"slices"
 	"time"
 
 	"muri/internal/job"
@@ -135,13 +134,7 @@ func (e *Engine) ApplyDecision(d Decision) {
 			e.markRunning(id)
 		}
 	case ActKill:
-		e.stats.Preemptions++
-		for _, id := range d.Jobs {
-			delete(e.prevKeys, id)
-			if r := e.records[id]; r != nil && r.Phase == PhaseRunning {
-				r.Phase = PhasePending
-			}
-		}
+		e.preempt(d.Jobs)
 	case ActRequeue:
 		e.stats.Requeues++
 		for _, id := range d.Jobs {
@@ -167,9 +160,10 @@ func (e *Engine) ApplyDecision(d Decision) {
 
 // ReplayFault replays one WAL fault record's budget spend: the fault
 // count is set absolutely (idempotent under re-replay of the same
-// record) without emitting the requeue/deadletter decision — that
-// decision is its own WAL record and flows through ApplyDecision.
-func (e *Engine) ReplayFault(id job.ID, faults int, deadlettered bool) {
+// record, and a no-op live, where RecordFault already spent it) without
+// emitting the requeue/deadletter decision — that decision, phase
+// included, is its own WAL record and flows through ApplyDecision.
+func (e *Engine) ReplayFault(id job.ID, faults int) {
 	r := e.records[id]
 	if r == nil {
 		r = &Record{}
@@ -178,12 +172,12 @@ func (e *Engine) ReplayFault(id job.ID, faults int, deadlettered bool) {
 	if faults > r.Faults {
 		r.Faults = faults
 	}
-	_ = deadlettered // phase flows through the deadletter decision record
 }
 
 // MarkDone completes a job's lifecycle (running/pending/deadletter →
 // done) and clears its placement memory, reporting whether the
-// transition applied. Shared by the live completion path and replay.
+// transition applied. The daemon's one completion path — live and
+// replayed alike — ends here.
 func (e *Engine) MarkDone(id job.ID) bool {
 	if !e.SetPhase(id, PhaseDone) {
 		return false
@@ -200,28 +194,6 @@ func (e *Engine) RunningKeys() map[job.ID]string {
 	out := make(map[job.ID]string, len(e.prevKeys))
 	for id, k := range e.prevKeys {
 		out[id] = k
-	}
-	return out
-}
-
-// PhasesInOrder lists tracked jobs in ascending ID order with their
-// phases — deterministic iteration for recovery and tests.
-func (e *Engine) PhasesInOrder() []struct {
-	ID    job.ID
-	Phase Phase
-} {
-	ids := make([]job.ID, 0, len(e.records))
-	for id := range e.records {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	out := make([]struct {
-		ID    job.ID
-		Phase Phase
-	}, len(ids))
-	for i, id := range ids {
-		out[i].ID = id
-		out[i].Phase = e.records[id].Phase
 	}
 	return out
 }

@@ -7,8 +7,8 @@
 // number, not a guess.
 //
 // The builder is deliberately driven by wal.Record values only. The
-// live daemon feeds it the records it appends (before the no-WAL
-// early-out, so explanations work even without a state dir); recovery
+// live daemon feeds it the records it commits (a daemon without a state
+// dir commits them too, so its explanations work all the same); recovery
 // feeds it the replayed tail on top of the snapshot-restored state; and
 // the offline muritrace tool feeds it the recovered log from disk. All
 // three paths run the identical fold, which is what makes the live

@@ -1,0 +1,232 @@
+// The apply path: the record is the mutation. Every change to recoverable
+// state is one WAL record, and each record kind has exactly one function
+// here that performs it. A live handler validates its event, builds the
+// record and hands it to commitLocked; restart recovery and standby
+// promotion run the same applyLocked over the log (restoreLocked). What a
+// handler does besides — RPC sends, histograms, logs, kicks, executor and
+// group bookkeeping — is soft state replay must not repeat. `make
+// lint-sort` keeps the engine's state-changing entry points out of every
+// other file of this package, so a second interpreter cannot grow back.
+package server
+
+import (
+	"time"
+
+	"muri/internal/engine"
+	"muri/internal/job"
+	"muri/internal/proto"
+	"muri/internal/wal"
+	"muri/internal/workload"
+)
+
+// commitLocked performs one live mutation: stamp the record with the
+// virtual and wall clocks, append it to the WAL, apply it. All appends
+// happen under s.mu — that single-writer discipline is what lets the
+// replication handshake (snapshot + tap attach) promise a gap-free
+// stream. A closed daemon commits nothing: the log no longer accepts the
+// record, so the state it would describe must not change either. Callers
+// hold s.mu.
+func (s *Server) commitLocked(rec *wal.Record) {
+	if s.closed {
+		return
+	}
+	rec.V = int64(s.virtualNowLocked())
+	rec.W = time.Now().UnixNano()
+	if s.w != nil {
+		if _, err := s.w.Append(rec); err != nil {
+			// A failed disk makes the writer's error sticky: every append from
+			// then on returns it. Log when it appears or changes; count the rest.
+			s.walFailed++
+			if msg := err.Error(); msg != s.walErr {
+				s.walErr = msg
+				s.log.Error("wal append failed", "kind", string(rec.Kind), "err", err, "failed_appends", s.walFailed)
+			}
+		}
+	}
+	s.applyLocked(rec)
+}
+
+// applyLocked changes recoverable state by one record, silently: no
+// observer callbacks, no WAL writes, no histograms. The explain builder is
+// such state too — it folds every record in log order, which pins live,
+// recovered and offline (muritrace) explanations byte-identical — and is
+// all a cause record touches. Callers hold s.mu.
+func (s *Server) applyLocked(r *wal.Record) {
+	s.expl.Apply(r)
+	switch k := r.Kind; {
+	case k == wal.KindAdmit && r.Admit != nil:
+		s.applyAdmitLocked(r.Admit)
+	case k == wal.KindDecision && r.Decision != nil:
+		s.applyDecisionLocked(r.Decision)
+	case k == wal.KindFault && r.Fault != nil:
+		s.applyFaultLocked(r.Fault, r.W)
+	case k == wal.KindDone && r.Done != nil:
+		s.applyDoneLocked(r.Done)
+	case k == wal.KindProfile && r.Profile != nil:
+		s.applyProfileLocked(r.Profile)
+	case k == wal.KindProgress && r.Progress != nil:
+		if js := s.jobs[r.Progress.Job]; js != nil {
+			js.job.DoneIterations = max(js.job.DoneIterations, r.Progress.Done)
+		}
+	case k == wal.KindGroup && r.Group != nil:
+		s.nextGroup = max(s.nextGroup, r.Group.ID)
+		for _, m := range r.Group.Members {
+			if js := s.jobs[m.Job]; js != nil {
+				js.job.StartedAt = time.Duration(m.StartedV)
+			}
+		}
+	case k == wal.KindTerm && r.Term != nil:
+		if r.Term.Term > s.term.Load() {
+			s.term.Store(r.Term.Term)
+		}
+	}
+}
+
+// newJobLocked materializes one job from its logged spec (stages resolved
+// when the admit record was built) and virtual submit instant — for an
+// admission and for a snapshot load alike. Callers hold s.mu.
+func (s *Server) newJobLocked(spec proto.JobSpec, submitV, atWall int64) *jobState {
+	m, err := workload.ByName(spec.Model)
+	if err != nil {
+		// Validated at submit; unreachable unless the zoo changed since.
+		s.log.Error("job has unknown model", "job", spec.ID, "model", spec.Model)
+		return nil
+	}
+	m.Stages = workload.StageTimes(spec.Stages)
+	at := time.Unix(0, atWall)
+	js := &jobState{spec: spec, submittedAt: at, lastSeen: at,
+		job: job.New(job.ID(spec.ID), m, spec.GPUs, spec.Iterations, time.Duration(submitV))}
+	js.job.DoneIterations = spec.DoneIterations
+	s.jobs[spec.ID] = js
+	return js
+}
+
+// applyAdmitLocked admits one batch, in ack order.
+func (s *Server) applyAdmitLocked(a *wal.AdmitRecord) {
+	var last int64
+	for i := range a.Items {
+		it := &a.Items[i]
+		js := s.newJobLocked(it.Spec, it.SubmitV, it.AtWall)
+		if js == nil {
+			continue
+		}
+		phase := engine.PhasePending
+		if it.Profiling {
+			phase = engine.PhaseProfiling
+		}
+		s.eng.Track(job.ID(it.Spec.ID), phase)
+		s.live = insertSorted(s.live, js, cmpJobState)
+		last = max(last, it.Spec.ID)
+	}
+	// Submissions after a recovery never reuse an admitted ID.
+	s.adm.BumpNextID(last)
+}
+
+// applyDecisionLocked applies one engine decision. Its daemon half: a
+// requeued or dead-lettered job loses its group binding, and a
+// dead-lettered one leaves the live index. The engine half is the one place
+// live and replay part ways — live, the engine changed its own state before
+// the observer handed the decision over, and a kill's members were
+// preempted at the Kill callback, before placement could re-bind them — so
+// only replay runs either.
+func (s *Server) applyDecisionLocked(d *wal.DecisionRecord) {
+	if s.replaying {
+		if d.Action == string(engine.ActKill) {
+			s.applyKillLocked(d.Jobs)
+		}
+		s.eng.ApplyDecision(d.ToDecision())
+	}
+	dead := d.Action == string(engine.ActDeadletter)
+	if !dead && d.Action != string(engine.ActRequeue) {
+		return
+	}
+	for _, id := range d.Jobs {
+		if js := s.jobs[id]; js != nil {
+			js.groupID = 0
+			if dead {
+				s.live = removeSorted(s.live, js, cmpJobState)
+			}
+		}
+	}
+}
+
+// applyKillLocked preempts a killed unit's running members: back to
+// pending with their progress, unbound, one restart charged. Callers hold
+// s.mu.
+func (s *Server) applyKillLocked(ids []int64) {
+	for _, id := range ids {
+		if js := s.jobs[id]; js != nil && s.eng.PhaseOf(job.ID(id)) == engine.PhaseRunning {
+			s.eng.SetPhase(job.ID(id), engine.PhasePending)
+			js.groupID = 0
+			js.job.Restarts++
+		}
+	}
+}
+
+// applyFaultLocked applies one fault-ledger record. Every fault-log entry
+// is made here, from the record alone: its origin, its text, its wall
+// stamp. A job record spends retry budget and sets the backoff (the
+// requeue or dead-letter decision beside it is its own record); a record
+// without a job requeues Jobs for lost executors, and counts a crash when
+// Origin names the machine.
+func (s *Server) applyFaultLocked(f *wal.FaultRecord, wall int64) {
+	entry := wal.FaultLogEntry{AtWall: wall, Executor: f.Origin, Err: f.Err}
+	if f.Job == 0 {
+		if f.Origin != "" {
+			s.faults.Crashes++
+			// A re-registration of this machine counts as a repair.
+			s.seenMachines[f.Origin] = true
+		}
+		for _, id := range f.Jobs {
+			if js := s.jobs[id]; js != nil {
+				js.faultLog = append(js.faultLog, entry)
+			}
+		}
+		s.faults.Requeues += len(f.Jobs)
+		return
+	}
+	s.faults.Transient++
+	s.eng.ReplayFault(job.ID(f.Job), f.Faults)
+	if f.DeadLettered {
+		s.faults.DeadLettered++
+	} else {
+		s.faults.Requeues++
+	}
+	if js := s.jobs[f.Job]; js != nil {
+		js.faultLog = append(js.faultLog, entry)
+		if !f.DeadLettered {
+			js.notBefore = time.Unix(0, f.NotBeforeWall)
+		}
+	}
+}
+
+// applyDoneLocked finishes one job. The logged ServiceV pins the
+// predictor's input (attained time itself is soft state), so the
+// estimator's beliefs after a replay match the ones before the crash.
+func (s *Server) applyDoneLocked(d *wal.DoneRecord) {
+	js := s.jobs[d.Job]
+	if js == nil || !s.eng.MarkDone(job.ID(d.Job)) {
+		return // the state machine rejected it: the job already completed
+	}
+	s.live = removeSorted(s.live, js, cmpJobState) // a no-op if it was dead-lettered first
+	js.groupID = 0
+	js.finishedAt = time.Unix(0, d.FinishedWall)
+	js.job.DoneIterations = js.job.Iterations
+	js.job.State = job.Done
+	js.job.FinishedAt = time.Duration(d.FinishedV)
+	s.eng.NoteCompletion(js.job, js.job.TrueProfile, time.Duration(d.ServiceV))
+}
+
+// applyProfileLocked caches one measured profile and releases every job
+// that waited for it.
+func (s *Server) applyProfileLocked(p *wal.ProfileRecord) {
+	s.profiles[p.Model] = p.Stages
+	st := workload.StageTimes(p.Stages)
+	for _, js := range s.live {
+		if id := job.ID(js.spec.ID); js.spec.Model == p.Model && s.eng.PhaseOf(id) == engine.PhaseProfiling {
+			js.spec.Stages = p.Stages
+			js.job.Profile, js.job.TrueProfile = st, st
+			s.eng.SetPhase(id, engine.PhasePending)
+		}
+	}
+}

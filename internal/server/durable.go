@@ -4,14 +4,14 @@
 //
 // Every mutation of recoverable state — admission batches, engine
 // decisions, fault-ledger spends, completions, profiles, progress
-// checkpoints, group launches, term changes — is appended to a
-// checksummed WAL (internal/wal) under s.mu before the daemon acts on
-// it further. Recovery loads the newest snapshot and replays the tail,
-// reconstructing an engine whose future decision stream is
-// byte-identical to the uninterrupted run. A standby follows the
-// leader's WAL as raw frames (its replica is byte-identical on disk)
-// and promotes itself by replaying that replica when the leader's
-// lease lapses; terms fence the deposed leader.
+// checkpoints, group launches, term changes — is one record, appended to
+// a checksummed WAL (internal/wal) under s.mu and then applied by the
+// same function that replays it (apply.go). Recovery loads the newest
+// snapshot and applies the tail, reconstructing an engine whose future
+// decision stream is byte-identical to the uninterrupted run. A standby
+// follows the leader's WAL as raw frames (its replica is byte-identical
+// on disk) and promotes itself by replaying that replica when the
+// leader's lease lapses; terms fence the deposed leader.
 package server
 
 import (
@@ -29,7 +29,6 @@ import (
 	"muri/internal/proto"
 	"muri/internal/sched"
 	"muri/internal/wal"
-	"muri/internal/workload"
 )
 
 // Daemon roles in the HA pair. A daemon with no standby attached runs
@@ -137,24 +136,17 @@ func (s *Server) restoreLocked(rec *wal.Recovery) {
 		s.applySnapshotLocked(sn)
 		clockV = sn.V
 	}
+	s.replaying = true
 	for i := range rec.Records {
-		r := &rec.Records[i]
-		if r.V > clockV {
-			clockV = r.V
-		}
-		s.replayRecordLocked(r)
+		clockV = max(clockV, rec.Records[i].V)
+		s.applyLocked(&rec.Records[i])
 	}
+	s.replaying = false
 	s.walReplayed = len(rec.Records)
-	s.replayLostOrigin = ""
-	// Re-derive the freeze-marker mirror from the replayed fold, so the
-	// first post-recovery round emits exactly one start marker (or an
-	// end marker if the crash interrupted a freeze).
-	s.explFrozen = s.expl.Frozen()
 	// Virtual-clock continuity: restart the wall anchor so virtualNow
 	// resumes from the last durable virtual instant instead of zero.
 	now := time.Now()
 	s.started = now.Add(-time.Duration(float64(clockV) * s.cfg.TimeScale))
-	s.rebuildLiveLocked()
 	// Reconcile job.State with the engine's replayed phases and find
 	// orphans: jobs running at crash time whose executors have not yet
 	// re-registered. They get one liveness window to be adopted back.
@@ -181,29 +173,19 @@ func (s *Server) restoreLocked(rec *wal.Recovery) {
 	}
 }
 
-// rebuildLiveLocked re-derives the live index from the job table and the
-// engine's phases. Snapshot load and replay materialize jobs (and finish
-// or dead-letter them) without touching the index, so every recovery —
-// restart and standby promotion alike — ends here. Callers hold s.mu.
-func (s *Server) rebuildLiveLocked() {
-	s.live = s.live[:0]
-	for id, js := range s.jobs {
-		if ph := s.eng.PhaseOf(job.ID(id)); ph != engine.PhaseDone && ph != engine.PhaseDeadletter {
-			s.live = append(s.live, js)
-		}
-	}
-	slices.SortFunc(s.live, cmpJobState)
-}
-
 // applySnapshotLocked loads one full checkpoint. Callers hold s.mu.
 func (s *Server) applySnapshotLocked(sn *wal.Snapshot) {
 	s.eng.Restore(sn.Engine)
 	s.jobs = make(map[int64]*jobState, len(sn.Jobs))
+	s.live = s.live[:0]
 	for i := range sn.Jobs {
 		j := &sn.Jobs[i]
-		js := s.rebuildJobLocked(j.Spec, j.SubmitV, time.Unix(0, j.SubmittedWall))
+		js := s.newJobLocked(j.Spec, j.SubmitV, j.SubmittedWall)
 		if js == nil {
 			continue
+		}
+		if ph := engine.Phase(j.Phase); ph != engine.PhaseDone && ph != engine.PhaseDeadletter {
+			s.live = insertSorted(s.live, js, cmpJobState)
 		}
 		js.job.DoneIterations = j.DoneIterations
 		js.job.StartedAt = time.Duration(j.StartedV)
@@ -216,10 +198,7 @@ func (s *Server) applySnapshotLocked(sn *wal.Snapshot) {
 		if j.NotBeforeWall != 0 {
 			js.notBefore = time.Unix(0, j.NotBeforeWall)
 		}
-		for _, fe := range j.FaultLog {
-			js.faultLog = append(js.faultLog,
-				faultRecord{at: time.Unix(0, fe.AtWall), executor: fe.Executor, err: fe.Err})
-		}
+		js.faultLog = j.FaultLog
 	}
 	if len(sn.Profiles) > 0 {
 		s.profiles = make(map[string][4]time.Duration, len(sn.Profiles))
@@ -242,225 +221,6 @@ func (s *Server) applySnapshotLocked(sn *wal.Snapshot) {
 	}
 }
 
-// rebuildJobLocked reconstructs one jobState the way admitLocked built
-// it live, from a logged spec (Stages already resolved at admit time)
-// and the logged virtual submit instant. Callers hold s.mu.
-func (s *Server) rebuildJobLocked(spec proto.JobSpec, submitV int64, at time.Time) *jobState {
-	m, err := workload.ByName(spec.Model)
-	if err != nil {
-		s.log.Error("recovery: unknown model", "job", spec.ID, "model", spec.Model)
-		return nil
-	}
-	js := &jobState{spec: spec, submittedAt: at, lastSeen: time.Now()}
-	var st workload.StageTimes
-	copy(st[:], spec.Stages[:])
-	model := m
-	model.Stages = st
-	js.job = job.New(job.ID(spec.ID), model, spec.GPUs, spec.Iterations, time.Duration(submitV))
-	js.job.DoneIterations = spec.DoneIterations
-	s.jobs[spec.ID] = js
-	s.adm.BumpNextID(spec.ID)
-	return js
-}
-
-// replayRecordLocked applies one WAL record. Replay mirrors exactly the
-// state effects the emit-time code had around the append — silently: no
-// observer callbacks, no new WAL writes, no histograms (documented
-// loss: histograms reset on restart). Callers hold s.mu.
-func (s *Server) replayRecordLocked(r *wal.Record) {
-	// The explain builder sees every record in log order — the same feed
-	// walAppendLocked gave it live — so a recovered daemon renders
-	// explanations byte-identical to the uninterrupted one. KindCause
-	// records exist only for this fold; they have no other replay effect.
-	if s.expl != nil {
-		s.expl.Apply(r)
-	}
-	switch r.Kind {
-	case wal.KindAdmit:
-		if r.Admit == nil {
-			return
-		}
-		for i := range r.Admit.Items {
-			it := &r.Admit.Items[i]
-			phase := engine.PhasePending
-			if it.Profiling {
-				phase = engine.PhaseProfiling
-			}
-			s.eng.Track(job.ID(it.Spec.ID), phase)
-			s.rebuildJobLocked(it.Spec, it.SubmitV, time.Unix(0, it.AtWall))
-		}
-	case wal.KindDecision:
-		if r.Decision == nil {
-			return
-		}
-		s.replayDecisionLocked(r.Decision.ToDecision())
-	case wal.KindFault:
-		if r.Fault == nil {
-			return
-		}
-		s.replayFaultLocked(r.Fault, r.W)
-	case wal.KindDone:
-		d := r.Done
-		if d == nil {
-			return
-		}
-		js := s.jobs[d.Job]
-		if js == nil || !s.eng.SetPhase(job.ID(d.Job), engine.PhaseDone) {
-			return
-		}
-		js.finishedAt = time.Unix(0, d.FinishedWall)
-		js.job.DoneIterations = js.job.Iterations
-		js.job.State = job.Done
-		js.job.FinishedAt = time.Duration(d.FinishedV)
-		js.groupID = 0
-		// Re-feed the predictor exactly as the live path did (the logged
-		// ServiceV pins the soft attained-time input), so the estimator's
-		// post-replay beliefs match the pre-crash ones.
-		s.eng.NoteCompletion(js.job, js.job.TrueProfile, time.Duration(d.ServiceV))
-	case wal.KindProfile:
-		p := r.Profile
-		if p == nil {
-			return
-		}
-		s.profiles[p.Model] = p.Stages
-		var st workload.StageTimes
-		copy(st[:], p.Stages[:])
-		for id, js := range s.jobs {
-			if s.eng.PhaseOf(job.ID(id)) == engine.PhaseProfiling && js.spec.Model == p.Model {
-				js.spec.Stages = p.Stages
-				js.job.Profile = st
-				js.job.TrueProfile = st
-				s.eng.SetPhase(job.ID(id), engine.PhasePending)
-			}
-		}
-	case wal.KindProgress:
-		p := r.Progress
-		if p == nil {
-			return
-		}
-		if js := s.jobs[p.Job]; js != nil && p.Done > js.job.DoneIterations {
-			js.job.DoneIterations = p.Done
-		}
-	case wal.KindGroup:
-		g := r.Group
-		if g == nil {
-			return
-		}
-		if g.ID > s.nextGroup {
-			s.nextGroup = g.ID
-		}
-		for _, m := range g.Members {
-			if js := s.jobs[m.Job]; js != nil {
-				js.job.StartedAt = time.Duration(m.StartedV)
-			}
-		}
-	case wal.KindTerm:
-		if r.Term != nil && r.Term.Term > s.term.Load() {
-			s.term.Store(r.Term.Term)
-		}
-	}
-}
-
-// replayDecisionLocked replays one engine decision plus the daemon-side
-// effects the live path applied around it. Daemon effects that read the
-// pre-decision phase (Restarts on kill) run first, then the engine's
-// own silent replay. Callers hold s.mu.
-func (s *Server) replayDecisionLocked(d engine.Decision) {
-	switch d.Action {
-	case engine.ActKill:
-		// killGroupLocked: running members get a restart charged and lose
-		// their group binding before the engine flips them to pending.
-		for _, id := range d.Jobs {
-			if js := s.jobs[int64(id)]; js != nil && s.eng.PhaseOf(id) == engine.PhaseRunning {
-				js.job.Restarts++
-				js.groupID = 0
-			}
-		}
-	case engine.ActRequeue:
-		for _, id := range d.Jobs {
-			js := s.jobs[int64(id)]
-			if js == nil {
-				continue
-			}
-			js.groupID = 0
-			if d.Reason == engine.ReasonMachineLost {
-				// dropExecutor's per-member bookkeeping: the machine-loss
-				// fault record that precedes these requeues carried the
-				// origin for attribution.
-				js.faultLog = append(js.faultLog, faultRecord{
-					at: time.Now(), executor: s.replayLostOrigin, err: "executor lost"})
-			}
-		}
-		if d.Reason == engine.ReasonMachineLost {
-			s.faults.Requeues++
-		}
-	}
-	s.eng.ApplyDecision(d)
-}
-
-// replayFaultLocked replays one fault-ledger record. Job-level records
-// (Job > 0) restore attribution, retry-budget spend, and backoff; the
-// requeue/deadletter decision that followed is its own record. Machine
-// records (Job == 0) replay an executor loss. Callers hold s.mu.
-func (s *Server) replayFaultLocked(f *wal.FaultRecord, wall int64) {
-	if f.Job == 0 {
-		// dropExecutor: one crash counted per lost machine; remember the
-		// origin so the machine-lost requeues that follow attribute to it.
-		s.faults.Crashes++
-		s.replayLostOrigin = f.Origin
-		if f.Origin != "" {
-			s.seenMachines[f.Origin] = true
-		}
-		return
-	}
-	js := s.jobs[f.Job]
-	if js != nil {
-		js.faultLog = append(js.faultLog,
-			faultRecord{at: time.Unix(0, wall), executor: f.Origin, err: f.Err})
-	}
-	s.faults.Transient++
-	s.eng.ReplayFault(job.ID(f.Job), f.Faults, f.DeadLettered)
-	if f.DeadLettered {
-		s.faults.DeadLettered++
-		return
-	}
-	s.faults.Requeues++
-	if js != nil && f.NotBeforeWall != 0 {
-		js.notBefore = time.Unix(0, f.NotBeforeWall)
-	}
-}
-
-// walAppendLocked stamps and appends one record. All appends happen
-// under s.mu — that single-writer discipline is what lets the
-// replication handshake (snapshot + tap attach) promise a gap-free
-// stream. Callers hold s.mu.
-func (s *Server) walAppendLocked(rec *wal.Record) {
-	if s.closed {
-		return
-	}
-	rec.V = int64(s.virtualNowLocked())
-	rec.W = time.Now().UnixNano()
-	// The explain builder folds every record exactly as it becomes
-	// durable — the same fold replay and muritrace run, which is what
-	// pins live explanations byte-identical to offline reconstruction.
-	// Fed before the no-WAL early-out so explain works without -state-dir.
-	if s.expl != nil {
-		s.expl.Apply(rec)
-	}
-	if s.w == nil {
-		return
-	}
-	if _, err := s.w.Append(rec); err != nil {
-		// A failed disk makes the writer's error sticky: every append from
-		// then on returns it. Log when it appears or changes; count the rest.
-		s.walFailed++
-		if msg := err.Error(); msg != s.walErr {
-			s.walErr = msg
-			s.log.Error("wal append failed", "kind", string(rec.Kind), "err", err, "failed_appends", s.walFailed)
-		}
-	}
-}
-
 // observeDecision is the engine observer: the caller-provided tap (the
 // parity harness) runs first, then the decision is made durable. Runs
 // under s.mu (the engine is driven under it).
@@ -468,52 +228,7 @@ func (s *Server) observeDecision(d engine.Decision) {
 	if s.cfg.Observer != nil {
 		s.cfg.Observer(d)
 	}
-	s.walAppendLocked(&wal.Record{Kind: wal.KindDecision, Decision: wal.FromDecision(d)})
-}
-
-// walAdmitLocked logs one admission batch, capturing each job's actual
-// virtual submit instant (virtualNow advances per item during the
-// drain, and replay must reproduce each one exactly). Callers hold
-// s.mu, after admitLocked ran for every item.
-func (s *Server) walAdmitLocked(items []ingest.Item) {
-	ar := &wal.AdmitRecord{Items: make([]wal.AdmitItem, 0, len(items))}
-	for i := range items {
-		js := s.jobs[items[i].Spec.ID]
-		if js == nil {
-			continue // rejected at admit (unknown model)
-		}
-		waitV := int64(float64(time.Since(items[i].At)) / s.cfg.TimeScale)
-		if waitV < 0 {
-			waitV = 0
-		}
-		ar.Items = append(ar.Items, wal.AdmitItem{
-			Spec:      js.spec, // stages resolved by admitLocked
-			AtWall:    items[i].At.UnixNano(),
-			SubmitV:   int64(js.job.Submit),
-			WaitV:     waitV,
-			Depth:     items[i].Depth,
-			Profiling: s.eng.PhaseOf(job.ID(js.spec.ID)) == engine.PhaseProfiling,
-		})
-	}
-	if len(ar.Items) > 0 {
-		s.walAppendLocked(&wal.Record{Kind: wal.KindAdmit, Admit: ar})
-	}
-}
-
-// walProgressLocked checkpoints a job's iteration count at group
-// detach, so a requeued job resumes from its last reported iteration
-// after recovery. Callers hold s.mu.
-func (s *Server) walProgressLocked(js *jobState) {
-	if s.w == nil || js == nil {
-		return
-	}
-	s.walAppendLocked(&wal.Record{Kind: wal.KindProgress,
-		Progress: &wal.ProgressRecord{Job: js.spec.ID, Done: js.job.DoneIterations}})
-}
-
-// walTermLocked persists the current election term. Callers hold s.mu.
-func (s *Server) walTermLocked() {
-	s.walAppendLocked(&wal.Record{Kind: wal.KindTerm, Term: &wal.TermRecord{Term: s.term.Load()}})
+	s.commitLocked(&wal.Record{Kind: wal.KindDecision, Decision: wal.FromDecision(d)})
 }
 
 // snapshotLocked checkpoints full state, letting the WAL prune segments
@@ -573,6 +288,7 @@ func (s *Server) buildSnapshotLocked() *wal.Snapshot {
 			StartedV:       int64(js.job.StartedAt),
 			AttainedV:      int64(js.job.Attained),
 			Restarts:       js.job.Restarts,
+			FaultLog:       js.faultLog,
 		}
 		if !js.finishedAt.IsZero() {
 			j.FinishedWall = js.finishedAt.UnixNano()
@@ -580,10 +296,6 @@ func (s *Server) buildSnapshotLocked() *wal.Snapshot {
 		}
 		if !js.notBefore.IsZero() {
 			j.NotBeforeWall = js.notBefore.UnixNano()
-		}
-		for _, fe := range js.faultLog {
-			j.FaultLog = append(j.FaultLog, wal.FaultLogEntry{
-				AtWall: fe.at.UnixNano(), Executor: fe.executor, Err: fe.err})
 		}
 		sn.Jobs = append(sn.Jobs, j)
 	}
@@ -609,12 +321,12 @@ func (s *Server) fenceLocked(term uint64) {
 	if term <= s.term.Load() {
 		return
 	}
-	s.term.Store(term)
 	if s.role == roleLeader || s.role == roleSolo {
-		s.walTermLocked()
+		s.commitLocked(&wal.Record{Kind: wal.KindTerm, Term: &wal.TermRecord{Term: term}})
 		s.setRoleLocked(roleFenced)
 		s.log.Warn("fenced: observed higher election term", "term", term)
 	}
+	s.term.Store(term) // a standby, or a daemon already fenced, only tracks the term
 }
 
 // freezeForAdoptionLocked gates scheduling while recovered running jobs
@@ -628,10 +340,10 @@ func (s *Server) freezeForAdoptionLocked(wallNow time.Time) bool {
 	if s.w == nil || s.adoptUntil.IsZero() {
 		return false
 	}
-	var orphans []*jobState // ascending job ID, as live is: a deterministic requeue stream
+	var orphans []int64 // ascending job ID, as live is: a deterministic requeue stream
 	for _, js := range s.live {
 		if js.groupID == 0 && s.eng.PhaseOf(job.ID(js.spec.ID)) == engine.PhaseRunning {
-			orphans = append(orphans, js)
+			orphans = append(orphans, js.spec.ID)
 		}
 	}
 	if len(orphans) == 0 {
@@ -641,14 +353,9 @@ func (s *Server) freezeForAdoptionLocked(wallNow time.Time) bool {
 	if wallNow.Before(s.adoptUntil) {
 		return true
 	}
-	for _, js := range orphans {
-		s.walProgressLocked(js)
-		js.faultLog = append(js.faultLog, faultRecord{
-			at: wallNow, err: "executor did not re-register after recovery"})
-		s.faults.Requeues++
-		s.eng.RequeueWithCause(job.ID(js.spec.ID), engine.ReasonMachineLost,
-			"executor did not re-register after recovery")
-	}
+	// Its own loss record, naming no machine: no crash is counted.
+	const gaveUp = "executor did not re-register after recovery"
+	s.requeueLostLocked(orphans, "", gaveUp, gaveUp)
 	s.log.Warn("adoption grace expired; orphans requeued", "jobs", len(orphans))
 	s.adoptUntil = time.Time{}
 	return false
@@ -701,7 +408,9 @@ func (s *Server) adoptGroupLocked(e *executorConn, rg *proto.RunningGroup) bool 
 	s.addGroupLocked(&groupState{id: rg.GroupID, key: rg.Key, exec: e,
 		gpus: rg.GPUs, jobs: ids, spec: unit, since: now})
 	if rg.GroupID > s.nextGroup {
-		s.nextGroup = rg.GroupID
+		// The launch that made this group fell in the lost tail (its members
+		// ran under the same key before it): log the ID as taken.
+		s.commitLocked(&wal.Record{Kind: wal.KindGroup, Group: &wal.GroupRecord{ID: rg.GroupID}})
 	}
 	s.log.Info("adopted running group", "group", rg.GroupID, "machine", e.id,
 		"key", rg.Key, "jobs", len(ids))
@@ -1067,9 +776,8 @@ func (s *Server) promote() {
 			"segment", c.Segment, "offset", c.Offset, "reason", c.Reason)
 	}
 	s.restoreLocked(rec)
-	s.term.Store(newTerm)
 	s.setRoleLocked(roleLeader)
-	s.walTermLocked()
+	s.commitLocked(&wal.Record{Kind: wal.KindTerm, Term: &wal.TermRecord{Term: newTerm}})
 	s.lastSnap = time.Now()
 	s.mu.Unlock()
 	s.log.Warn("standby promoted to leader", "term", newTerm, "replayed", s.walReplayed)
@@ -1099,28 +807,21 @@ func (s *Server) durabilitySummaryLocked() *proto.DurabilitySummary {
 	if st.SnapshotWall != 0 {
 		d.SnapshotAge = time.Since(time.Unix(0, st.SnapshotWall))
 	}
-	if s.role == roleStandby {
-		if l, a := s.leaderLSN.Load(), s.appliedLSN.Load(); l > a {
-			d.ReplLag = l - a
-		}
-	} else {
-		s.replMu.Lock()
-		for _, sub := range s.subs {
-			if sub.gone {
-				continue
-			}
+	d.ReplLag = s.replLagLocked()
+	s.replMu.Lock()
+	for _, sub := range s.subs { // a standby has none
+		if !sub.gone {
 			d.Standbys++
-			if a := sub.acked.Load(); st.LSN > a && st.LSN-a > d.ReplLag {
-				d.ReplLag = st.LSN - a
-			}
 		}
-		s.replMu.Unlock()
 	}
+	s.replMu.Unlock()
 	return d
 }
 
-// replLagLocked is durabilitySummaryLocked's lag figure alone, for the
-// func-backed gauge. Callers hold s.mu.
+// replLagLocked is the replication lag in records, for the status line
+// and the func-backed gauge: a standby's distance behind its leader, a
+// leader's furthest-behind standby. The LSN only moves under s.mu, so it
+// agrees with any other reading the caller takes. Callers hold s.mu.
 func (s *Server) replLagLocked() uint64 {
 	if s.w == nil {
 		return 0

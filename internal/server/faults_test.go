@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -66,7 +67,7 @@ func TestFaultBackoffThenSuccess(t *testing.T) {
 	logLen := len(js.faultLog)
 	origin := ""
 	if logLen > 0 {
-		origin = js.faultLog[0].executor
+		origin = js.faultLog[0].Executor
 	}
 	h.srv.mu.Unlock()
 	if logLen != 2 || origin != "machine-0" {
@@ -211,6 +212,56 @@ func TestInjectFaultJob(t *testing.T) {
 	if st.Jobs[0].Faults != 1 || st.Jobs[0].FaultExecutor != "machine-0" {
 		t.Errorf("job shows %d faults from %q, want 1 from machine-0",
 			st.Jobs[0].Faults, st.Jobs[0].FaultExecutor)
+	}
+	t.Run("interleaved pair", injectFaultIntoPair)
+}
+
+// pairUp is a non-preemptive policy that interleaves its candidates two
+// by two, in the order given.
+type pairUp struct{}
+
+func (pairUp) Name() string     { return "pair-up" }
+func (pairUp) Preemptive() bool { return false }
+func (pairUp) Plan(_ time.Duration, jobs []*job.Job, _ int) []sched.Unit {
+	var units []sched.Unit
+	for ; len(jobs) >= 2; jobs = jobs[2:] {
+		units = append(units, sched.Unit{Jobs: jobs[:2:2], GPUs: jobs[0].GPUs, Mode: sched.Interleaved})
+	}
+	return units
+}
+
+// injectFaultIntoPair: a fault injected into one member of an interleaved
+// unit takes the unit down, and the innocent member must see that as a
+// kill decision — in the decision stream, and so in its explain timeline —
+// not as a silent flip to pending. Only the target is charged a fault.
+func injectFaultIntoPair(t *testing.T) {
+	tap := &decisionTap{}
+	cfg := fastFaultConfig()
+	cfg.Policy, cfg.Observer, cfg.LivenessTimeout = pairUp{}, tap.observe, time.Hour
+	rig := newRoundRig(t, cfg)
+	rig.register("m0", 4, nil)
+	s := rig.srv
+	for i := 0; i < 2; i++ {
+		if _, err := s.submit(pendSpec("")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rig.round()
+	if err := s.injectFault(&proto.InjectFault{JobID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"launch interleaved:1,2", "kill interleaved:1,2", "requeue 1 (fault)"}
+	if got := tap.snapshot(); !slices.Equal(got, want) {
+		t.Errorf("decision stream %v, want %v", got, want)
+	}
+	st := s.status()
+	if st.Pending != 2 || st.Jobs[0].Faults != 1 || st.Jobs[1].Faults != 0 {
+		t.Errorf("after the injection: %d pending, faults %d and %d; want 2 pending, the target alone charged",
+			st.Pending, st.Jobs[0].Faults, st.Jobs[1].Faults)
+	}
+	text := s.explainJob(2)
+	if !strings.Contains(text, "injected fault on job 1") || !strings.Contains(text, "preemptions 1") {
+		t.Errorf("the innocent member's explanation does not show the kill:\n%s", text)
 	}
 }
 

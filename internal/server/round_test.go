@@ -21,6 +21,7 @@ import (
 	"muri/internal/engine"
 	"muri/internal/job"
 	"muri/internal/proto"
+	"muri/internal/wal"
 )
 
 // roundRig drives a Server with no listener and no schedule loop: the
@@ -211,15 +212,100 @@ func (r *roundRig) offers() map[string][]proto.RunningGroup {
 	return out
 }
 
+// maskUnlogged zeroes what no record carries, so the rest of two snapshots
+// can be compared whole: the stamps of the checkpoint itself, then the
+// documented loss windows of DESIGN.md §12 in the order listed there.
+func maskUnlogged(sn *wal.Snapshot) {
+	sn.TakenWall, sn.V = 0, 0 // when the checkpoint was cut, not state
+	// (1) Acked but not admitted: IDs handed to submissions still in the
+	// ingest queue die with the process.
+	sn.NextJobID = 0
+	// (2) Progress between checkpoints: iteration counts and attained
+	// service move with every executor report, and are logged at detach.
+	for i := range sn.Jobs {
+		sn.Jobs[i].DoneIterations, sn.Jobs[i].AttainedV = 0, 0
+	}
+	// (3) Registrations and lease evictions are not logged.
+	sn.Faults.Repairs, sn.LeaseEvictions = 0, 0
+	// (4) Round state only snapshots carry: the round count and queue
+	// gauge, the last round's clock, the starvation ledger and the
+	// wait-cause gate.
+	e := &sn.Engine
+	e.Stats.Rounds, e.Stats.QueueDepth, e.LastNow, e.Bypassed, e.WaitCauses = 0, 0, 0, nil, nil
+	// Placement memory is compared for running jobs: a round re-remembers
+	// every member a kept unit was launched with, finished ones included.
+	for id := range e.PrevKeys {
+		if e.Records[id].Phase != string(engine.PhaseRunning) {
+			delete(e.PrevKeys, id)
+		}
+	}
+	if len(e.PrevKeys) == 0 {
+		e.PrevKeys = nil
+	}
+}
+
+// checkReplay is the live ≡ replay oracle: recover a copy of the state dir
+// into a fresh Server and require every record-derived field of its
+// snapshot to equal the live daemon's.
+func (r *roundRig) checkReplay(cfg Config, when string) {
+	r.t.Helper()
+	s := r.srv
+	s.mu.Lock()
+	err := s.w.Sync() // the copy must hold every record the live state reflects
+	live := s.buildSnapshotLocked()
+	s.mu.Unlock()
+	if err != nil {
+		r.t.Fatalf("%s: wal sync: %v", when, err)
+	}
+	dir := r.t.TempDir()
+	copyDir(r.t, cfg.StateDir, dir)
+	cfg.StateDir, cfg.StandbyOf = dir, ""
+	cfg.Logf = func(string, ...any) {}
+	twin := New(cfg)
+	if err := twin.startDurability(); err != nil {
+		r.t.Fatalf("%s: recover the copy: %v", when, err)
+	}
+	twin.mu.Lock()
+	replayed := twin.buildSnapshotLocked()
+	twin.mu.Unlock()
+	twin.Crash() // nothing of the twin is worth an fsync
+	maskUnlogged(live)
+	maskUnlogged(replayed)
+	for i := range live.Jobs {
+		if i < len(replayed.Jobs) && !reflect.DeepEqual(live.Jobs[i], replayed.Jobs[i]) {
+			r.t.Fatalf("%s: job %d\n  live   %+v\n  replay %+v", when, live.Jobs[i].Spec.ID, live.Jobs[i], replayed.Jobs[i])
+		}
+	}
+	if string(live.Explain) != string(replayed.Explain) {
+		r.t.Fatalf("%s: explain state\n  live   %s\n  replay %s", when, live.Explain, replayed.Explain)
+	}
+	if !reflect.DeepEqual(live, replayed) {
+		r.t.Fatalf("%s: live and replayed state differ\n  live   %+v\n  replay %+v", when, live, replayed)
+	}
+}
+
 // TestRoundAssemblyMatchesFullScan walks a seeded random lifecycle —
 // submit, profile, progress, done (on time and straggling), fault and
 // backoff, dead-letter, kill, executor drop and rejoin, crash + recover,
 // standby promotion — and checks around every round that the indexed
-// candidate and Current lists equal the scan-and-sort they replaced.
+// candidate and Current lists equal the scan-and-sort they replaced, and
+// every few steps that replaying the log rebuilds the state the live
+// handlers left (checkReplay).
 func TestRoundAssemblyMatchesFullScan(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { roundLifecycle(t, seed) })
 	}
+}
+
+// oracleEvery spaces the live ≡ replay checks: each recovers a copy of the
+// state dir, and one per step would take the three seeds from seconds to
+// half a minute. Under the race detector, where decoding a snapshot's JSON
+// costs ten times as much, they are four times as far apart.
+func oracleEvery() int {
+	if raceEnabled {
+		return 20
+	}
+	return 5
 }
 
 func roundLifecycle(t *testing.T, seed int64) {
@@ -342,6 +428,9 @@ func roundLifecycle(t *testing.T, seed int64) {
 			time.Sleep(time.Millisecond) // let a backoff window lapse
 		}
 		rig.check(fmt.Sprintf("step %d", step))
+		if step%oracleEvery() == 0 {
+			rig.checkReplay(cfg, fmt.Sprintf("step %d", step))
+		}
 		if rng.Intn(2) == 0 {
 			rig.round()
 		}

@@ -169,15 +169,10 @@ type jobState struct {
 	// its last fault has elapsed.
 	notBefore time.Time
 	// faultLog records every fault with its origin, so repeated failures
-	// are attributable (e.g. the same flaky machine every time).
-	faultLog []faultRecord
-}
-
-// faultRecord is one entry of a job's fault history.
-type faultRecord struct {
-	at       time.Time
-	executor string
-	err      string
+	// are attributable (e.g. the same flaky machine every time). Entries
+	// are appended by applyFaultLocked and never rewritten, so snapshots
+	// share them.
+	faultLog []wal.FaultLogEntry
 }
 
 // executorConn is one registered executor.
@@ -317,13 +312,10 @@ type Server struct {
 	waitAttrHist *telemetry.HistogramVec
 
 	// expl folds the daemon's record stream into per-job lifecycle spans
-	// (decision provenance). Fed by walAppendLocked before the no-WAL
-	// early-out and by replay, so live rendering and the offline
-	// muritrace reconstruction are byte-identical. Guarded by s.mu.
+	// (decision provenance). Fed by applyLocked — with or without a WAL,
+	// live and replaying — so live rendering and the offline muritrace
+	// reconstruction are byte-identical. Guarded by s.mu.
 	expl *explain.Builder
-	// explFrozen mirrors the last adoption-freeze marker emitted, so
-	// scheduleLocked logs exactly one start/end pair per freeze.
-	explFrozen bool
 
 	// adm is the admission front door: submissions queue here under the
 	// admitter's own lock (never s.mu, so submit latency stays flat even
@@ -351,12 +343,12 @@ type Server struct {
 	walReplayed int
 	// walErr is the text of the last append failure logged and walFailed
 	// the failures since start: the writer's error is sticky, so
-	// walAppendLocked logs a change and counts the repeats.
+	// commitLocked logs a change and counts the repeats.
 	walErr    string
 	walFailed uint64
-	// replayLostOrigin threads a machine-loss record's origin to the
-	// requeue decisions replayed right after it (replay-only state).
-	replayLostOrigin string
+	// replaying is set while restoreLocked runs the log through
+	// applyLocked: the engine has not seen these decisions (apply.go).
+	replaying bool
 	// stopCh wakes durable background loops (standby/election) on Close.
 	stopCh chan struct{}
 
@@ -741,11 +733,6 @@ func (s *Server) dropExecutor(e *executorConn) {
 		// accepts.
 		return
 	}
-	s.faults.Crashes++
-	// One machine-loss record up front carries the origin; the requeue
-	// decisions that follow are logged by the engine observer.
-	s.walAppendLocked(&wal.Record{Kind: wal.KindFault,
-		Fault: &wal.FaultRecord{Origin: e.id, Err: "executor lost"}})
 	// Release any profiling dry run the dead executor was serving, so the
 	// next scheduling round re-requests it from a healthy machine (a
 	// request stuck on a hung executor would otherwise block its model's
@@ -755,10 +742,10 @@ func (s *Server) dropExecutor(e *executorConn) {
 			delete(s.profiling, model)
 		}
 	}
-	requeued := 0
 	// Walk the dead executor's groups in ascending group-ID order so the
 	// engine's requeue decision stream is deterministic, filtering them
 	// out of groupOrder in place.
+	var lost []int64
 	kept := s.groupOrder[:0]
 	for _, g := range s.groupOrder {
 		if g.exec != e {
@@ -766,23 +753,31 @@ func (s *Server) dropExecutor(e *executorConn) {
 			continue
 		}
 		for _, jid := range g.jobs {
-			if js := s.jobs[jid]; js != nil && s.eng.PhaseOf(job.ID(jid)) == engine.PhaseRunning {
-				s.walProgressLocked(js)
-				s.eng.RequeueWithCause(job.ID(jid), engine.ReasonMachineLost,
-					"machine "+e.id+" lost")
-				js.groupID = 0
-				js.faultLog = append(js.faultLog,
-					faultRecord{at: time.Now(), executor: e.id, err: "executor lost"})
-				s.faults.Requeues++
-				requeued++
+			if s.eng.PhaseOf(job.ID(jid)) == engine.PhaseRunning {
+				lost = append(lost, jid)
 			}
 		}
 		delete(s.groups, g.id)
 	}
 	clear(s.groupOrder[len(kept):])
 	s.groupOrder = kept
-	s.log.Warn("executor dropped", "machine", e.id, "requeued", requeued)
+	s.requeueLostLocked(lost, e.id, "executor lost", "machine "+e.id+" lost")
+	s.log.Warn("executor dropped", "machine", e.id, "requeued", len(lost))
 	s.kickSchedule()
+}
+
+// requeueLostLocked pushes running jobs whose executor is gone back to the
+// queue: one loss record up front carries the origin and text every job's
+// fault log takes (and counts the crash, when origin names a machine); the
+// progress checkpoints and requeue decisions follow, job by job. Callers
+// hold s.mu.
+func (s *Server) requeueLostLocked(ids []int64, origin, text, cause string) {
+	s.commitLocked(&wal.Record{Kind: wal.KindFault,
+		Fault: &wal.FaultRecord{Origin: origin, Err: text, Jobs: ids}})
+	for _, id := range ids {
+		s.checkpointLocked(s.jobs[id])
+		s.eng.RequeueWithCause(job.ID(id), engine.ReasonMachineLost, cause)
+	}
 }
 
 // handleClient serves a client connection: each request gets a reply,
@@ -869,7 +864,7 @@ func (s *Server) handleClient(conn net.Conn, codec *proto.Codec, first *proto.Me
 // explain builder and lets muritrace reconstruct the identical
 // explanation offline. Runs under s.mu (the engine is driven under it).
 func (s *Server) provenance(ev engine.CauseEvent) {
-	s.walAppendLocked(&wal.Record{Kind: wal.KindCause, Cause: &wal.CauseRecord{
+	s.commitLocked(&wal.Record{Kind: wal.KindCause, Cause: &wal.CauseRecord{
 		Job: int64(ev.Job), Cause: ev.Cause, Detail: ev.Detail, Note: ev.Note}})
 }
 
@@ -931,64 +926,42 @@ func submitAck(id int64, err error) proto.SubmitAck {
 }
 
 // drainIngestLocked admits every queued submission (up to
-// cfg.IngestMaxBatch) into the engine as one batch. Items drain FIFO,
-// so engine admission order equals ack order — the determinism the
-// decision-stream goldens pin. Callers hold s.mu.
+// cfg.IngestMaxBatch) into the engine as one batch, durable as one
+// record: a recovered daemon re-admits exactly these jobs in exactly this
+// order. Items drain FIFO, so engine admission order equals ack order —
+// the determinism the decision-stream goldens pin. Each job's stage
+// durations come from, in order, the submitted spec, the profile cache, or
+// a dry-run profiling round on an executor (the job waits in "profiling"
+// state meanwhile). Callers hold s.mu.
 func (s *Server) drainIngestLocked() {
 	items := s.adm.Drain(s.cfg.IngestMaxBatch)
 	if len(items) == 0 {
 		return
 	}
 	now := time.Now()
+	ar := &wal.AdmitRecord{Items: make([]wal.AdmitItem, len(items))}
 	for i := range items {
-		s.admitLocked(&items[i], now)
+		it, ai := &items[i], &ar.Items[i]
+		wait := max(0, now.Sub(it.At))
+		// The virtual clock advances item by item, and replay must give
+		// each job the submit instant it got here.
+		*ai = wal.AdmitItem{Spec: it.Spec, AtWall: it.At.UnixNano(), Depth: it.Depth,
+			SubmitV: int64(s.virtualNowLocked()), WaitV: int64(float64(wait) / s.cfg.TimeScale)}
+		if ai.Spec.Stages == ([4]time.Duration{}) {
+			ai.Spec.Stages = s.profiles[it.Spec.Model]
+		}
+		if ai.Spec.Stages == ([4]time.Duration{}) {
+			ai.Profiling = true
+			s.requestProfileLocked(it.Spec.Model)
+		}
+		s.submitWaitHist.Observe(wait.Seconds())
 	}
-	// The admission batch becomes durable as one record: a recovered
-	// daemon re-admits exactly these jobs in exactly this order.
-	s.walAdmitLocked(items)
+	s.commitLocked(&wal.Record{Kind: wal.KindAdmit, Admit: ar})
 	s.batchHist.Observe(float64(len(items)))
 	if s.adm.Depth() > 0 {
 		// A bounded batch left items behind; run another round promptly.
 		s.kickSchedule()
 	}
-}
-
-// admitLocked materializes one accepted submission: stage durations come
-// from, in order, the submitted spec, the profile cache, or a dry-run
-// profiling round on an executor (the job waits in "profiling" state
-// meanwhile). Callers hold s.mu.
-func (s *Server) admitLocked(it *ingest.Item, now time.Time) {
-	spec := it.Spec
-	m, err := workload.ByName(spec.Model)
-	if err != nil {
-		// Validated at submit; unreachable unless the zoo changes between
-		// accept and drain.
-		s.log.Error("admitted job has unknown model", "job", spec.ID, "model", spec.Model)
-		return
-	}
-	js := &jobState{spec: spec, submittedAt: it.At, lastSeen: now}
-	var stages [4]time.Duration
-	phase := engine.PhasePending
-	switch {
-	case spec.Stages != ([4]time.Duration{}):
-		stages = spec.Stages
-	case s.profiles[spec.Model] != ([4]time.Duration{}):
-		stages = s.profiles[spec.Model]
-	default:
-		phase = engine.PhaseProfiling
-		s.requestProfileLocked(spec.Model)
-	}
-	s.eng.Track(job.ID(spec.ID), phase)
-	js.spec.Stages = stages
-	var st workload.StageTimes
-	copy(st[:], stages[:])
-	model := m
-	model.Stages = st
-	js.job = job.New(job.ID(spec.ID), model, spec.GPUs, spec.Iterations, s.virtualNowLocked())
-	js.job.DoneIterations = spec.DoneIterations
-	s.jobs[spec.ID] = js
-	s.live = insertSorted(s.live, js, cmpJobState)
-	s.submitWaitHist.Observe(now.Sub(it.At).Seconds())
 }
 
 // requestProfileLocked asks any executor to dry-run the model. Callers
@@ -1026,19 +999,8 @@ func (s *Server) onProfiled(p *proto.Profiled) {
 		s.log.Warn("profiling failed", "model", p.Model, "err", p.Err)
 		return
 	}
-	s.profiles[p.Model] = p.Stages
-	s.walAppendLocked(&wal.Record{Kind: wal.KindProfile,
+	s.commitLocked(&wal.Record{Kind: wal.KindProfile,
 		Profile: &wal.ProfileRecord{Model: p.Model, Stages: p.Stages}})
-	var st workload.StageTimes
-	copy(st[:], p.Stages[:])
-	for _, js := range s.live {
-		if id := job.ID(js.spec.ID); s.eng.PhaseOf(id) == engine.PhaseProfiling && js.spec.Model == p.Model {
-			js.spec.Stages = p.Stages
-			js.job.Profile = st
-			js.job.TrueProfile = st
-			s.eng.SetPhase(id, engine.PhasePending)
-		}
-	}
 	s.kickSchedule()
 }
 
@@ -1079,21 +1041,16 @@ func (s *Server) onJobDone(d *proto.JobDone) {
 		// replay events for reassigned work).
 		return
 	}
-	if !s.eng.SetPhase(job.ID(d.JobID), engine.PhaseDone) {
-		// The state machine rejected the transition (the job already
+	if s.closed || !s.eng.PhaseOf(job.ID(d.JobID)).CanTransition(engine.PhaseDone) {
+		// The state machine rejects the transition (the job already
 		// completed); nothing to finalize.
 		return
 	}
-	s.live = removeSorted(s.live, js, cmpJobState) // a no-op if it was dead-lettered first
-	js.finishedAt = time.Now()
-	js.job.DoneIterations = js.job.Iterations
-	js.job.State = job.Done
-	js.job.FinishedAt = s.virtualNowLocked()
-	service := time.Duration(float64(js.job.Attained) * float64(js.job.GPUs))
-	s.walAppendLocked(&wal.Record{Kind: wal.KindDone, Done: &wal.DoneRecord{
-		Job: d.JobID, FinishedWall: js.finishedAt.UnixNano(),
-		FinishedV: int64(js.job.FinishedAt), ServiceV: int64(service)}})
-	if s.eng.NoteCompletion(js.job, js.job.TrueProfile, service) {
+	reprofiles := s.eng.Stats().Reprofiles
+	s.commitLocked(&wal.Record{Kind: wal.KindDone, Done: &wal.DoneRecord{
+		Job: d.JobID, FinishedWall: time.Now().UnixNano(), FinishedV: int64(s.virtualNowLocked()),
+		ServiceV: int64(float64(js.job.Attained) * float64(js.job.GPUs))}})
+	if s.eng.Stats().Reprofiles > reprofiles {
 		s.log.Info("predictor re-profiled model on completion deviation",
 			"job", d.JobID, "model", js.spec.Model)
 	}
@@ -1136,38 +1093,40 @@ func (s *Server) onFault(f *proto.Fault, from string) {
 	s.kickSchedule()
 }
 
-// recordJobFaultLocked applies one job-level fault: log its origin, then
-// let the engine spend retry budget and decide between requeue-with-
-// backoff and dead-letter. The job's progress is untouched —
-// js.job.DoneIterations survives, so the next launch resumes the
-// remaining iterations. Callers hold s.mu.
+// recordJobFaultLocked records one job-level fault: the engine spends
+// retry budget and decides between requeue-with-backoff and dead-letter,
+// and the fault record carries the attribution and the backoff. The job's
+// progress is untouched — js.job.DoneIterations survives, so the next
+// launch resumes the remaining iterations. Callers hold s.mu.
 func (s *Server) recordJobFaultLocked(js *jobState, origin, errMsg string) {
 	id := job.ID(js.spec.ID)
-	s.walProgressLocked(js)
-	js.faultLog = append(js.faultLog, faultRecord{at: time.Now(), executor: origin, err: errMsg})
-	js.groupID = 0
-	s.faults.Transient++
+	s.checkpointLocked(js)
 	backoff, deadlettered := s.eng.RecordFault(id)
 	fr := &wal.FaultRecord{Job: js.spec.ID, Origin: origin, Err: errMsg,
 		Faults: s.eng.FaultsOf(id), DeadLettered: deadlettered}
+	if !deadlettered {
+		fr.NotBeforeWall = time.Now().Add(backoff).UnixNano()
+		// The backoff release on the virtual clock, so wait attribution can
+		// split fault-backoff from capacity exactly at the boundary.
+		fr.NotBeforeV = int64(s.virtualNowLocked()) + int64(float64(backoff)/s.cfg.TimeScale)
+	}
+	s.commitLocked(&wal.Record{Kind: wal.KindFault, Fault: fr})
 	if deadlettered {
-		s.live = removeSorted(s.live, js, cmpJobState)
-		s.walAppendLocked(&wal.Record{Kind: wal.KindFault, Fault: fr})
-		s.faults.DeadLettered++
-		s.log.Error("job dead-lettered", "job", js.spec.ID, "faults", s.eng.FaultsOf(id),
+		s.log.Error("job dead-lettered", "job", js.spec.ID, "faults", fr.Faults,
 			"machine", origin, "err", errMsg)
 		return
 	}
-	js.notBefore = time.Now().Add(backoff)
-	fr.NotBeforeWall = js.notBefore.UnixNano()
-	// The backoff release on the virtual clock, so wait attribution can
-	// split fault-backoff from capacity exactly at the boundary.
-	fr.NotBeforeV = int64(s.virtualNowLocked()) + int64(float64(backoff)/s.cfg.TimeScale)
-	s.walAppendLocked(&wal.Record{Kind: wal.KindFault, Fault: fr})
-	s.faults.Requeues++
 	s.log.Warn("job faulted; requeued", "job", js.spec.ID, "machine", origin, "err", errMsg,
-		"fault", s.eng.FaultsOf(id), "backoff", backoff,
+		"fault", fr.Faults, "backoff", backoff,
 		"done", js.job.DoneIterations, "iterations", js.job.Iterations)
+}
+
+// checkpointLocked logs a job's iteration count as it leaves its group
+// (kill, fault, lost machine), so after a recovery the requeued job
+// resumes from its last reported iteration. Callers hold s.mu.
+func (s *Server) checkpointLocked(js *jobState) {
+	s.commitLocked(&wal.Record{Kind: wal.KindProgress,
+		Progress: &wal.ProgressRecord{Job: js.spec.ID, Done: js.job.DoneIterations}})
 }
 
 // detachFromGroupLocked removes a job from its group, freeing the
@@ -1300,31 +1259,21 @@ func (s *Server) scheduleLocked() {
 	// logged as global provenance markers so every waiting job's
 	// attribution charges the frozen rounds to adoption, not capacity.
 	frozen := s.freezeForAdoptionLocked(wallNow)
-	if frozen != s.explFrozen {
+	if frozen != s.expl.Frozen() { // the fold remembers the last marker, across restarts too
 		detail := "end"
 		if frozen {
 			detail = "start"
 		}
-		s.walAppendLocked(&wal.Record{Kind: wal.KindCause,
+		s.commitLocked(&wal.Record{Kind: wal.KindCause,
 			Cause: &wal.CauseRecord{Cause: explain.CauseAdoptionFreeze, Detail: detail}})
-		s.explFrozen = frozen
 	}
 	if frozen {
 		return
 	}
-	// Retry profiling for jobs stuck without an executor earlier.
+	// Retry profiling for jobs stuck without an executor earlier (a no-op
+	// while the model's dry run is in flight).
 	for _, js := range s.live {
-		id := job.ID(js.spec.ID)
-		if s.eng.PhaseOf(id) != engine.PhaseProfiling {
-			continue
-		}
-		if _, inflight := s.profiling[js.spec.Model]; inflight {
-			continue
-		}
-		if stages, ok := s.profiles[js.spec.Model]; ok {
-			js.spec.Stages = stages
-			s.eng.SetPhase(id, engine.PhasePending)
-		} else {
+		if s.eng.PhaseOf(job.ID(js.spec.ID)) == engine.PhaseProfiling {
 			s.requestProfileLocked(js.spec.Model)
 		}
 	}
@@ -1432,8 +1381,7 @@ func (s *Server) pickExecutorLocked(gpus int) *executorConn {
 // (the engine skips the unit this round). The members' phase flip to
 // running happens in the engine after Place succeeds. Callers hold s.mu.
 func (s *Server) launchLocked(exec *executorConn, u sched.Unit, key string) (int64, bool) {
-	s.nextGroup++
-	gid := s.nextGroup
+	gid := s.nextGroup + 1 // taken by the group record: a failed send spends no ID
 	specs := make([]proto.JobSpec, len(u.Jobs))
 	ids := make([]int64, len(u.Jobs))
 	for i, j := range u.Jobs {
@@ -1460,27 +1408,24 @@ func (s *Server) launchLocked(exec *executorConn, u sched.Unit, key string) (int
 	// (the engine makes it before Place).
 	now := time.Now()
 	s.addGroupLocked(&groupState{id: gid, key: key, exec: exec, gpus: u.GPUs, jobs: ids, spec: u, since: now})
-	for _, id := range ids {
+	gr := &wal.GroupRecord{ID: gid, Members: make([]wal.GroupMember, len(ids))}
+	for i, id := range ids {
 		js := s.jobs[id]
 		js.groupID = gid
 		js.lastSeen = now
+		gr.Members[i] = wal.GroupMember{Job: id, StartedV: int64(js.job.StartedAt)}
 		if js.job.StartedAt < 0 {
-			js.job.StartedAt = s.virtualNowLocked()
+			gr.Members[i].StartedV = int64(s.virtualNowLocked())
 			s.firstDispatchHist.Observe(now.Sub(js.submittedAt).Seconds())
 		}
 	}
-	if s.w != nil {
-		gr := &wal.GroupRecord{ID: gid, Members: make([]wal.GroupMember, len(ids))}
-		for i, id := range ids {
-			gr.Members[i] = wal.GroupMember{Job: id, StartedV: int64(s.jobs[id].job.StartedAt)}
-		}
-		s.walAppendLocked(&wal.Record{Kind: wal.KindGroup, Group: gr})
-	}
+	s.commitLocked(&wal.Record{Kind: wal.KindGroup, Group: gr})
 	return gid, true
 }
 
-// killGroupLocked preempts a group: members go back to pending with
-// their current progress. Callers hold s.mu.
+// killGroupLocked preempts a group — a round's Kill callback, and the
+// first half of an injected job fault: members go back to pending with
+// their current progress checkpointed. Callers hold s.mu.
 func (s *Server) killGroupLocked(gid int64) {
 	g := s.groups[gid]
 	if g == nil {
@@ -1488,15 +1433,12 @@ func (s *Server) killGroupLocked(gid int64) {
 	}
 	_ = g.exec.send(&proto.Message{Type: proto.TypeKill, Kill: &proto.Kill{GroupID: gid}})
 	for _, id := range g.jobs {
-		if js := s.jobs[id]; js != nil && s.eng.PhaseOf(job.ID(id)) == engine.PhaseRunning {
-			// Checkpoint progress before the kill decision lands in the WAL,
-			// so recovery resumes the member from its last reported iteration.
-			s.walProgressLocked(js)
-			s.eng.SetPhase(job.ID(id), engine.PhasePending)
-			js.groupID = 0
-			js.job.Restarts++
-		}
+		s.checkpointLocked(s.jobs[id])
 	}
+	// The members' half of the kill decision the engine emits after this
+	// callback: it cannot wait for the record, because placement may
+	// re-bind them first (applyDecisionLocked).
+	s.applyKillLocked(g.jobs)
 	g.exec.free += g.gpus
 	s.removeGroupLocked(g)
 }
@@ -1535,11 +1477,17 @@ func (s *Server) injectFault(req *proto.InjectFault) error {
 	origin := ""
 	if g := s.groups[js.groupID]; g != nil {
 		origin = g.exec.id
+		// Kill the whole group (the executor cannot stop one member of an
+		// interleaved unit): a kill decision for its key, so replay, the
+		// decision stream and the explain fold see the innocent members
+		// preempted; only the target is charged a fault.
+		members := make([]job.ID, len(g.jobs))
+		for i, id := range g.jobs {
+			members[i] = job.ID(id)
+		}
+		s.killGroupLocked(g.id)
+		s.eng.Preempt(g.key, members, fmt.Sprintf("injected fault on job %d", req.JobID))
 	}
-	// Kill the whole group (the executor cannot stop one member of an
-	// interleaved unit); innocent members requeue as preemptions, only
-	// the target is charged a fault.
-	s.killGroupLocked(js.groupID)
 	s.recordJobFaultLocked(js, origin, "injected fault")
 	s.kickSchedule()
 	return nil
@@ -1569,7 +1517,7 @@ func (s *Server) status() proto.StatusAck {
 			Faults:         s.eng.FaultsOf(job.ID(id)),
 		}
 		if n := len(js.faultLog); n > 0 {
-			st.FaultExecutor = js.faultLog[n-1].executor
+			st.FaultExecutor = js.faultLog[n-1].Executor
 		}
 		switch phase {
 		case engine.PhasePending, engine.PhaseProfiling:

@@ -145,13 +145,19 @@ func FromDecision(d engine.Decision) *DecisionRecord {
 	return rec
 }
 
-// FaultRecord is one job-level fault ledger mutation.
+// FaultRecord is one fault ledger mutation. With a Job it is that job's
+// fault, on the machine Origin. With Job zero it is a loss of executors:
+// Origin names the machine that went away — empty when a recovered daemon
+// gave up on executors that never re-registered — and Jobs lists the
+// running jobs requeued for it, which take Origin and Err as their
+// fault-log entry.
 type FaultRecord struct {
-	Job          int64  `json:"job"`
-	Origin       string `json:"origin,omitempty"`
-	Err          string `json:"err,omitempty"`
-	Faults       int    `json:"faults"`
-	DeadLettered bool   `json:"dead_lettered,omitempty"`
+	Job          int64   `json:"job"`
+	Origin       string  `json:"origin,omitempty"`
+	Err          string  `json:"err,omitempty"`
+	Jobs         []int64 `json:"jobs,omitempty"`
+	Faults       int     `json:"faults"`
+	DeadLettered bool    `json:"dead_lettered,omitempty"`
 	// NotBeforeWall is the post-backoff release time (unix nanos).
 	NotBeforeWall int64 `json:"not_before_wall,omitempty"`
 	// NotBeforeV is the post-backoff release time on the virtual clock,
