@@ -218,14 +218,6 @@ func clearLists(s [][]int, n int) [][]int {
 	return s
 }
 
-func fill(n, v int) []int {
-	s := make([]int, n)
-	for i := range s {
-		s[i] = v
-	}
-	return s
-}
-
 // slack returns the slack of edge k: zero slack means the edge is tight
 // and can join the alternating forest.
 func (m *Matcher) slack(k int) float64 {
@@ -595,8 +587,15 @@ func (m *Matcher) augmentMatching(k int) {
 // state, so callers may retain or mutate it). Solve consumes the prepared
 // state; call Reset again before the next Solve.
 func (m *Matcher) Solve(maxCardinality bool) []int {
+	return m.SolveInto(nil, maxCardinality)
+}
+
+// SolveInto is Solve with mate written into dst's backing array when it
+// has the capacity (a fresh slice otherwise), for callers that solve in a
+// loop and read mate before the next solve.
+func (m *Matcher) SolveInto(dst []int, maxCardinality bool) []int {
 	if len(m.edges) == 0 || m.n == 0 {
-		return fill(m.n, -1)
+		return resizeInts(dst, m.n, -1)
 	}
 	for t := 0; t < m.n; t++ {
 		// Each stage finds one augmenting path (or gives up).
@@ -777,7 +776,7 @@ func (m *Matcher) Solve(maxCardinality bool) []int {
 		}
 	}
 	// Transform mate from endpoints to vertices.
-	out := fill(m.n, -1)
+	out := resizeInts(dst, m.n, -1)
 	for v := 0; v < m.n; v++ {
 		if m.mate[v] >= 0 {
 			out[v] = m.endpoint[m.mate[v]]

@@ -27,10 +27,17 @@ var (
 // drops its reference before returning — and the returned mate slice is
 // freshly allocated, so callers may retain or mutate both freely.
 func MatchPooled(n int, edges []Edge, maxCardinality bool) []int {
+	return MatchPooledInto(nil, n, edges, maxCardinality)
+}
+
+// MatchPooledInto is MatchPooled with mate written into dst's backing
+// array when it has the capacity (see Matcher.SolveInto): the grouping
+// planner keeps one mate buffer per edge-construction scratch.
+func MatchPooledInto(dst []int, n int, edges []Edge, maxCardinality bool) []int {
 	poolGets.Add(1)
 	m := matcherPool.Get().(*Matcher)
 	m.Reset(n, edges)
-	out := m.Solve(maxCardinality)
+	out := m.SolveInto(dst, maxCardinality)
 	m.edges = nil
 	matcherPool.Put(m)
 	return out

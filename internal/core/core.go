@@ -140,7 +140,9 @@ type node struct {
 	profiles []workload.StageTimes
 	// cls holds the members' profile classes in member order, interned on
 	// first use (Config.classes); the zero value means not yet classified.
-	cls interleave.Classes
+	// key is the same tuple sorted: the node's identity in classify and in
+	// the statistics memo, computed once (a merge merges its halves').
+	cls, key interleave.Classes
 	// remSum/remMax cache the summed and maximum remaining-iteration
 	// estimates of the members (JCT gate inputs). Estimates are stable
 	// within one Plan call (RemainingIters must be pure per call), so
@@ -195,62 +197,85 @@ func (c Config) PlanWithSeeds(seeds [][]*job.Job, jobs []*job.Job, capacityGPUs 
 	if len(jobs) == 0 && len(seeds) == 0 {
 		return nil
 	}
-	keys, jobBuckets := BucketByGPUs(jobs)
-	buckets := make(map[int][]*node, len(jobBuckets))
-	seen := make(map[int]bool)
-	for _, gpus := range keys {
-		seen[gpus] = true
+	a := arenaPool.Get().(*planArena)
+	out := c.plan(a, seeds, jobs, capacityGPUs)
+	a.release()
+	arenaPool.Put(a)
+	return out
+}
+
+// usableSeed reports whether a seed can enter as one pre-merged node: it
+// fits a group and its members share one GPU requirement.
+func (c Config) usableSeed(seed []*job.Job) bool {
+	if len(seed) == 0 || len(seed) > c.maxGroup() {
+		return false
+	}
+	for _, j := range seed {
+		if j.GPUs != seed[0].GPUs {
+			return false
+		}
+	}
+	return true
+}
+
+// plan is PlanWithSeeds in the given arena.
+func (c Config) plan(a *planArena, seeds [][]*job.Job, jobs []*job.Job, capacityGPUs int) []Group {
+	// Size the buckets, then carve each one's node list and fill it: seeds
+	// first, then loose jobs, both in input order.
+	members, nodes := len(jobs), len(jobs)
+	for _, seed := range seeds {
+		if c.usableSeed(seed) {
+			a.bucket(seed[0].GPUs).want++
+			members += len(seed)
+			nodes++
+		}
+	}
+	for _, j := range jobs {
+		a.bucket(j.GPUs).want++
+	}
+	slices.SortFunc(a.states, func(x, y bucketState) int { return cmp.Compare(y.gpus, x.gpus) })
+	a.reserve(members, nodes)
+	off := 0
+	for i := range a.states {
+		st := &a.states[i]
+		st.nodes = a.ptrs[off : off : off+st.want]
+		off += st.want
 	}
 	for _, seed := range seeds {
-		if len(seed) == 0 || len(seed) > c.maxGroup() {
-			continue
-		}
-		gpus := seed[0].GPUs
-		uniform := true
-		for _, j := range seed {
-			if j.GPUs != gpus {
-				uniform = false
-				break
+		if c.usableSeed(seed) {
+			n := a.newNode(len(seed))
+			for i, j := range seed {
+				n.jobs[i], n.profiles[i] = j, j.Profile
 			}
-		}
-		if !uniform {
-			continue
-		}
-		n := &node{}
-		for _, j := range seed {
-			n.jobs = append(n.jobs, j)
-			n.profiles = append(n.profiles, j.Profile)
-		}
-		buckets[gpus] = append(buckets[gpus], n)
-		if !seen[gpus] {
-			seen[gpus] = true
-			keys = append(keys, gpus)
-			slices.SortFunc(keys, func(a, b int) int { return cmp.Compare(b, a) })
+			st := a.bucket(seed[0].GPUs)
+			st.nodes = append(st.nodes, n)
 		}
 	}
-	for gpus, bjobs := range jobBuckets {
-		// One slab per bucket instead of three allocations per job: the
-		// single-member slices are capacity-1 windows, so merging (which
-		// copies) can never write through them.
-		slab := make([]node, len(bjobs))
-		profs := make([]workload.StageTimes, len(bjobs))
-		nodes := slices.Grow(buckets[gpus], len(bjobs))
-		for i, j := range bjobs {
-			profs[i] = j.Profile
-			slab[i] = node{jobs: bjobs[i : i+1 : i+1], profiles: profs[i : i+1 : i+1]}
-			nodes = append(nodes, &slab[i])
-		}
-		buckets[gpus] = nodes
+	for _, j := range jobs {
+		n := a.newNode(1)
+		n.jobs[0], n.profiles[0] = j, j.Profile
+		st := a.bucket(j.GPUs)
+		st.nodes = append(st.nodes, n)
 	}
 	if c.UseBlossom {
-		c.planRounds(buckets, capacityGPUs)
+		c.planRounds(a, capacityGPUs)
 	} else {
-		c.greedyRounds(buckets, capacityGPUs)
+		c.greedyRounds(a, capacityGPUs)
 	}
-	var out []Group
-	for _, gpus := range keys {
-		for _, n := range buckets[gpus] {
-			out = append(out, c.finalize(n, gpus))
+	// What outlives the call is the caller's: the groups, and one slab each
+	// for their member lists and plan orders.
+	groups := 0
+	for i := range a.states {
+		groups += len(a.states[i].nodes)
+	}
+	out := make([]Group, 0, groups)
+	jobSlab, orderSlab := make([]*job.Job, members), make([]int, members)
+	for i := range a.states {
+		st := &a.states[i]
+		for _, n := range st.nodes {
+			k := len(n.jobs)
+			out = append(out, c.finalizeInto(n, st.gpus, jobSlab[:k:k], orderSlab[:k:k]))
+			jobSlab, orderSlab = jobSlab[k:], orderSlab[k:]
 		}
 	}
 	return out
@@ -274,20 +299,15 @@ func (c Config) GroupBucket(jobs []*job.Job) []Group {
 	return c.Plan(jobs, 0)
 }
 
-// groupStats returns the best-ordering statistics of a profile multiset,
-// memoized through the configured cache (fresh computation when Cache is
-// nil — the values are identical either way).
-func (c Config) groupStats(profiles []workload.StageTimes) stat {
-	t, eff := c.Cache.GroupStats(c.Interleave, profiles)
-	return stat{t: t, eff: eff}
-}
-
-// classes returns the node's member classes, interning them on first use.
-// With a nil Cache the tuple stays zero: the node is its own class.
+// classes returns the node's member classes, interning them (and merging
+// them into the node's sorted key) on first use. With a nil Cache both
+// stay zero: the node is its own class.
 func (c Config) classes(n *node) interleave.Classes {
-	if n.cls[0] == 0 {
+	if n.cls[0] == 0 && c.Cache != nil {
+		n.key = interleave.Classes{}
 		for i, p := range n.profiles {
 			n.cls[i] = c.Cache.Class(p)
+			n.key = interleave.MergeSorted(n.key, i, interleave.Classes{n.cls[i]}, 1)
 		}
 	}
 	return n.cls
@@ -314,6 +334,19 @@ func (c Config) nodeRemStats(n *node) {
 	n.remDone = true
 }
 
+// gateTerms are a node's factors in the JCT gate: its summed and maximum
+// remaining iterations times its standalone iteration time, the sum
+// itself, and its member count. bucketGraph computes them once per node,
+// so the gate costs a pair a few multiply-adds.
+type gateTerms struct {
+	sumT, maxT, sum, n int64
+}
+
+// gateTerms needs the node's remaining-iteration aggregates filled.
+func (n *node) gateTerms(t time.Duration) gateTerms {
+	return gateTerms{sumT: n.remSum * int64(t), maxT: n.remMax * int64(t), sum: n.remSum, n: int64(len(n.jobs))}
+}
+
 // jctGain evaluates a merge under GateJCT: the reduction in summed
 // completion time of running u∪v concurrently (iteration time mergedIter)
 // versus running u and v sequentially on one resource set in the better
@@ -322,47 +355,15 @@ func (c Config) nodeRemStats(n *node) {
 // With per-node remaining-iteration aggregates the costs reduce to
 // arithmetic: a node starting at offset s with iteration time t has
 // summed completion len·s + Σrem·t and finishes at s + maxRem·t. The
-// int64 algebra distributes exactly, so this is bit-identical to
-// materializing the merged node and summing member by member — without
-// the two slice allocations per evaluated pair that used to dominate the
-// planning profile.
-func jctGain(u, v *node, tu, tv, mergedIter time.Duration) time.Duration {
-	mergedSum := time.Duration(u.remSum+v.remSum) * mergedIter
-	// Sequential baseline, both orders.
-	fu := time.Duration(u.remMax) * tu
-	fv := time.Duration(v.remMax) * tv
-	su1 := time.Duration(u.remSum) * tu
-	sv1 := time.Duration(len(v.jobs))*fu + time.Duration(v.remSum)*tv
-	sv2 := time.Duration(v.remSum) * tv
-	su2 := time.Duration(len(u.jobs))*fv + time.Duration(u.remSum)*tu
-	seq := su1 + sv1
-	if alt := su2 + sv2; alt < seq {
+// int64 algebra distributes exactly — also when it wraps, as
+// time.Duration arithmetic does — so this is bit-identical to
+// materializing the merged node and summing member by member.
+func (u gateTerms) jctGain(v gateTerms, mergedIter time.Duration) time.Duration {
+	seq := u.sumT + v.n*u.maxT + v.sumT // u first, v starting when u finishes
+	if alt := v.sumT + u.n*v.maxT + u.sumT; alt < seq {
 		seq = alt
 	}
-	return seq - mergedSum
-}
-
-// mergeNodes concatenates two nodes (Algorithm 1's MergeNode).
-func mergeNodes(u, v *node) *node {
-	m := &node{
-		jobs:     append(append([]*job.Job{}, u.jobs...), v.jobs...),
-		profiles: append(append([]workload.StageTimes{}, u.profiles...), v.profiles...),
-	}
-	if u.cls[0] != 0 && v.cls[0] != 0 {
-		m.cls = u.cls
-		copy(m.cls[len(u.jobs):], v.cls[:])
-	}
-	return m
-}
-
-// proposal is one Blossom-matched pair a sweep may accept.
-type proposal struct {
-	st       *bucketState
-	bucket   int   // GPU requirement of the bucket
-	idx      int32 // position in the bucket's proposal stream this sweep
-	u, v     int   // node indices within the bucket
-	gain     float64
-	accepted bool
+	return time.Duration(seq - (u.sum+v.sum)*int64(mergedIter))
 }
 
 // mergeGain evaluates a candidate merge of u and v (u before v in bucket
@@ -373,8 +374,8 @@ type proposal struct {
 func (c Config) mergeGain(u, v *node, su, sv, merged stat) (float64, bool) {
 	switch c.Gate {
 	case GateJCT:
-		g := jctGain(u, v, su.t, sv.t, merged.t).Seconds()
-		return g, g > 0
+		d := u.gateTerms(su.t).jctGain(v.gateTerms(sv.t), merged.t)
+		return d.Seconds(), d > 0
 	case GateNone:
 		return merged.eff, true
 	default: // GateThroughput
@@ -384,10 +385,11 @@ func (c Config) mergeGain(u, v *node, su, sv, merged stat) (float64, bool) {
 	}
 }
 
-// graphScratch is the working set of one bucketGraph call, recycled through
-// scratchPool so a warm planning round builds its graphs without
-// allocating. The returned edges and gains alias it: they are valid until
-// the scratch is reused.
+// graphScratch is the working set of one bucketGraph call and the matching
+// that follows it, recycled through scratchPool so a warm planning round
+// builds and matches its graphs without allocating. A shard task holds its
+// own. The returned edges and gains alias it: they are valid until the
+// scratch is reused.
 type graphScratch struct {
 	edges []blossom.Edge
 	gains []float64
@@ -397,6 +399,9 @@ type graphScratch struct {
 	multi []bool                       // local class has at least two nodes
 	self  []stat                       // local class → standalone statistics
 	pair  []stat                       // C×C merged statistics, symmetric
+	terms []gateTerms                  // node → JCT-gate factors
+	sub   []*node                      // matchShard's node selection
+	mate  []int                        // the matcher's result
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(graphScratch) }}
@@ -413,13 +418,12 @@ func (c Config) classify(nodes []*node, s *graphScratch) int {
 	s.local, s.rep, s.multi = s.local[:0], s.rep[:0], s.multi[:0]
 	for i, nd := range nodes {
 		k := int32(len(s.rep))
-		if key := c.classes(nd); key[0] != 0 {
-			slices.Sort(key[:len(nd.jobs)]) // unused (zero) slots stay at the tail
-			if prev, ok := s.index[key]; ok {
+		if c.classes(nd)[0] != 0 {
+			if prev, ok := s.index[nd.key]; ok {
 				k = prev
 				s.multi[k] = true
 			} else {
-				s.index[key] = k
+				s.index[nd.key] = k
 			}
 		}
 		if int(k) == len(s.rep) {
@@ -447,35 +451,43 @@ func (c Config) classify(nodes []*node, s *graphScratch) int {
 func (c Config) bucketGraph(nodes []*node, s *graphScratch) ([]blossom.Edge, []float64) {
 	maxSize := c.maxGroup()
 	n := len(nodes)
-	if c.Gate == GateJCT {
-		for _, nd := range nodes {
-			c.nodeRemStats(nd)
-		}
-	}
 	nc := c.classify(nodes, s)
 	// Every cell is written by the fill below, so stale contents are fine.
-	s.self = slices.Grow(s.self[:0], nc)[:nc]
-	s.pair = slices.Grow(s.pair[:0], nc*nc)[:nc*nc]
+	// The fill holds the cache for the whole table: one lock, not one per
+	// cell.
+	s.self, s.pair = sized(s.self, nc), sized(s.pair, nc*nc)
 	fills := 0
+	memo := c.Cache.Begin(c.Interleave)
 	for a := 0; a < nc; a++ {
-		ra := nodes[s.rep[a]].profiles
-		s.self[a] = c.groupStats(ra)
+		ra := nodes[s.rep[a]]
+		la := len(ra.profiles)
+		s.self[a].t, s.self[a].eff = memo.Stats(ra.key, ra.profiles)
 		var buf [interleave.MaxGroupSize]workload.StageTimes
-		copy(buf[:], ra)
+		copy(buf[:], ra.profiles)
 		for b := a; b < nc; b++ {
-			rb := nodes[s.rep[b]].profiles
+			rb := nodes[s.rep[b]]
+			lb := len(rb.profiles)
 			m := stat{eff: math.Inf(-1)} // does not fit, or never occurs
-			if len(ra)+len(rb) <= maxSize && (a != b || s.multi[a]) {
-				copy(buf[len(ra):], rb)
-				m = c.groupStats(buf[:len(ra)+len(rb)])
+			if la+lb <= maxSize && (a != b || s.multi[a]) {
+				copy(buf[la:], rb.profiles)
+				m.t, m.eff = memo.Stats(interleave.MergeSorted(ra.key, la, rb.key, lb), buf[:la+lb])
 				fills++
 			}
 			s.pair[a*nc+b], s.pair[b*nc+a] = m, m
 		}
 	}
+	memo.End()
 	if ps := c.Planner; ps != nil {
 		ps.pairMiss.Add(uint64(fills))
 		ps.pairHits.Add(uint64(n*(n-1)/2 - fills))
+	}
+	jct := c.Gate == GateJCT
+	if jct {
+		s.terms = sized(s.terms, n)
+		for u, nd := range nodes {
+			c.nodeRemStats(nd)
+			s.terms[u] = nd.gateTerms(s.self[s.local[u]].t)
+		}
 	}
 	edges, gains := s.edges[:0], s.gains[:0]
 	for u := 0; u < n-1; u++ {
@@ -487,7 +499,19 @@ func (c Config) bucketGraph(nodes []*node, s *graphScratch) ([]blossom.Edge, []f
 			if m.eff <= 0 {
 				continue
 			}
-			g, ok := c.mergeGain(nodes[u], nodes[v], s.self[cu], s.self[cv], m)
+			var g float64
+			var ok bool
+			if jct {
+				// mergeGain's case, from the hoisted terms. Seconds() is
+				// positive exactly when the duration is, so only surviving
+				// edges pay for it.
+				d := s.terms[u].jctGain(s.terms[v], m.t)
+				if ok = d > 0; ok {
+					g = d.Seconds()
+				}
+			} else {
+				g, ok = c.mergeGain(nodes[u], nodes[v], s.self[cu], s.self[cv], m)
+			}
 			if !ok {
 				continue
 			}
@@ -505,89 +529,91 @@ func (c Config) bucketGraph(nodes []*node, s *graphScratch) ([]blossom.Edge, []f
 // reduces demand, so the loop terminates regardless. Bound it generously.
 const maxCapacitySweeps = 64
 
-// roundSetup computes the state shared by the multi-round planners:
-// bucket keys in descending GPU order, the summed GPU demand of all
-// nodes, whether capacityGPUs actually constrains merging, and the round
-// budget (the classic ⌈log₂k⌉ bound when unconstrained, maxCapacitySweeps
-// otherwise).
-func (c Config) roundSetup(buckets map[int][]*node, capacityGPUs int) (keys []int, demand int, unconstrained bool, maxRounds int) {
-	for gpus, nodes := range buckets {
-		keys = append(keys, gpus)
-		demand += gpus * len(nodes)
+// roundSetup computes the state shared by the multi-round planners: the
+// summed GPU demand of all nodes, whether capacityGPUs actually constrains
+// merging, and the round budget (the classic ⌈log₂k⌉ bound when
+// unconstrained, maxCapacitySweeps otherwise).
+func (c Config) roundSetup(states []bucketState, capacityGPUs int) (demand int, unconstrained bool, maxRounds int) {
+	for i := range states {
+		demand += states[i].gpus * len(states[i].nodes)
 	}
-	slices.SortFunc(keys, func(a, b int) int { return cmp.Compare(b, a) })
 	unconstrained = capacityGPUs <= 0
 	maxRounds = c.rounds()
 	if !unconstrained {
 		maxRounds = maxCapacitySweeps
 	}
-	return keys, demand, unconstrained, maxRounds
+	return demand, unconstrained, maxRounds
+}
+
+// proposal is one Blossom-matched pair a sweep may accept: its gate gain
+// and where it sits (bucket by index into the plan's states, position in
+// that bucket's proposal stream). Pointer-free and 16 bytes, so ordering a
+// sweep's proposals moves little and the collector never scans them.
+type proposal struct {
+	gain   float64
+	bucket int32
+	idx    int32
 }
 
 // planRounds runs the capacity-aware multi-round matching over all GPU
-// buckets. Each round runs Blossom inside every bucket and accepts the
-// proposed merges in descending gain order, but only while the summed GPU
-// demand of the remaining nodes exceeds capacityGPUs — this realizes
-// Algorithm 1's framing that the dequeued jobs "can be fully grouped and
-// they can fully utilize the cluster": merging beyond that point slows
-// jobs down with no queueing benefit. capacityGPUs ≤ 0 disables the
-// constraint (classic Algorithm 1: merge every beneficial pair for
-// log₂k rounds).
-func (c Config) planRounds(buckets map[int][]*node, capacityGPUs int) {
-	keys, demand, unconstrained, maxRounds := c.roundSetup(buckets, capacityGPUs)
-	states := make([]*bucketState, 0, len(keys))
-	for _, gpus := range keys {
-		states = append(states, &bucketState{gpus: gpus, nodes: buckets[gpus]})
-	}
+// buckets (the arena's states, in descending GPU order). Each round runs
+// Blossom inside every bucket and accepts the proposed merges in
+// descending gain order, but only while the summed GPU demand of the
+// remaining nodes exceeds capacityGPUs — this realizes Algorithm 1's
+// framing that the dequeued jobs "can be fully grouped and they can fully
+// utilize the cluster": merging beyond that point slows jobs down with no
+// queueing benefit. capacityGPUs ≤ 0 disables the constraint (classic
+// Algorithm 1: merge every beneficial pair for log₂k rounds).
+func (c Config) planRounds(a *planArena, capacityGPUs int) {
+	states := a.states
+	demand, unconstrained, maxRounds := c.roundSetup(states, capacityGPUs)
 	ps := c.Planner
 	if ps != nil {
 		ps.beginPlan(c, states)
 	}
-	var proposals []proposal // reused across sweeps
 	for sweep := 0; sweep < maxRounds; sweep++ {
 		if !unconstrained && demand <= capacityGPUs {
 			break
 		}
-		proposals = proposals[:0]
-		for _, st := range states {
-			props := c.sweepProposals(st, sweep)
-			st.lastProps = props
-			for i := range props {
-				proposals = append(proposals, proposal{
-					st: st, bucket: st.gpus, idx: int32(i),
-					u: int(props[i].u), v: int(props[i].v), gain: props[i].gain,
-				})
+		proposals := a.proposals[:0]
+		for b := range states {
+			st := &states[b]
+			st.lastProps = c.sweepProposals(st, sweep)
+			for i, p := range st.lastProps {
+				proposals = append(proposals, proposal{gain: p.gain, bucket: int32(b), idx: int32(i)})
 			}
 		}
+		a.proposals = proposals
 		if len(proposals) == 0 {
 			break
 		}
-		// Accept the most beneficial merges first; each accepted merge
-		// frees one resource set of the bucket's size.
-		slices.SortStableFunc(proposals, func(a, b proposal) int {
-			if a.gain != b.gain {
-				return cmp.Compare(b.gain, a.gain)
+		// Accept the most beneficial merges first, ties to the larger
+		// bucket (the lower state index) and then in stream order — a
+		// total order, so no stable sort is needed. Each accepted merge
+		// frees one resource set of the bucket's size. Acceptance goes
+		// straight into the bucket's stream: the streams feed the fixpoint
+		// shortcut, the replay divergence check, and next round's cache.
+		slices.SortFunc(proposals, func(x, y proposal) int {
+			if x.gain != y.gain {
+				return cmp.Compare(y.gain, x.gain)
 			}
-			return cmp.Compare(b.bucket, a.bucket)
+			if x.bucket != y.bucket {
+				return cmp.Compare(x.bucket, y.bucket)
+			}
+			return cmp.Compare(x.idx, y.idx)
 		})
 		accepted := 0
-		for i := range proposals {
+		for _, p := range proposals {
 			if !unconstrained && demand <= capacityGPUs {
 				break
 			}
-			proposals[i].accepted = true
-			demand -= proposals[i].bucket
+			st := &states[p.bucket]
+			st.lastProps[p.idx].accepted = true
+			demand -= st.gpus
 			accepted++
 		}
-		// Fold the acceptance pattern back into each bucket's stream
-		// before applying merges: the streams feed the fixpoint shortcut,
-		// the replay divergence check, and next round's cache.
-		for i := range proposals {
-			p := &proposals[i]
-			p.st.lastProps[p.idx].accepted = p.accepted
-		}
-		for _, st := range states {
-			c.applySweep(st, sweep, ps != nil)
+		for b := range states {
+			c.applySweep(&states[b], sweep, ps != nil)
 		}
 		if accepted == 0 {
 			break
@@ -596,9 +622,6 @@ func (c Config) planRounds(buckets map[int][]*node, capacityGPUs int) {
 	if ps != nil {
 		ps.finishPlan(states)
 	}
-	for _, st := range states {
-		buckets[st.gpus] = st.nodes
-	}
 }
 
 // applySweep finishes one bucket's sweep: checks replayed streams for
@@ -606,7 +629,7 @@ func (c Config) planRounds(buckets map[int][]*node, capacityGPUs int) {
 // bucket's node evolution has left the recorded path, so subsequent
 // sweeps must match fresh), records the stream for next round's cache,
 // and applies the accepted merges with in-place node compaction so the
-// bucket's node slice is reused sweep over sweep.
+// bucket's node list is reused sweep over sweep.
 func (c Config) applySweep(st *bucketState, sweep int, record bool) {
 	if st.replayed {
 		cached := st.bc.sweeps[sweep].props
@@ -620,17 +643,18 @@ func (c Config) applySweep(st *bucketState, sweep int, record bool) {
 	if record {
 		st.rec = append(st.rec, cachedSweep{props: st.lastProps})
 	}
+	a := st.arena
 	count := 0
 	for _, p := range st.lastProps {
 		if !p.accepted {
 			continue
 		}
 		if count == 0 {
-			st.ensureDropped(len(st.nodes))
+			a.dropped = sized(a.dropped, len(st.nodes))
 		}
 		// Matched pairs are disjoint, so merges within a sweep commute.
-		st.nodes[p.u] = mergeNodes(st.nodes[p.u], st.nodes[p.v])
-		st.dropped[p.v] = true
+		st.nodes[p.u] = a.merge(st.nodes[p.u], st.nodes[p.v])
+		a.dropped[p.v] = true
 		count++
 	}
 	st.lastAccepted = count
@@ -640,16 +664,11 @@ func (c Config) applySweep(st *bucketState, sweep int, record bool) {
 	st.epoch += uint64(count)
 	out := st.nodes[:0]
 	for i, nd := range st.nodes {
-		if st.dropped[i] {
-			st.dropped[i] = false
+		if a.dropped[i] {
+			a.dropped[i] = false
 			continue
 		}
 		out = append(out, nd)
-	}
-	// Clear the vacated tail so dropped nodes are not retained by the
-	// backing array for the rest of the plan.
-	for i := len(out); i < len(st.nodes); i++ {
-		st.nodes[i] = nil
 	}
 	st.nodes = out
 }
@@ -657,33 +676,32 @@ func (c Config) applySweep(st *bucketState, sweep int, record bool) {
 // greedyRounds is the no-Blossom ablation ("Muri-L w/o Blossom", Figure
 // 11): merges adjacent nodes in priority order instead of matching, with
 // the same capacity-aware acceptance.
-func (c Config) greedyRounds(buckets map[int][]*node, capacityGPUs int) {
-	keys, demand, unconstrained, maxRounds := c.roundSetup(buckets, capacityGPUs)
+func (c Config) greedyRounds(a *planArena, capacityGPUs int) {
+	demand, unconstrained, maxRounds := c.roundSetup(a.states, capacityGPUs)
 	maxSize := c.maxGroup()
 	for round := 0; round < maxRounds; round++ {
 		if !unconstrained && demand <= capacityGPUs {
 			break
 		}
 		accepted := 0
-		for _, gpus := range keys {
-			nodes := buckets[gpus]
-			var out []*node
-			i := 0
-			for i < len(nodes) {
+		for b := range a.states {
+			st := &a.states[b]
+			// The output never overtakes the input, so compact in place.
+			nodes, out := st.nodes, st.nodes[:0]
+			for i := 0; i < len(nodes); i++ {
 				canMerge := i+1 < len(nodes) &&
 					len(nodes[i].jobs)+len(nodes[i+1].jobs) <= maxSize &&
 					(unconstrained || demand > capacityGPUs)
 				if canMerge {
-					out = append(out, mergeNodes(nodes[i], nodes[i+1]))
-					demand -= gpus
+					out = append(out, a.merge(nodes[i], nodes[i+1]))
+					demand -= st.gpus
 					accepted++
-					i += 2
+					i++
 				} else {
 					out = append(out, nodes[i])
-					i++
 				}
 			}
-			buckets[gpus] = out
+			st.nodes = out
 		}
 		if accepted == 0 {
 			break
@@ -691,25 +709,27 @@ func (c Config) greedyRounds(buckets map[int][]*node, capacityGPUs int) {
 	}
 }
 
-// finalize computes the execution plan for a finished node and reorders
-// its members into plan order.
-func (c Config) finalize(n *node, gpus int) Group {
-	var plan interleave.Plan
+// finalizeInto computes the execution plan for a finished node and writes
+// its members, in plan order, into jobs; order (same length) becomes the
+// plan's permutation, which after the reordering is the identity, so
+// Group.Jobs[i] always has offset i.
+func (c Config) finalizeInto(n *node, gpus int, jobs []*job.Job, order []int) Group {
+	var perm [interleave.MaxGroupSize]int8
+	plan := interleave.Plan{Order: order}
 	if c.WorstOrdering {
-		plan = c.Interleave.PlanGroup(n.profiles, true)
+		worst := c.Interleave.PlanGroup(n.profiles, true)
+		for pos, idx := range worst.Order {
+			perm[pos] = int8(idx)
+		}
+		plan.IterTime, plan.Efficiency = worst.IterTime, worst.Efficiency
 	} else {
-		plan = c.Cache.PlanGroup(c.Interleave, c.classes(n), n.profiles)
+		perm, plan.IterTime, plan.Efficiency = c.Cache.PlanOrder(c.Interleave, c.classes(n), n.profiles)
 	}
-	ordered := make([]*job.Job, len(n.jobs))
-	for pos, idx := range plan.Order {
-		ordered[pos] = n.jobs[idx]
+	for pos := range jobs {
+		jobs[pos] = n.jobs[perm[pos]]
+		order[pos] = pos
 	}
-	// After reordering, the plan's permutation has been applied; rewrite
-	// it as the identity so Group.Jobs[i] always has offset i.
-	for i := range plan.Order {
-		plan.Order[i] = i
-	}
-	return Group{Jobs: ordered, Plan: plan, GPUs: gpus}
+	return Group{Jobs: jobs, Plan: plan, GPUs: gpus}
 }
 
 // BucketByGPUs partitions jobs by GPU requirement, preserving the input

@@ -28,9 +28,17 @@ type cachedSweep struct {
 // replays this stream instead of re-running edge construction and
 // Blossom; replay stays exact because the stream is a pure function of
 // the signature and the (live, re-checked) acceptance history.
+//
+// Both halves are double-buffered: a plan writes its signature and record
+// into the spares while it reads the previous plan's, and finishPlan
+// swaps, so a warm PlanState allocates only the streams themselves.
 type bucketCache struct {
+	gpus   int
 	sig    []int64
 	sweeps []cachedSweep
+
+	spareSig    []int64
+	spareSweeps []cachedSweep
 }
 
 // PlanState carries grouping state across scheduling rounds: the planner's
@@ -48,7 +56,9 @@ type bucketCache struct {
 // concurrent use by the shard workers; the replay bookkeeping is only
 // touched between parallel sections.
 type PlanState struct {
-	buckets map[int]*bucketCache
+	// buckets holds one cache per GPU requirement ever planned: a handful,
+	// so a scan finds it.
+	buckets []*bucketCache
 
 	shards    int
 	rounds    atomic.Uint64
@@ -65,7 +75,7 @@ type PlanState struct {
 
 // NewPlanState returns a PlanState with an empty replay cache.
 func NewPlanState() *PlanState {
-	return &PlanState{buckets: make(map[int]*bucketCache)}
+	return new(PlanState)
 }
 
 // MarkDirty records decision-stream dirty notifications (arrivals,
@@ -105,10 +115,10 @@ func (ps *PlanState) Stats() metrics.ShardStats {
 // estimators rewrite them mid-run. Everything else the proposal stream
 // depends on (the Config, the shard layout as a function of epoch) is
 // constant across rounds, so an equal signature implies an identical
-// stream.
-func (c Config) bucketSig(st *bucketState) []int64 {
+// stream. The signature is written over sig.
+func (c Config) bucketSig(st *bucketState, sig []int64) []int64 {
 	jct := c.Gate == GateJCT
-	sig := make([]int64, 0, 4*len(st.nodes))
+	sig = sig[:0]
 	for _, nd := range st.nodes {
 		// Separators are negative; job IDs are non-negative in every
 		// trace and daemon path, so node boundaries are unambiguous.
@@ -133,26 +143,41 @@ func (c Config) bucketSig(st *bucketState) []int64 {
 	return sig
 }
 
-// beginPlan binds prior-round bucket caches to this plan's buckets by
-// signature and opens the per-plan bookkeeping.
-func (ps *PlanState) beginPlan(c Config, states []*bucketState) {
+// cache returns the bucket cache for a GPU requirement, adding an empty one
+// (which matches no signature) when the requirement is new.
+func (ps *PlanState) cache(gpus int) *bucketCache {
+	for _, bc := range ps.buckets {
+		if bc.gpus == gpus {
+			return bc
+		}
+	}
+	bc := &bucketCache{gpus: gpus}
+	ps.buckets = append(ps.buckets, bc)
+	return bc
+}
+
+// beginPlan binds prior-round bucket caches to this plan's buckets and
+// marks clean the ones whose signature is unchanged.
+func (ps *PlanState) beginPlan(c Config, states []bucketState) {
 	ps.rounds.Add(1)
 	ps.shards = c.shardCount()
-	for _, st := range states {
-		st.sig = c.bucketSig(st)
-		if bc := ps.buckets[st.gpus]; bc != nil && slices.Equal(bc.sig, st.sig) {
-			st.bc = bc
-			st.clean = true
-		}
+	for i := range states {
+		st := &states[i]
+		st.bc = ps.cache(st.gpus)
+		st.sig = c.bucketSig(st, st.bc.spareSig)
+		st.rec = st.bc.spareSweeps[:0]
+		st.clean = slices.Equal(st.bc.sig, st.sig)
 	}
 }
 
-// finishPlan installs this plan's recorded streams as the caches for the
-// next round. Buckets absent this round keep their stale entries; the
-// signature check makes them harmless and the map stays small (one entry
-// per distinct GPU requirement).
-func (ps *PlanState) finishPlan(states []*bucketState) {
-	for _, st := range states {
-		ps.buckets[st.gpus] = &bucketCache{sig: st.sig, sweeps: st.rec}
+// finishPlan installs this plan's signatures and recorded streams as the
+// caches for the next round. Buckets absent this round keep their stale
+// entries; the signature check makes them harmless.
+func (ps *PlanState) finishPlan(states []bucketState) {
+	for i := range states {
+		st, bc := &states[i], states[i].bc
+		bc.sig, bc.spareSig = st.sig, bc.sig
+		bc.sweeps, bc.spareSweeps = st.rec, bc.sweeps
+		clear(bc.spareSweeps) // the previous plan's streams are garbage now
 	}
 }

@@ -80,16 +80,18 @@ func minJobID(n *node) job.ID {
 	return min
 }
 
-// bucketState carries one GPU bucket through the multi-round planner.
+// bucketState carries one GPU bucket through the multi-round planner. It
+// lives in the plan's arena (nil for a state built outside a plan, whose
+// scratch then comes from the heap).
 type bucketState struct {
 	gpus  int
 	nodes []*node
+	arena *planArena
+	// want is the node count the bucket is carved for.
+	want int
 	// epoch counts merges applied to this bucket (the shard rebalance
 	// salt).
 	epoch uint64
-	// dropped is the reusable compaction scratch (satellite: no
-	// per-sweep node-slice reallocation).
-	dropped []bool
 
 	// lastProps / lastAccepted feed the same-plan fixpoint: a sweep that
 	// accepted nothing left the nodes and epoch unchanged, so the next
@@ -103,16 +105,6 @@ type bucketState struct {
 	clean    bool
 	replayed bool // this sweep came from bc (divergence check applies)
 	rec      []cachedSweep
-}
-
-// ensureDropped sizes the compaction scratch. Flags are reset by the
-// compaction pass itself, so the slice stays all-false between uses.
-func (st *bucketState) ensureDropped(n int) {
-	if cap(st.dropped) < n {
-		st.dropped = make([]bool, n)
-		return
-	}
-	st.dropped = st.dropped[:n]
 }
 
 // copyProps clones a proposal stream with acceptance flags cleared.
@@ -133,7 +125,7 @@ func copyProps(src []cachedProp) []cachedProp {
 func (c Config) sweepProposals(st *bucketState, sweep int) []cachedProp {
 	ps := c.Planner
 	st.replayed = false
-	if st.clean && st.bc != nil && sweep < len(st.bc.sweeps) {
+	if st.clean && sweep < len(st.bc.sweeps) {
 		st.replayed = true
 		if ps != nil {
 			ps.replays.Add(1)
@@ -160,41 +152,49 @@ func (c Config) sweepProposals(st *bucketState, sweep int) []cachedProp {
 
 // freshProposals runs edge construction and Blossom matching over the
 // bucket, splitting large buckets into deterministic shards that run as
-// tasks on up to GOMAXPROCS goroutines with indexed result slots (fanOut).
-// Shard streams are concatenated in shard order, so the result is a pure
-// function of (nodes, epoch, config) regardless of worker interleaving,
-// and Shards=1 — or any bucket below the threshold — follows the exact
-// unsharded path.
+// tasks on up to GOMAXPROCS goroutines, each writing its matches into its
+// own window of the arena (fanOut). Shard streams are concatenated in
+// shard order, so the result is a pure function of (nodes, epoch, config)
+// regardless of worker interleaving, and Shards=1 — or any bucket below
+// the threshold — follows the exact unsharded path. The returned stream is
+// freshly allocated: a PlanState may keep it.
 func (c Config) freshProposals(st *bucketState) []cachedProp {
 	shards := c.effectiveShards(len(st.nodes))
 	if shards <= 1 {
-		return c.matchNodes(st.nodes, nil)
+		return c.matchShard(st.nodes, nil, nil)
 	}
-	parts := make([][]int32, shards)
-	guess := len(st.nodes)/shards + 1
-	for s := range parts {
-		parts[s] = make([]int32, 0, guess+guess/2)
+	a := st.arena
+	if a == nil {
+		a = new(planArena)
+	}
+	a.parts = sized(a.parts, shards)
+	for s := range a.parts {
+		a.parts[s] = a.parts[s][:0]
 	}
 	for i, nd := range st.nodes {
 		s := shardOf(minJobID(nd), st.epoch, shards)
-		parts[s] = append(parts[s], int32(i))
+		a.parts[s] = append(a.parts[s], int32(i))
 	}
 	if ps := c.Planner; ps != nil {
 		ps.tasks.Add(uint64(shards))
 	}
-	results := make([][]cachedProp, shards)
-	fanOut(shards, func(i int) {
-		results[i] = c.matchShard(st.nodes, parts[i])
-	})
-	total := 0
-	for _, r := range results {
-		total += len(r)
+	// A shard of k nodes matches at most k/2 pairs.
+	a.results, a.props = sized(a.results, shards), sized(a.props, len(st.nodes)/2)
+	off := 0
+	for s, part := range a.parts {
+		a.results[s] = a.props[off : off : off+len(part)/2]
+		off += len(part) / 2
 	}
-	out := make([]cachedProp, 0, total)
+	parts, results := a.parts, a.results
+	fanOut(shards, func(i int) {
+		results[i] = c.matchShard(st.nodes, parts[i], results[i])
+	})
+	// Close the gaps between the windows; each moves left or not at all.
+	out := a.props[:0]
 	for _, r := range results {
 		out = append(out, r...)
 	}
-	return c.rebalance(st, out)
+	return c.rebalance(st, a, out)
 }
 
 // fanOut runs the shard tasks fn(0), …, fn(n-1) on up to GOMAXPROCS
@@ -236,86 +236,84 @@ func fanOut(n int, fn func(i int)) {
 // max-weight matching over it can only improve the total weight; the
 // subset is an eighth of the bucket, so the extra cost is n²/128 pair
 // evaluations against the n²/2S the shards already paid.
-func (c Config) rebalance(st *bucketState, out []cachedProp) []cachedProp {
-	matched := make([]bool, len(st.nodes))
+func (c Config) rebalance(st *bucketState, a *planArena, out []cachedProp) []cachedProp {
+	// matched[i]: node i sits in a pair that is kept.
+	matched := sized(a.matched, len(st.nodes))
+	clear(matched)
 	for _, p := range out {
-		matched[p.u] = true
-		matched[p.v] = true
+		matched[p.u], matched[p.v] = true, true
 	}
-	var left []int32
-	for i := range st.nodes {
-		if !matched[i] {
+	weak := len(out) / 8
+	if weak > 0 {
+		a.byWeight = sized(a.byWeight, len(out))
+		for i := range a.byWeight {
+			a.byWeight[i] = int32(i)
+		}
+		slices.SortFunc(a.byWeight, func(x, y int32) int {
+			px, py := out[x], out[y]
+			return cmp.Or(cmp.Compare(px.weight, py.weight), cmp.Compare(px.u, py.u), cmp.Compare(px.v, py.v))
+		})
+		for _, i := range a.byWeight[:weak] {
+			matched[out[i].u], matched[out[i].v] = false, false
+		}
+	}
+	left := a.left[:0]
+	for i, m := range matched {
+		if !m {
 			left = append(left, int32(i))
 		}
 	}
-	if weak := len(out) / 8; weak > 0 {
-		idxs := make([]int, len(out))
-		for i := range idxs {
-			idxs[i] = i
-		}
-		slices.SortFunc(idxs, func(a, b int) int {
-			pa, pb := out[a], out[b]
-			return cmp.Or(cmp.Compare(pa.weight, pb.weight), cmp.Compare(pa.u, pb.u), cmp.Compare(pa.v, pb.v))
-		})
-		drop := make([]bool, len(out))
-		for _, i := range idxs[:weak] {
-			drop[i] = true
-			left = append(left, out[i].u, out[i].v)
-		}
-		kept := make([]cachedProp, 0, len(out)-weak)
-		for i, p := range out {
-			if !drop[i] {
-				kept = append(kept, p)
-			}
-		}
-		out = kept
+	a.matched, a.left = matched, left
+	var again []cachedProp
+	if len(left) >= 2 {
+		a.rematch = sized(a.rematch, len(left)/2)
+		again = c.matchShard(st.nodes, left, a.rematch[:0])
 	}
-	if len(left) < 2 {
-		return out
+	stream := make([]cachedProp, 0, len(out)-weak+len(again))
+	for _, p := range out {
+		if matched[p.u] {
+			stream = append(stream, p)
+		}
 	}
-	slices.Sort(left)
-	return append(out, c.matchShard(st.nodes, left)...)
+	return append(stream, again...)
 }
 
-// matchShard matches the sub-bucket selected by idx, mapping proposal
-// indices back to bucket-global node indices. idx is ascending, so the
-// u < v orientation survives the mapping.
-func (c Config) matchShard(nodes []*node, idx []int32) []cachedProp {
-	if len(idx) < 2 {
-		return nil
-	}
-	sub := make([]*node, len(idx))
-	for k, i := range idx {
-		sub[k] = nodes[i]
-	}
-	return c.matchNodes(sub, idx)
-}
-
-// matchNodes is the core of one bucket-sweep: build the gain-gated
-// grouping graph, run Blossom, and recover the matched pairs in
-// deterministic u-major edge order with their recorded weights and gains.
-// gidx, when non-nil, maps local node indices to bucket-global ones.
-func (c Config) matchNodes(nodes []*node, gidx []int32) []cachedProp {
-	if len(nodes) < 2 {
-		return nil
-	}
+// matchShard is the core of one bucket-sweep over the sub-bucket selected
+// by idx (ascending; nil selects all of nodes): build the gain-gated
+// grouping graph, run Blossom, and append the matched pairs to dst (a fresh
+// stream when nil) in deterministic u-major edge order, by bucket-global
+// node index, with their recorded weights and gains.
+func (c Config) matchShard(nodes []*node, idx []int32, dst []cachedProp) []cachedProp {
 	s := scratchPool.Get().(*graphScratch)
 	defer scratchPool.Put(s)
+	if idx != nil {
+		s.sub = sized(s.sub, len(idx))
+		for k, i := range idx {
+			s.sub[k] = nodes[i]
+		}
+		nodes = s.sub
+		defer clear(s.sub) // a pooled scratch pins no node
+	}
+	if len(nodes) < 2 {
+		return dst
+	}
 	edges, gains := c.bucketGraph(nodes, s)
 	if len(edges) == 0 {
-		return nil
+		return dst
 	}
-	mate := blossom.MatchPooled(len(nodes), edges, false)
-	props := make([]cachedProp, 0, len(nodes)/2)
+	s.mate = blossom.MatchPooledInto(s.mate, len(nodes), edges, false)
+	if dst == nil {
+		dst = make([]cachedProp, 0, len(nodes)/2)
+	}
 	for k, e := range edges {
-		if mate[e.I] != e.J {
+		if s.mate[e.I] != e.J {
 			continue
 		}
 		u, v := int32(e.I), int32(e.J)
-		if gidx != nil {
-			u, v = gidx[u], gidx[v]
+		if idx != nil {
+			u, v = idx[u], idx[v]
 		}
-		props = append(props, cachedProp{u: u, v: v, weight: e.Weight, gain: gains[k]})
+		dst = append(dst, cachedProp{u: u, v: v, weight: e.Weight, gain: gains[k]})
 	}
-	return props
+	return dst
 }

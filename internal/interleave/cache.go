@@ -12,20 +12,8 @@ import (
 
 // DefaultCacheEntries is the per-generation size bound of an EffCache
 // built with NewEffCache(0). Two generations are resident at once, so the
-// worst-case footprint is 2× this many entries (~150 B each).
+// worst-case footprint is 2× this many entries (~40 B each).
 const DefaultCacheEntries = 1 << 15
-
-// effKey canonically identifies a group-statistics computation: the
-// multiset of member profiles (sorted, so member order is irrelevant)
-// plus the contention overhead they were inflated with. The key is the
-// profile contents, not the job, so memoization across Blossom rounds and
-// scheduling intervals stays sound when an estimator rewrites a job's
-// profile: the job simply maps to another key.
-type effKey struct {
-	n        int
-	overhead float64
-	profiles [MaxGroupSize]workload.StageTimes
-}
 
 // effEntry is a memoized best-ordering result. Only the scalar statistics
 // are stored: for a fixed profile multiset, efficiency is a strictly
@@ -42,49 +30,71 @@ type effEntry struct {
 // value means "not classified".
 type Classes [MaxGroupSize]uint32
 
-// planKey identifies a best-ordering plan: the chosen permutation depends
-// on member order, so the tuple is ordered, not a multiset.
-type planKey struct {
+// MergeSorted merges two canonical tuples — ascending, unused (zero) slots
+// at the tail — of na and nb members (na+nb ≤ MaxGroupSize) into the
+// canonical tuple of their union, the key of the statistics memo.
+func MergeSorted(a Classes, na int, b Classes, nb int) Classes {
+	var out Classes
+	i, j := 0, 0
+	for k := 0; k < na+nb; k++ {
+		if j == nb || (i < na && a[i] <= b[j]) {
+			out[k], i = a[i], i+1
+		} else {
+			out[k], j = b[j], j+1
+		}
+	}
+	return out
+}
+
+// tupleKey identifies a memoized computation over a group: its class
+// tuple plus the contention overhead the profiles were inflated with. The
+// statistics memo keys by the canonical (sorted) tuple, so member order is
+// irrelevant; the plan memo keys by the tuple in member order, because the
+// chosen permutation depends on it. Class IDs are never reused, so a tuple
+// denotes the same profiles for the cache's lifetime — that is what lets
+// 24 bytes of IDs stand in for the profile contents — and a job whose
+// profile is rewritten interns to another class, so it maps to another key.
+type tupleKey struct {
 	overhead float64
 	cls      Classes
 }
 
 // planEntry is a memoized Plan with the permutation held by value, so
-// every hit hands out its own Order slice.
+// every hit hands out its own Order.
 type planEntry struct {
 	order    [MaxGroupSize]int8
 	iterTime time.Duration
 	eff      float64
 }
 
-// EffCache memoizes best-ordering group statistics — the quantity behind
-// PairEfficiency edge weights, node γ/T statistics, and the JCT merge
-// gate — keyed by the canonical profile multiset. It is safe for
-// concurrent use by the planner's shard tasks.
+// EffCache memoizes what the grouping path computes from profiles, in
+// three layers: an interner from stage-time vectors to class IDs (Class),
+// best-ordering group statistics — the quantity behind PairEfficiency edge
+// weights, node γ/T statistics, and the JCT merge gate — keyed by the
+// group's sorted class tuple, and best-ordering plans keyed by its ordered
+// tuple (PlanGroup). It is safe for concurrent use by the planner's shard
+// tasks. All maps are created on first use.
 //
-// The size bound uses two generations (à la fastcache): inserts go to the
-// current generation; when it fills, the previous generation is dropped
-// and the current one rotates into its place. Hits in the old generation
-// re-promote the entry, so hot keys survive rotation. Resident entries
-// never exceed 2× the configured bound.
+// The statistics memo's size bound uses two generations (à la fastcache):
+// inserts go to the current generation; when it fills, the previous
+// generation is dropped and the current one rotates into its place. Hits
+// in the old generation re-promote the entry, so hot keys survive
+// rotation. Resident entries never exceed 2× the configured bound. The
+// interner and the plan memo are dropped whole at the bound; a dropped
+// interner hands the same profile a new ID, which only costs the
+// recomputation of what was memoized under the old one.
 //
 // Determinism invariant: a cached value is always bit-identical to the
 // fresh computation, so cache state (including which entries were
 // evicted) can never change a scheduling decision — only its cost.
-//
-// The cache also interns stage-time vectors into class IDs (Class) and
-// memoizes best-ordering plans by ordered class tuple (PlanGroup). Both
-// maps are created on first use and dropped whole at the size bound; class
-// IDs are never reused, so an ID denotes the same profile for the cache's
-// lifetime and a dropped interner only costs re-interning.
 type EffCache struct {
 	mu        sync.RWMutex
 	max       int
-	cur       map[effKey]effEntry
-	old       map[effKey]effEntry
+	cur       map[tupleKey]effEntry
+	old       map[tupleKey]effEntry
 	classes   map[workload.StageTimes]uint32
 	lastClass uint32
-	plans     map[planKey]planEntry
+	plans     map[tupleKey]planEntry
 
 	hits atomic.Uint64
 	miss atomic.Uint64
@@ -97,81 +107,93 @@ func NewEffCache(maxEntries int) *EffCache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultCacheEntries
 	}
-	return &EffCache{max: maxEntries, cur: make(map[effKey]effEntry)}
+	return &EffCache{max: maxEntries}
 }
 
-// lessStages orders stage-time vectors lexicographically in canonical
-// resource order.
-func lessStages(a, b workload.StageTimes) bool {
-	for r := 0; r < workload.NumResources; r++ {
-		if a[r] != b[r] {
-			return a[r] < b[r]
-		}
-	}
-	return false
+// Batch is an EffCache held under its lock for a run of statistics
+// lookups — one grouping sweep's class-pair table — so the run pays for
+// the lock and the counters once, not per cell. Between Begin and End the
+// goroutine must call no other method of the cache. A Batch of a nil cache
+// computes fresh.
+type Batch struct {
+	ec         *EffCache
+	cfg        Config
+	hits, miss uint64
 }
 
-// canonicalKey builds the sorted-multiset key for a group of profiles.
-func canonicalKey(overhead float64, times []workload.StageTimes) effKey {
-	k := effKey{n: len(times), overhead: overhead}
-	copy(k.profiles[:], times)
-	// Insertion sort: groups have at most MaxGroupSize (4) members.
-	for i := 1; i < k.n; i++ {
-		for j := i; j > 0 && lessStages(k.profiles[j], k.profiles[j-1]); j-- {
-			k.profiles[j], k.profiles[j-1] = k.profiles[j-1], k.profiles[j]
-		}
+// Begin locks the cache for a run of lookups under cfg's contention model.
+func (ec *EffCache) Begin(cfg Config) Batch {
+	if ec != nil {
+		ec.mu.Lock()
 	}
-	return k
+	return Batch{ec: ec, cfg: cfg}
+}
+
+// Stats returns the best-ordering iteration time and efficiency of the
+// group with the given canonical class tuple (MergeSorted) and profiles,
+// which may come in any member order. An unclassified tuple
+// computes fresh.
+func (b *Batch) Stats(sorted Classes, times []workload.StageTimes) (time.Duration, float64) {
+	ec := b.ec
+	if ec == nil || sorted[0] == 0 {
+		_, t, eff := BestOrdering(b.cfg.Inflate(times))
+		return t, eff
+	}
+	key := tupleKey{overhead: b.cfg.Overhead, cls: sorted}
+	if e, ok := ec.cur[key]; ok {
+		b.hits++
+		return e.iterTime, e.eff
+	}
+	e, ok := ec.old[key]
+	if ok {
+		b.hits++ // re-promoted below, so hot keys survive the next rotation
+	} else {
+		b.miss++
+		_, e.iterTime, e.eff = BestOrdering(b.cfg.Inflate(times))
+	}
+	if ec.cur == nil {
+		ec.cur = make(map[tupleKey]effEntry)
+	} else if len(ec.cur) >= ec.max {
+		ec.evic.Add(uint64(len(ec.old)))
+		ec.old = ec.cur
+		ec.cur = make(map[tupleKey]effEntry, ec.max)
+	}
+	ec.cur[key] = e
+	return e.iterTime, e.eff
+}
+
+// End releases the cache and publishes the run's hit and miss counts.
+func (b *Batch) End() {
+	if b.ec == nil {
+		return
+	}
+	b.ec.mu.Unlock()
+	b.ec.hits.Add(b.hits)
+	b.ec.miss.Add(b.miss)
 }
 
 // GroupStats returns the best-ordering iteration time and efficiency of
-// the group under cfg's contention model, memoizing by profile multiset.
-// A nil receiver computes fresh (no caching), so callers need not guard.
+// the group under cfg's contention model, memoizing by the multiset of the
+// members' classes. A nil receiver computes fresh (no caching), so callers
+// need not guard.
 func (ec *EffCache) GroupStats(cfg Config, times []workload.StageTimes) (time.Duration, float64) {
-	if ec == nil {
-		_, t, eff := BestOrdering(cfg.Inflate(times))
-		return t, eff
-	}
-	key := canonicalKey(cfg.Overhead, times)
-	ec.mu.RLock()
-	e, ok := ec.cur[key]
-	inOld := false
-	if !ok {
-		e, ok = ec.old[key]
-		inOld = ok
-	}
-	ec.mu.RUnlock()
-	if ok {
-		ec.hits.Add(1)
-		if inOld {
-			// Re-promote so hot keys survive the next rotation.
-			ec.put(key, e)
+	var key Classes
+	b := ec.Begin(cfg)
+	if ec != nil {
+		for i, p := range times {
+			key = MergeSorted(key, i, Classes{ec.classLocked(p)}, 1)
 		}
-		return e.iterTime, e.eff
 	}
-	ec.miss.Add(1)
-	_, t, eff := BestOrdering(cfg.Inflate(times))
-	ec.put(key, effEntry{iterTime: t, eff: eff})
+	t, eff := b.Stats(key, times)
+	b.End()
 	return t, eff
-}
-
-// put inserts into the current generation, rotating generations when the
-// size bound is reached. Concurrent duplicate computes are idempotent:
-// every writer stores the same bit-identical value for a given key.
-func (ec *EffCache) put(key effKey, e effEntry) {
-	ec.mu.Lock()
-	if len(ec.cur) >= ec.max {
-		ec.evic.Add(uint64(len(ec.old)))
-		ec.old = ec.cur
-		ec.cur = make(map[effKey]effEntry, ec.max)
-	}
-	ec.cur[key] = e
-	ec.mu.Unlock()
 }
 
 // Class interns a stage-time vector: equal vectors get equal IDs, distinct
 // vectors distinct ones. The values depend on interning order and carry no
-// meaning beyond equality. A nil receiver returns 0 (not classified).
+// meaning beyond equality; an ID is never handed out twice, so it denotes
+// the same vector for the cache's lifetime. A nil receiver returns 0 (not
+// classified).
 func (ec *EffCache) Class(p workload.StageTimes) uint32 {
 	if ec == nil {
 		return 0
@@ -184,6 +206,10 @@ func (ec *EffCache) Class(p workload.StageTimes) uint32 {
 	}
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
+	return ec.classLocked(p)
+}
+
+func (ec *EffCache) classLocked(p workload.StageTimes) uint32 {
 	if id, ok := ec.classes[p]; ok {
 		return id
 	}
@@ -199,34 +225,44 @@ func (ec *EffCache) Class(p workload.StageTimes) uint32 {
 // ordering. cls must hold the classes of times, in the same order; a nil
 // receiver or an unclassified tuple computes fresh.
 func (ec *EffCache) PlanGroup(cfg Config, cls Classes, times []workload.StageTimes) Plan {
-	if ec == nil || cls[0] == 0 {
-		return cfg.PlanGroup(times, false)
+	perm, t, eff := ec.PlanOrder(cfg, cls, times)
+	order := make(Ordering, len(times))
+	for i := range order {
+		order[i] = int(perm[i])
 	}
-	key := planKey{overhead: cfg.Overhead, cls: cls}
-	ec.mu.RLock()
-	e, ok := ec.plans[key]
-	ec.mu.RUnlock()
-	if ok {
-		ec.hits.Add(1)
-		order := make(Ordering, len(times))
-		for i := range order {
-			order[i] = int(e.order[i])
+	return Plan{Order: order, IterTime: t, Efficiency: eff}
+}
+
+// PlanOrder is PlanGroup with the permutation returned by value: member
+// perm[i] runs with stage offset i. It is what the planner calls, once per
+// group per plan, so a hit allocates nothing.
+func (ec *EffCache) PlanOrder(cfg Config, cls Classes, times []workload.StageTimes) (perm [MaxGroupSize]int8, iterTime time.Duration, eff float64) {
+	cached := ec != nil && cls[0] != 0
+	key := tupleKey{overhead: cfg.Overhead, cls: cls}
+	if cached {
+		ec.mu.RLock()
+		e, ok := ec.plans[key]
+		ec.mu.RUnlock()
+		if ok {
+			ec.hits.Add(1)
+			return e.order, e.iterTime, e.eff
 		}
-		return Plan{Order: order, IterTime: e.iterTime, Efficiency: e.eff}
+		ec.miss.Add(1)
 	}
-	ec.miss.Add(1)
 	plan := cfg.PlanGroup(times, false)
-	e = planEntry{iterTime: plan.IterTime, eff: plan.Efficiency}
+	e := planEntry{iterTime: plan.IterTime, eff: plan.Efficiency}
 	for i, idx := range plan.Order {
 		e.order[i] = int8(idx)
 	}
-	ec.mu.Lock()
-	if ec.plans == nil || len(ec.plans) >= ec.max {
-		ec.plans = make(map[planKey]planEntry)
+	if cached {
+		ec.mu.Lock()
+		if ec.plans == nil || len(ec.plans) >= ec.max {
+			ec.plans = make(map[tupleKey]planEntry)
+		}
+		ec.plans[key] = e
+		ec.mu.Unlock()
 	}
-	ec.plans[key] = e
-	ec.mu.Unlock()
-	return plan
+	return e.order, e.iterTime, e.eff
 }
 
 // PairEfficiency is the memoized form of Config.PairEfficiency: the

@@ -166,3 +166,61 @@ func TestCacheNilReceiver(t *testing.T) {
 		t.Fatalf("oversize pair: got %v, want -Inf", got)
 	}
 }
+
+// TestTupleMemoMatchesFresh is the soundness property of keying the
+// statistics memo by class IDs instead of profile contents: over random
+// multisets from a pool larger than a tiny cache's bound — so the interner
+// is dropped and the generations rotate many times — every member order of
+// every multiset reads exactly the fresh BestOrdering statistics, through
+// GroupStats and through an explicit Batch; an ID is never handed to two
+// profiles; and a member whose profile is rewritten reads the statistics
+// of the new contents.
+func TestTupleMemoMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	cache := NewEffCache(16)
+	cfg := Config{Overhead: 0.08}
+	pool := make([]workload.StageTimes, 40)
+	for i := range pool {
+		pool[i] = randProfile(rng)
+	}
+	owner := map[uint32]workload.StageTimes{}
+	check := func(trial int, times []workload.StageTimes) {
+		t.Helper()
+		_, wantT, wantEff := BestOrdering(cfg.Inflate(times))
+		if gotT, gotEff := cache.GroupStats(cfg, times); gotT != wantT || gotEff != wantEff {
+			t.Fatalf("trial %d: GroupStats(%v) = (%v, %v), fresh (%v, %v)", trial, times, gotT, gotEff, wantT, wantEff)
+		}
+		var key Classes
+		for i, p := range times {
+			id := cache.Class(p)
+			if prev, ok := owner[id]; ok && prev != p {
+				t.Fatalf("trial %d: class %d handed to %v and to %v", trial, id, prev, p)
+			}
+			owner[id] = p
+			key = MergeSorted(key, i, Classes{id}, 1)
+		}
+		b := cache.Begin(cfg)
+		gotT, gotEff := b.Stats(key, times)
+		b.End()
+		if gotT != wantT || gotEff != wantEff {
+			t.Fatalf("trial %d: Batch.Stats(%v) = (%v, %v), fresh (%v, %v)", trial, key, gotT, gotEff, wantT, wantEff)
+		}
+	}
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(MaxGroupSize)
+		times := make([]workload.StageTimes, n)
+		for i := range times {
+			times[i] = pool[rng.Intn(len(pool))]
+		}
+		permutations(n, func(perm []int) bool {
+			check(trial, Ordering(perm).Apply(times))
+			return true
+		})
+		// An estimator rewrites one member's profile in place.
+		times[rng.Intn(n)] = randProfile(rng)
+		check(trial, times)
+	}
+	if st := cache.Stats(); st.Evictions == 0 || st.Hits == 0 {
+		t.Fatalf("test never rotated a generation or never hit: %+v", st)
+	}
+}

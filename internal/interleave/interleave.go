@@ -70,25 +70,28 @@ func EfficiencyK(times [][]time.Duration) float64 {
 	return 1 - idle/float64(k)
 }
 
-func toVecs(times []workload.StageTimes) [][]time.Duration {
-	out := make([][]time.Duration, len(times))
+// toVecs appends the vectors of times to dst: callers pass a stack buffer
+// of MaxGroupSize, so groups of legal size cost no allocation.
+func toVecs(dst [][]time.Duration, times []workload.StageTimes) [][]time.Duration {
 	for i := range times {
-		out[i] = times[i][:]
+		dst = append(dst, times[i][:])
 	}
-	return out
+	return dst
 }
 
 // IterationTime computes the duration of one group iteration (Eq. 3) for
 // jobs taken in the given order with the system's k=4 resource types.
 // A single job degenerates to its serial iteration time.
 func IterationTime(times []workload.StageTimes) time.Duration {
-	return IterationTimeK(toVecs(times))
+	var buf [MaxGroupSize][]time.Duration
+	return IterationTimeK(toVecs(buf[:0], times))
 }
 
 // Efficiency computes the interleaving efficiency γ (Eq. 4) for jobs taken
 // in the given order with the system's k=4 resource types.
 func Efficiency(times []workload.StageTimes) float64 {
-	return EfficiencyK(toVecs(times))
+	var buf [MaxGroupSize][]time.Duration
+	return EfficiencyK(toVecs(buf[:0], times))
 }
 
 // Ordering is a permutation of group-member indices; member Ordering[i]

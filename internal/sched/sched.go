@@ -418,8 +418,10 @@ type Muri struct {
 	// Label overrides the reported name (used by ablation variants).
 	Label string
 
-	// prevGroups remembers the last plan's multi-job groups for Sticky.
-	prevGroups [][]job.ID
+	// prevIDs remembers the last plan's multi-job groups for Sticky: their
+	// member IDs group after group, with the group sizes in prevSizes.
+	prevIDs   []job.ID
+	prevSizes []int
 	// order ranks the queue, starting from last round's order.
 	order ranker
 	// ranked and units are the buffers Plan ranks its groups and builds its
@@ -599,23 +601,24 @@ func (m *Muri) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
 	} else {
 		groups = m.Grouping.Plan(candidates, capacity)
 	}
-	m.rememberGroups(groups)
+	if m.Sticky {
+		m.rememberGroups(groups)
+	}
 	// Rank groups by their most urgent member, so capacity goes to the
 	// highest-priority work first. ordered is sorted by entryCmp, a total
-	// order, so comparing two groups' most urgent members under entryCmp
-	// is comparing their positions in ordered; each group's is found once.
+	// order, so a group's most urgent member is the one at the lowest
+	// position in ordered — which orderJobs just wrote on every job — and
+	// ranking the groups is sorting those positions.
 	m.ranked = resized(m.ranked, len(groups))
 	ranked := m.ranked
 	for i, g := range groups {
-		best := muriEntry{j: g.Jobs[0], key: m.PriorityKey(now, g.Jobs[0])}
+		pos := g.Jobs[0].Sched.Rank
 		for _, j := range g.Jobs[1:] {
-			if e := (muriEntry{j: j, key: m.PriorityKey(now, j)}); entryCmp(e, best) < 0 {
-				best = e
-			}
+			pos = min(pos, j.Sched.Rank)
 		}
-		ranked[i] = rankedGroup{best: best, g: g}
+		ranked[i] = rankedGroup{pos: pos, group: int32(i)}
 	}
-	slices.SortStableFunc(ranked, func(a, b rankedGroup) int { return entryCmp(a.best, b.best) })
+	slices.SortFunc(ranked, func(a, b rankedGroup) int { return cmp.Compare(a.pos, b.pos) })
 	// Jobs beyond the grouping budget still back-fill exclusively: when a
 	// high-priority multi-GPU unit cannot be placed, the spare capacity
 	// must not idle while the queue has work.
@@ -625,7 +628,7 @@ func (m *Muri) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
 	}
 	m.units = resized(m.units, len(groups)+len(backfill))
 	for i, r := range ranked {
-		g := r.g
+		g := groups[r.group]
 		mode := Interleaved
 		if len(g.Jobs) == 1 {
 			mode = Exclusive
@@ -643,10 +646,11 @@ type muriEntry struct {
 	key float64
 }
 
-// rankedGroup pairs a planned group with its most urgent member.
+// rankedGroup is a planned group's sort key: the position in the ranked
+// queue of its most urgent member, and the group's index in the plan.
 type rankedGroup struct {
-	best muriEntry
-	g    core.Group
+	pos   uint32
+	group int32
 }
 
 // entryCmp is the total priority order: key, then submission time, then
@@ -691,7 +695,7 @@ func (m *Muri) orderJobs(jobs []*job.Job, budget int) []*job.Job {
 // is still a candidate. It returns the seeds and the remaining loose
 // candidates.
 func (m *Muri) extractSeeds(candidates []*job.Job) (seeds [][]*job.Job, rest []*job.Job) {
-	if len(m.prevGroups) == 0 {
+	if len(m.prevSizes) == 0 {
 		return nil, candidates
 	}
 	byID := make(map[job.ID]*job.Job, len(candidates))
@@ -699,7 +703,10 @@ func (m *Muri) extractSeeds(candidates []*job.Job) (seeds [][]*job.Job, rest []*
 		byID[j.ID] = j
 	}
 	seeded := make(map[job.ID]bool)
-	for _, ids := range m.prevGroups {
+	prev := m.prevIDs
+	for _, size := range m.prevSizes {
+		ids := prev[:size]
+		prev = prev[size:]
 		group := make([]*job.Job, 0, len(ids))
 		ok := true
 		for _, id := range ids {
@@ -727,16 +734,16 @@ func (m *Muri) extractSeeds(candidates []*job.Job) (seeds [][]*job.Job, rest []*
 }
 
 // rememberGroups records the plan's multi-job groups for the next round.
+// Only extractSeeds reads them, so only a Sticky policy calls it.
 func (m *Muri) rememberGroups(groups []core.Group) {
-	m.prevGroups = m.prevGroups[:0]
+	m.prevIDs, m.prevSizes = m.prevIDs[:0], m.prevSizes[:0]
 	for _, g := range groups {
 		if len(g.Jobs) < 2 {
 			continue
 		}
-		ids := make([]job.ID, len(g.Jobs))
-		for i, j := range g.Jobs {
-			ids[i] = j.ID
+		m.prevSizes = append(m.prevSizes, len(g.Jobs))
+		for _, j := range g.Jobs {
+			m.prevIDs = append(m.prevIDs, j.ID)
 		}
-		m.prevGroups = append(m.prevGroups, ids)
 	}
 }

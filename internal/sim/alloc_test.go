@@ -21,11 +21,15 @@ const (
 	replayGCCeiling      = 30
 )
 
-// bypassReplay is the benchmark ledger's sim-bypass input at seed 1: the
-// trace4 preset truncated, every duration jittered by ±5%.
-func bypassReplay() (Config, trace.Trace) {
+// bypassReplay is the benchmark ledger's sim-bypass input at seed 1.
+func bypassReplay() (Config, trace.Trace) { return ledgerReplay(1500) }
+
+// ledgerReplay is the input the ledger's trace4 workloads share at seed 1:
+// the preset truncated to the given job count, every duration jittered by
+// ±5%.
+func ledgerReplay(jobs int) (Config, trace.Trace) {
 	gc := trace.PhillyConfigs(64)[3]
-	gc.Jobs = 1500
+	gc.Jobs = jobs
 	tr := trace.Generate(gc)
 	rng := rand.New(rand.NewSource(1))
 	for i := range tr.Specs {
@@ -65,5 +69,45 @@ func TestReplayAllocBudget(t *testing.T) {
 	}
 	if cycles > replayGCCeiling {
 		t.Errorf("replay ran %d GC cycles, ceiling %d", cycles, replayGCCeiling)
+	}
+}
+
+// scaleAllocCeilingMB bounds one sim-scale replay of the ledger (600
+// trace4 jobs under muri-l-scale(4), 1,447 rounds): the grouping half of a
+// round works in the plan arena, so what a replay allocates is the groups
+// it returns and the proposal streams PlanState keeps. Measured 44 MB and
+// 19; 124 MB and 57 GC cycles when every sweep made its nodes, tables and
+// scratch afresh.
+const (
+	scaleAllocCeilingMB = 60
+	scaleGCCeiling      = 30
+)
+
+func TestScaleReplayAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	cfg, tr := ledgerReplay(600)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res := Run(cfg, tr, sched.NewMuriLScale(4))
+	runtime.ReadMemStats(&after)
+
+	if got, want := res.Summary.AvgJCT, 8*time.Hour+35*time.Minute+8552920107*time.Nanosecond; got != want {
+		t.Errorf("avg JCT = %v, want %v", got, want)
+	}
+	if res.Summary.Jobs != 600 || res.Engine.Rounds != 1447 {
+		t.Errorf("jobs %d, rounds %d; want 600, 1447", res.Summary.Jobs, res.Engine.Rounds)
+	}
+
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	cycles := after.NumGC - before.NumGC
+	t.Logf("replay allocated %.1f MB through %d GC cycles", mb, cycles)
+	if mb > scaleAllocCeilingMB {
+		t.Errorf("replay allocated %.1f MB, ceiling %d MB", mb, scaleAllocCeilingMB)
+	}
+	if cycles > scaleGCCeiling {
+		t.Errorf("replay ran %d GC cycles, ceiling %d", cycles, scaleGCCeiling)
 	}
 }

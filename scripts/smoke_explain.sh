@@ -60,7 +60,10 @@ ctl submit -model gpt2 -gpus 8 -iters 2400
 poll "job 1 running" 20 'running=1'
 ctl submit -model gpt2 -gpus 8 -iters 1200
 ctl wait -timeout 2m
-ctl status | grep -qE 'done=2' || { echo "FAIL: expected done=2" >&2; exit 1; }
+# Capture, then match: under pipefail, grep -q exiting at the first match
+# would SIGPIPE murictl and fail the pipeline on a passing run.
+status=$(ctl status)
+grep -qE 'done=2' <<<"$status" || { echo "FAIL: expected done=2" >&2; exit 1; }
 
 echo "== capture live explanations"
 ctl explain -job 1 | tee "$WORK/live-1.txt"

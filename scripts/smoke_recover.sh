@@ -73,11 +73,14 @@ poll "running groups adopted or finished" 20 'running=2|done=2'
 
 echo "== drain"
 ctl wait -timeout 2m
-ctl status
-ctl status | grep -qE 'done=2' || { echo "FAIL: expected done=2" >&2; exit 1; }
+# Capture, then match: under pipefail, grep -q exiting at the first match
+# would SIGPIPE murictl and fail the pipeline on a passing run.
+status=$(ctl status)
+echo "$status"
+grep -qE 'done=2' <<<"$status" || { echo "FAIL: expected done=2" >&2; exit 1; }
 # Adoption means no machine-lost requeues: the crash recovery kept the
 # running groups alive end to end.
-if ctl status | grep -qE 'requeues=[1-9]'; then
+if grep -qE 'requeues=[1-9]' <<<"$status"; then
   echo "FAIL: recovery requeued jobs instead of adopting the surviving groups" >&2
   exit 1
 fi
