@@ -21,6 +21,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"muri/internal/job"
 	"muri/internal/metrics"
@@ -231,9 +232,9 @@ var stamps atomic.Uint64
 
 // roundScratch is one Reconcile round's working memory, reused by the
 // next. Of the Outcome, Placements (and their Members), Decisions and
-// Killed live here and are valid until the next Reconcile; what a driver
-// keeps longer — a placed unit's Jobs, the rebuilt queue — is allocated
-// per round.
+// Killed live here and are valid until the next Reconcile; a placed
+// unit's Jobs, allocated per round, and the rebuilt queue, in the buffer
+// the driver lends (Input.PendingInto), are the driver's to keep.
 //
 // The round's per-job sets live on the jobs themselves (job.Sched), each
 // set while its field equals stamp: Placed — the job holds resources
@@ -560,6 +561,11 @@ type Input struct {
 	// rebuilt successor in Outcome.Pending. Nil when the driver keeps no
 	// explicit queue (the daemon derives it from phases).
 	Pending []*job.Job
+	// PendingInto, when non-nil, is the buffer Outcome.Pending is rebuilt
+	// into (as Matcher.SolveInto takes mate's); nil allocates. It must not
+	// share a backing array with Pending or Candidates — Reconcile panics —
+	// so a driver that keeps its queue alternates two buffers.
+	PendingInto []*job.Job
 	// Capacity is the total in-service GPU capacity, passed to the
 	// policy.
 	Capacity int
@@ -638,6 +644,9 @@ type Outcome struct {
 // placement path is the simulator's historical loop moved here verbatim,
 // so fixed-seed simulations stay bit-identical.
 func (e *Engine) Reconcile(in Input) Outcome {
+	if overlaps(in.PendingInto, in.Pending) || overlaps(in.PendingInto, in.Candidates) {
+		panic("engine: Input.PendingInto shares a backing array with Pending or Candidates")
+	}
 	e.stats.Rounds++
 	e.lastNow = in.Now
 	preempt := e.cfg.Policy.Preemptive()
@@ -647,7 +656,7 @@ func (e *Engine) Reconcile(in Input) Outcome {
 	r.reset()
 	for i := range in.Current {
 		c := &in.Current[i]
-		c.key = UnitKey(c.Spec)
+		c.key = unitKey(c.Spec, e.prevKeys)
 		r.currentKeys[c.key] = true
 	}
 
@@ -696,7 +705,7 @@ func (e *Engine) Reconcile(in Input) Outcome {
 			return true
 		}
 		free -= spec.GPUs
-		r.admitted = append(r.admitted, admittedUnit{key: UnitKey(spec), spec: spec})
+		r.admitted = append(r.admitted, admittedUnit{key: unitKey(spec, e.prevKeys), spec: spec})
 		for _, j := range spec.Jobs {
 			j.Sched.Claimed = stamp
 		}
@@ -831,7 +840,7 @@ func (e *Engine) Reconcile(in Input) Outcome {
 	out.Decisions = r.decisions
 
 	// Rebuild the pending queue and the placement memory.
-	newPending := make([]*job.Job, 0, max(len(in.Pending), len(in.Candidates)))
+	newPending := slices.Grow(in.PendingInto[:0], max(len(in.Pending), len(in.Candidates)))
 	for _, j := range in.Pending {
 		if j.Sched.Placed != stamp {
 			j.State = job.Pending
@@ -903,6 +912,13 @@ func sortBySubmit(queue []*job.Job, kept int, tail []*job.Job) []*job.Job {
 	}
 	clear(tail)
 	return tail
+}
+
+// overlaps reports whether appending to a can overwrite b or vice versa.
+func overlaps(a, b []*job.Job) bool {
+	const size = unsafe.Sizeof((*job.Job)(nil))
+	pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return cap(a) > 0 && cap(b) > 0 && pa < pb+uintptr(cap(b))*size && pb < pa+uintptr(cap(a))*size
 }
 
 // remember records a running unit's members in the placement memory.

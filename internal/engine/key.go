@@ -4,6 +4,7 @@ import (
 	"slices"
 	"strconv"
 
+	"muri/internal/job"
 	"muri/internal/sched"
 )
 
@@ -15,7 +16,12 @@ import (
 // unit (same jobs, same sharing discipline) and keeps running without a
 // restart; any change in composition or mode produces a new key and
 // forces a relaunch.
-func UnitKey(u sched.Unit) string {
+func UnitKey(u sched.Unit) string { return unitKey(u, nil) }
+
+// unitKey is UnitKey returning prev[first member] when that is the key,
+// so a unit that continues reuses its string and only a new composition
+// allocates one.
+func unitKey(u sched.Unit, prev map[job.ID]string) string {
 	// Stack buffers: groups hold at most a handful of members, and a key
 	// is a short string, so the only allocation is the returned string.
 	var idBuf [8]int64
@@ -34,6 +40,11 @@ func UnitKey(u sched.Unit) string {
 			buf = append(buf, ',')
 		}
 		buf = strconv.AppendInt(buf, id, 10)
+	}
+	if len(u.Jobs) > 0 {
+		if key := prev[u.Jobs[0].ID]; string(buf) == key {
+			return key
+		}
 	}
 	return string(buf)
 }

@@ -15,9 +15,9 @@ type Placer interface {
 	// Place tries to place u, whose Jobs is the unit's own copy: the
 	// placer may keep u. The returned handle is opaque to the engine
 	// and is passed back to the driver on the unit's Placement (the
-	// simulator stores a cluster.Alloc, the daemon a group ID). ok=false
-	// means the unit does not fit right now (fragmentation, send failure)
-	// and is skipped this round.
+	// simulator's *unit holding the allocation, the daemon's group ID).
+	// ok=false means the unit does not fit right now (fragmentation,
+	// send failure) and is skipped this round.
 	Place(key string, u sched.Unit) (handle any, ok bool)
 	// Reset releases every allocation. Called only at the start of a
 	// preemptive ReplaceAll round, before the admission sweep reads Free.

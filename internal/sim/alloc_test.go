@@ -12,13 +12,17 @@ import (
 
 // replayAllocCeilingMB bounds what one event-driven SRTF replay of the
 // first 1,500 trace4 jobs may allocate: 3,755 rounds over a queue of up to
-// 794 jobs on 64 GPUs. A round's garbage is proportional to what it
-// places, not to what it ranks; when a round materialized a unit, an
-// order slice and a one-entry allocation map per candidate, the same
-// replay allocated 207 MB through 89 GC cycles. Measured 46 MB and 21.
+// 794 jobs on 64 GPUs. A warm round allocates what it newly places: the
+// simulator recycles its units, the engine rebuilds the queue into a
+// buffer the simulator lends and keeps a continuing unit's key, so what is
+// left is the jobs themselves, each round's member array and the keys and
+// decisions of launches. Measured 2.9 MB and 0–1 GC cycles; 46 MB and 21
+// when every round re-created the running set, the queue and the keys, and
+// 207 MB and 89 when a round also materialized a unit, an order slice and
+// a one-entry allocation map per candidate.
 const (
-	replayAllocCeilingMB = 80
-	replayGCCeiling      = 30
+	replayAllocCeilingMB = 4
+	replayGCCeiling      = 3
 )
 
 // bypassReplay is the benchmark ledger's sim-bypass input at seed 1.
@@ -75,12 +79,13 @@ func TestReplayAllocBudget(t *testing.T) {
 // scaleAllocCeilingMB bounds one sim-scale replay of the ledger (600
 // trace4 jobs under muri-l-scale(4), 1,447 rounds): the grouping half of a
 // round works in the plan arena, so what a replay allocates is the groups
-// it returns and the proposal streams PlanState keeps. Measured 44 MB and
-// 19; 124 MB and 57 GC cycles when every sweep made its nodes, tables and
-// scratch afresh.
+// it returns and the proposal streams PlanState keeps. Measured 15 MB and
+// 5–6 GC cycles; 44 MB and 19 while the non-grouping half re-created its
+// units, queue and keys every round, and 124 MB and 57 when every sweep
+// also made its nodes, tables and scratch afresh.
 const (
-	scaleAllocCeilingMB = 60
-	scaleGCCeiling      = 30
+	scaleAllocCeilingMB = 19
+	scaleGCCeiling      = 8
 )
 
 func TestScaleReplayAllocBudget(t *testing.T) {

@@ -177,7 +177,8 @@ type Event struct {
 	Machine string `json:"machine,omitempty"`
 }
 
-// unit is a placed schedulable unit at run time.
+// unit is a placed schedulable unit at run time, and its own placement
+// handle: simPlacer takes it from the free list, recycle puts it back.
 type unit struct {
 	spec  sched.Unit
 	alloc cluster.Alloc
@@ -206,6 +207,13 @@ type unit struct {
 	// unit landed on a slow machine of the fault plan); retime reapplies
 	// it after completions shrink the unit. Zero without a fault plan.
 	slow float64
+}
+
+// dropMember deletes member i in place.
+func (u *unit) dropMember(i int) {
+	u.spec.Jobs = slices.Delete(u.spec.Jobs, i, i+1)
+	u.iterTime = slices.Delete(u.iterTime, i, i+1)
+	u.carry = slices.Delete(u.carry, i, i+1)
 }
 
 // invalidate drops the unit's memoized completion estimate. Every
@@ -244,21 +252,18 @@ func (u *unit) earliest(now time.Duration) (time.Duration, bool) {
 // memberIterTimes writes each member's effective iteration time under
 // the unit's sharing mode into out, which has one entry per member.
 func memberIterTimes(out []time.Duration, u sched.Unit, cfg interleave.Config) {
+	var buf [interleave.MaxGroupSize]workload.StageTimes
 	switch u.Mode {
 	case sched.Exclusive:
 		out[0] = u.Jobs[0].SerialIterTime()
 	case sched.Interleaved:
-		times := make([]workload.StageTimes, len(u.Jobs))
-		for i, j := range u.Jobs {
-			times[i] = j.TrueProfile
-		}
-		T := interleave.IterationTime(cfg.Inflate(times))
+		_, T := groupTimes(&buf, u.Jobs, cfg)
 		for i := range out {
 			out[i] = T
 		}
 	case sched.SpaceShared:
 		for i, j := range u.Jobs {
-			others := make([]workload.StageTimes, 0, len(u.Jobs)-1)
+			others := buf[:0]
 			for k, o := range u.Jobs {
 				if k != i {
 					others = append(others, o.TrueProfile)
@@ -270,6 +275,22 @@ func memberIterTimes(out []time.Duration, u sched.Unit, cfg interleave.Config) {
 	default:
 		panic("sim: unknown unit mode")
 	}
+}
+
+// groupTimes writes an interleaved group's true profiles, inflated as
+// interleave.Config.Inflate does, into buf and returns them with their
+// Eq. 3 iteration time; interleave.IterationTime would move buf to the heap.
+func groupTimes(buf *[interleave.MaxGroupSize]workload.StageTimes, jobs []*job.Job, cfg interleave.Config) ([]workload.StageTimes, time.Duration) {
+	var vecs [interleave.MaxGroupSize][]time.Duration
+	times := buf[:len(jobs)]
+	for i, j := range jobs {
+		times[i] = j.TrueProfile
+		if p := len(jobs); p > 1 && cfg.Overhead != 0 {
+			times[i] = times[i].Scale(1 + cfg.Overhead*float64(p-1))
+		}
+		vecs[i] = times[i][:]
+	}
+	return times, interleave.IterationTimeK(vecs[:len(jobs)])
 }
 
 // sim is the run state.
@@ -323,6 +344,18 @@ type sim struct {
 	candidates []*job.Job
 	current    []engine.Current
 	oldCarry   map[job.ID]float64
+	// free holds units nothing can read any more; spareRunning and
+	// spareQueue double-buffer the running set and the pending queue.
+	free         []*unit
+	spareRunning []*unit
+	spareQueue   []*job.Job
+}
+
+// recycle frees a unit that left the running set, keeping its per-member
+// capacity; every caller marks the heap stale, so no slot is read again.
+func (s *sim) recycle(u *unit) {
+	*u = unit{iterTime: u.iterTime[:0], carry: u.carry[:0]}
+	s.free = append(s.free, u)
 }
 
 // jobFault is one scheduled transient job fault.
@@ -350,6 +383,29 @@ func (s *sim) record(kind string, id job.ID, unit, machine string) {
 
 // Run simulates the trace under the policy and returns the result.
 func Run(cfg Config, tr trace.Trace, policy sched.Policy) Result {
+	s := newSim(cfg, tr, policy)
+	s.loop()
+	if cfg.Explain != nil && cfg.Trace != nil {
+		// Render the folded lifecycle spans as duration events on the
+		// run's Chrome trace (one thread per job under an "explain"
+		// process), alongside the engine's decision instants.
+		cfg.Explain.EmitSpans(cfg.Trace)
+	}
+	return Result{
+		Policy:      policy.Name(),
+		Summary:     metrics.Summarize(s.done),
+		Series:      s.series,
+		Jobs:        s.done,
+		Preemptions: s.preemptions,
+		Timeline:    s.timeline,
+		Heap:        s.heap.snapshot(),
+		Faults:      s.fstats,
+		Engine:      s.eng.Stats(),
+	}
+}
+
+// newSim validates cfg and builds the run state with the trace's jobs.
+func newSim(cfg Config, tr trace.Trace, policy sched.Policy) *sim {
 	if cfg.Machines <= 0 || cfg.GPUsPerMachine <= 0 {
 		panic("sim: cluster dimensions must be positive")
 	}
@@ -402,24 +458,7 @@ func Run(cfg Config, tr trace.Trace, policy sched.Policy) Result {
 		s.drawn = make(map[job.ID]int)
 	}
 	s.buildJobs(tr)
-	s.loop()
-	if cfg.Explain != nil && cfg.Trace != nil {
-		// Render the folded lifecycle spans as duration events on the
-		// run's Chrome trace (one thread per job under an "explain"
-		// process), alongside the engine's decision instants.
-		cfg.Explain.EmitSpans(cfg.Trace)
-	}
-	return Result{
-		Policy:      policy.Name(),
-		Summary:     metrics.Summarize(s.done),
-		Series:      s.series,
-		Jobs:        s.done,
-		Preemptions: s.preemptions,
-		Timeline:    s.timeline,
-		Heap:        s.heap.snapshot(),
-		Faults:      s.fstats,
-		Engine:      s.eng.Stats(),
-	}
+	return s
 }
 
 // buildJobs materializes jobs from trace specs: iteration counts derive
@@ -474,40 +513,46 @@ func (s *sim) loop() {
 			s.applyFaults()
 		}
 		s.schedule()
-		next := s.now + s.cfg.Interval
-		if s.cfg.EventDriven {
-			// Wake early for the next arrival or the earliest completion.
-			if s.arrived < len(s.all) {
-				if a := s.all[s.arrived].Submit; a > s.now && a < next {
-					next = a
-				}
-			}
-			if c, ok := s.earliestCompletion(); ok && c < next {
-				next = c
-			}
-			if next <= s.now {
-				next = s.now + time.Millisecond
-			}
-		}
-		// Fast-forward across idle gaps: if nothing is running and the
-		// queue is empty, jump to the next arrival.
-		if len(s.running) == 0 && len(s.pending) == 0 && s.arrived < len(s.all) {
-			if a := s.all[s.arrived].Submit; a > next {
-				next = a
-			}
-		}
-		// Wake exactly at the next crash/repair/transient-fault instant so
-		// preemption happens at the event time, not a whole interval late.
-		// applyFaults consumed everything due at s.now, so the clamp can
-		// never stall the clock.
-		if s.plan != nil {
-			if at, ok := s.nextFault(); ok && at > s.now && at < next {
-				next = at
-			}
-		}
+		next := s.nextWake()
 		s.advance(next)
 		s.now = next
 	}
+}
+
+// nextWake returns the next scheduling point after a round at s.now.
+func (s *sim) nextWake() time.Duration {
+	next := s.now + s.cfg.Interval
+	if s.cfg.EventDriven {
+		// Wake early for the next arrival or the earliest completion.
+		if s.arrived < len(s.all) {
+			if a := s.all[s.arrived].Submit; a > s.now && a < next {
+				next = a
+			}
+		}
+		if c, ok := s.earliestCompletion(); ok && c < next {
+			next = c
+		}
+		if next <= s.now {
+			next = s.now + time.Millisecond
+		}
+	}
+	// Fast-forward across idle gaps: if nothing is running and the
+	// queue is empty, jump to the next arrival.
+	if len(s.running) == 0 && len(s.pending) == 0 && s.arrived < len(s.all) {
+		if a := s.all[s.arrived].Submit; a > next {
+			next = a
+		}
+	}
+	// Wake exactly at the next crash/repair/transient-fault instant so
+	// preemption happens at the event time, not a whole interval late.
+	// applyFaults consumed everything due at s.now, so the clamp can
+	// never stall the clock.
+	if s.plan != nil {
+		if at, ok := s.nextFault(); ok && at > s.now && at < next {
+			next = at
+		}
+	}
+	return next
 }
 
 // applyFaults applies every failure-plan event that has come due:
@@ -599,14 +644,17 @@ func (s *sim) crashMachine(e faults.MachineEvent) {
 	s.fstats.Crashes++
 	s.recordAt(e.Time, "fault", 0, machineLabel(e.Machine), machineLabel(e.Machine))
 	s.traceFault("crash "+machineLabel(e.Machine), e.Time, map[string]any{"machine": e.Machine})
-	var still []*unit
+	still := s.running[:0]
 	for _, u := range s.running {
 		if u.alloc.On(e.Machine) == 0 {
 			still = append(still, u)
 			continue
 		}
 		s.cluster.Release(u.alloc)
-		key := engine.UnitKey(u.spec)
+		var key string
+		if s.cfg.RecordTimeline {
+			key = engine.UnitKey(u.spec)
+		}
 		for i, j := range u.spec.Jobs {
 			if j.State == job.Done {
 				continue
@@ -623,7 +671,9 @@ func (s *sim) crashMachine(e faults.MachineEvent) {
 			s.eng.RequeueWithCause(j.ID, engine.ReasonMachineLost, machineLabel(e.Machine)+" lost")
 			s.pending = append(s.pending, j)
 		}
+		s.recycle(u)
 	}
+	clear(s.running[len(still):])
 	s.running = still
 	s.heap.markStale()
 	s.cluster.SetDown(e.Machine)
@@ -657,8 +707,12 @@ func (s *sim) failJob(f jobFault) {
 			s.fstats.Transient++
 			s.fstats.Requeues++
 			s.fstats.WorkLost += time.Duration(u.carry[i] * float64(u.iterTime[i]))
-			s.recordAt(f.at, "fault", j.ID, engine.UnitKey(u.spec), allocMachines(u.alloc))
-			s.traceFault(fmt.Sprintf("transient fault job %d", j.ID), f.at, map[string]any{"job": int64(j.ID)})
+			if s.cfg.RecordTimeline {
+				s.recordAt(f.at, "fault", j.ID, engine.UnitKey(u.spec), allocMachines(u.alloc))
+			}
+			if s.cfg.Trace.Enabled() {
+				s.traceFault(fmt.Sprintf("transient fault job %d", j.ID), f.at, map[string]any{"job": int64(j.ID)})
+			}
 			j.State = job.Pending
 			backoff, deadlettered := s.eng.RecordFault(j.ID)
 			if s.cfg.Explain != nil {
@@ -684,18 +738,12 @@ func (s *sim) failJob(f jobFault) {
 // removeMember drops member index i from a unit, releasing the unit when
 // it empties and retiming the survivors otherwise.
 func (s *sim) removeMember(u *unit, i int) {
-	u.spec.Jobs = append(u.spec.Jobs[:i], u.spec.Jobs[i+1:]...)
-	u.iterTime = append(u.iterTime[:i], u.iterTime[i+1:]...)
-	u.carry = append(u.carry[:i], u.carry[i+1:]...)
+	u.dropMember(i)
 	if len(u.spec.Jobs) == 0 {
 		s.cluster.Release(u.alloc)
-		var still []*unit
-		for _, o := range s.running {
-			if o != u {
-				still = append(still, o)
-			}
-		}
-		s.running = still
+		k := slices.Index(s.running, u)
+		s.running = slices.Delete(s.running, k, k+1)
+		s.recycle(u)
 	} else {
 		s.retime(u)
 	}
@@ -774,18 +822,25 @@ func (s *sim) explAdmit(jobs []*job.Job) {
 }
 
 // simPlacer adapts the modeled cluster to the engine's Placer
-// interface: placement is a GPU allocation, and preemptive rounds reset
-// the whole cluster (machine down-state survives a Reset).
-type simPlacer struct{ c *cluster.Cluster }
+// interface: placement is a GPU allocation held by a recycled unit, and
+// preemptive rounds reset the cluster (down-state survives a Reset).
+type simPlacer struct{ s *sim }
 
-func (p simPlacer) Free() int { return p.c.FreeGPUs() }
-func (p simPlacer) Reset()    { p.c.Reset() }
+func (p simPlacer) Free() int { return p.s.cluster.FreeGPUs() }
+func (p simPlacer) Reset()    { p.s.cluster.Reset() }
 func (p simPlacer) Place(_ string, u sched.Unit) (any, bool) {
-	alloc, ok := p.c.Allocate(u.GPUs)
+	alloc, ok := p.s.cluster.Allocate(u.GPUs)
 	if !ok {
 		return nil, false
 	}
-	return alloc, true
+	var placed *unit
+	if n := len(p.s.free); n > 0 {
+		placed, p.s.free = p.s.free[n-1], p.s.free[:n-1]
+	} else {
+		placed = new(unit)
+	}
+	placed.alloc = alloc
+	return placed, true
 }
 
 // schedule runs one engine round and executes its outcome: placed units
@@ -829,39 +884,33 @@ func (s *sim) schedule() {
 	}
 	s.current = current
 	out := s.eng.Reconcile(engine.Input{
-		Now:        s.now,
-		Candidates: candidates,
-		Pending:    s.pending,
-		Capacity:   capacity,
-		Current:    current,
-		Placer:     simPlacer{s.cluster},
+		Now:         s.now,
+		Candidates:  candidates,
+		Pending:     s.pending,
+		PendingInto: s.spareQueue,
+		Capacity:    capacity,
+		Current:     current,
+		Placer:      simPlacer{s},
 	})
+	s.spareQueue, s.pending = s.pending, out.Pending
+	old := s.running
+	placed := s.spareRunning[:0]
 	if s.policy.Preemptive() {
-		// ReplaceAll re-placed everything; the engine's placements are
-		// the entire new running set.
-		s.running = nil
-	}
-	placed := make([]*unit, 0, len(s.running)+len(out.Placements))
-	placed = append(placed, s.running...) // keep current units
-	// The round's units and their per-member slices are carved from one
-	// slab each: a preemptive round re-creates the whole running set.
-	members := 0
-	for _, p := range out.Placements {
-		members += len(p.Spec.Jobs)
-	}
-	units := make([]unit, len(out.Placements))
-	iterTimes, carries := make([]time.Duration, members), make([]float64, members)
-	for k, p := range out.Placements {
-		n := len(p.Spec.Jobs)
-		u := &units[k]
-		*u = unit{
-			spec:     p.Spec,
-			alloc:    p.Handle.(cluster.Alloc),
-			readyAt:  s.now,
-			iterTime: iterTimes[:n:n],
-			carry:    carries[:n:n],
+		// ReplaceAll re-placed everything: the engine's placements are the
+		// entire new running set, and the previous one — read through
+		// Input.Current until Reconcile returned — goes back to the free list.
+		for _, u := range old {
+			s.recycle(u)
 		}
-		iterTimes, carries = iterTimes[n:], carries[n:]
+	} else {
+		placed = append(placed, old...) // keep current units
+	}
+	for _, p := range out.Placements {
+		n := len(p.Spec.Jobs)
+		u := p.Handle.(*unit)
+		u.spec, u.readyAt = p.Spec, s.now
+		u.iterTime, u.carry = slices.Grow(u.iterTime, n)[:n], slices.Grow(u.carry, n)[:n]
+		clear(u.carry)
 		memberIterTimes(u.iterTime, p.Spec, s.cfg.Interleave)
 		if s.plan != nil {
 			// A unit runs at the pace of its slowest machine: distributed
@@ -883,17 +932,21 @@ func (s *sim) schedule() {
 				u.carry[i] = oldCarry[m.Job.ID]
 			}
 		}
+		var machines string
+		if s.cfg.RecordTimeline {
+			machines = allocMachines(u.alloc)
+		}
 		launched := false
 		for _, m := range p.Members {
 			if m.Fresh {
 				m.Job.StartedAt = s.now
-				s.record("start", m.Job.ID, p.Key, allocMachines(u.alloc))
+				s.record("start", m.Job.ID, p.Key, machines)
 				launched = true
 			} else if m.Restart {
 				// Either the job resumes after preemption or its unit's
 				// composition changed — both restart the worker process.
 				m.Job.Restarts++
-				s.record("restart", m.Job.ID, p.Key, allocMachines(u.alloc))
+				s.record("restart", m.Job.ID, p.Key, machines)
 				launched = true
 			}
 		}
@@ -935,24 +988,13 @@ func (s *sim) schedule() {
 		}
 		placed = append(placed, u)
 	}
-	// The heap must re-index when the running set's membership changes.
-	// placed extends the surviving units in order (preemptive policies
-	// recreate every unit, so s.running is nil here and any placement is
-	// a change), so pointer-wise prefix equality detects "same units".
-	changed := len(placed) != len(s.running)
-	if !changed {
-		for i := range placed {
-			if placed[i] != s.running[i] {
-				changed = true
-				break
-			}
-		}
-	}
-	if changed {
+	// The heap must re-index when the running set's membership changes:
+	// placed units come off the free list, so none of them is in old.
+	if !slices.Equal(placed, old) {
 		s.heap.markStale()
 	}
-	s.running = placed
-	s.pending = out.Pending
+	clear(old)
+	s.running, s.spareRunning = placed, old[:0]
 	if s.cfg.Debug != nil {
 		units := out.Planned
 		demand := 0
@@ -993,33 +1035,21 @@ func (s *sim) advance(deadline time.Duration) {
 		s.advanceUnit(u, s.now, deadline)
 	}
 	if len(s.done) == doneBefore {
-		// Nothing completed, so every unit's membership is unchanged:
-		// skip the compaction pass (and its per-unit reallocations).
+		// Nothing completed, so every unit's membership is unchanged.
 		return
 	}
 	// Drop units whose members all finished; release their GPUs.
-	var still []*unit
+	still := s.running[:0]
 	for _, u := range s.running {
-		var live []*job.Job
-		var liveTimes []time.Duration
-		var liveCarry []float64
-		for i, j := range u.spec.Jobs {
-			if j.State != job.Done {
-				live = append(live, j)
-				liveTimes = append(liveTimes, u.iterTime[i])
-				liveCarry = append(liveCarry, u.carry[i])
-			}
-		}
-		if len(live) == 0 {
+		if len(u.spec.Jobs) == 0 {
 			s.cluster.Release(u.alloc)
+			s.recycle(u)
 			continue
 		}
-		u.spec.Jobs = live
-		u.iterTime = liveTimes
-		u.carry = liveCarry
 		s.invalidateUnit(u)
 		still = append(still, u)
 	}
+	clear(s.running[len(still):])
 	s.running = still
 	// Completions shrank the running set (and rewrote member slices):
 	// force a heap re-index at the next clock query.
@@ -1035,16 +1065,11 @@ func (s *sim) advanceUnit(u *unit, from, to time.Duration) {
 	if from >= to {
 		return
 	}
-	for {
-		live := liveMembers(u)
-		if len(live) == 0 {
-			return
-		}
-		// Find the earliest completion among live members.
+	for len(u.spec.Jobs) > 0 {
+		// Find the earliest completion among the members.
 		first := -1
 		var firstAt time.Duration
-		for _, i := range live {
-			j := u.spec.Jobs[i]
+		for i, j := range u.spec.Jobs {
 			remaining := float64(j.RemainingIterations()) - u.carry[i]
 			if remaining < 0 {
 				remaining = 0
@@ -1057,13 +1082,15 @@ func (s *sim) advanceUnit(u *unit, from, to time.Duration) {
 		}
 		if firstAt > to {
 			// No completion before the deadline: advance everyone.
-			s.credit(u, live, from, to)
+			s.credit(u, from, to)
 			return
 		}
-		// Advance to the completion instant, finish that job, recompute
-		// the survivors' iteration times, and continue.
-		s.credit(u, live, from, firstAt)
+		// Advance to the completion instant, finish that job and drop it
+		// from the unit, recompute the survivors' iteration times, and
+		// continue.
+		s.credit(u, from, firstAt)
 		j := u.spec.Jobs[first]
+		u.dropMember(first)
 		j.DoneIterations = j.Iterations
 		j.State = job.Done
 		j.FinishedAt = firstAt
@@ -1097,26 +1124,14 @@ func (s *sim) advanceUnit(u *unit, from, to time.Duration) {
 	}
 }
 
-// liveMembers returns the indices of unfinished members.
-func liveMembers(u *unit) []int {
-	var out []int
-	for i, j := range u.spec.Jobs {
-		if j.State != job.Done {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// credit advances live members by the elapsed window.
-func (s *sim) credit(u *unit, live []int, from, to time.Duration) {
+// credit advances the members by the elapsed window.
+func (s *sim) credit(u *unit, from, to time.Duration) {
 	dt := to - from
 	if dt <= 0 {
 		return
 	}
 	s.invalidateUnit(u)
-	for _, i := range live {
-		j := u.spec.Jobs[i]
+	for i, j := range u.spec.Jobs {
 		if u.iterTime[i] <= 0 {
 			continue
 		}
@@ -1134,30 +1149,17 @@ func (s *sim) credit(u *unit, live []int, from, to time.Duration) {
 // unit (survivors speed up: fewer members to interleave or contend with).
 func (s *sim) retime(u *unit) {
 	s.invalidateUnit(u)
-	var live []*job.Job
-	for _, j := range u.spec.Jobs {
-		if j.State != job.Done {
-			live = append(live, j)
-		}
-	}
-	if len(live) == 0 {
+	if len(u.spec.Jobs) == 0 {
 		return
 	}
-	mode := u.spec.Mode
-	if len(live) == 1 {
-		mode = sched.Exclusive
+	shrunk := u.spec
+	if len(shrunk.Jobs) == 1 {
+		shrunk.Mode = sched.Exclusive
 	}
-	shrunk := sched.Unit{Jobs: live, GPUs: u.spec.GPUs, Mode: mode}
-	times := make([]time.Duration, len(live))
-	memberIterTimes(times, shrunk, s.cfg.Interleave)
-	k := 0
-	for i, j := range u.spec.Jobs {
-		if j.State != job.Done {
-			u.iterTime[i] = times[k]
-			if u.slow > 1 {
-				u.iterTime[i] = time.Duration(float64(u.iterTime[i]) * u.slow)
-			}
-			k++
+	memberIterTimes(u.iterTime, shrunk, s.cfg.Interleave)
+	if u.slow > 1 {
+		for i := range u.iterTime {
+			u.iterTime[i] = time.Duration(float64(u.iterTime[i]) * u.slow)
 		}
 	}
 }
@@ -1201,23 +1203,14 @@ func (s *sim) sample(at time.Duration) {
 // unit's iteration during which the resource is in use.
 func unitBusyFractions(u *unit, cfg interleave.Config) [workload.NumResources]float64 {
 	var out [workload.NumResources]float64
-	var live []*job.Job
-	for _, j := range u.spec.Jobs {
-		if j.State != job.Done {
-			live = append(live, j)
-		}
-	}
+	live := u.spec.Jobs
 	if len(live) == 0 {
 		return out
 	}
 	switch u.spec.Mode {
 	case sched.Interleaved:
-		times := make([]workload.StageTimes, len(live))
-		for i, j := range live {
-			times[i] = j.TrueProfile
-		}
-		inflated := cfg.Inflate(times)
-		T := interleave.IterationTime(inflated)
+		var buf [interleave.MaxGroupSize]workload.StageTimes
+		inflated, T := groupTimes(&buf, live, cfg)
 		if T == 0 {
 			return out
 		}

@@ -10,6 +10,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -140,7 +141,11 @@ func (m Model) Bottleneck() Resource { return m.Stages.Bottleneck() }
 // Absolute durations are in the tens-to-hundreds of milliseconds per
 // iteration, consistent with V100-class measurements; only the ratios
 // matter to the scheduler.
-func Zoo() []Model {
+func Zoo() []Model { return slices.Clone(zoo) }
+
+// zoo is the table ByName and ByBottleneck read; Zoo hands out copies
+// because callers mutate what it returns.
+var zoo = func() []Model {
 	ms := time.Millisecond
 	return []Model{
 		// Table 1: ShuffleNet — load 60%, preprocess 18%, propagate 6%,
@@ -174,11 +179,11 @@ func Zoo() []Model {
 		{Name: "dqn", Family: "rl", Dataset: "breakout", BatchSize: 128,
 			Stages: StageTimes{2 * ms, 70 * ms, 12 * ms, 1 * ms}},
 	}
-}
+}()
 
 // ByName returns the zoo model with the given name.
 func ByName(name string) (Model, error) {
-	for _, m := range Zoo() {
+	for _, m := range zoo {
 		if m.Name == name {
 			return m, nil
 		}
@@ -189,7 +194,7 @@ func ByName(name string) (Model, error) {
 // ByBottleneck returns the zoo models whose dominant resource is r.
 func ByBottleneck(r Resource) []Model {
 	var out []Model
-	for _, m := range Zoo() {
+	for _, m := range zoo {
 		if m.Bottleneck() == r {
 			out = append(out, m)
 		}

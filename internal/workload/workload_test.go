@@ -221,3 +221,26 @@ func TestZooBatchSizesMatchTable3(t *testing.T) {
 		}
 	}
 }
+
+// TestByNameServesOneTable: a lookup reads the table built once, so it
+// allocates nothing, and a caller mutating what Zoo returned changes no
+// later lookup.
+func TestByNameServesOneTable(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = ByName("dqn") }); allocs != 0 {
+		t.Fatalf("ByName allocates %.0f times per lookup", allocs)
+	}
+	before, err := ByName("vgg19")
+	if err != nil {
+		t.Fatal(err)
+	}
+	zoo := Zoo()
+	for i := range zoo {
+		zoo[i].Name, zoo[i].Stages = "mutated", StageTimes{}
+	}
+	if after, err := ByName("vgg19"); err != nil || after != before {
+		t.Fatalf("mutating a Zoo() copy changed ByName: %+v, %v (was %+v)", after, err, before)
+	}
+	if fresh := Zoo(); fresh[2] != before {
+		t.Fatalf("mutating a Zoo() copy changed the next copy: %+v", fresh[2])
+	}
+}
