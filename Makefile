@@ -24,7 +24,11 @@ fmt:
 # engine's recoverable state (Track, SetPhase, MarkDone, ApplyDecision,
 # ReplayFault) only from internal/server/apply.go, where each WAL record
 # kind has the one function live handlers and replay share: a call from
-# anywhere else is the start of a second interpreter.
+# anywhere else is the start of a second interpreter. The same goes for
+# the fault ledger — the simulator and the daemon count crashes,
+# transient faults, requeues and dead letters only by folding fault
+# records (wal.FaultRecord.Count) — and for the simulator's record stream,
+# which it writes to Config.Record without importing internal/explain.
 lint-sort:
 	@out=$$(grep -rn 'sort\.Slice\(Stable\)\?(' --include='*.go' internal/sched internal/engine internal/sim internal/core internal/server | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then echo "reflection sort on the scheduling path:"; echo "$$out"; exit 1; fi
@@ -34,6 +38,10 @@ lint-sort:
 	if [ -n "$$out" ]; then echo "GC tuning under internal/ (make less garbage instead):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -nE 'eng\.(Track|SetPhase|MarkDone|ApplyDecision|ReplayFault)\(' internal/server/*.go | grep -v '_test\.go:' | grep -v '^internal/server/apply\.go:'); \
 	if [ -n "$$out" ]; then echo "engine state changed outside internal/server/apply.go (commit a record instead):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE '\.(Crashes|Transient|Requeues|DeadLettered)[[:space:]]*(\+\+|\+=)' --include='*.go' internal/sim internal/server | grep -v '_test\.go:'); \
+	if [ -n "$$out" ]; then echo "fault ledger counted by hand (fold a record with wal.FaultRecord.Count instead):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn '"muri/internal/explain"' --include='*.go' internal/sim | grep -v '_test\.go:'); \
+	if [ -n "$$out" ]; then echo "internal/sim imports internal/explain (write records to Config.Record instead):"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

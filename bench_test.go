@@ -339,7 +339,7 @@ func trimFloat(f float64) string {
 // BenchmarkExplainOverhead prices the decision-provenance tax: the same
 // 250-job simulator run with provenance off (the nil-gated default —
 // every cause annotation short-circuits before allocating) and with a
-// live explain.Builder folding the synthesized record stream. The budget
+// live explain.Builder folding the simulator's record stream. The budget
 // between the two sub-benchmarks' ns/op is <3% on the scheduling hot path.
 func BenchmarkExplainOverhead(b *testing.B) {
 	tr := benchTrace()
@@ -357,12 +357,13 @@ func BenchmarkExplainOverhead(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			cfg := sim.DefaultConfig()
-			cfg.Explain = explain.NewBuilder()
+			expl := explain.NewBuilder()
+			cfg.Record = expl.Apply
 			res := sim.Run(cfg, tr, sched.NewMuriS())
 			if res.Summary.Jobs != len(tr.Specs) {
 				b.Fatal("incomplete run")
 			}
-			at, ok := cfg.Explain.AttributionOf(tr.Specs[0].ID)
+			at, ok := expl.AttributionOf(tr.Specs[0].ID)
 			if !ok || !at.Done {
 				b.Fatal("provenance run produced no attribution")
 			}

@@ -38,8 +38,9 @@
 // single-run mode: one simulation of the trace1 workload under -policy
 // (default muri-l), writing a Chrome trace-event JSON file (open in
 // Perfetto or chrome://tracing to see the per-resource stage
-// interleaving) and/or a JSONL job-lifecycle timeline. -explain
-// attaches the decision-provenance builder (DESIGN.md §14) and prints
+// interleaving) and/or a JSONL job-lifecycle timeline. -explain folds
+// the run's record stream (sim.Config.Record) through the
+// decision-provenance builder (DESIGN.md §14) and prints
 // the attribution sweep — where the workload's aggregate JCT went,
 // cause by cause — plus one job's full explanation with -explain-job;
 // combined with -trace-out, the per-job lifecycle spans land in the
@@ -248,8 +249,10 @@ func runSingle(machines, gpus, maxJobs int, policyName, traceOut, timelineOut st
 		cfg.Trace = tracer
 	}
 	cfg.RecordTimeline = timelineOut != ""
+	var expl *explain.Builder
 	if explainRun {
-		cfg.Explain = explain.NewBuilder()
+		expl = explain.NewBuilder()
+		cfg.Record = expl.Apply
 	}
 	tc := trace.PhillyConfigs(machines * gpus)[0]
 	if maxJobs > 0 && maxJobs < tc.Jobs {
@@ -257,6 +260,11 @@ func runSingle(machines, gpus, maxJobs int, policyName, traceOut, timelineOut st
 	}
 	start := time.Now()
 	res := sim.Run(cfg, trace.Generate(tc), p)
+	if expl != nil && tracer != nil {
+		// The folded lifecycle spans land on the run's Chrome trace as
+		// duration events (one thread per job under an "explain" process).
+		expl.EmitSpans(tracer)
+	}
 	fmt.Printf("single run: policy=%s jobs=%d avgJCT=%v makespan=%v preemptions=%d (wall %v)\n",
 		res.Policy, res.Summary.Jobs, res.Summary.AvgJCT.Round(time.Second),
 		res.Summary.Makespan.Round(time.Second), res.Preemptions,
@@ -273,10 +281,10 @@ func runSingle(machines, gpus, maxJobs int, policyName, traceOut, timelineOut st
 		}
 		fmt.Printf("wrote %s (%d events)\n", timelineOut, len(res.Timeline))
 	}
-	if explainRun {
-		printAttributionSweep(cfg.Explain)
+	if expl != nil {
+		printAttributionSweep(expl)
 		if explainJob > 0 {
-			fmt.Print(cfg.Explain.RenderJob(explainJob))
+			fmt.Print(expl.RenderJob(explainJob))
 		}
 	}
 	return nil

@@ -731,26 +731,3 @@ func (c Config) finalizeInto(n *node, gpus int, jobs []*job.Job, order []int) Gr
 	}
 	return Group{Jobs: jobs, Plan: plan, GPUs: gpus}
 }
-
-// BucketByGPUs partitions jobs by GPU requirement, preserving the input
-// order within each bucket. The returned keys are sorted descending so
-// that placement can allocate large jobs first (§5: "allocates GPUs in a
-// descending order ... which avoids fragmentation").
-func BucketByGPUs(jobs []*job.Job) (keys []int, buckets map[int][]*job.Job) {
-	buckets = make(map[int][]*job.Job)
-	for _, j := range jobs {
-		buckets[j.GPUs] = append(buckets[j.GPUs], j)
-	}
-	for k := range buckets {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, func(a, b int) int { return cmp.Compare(b, a) })
-	return keys, buckets
-}
-
-// GroupAll buckets jobs by GPU requirement and runs unconstrained
-// Algorithm 1 inside each bucket, returning groups ordered by descending
-// GPU requirement. Jobs must already be in priority order.
-func (c Config) GroupAll(jobs []*job.Job) []Group {
-	return c.Plan(jobs, 0)
-}

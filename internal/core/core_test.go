@@ -190,22 +190,6 @@ func TestMaxGroupClamping(t *testing.T) {
 	}
 }
 
-func TestBucketByGPUs(t *testing.T) {
-	jobs := []*job.Job{
-		mkJob(0, 1, workload.StageTimes{unit, 0, 0, 0}),
-		mkJob(1, 8, workload.StageTimes{unit, 0, 0, 0}),
-		mkJob(2, 1, workload.StageTimes{unit, 0, 0, 0}),
-		mkJob(3, 4, workload.StageTimes{unit, 0, 0, 0}),
-	}
-	keys, buckets := BucketByGPUs(jobs)
-	if len(keys) != 3 || keys[0] != 8 || keys[1] != 4 || keys[2] != 1 {
-		t.Fatalf("keys = %v, want [8 4 1]", keys)
-	}
-	if len(buckets[1]) != 2 || buckets[1][0].ID != 0 || buckets[1][1].ID != 2 {
-		t.Errorf("bucket[1] order not preserved: %v", buckets[1])
-	}
-}
-
 func TestGroupAllNeverMixesGPURequirements(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var jobs []*job.Job
@@ -217,7 +201,7 @@ func TestGroupAllNeverMixesGPURequirements(t *testing.T) {
 		}
 		jobs = append(jobs, mkJob(i, gpus, st))
 	}
-	groups := DefaultConfig().GroupAll(jobs)
+	groups := DefaultConfig().Plan(jobs, 0)
 	seen := make(map[job.ID]bool)
 	for _, g := range groups {
 		for _, j := range g.Jobs {
@@ -269,8 +253,8 @@ func TestDeterministicGrouping(t *testing.T) {
 		}
 		return jobs
 	}
-	g1 := DefaultConfig().GroupAll(mk())
-	g2 := DefaultConfig().GroupAll(mk())
+	g1 := DefaultConfig().Plan(mk(), 0)
+	g2 := DefaultConfig().Plan(mk(), 0)
 	if len(g1) != len(g2) {
 		t.Fatalf("nondeterministic group count: %d vs %d", len(g1), len(g2))
 	}

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"muri/internal/server"
 	"muri/internal/sim"
 	"muri/internal/trace"
+	"muri/internal/wal"
 )
 
 // The parity script: one 8-GPU machine under SRTF, replayed through both
@@ -30,6 +32,38 @@ var parityWant = []string{
 	"launch exclusive:1",
 	"requeue 1 (machine-lost)",
 	"launch exclusive:1",
+}
+
+// recordProjection renders the driver-neutral part of one record: one
+// line per admitted job, decision, fault-ledger mutation or completion.
+// The rest differs between the drivers by construction and is left out:
+// cause records and a decision's Cause (provenance text names the lost
+// machine in each driver's words, and wait-cause transitions follow each
+// driver's round count); progress and group records (the daemon's
+// checkpoints and executor bindings — the simulator has no executors);
+// term and profile records (elections and profiling dry runs exist only
+// live); and V/W and every other clock field (the daemon's virtual clock
+// is scaled wall time). Admissions keep ID, model and GPUs only: the
+// simulator derives iterations and stages from the trace.
+func recordProjection(r *wal.Record) []string {
+	switch {
+	case r.Kind == wal.KindAdmit && r.Admit != nil:
+		var out []string
+		for _, it := range r.Admit.Items {
+			out = append(out, fmt.Sprintf("admit %d %s %d", it.Spec.ID, it.Spec.Model, it.Spec.GPUs))
+		}
+		return out
+	case r.Kind == wal.KindDecision && r.Decision != nil:
+		d := r.Decision
+		return []string{fmt.Sprintf("decision %d %s %s %v %s", d.Seq, d.Action, d.Key, d.Jobs, d.Reason)}
+	case r.Kind == wal.KindFault && r.Fault != nil:
+		f := r.Fault
+		return []string{fmt.Sprintf("fault job=%d origin=%s jobs=%v faults=%d dead=%t",
+			f.Job, f.Origin, f.Jobs, f.Faults, f.DeadLettered)}
+	case r.Kind == wal.KindDone && r.Done != nil:
+		return []string{fmt.Sprintf("done %d", r.Done.Job)}
+	}
+	return nil
 }
 
 // streamTap collects decision strings across goroutines (the daemon's
@@ -53,8 +87,8 @@ func (s *streamTap) snapshot() []string {
 
 // simParityStream replays the script through the trace-driven simulator:
 // arrivals come from the trace, the crash and repair from a hand-built
-// fault plan.
-func simParityStream(t *testing.T) []string {
+// fault plan. It returns the decision stream and the projected records.
+func simParityStream(t *testing.T) (decisions, records []string) {
 	t.Helper()
 	tap := &streamTap{}
 	cfg := sim.Config{
@@ -70,6 +104,7 @@ func simParityStream(t *testing.T) []string {
 			{Time: 45 * time.Minute, Kind: faults.MachineRepair, Machine: 0},
 		}},
 		Observer: tap.observe,
+		Record:   func(r *wal.Record) { records = append(records, recordProjection(r)...) },
 	}
 	tr := trace.Trace{Name: "parity", Specs: []trace.Spec{
 		{ID: 1, Submit: 0, Duration: 10 * time.Hour, GPUs: 8, Model: "gpt2"},
@@ -82,15 +117,17 @@ func simParityStream(t *testing.T) []string {
 	if res.Faults.Crashes != 1 || res.Faults.Repairs != 1 || res.Faults.Requeues != 1 {
 		t.Fatalf("simulator fault stats = %+v, want 1 crash / 1 repair / 1 requeue", res.Faults)
 	}
-	return tap.snapshot()
+	return tap.snapshot(), records
 }
 
 // serverParityStream replays the same script through the live daemon
 // over loopback TCP, using status polls as barriers between steps and
-// the chaos-injection API for the crash.
-func serverParityStream(t *testing.T) []string {
+// the chaos-injection API for the crash. It returns the decision stream
+// and the projected records of the WAL recovered after Close.
+func serverParityStream(t *testing.T) (decisions, records []string) {
 	t.Helper()
 	tap := &streamTap{}
+	dir := t.TempDir()
 	srv := server.New(server.Config{
 		Policy:             sched.SRTF(),
 		Interval:           20 * time.Millisecond,
@@ -99,6 +136,8 @@ func serverParityStream(t *testing.T) []string {
 		StarvationPatience: 1 << 30,
 		Observer:           tap.observe,
 		Logf:               t.Logf,
+		StateDir:           dir,
+		SnapshotEvery:      time.Hour, // the whole log stays in Recovery.Records
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -201,16 +240,29 @@ func serverParityStream(t *testing.T) []string {
 	if st.Engine == nil || st.Engine.Launches != 4 || st.Engine.Preemptions != 1 || st.Engine.Requeues != 1 {
 		t.Fatalf("daemon engine summary = %+v, want 4 launches / 1 preemption / 1 requeue", st.Engine)
 	}
-	return tap.snapshot()
+	srv.Close() // syncs the WAL tail
+	rec, err := wal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Snapshot != nil || rec.Corruption != nil {
+		t.Fatalf("recovery: snapshot %v, corruption %+v; want the whole log as records", rec.Snapshot != nil, rec.Corruption)
+	}
+	for i := range rec.Records {
+		records = append(records, recordProjection(&rec.Records[i])...)
+	}
+	return tap.snapshot(), records
 }
 
 // TestDriverParity replays one scripted event sequence — arrivals, an
 // SRTF preemption, and an injected machine fault — through both the
 // simulator and the live daemon, and asserts the shared engine emitted
-// byte-identical decision streams.
+// byte-identical decision streams, and that both drivers wrote the same
+// driver-neutral records: the simulator to its Config.Record sink, the
+// daemon to its WAL. The machine loss is one record, ahead of the requeue.
 func TestDriverParity(t *testing.T) {
-	simStream := simParityStream(t)
-	srvStream := serverParityStream(t)
+	simStream, simRecords := simParityStream(t)
+	srvStream, srvRecords := serverParityStream(t)
 	if !equalStrings(simStream, parityWant) {
 		t.Errorf("simulator stream = %v, want %v", simStream, parityWant)
 	}
@@ -219,5 +271,8 @@ func TestDriverParity(t *testing.T) {
 	}
 	if !equalStrings(simStream, srvStream) {
 		t.Errorf("streams diverge:\n  sim    = %v\n  daemon = %v", simStream, srvStream)
+	}
+	if !equalStrings(simRecords, srvRecords) {
+		t.Errorf("records diverge:\n  sim    = %q\n  daemon = %q", simRecords, srvRecords)
 	}
 }

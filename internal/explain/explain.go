@@ -150,9 +150,6 @@ func NewBuilder() *Builder {
 // marker state after a restore).
 func (b *Builder) Frozen() bool { return b.frozen }
 
-// ClockV is the virtual time of the latest record applied.
-func (b *Builder) ClockV() int64 { return b.clockV }
-
 // Jobs lists known job IDs in ascending order.
 func (b *Builder) Jobs() []int64 {
 	ids := make([]int64, 0, len(b.jobs))
@@ -186,7 +183,7 @@ func (b *Builder) Apply(r *wal.Record) {
 			b.applyDecision(r.V, r.Decision)
 		}
 	case wal.KindFault:
-		if r.Fault != nil && r.Fault.Job != 0 {
+		if r.Fault != nil && !r.Fault.Loss() {
 			b.applyFault(r.Fault)
 		}
 	case wal.KindDone:

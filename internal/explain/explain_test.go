@@ -320,7 +320,7 @@ func TestRestoreEmpty(t *testing.T) {
 	if err := b.Restore(nil); err != nil {
 		t.Fatalf("restore nil: %v", err)
 	}
-	if len(b.Jobs()) != 0 || b.Frozen() || b.ClockV() != 0 {
+	if len(b.Jobs()) != 0 || b.Frozen() || b.clockV != 0 {
 		t.Fatal("restore nil did not reset the builder")
 	}
 	if got := b.RenderJob(9); !strings.Contains(got, "no provenance recorded") {

@@ -1,7 +1,6 @@
 package interleave
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,8 +68,8 @@ type planEntry struct {
 
 // EffCache memoizes what the grouping path computes from profiles, in
 // three layers: an interner from stage-time vectors to class IDs (Class),
-// best-ordering group statistics — the quantity behind PairEfficiency edge
-// weights, node γ/T statistics, and the JCT merge gate — keyed by the
+// best-ordering group statistics — the quantity behind Config.PairEfficiency
+// edge weights, node γ/T statistics, and the JCT merge gate — keyed by the
 // group's sorted class tuple, and best-ordering plans keyed by its ordered
 // tuple (PlanGroup). It is safe for concurrent use by the planner's shard
 // tasks. All maps are created on first use.
@@ -263,22 +262,6 @@ func (ec *EffCache) PlanOrder(cfg Config, cls Classes, times []workload.StageTim
 		ec.mu.Unlock()
 	}
 	return e.order, e.iterTime, e.eff
-}
-
-// PairEfficiency is the memoized form of Config.PairEfficiency: the
-// best-ordering interleaving efficiency of the union of two candidate
-// member sets, or -Inf when the union exceeds MaxGroupSize. A nil
-// receiver computes fresh.
-func (ec *EffCache) PairEfficiency(cfg Config, a, b []workload.StageTimes) float64 {
-	n := len(a) + len(b)
-	if n > MaxGroupSize {
-		return math.Inf(-1)
-	}
-	var buf [MaxGroupSize]workload.StageTimes
-	copy(buf[:], a)
-	copy(buf[len(a):], b)
-	_, eff := ec.GroupStats(cfg, buf[:n])
-	return eff
 }
 
 // Stats snapshots the cache counters. Safe on a nil receiver.

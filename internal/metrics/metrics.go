@@ -221,7 +221,8 @@ func (s MatcherPoolStats) HitRate() float64 {
 // FaultStats aggregates failure-model activity over a run: the
 // simulator fills it from its fault plan (sim.Result.Faults), and the
 // scheduler daemon maintains the live-path equivalent, exported through
-// the status API.
+// the status API. Both count Crashes, Transient, Requeues and
+// DeadLettered only by folding fault records (wal.FaultRecord.Count).
 type FaultStats struct {
 	// Crashes counts machine crash events applied.
 	Crashes int
@@ -237,16 +238,6 @@ type FaultStats struct {
 	// WorkLost is the partial-iteration progress discarded by faults
 	// (jobs restart from their last whole-iteration checkpoint).
 	WorkLost time.Duration
-}
-
-// Add accumulates o into s (for aggregating per-run stats).
-func (s *FaultStats) Add(o FaultStats) {
-	s.Crashes += o.Crashes
-	s.Repairs += o.Repairs
-	s.Transient += o.Transient
-	s.Requeues += o.Requeues
-	s.DeadLettered += o.DeadLettered
-	s.WorkLost += o.WorkLost
 }
 
 // EngineStats counts the shared scheduling engine's activity (see

@@ -163,17 +163,17 @@ func (s *Server) applyKillLocked(ids []int64) {
 	}
 }
 
-// applyFaultLocked applies one fault-ledger record. Every fault-log entry
-// is made here, from the record alone: its origin, its text, its wall
-// stamp. A job record spends retry budget and sets the backoff (the
-// requeue or dead-letter decision beside it is its own record); a record
-// without a job requeues Jobs for lost executors, and counts a crash when
-// Origin names the machine.
+// applyFaultLocked applies one fault-ledger record, counted by the fold
+// the simulator shares (wal.FaultRecord.Count). Every fault-log entry is
+// made here, from the record alone: its origin, its text, its wall stamp.
+// A job record spends retry budget and sets the backoff (the requeue or
+// dead-letter decision beside it is its own record); a record without a
+// job requeues Jobs for lost executors.
 func (s *Server) applyFaultLocked(f *wal.FaultRecord, wall int64) {
+	f.Count(&s.faults)
 	entry := wal.FaultLogEntry{AtWall: wall, Executor: f.Origin, Err: f.Err}
-	if f.Job == 0 {
+	if f.Loss() {
 		if f.Origin != "" {
-			s.faults.Crashes++
 			// A re-registration of this machine counts as a repair.
 			s.seenMachines[f.Origin] = true
 		}
@@ -182,16 +182,9 @@ func (s *Server) applyFaultLocked(f *wal.FaultRecord, wall int64) {
 				js.faultLog = append(js.faultLog, entry)
 			}
 		}
-		s.faults.Requeues += len(f.Jobs)
 		return
 	}
-	s.faults.Transient++
 	s.eng.ReplayFault(job.ID(f.Job), f.Faults)
-	if f.DeadLettered {
-		s.faults.DeadLettered++
-	} else {
-		s.faults.Requeues++
-	}
 	if js := s.jobs[f.Job]; js != nil {
 		js.faultLog = append(js.faultLog, entry)
 		if !f.DeadLettered {

@@ -25,7 +25,7 @@ func TestAttributionSumsToJCT(t *testing.T) {
 			cfg := chaosConfig(chaosPlan(7, 4))
 			cfg.EventDriven = eventDriven
 			b := explain.NewBuilder()
-			cfg.Explain = b
+			cfg.Record = b.Apply
 			r := Run(cfg, tr, sched.NewMuriL())
 			if r.Faults.Requeues == 0 {
 				t.Fatal("chaos plan exercised no faults; the property run is too tame")
@@ -82,7 +82,7 @@ func TestAttributionSumsToJCTWithoutFaults(t *testing.T) {
 	tr := chaosTrace()
 	cfg := chaosConfig(nil)
 	b := explain.NewBuilder()
-	cfg.Explain = b
+	cfg.Record = b.Apply
 	r := Run(cfg, tr, sched.NewMuriL())
 	for _, j := range r.Jobs {
 		at, ok := b.AttributionOf(int64(j.ID))
@@ -106,7 +106,7 @@ func TestExplainBitIdentity(t *testing.T) {
 		var stream []string
 		cfg.Observer = func(d engine.Decision) { stream = append(stream, d.String()) }
 		if withExplain {
-			cfg.Explain = explain.NewBuilder()
+			cfg.Record = explain.NewBuilder().Apply
 		}
 		return faultFingerprint(Run(cfg, tr, sched.NewMuriL())), stream
 	}

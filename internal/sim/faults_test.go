@@ -6,10 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"muri/internal/engine"
 	"muri/internal/faults"
 	"muri/internal/job"
+	"muri/internal/metrics"
 	"muri/internal/sched"
 	"muri/internal/trace"
+	"muri/internal/wal"
 )
 
 // faultFingerprint extends the metric fingerprint with the failure-model
@@ -76,6 +79,71 @@ func TestZeroPlanBitIdentity(t *testing.T) {
 				t.Fatal("nil-plan run reported nonzero fault stats")
 			}
 		})
+	}
+}
+
+// TestFaultRecordsFoldToResult holds the one fault-ledger fold: the fault
+// records a chaos run writes, folded through wal.FaultRecord.Count into a
+// fresh ledger, equal Result.Faults in every counter a record carries
+// (Repairs and WorkLost have none) and agree with the decision stream —
+// one requeue decision per requeue, a fault requeue or dead letter per
+// transient fault. As in the daemon's log, every machine-lost requeue comes
+// after a loss record that lists its job. Plan 4 strikes job 0, whose
+// faults a job ID alone would mistake for losses.
+func TestFaultRecordsFoldToResult(t *testing.T) {
+	tr := chaosTrace()
+	for _, seed := range []int64{7, 4} {
+		for _, eventDriven := range []bool{false, true} {
+			t.Run(fmt.Sprintf("plan%d/event-driven=%t", seed, eventDriven), func(t *testing.T) {
+				cfg := chaosConfig(chaosPlan(seed, 4))
+				cfg.EventDriven = eventDriven
+				var folded, decided metrics.FaultStats
+				lost := map[int64]bool{} // listed by a loss record, not yet requeued
+				lostRequeues := 0
+				cfg.Record = func(r *wal.Record) {
+					if r.Kind == wal.KindFault {
+						r.Fault.Count(&folded)
+						for _, id := range r.Fault.Jobs {
+							lost[id] = true
+						}
+					}
+					if r.Kind != wal.KindDecision {
+						return
+					}
+					switch d := r.Decision; {
+					case d.Action == string(engine.ActDeadletter):
+						decided.Transient++
+					case d.Action == string(engine.ActRequeue) && d.Reason == string(engine.ReasonFault):
+						decided.Transient++
+						decided.Requeues++
+					case d.Action == string(engine.ActRequeue):
+						for _, id := range d.Jobs {
+							if !lost[id] {
+								t.Errorf("v=%d: machine-lost requeue of job %d with no loss record listing it", r.V, id)
+							}
+							delete(lost, id)
+						}
+						decided.Requeues++
+						lostRequeues++
+					}
+				}
+				res := Run(cfg, tr, sched.NewMuriL())
+				want := res.Faults
+				want.Repairs, want.WorkLost = 0, 0
+				if folded != want {
+					t.Errorf("folded fault records = %+v, Result.Faults = %+v", folded, res.Faults)
+				}
+				if folded.Transient != decided.Transient || folded.Requeues != decided.Requeues {
+					t.Errorf("folded fault records = %+v, decisions = %+v", folded, decided)
+				}
+				if len(lost) != 0 {
+					t.Errorf("loss records listed %d jobs that were never requeued", len(lost))
+				}
+				if res.Faults.Crashes == 0 || res.Faults.Transient == 0 || lostRequeues == 0 {
+					t.Fatalf("chaos plan too tame to hold the fold: %+v, %d machine-lost requeues", res.Faults, lostRequeues)
+				}
+			})
+		}
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 
 	"muri/internal/cluster"
 	"muri/internal/engine"
-	"muri/internal/explain"
 	"muri/internal/faults"
 	"muri/internal/interleave"
 	"muri/internal/job"
@@ -103,15 +102,15 @@ type Config struct {
 	// the interleaving pattern without recording every iteration of a
 	// multi-day job). Zero uses the default of 4.
 	TraceStageCycles int
-	// Explain, when non-nil, collects decision provenance: the simulator
-	// synthesizes the same record stream the live daemon appends to its
-	// WAL (admissions, decisions, fault-ledger mutations, completions,
-	// cause annotations) and folds it through this builder, so per-job
-	// lifecycle spans and exact wait-time attribution are available for
-	// simulated runs too. It also enables the engine's cause annotations
-	// (which never enter Decision.String(), so the decision stream — and
-	// every golden pinned to it — is bit-identical with or without it).
-	Explain *explain.Builder
+	// Record, when non-nil, receives the run as the records the live
+	// daemon commits to its WAL — admissions, decisions, cause
+	// annotations, fault-ledger mutations, completions — stamped with the
+	// virtual clock, in log order. Callers fold them themselves (e.g.
+	// explain.Builder.Apply for per-job spans and exact wait attribution).
+	// It also enables the engine's cause annotations, which never enter
+	// Decision.String(), so the decision stream — and every golden pinned
+	// to it — is bit-identical with or without it.
+	Record func(*wal.Record)
 	// Debug, when non-nil, receives a one-line summary of every
 	// scheduling decision (useful for diagnosing placement behaviour).
 	Debug io.Writer
@@ -334,10 +333,6 @@ type sim struct {
 	jobFaults []jobFault
 	fstats    metrics.FaultStats
 
-	// explFaults counts per-job transient faults for the synthesized
-	// fault-ledger records (nil unless cfg.Explain is set).
-	explFaults map[job.ID]int
-
 	// Per-round scratch of schedule, reused across rounds. The engine
 	// and the policies read these during Reconcile and retain none of
 	// them (Outcome.Kept may alias current, and is not kept here).
@@ -385,12 +380,6 @@ func (s *sim) record(kind string, id job.ID, unit, machine string) {
 func Run(cfg Config, tr trace.Trace, policy sched.Policy) Result {
 	s := newSim(cfg, tr, policy)
 	s.loop()
-	if cfg.Explain != nil && cfg.Trace != nil {
-		// Render the folded lifecycle spans as duration events on the
-		// run's Chrome trace (one thread per job under an "explain"
-		// process), alongside the engine's decision instants.
-		cfg.Explain.EmitSpans(cfg.Trace)
-	}
 	return Result{
 		Policy:      policy.Name(),
 		Summary:     metrics.Summarize(s.done),
@@ -421,22 +410,20 @@ func newSim(cfg Config, tr trace.Trace, policy sched.Policy) *sim {
 		policy:   policy,
 		oldCarry: make(map[job.ID]float64),
 	}
-	// With provenance enabled, tee the decision stream into the explain
-	// builder as synthesized WAL records (the exact shape the daemon
-	// appends) and hook the engine's cause annotations.
+	// With a record sink, tee the decision stream into it as decision
+	// records and hook the engine's cause annotations, as the daemon does.
 	observer := cfg.Observer
 	var provenance func(engine.CauseEvent)
-	if cfg.Explain != nil {
-		s.explFaults = make(map[job.ID]int)
+	if cfg.Record != nil {
 		inner := observer
 		observer = func(d engine.Decision) {
 			if inner != nil {
 				inner(d)
 			}
-			s.explRecord(&wal.Record{Kind: wal.KindDecision, Decision: wal.FromDecision(d)})
+			s.write(&wal.Record{Kind: wal.KindDecision, Decision: wal.FromDecision(d)})
 		}
 		provenance = func(ev engine.CauseEvent) {
-			s.explRecord(&wal.Record{Kind: wal.KindCause, Cause: &wal.CauseRecord{
+			s.write(&wal.Record{Kind: wal.KindCause, Cause: &wal.CauseRecord{
 				Job: int64(ev.Job), Cause: ev.Cause, Detail: ev.Detail, Note: ev.Note}})
 		}
 	}
@@ -641,9 +628,11 @@ func (s *sim) crashMachine(e faults.MachineEvent) {
 	if s.cluster.Machines()[e.Machine].Down() {
 		return // double crash cannot happen in a generated plan
 	}
-	s.fstats.Crashes++
-	s.recordAt(e.Time, "fault", 0, machineLabel(e.Machine), machineLabel(e.Machine))
-	s.traceFault("crash "+machineLabel(e.Machine), e.Time, map[string]any{"machine": e.Machine})
+	label := machineLabel(e.Machine)
+	s.recordAt(e.Time, "fault", 0, label, label)
+	s.traceFault("crash "+label, e.Time, map[string]any{"machine": e.Machine})
+	loss := &wal.FaultRecord{Origin: label, Err: "machine crashed"}
+	queued := len(s.pending)
 	still := s.running[:0]
 	for _, u := range s.running {
 		if u.alloc.On(e.Machine) == 0 {
@@ -659,17 +648,11 @@ func (s *sim) crashMachine(e faults.MachineEvent) {
 			if j.State == job.Done {
 				continue
 			}
-			s.fstats.Requeues++
 			s.fstats.WorkLost += time.Duration(u.carry[i] * float64(u.iterTime[i]))
-			s.recordAt(e.Time, "fault", j.ID, key, machineLabel(e.Machine))
+			s.recordAt(e.Time, "fault", j.ID, key, label)
 			j.State = job.Pending
-			// The engine forgets the placement, so the next admission
-			// charges a full checkpoint restart even if the unit reforms
-			// identically. The cause annotation names the lost machine
-			// (inert — and absent from the decision stream — unless
-			// provenance is enabled).
-			s.eng.RequeueWithCause(j.ID, engine.ReasonMachineLost, machineLabel(e.Machine)+" lost")
 			s.pending = append(s.pending, j)
+			loss.Jobs = append(loss.Jobs, int64(j.ID))
 		}
 		s.recycle(u)
 	}
@@ -677,6 +660,16 @@ func (s *sim) crashMachine(e faults.MachineEvent) {
 	s.running = still
 	s.heap.markStale()
 	s.cluster.SetDown(e.Machine)
+	// As on the daemon, one loss record naming the machine and listing the
+	// requeued jobs precedes their requeue decisions. The engine forgets
+	// each placement, so the next admission charges a full checkpoint
+	// restart even if the unit reforms identically. The cause annotation
+	// names the lost machine (inert — and absent from the decision stream —
+	// unless provenance is enabled).
+	s.fault(loss)
+	for _, j := range s.pending[queued:] {
+		s.eng.RequeueWithCause(j.ID, engine.ReasonMachineLost, label+" lost")
+	}
 }
 
 // repairMachine returns a crashed machine to service.
@@ -704,30 +697,22 @@ func (s *sim) failJob(f jobFault) {
 			if j.State != job.Running || j.Restarts != f.attempt {
 				return
 			}
-			s.fstats.Transient++
-			s.fstats.Requeues++
+			origin := allocMachines(u.alloc)
 			s.fstats.WorkLost += time.Duration(u.carry[i] * float64(u.iterTime[i]))
 			if s.cfg.RecordTimeline {
-				s.recordAt(f.at, "fault", j.ID, engine.UnitKey(u.spec), allocMachines(u.alloc))
+				s.recordAt(f.at, "fault", j.ID, engine.UnitKey(u.spec), origin)
 			}
 			if s.cfg.Trace.Enabled() {
 				s.traceFault(fmt.Sprintf("transient fault job %d", j.ID), f.at, map[string]any{"job": int64(j.ID)})
 			}
 			j.State = job.Pending
+			// The fault record follows the engine's requeue decision, as the
+			// daemon commits them. The retry policy has no backoff, but the
+			// release time is computed the same way regardless.
 			backoff, deadlettered := s.eng.RecordFault(j.ID)
-			if s.cfg.Explain != nil {
-				// Mirror the daemon's fault-ledger record (after the
-				// engine's requeue decision, exactly as the WAL orders
-				// them). The sim's retry policy has no backoff, but the
-				// release time is computed the same way regardless.
-				s.explFaults[j.ID]++
-				s.explRecord(&wal.Record{Kind: wal.KindFault, Fault: &wal.FaultRecord{
-					Job:          int64(j.ID),
-					Faults:       s.explFaults[j.ID],
-					DeadLettered: deadlettered,
-					NotBeforeV:   int64(s.now) + int64(backoff),
-				}})
-			}
+			s.fault(&wal.FaultRecord{Job: int64(j.ID), Origin: origin, Err: "transient fault",
+				Faults: s.eng.FaultsOf(j.ID), DeadLettered: deadlettered,
+				NotBeforeV: int64(s.now) + int64(backoff)})
 			s.pending = append(s.pending, j)
 			s.removeMember(u, i)
 			return
@@ -781,7 +766,10 @@ func (s *sim) refreshBelief(j *job.Job) {
 	}
 }
 
-// admitArrivals moves jobs whose submit time has passed into the queue.
+// admitArrivals moves jobs whose submit time has passed into the queue,
+// writing them as one admission batch. The simulator has no ingest queue,
+// so WaitV is zero: each job's timeline origin is its trace submit time,
+// and attribution sums to the JCT the metrics report (FinishedAt − Submit).
 func (s *sim) admitArrivals() {
 	first := s.arrived
 	for s.arrived < len(s.all) && s.all[s.arrived].Submit <= s.now {
@@ -789,36 +777,31 @@ func (s *sim) admitArrivals() {
 		s.pending = append(s.pending, s.all[s.arrived])
 		s.arrived++
 	}
-	if s.cfg.Explain != nil && s.arrived > first {
-		s.explAdmit(s.all[first:s.arrived])
+	if s.cfg.Record == nil || s.arrived == first {
+		return
 	}
+	admit := &wal.AdmitRecord{}
+	for _, j := range s.all[first:s.arrived] {
+		admit.Items = append(admit.Items, wal.AdmitItem{SubmitV: int64(j.Submit), Spec: proto.JobSpec{
+			ID: int64(j.ID), Model: j.Model.Name, GPUs: j.GPUs, Iterations: j.Iterations}})
+	}
+	s.write(&wal.Record{Kind: wal.KindAdmit, Admit: admit})
 }
 
-// explRecord stamps one synthesized record with the virtual clock and
-// folds it into the explain builder (caller guarantees cfg.Explain set).
-func (s *sim) explRecord(r *wal.Record) {
+// write stamps a record with the virtual clock and hands it to the record
+// sink; callers check that cfg.Record is set.
+func (s *sim) write(r *wal.Record) {
 	r.V = int64(s.now)
-	s.cfg.Explain.Apply(r)
+	s.cfg.Record(r)
 }
 
-// explAdmit feeds one admission batch to the explain builder. The
-// simulator has no ingest queue, so WaitV is zero and each job's
-// timeline origin is its trace submit time — attribution then sums to
-// the same JCT the metrics report (FinishedAt − Submit).
-func (s *sim) explAdmit(jobs []*job.Job) {
-	rec := &wal.AdmitRecord{Items: make([]wal.AdmitItem, len(jobs))}
-	for i, j := range jobs {
-		rec.Items[i] = wal.AdmitItem{
-			Spec: proto.JobSpec{
-				ID:         int64(j.ID),
-				Model:      j.Model.Name,
-				GPUs:       j.GPUs,
-				Iterations: j.Iterations,
-			},
-			SubmitV: int64(j.Submit),
-		}
+// fault counts a fault-ledger record into the run's stats through the
+// daemon's fold, and writes it when a sink is set.
+func (s *sim) fault(f *wal.FaultRecord) {
+	f.Count(&s.fstats)
+	if s.cfg.Record != nil {
+		s.write(&wal.Record{Kind: wal.KindFault, Fault: f})
 	}
-	s.explRecord(&wal.Record{Kind: wal.KindAdmit, Admit: rec})
 }
 
 // simPlacer adapts the modeled cluster to the engine's Placer
@@ -1098,11 +1081,10 @@ func (s *sim) advanceUnit(u *unit, from, to time.Duration) {
 		if s.cfg.RecordTimeline {
 			s.timeline = append(s.timeline, Event{Time: firstAt, Kind: "finish", Job: j.ID})
 		}
-		if s.cfg.Explain != nil {
+		if s.cfg.Record != nil {
 			// Completions carry their own instant (mid-advance, between
-			// scheduling points), closing the job's service span exactly
-			// at the finish time the metrics see.
-			s.cfg.Explain.Apply(&wal.Record{Kind: wal.KindDone, V: int64(firstAt),
+			// scheduling points): the finish time the metrics see.
+			s.cfg.Record(&wal.Record{Kind: wal.KindDone, V: int64(firstAt),
 				Done: &wal.DoneRecord{Job: int64(j.ID), FinishedV: int64(firstAt)}})
 		}
 		// Policies that learn from completions (e.g. the Gittins index)

@@ -145,12 +145,12 @@ func FromDecision(d engine.Decision) *DecisionRecord {
 	return rec
 }
 
-// FaultRecord is one fault ledger mutation. With a Job it is that job's
-// fault, on the machine Origin. With Job zero it is a loss of executors:
-// Origin names the machine that went away — empty when a recovered daemon
-// gave up on executors that never re-registered — and Jobs lists the
-// running jobs requeued for it, which take Origin and Err as their
-// fault-log entry.
+// FaultRecord is one fault ledger mutation. With a fault count it is Job's
+// fault, on the machine Origin. Without one (Job zero) it is a loss of
+// executors: Origin names the machine that went away — empty when a
+// recovered daemon gave up on executors that never re-registered — and
+// Jobs lists the running jobs requeued for it, which take Origin and Err
+// as their fault-log entry.
 type FaultRecord struct {
 	Job          int64   `json:"job"`
 	Origin       string  `json:"origin,omitempty"`
@@ -163,6 +163,31 @@ type FaultRecord struct {
 	// NotBeforeV is the post-backoff release time on the virtual clock,
 	// so wait attribution can split fault-backoff from capacity exactly.
 	NotBeforeV int64 `json:"not_before_v,omitempty"`
+}
+
+// Loss reports whether the record is a loss of executors rather than a
+// job's fault. A job fault carries the job's fault count, this fault
+// included; a loss carries none. The job ID cannot tell them apart: the
+// simulator's traces number jobs from zero.
+func (f *FaultRecord) Loss() bool { return f.Faults == 0 }
+
+// Count folds the record into a fault ledger: the one interpreter of its
+// crash, transient, requeue and dead-letter counters, for the daemon's log
+// and the simulator's records alike.
+func (f *FaultRecord) Count(st *metrics.FaultStats) {
+	if f.Loss() {
+		if f.Origin != "" {
+			st.Crashes++
+		}
+		st.Requeues += len(f.Jobs)
+		return
+	}
+	st.Transient++
+	if f.DeadLettered {
+		st.DeadLettered++
+	} else {
+		st.Requeues++
+	}
 }
 
 // DoneRecord is one job completion.

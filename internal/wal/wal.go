@@ -441,10 +441,6 @@ func (w *Writer) commitLocked(release bool) error {
 	return nil
 }
 
-// Position reports the active segment, its append offset, and the last
-// assigned LSN.
-func (w *Writer) Position() Position { return w.Stats().Position }
-
 // Stats reads position, durable frontier and counters under one lock
 // acquisition, so no two fields straddle a commit.
 func (w *Writer) Stats() Stats {

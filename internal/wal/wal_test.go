@@ -115,7 +115,7 @@ func TestTornTailTruncated(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		w.Append(testRecord(i))
 	}
-	pos := w.Position()
+	pos := w.Stats().Position
 	w.Close()
 
 	// Tear the last record: chop bytes off the segment's tail.
@@ -160,7 +160,7 @@ func TestBitFlipStopsScan(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		w.Append(testRecord(i))
 	}
-	pos := w.Position()
+	pos := w.Stats().Position
 	w.Close()
 
 	seg := filepath.Join(dir, segName(pos.Segment))
