@@ -29,6 +29,8 @@ fmt:
 # transient faults, requeues and dead letters only by folding fault
 # records (wal.FaultRecord.Count) — and for the simulator's record stream,
 # which it writes to Config.Record without importing internal/explain.
+# And the scheduling path has one merge gate, one Plan entry point and no
+# sticky seeds: options no caller set stay deleted.
 lint-sort:
 	@out=$$(grep -rn 'sort\.Slice\(Stable\)\?(' --include='*.go' internal/sched internal/engine internal/sim internal/core internal/server | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then echo "reflection sort on the scheduling path:"; echo "$$out"; exit 1; fi
@@ -42,6 +44,8 @@ lint-sort:
 	if [ -n "$$out" ]; then echo "fault ledger counted by hand (fold a record with wal.FaultRecord.Count instead):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn '"muri/internal/explain"' --include='*.go' internal/sim | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then echo "internal/sim imports internal/explain (write records to Config.Record instead):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE 'GateThroughput|GateNone|PlanWithSeeds|CandidateFactor|TraceStageCycles|IngestMaxBatch|\.Sticky\b' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'); \
+	if [ -n "$$out" ]; then echo "a deleted knob is back (one merge gate, one Plan entry point, no sticky seeds):"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

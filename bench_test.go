@@ -279,23 +279,6 @@ func benchTrace() trace.Trace {
 	return trace.Generate(cfg)
 }
 
-// BenchmarkAblationGainGate compares Muri-L with and without the
-// merge-benefit gate (DESIGN.md §4): without it every positive-efficiency
-// pair merges, which slows jobs with no queueing benefit.
-func BenchmarkAblationGainGate(b *testing.B) {
-	tr := benchTrace()
-	cfg := sim.DefaultConfig()
-	var gated, ungated metrics.Summary
-	for i := 0; i < b.N; i++ {
-		gated = sim.Run(cfg, tr, sched.NewMuriL()).Summary
-		open := sched.NewMuriL()
-		open.Label = "muri-l-nogate"
-		open.Grouping.Gate = core.GateNone
-		ungated = sim.Run(cfg, tr, open).Summary
-	}
-	b.ReportMetric(metrics.Speedup(ungated.AvgJCT, gated.AvgJCT), "jct-speedup-from-gate")
-}
-
 // BenchmarkAblationContention sweeps the contention factor α of the
 // interleaving execution model.
 func BenchmarkAblationContention(b *testing.B) {
@@ -397,25 +380,6 @@ func BenchmarkPredictionOnline(b *testing.B) {
 	b.ReportMetric(meanErr, "pred-err")
 	b.ReportMetric(float64(scored), "pred-scored")
 	b.ReportMetric(float64(reseeds), "pred-reseeds")
-}
-
-// BenchmarkAblationStickiness compares Muri-L with and without sticky
-// groups: keeping a surviving group together across intervals avoids the
-// kill/relaunch churn of rematching from scratch.
-func BenchmarkAblationStickiness(b *testing.B) {
-	tr := benchTrace()
-	cfg := sim.DefaultConfig()
-	var plain, sticky sim.Result
-	for i := 0; i < b.N; i++ {
-		plain = sim.Run(cfg, tr, sched.NewMuriL())
-		sp := sched.NewMuriL()
-		sp.Label = "muri-l-sticky"
-		sp.Sticky = true
-		sticky = sim.Run(cfg, tr, sp)
-	}
-	b.ReportMetric(float64(plain.Preemptions), "preemptions-plain")
-	b.ReportMetric(float64(sticky.Preemptions), "preemptions-sticky")
-	b.ReportMetric(metrics.Speedup(plain.Summary.AvgJCT, sticky.Summary.AvgJCT), "jct-speedup-from-sticky")
 }
 
 // BenchmarkGittinsPolicy runs the Gittins-index Tiresias variant (an

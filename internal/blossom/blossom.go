@@ -31,7 +31,7 @@ type Edge struct {
 // unless maxCardinality forces them.
 //
 // This one-shot form allocates fresh state per call. Hot paths that match
-// repeatedly should use MatchPooled (or a long-lived Matcher), which
+// repeatedly should use MatchPooledInto (or a long-lived Matcher), which
 // reuses state slices across calls and returns bit-identical matchings.
 func MaxWeightMatching(n int, edges []Edge, maxCardinality bool) []int {
 	var m Matcher

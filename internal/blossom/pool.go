@@ -7,7 +7,7 @@ import (
 	"muri/internal/metrics"
 )
 
-// matcherPool recycles Matcher state across MatchPooled calls. The
+// matcherPool recycles Matcher state across MatchPooledInto calls. The
 // grouping planner matches every GPU bucket every round every scheduling
 // interval; recycling keeps the ~15 state slices warm instead of
 // reallocating them per call.
@@ -20,19 +20,14 @@ var (
 	poolNews atomic.Uint64
 )
 
-// MatchPooled is MaxWeightMatching on pool-backed reusable state. The
-// matching is bit-identical to the one-shot form (Reset restores exact
-// fresh-construction state; see TestMatchPooledEquivalence). Contract: the
-// caller's edges slice is read during the call only — the pooled matcher
-// drops its reference before returning — and the returned mate slice is
-// freshly allocated, so callers may retain or mutate both freely.
-func MatchPooled(n int, edges []Edge, maxCardinality bool) []int {
-	return MatchPooledInto(nil, n, edges, maxCardinality)
-}
-
-// MatchPooledInto is MatchPooled with mate written into dst's backing
-// array when it has the capacity (see Matcher.SolveInto): the grouping
-// planner keeps one mate buffer per edge-construction scratch.
+// MatchPooledInto is MaxWeightMatching on pool-backed reusable state, with
+// mate written into dst's backing array when it has the capacity (see
+// Matcher.SolveInto; a nil dst gets a fresh one). The matching is
+// bit-identical to the one-shot form (Reset restores exact
+// fresh-construction state; see TestMatchPooledEquivalence). The caller's
+// edges slice is read during the call only — the pooled matcher drops its
+// reference before returning. The grouping planner keeps one mate buffer
+// per edge-construction scratch.
 func MatchPooledInto(dst []int, n int, edges []Edge, maxCardinality bool) []int {
 	poolGets.Add(1)
 	m := matcherPool.Get().(*Matcher)
@@ -43,8 +38,8 @@ func MatchPooledInto(dst []int, n int, edges []Edge, maxCardinality bool) []int 
 	return out
 }
 
-// PoolStats snapshots the matcher-pool counters: Gets counts MatchPooled
-// calls, News the subset that had to construct a fresh Matcher. The
+// PoolStats snapshots the matcher-pool counters: Gets counts
+// MatchPooledInto calls, News the subset that had to construct a fresh Matcher. The
 // difference is the number of calls that reused recycled state.
 func PoolStats() metrics.MatcherPoolStats {
 	return metrics.MatcherPoolStats{Gets: poolGets.Load(), News: poolNews.Load()}

@@ -40,7 +40,7 @@ func TestMatchPooledEquivalence(t *testing.T) {
 		}
 		maxCard := trial%5 == 0
 		want := MaxWeightMatching(n, edges, maxCard)
-		got := MatchPooled(n, edges, maxCard)
+		got := MatchPooledInto(nil, n, edges, maxCard)
 		if !equalMates(got, want) {
 			t.Fatalf("trial %d: pooled mate differs\none-shot: %v\npooled:   %v\nn=%d edges=%v maxCard=%v",
 				trial, want, got, n, edges, maxCard)
@@ -74,11 +74,11 @@ func TestMatcherReuseEquivalence(t *testing.T) {
 // mutating a returned mate slice must not corrupt a later pooled solve.
 func TestMatchPooledResultIsFresh(t *testing.T) {
 	edges := []Edge{{0, 1, 2}, {1, 2, 3}, {2, 3, 2}}
-	first := MatchPooled(4, edges, false)
+	first := MatchPooledInto(nil, 4, edges, false)
 	for i := range first {
 		first[i] = -99
 	}
-	second := MatchPooled(4, edges, false)
+	second := MatchPooledInto(nil, 4, edges, false)
 	want := MaxWeightMatching(4, edges, false)
 	if !equalMates(second, want) {
 		t.Fatalf("pooled result aliased matcher state: got %v want %v", second, want)

@@ -9,7 +9,7 @@ import (
 	"muri/internal/workload"
 )
 
-// planArena is the working memory of one PlanWithSeeds call, recycled
+// planArena is the working memory of one Plan call, recycled
 // through arenaPool the way scratchPool recycles graphScratch. Every
 // transient of a plan is carved from it, so a warm plan allocates only
 // what outlives the call: the groups, and the proposal streams a PlanState

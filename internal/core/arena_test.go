@@ -40,10 +40,10 @@ func fullFingerprint(groups []Group) string {
 	return s
 }
 
-// scaleConfig is the muri-l-scale shape: JCT gate, four shards, a planner.
+// scaleConfig is the muri-l-scale shape: an estimator, four shards, a
+// planner.
 func scaleConfig() Config {
 	c := DefaultConfig()
-	c.Gate = GateJCT
 	c.RemainingIters = func(j *job.Job) int64 { return 100 + j.DoneIterations }
 	c.Shards = 4
 	c.Planner = NewPlanState()
@@ -74,7 +74,7 @@ func TestArenaReleasedHoldsNoJob(t *testing.T) {
 	a := new(planArena)
 	c := scaleConfig()
 	for _, jobs := range [][]*job.Job{singleGPUJobs(300, 7), mixedJobs(120)} {
-		if len(c.plan(a, nil, jobs, 64)) == 0 {
+		if len(c.plan(a, jobs, 64)) == 0 {
 			t.Fatal("empty plan")
 		}
 		a.release()
@@ -139,12 +139,11 @@ func TestArenaOutgrownFallsBackToHeap(t *testing.T) {
 
 	small, big := singleGPUJobs(16, 3), mixedJobs(300)
 	c := DefaultConfig()
-	c.Gate = GateJCT
 	b := new(planArena)
-	c.plan(b, nil, small, 8)
+	c.plan(b, small, 8)
 	b.release()
-	got := fullFingerprint(c.plan(b, nil, big, 64))
-	if want := fullFingerprint(c.plan(new(planArena), nil, big, 64)); got != want {
+	got := fullFingerprint(c.plan(b, big, 64))
+	if want := fullFingerprint(c.plan(new(planArena), big, 64)); got != want {
 		t.Fatalf("plan in an outgrown arena differs from a fresh one:\n%s\nvs\n%s", got, want)
 	}
 }
@@ -162,7 +161,7 @@ func TestArenaShardedPlansConcurrent(t *testing.T) {
 	serial.Cache, serial.Planner = nil, nil
 	want := make([]string, len(queues))
 	for i, q := range queues {
-		want[i] = fullFingerprint(serial.plan(new(planArena), nil, q, 64))
+		want[i] = fullFingerprint(serial.plan(new(planArena), q, 64))
 	}
 	cache := interleave.NewEffCache(64) // small: generations rotate under load
 	var wg sync.WaitGroup

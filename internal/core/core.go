@@ -39,9 +39,8 @@ type Config struct {
 	// WorstOrdering reproduces the "Muri-L w/ worst ordering" ablation:
 	// groups execute with the least-efficient stage ordering.
 	WorstOrdering bool
-	// Gate selects the merge-benefit check (see Gate constants).
-	Gate Gate
-	// RemainingIters estimates a job's remaining iterations for GateJCT.
+	// RemainingIters estimates a job's remaining iterations for the merge
+	// gate (gateTerms).
 	// Nil uses the job's true remaining count (known durations, Muri-S).
 	// Muri-L supplies the least-attained-service heuristic: for
 	// heavy-tailed DL duration distributions, a job's expected remaining
@@ -73,27 +72,6 @@ type Config struct {
 	// construction. A PlanState must not be shared between policies.
 	Planner *PlanState
 }
-
-// Gate chooses how a candidate merge is judged beneficial before it can
-// enter the matching graph. The edge weight is always the interleaving
-// efficiency γ (paper §4.1); the gate prunes merges that would hurt.
-type Gate int
-
-const (
-	// GateThroughput admits a merge only when it increases aggregate
-	// throughput under saturation: k·γ(u∪v) + 1 > k·γ(u) + k·γ(v), the +1
-	// crediting the resource set a merge frees for a queued job. Used by
-	// Muri-L, where per-job durations are unknown.
-	GateThroughput Gate = iota
-	// GateJCT admits a merge only when running the combined group
-	// concurrently yields a lower summed completion time than running the
-	// two nodes sequentially on one resource set (the relevant baseline
-	// when demand exceeds capacity). It needs remaining-time estimates,
-	// so Muri-S uses it.
-	GateJCT
-	// GateNone admits every positive-efficiency merge (ablation).
-	GateNone
-)
 
 // DefaultConfig is the standard Muri configuration: 4-job groups, Blossom
 // matching, best ordering, default contention model.
@@ -185,71 +163,30 @@ func (c Config) rounds() int {
 // Groups are returned ordered by descending GPU requirement, priority
 // order within each bucket.
 func (c Config) Plan(jobs []*job.Job, capacityGPUs int) []Group {
-	return c.PlanWithSeeds(nil, jobs, capacityGPUs)
-}
-
-// PlanWithSeeds is Plan with sticky groups: each seed (a previously
-// formed group whose members are all still candidates) enters the
-// matching as one pre-merged node, so stable workloads keep their groups
-// across scheduling intervals instead of being rematched — and restarted
-// — from scratch. Jobs listed in seeds must not also appear in jobs.
-func (c Config) PlanWithSeeds(seeds [][]*job.Job, jobs []*job.Job, capacityGPUs int) []Group {
-	if len(jobs) == 0 && len(seeds) == 0 {
+	if len(jobs) == 0 {
 		return nil
 	}
 	a := arenaPool.Get().(*planArena)
-	out := c.plan(a, seeds, jobs, capacityGPUs)
+	out := c.plan(a, jobs, capacityGPUs)
 	a.release()
 	arenaPool.Put(a)
 	return out
 }
 
-// usableSeed reports whether a seed can enter as one pre-merged node: it
-// fits a group and its members share one GPU requirement.
-func (c Config) usableSeed(seed []*job.Job) bool {
-	if len(seed) == 0 || len(seed) > c.maxGroup() {
-		return false
-	}
-	for _, j := range seed {
-		if j.GPUs != seed[0].GPUs {
-			return false
-		}
-	}
-	return true
-}
-
-// plan is PlanWithSeeds in the given arena.
-func (c Config) plan(a *planArena, seeds [][]*job.Job, jobs []*job.Job, capacityGPUs int) []Group {
-	// Size the buckets, then carve each one's node list and fill it: seeds
-	// first, then loose jobs, both in input order.
-	members, nodes := len(jobs), len(jobs)
-	for _, seed := range seeds {
-		if c.usableSeed(seed) {
-			a.bucket(seed[0].GPUs).want++
-			members += len(seed)
-			nodes++
-		}
-	}
+// plan is Plan in the given arena.
+func (c Config) plan(a *planArena, jobs []*job.Job, capacityGPUs int) []Group {
+	// Size the buckets, then carve each one's node list and fill it in
+	// input order.
 	for _, j := range jobs {
 		a.bucket(j.GPUs).want++
 	}
 	slices.SortFunc(a.states, func(x, y bucketState) int { return cmp.Compare(y.gpus, x.gpus) })
-	a.reserve(members, nodes)
+	a.reserve(len(jobs), len(jobs))
 	off := 0
 	for i := range a.states {
 		st := &a.states[i]
 		st.nodes = a.ptrs[off : off : off+st.want]
 		off += st.want
-	}
-	for _, seed := range seeds {
-		if c.usableSeed(seed) {
-			n := a.newNode(len(seed))
-			for i, j := range seed {
-				n.jobs[i], n.profiles[i] = j, j.Profile
-			}
-			st := a.bucket(seed[0].GPUs)
-			st.nodes = append(st.nodes, n)
-		}
 	}
 	for _, j := range jobs {
 		n := a.newNode(1)
@@ -269,7 +206,7 @@ func (c Config) plan(a *planArena, seeds [][]*job.Job, jobs []*job.Job, capacity
 		groups += len(a.states[i].nodes)
 	}
 	out := make([]Group, 0, groups)
-	jobSlab, orderSlab := make([]*job.Job, members), make([]int, members)
+	jobSlab, orderSlab := make([]*job.Job, len(jobs)), make([]int, len(jobs))
 	for i := range a.states {
 		st := &a.states[i]
 		for _, n := range st.nodes {
@@ -279,24 +216,6 @@ func (c Config) plan(a *planArena, seeds [][]*job.Job, jobs []*job.Job, capacity
 		}
 	}
 	return out
-}
-
-// GroupBucket runs unconstrained Algorithm 1 on jobs that all share one
-// GPU requirement. Jobs must be passed in priority order (highest
-// priority first): the order matters for the no-Blossom ablation and for
-// deterministic output. Single-member groups are returned for jobs left
-// unmatched.
-func (c Config) GroupBucket(jobs []*job.Job) []Group {
-	if len(jobs) == 0 {
-		return nil
-	}
-	gpus := jobs[0].GPUs
-	for _, j := range jobs {
-		if j.GPUs != gpus {
-			panic("core: GroupBucket requires uniform GPU requirement")
-		}
-	}
-	return c.Plan(jobs, 0)
 }
 
 // classes returns the node's member classes, interning them (and merging
@@ -347,10 +266,13 @@ func (n *node) gateTerms(t time.Duration) gateTerms {
 	return gateTerms{sumT: n.remSum * int64(t), maxT: n.remMax * int64(t), sum: n.remSum, n: int64(len(n.jobs))}
 }
 
-// jctGain evaluates a merge under GateJCT: the reduction in summed
-// completion time of running u∪v concurrently (iteration time mergedIter)
-// versus running u and v sequentially on one resource set in the better
-// of the two orders. Positive means the merge helps average JCT.
+// jctGain is the merge gate: the reduction in summed completion time of
+// running u∪v concurrently (iteration time mergedIter) versus running u
+// and v sequentially on one resource set in the better of the two orders —
+// the relevant baseline when demand exceeds capacity. A merge enters the
+// matching graph only when this is positive; the edge weight is always the
+// interleaving efficiency γ (paper §4.1), the gate prunes merges that
+// would hurt average JCT.
 //
 // With per-node remaining-iteration aggregates the costs reduce to
 // arithmetic: a node starting at offset s with iteration time t has
@@ -364,25 +286,6 @@ func (u gateTerms) jctGain(v gateTerms, mergedIter time.Duration) time.Duration 
 		seq = alt
 	}
 	return time.Duration(seq - (u.sum+v.sum)*int64(mergedIter))
-}
-
-// mergeGain evaluates a candidate merge of u and v (u before v in bucket
-// order) under the configured gate, given their standalone statistics and
-// those of the merged group. It returns the gate's benefit score (used to
-// rank accepted merges) and whether the merge passes. GateJCT reads the
-// nodes' remaining-iteration aggregates, which must already be filled.
-func (c Config) mergeGain(u, v *node, su, sv, merged stat) (float64, bool) {
-	switch c.Gate {
-	case GateJCT:
-		d := u.gateTerms(su.t).jctGain(v.gateTerms(sv.t), merged.t)
-		return d.Seconds(), d > 0
-	case GateNone:
-		return merged.eff, true
-	default: // GateThroughput
-		k := float64(workload.NumResources)
-		g := k*merged.eff + 1 - k*su.eff - k*sv.eff
-		return g, g > 0
-	}
 }
 
 // graphScratch is the working set of one bucketGraph call and the matching
@@ -437,7 +340,7 @@ func (c Config) classify(nodes []*node, s *graphScratch) int {
 
 // bucketGraph builds the gain-gated grouping graph for one round in one
 // bucket: edge weights are interleaving efficiencies (paper §4.1), and
-// edges whose merge fails the configured benefit gate are dropped. The
+// edges whose merge fails the gate (jctGain) are dropped. The
 // gate gain of every surviving edge is returned alongside it, so matched
 // pairs never re-evaluate the gate.
 //
@@ -481,42 +384,28 @@ func (c Config) bucketGraph(nodes []*node, s *graphScratch) ([]blossom.Edge, []f
 		ps.pairMiss.Add(uint64(fills))
 		ps.pairHits.Add(uint64(n*(n-1)/2 - fills))
 	}
-	jct := c.Gate == GateJCT
-	if jct {
-		s.terms = sized(s.terms, n)
-		for u, nd := range nodes {
-			c.nodeRemStats(nd)
-			s.terms[u] = nd.gateTerms(s.self[s.local[u]].t)
-		}
+	s.terms = sized(s.terms, n)
+	for u, nd := range nodes {
+		c.nodeRemStats(nd)
+		s.terms[u] = nd.gateTerms(s.self[s.local[u]].t)
 	}
 	edges, gains := s.edges[:0], s.gains[:0]
 	for u := 0; u < n-1; u++ {
 		cu := int(s.local[u])
 		row := s.pair[cu*nc : (cu+1)*nc]
 		for v := u + 1; v < n; v++ {
-			cv := s.local[v]
-			m := row[cv]
+			m := row[s.local[v]]
 			if m.eff <= 0 {
 				continue
 			}
-			var g float64
-			var ok bool
-			if jct {
-				// mergeGain's case, from the hoisted terms. Seconds() is
-				// positive exactly when the duration is, so only surviving
-				// edges pay for it.
-				d := s.terms[u].jctGain(s.terms[v], m.t)
-				if ok = d > 0; ok {
-					g = d.Seconds()
-				}
-			} else {
-				g, ok = c.mergeGain(nodes[u], nodes[v], s.self[cu], s.self[cv], m)
-			}
-			if !ok {
+			// Seconds() is positive exactly when the duration is, so only
+			// surviving edges pay for it.
+			d := s.terms[u].jctGain(s.terms[v], m.t)
+			if d <= 0 {
 				continue
 			}
 			edges = append(edges, blossom.Edge{I: u, J: v, Weight: m.eff})
-			gains = append(gains, g)
+			gains = append(gains, d.Seconds())
 		}
 	}
 	s.edges, s.gains = edges, gains

@@ -40,7 +40,7 @@ func TestGroupBucketPairsComplements(t *testing.T) {
 	cfg := ideal()
 	cfg.MaxGroupSize = 2
 	jobs := []*job.Job{cpuHeavy(0), cpuHeavy(1), gpuHeavy(2), gpuHeavy(3)}
-	groups := cfg.GroupBucket(jobs)
+	groups := cfg.Plan(jobs, 0)
 	if len(groups) != 2 {
 		t.Fatalf("got %d groups, want 2", len(groups))
 	}
@@ -69,7 +69,7 @@ func TestGroupBucketRespectsMaxGroupSize(t *testing.T) {
 				jobs = append(jobs, gpuHeavy(i))
 			}
 		}
-		groups := cfg.GroupBucket(jobs)
+		groups := cfg.Plan(jobs, 0)
 		total := 0
 		for _, g := range groups {
 			if len(g.Jobs) > max {
@@ -85,7 +85,7 @@ func TestGroupBucketRespectsMaxGroupSize(t *testing.T) {
 
 func TestGroupBucketSingleJob(t *testing.T) {
 	cfg := ideal()
-	groups := cfg.GroupBucket([]*job.Job{cpuHeavy(0)})
+	groups := cfg.Plan([]*job.Job{cpuHeavy(0)}, 0)
 	if len(groups) != 1 || len(groups[0].Jobs) != 1 {
 		t.Fatalf("groups = %v, want one singleton", groups)
 	}
@@ -95,18 +95,9 @@ func TestGroupBucketSingleJob(t *testing.T) {
 }
 
 func TestGroupBucketEmpty(t *testing.T) {
-	if got := ideal().GroupBucket(nil); got != nil {
-		t.Errorf("GroupBucket(nil) = %v, want nil", got)
+	if got := ideal().Plan(nil, 0); got != nil {
+		t.Errorf("Plan(nil, 0) = %v, want nil", got)
 	}
-}
-
-func TestGroupBucketMixedGPUsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("mixed GPU bucket should panic")
-		}
-	}()
-	ideal().GroupBucket([]*job.Job{mkJob(0, 1, workload.StageTimes{unit, 0, 0, 0}), mkJob(1, 2, workload.StageTimes{unit, 0, 0, 0})})
 }
 
 func TestBlossomBeatsGreedyOnAdversarialOrder(t *testing.T) {
@@ -125,8 +116,8 @@ func TestBlossomBeatsGreedyOnAdversarialOrder(t *testing.T) {
 		}
 		return s
 	}
-	gb := sumEff(withBlossom.GroupBucket(jobs))
-	gg := sumEff(noBlossom.GroupBucket(jobs))
+	gb := sumEff(withBlossom.Plan(jobs, 0))
+	gg := sumEff(noBlossom.Plan(jobs, 0))
 	if gb <= gg {
 		t.Errorf("Blossom total efficiency %v should beat greedy %v", gb, gg)
 	}
@@ -138,8 +129,8 @@ func TestWorstOrderingSlower(t *testing.T) {
 	best := ideal()
 	worst := ideal()
 	worst.WorstOrdering = true
-	gBest := best.GroupBucket([]*job.Job{a, b})
-	gWorst := worst.GroupBucket([]*job.Job{a, b})
+	gBest := best.Plan([]*job.Job{a, b}, 0)
+	gWorst := worst.Plan([]*job.Job{a, b}, 0)
 	if gBest[0].Plan.IterTime >= gWorst[0].Plan.IterTime {
 		t.Errorf("best ordering %v should be faster than worst %v",
 			gBest[0].Plan.IterTime, gWorst[0].Plan.IterTime)
@@ -148,7 +139,7 @@ func TestWorstOrderingSlower(t *testing.T) {
 
 func TestGroupPlanOrderIsIdentityAfterFinalize(t *testing.T) {
 	cfg := ideal()
-	groups := cfg.GroupBucket([]*job.Job{cpuHeavy(0), gpuHeavy(1), cpuHeavy(2), gpuHeavy(3)})
+	groups := cfg.Plan([]*job.Job{cpuHeavy(0), gpuHeavy(1), cpuHeavy(2), gpuHeavy(3)}, 0)
 	for _, g := range groups {
 		for i, o := range g.Plan.Order {
 			if o != i {
@@ -165,7 +156,7 @@ func TestExecutionIterTimeUsesTrueProfile(t *testing.T) {
 	a.TrueProfile = a.Profile.Scale(2)
 	b.TrueProfile = b.Profile.Scale(2)
 	cfg := ideal()
-	g := cfg.GroupBucket([]*job.Job{a, b})[0]
+	g := cfg.Plan([]*job.Job{a, b}, 0)[0]
 	exec := g.ExecutionIterTime(cfg.Interleave)
 	if exec != 2*g.Plan.IterTime {
 		t.Errorf("execution iter time = %v, want 2× plan %v", exec, g.Plan.IterTime)
@@ -228,7 +219,7 @@ func TestGroupingImprovesAggregateThroughput(t *testing.T) {
 		jobs = append(jobs, job.New(job.ID(i), m, 1, 1000, 0))
 	}
 	cfg := DefaultConfig()
-	groups := cfg.GroupBucket(jobs)
+	groups := cfg.Plan(jobs, 0)
 	totalNorm := 0.0
 	for _, g := range groups {
 		times := make([]workload.StageTimes, len(g.Jobs))
@@ -267,56 +258,6 @@ func TestDeterministicGrouping(t *testing.T) {
 				t.Errorf("group %d member %d differs: %d vs %d", i, k, g1[i].Jobs[k].ID, g2[i].Jobs[k].ID)
 			}
 		}
-	}
-}
-
-func TestPlanWithSeedsKeepsSeed(t *testing.T) {
-	cfg := ideal()
-	a, b := cpuHeavy(0), gpuHeavy(1)
-	c, d := cpuHeavy(2), gpuHeavy(3)
-	// Seed {a, b}; loose jobs {c, d}. Capacity 1 forces heavy merging but
-	// the seed must stay together (possibly absorbing more members).
-	groups := cfg.PlanWithSeeds([][]*job.Job{{a, b}}, []*job.Job{c, d}, 1)
-	var seedGroup *Group
-	for i := range groups {
-		for _, j := range groups[i].Jobs {
-			if j.ID == a.ID {
-				seedGroup = &groups[i]
-			}
-		}
-	}
-	if seedGroup == nil {
-		t.Fatal("seed member lost")
-	}
-	foundB := false
-	for _, j := range seedGroup.Jobs {
-		if j.ID == b.ID {
-			foundB = true
-		}
-	}
-	if !foundB {
-		t.Errorf("seed split apart: group %v", seedGroup.Jobs)
-	}
-}
-
-func TestPlanWithSeedsRejectsBadSeeds(t *testing.T) {
-	cfg := ideal()
-	// Mixed GPU requirements: the seed must be ignored, not panic.
-	a := mkJob(0, 1, workload.StageTimes{unit, 0, 0, 0})
-	b := mkJob(1, 2, workload.StageTimes{unit, 0, 0, 0})
-	groups := cfg.PlanWithSeeds([][]*job.Job{{a, b}}, nil, 1)
-	// The bad seed is dropped entirely (its members were not passed as
-	// loose jobs), so nothing is planned.
-	if len(groups) != 0 {
-		t.Errorf("bad seed produced groups: %v", groups)
-	}
-	// An oversized seed is ignored the same way.
-	var five []*job.Job
-	for i := 0; i < 5; i++ {
-		five = append(five, mkJob(10+i, 1, workload.StageTimes{unit, 0, 0, 0}))
-	}
-	if groups := cfg.PlanWithSeeds([][]*job.Job{five}, nil, 1); len(groups) != 0 {
-		t.Errorf("oversized seed produced groups: %v", groups)
 	}
 }
 

@@ -31,8 +31,7 @@ func jctGainByNodes(u, v *node, tu, tv, mergedIter time.Duration) time.Duration 
 // TestGateTermsMatchJCTGain checks the hoisted gate pair by pair against
 // the node-by-node form, bit for bit, on random nodes whose remaining
 // iterations range from a handful to values that wrap int64 when
-// multiplied by an iteration time — and that mergeGain admits exactly the
-// pairs with a positive gain, scoring them by its seconds.
+// multiplied by an iteration time.
 func TestGateTermsMatchJCTGain(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	randNode := func() *node {
@@ -46,7 +45,6 @@ func TestGateTermsMatchJCTGain(t *testing.T) {
 		return n
 	}
 	iter := func() time.Duration { return time.Duration(1 + rng.Int63n(int64(10*time.Second))) }
-	c := Config{Gate: GateJCT}
 	wrapped, admitted := 0, 0
 	for trial := 0; trial < 20_000; trial++ {
 		u, v := randNode(), randNode()
@@ -56,14 +54,10 @@ func TestGateTermsMatchJCTGain(t *testing.T) {
 			t.Fatalf("trial %d: hoisted gain %d, node-by-node %d (u=%+v v=%+v t=%v/%v/%v)",
 				trial, got, want, *u, *v, tu, tv, tm)
 		}
-		g, ok := c.mergeGain(u, v, stat{t: tu}, stat{t: tv}, stat{t: tm})
-		if ok != (want > 0) || g != want.Seconds() {
-			t.Fatalf("trial %d: mergeGain = (%v, %v), want (%v, %v)", trial, g, ok, want.Seconds(), want > 0)
-		}
 		if math.Log2(float64(u.remSum))+math.Log2(float64(tu)) > 63 {
 			wrapped++
 		}
-		if ok {
+		if want > 0 {
 			admitted++
 		}
 	}

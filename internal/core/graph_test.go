@@ -76,12 +76,12 @@ func pairwiseGraph(c Config, nodes []*node) ([]blossom.Edge, []float64) {
 			}
 			c.nodeRemStats(nu)
 			c.nodeRemStats(nv)
-			g, ok := c.mergeGain(nu, nv, self(nu), self(nv), stat{t: t, eff: eff})
-			if !ok {
+			d := nu.gateTerms(self(nu).t).jctGain(nv.gateTerms(self(nv).t), t)
+			if d <= 0 {
 				continue
 			}
 			edges = append(edges, blossom.Edge{I: u, J: v, Weight: eff})
-			gains = append(gains, g)
+			gains = append(gains, d.Seconds())
 		}
 	}
 	return edges, gains
@@ -89,13 +89,15 @@ func pairwiseGraph(c Config, nodes []*node) ([]blossom.Edge, []float64) {
 
 // TestBucketGraphMatchesPairwise is the property behind the class-indexed
 // graph: over random buckets and every configuration axis the table
-// depends on, bucketGraph's edges and gains equal (==, bit for bit) the
-// pair-by-pair reference, on a cold scratch and on a reused one. The 256-
-// and 300-node buckets at the default config pin that no gated edge is
-// withheld from the matcher at any size.
+// depends on — the gate in both production shapes, true remaining
+// iterations (Muri-S) and an LAS-style estimate (Muri-L) — bucketGraph's
+// edges and gains equal (==, bit for bit) the pair-by-pair reference, on a
+// cold scratch and on a reused one. The 256- and 300-node buckets at the
+// default config pin that no gated edge is withheld from the matcher at
+// any size.
 func TestBucketGraphMatchesPairwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	remaining := func(j *job.Job) int64 { return 1 + j.DoneIterations/3 }
+	las := func(j *job.Job) int64 { return max(j.DoneIterations, 100) }
 	scratch := new(graphScratch)
 	check := func(label string, c Config, nodes []*node) {
 		t.Helper()
@@ -117,17 +119,16 @@ func TestBucketGraphMatchesPairwise(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		c := DefaultConfig()
 		c.MaxGroupSize = 2 + trial%3
-		c.Gate = []Gate{GateThroughput, GateJCT, GateNone}[(trial/3)%3]
 		if trial%2 == 0 {
 			c.Cache = nil
 		}
-		if rng.Intn(2) == 0 {
-			c.RemainingIters = remaining
+		if (trial/3)%2 == 1 {
+			c.RemainingIters = las
 		}
 		n := 2 + rng.Intn(30)
 		distinct := rng.Intn(3) == 0
-		label := fmt.Sprintf("trial %d (n=%d k=%d gate=%d cache=%v distinct=%v)",
-			trial, n, c.MaxGroupSize, c.Gate, c.Cache != nil, distinct)
+		label := fmt.Sprintf("trial %d (n=%d k=%d las=%v cache=%v distinct=%v)",
+			trial, n, c.MaxGroupSize, c.RemainingIters != nil, c.Cache != nil, distinct)
 		check(label, c, randomBucket(rng, n, distinct))
 	}
 	for _, n := range []int{256, 300} {
@@ -225,7 +226,6 @@ func TestPlanAllocBudget(t *testing.T) {
 		t.Skip("sync.Pool drops pooled scratch at random under -race")
 	}
 	cfg := DefaultConfig()
-	cfg.Gate = GateJCT
 	cfg.RemainingIters = func(j *job.Job) int64 { return 100 + j.DoneIterations }
 	jobs := mixedJobs(128)
 	cfg.Plan(jobs, 64)

@@ -40,23 +40,21 @@ func groupsFingerprint(groups []Group) string {
 
 // TestPlanParallelAndCachedUnchanged is the determinism guard for the
 // shared cache: cacheless, cached and evicting (tiny) caches must produce
-// identical plans for every gate.
+// identical plans under both production shapes of the merge gate — true
+// remaining iterations (Muri-S) and an LAS-style estimate (Muri-L).
 func TestPlanParallelAndCachedUnchanged(t *testing.T) {
-	remaining := func(j *job.Job) int64 {
+	las := func(j *job.Job) int64 {
 		if j.DoneIterations > 100 {
 			return j.DoneIterations
 		}
 		return 100
 	}
-	for _, gate := range []Gate{GateThroughput, GateJCT, GateNone} {
+	for gate, remaining := range map[string]func(*job.Job) int64{"true-remaining": nil, "las": las} {
 		for _, capacity := range []int{0, 64} {
 			variant := func(cache *interleave.EffCache) string {
 				cfg := DefaultConfig()
-				cfg.Gate = gate
 				cfg.Cache = cache
-				if gate == GateJCT {
-					cfg.RemainingIters = remaining
-				}
+				cfg.RemainingIters = remaining
 				return groupsFingerprint(cfg.Plan(mixedJobs(160), capacity))
 			}
 			base := variant(nil)
@@ -68,7 +66,7 @@ func TestPlanParallelAndCachedUnchanged(t *testing.T) {
 				"tinycache": variant(interleave.NewEffCache(16)),
 			} {
 				if got != base {
-					t.Errorf("gate %v cap %d: %s plan differs from nocache\nbase:\n%s\ngot:\n%s",
+					t.Errorf("gate %s cap %d: %s plan differs from nocache\nbase:\n%s\ngot:\n%s",
 						gate, capacity, name, base, got)
 				}
 			}

@@ -110,14 +110,13 @@ func (ps *PlanState) Stats() metrics.ShardStats {
 // bucketSig flattens the bucket's initial nodes into an exact signature:
 // a length separator per node, then each member's job ID and profile
 // class (the stage times themselves when a nil Cache leaves the node
-// unclassified), and — when the JCT gate consumes them — each member's
-// remaining-iteration estimate. Profiles are part of the signature because
-// estimators rewrite them mid-run. Everything else the proposal stream
-// depends on (the Config, the shard layout as a function of epoch) is
-// constant across rounds, so an equal signature implies an identical
-// stream. The signature is written over sig.
+// unclassified), and each member's remaining-iteration estimate (the merge
+// gate's input). Profiles are part of the signature because estimators
+// rewrite them mid-run. Everything else the proposal stream depends on (the
+// Config, the shard layout as a function of epoch) is constant across
+// rounds, so an equal signature implies an identical stream. The signature
+// is written over sig.
 func (c Config) bucketSig(st *bucketState, sig []int64) []int64 {
-	jct := c.Gate == GateJCT
 	sig = sig[:0]
 	for _, nd := range st.nodes {
 		// Separators are negative; job IDs are non-negative in every
@@ -131,13 +130,11 @@ func (c Config) bucketSig(st *bucketState, sig []int64) []int64 {
 					sig = append(sig, int64(d))
 				}
 			}
-			if jct {
-				rem := j.RemainingIterations()
-				if c.RemainingIters != nil {
-					rem = c.RemainingIters(j)
-				}
-				sig = append(sig, rem)
+			rem := j.RemainingIterations()
+			if c.RemainingIters != nil {
+				rem = c.RemainingIters(j)
 			}
+			sig = append(sig, rem)
 		}
 	}
 	return sig

@@ -21,7 +21,8 @@ const (
 	// sharding engages.
 	shardNodeThreshold = 32
 	// minShardNodes caps the shard count so every shard keeps enough
-	// nodes for the matcher to have real choices (quality bound,
+	// nodes for the matcher to have real choices (quality bound: one
+	// sharded sweep keeps ≥ 96% of the exact matching weight,
 	// TestShardedMatchingWeightBound).
 	minShardNodes = 16
 )
@@ -228,8 +229,8 @@ func fanOut(n int, fn func(i int)) {
 }
 
 // rebalance is the cheap cross-shard pass that holds the sharded
-// matching weight within the TestShardedMatchingWeightBound quality
-// bound (the epoch reshuffle between sweeps is its long-range
+// matching weight at ≥ 96% of the exact one (TestShardedMatchingWeightBound;
+// the epoch reshuffle between sweeps is its long-range
 // complement). Nodes their shard left unmatched, plus the nodes of the
 // weakest eighth of the matched pairs, get one global re-match. The
 // dissolved pairs are themselves a feasible matching of that subset, so

@@ -49,16 +49,6 @@ func Arm(point string) {
 	}
 }
 
-// Disarm cancels a pending crash at the named point.
-func Disarm(point string) {
-	mu.Lock()
-	defer mu.Unlock()
-	if armed[point] {
-		delete(armed, point)
-		nArmed.Add(-1)
-	}
-}
-
 // Reset disarms every point and restores the default panic handler
 // (tests clean up with it).
 func Reset() {

@@ -191,6 +191,3 @@ func FidelityTable(r FidelityResult) Table {
 		},
 	}
 }
-
-// MeanJCTError is a convenience used by tests and benchmarks.
-func (r FidelityResult) MeanJCTError() float64 { return r.JCTError }

@@ -193,7 +193,7 @@ func (s CacheStats) HitRate() float64 {
 }
 
 // MatcherPoolStats counts traffic through the reusable Blossom-matcher
-// pool (blossom.MatchPooled): how often the scheduling path matched, and
+// pool (blossom.MatchPooledInto): how often the scheduling path matched, and
 // how often it could reuse recycled solver state instead of allocating.
 type MatcherPoolStats struct {
 	// Gets counts pooled matching calls.

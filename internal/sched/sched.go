@@ -389,17 +389,6 @@ type Muri struct {
 	// KnownDurations selects the priority function: true = SRSF (Muri-S),
 	// false = 2D-LAS (Muri-L).
 	KnownDurations bool
-	// CandidateFactor bounds how much work is considered for grouping:
-	// jobs are taken in priority order until their summed GPU demand
-	// reaches CandidateFactor × capacity (Algorithm 1 line 3: "these n
-	// jobs can be fully grouped and they can fully utilize the cluster").
-	// Zero defaults to the group-size cap (k jobs per GPU).
-	CandidateFactor int
-	// Sticky keeps groups formed in earlier scheduling rounds together
-	// (as pre-merged matching nodes) while all their members remain
-	// candidates, reducing preemption/restart churn. Off by default; the
-	// paper's prototype rematches from scratch every interval.
-	Sticky bool
 	// QuantizeEstimates rounds priority keys and (for Muri-L) the
 	// remaining-iteration estimates down to powers of two,
 	// Tiresias-style. Quantized estimates only move when a job crosses a
@@ -418,10 +407,6 @@ type Muri struct {
 	// Label overrides the reported name (used by ablation variants).
 	Label string
 
-	// prevIDs remembers the last plan's multi-job groups for Sticky: their
-	// member IDs group after group, with the group sizes in prevSizes.
-	prevIDs   []job.ID
-	prevSizes []int
 	// order ranks the queue, starting from last round's order.
 	order ranker
 	// ranked and units are the buffers Plan ranks its groups and builds its
@@ -457,9 +442,7 @@ func (m *Muri) NoteDecisions(n int) {
 // merge lowers the members' summed completion time versus sequential
 // execution.
 func NewMuriS() *Muri {
-	cfg := core.DefaultConfig()
-	cfg.Gate = core.GateJCT
-	return &Muri{Grouping: cfg, KnownDurations: true}
+	return &Muri{Grouping: core.DefaultConfig(), KnownDurations: true}
 }
 
 // NewMuriL returns Muri with 2D-LAS priorities (unknown durations). The
@@ -469,7 +452,6 @@ func NewMuriS() *Muri {
 // is expected to be short.
 func NewMuriL() *Muri {
 	cfg := core.DefaultConfig()
-	cfg.Gate = core.GateJCT
 	m := &Muri{KnownDurations: false}
 	cfg.RemainingIters = func(j *job.Job) int64 {
 		// Floor at ten minutes of iterations so brand-new jobs are not
@@ -563,18 +545,17 @@ func (m *Muri) PriorityKey(_ time.Duration, j *job.Job) float64 {
 }
 
 // Plan implements Policy: sort by priority, take candidates to fill the
-// cluster CandidateFactor times over, group with Algorithm 1, and order
+// cluster MaxGroupSize times over, group with Algorithm 1, and order
 // groups by their best member's priority.
 func (m *Muri) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
 	maxGroup := m.Grouping.MaxGroupSize
 	if maxGroup <= 0 {
 		maxGroup = interleave.MaxGroupSize
 	}
-	factor := m.CandidateFactor
-	if factor <= 0 {
-		factor = maxGroup
-	}
-	budget := factor * capacity
+	// Algorithm 1 line 3: jobs are taken in priority order until their
+	// summed GPU demand reaches k × capacity — "these n jobs can be fully
+	// grouped and they can fully utilize the cluster".
+	budget := maxGroup * capacity
 	ordered := m.orderJobs(jobs, budget)
 	cut := len(ordered)
 	taken := 0
@@ -585,25 +566,10 @@ func (m *Muri) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
 		}
 		taken += j.GPUs
 	}
-	candidates := ordered[:cut]
 	// Capacity-aware Algorithm 1: merges happen only while the candidate
 	// demand exceeds the cluster, so a lightly loaded cluster degrades to
-	// pure SRSF/2D-LAS with exclusive GPUs. With Sticky, groups whose
-	// members all survive as candidates enter as pre-merged nodes.
-	demand := 0
-	for _, j := range candidates {
-		demand += j.GPUs
-	}
-	var groups []core.Group
-	if m.Sticky && demand > capacity {
-		seeds, rest := m.extractSeeds(candidates)
-		groups = m.Grouping.PlanWithSeeds(seeds, rest, capacity)
-	} else {
-		groups = m.Grouping.Plan(candidates, capacity)
-	}
-	if m.Sticky {
-		m.rememberGroups(groups)
-	}
+	// pure SRSF/2D-LAS with exclusive GPUs.
+	groups := m.Grouping.Plan(ordered[:cut], capacity)
 	// Rank groups by their most urgent member, so capacity goes to the
 	// highest-priority work first. ordered is sorted by entryCmp, a total
 	// order, so a group's most urgent member is the one at the lowest
@@ -688,62 +654,4 @@ func (m *Muri) orderJobs(jobs []*job.Job, budget int) []*job.Job {
 		ordered = ordered[:need]
 	}
 	return ordered
-}
-
-// extractSeeds reconstructs the previous plan's multi-job groups from the
-// current candidate set: a group survives as a seed only if every member
-// is still a candidate. It returns the seeds and the remaining loose
-// candidates.
-func (m *Muri) extractSeeds(candidates []*job.Job) (seeds [][]*job.Job, rest []*job.Job) {
-	if len(m.prevSizes) == 0 {
-		return nil, candidates
-	}
-	byID := make(map[job.ID]*job.Job, len(candidates))
-	for _, j := range candidates {
-		byID[j.ID] = j
-	}
-	seeded := make(map[job.ID]bool)
-	prev := m.prevIDs
-	for _, size := range m.prevSizes {
-		ids := prev[:size]
-		prev = prev[size:]
-		group := make([]*job.Job, 0, len(ids))
-		ok := true
-		for _, id := range ids {
-			j := byID[id]
-			if j == nil || seeded[id] {
-				ok = false
-				break
-			}
-			group = append(group, j)
-		}
-		if !ok {
-			continue
-		}
-		for _, j := range group {
-			seeded[j.ID] = true
-		}
-		seeds = append(seeds, group)
-	}
-	for _, j := range candidates {
-		if !seeded[j.ID] {
-			rest = append(rest, j)
-		}
-	}
-	return seeds, rest
-}
-
-// rememberGroups records the plan's multi-job groups for the next round.
-// Only extractSeeds reads them, so only a Sticky policy calls it.
-func (m *Muri) rememberGroups(groups []core.Group) {
-	m.prevIDs, m.prevSizes = m.prevIDs[:0], m.prevSizes[:0]
-	for _, g := range groups {
-		if len(g.Jobs) < 2 {
-			continue
-		}
-		m.prevSizes = append(m.prevSizes, len(g.Jobs))
-		for _, j := range g.Jobs {
-			m.prevIDs = append(m.prevIDs, j.ID)
-		}
-	}
 }

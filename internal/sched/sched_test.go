@@ -199,21 +199,26 @@ func TestMuriNames(t *testing.T) {
 }
 
 func TestMuriCandidateBudget(t *testing.T) {
-	// With capacity 1 and factor 1, only the single most urgent job is
-	// considered, so everything comes back as singletons.
+	// With capacity 1 the grouping budget is MaxGroupSize × 1 = 4 GPUs:
+	// only the four most urgent jobs are candidates, and the other six come
+	// back behind them as exclusive backfill, in priority order.
 	p := NewMuriS()
-	p.CandidateFactor = 1
 	var jobs []*job.Job
 	for i := 0; i < 10; i++ {
 		jobs = append(jobs, mk(i, "gpt2", 1, int64(100+i), 0))
 	}
 	units := p.Plan(0, jobs, 1)
-	if len(units) != len(jobs) {
-		t.Errorf("got %d units, want %d (grouping budget 1 plus exclusive backfill)", len(units), len(jobs))
-	}
+	seen := 0
 	for _, u := range units {
-		if len(u.Jobs) != 1 {
-			t.Errorf("unit %v grouped despite 1-GPU candidate budget", ids([]Unit{u}))
+		seen += len(u.Jobs)
+	}
+	if seen != len(jobs) {
+		t.Fatalf("units %v cover %d jobs, want %d", ids(units), seen, len(jobs))
+	}
+	backfill := units[len(units)-6:]
+	for i, u := range backfill {
+		if len(u.Jobs) != 1 || u.Jobs[0].ID != job.ID(4+i) || u.Mode != Exclusive {
+			t.Fatalf("units %v: want jobs 4..9 as exclusive backfill after the 4-GPU candidate budget", ids(units))
 		}
 	}
 	if units[0].Jobs[0].ID != 0 {
@@ -223,7 +228,7 @@ func TestMuriCandidateBudget(t *testing.T) {
 
 // TestCandidateCutBoundsBuckets pins the traffic bound exact matching
 // rests on (Algorithm 1 line 3): however long the queue, the grouping layer
-// sees at most CandidateFactor × capacity GPUs' worth of jobs, so a bucket
+// sees at most MaxGroupSize × capacity GPUs' worth of jobs, so a bucket
 // never exceeds 4 × capacity ÷ GPUs-per-job nodes. The jobs are counted
 // where the grouping layer reads them, through Grouping.RemainingIters.
 func TestCandidateCutBoundsBuckets(t *testing.T) {
@@ -288,62 +293,5 @@ func TestMuriPriorityOrdersGroups(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("most urgent job not in first unit: %v", ids(units))
-	}
-}
-
-func TestStickyKeepsGroupsAcrossPlans(t *testing.T) {
-	p := NewMuriL()
-	p.Sticky = true
-	jobs := []*job.Job{
-		mk(0, "shufflenet", 1, 100000, 0),
-		mk(1, "a2c", 1, 100000, 0),
-		mk(2, "gpt2", 1, 100000, 0),
-		mk(3, "vgg16", 1, 100000, 0),
-	}
-	// Capacity 1 forces one 4-job group.
-	first := p.Plan(0, jobs, 1)
-	if len(first) != 1 || len(first[0].Jobs) != 4 {
-		t.Fatalf("first plan = %v, want one 4-group", ids(first))
-	}
-	// Skew attained service so a fresh matching could reorder; the sticky
-	// seed must keep the same member set together.
-	jobs[0].Attained = 3 * time.Hour
-	second := p.Plan(0, jobs, 1)
-	if len(second) != 1 || len(second[0].Jobs) != 4 {
-		t.Fatalf("second plan = %v, want the seeded 4-group", ids(second))
-	}
-}
-
-func TestStickySeedDissolvesWhenMemberLeaves(t *testing.T) {
-	p := NewMuriL()
-	p.Sticky = true
-	jobs := []*job.Job{
-		mk(0, "shufflenet", 1, 100000, 0),
-		mk(1, "a2c", 1, 100000, 0),
-	}
-	first := p.Plan(0, jobs, 1)
-	if len(first) != 1 || len(first[0].Jobs) != 2 {
-		t.Fatalf("first plan = %v, want one pair", ids(first))
-	}
-	// Job 1 finishes; only job 0 remains. The seed must dissolve.
-	second := p.Plan(0, jobs[:1], 1)
-	if len(second) != 1 || len(second[0].Jobs) != 1 {
-		t.Fatalf("second plan = %v, want a singleton", ids(second))
-	}
-}
-
-func TestStickyDegradesToExclusiveWhenUnloaded(t *testing.T) {
-	p := NewMuriL()
-	p.Sticky = true
-	jobs := []*job.Job{
-		mk(0, "shufflenet", 1, 100000, 0),
-		mk(1, "a2c", 1, 100000, 0),
-	}
-	if u := p.Plan(0, jobs, 1); len(u) != 1 {
-		t.Fatalf("loaded plan = %v, want one pair", ids(u))
-	}
-	// Capacity doubles: demand fits, groups dissolve to exclusive units.
-	if u := p.Plan(0, jobs, 64); len(u) != 2 {
-		t.Fatalf("unloaded plan = %v, want exclusive units", ids(u))
 	}
 }

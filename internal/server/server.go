@@ -104,10 +104,6 @@ type Config struct {
 	// rejected with a typed, retryable queue-full error instead of
 	// blocking a connection handler. Zero means 65536.
 	IngestCapacity int
-	// IngestMaxBatch caps how many queued submissions one scheduling
-	// round admits (the rest carry to the next round). Zero means
-	// unlimited: every arrival since the last round joins one batch.
-	IngestMaxBatch int
 	// MaxBatchDelay is the minimum spacing between event-driven
 	// scheduling rounds. An event (arrival, completion, fault) that finds
 	// the schedule loop quiet for at least this long runs its round at
@@ -925,16 +921,15 @@ func submitAck(id int64, err error) proto.SubmitAck {
 	return ack
 }
 
-// drainIngestLocked admits every queued submission (up to
-// cfg.IngestMaxBatch) into the engine as one batch, durable as one
-// record: a recovered daemon re-admits exactly these jobs in exactly this
-// order. Items drain FIFO, so engine admission order equals ack order —
+// drainIngestLocked admits every queued submission into the engine as one
+// batch, durable as one record: a recovered daemon re-admits exactly these
+// jobs in exactly this order. Items drain FIFO, so engine admission order equals ack order —
 // the determinism the decision-stream goldens pin. Each job's stage
 // durations come from, in order, the submitted spec, the profile cache, or
 // a dry-run profiling round on an executor (the job waits in "profiling"
 // state meanwhile). Callers hold s.mu.
 func (s *Server) drainIngestLocked() {
-	items := s.adm.Drain(s.cfg.IngestMaxBatch)
+	items := s.adm.Drain(0)
 	if len(items) == 0 {
 		return
 	}

@@ -45,11 +45,6 @@ func TestRunDeterministic(t *testing.T) {
 	}{
 		{"muri-s", DefaultConfig, func() sched.Policy { return sched.NewMuriS() }},
 		{"muri-l", DefaultConfig, func() sched.Policy { return sched.NewMuriL() }},
-		{"muri-l-sticky", DefaultConfig, func() sched.Policy {
-			p := sched.NewMuriL()
-			p.Sticky = true
-			return p
-		}},
 		{"muri-l-event-driven", func() Config {
 			cfg := DefaultConfig()
 			cfg.EventDriven = true

@@ -12,7 +12,6 @@ package sim
 import (
 	"cmp"
 	"fmt"
-	"io"
 	"slices"
 	"strconv"
 	"strings"
@@ -97,11 +96,6 @@ type Config struct {
 	// the virtual clock. Nil leaves the run bit-identical to an
 	// uninstrumented build.
 	Trace *telemetry.Tracer
-	// TraceStageCycles bounds the stage-level span emission per unit
-	// launch: the first N group iterations are rendered (enough to see
-	// the interleaving pattern without recording every iteration of a
-	// multi-day job). Zero uses the default of 4.
-	TraceStageCycles int
 	// Record, when non-nil, receives the run as the records the live
 	// daemon commits to its WAL — admissions, decisions, cause
 	// annotations, fault-ledger mutations, completions — stamped with the
@@ -111,9 +105,6 @@ type Config struct {
 	// Decision.String(), so the decision stream — and every golden pinned
 	// to it — is bit-identical with or without it.
 	Record func(*wal.Record)
-	// Debug, when non-nil, receives a one-line summary of every
-	// scheduling decision (useful for diagnosing placement behaviour).
-	Debug io.Writer
 }
 
 // DefaultConfig returns the paper's testbed configuration.
@@ -978,28 +969,6 @@ func (s *sim) schedule() {
 	}
 	clear(old)
 	s.running, s.spareRunning = placed, old[:0]
-	if s.cfg.Debug != nil {
-		units := out.Planned
-		demand := 0
-		for _, j := range candidates {
-			demand += j.GPUs
-		}
-		unitGPUs, unitJobs := 0, 0
-		sizeHist := make(map[int]int)
-		for _, u := range units {
-			unitGPUs += u.GPUs
-			unitJobs += len(u.Jobs)
-			sizeHist[len(u.Jobs)]++
-		}
-		running := 0
-		for _, u := range s.running {
-			running += len(u.spec.Jobs)
-		}
-		fmt.Fprintf(s.cfg.Debug,
-			"t=%v cand=%d demand=%d plannedUnits=%d(gpus=%d jobs=%d hist=%v) placed=%d running=%d used=%d pending=%d\n",
-			s.now.Round(time.Second), len(candidates), demand, len(units), unitGPUs, unitJobs,
-			sizeHist, len(s.running), running, s.cluster.UsedGPUs(), len(s.pending))
-	}
 }
 
 // advance simulates execution from s.now to deadline, handling member

@@ -394,22 +394,3 @@ func TestWorkConservationProperty(t *testing.T) {
 		}
 	}
 }
-
-func TestStickyMuriInSim(t *testing.T) {
-	tr := trace.Generate(trace.GenConfig{
-		Name: "t", Jobs: 60, Seed: 29, MaxGPUs: 8,
-		MeanInterarrival: 10 * time.Second,
-		MedianDuration:   10 * time.Minute,
-		MaxDuration:      30 * time.Minute,
-	})
-	plain := Run(quickCfg(), tr, sched.NewMuriL())
-	sticky := sched.NewMuriL()
-	sticky.Sticky = true
-	stickyRes := Run(quickCfg(), tr, sticky)
-	if len(stickyRes.Jobs) != 60 {
-		t.Fatalf("sticky run completed %d jobs", len(stickyRes.Jobs))
-	}
-	if stickyRes.Preemptions > plain.Preemptions {
-		t.Errorf("sticky preemptions %d exceed plain %d", stickyRes.Preemptions, plain.Preemptions)
-	}
-}

@@ -23,9 +23,10 @@ import (
 	"muri/internal/workload"
 )
 
-// defaultTraceStageCycles is how many group iterations of each unit
-// launch are rendered as stage spans when TraceStageCycles is zero.
-const defaultTraceStageCycles = 4
+// traceStageCycles is how many group iterations of each unit launch are
+// rendered as stage spans: enough to see the interleaving pattern without
+// recording every iteration of a multi-day job.
+const traceStageCycles = 4
 
 // traceFault emits an instant event on the fault row of the trace.
 func (s *sim) traceFault(name string, at time.Duration, args map[string]any) {
@@ -36,14 +37,6 @@ func (s *sim) traceFault(name string, at time.Duration, args map[string]any) {
 	pid := tr.Process("faults")
 	tid := tr.Thread(pid, "events")
 	tr.Instant(pid, tid, name, "fault", at, args)
-}
-
-// traceStageCycles returns the configured per-launch span budget.
-func (s *sim) traceStageCycles() int {
-	if s.cfg.TraceStageCycles > 0 {
-		return s.cfg.TraceStageCycles
-	}
-	return defaultTraceStageCycles
 }
 
 // traceUnitStages renders the first few group iterations of a freshly
@@ -57,14 +50,13 @@ func (s *sim) traceUnitStages(u *unit, key string) {
 	if !tr.Enabled() {
 		return
 	}
-	cycles := s.traceStageCycles()
 	switch u.spec.Mode {
 	case sched.Interleaved:
-		s.traceInterleavedStages(u, key, cycles)
+		s.traceInterleavedStages(u, key)
 	case sched.Exclusive:
-		s.traceSerialStages(u, key, cycles)
+		s.traceSerialStages(u, key)
 	default: // space-shared
-		s.traceSpaceSharedStages(u, key, cycles)
+		s.traceSpaceSharedStages(u, key)
 	}
 }
 
@@ -84,7 +76,7 @@ func resourceThreads(tr *telemetry.Tracer, pid int) [workload.NumResources]int {
 // ordering position i occupies resource (i+j) mod k. Distinct members
 // always occupy distinct resources in a slot (i is distinct mod k and
 // group size ≤ k), so each resource row holds at most one span per slot.
-func (s *sim) traceInterleavedStages(u *unit, key string, cycles int) {
+func (s *sim) traceInterleavedStages(u *unit, key string) {
 	tr := s.cfg.Trace
 	times := make([]workload.StageTimes, len(u.spec.Jobs))
 	for i, j := range u.spec.Jobs {
@@ -100,7 +92,7 @@ func (s *sim) traceInterleavedStages(u *unit, key string, cycles int) {
 	pid := tr.Process("group " + key)
 	tids := resourceThreads(tr, pid)
 	start := u.readyAt
-	for c := 0; c < cycles; c++ {
+	for c := 0; c < traceStageCycles; c++ {
 		for j := 0; j < k; j++ {
 			var slot time.Duration
 			for i := range inflated {
@@ -126,7 +118,7 @@ func (s *sim) traceInterleavedStages(u *unit, key string, cycles int) {
 // member cycles through its four stages back to back, each on its own
 // resource row, scaled so one rendered cycle spans exactly iterTime[0]
 // (which folds in any straggler slowdown).
-func (s *sim) traceSerialStages(u *unit, key string, cycles int) {
+func (s *sim) traceSerialStages(u *unit, key string) {
 	tr := s.cfg.Trace
 	j := u.spec.Jobs[0]
 	profile := j.TrueProfile
@@ -138,7 +130,7 @@ func (s *sim) traceSerialStages(u *unit, key string, cycles int) {
 	pid := tr.Process("group " + key)
 	tids := resourceThreads(tr, pid)
 	start := u.readyAt
-	for c := 0; c < cycles; c++ {
+	for c := 0; c < traceStageCycles; c++ {
 		for r := workload.Resource(0); r < workload.NumResources; r++ {
 			d := time.Duration(float64(profile[r]) * scale)
 			if d <= 0 {
@@ -155,7 +147,7 @@ func (s *sim) traceSerialStages(u *unit, key string, cycles int) {
 // its own serial stage sequence concurrently at its contended speed, so
 // each member gets its own thread row (stages overlap on every
 // resource, which per-resource rows cannot render).
-func (s *sim) traceSpaceSharedStages(u *unit, key string, cycles int) {
+func (s *sim) traceSpaceSharedStages(u *unit, key string) {
 	tr := s.cfg.Trace
 	pid := tr.Process("group " + key)
 	for i, j := range u.spec.Jobs {
@@ -167,7 +159,7 @@ func (s *sim) traceSpaceSharedStages(u *unit, key string, cycles int) {
 		scale := float64(u.iterTime[i]) / float64(total)
 		tid := tr.Thread(pid, fmt.Sprintf("job %d", j.ID))
 		start := u.readyAt
-		for c := 0; c < cycles; c++ {
+		for c := 0; c < traceStageCycles; c++ {
 			for r := workload.Resource(0); r < workload.NumResources; r++ {
 				d := time.Duration(float64(profile[r]) * scale)
 				if d <= 0 {

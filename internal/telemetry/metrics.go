@@ -318,15 +318,3 @@ func ParsePrometheus(body string) (map[string]float64, error) {
 	}
 	return out, nil
 }
-
-// Names returns the registered metric names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.regs))
-	for _, reg := range r.regs {
-		out = append(out, reg.name)
-	}
-	sort.Strings(out)
-	return out
-}
