@@ -12,10 +12,10 @@ import (
 // planArena is the working memory of one Plan call, recycled
 // through arenaPool the way scratchPool recycles graphScratch. Every
 // transient of a plan is carved from it, so a warm plan allocates only
-// what outlives the call: the groups, and the proposal streams a PlanState
-// keeps. Nothing a plan returns aliases the arena, and only the serial
-// part of a plan touches it — shard tasks work in their own graphScratch
-// and write results into disjoint windows handed to them.
+// the groups it returns and one proposal stream per sweep. Nothing a plan
+// returns aliases the arena, and only the serial part of a plan touches
+// it — shard tasks work in their own graphScratch and write results into
+// disjoint windows handed to them.
 type planArena struct {
 	// nodes, jobs and profs are slabs that nodes and their member windows
 	// point into, so they must not move during a plan: reserve sizes them

@@ -94,7 +94,7 @@ func TestArenaReleasedHoldsNoJob(t *testing.T) {
 			}
 		}
 		for i, st := range a.states[:cap(a.states)] {
-			if st.nodes != nil || st.lastProps != nil || st.rec != nil || st.bc != nil {
+			if st.nodes != nil || st.props != nil {
 				t.Fatalf("states[%d] still holds plan state: %+v", i, st)
 			}
 		}

@@ -66,10 +66,10 @@ type Config struct {
 	// count (DESIGN.md §10).
 	Shards int
 	// Planner, when non-nil, carries grouping state across scheduling
-	// rounds: counters, and per-bucket dirty tracking that replays the
-	// previous round's proposal stream for buckets whose exact signature
-	// is unchanged. Replay is bit-identical to full re-matching by
-	// construction. A PlanState must not be shared between policies.
+	// rounds: counters, and a memo of shard matchings keyed by the matched
+	// nodes' contents, which serves every shard whose nodes are unchanged
+	// since this plan or the last. A hit is bit-identical to matching
+	// afresh. A PlanState must not be shared between policies.
 	Planner *PlanState
 }
 
@@ -305,6 +305,8 @@ type graphScratch struct {
 	terms []gateTerms                  // node → JCT-gate factors
 	sub   []*node                      // matchShard's node selection
 	mate  []int                        // the matcher's result
+	key   []byte                       // the selection's memo key
+	pairs []cachedProp                 // its matched pairs, by local index
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(graphScratch) }}
@@ -456,9 +458,8 @@ type proposal struct {
 func (c Config) planRounds(a *planArena, capacityGPUs int) {
 	states := a.states
 	demand, unconstrained, maxRounds := c.roundSetup(states, capacityGPUs)
-	ps := c.Planner
-	if ps != nil {
-		ps.beginPlan(c, states)
+	if ps := c.Planner; ps != nil {
+		ps.beginPlan(c)
 	}
 	for sweep := 0; sweep < maxRounds; sweep++ {
 		if !unconstrained && demand <= capacityGPUs {
@@ -467,8 +468,8 @@ func (c Config) planRounds(a *planArena, capacityGPUs int) {
 		proposals := a.proposals[:0]
 		for b := range states {
 			st := &states[b]
-			st.lastProps = c.sweepProposals(st, sweep)
-			for i, p := range st.lastProps {
+			st.props = c.sweepProposals(st)
+			for i, p := range st.props {
 				proposals = append(proposals, proposal{gain: p.gain, bucket: int32(b), idx: int32(i)})
 			}
 		}
@@ -480,8 +481,7 @@ func (c Config) planRounds(a *planArena, capacityGPUs int) {
 		// bucket (the lower state index) and then in stream order — a
 		// total order, so no stable sort is needed. Each accepted merge
 		// frees one resource set of the bucket's size. Acceptance goes
-		// straight into the bucket's stream: the streams feed the fixpoint
-		// shortcut, the replay divergence check, and next round's cache.
+		// straight into the bucket's stream.
 		slices.SortFunc(proposals, func(x, y proposal) int {
 			if x.gain != y.gain {
 				return cmp.Compare(y.gain, x.gain)
@@ -497,44 +497,26 @@ func (c Config) planRounds(a *planArena, capacityGPUs int) {
 				break
 			}
 			st := &states[p.bucket]
-			st.lastProps[p.idx].accepted = true
+			st.props[p.idx].accepted = true
 			demand -= st.gpus
 			accepted++
 		}
 		for b := range states {
-			c.applySweep(&states[b], sweep, ps != nil)
+			states[b].applySweep()
 		}
 		if accepted == 0 {
 			break
 		}
 	}
-	if ps != nil {
-		ps.finishPlan(states)
-	}
 }
 
-// applySweep finishes one bucket's sweep: checks replayed streams for
-// acceptance divergence (a mismatch invalidates the cached history — the
-// bucket's node evolution has left the recorded path, so subsequent
-// sweeps must match fresh), records the stream for next round's cache,
-// and applies the accepted merges with in-place node compaction so the
-// bucket's node list is reused sweep over sweep.
-func (c Config) applySweep(st *bucketState, sweep int, record bool) {
-	if st.replayed {
-		cached := st.bc.sweeps[sweep].props
-		for i := range st.lastProps {
-			if st.lastProps[i].accepted != cached[i].accepted {
-				st.clean = false
-				break
-			}
-		}
-	}
-	if record {
-		st.rec = append(st.rec, cachedSweep{props: st.lastProps})
-	}
+// applySweep finishes one bucket's sweep: it applies the accepted merges
+// with in-place node compaction, so the bucket's node list is reused sweep
+// over sweep.
+func (st *bucketState) applySweep() {
 	a := st.arena
 	count := 0
-	for _, p := range st.lastProps {
+	for _, p := range st.props {
 		if !p.accepted {
 			continue
 		}
@@ -546,7 +528,6 @@ func (c Config) applySweep(st *bucketState, sweep int, record bool) {
 		a.dropped[p.v] = true
 		count++
 	}
-	st.lastAccepted = count
 	if count == 0 {
 		return
 	}

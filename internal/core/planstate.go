@@ -1,15 +1,18 @@
 package core
 
 import (
-	"slices"
+	"bytes"
+	"encoding/binary"
+	"hash/maphash"
+	"sync"
 	"sync/atomic"
 
 	"muri/internal/metrics"
 )
 
-// cachedProp is one recorded matching proposal: node indices within the
-// bucket at the sweep it was generated, the edge weight, the gate's gain,
-// and whether the central acceptance loop took it.
+// cachedProp is one matching proposal: node indices within the node list
+// it was matched over, the edge weight, the gate's gain, and whether the
+// central acceptance loop took it.
 type cachedProp struct {
 	u, v     int32
 	weight   float64
@@ -17,48 +20,25 @@ type cachedProp struct {
 	accepted bool
 }
 
-// cachedSweep is the proposal stream one bucket produced in one sweep.
-type cachedSweep struct {
-	props []cachedProp
-}
-
-// bucketCache is the record of one bucket's previous plan: the signature
-// of its initial nodes and the per-sweep proposal streams with their
-// acceptance pattern. When the next round's signature matches, the bucket
-// replays this stream instead of re-running edge construction and
-// Blossom; replay stays exact because the stream is a pure function of
-// the signature and the (live, re-checked) acceptance history.
-//
-// Both halves are double-buffered: a plan writes its signature and record
-// into the spares while it reads the previous plan's, and finishPlan
-// swaps, so a warm PlanState allocates only the streams themselves.
-type bucketCache struct {
-	gpus   int
-	sig    []int64
-	sweeps []cachedSweep
-
-	spareSig    []int64
-	spareSweeps []cachedSweep
-}
-
 // PlanState carries grouping state across scheduling rounds: the planner's
-// counters and per-bucket dirty tracking. Each plan records every bucket's
-// proposal stream, and the next plan replays the stream for buckets whose
-// exact signature (member IDs, their profile classes, plus the
-// gate-relevant remaining-iteration estimates, in candidate order) is
-// unchanged. Any divergence in the central acceptance loop promotes the
-// bucket back to fresh matching from the next sweep, so incremental
-// planning is bit-identical to full re-matching by construction (see
-// DESIGN.md §10).
+// counters and a memo of matchShard. A shard's matching is a pure function
+// of the contents of the nodes it matches — their sorted class tuples,
+// member counts and remaining-iteration aggregates, all that bucketGraph
+// reads — so the memo keys by exactly that and a hit is bit-identical to
+// fresh edge construction and Blossom matching (see DESIGN.md §10).
+// Nothing depends on acceptance history: a shard whose nodes are unchanged
+// hits, however the rest of its bucket moved.
 //
-// A PlanState must be owned by a single policy instance: the replay cache
-// assumes a consistent Config between rounds. The counters are safe for
-// concurrent use by the shard workers; the replay bookkeeping is only
-// touched between parallel sections.
+// The memo keeps two generations, this plan's entries and the previous
+// plan's; a hit on the previous one is copied forward, so an unchanged
+// shard is served plan after plan. A PlanState must be owned by a single
+// policy instance: the memo assumes a constant Config, and class IDs are
+// those of its Cache. Lookups and stores take one mutex, because shard
+// tasks run in parallel on multicore hosts.
 type PlanState struct {
-	// buckets holds one cache per GPU requirement ever planned: a handful,
-	// so a scan finds it.
-	buckets []*bucketCache
+	mu        sync.Mutex
+	seed      maphash.Seed
+	cur, prev memoGen
 
 	shards    int
 	rounds    atomic.Uint64
@@ -70,23 +50,27 @@ type PlanState struct {
 	// reads served by an already-filled cell, and cells filled.
 	pairHits atomic.Uint64
 	pairMiss atomic.Uint64
-	marks    atomic.Uint64
 }
 
-// NewPlanState returns a PlanState with an empty replay cache.
+// memoGen is one plan's generation of the memo: entries indexed by key
+// hash, their keys and pairs kept in two slabs, so a generation reused
+// after beginPlan allocates only when it outgrows the last one. Of two keys
+// with one hash the later wins the index; the full-key check on every hit
+// keeps a collision a miss.
+type memoGen struct {
+	index map[uint64]memoEntry
+	keys  []byte
+	pairs []cachedProp
+}
+
+// memoEntry locates one memoized matching in its generation's slabs.
+type memoEntry struct {
+	keyOff, keyEnd, pairOff, pairEnd int32
+}
+
+// NewPlanState returns a PlanState with an empty memo.
 func NewPlanState() *PlanState {
-	return new(PlanState)
-}
-
-// MarkDirty records decision-stream dirty notifications (arrivals,
-// completions, faults, preemptions). The marks are telemetry: the
-// per-bucket signature check is the authoritative dirty test, because
-// remaining-iteration estimates can also change without a decision.
-func (ps *PlanState) MarkDirty(n int) {
-	if ps == nil || n <= 0 {
-		return
-	}
-	ps.marks.Add(uint64(n))
+	return &PlanState{seed: maphash.MakeSeed()}
 }
 
 // Stats snapshots the plan-state counters. Safe on a nil receiver.
@@ -103,78 +87,88 @@ func (ps *PlanState) Stats() metrics.ShardStats {
 		ShardTasks:     ps.tasks.Load(),
 		PairHits:       ps.pairHits.Load(),
 		PairMisses:     ps.pairMiss.Load(),
-		DirtyMarks:     ps.marks.Load(),
 	}
 }
 
-// bucketSig flattens the bucket's initial nodes into an exact signature:
-// a length separator per node, then each member's job ID and profile
-// class (the stage times themselves when a nil Cache leaves the node
-// unclassified), and each member's remaining-iteration estimate (the merge
-// gate's input). Profiles are part of the signature because estimators
-// rewrite them mid-run. Everything else the proposal stream depends on (the
-// Config, the shard layout as a function of epoch) is constant across
-// rounds, so an equal signature implies an identical stream. The signature
-// is written over sig.
-func (c Config) bucketSig(st *bucketState, sig []int64) []int64 {
-	sig = sig[:0]
-	for _, nd := range st.nodes {
-		// Separators are negative; job IDs are non-negative in every
-		// trace and daemon path, so node boundaries are unambiguous.
-		sig = append(sig, -int64(len(nd.jobs))-1)
-		cls := c.classes(nd)
-		for i, j := range nd.jobs {
-			sig = append(sig, int64(j.ID), int64(cls[i]))
-			if cls[i] == 0 {
-				for _, d := range j.Profile {
-					sig = append(sig, int64(d))
-				}
-			}
-			rem := j.RemainingIterations()
-			if c.RemainingIters != nil {
-				rem = c.RemainingIters(j)
-			}
-			sig = append(sig, rem)
-		}
-	}
-	return sig
-}
-
-// cache returns the bucket cache for a GPU requirement, adding an empty one
-// (which matches no signature) when the requirement is new.
-func (ps *PlanState) cache(gpus int) *bucketCache {
-	for _, bc := range ps.buckets {
-		if bc.gpus == gpus {
-			return bc
-		}
-	}
-	bc := &bucketCache{gpus: gpus}
-	ps.buckets = append(ps.buckets, bc)
-	return bc
-}
-
-// beginPlan binds prior-round bucket caches to this plan's buckets and
-// marks clean the ones whose signature is unchanged.
-func (ps *PlanState) beginPlan(c Config, states []bucketState) {
+// beginPlan starts a plan's generation: the previous plan's entries stay
+// readable, the older generation is dropped and its slabs reused.
+func (ps *PlanState) beginPlan(c Config) {
 	ps.rounds.Add(1)
 	ps.shards = c.shardCount()
-	for i := range states {
-		st := &states[i]
-		st.bc = ps.cache(st.gpus)
-		st.sig = c.bucketSig(st, st.bc.spareSig)
-		st.rec = st.bc.spareSweeps[:0]
-		st.clean = slices.Equal(st.bc.sig, st.sig)
-	}
+	ps.prev, ps.cur = ps.cur, ps.prev
+	ps.cur.reset()
 }
 
-// finishPlan installs this plan's signatures and recorded streams as the
-// caches for the next round. Buckets absent this round keep their stale
-// entries; the signature check makes them harmless.
-func (ps *PlanState) finishPlan(states []bucketState) {
-	for i := range states {
-		st, bc := &states[i], states[i].bc
-		bc.sig, bc.spareSig = st.sig, bc.sig
-		bc.sweeps, bc.spareSweeps = st.rec, bc.sweeps
-		clear(bc.spareSweeps) // the previous plan's streams are garbage now
+// memoKey writes the content key of nodes over key: for each node in
+// order its sorted class tuple, member count and remaining-iteration
+// aggregates. Class IDs are never reused and a rewritten profile interns
+// to a new class, so equal keys denote equal inputs for the Cache's
+// lifetime.
+func (c Config) memoKey(nodes []*node, key []byte) []byte {
+	key = key[:0]
+	for _, nd := range nodes {
+		c.classes(nd)
+		c.nodeRemStats(nd)
+		for _, k := range nd.key {
+			key = binary.LittleEndian.AppendUint32(key, k)
+		}
+		key = append(key, byte(len(nd.jobs)))
+		key = binary.LittleEndian.AppendUint64(key, uint64(nd.remSum))
+		key = binary.LittleEndian.AppendUint64(key, uint64(nd.remMax))
 	}
+	return key
+}
+
+// lookup appends the memoized pairs for key to buf and reports whether
+// there were any, counting the call: a hit on this plan's generation is a
+// fixpoint sweep, a hit on the previous plan's a replay sweep (copied
+// forward so the next plan still finds it), and a miss a fresh one.
+func (ps *PlanState) lookup(key []byte, buf []cachedProp) ([]cachedProp, bool) {
+	h := maphash.Bytes(ps.seed, key)
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if pairs, ok := ps.cur.find(h, key); ok {
+		ps.fixpoints.Add(1)
+		return append(buf, pairs...), true
+	}
+	if pairs, ok := ps.prev.find(h, key); ok {
+		ps.replays.Add(1)
+		ps.cur.add(h, key, pairs)
+		return append(buf, pairs...), true
+	}
+	ps.fresh.Add(1)
+	return buf, false
+}
+
+// store memoizes a fresh matching of the nodes with the given key.
+func (ps *PlanState) store(key []byte, pairs []cachedProp) {
+	h := maphash.Bytes(ps.seed, key)
+	ps.mu.Lock()
+	ps.cur.add(h, key, pairs)
+	ps.mu.Unlock()
+}
+
+func (g *memoGen) find(h uint64, key []byte) ([]cachedProp, bool) {
+	e, ok := g.index[h]
+	if !ok || !bytes.Equal(g.keys[e.keyOff:e.keyEnd], key) {
+		return nil, false
+	}
+	return g.pairs[e.pairOff:e.pairEnd], true
+}
+
+func (g *memoGen) add(h uint64, key []byte, pairs []cachedProp) {
+	if g.index == nil {
+		g.index = make(map[uint64]memoEntry)
+	}
+	g.index[h] = memoEntry{
+		keyOff: int32(len(g.keys)), keyEnd: int32(len(g.keys) + len(key)),
+		pairOff: int32(len(g.pairs)), pairEnd: int32(len(g.pairs) + len(pairs)),
+	}
+	g.keys = append(g.keys, key...)
+	g.pairs = append(g.pairs, pairs...)
+}
+
+func (g *memoGen) reset() {
+	clear(g.index)
+	g.keys, g.pairs = g.keys[:0], g.pairs[:0]
 }

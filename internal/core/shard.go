@@ -55,7 +55,7 @@ func (c Config) effectiveShards(n int) int {
 // shardOf assigns a node (by its minimum member job ID) to a shard with a
 // splitmix64-style hash salted by the bucket's merge epoch. The epoch
 // advances only when merges are applied, so the partition is stable while
-// the bucket is unchanged (preserving the sweep-fixpoint reuse) and
+// the bucket is unchanged (its shards hit the PlanState memo) and
 // reshuffles — the cross-shard rebalance pass — exactly when the node set
 // changes, giving pairs split by the previous partition a chance to meet.
 func shardOf(id job.ID, epoch uint64, shards int) int {
@@ -93,73 +93,20 @@ type bucketState struct {
 	// epoch counts merges applied to this bucket (the shard rebalance
 	// salt).
 	epoch uint64
-
-	// lastProps / lastAccepted feed the same-plan fixpoint: a sweep that
-	// accepted nothing left the nodes and epoch unchanged, so the next
-	// sweep's proposals are necessarily identical.
-	lastProps    []cachedProp
-	lastAccepted int
-
-	// Cross-round replay bookkeeping (nil planner leaves these unused).
-	sig      []int64
-	bc       *bucketCache
-	clean    bool
-	replayed bool // this sweep came from bc (divergence check applies)
-	rec      []cachedSweep
+	// props is this sweep's proposal stream; acceptance marks it in place.
+	props []cachedProp
 }
 
-// copyProps clones a proposal stream with acceptance flags cleared.
-func copyProps(src []cachedProp) []cachedProp {
-	out := make([]cachedProp, len(src))
-	copy(out, src)
-	for i := range out {
-		out[i].accepted = false
-	}
-	return out
-}
-
-// sweepProposals produces one bucket's proposals for one sweep, choosing
-// the cheapest exact source: the prior round's recorded stream (clean
-// bucket, incremental mode), the previous sweep's stream (fixpoint: no
-// merge was accepted, so the bucket is unchanged), or fresh edge
-// construction + matching, sharded when the bucket is large enough.
-func (c Config) sweepProposals(st *bucketState, sweep int) []cachedProp {
-	ps := c.Planner
-	st.replayed = false
-	if st.clean && sweep < len(st.bc.sweeps) {
-		st.replayed = true
-		if ps != nil {
-			ps.replays.Add(1)
-		}
-		return copyProps(st.bc.sweeps[sweep].props)
-	}
-	if sweep > 0 && st.lastProps != nil && st.lastAccepted == 0 {
-		if ps != nil {
-			ps.fixpoints.Add(1)
-		}
-		return copyProps(st.lastProps)
-	}
-	// Past the cached history with the bucket since modified: replay can
-	// never resume.
-	st.clean = false
-	if len(st.nodes) < 2 {
-		return nil
-	}
-	if ps != nil {
-		ps.fresh.Add(1)
-	}
-	return c.freshProposals(st)
-}
-
-// freshProposals runs edge construction and Blossom matching over the
-// bucket, splitting large buckets into deterministic shards that run as
-// tasks on up to GOMAXPROCS goroutines, each writing its matches into its
-// own window of the arena (fanOut). Shard streams are concatenated in
-// shard order, so the result is a pure function of (nodes, epoch, config)
-// regardless of worker interleaving, and Shards=1 — or any bucket below
-// the threshold — follows the exact unsharded path. The returned stream is
-// freshly allocated: a PlanState may keep it.
-func (c Config) freshProposals(st *bucketState) []cachedProp {
+// sweepProposals runs edge construction and Blossom matching over the
+// bucket for one sweep, splitting large buckets into deterministic shards
+// that run as tasks on up to GOMAXPROCS goroutines, each writing its
+// matches into its own window of the arena (fanOut). Shard streams are
+// concatenated in shard order, so the result is a pure function of (nodes,
+// epoch, config) regardless of worker interleaving, and Shards=1 — or any
+// bucket below the threshold — follows the exact unsharded path. Every
+// matching goes through matchShard, so a PlanState's memo serves each
+// shard whose nodes it has seen. The returned stream is freshly allocated.
+func (c Config) sweepProposals(st *bucketState) []cachedProp {
 	shards := c.effectiveShards(len(st.nodes))
 	if shards <= 1 {
 		return c.matchShard(st.nodes, nil, nil)
@@ -283,7 +230,10 @@ func (c Config) rebalance(st *bucketState, a *planArena, out []cachedProp) []cac
 // by idx (ascending; nil selects all of nodes): build the gain-gated
 // grouping graph, run Blossom, and append the matched pairs to dst (a fresh
 // stream when nil) in deterministic u-major edge order, by bucket-global
-// node index, with their recorded weights and gains.
+// node index, with their recorded weights and gains. With a PlanState and
+// a Cache the matching comes from the memo when these nodes' contents were
+// matched this plan or the last; with a nil Cache nodes have no content
+// key and every call matches fresh.
 func (c Config) matchShard(nodes []*node, idx []int32, dst []cachedProp) []cachedProp {
 	s := scratchPool.Get().(*graphScratch)
 	defer scratchPool.Put(s)
@@ -298,23 +248,49 @@ func (c Config) matchShard(nodes []*node, idx []int32, dst []cachedProp) []cache
 	if len(nodes) < 2 {
 		return dst
 	}
-	edges, gains := c.bucketGraph(nodes, s)
-	if len(edges) == 0 {
+	ps, hit := c.Planner, false
+	if ps != nil && c.Cache == nil {
+		ps.fresh.Add(1) // no class IDs, so no content key to memoize by
+		ps = nil
+	}
+	if ps != nil {
+		s.key = c.memoKey(nodes, s.key)
+		s.pairs, hit = ps.lookup(s.key, s.pairs[:0])
+	}
+	if !hit {
+		s.pairs = c.matchPairs(nodes, s)
+		if ps != nil {
+			ps.store(s.key, s.pairs)
+		}
+	}
+	if len(s.pairs) == 0 {
 		return dst
 	}
-	s.mate = blossom.MatchPooledInto(s.mate, len(nodes), edges, false)
 	if dst == nil {
-		dst = make([]cachedProp, 0, len(nodes)/2)
+		dst = make([]cachedProp, 0, len(s.pairs))
 	}
-	for k, e := range edges {
-		if s.mate[e.I] != e.J {
-			continue
-		}
-		u, v := int32(e.I), int32(e.J)
+	for _, p := range s.pairs {
 		if idx != nil {
-			u, v = idx[u], idx[v]
+			p.u, p.v = idx[p.u], idx[p.v]
 		}
-		dst = append(dst, cachedProp{u: u, v: v, weight: e.Weight, gain: gains[k]})
+		dst = append(dst, p)
 	}
 	return dst
+}
+
+// matchPairs builds the grouping graph over nodes and matches it, writing
+// the matched pairs, by index into nodes, over s.pairs.
+func (c Config) matchPairs(nodes []*node, s *graphScratch) []cachedProp {
+	pairs := s.pairs[:0]
+	edges, gains := c.bucketGraph(nodes, s)
+	if len(edges) == 0 {
+		return pairs
+	}
+	s.mate = blossom.MatchPooledInto(s.mate, len(nodes), edges, false)
+	for k, e := range edges {
+		if s.mate[e.I] == e.J {
+			pairs = append(pairs, cachedProp{u: int32(e.I), v: int32(e.J), weight: e.Weight, gain: gains[k]})
+		}
+	}
+	return pairs
 }

@@ -161,7 +161,7 @@ func TestShardedMatchingWeightBound(t *testing.T) {
 		sharded := serial
 		sharded.Shards = 4
 		st := &bucketState{gpus: 1, nodes: nodes}
-		split := weight(sharded.freshProposals(st))
+		split := weight(sharded.sweepProposals(st))
 		if dense <= 0 {
 			continue
 		}
@@ -174,11 +174,11 @@ func TestShardedMatchingWeightBound(t *testing.T) {
 	t.Logf("lowest sharded/unsharded weight ratio over 64 buckets: %.4f", floor)
 }
 
-// TestIncrementalPlanBitIdentical is the correctness property of
-// cross-round replay: over a multi-seed script of arrivals, completions,
-// and remaining-iteration changes (the quantized-estimate analogue of
-// faults and preemptions), a persistent Planner must reproduce the exact
-// plan of full re-matching, round for round — sharded and unsharded.
+// TestIncrementalPlanBitIdentical is the correctness property of the
+// planner memo: over a multi-seed script of arrivals, completions, and
+// remaining-iteration changes (the quantized-estimate analogue of faults
+// and preemptions), a persistent Planner must reproduce the exact plan of
+// full re-matching, round for round — sharded and unsharded.
 func TestIncrementalPlanBitIdentical(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		for _, seed := range []int64{1, 2, 3} {
@@ -224,9 +224,39 @@ func TestIncrementalPlanBitIdentical(t *testing.T) {
 			}
 			st := inc.Planner.Stats()
 			if st.ReplaySweeps == 0 {
-				t.Errorf("shards=%d seed=%d: replay never engaged (fresh=%d fixpoint=%d)",
+				t.Errorf("shards=%d seed=%d: the memo never served a previous plan's match (fresh=%d fixpoint=%d)",
 					shards, seed, st.FreshSweeps, st.FixpointSweeps)
 			}
 		}
+	}
+}
+
+// TestMemoServesUnchangedShards: the memo works per shard, not per bucket.
+// One arrival changes one of the four shards of the first sweep; the other
+// three must still be served from the previous plan, and the plan must
+// equal full re-matching.
+func TestMemoServesUnchangedShards(t *testing.T) {
+	zoo := workload.Zoo()
+	jobs := make([]*job.Job, 97)
+	for i := range jobs {
+		jobs[i] = job.New(job.ID(i), zoo[i%len(zoo)], 1, 50_000, 0)
+	}
+	inc := DefaultConfig()
+	inc.RemainingIters = func(*job.Job) int64 { return 1000 }
+	inc.Shards = 4
+	inc.Planner = NewPlanState()
+	full := inc
+	full.Planner = nil
+
+	inc.Plan(jobs[:96], 64)
+	before := inc.Planner.Stats()
+	got := planFingerprint(inc.Plan(jobs, 64))
+	if want := planFingerprint(full.Plan(jobs, 64)); got != want {
+		t.Fatalf("memoized plan diverged from full re-matching:\n%s\nvs\n%s", got, want)
+	}
+	after := inc.Planner.Stats()
+	if served := after.ReplaySweeps - before.ReplaySweeps; served < 3 {
+		t.Errorf("one arrival left %d shard matchings served from the previous plan, want ≥ 3 (fresh %d → %d)",
+			served, before.FreshSweeps, after.FreshSweeps)
 	}
 }

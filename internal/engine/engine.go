@@ -132,8 +132,7 @@ type PriorityKeyer interface {
 // DecisionSink is implemented by policies that want the decision stream
 // fed back to them: every emitted decision (launch, kill, requeue,
 // deadletter) describes a change to the candidate set or the running
-// layout, which is exactly what incremental planners track as dirty
-// state (sched.Muri forwards the marks to its core.PlanState).
+// layout. No scheduling policy implements it.
 type DecisionSink interface {
 	NoteDecisions(n int)
 }
@@ -322,9 +321,7 @@ func (e *Engine) NoteCompletion(j *job.Job, measured workload.StageTimes, servic
 }
 
 // emit stamps and publishes one decision. Every decision also reaches
-// the policy's DecisionSink (when it has one): launches, kills,
-// requeues, and deadletters are exactly the events that invalidate an
-// incremental planner's cached per-bucket state.
+// the policy's DecisionSink (when it has one).
 func (e *Engine) emit(d Decision) Decision {
 	e.seq++
 	d.Seq = e.seq
@@ -408,12 +405,11 @@ func (e *Engine) traceShards(pid int, now time.Duration) {
 	}
 	tid := tr.Thread(pid, "plan")
 	tr.Instant(pid, tid, "plan "+strconv.FormatUint(st.PlanRounds, 10), "shard", now, map[string]any{
-		"replay":     st.ReplaySweeps,
-		"fixpoint":   st.FixpointSweeps,
-		"fresh":      st.FreshSweeps,
-		"reuse":      st.ReuseRatio(),
-		"dirtyMarks": st.DirtyMarks,
-		"pairHits":   st.PairHits,
+		"replay":   st.ReplaySweeps,
+		"fixpoint": st.FixpointSweeps,
+		"fresh":    st.FreshSweeps,
+		"reuse":    st.ReuseRatio(),
+		"pairHits": st.PairHits,
 	})
 }
 

@@ -282,39 +282,35 @@ type HeapStats struct {
 	Fixes uint64
 }
 
-// ShardStats summarizes sharded and incremental grouping activity (see
-// DESIGN.md §10): how many bucket-sweeps were served from the cross-round
-// replay cache or the same-plan fixpoint shortcut versus matched fresh,
-// how many per-shard matching tasks ran, and how much of the pair loop the
+// ShardStats summarizes sharded grouping and the planner memo (see
+// DESIGN.md §10): how many shard matchings the memo served from the
+// previous plan or from earlier in the same plan versus matched fresh, how
+// many per-shard matching tasks ran, and how much of the pair loop the
 // class-pair table absorbed.
 type ShardStats struct {
 	// Shards is the configured shard count (1 = unsharded).
 	Shards int
 	// PlanRounds counts grouping invocations observed by the plan state.
 	PlanRounds uint64
-	// ReplaySweeps counts bucket-sweeps replayed from the previous
-	// round's recorded proposal stream (clean buckets).
+	// ReplaySweeps counts shard matchings (matchShard calls) the planner
+	// memo served from the previous plan's entries.
 	ReplaySweeps uint64
-	// FixpointSweeps counts bucket-sweeps reused from the previous sweep
-	// of the same plan (no merge accepted, so the bucket was unchanged).
+	// FixpointSweeps counts shard matchings the memo served from entries
+	// made earlier in the same plan.
 	FixpointSweeps uint64
-	// FreshSweeps counts bucket-sweeps that ran edge construction and
-	// Blossom matching.
+	// FreshSweeps counts shard matchings that missed the memo and ran edge
+	// construction and Blossom matching.
 	FreshSweeps uint64
-	// ShardTasks counts per-shard matching tasks executed (a fresh sweep
-	// of a sharded bucket contributes its shard count).
+	// ShardTasks counts per-shard matching tasks (a sweep of a sharded
+	// bucket contributes its shard count).
 	ShardTasks uint64
 	// PairHits and PairMisses count the grouping graph's class-pair
 	// statistics table: pair reads served by an already-filled cell, and
 	// cells filled (one group-statistics lookup each).
 	PairHits, PairMisses uint64
-	// DirtyMarks counts decision-stream dirty notifications forwarded by
-	// the engine (arrivals, completions, faults, preemptions).
-	DirtyMarks uint64
 }
 
-// ReuseRatio is the fraction of bucket-sweeps that avoided fresh
-// matching work.
+// ReuseRatio is the fraction of shard matchings the memo served.
 func (s ShardStats) ReuseRatio() float64 {
 	total := s.ReplaySweeps + s.FixpointSweeps + s.FreshSweeps
 	if total == 0 {

@@ -67,9 +67,6 @@ func NewMuriLPredicted(est profile.Estimator) *Muri {
 		if n < floor {
 			n = floor
 		}
-		if m.QuantizeEstimates {
-			n = quantPow2Int(n)
-		}
 		return n
 	}
 	return m

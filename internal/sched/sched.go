@@ -389,14 +389,6 @@ type Muri struct {
 	// KnownDurations selects the priority function: true = SRSF (Muri-S),
 	// false = 2D-LAS (Muri-L).
 	KnownDurations bool
-	// QuantizeEstimates rounds priority keys and (for Muri-L) the
-	// remaining-iteration estimates down to powers of two,
-	// Tiresias-style. Quantized estimates only move when a job crosses a
-	// power-of-two service boundary, so between queue events the grouping
-	// inputs — and therefore the incremental planner's bucket signatures
-	// — hold still instead of drifting every round. Set before the first
-	// Plan call and leave it fixed for the run.
-	QuantizeEstimates bool
 	// BackfillLimit caps how many beyond-budget jobs are appended as
 	// exclusive backfill units (0 = unlimited, the exact behavior).
 	// Massive fleets pay O(queue) per round for backfill units that can
@@ -407,6 +399,14 @@ type Muri struct {
 	// Label overrides the reported name (used by ablation variants).
 	Label string
 
+	// quantize rounds priority keys and (for Muri-L) the
+	// remaining-iteration estimates down to powers of two,
+	// Tiresias-style (NewMuriLScale). Quantized estimates only move when a
+	// job crosses a power-of-two service boundary, so between queue events
+	// the grouping inputs — and therefore the planner memo's keys — hold
+	// still instead of drifting every round.
+	quantize bool
+
 	// order ranks the queue, starting from last round's order.
 	order ranker
 	// ranked and units are the buffers Plan ranks its groups and builds its
@@ -415,26 +415,10 @@ type Muri struct {
 	units  []Unit
 }
 
-// EnableIncremental attaches a fresh core.PlanState to the grouping
-// config, turning on planner telemetry and cross-round bucket
-// replay (see core.PlanState). Call before the first Plan.
-func (m *Muri) EnableIncremental() {
-	m.Grouping.Planner = core.NewPlanState()
-}
-
-// PlanStats snapshots the incremental/sharded grouping counters (zero
-// when EnableIncremental was never called).
+// PlanStats snapshots the grouping planner's counters (zero without a
+// core.PlanState, which only NewMuriLScale attaches).
 func (m *Muri) PlanStats() metrics.ShardStats {
 	return m.Grouping.Planner.Stats()
-}
-
-// NoteDecisions implements engine.DecisionSink: scheduling decisions
-// (launches, preemptions, requeues, deadletters) mark the planner dirty.
-// The marks are telemetry — the planner's per-bucket signature check is
-// the authoritative dirty test — but they tie the Decision stream into
-// the incremental machinery and surface how much change each round saw.
-func (m *Muri) NoteDecisions(n int) {
-	m.Grouping.Planner.MarkDirty(n)
 }
 
 // NewMuriS returns Muri with SRSF priorities (known durations). Known
@@ -467,7 +451,7 @@ func NewMuriL() *Muri {
 		if est < floor {
 			est = floor
 		}
-		if m.QuantizeEstimates {
+		if m.quantize {
 			est = quantPow2Int(est)
 		}
 		return est
@@ -477,17 +461,17 @@ func NewMuriL() *Muri {
 }
 
 // NewMuriLScale returns the Muri-L configuration tuned for very large
-// fleets: quantized Tiresias-style estimates, incremental dirty-bucket
-// re-matching, and bucket sharding (shards ≤ 1 keeps whole-bucket
-// matching). Scheduling behavior differs from plain Muri-L only through
-// the quantized estimates and — at shards > 1 — the sharded matching;
-// both are deterministic, and the incremental replay itself is
-// bit-identical to full re-matching under the same configuration.
+// fleets: quantized Tiresias-style estimates, a core.PlanState whose memo
+// serves unchanged shards across rounds, and bucket sharding (shards ≤ 1
+// keeps whole-bucket matching). Scheduling behavior differs from plain
+// Muri-L only through the quantized estimates and — at shards > 1 — the
+// sharded matching; both are deterministic, and a memo hit is
+// bit-identical to matching afresh under the same configuration.
 func NewMuriLScale(shards int) *Muri {
 	m := NewMuriL()
-	m.QuantizeEstimates = true
+	m.quantize = true
 	m.Grouping.Shards = shards
-	m.EnableIncremental()
+	m.Grouping.Planner = core.NewPlanState()
 	m.Label = "muri-l-scale"
 	return m
 }
@@ -538,7 +522,7 @@ func (m *Muri) PriorityKey(_ time.Duration, j *job.Job) float64 {
 	} else {
 		key = j.LAS2D()
 	}
-	if m.QuantizeEstimates {
+	if m.quantize {
 		key = quantPow2(key)
 	}
 	return key

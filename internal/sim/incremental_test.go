@@ -7,16 +7,20 @@ import (
 	"muri/internal/trace"
 )
 
-// quantMuriL is Muri-L with quantized estimates but no planner — the
-// reference the incremental runs must reproduce exactly.
-func quantMuriL() *sched.Muri {
-	p := sched.NewMuriL()
-	p.QuantizeEstimates = true
+// scaleMuriL is muri-l-scale under the plain name ("muri-l", which the
+// fingerprint includes), with or without its planner memo: without it is
+// the reference the memoized runs must reproduce exactly.
+func scaleMuriL(shards int, memo bool) *sched.Muri {
+	p := sched.NewMuriLScale(shards)
+	p.Label = ""
+	if !memo {
+		p.Grouping.Planner = nil
+	}
 	return p
 }
 
 // incrementalTrace is a seeded busy trace: arrivals, completions, and
-// (with the chaos plan) faults and preemptions all mark buckets dirty.
+// (with the chaos plan) faults and preemptions all change the queue.
 func incrementalTrace(seed int64) trace.Trace {
 	cfg := trace.PhillyConfigs(64)[0]
 	cfg.Jobs = 100
@@ -24,14 +28,13 @@ func incrementalTrace(seed int64) trace.Trace {
 	return trace.Generate(cfg)
 }
 
-// TestIncrementalBitIdenticalEndToEnd is the tentpole's end-to-end
+// TestIncrementalBitIdenticalEndToEnd is the planner memo's end-to-end
 // correctness property: over multi-seed arrival/completion/fault
-// scripts, Muri-L with the incremental planner must produce results
-// bit-identical to full re-matching under the identical (quantized)
-// configuration — per-job finish times, restarts, and fault counters
-// included. Replayed proposal streams run through the live acceptance
-// loop and any divergence falls back to fresh matching, so nothing the
-// cache does may show up in the schedule.
+// scripts, Muri-L with the memo must produce results bit-identical to
+// full re-matching under the identical (quantized) configuration —
+// per-job finish times, restarts, and fault counters included. A memo hit
+// returns exactly the matching its nodes' contents would get afresh, so
+// nothing the memo does may show up in the schedule.
 func TestIncrementalBitIdenticalEndToEnd(t *testing.T) {
 	for _, seed := range []int64{1, 2, 5} {
 		tr := incrementalTrace(seed)
@@ -39,23 +42,21 @@ func TestIncrementalBitIdenticalEndToEnd(t *testing.T) {
 		cfg.EventDriven = true
 		cfg.Faults = chaosPlan(seed, cfg.Machines)
 
-		full := faultFingerprint(Run(cfg, tr, quantMuriL()))
-		inc := quantMuriL()
-		inc.EnableIncremental()
+		full := faultFingerprint(Run(cfg, tr, scaleMuriL(1, false)))
+		inc := scaleMuriL(1, true)
 		if got := faultFingerprint(Run(cfg, tr, inc)); got != full {
 			t.Fatalf("seed %d: incremental run diverged from full re-matching\nfull:\n%.2000s\ngot:\n%.2000s",
 				seed, full, got)
 		}
 		if st := inc.PlanStats(); st.ReplaySweeps == 0 {
-			t.Errorf("seed %d: replay never engaged (fresh=%d)", seed, st.FreshSweeps)
+			t.Errorf("seed %d: the memo never served a previous plan's match (fresh=%d)", seed, st.FreshSweeps)
 		}
 	}
 }
 
 // TestShardedIncrementalBitIdenticalEndToEnd is the same property with
-// sharding on: muri-l-scale (sharded + incremental) against the same
-// sharded configuration without a planner. Also pins dirty-mark
-// forwarding: the engine's decision stream must reach the planner.
+// sharding on: muri-l-scale (sharded, with the memo) against the same
+// sharded configuration without a planner.
 func TestShardedIncrementalBitIdenticalEndToEnd(t *testing.T) {
 	for _, seed := range []int64{2, 7} {
 		tr := incrementalTrace(seed)
@@ -63,18 +64,14 @@ func TestShardedIncrementalBitIdenticalEndToEnd(t *testing.T) {
 		cfg.EventDriven = true
 		cfg.Faults = chaosPlan(seed, cfg.Machines)
 
-		ref := quantMuriL()
-		ref.Grouping.Shards = 4
-		full := faultFingerprint(Run(cfg, tr, ref))
-
-		inc := sched.NewMuriLScale(4)
-		inc.Label = ref.Name() // fingerprint includes the policy name
+		full := faultFingerprint(Run(cfg, tr, scaleMuriL(4, false)))
+		inc := scaleMuriL(4, true)
 		if got := faultFingerprint(Run(cfg, tr, inc)); got != full {
 			t.Fatalf("seed %d: sharded incremental run diverged from sharded full re-matching\nfull:\n%.2000s\ngot:\n%.2000s",
 				seed, full, got)
 		}
-		if st := inc.PlanStats(); st.DirtyMarks == 0 {
-			t.Errorf("seed %d: engine decision stream never reached the planner", seed)
+		if st := inc.PlanStats(); st.ReplaySweeps == 0 {
+			t.Errorf("seed %d: the memo never served a previous plan's match (fresh=%d)", seed, st.FreshSweeps)
 		}
 	}
 }
