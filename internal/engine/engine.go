@@ -82,11 +82,6 @@ type Config struct {
 	// assumption with learned beliefs. Nil (the default) keeps the
 	// completion path inert and every fixed-seed run bit-identical.
 	Estimator profile.Estimator
-	// ReprofileThreshold is the relative deviation between a completion's
-	// measured iteration total and the estimator's belief beyond which
-	// the belief is discarded and re-seeded from the measurement (the
-	// engine-level re-profiling trigger). Zero uses the default of 0.25.
-	ReprofileThreshold float64
 	// Provenance, when non-nil, receives structured cause annotations
 	// from each decision site: wait-cause transitions for jobs left
 	// unplaced (capacity vs. ranked-behind, with comparator keys and
@@ -188,6 +183,12 @@ type Engine struct {
 	keyer PriorityKeyer
 }
 
+// reprofileThreshold is the relative deviation between a completion's
+// measured iteration total and the estimator's belief beyond which the
+// belief is discarded and re-seeded from the measurement (the
+// engine-level re-profiling trigger).
+const reprofileThreshold = 0.25
+
 // New creates an engine. It panics without a policy.
 func New(cfg Config) *Engine {
 	if cfg.Policy == nil {
@@ -195,9 +196,6 @@ func New(cfg Config) *Engine {
 	}
 	if cfg.StarvationPatience <= 0 {
 		cfg.StarvationPatience = 5
-	}
-	if cfg.ReprofileThreshold <= 0 {
-		cfg.ReprofileThreshold = 0.25
 	}
 	sink, _ := cfg.Policy.(DecisionSink)
 	keyer, _ := cfg.Policy.(PriorityKeyer)
@@ -295,7 +293,7 @@ type reseeder interface {
 // NoteCompletion feeds one job completion to the configured estimator:
 // the measured per-iteration stage durations and the job's total 2D
 // service demand. When the measurement deviates from the current belief
-// beyond ReprofileThreshold, the belief is discarded and re-seeded from
+// beyond reprofileThreshold, the belief is discarded and re-seeded from
 // the measurement (the re-profiling trigger); otherwise the measurement
 // folds into the running estimate. Both drivers call this — the
 // simulator at virtual completions, the daemon at real ones and during
@@ -308,7 +306,7 @@ func (e *Engine) NoteCompletion(j *job.Job, measured workload.StageTimes, servic
 	}
 	if b, ok := est.EstimateFor(j); ok && b.Samples > 0 {
 		bt, mt := b.Stages.Total().Seconds(), measured.Total().Seconds()
-		if mt > 0 && bt > 0 && math.Abs(bt-mt)/mt > e.cfg.ReprofileThreshold {
+		if mt > 0 && bt > 0 && math.Abs(bt-mt)/mt > reprofileThreshold {
 			if r, ok := est.(reseeder); ok {
 				r.Reseed(j.Model.Name, measured, service)
 				e.stats.Reprofiles++

@@ -36,6 +36,32 @@ type faultRegime struct {
 	transientProb float64
 }
 
+// faultRegimes are the intensities the sweep runs, healthy first.
+var faultRegimes = []faultRegime{
+	{"none", 0, 0},
+	{"low", 7 * 24 * time.Hour, 0.01},
+	{"med", 24 * time.Hour, 0.05},
+	{"high", 6 * time.Hour, 0.10},
+}
+
+// faultPlan builds a regime's seeded plan for trace tr; nil for the
+// healthy baseline.
+func (o Options) faultPlan(reg faultRegime, tr trace.Trace) *faults.Plan {
+	if reg.mtbf == 0 && reg.transientProb == 0 {
+		return nil
+	}
+	return faults.NewPlan(faults.Config{
+		Seed:               faultsSeed,
+		Machines:           o.machines(),
+		MTBF:               reg.mtbf,
+		MTTR:               30 * time.Minute,
+		Horizon:            faultsHorizon(tr),
+		TransientFaultProb: reg.transientProb,
+		StragglerFraction:  0.1,
+		StragglerSlowdown:  1.3,
+	})
+}
+
 // Faults runs the failure-rate sweep. The paper's evaluation assumes a
 // healthy cluster; this experiment stresses the schedulers with the
 // deterministic failure model of internal/faults — machine crash/repair
@@ -47,35 +73,17 @@ type faultRegime struct {
 // against it.
 func (o Options) Faults() ([]FaultsResult, Table) {
 	tr := o.traces()[0]
-	regimes := []faultRegime{
-		{"none", 0, 0},
-		{"low", 7 * 24 * time.Hour, 0.01},
-		{"med", 24 * time.Hour, 0.05},
-		{"high", 6 * time.Hour, 0.10},
-	}
 	policies := func() []sched.Policy {
 		return []sched.Policy{sched.SRTF(), sched.SRSF(), sched.NewMuriL()}
 	}
-	plans := make([]*faults.Plan, len(regimes))
-	for i, reg := range regimes {
-		if reg.mtbf == 0 && reg.transientProb == 0 {
-			continue // nil plan: the healthy baseline
-		}
-		plans[i] = faults.NewPlan(faults.Config{
-			Seed:               faultsSeed,
-			Machines:           o.machines(),
-			MTBF:               reg.mtbf,
-			MTTR:               30 * time.Minute,
-			Horizon:            faultsHorizon(tr),
-			TransientFaultProb: reg.transientProb,
-			StragglerFraction:  0.1,
-			StragglerSlowdown:  1.3,
-		})
+	plans := make([]*faults.Plan, len(faultRegimes))
+	for i, reg := range faultRegimes {
+		plans[i] = o.faultPlan(reg, tr)
 	}
 	nPol := len(policies())
-	out := make([]FaultsResult, len(regimes)*nPol)
+	out := make([]FaultsResult, len(faultRegimes)*nPol)
 	forEach(len(out), func(i int) {
-		reg, p := regimes[i/nPol], policies()[i%nPol]
+		reg, p := faultRegimes[i/nPol], policies()[i%nPol]
 		cfg := o.simConfig()
 		cfg.Faults = plans[i/nPol]
 		res := sim.Run(cfg, tr, p)

@@ -65,11 +65,6 @@ type Config struct {
 	// is parked in the dead-letter state instead of being requeued. Zero
 	// means 8; negative means unlimited retries.
 	FaultRetryBudget int
-	// ProfileTimeScale is the time scale used for dry-run profiling. It
-	// defaults to 0.05 — coarser than TimeScale — because measuring
-	// microsecond sleeps is dominated by timer overhead and would destroy
-	// the stage ratios the scheduler depends on.
-	ProfileTimeScale float64
 	// StarvationPatience is forwarded to the scheduling engine: how many
 	// rounds a unit may be bypassed for capacity before it is boosted to
 	// the front of the admission order. Zero uses the engine default.
@@ -80,11 +75,6 @@ type Config struct {
 	// policy reads the beliefs the daemon learns. Its state rides WAL
 	// snapshots and Done-record replay, surviving restarts.
 	Predictor *profile.Online
-	// ReprofileThreshold is forwarded to the engine: a completion whose
-	// measured stage total deviates from the predictor's belief by more
-	// than this fraction re-seeds the model instead of averaging in.
-	// Zero uses the engine default (0.25).
-	ReprofileThreshold float64
 	// Observer, when non-nil, receives every engine decision as it is
 	// issued (the parity harness taps the decision stream here).
 	Observer func(engine.Decision)
@@ -359,6 +349,12 @@ type Server struct {
 	fsyncHist, applyLagHist *telemetry.Histogram
 }
 
+// profileTimeScale is the time scale used for dry-run profiling, coarser
+// than Config.TimeScale because measuring microsecond sleeps is dominated
+// by timer overhead and would destroy the stage ratios the scheduler
+// depends on.
+const profileTimeScale = 0.05
+
 // New creates a daemon with defaults filled in.
 func New(cfg Config) *Server {
 	if cfg.Policy == nil {
@@ -375,9 +371,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.ProfileIterations <= 0 {
 		cfg.ProfileIterations = 5
-	}
-	if cfg.ProfileTimeScale <= 0 {
-		cfg.ProfileTimeScale = 0.05
 	}
 	if cfg.LivenessTimeout <= 0 {
 		cfg.LivenessTimeout = 5 * time.Second
@@ -440,7 +433,6 @@ func New(cfg Config) *Server {
 		Style:              engine.Differential,
 		StarvationPatience: cfg.StarvationPatience,
 		Estimator:          s.est,
-		ReprofileThreshold: cfg.ReprofileThreshold,
 		Retry: engine.RetryPolicy{
 			BackoffBase: cfg.FaultBackoffBase,
 			BackoffMax:  cfg.FaultBackoffMax,
@@ -968,7 +960,7 @@ func (s *Server) requestProfileLocked(model string) {
 	for _, e := range s.executors {
 		s.profiling[model] = e.id
 		req := &proto.Message{Type: proto.TypeProfileReq, ProfileReq: &proto.ProfileReq{
-			Model: model, Iterations: s.cfg.ProfileIterations, TimeScale: s.cfg.ProfileTimeScale,
+			Model: model, Iterations: s.cfg.ProfileIterations, TimeScale: profileTimeScale,
 		}}
 		exec := e
 		s.wg.Add(1)

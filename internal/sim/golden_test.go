@@ -22,9 +22,9 @@ var goldenHashes = map[string]string{
 	"muri-s":             "bef2371d89bdf86aa90e9c890b4ff0743673097be645b854cfcef996008f2cd7",
 	"muri-l":             "de8db3578ad4ec4f3e2eea461f5dc391766896ddf818324ba8b58aec630e868c",
 	"muri-l-event":       "7c9191ff7285c589feb7056cdf4d8139bd9f4ec1b359fc9dbeca7b0a3d0189e7",
-	"muri-l-chaos":       "983f993efe059d4742bbdd5aa07208bc7ab9315047eedd412e91f82b9d186b12",
-	"srtf-chaos-event":   "492c28d3ffa14aeddbaa9e46266c4f1dd85229012fb4fb92b63ca636075d4b2a",
-	"muri-l-chaos-event": "2c9ca8308c223fe75131b30b476b2bd1c2067a35d387a5c0bfafc0f6abae7e9b",
+	"muri-l-chaos":       "e2fb218751738a228aa0c29cd2e3b9642bcf0e44c0a18271aa75d936217ff4d5",
+	"srtf-chaos-event":   "9017f4325023aecaaa354e348a4e58922d83c47d42652aadb61215c19a2ccf67",
+	"muri-l-chaos-event": "9224865bc2fceec41089b5a2f2dffe1a43e28b2228deea03788f4421ee67e513",
 }
 
 // goldenCases builds each pinned configuration fresh (policies carry

@@ -180,6 +180,11 @@ type unit struct {
 	iterTime []time.Duration
 	// carry is the fractional-iteration progress per member.
 	carry []float64
+	// faultAt is the absolute instant of the transient fault drawn for
+	// each member's current execution attempt, zero when the draw missed.
+	// It lives and dies with the attempt: a member that leaves the unit
+	// (completion, preemption, crash, an earlier fault) takes it along.
+	faultAt []time.Duration
 	// estAt memoizes the earliest absolute completion among live members
 	// (-1 when none can complete). It is valid only while estValid holds,
 	// i.e. until the next progress credit, retime, or member change —
@@ -204,6 +209,7 @@ func (u *unit) dropMember(i int) {
 	u.spec.Jobs = slices.Delete(u.spec.Jobs, i, i+1)
 	u.iterTime = slices.Delete(u.iterTime, i, i+1)
 	u.carry = slices.Delete(u.carry, i, i+1)
+	u.faultAt = slices.Delete(u.faultAt, i, i+1)
 }
 
 // invalidate drops the unit's memoized completion estimate. Every
@@ -313,23 +319,14 @@ type sim struct {
 	plan *faults.Plan
 	// faultIdx is the cursor into plan.Events.
 	faultIdx int
-	// drawn records the highest execution attempt (job.Restarts value)
-	// for which a transient-fault draw was already taken, so preemptive
-	// policies re-placing a running job every interval draw once per
-	// attempt, not once per interval.
-	drawn map[job.ID]int
-	// jobFaults are scheduled transient faults not yet due. An entry is
-	// stale — and skipped — once its job finished or restarted into a
-	// newer attempt.
-	jobFaults []jobFault
-	fstats    metrics.FaultStats
+	fstats   metrics.FaultStats
 
 	// Per-round scratch of schedule, reused across rounds. The engine
 	// and the policies read these during Reconcile and retain none of
 	// them (Outcome.Kept may alias current, and is not kept here).
 	candidates []*job.Job
 	current    []engine.Current
-	oldCarry   map[job.ID]float64
+	carried    map[job.ID]attempt
 	// free holds units nothing can read any more; spareRunning and
 	// spareQueue double-buffer the running set and the pending queue.
 	free         []*unit
@@ -340,15 +337,33 @@ type sim struct {
 // recycle frees a unit that left the running set, keeping its per-member
 // capacity; every caller marks the heap stale, so no slot is read again.
 func (s *sim) recycle(u *unit) {
-	*u = unit{iterTime: u.iterTime[:0], carry: u.carry[:0]}
+	*u = unit{iterTime: u.iterTime[:0], carry: u.carry[:0], faultAt: u.faultAt[:0]}
 	s.free = append(s.free, u)
 }
 
-// jobFault is one scheduled transient job fault.
-type jobFault struct {
-	at      time.Duration
-	job     job.ID
-	attempt int
+// attempt is what a member carries into its next round when it continues
+// in the same unit: its fractional progress and its attempt's drawn fault.
+type attempt struct {
+	carry   float64
+	faultAt time.Duration
+}
+
+// dropEmptyUnits releases the running units whose members all left and
+// marks the heap for a re-index, since the running set changed.
+func (s *sim) dropEmptyUnits() {
+	still := s.running[:0]
+	for _, u := range s.running {
+		if len(u.spec.Jobs) == 0 {
+			s.cluster.Release(u.alloc)
+			s.recycle(u)
+			continue
+		}
+		s.invalidateUnit(u)
+		still = append(still, u)
+	}
+	clear(s.running[len(still):])
+	s.running = still
+	s.heap.markStale()
 }
 
 // invalidateUnit drops a unit's memoized completion estimate and, on
@@ -392,14 +407,11 @@ func newSim(cfg Config, tr trace.Trace, policy sched.Policy) *sim {
 	if cfg.Interval <= 0 {
 		panic("sim: scheduling interval must be positive")
 	}
-	if cfg.StarvationPatience <= 0 {
-		cfg.StarvationPatience = 5
-	}
 	s := &sim{
-		cfg:      cfg,
-		cluster:  cluster.New(cfg.Machines, cfg.GPUsPerMachine),
-		policy:   policy,
-		oldCarry: make(map[job.ID]float64),
+		cfg:     cfg,
+		cluster: cluster.New(cfg.Machines, cfg.GPUsPerMachine),
+		policy:  policy,
+		carried: make(map[job.ID]attempt),
 	}
 	// With a record sink, tee the decision stream into it as decision
 	// records and hook the engine's cause annotations, as the daemon does.
@@ -433,7 +445,6 @@ func newSim(cfg Config, tr trace.Trace, policy sched.Policy) *sim {
 	})
 	if !cfg.Faults.Empty() {
 		s.plan = cfg.Faults
-		s.drawn = make(map[job.ID]int)
 	}
 	s.buildJobs(tr)
 	return s
@@ -535,10 +546,10 @@ func (s *sim) nextWake() time.Duration {
 
 // applyFaults applies every failure-plan event that has come due:
 // machine crashes preempt and requeue the units they host and shrink the
-// schedulable capacity, repairs restore it, and scheduled transient
-// faults push single members back to the queue. Events apply in
-// deterministic plan order at (or, across idle fast-forwards, with) the
-// timestamp they carry.
+// schedulable capacity, repairs restore it, and the running attempts'
+// transient faults push single members back to the queue. Machine events
+// apply in deterministic plan order at (or, across idle fast-forwards,
+// with) the timestamp they carry; transient faults in running-set order.
 func (s *sim) applyFaults() {
 	for s.faultIdx < len(s.plan.Events) && s.plan.Events[s.faultIdx].Time <= s.now {
 		e := s.plan.Events[s.faultIdx]
@@ -553,30 +564,35 @@ func (s *sim) applyFaults() {
 			s.repairMachine(e)
 		}
 	}
-	if len(s.jobFaults) == 0 {
-		return
-	}
-	kept := s.jobFaults[:0]
-	for _, f := range s.jobFaults {
-		if f.at > s.now {
-			kept = append(kept, f)
-			continue
+	failed := false
+	for _, u := range s.running {
+		for i := 0; i < len(u.spec.Jobs); {
+			if at := u.faultAt[i]; at != 0 && at <= s.now {
+				s.failJob(u, i, at)
+				failed = true
+				continue
+			}
+			i++
 		}
-		s.failJob(f)
 	}
-	s.jobFaults = kept
+	if failed {
+		s.dropEmptyUnits()
+	}
 }
 
-// nextFault returns the earliest pending failure-plan instant.
+// nextFault returns the earliest pending failure-plan instant: the next
+// machine event or the earliest fault of a running attempt.
 func (s *sim) nextFault() (time.Duration, bool) {
 	var at time.Duration
 	ok := false
 	if s.faultIdx < len(s.plan.Events) {
 		at, ok = s.plan.Events[s.faultIdx].Time, true
 	}
-	for _, f := range s.jobFaults {
-		if !ok || f.at < at {
-			at, ok = f.at, true
+	for _, u := range s.running {
+		for _, f := range u.faultAt {
+			if f != 0 && (!ok || f < at) {
+				at, ok = f, true
+			}
 		}
 	}
 	return at, ok
@@ -674,56 +690,31 @@ func (s *sim) repairMachine(e faults.MachineEvent) {
 	s.cluster.SetUp(e.Machine)
 }
 
-// failJob applies one scheduled transient fault: if the job is still in
-// the execution attempt the fault was drawn for, it is removed from its
-// unit and requeued; survivors keep running at their recomputed speed.
-// Stale entries (the job finished, or was preempted and restarted into a
-// newer attempt) are skipped.
-func (s *sim) failJob(f jobFault) {
-	for _, u := range s.running {
-		for i, j := range u.spec.Jobs {
-			if j.ID != f.job {
-				continue
-			}
-			if j.State != job.Running || j.Restarts != f.attempt {
-				return
-			}
-			origin := allocMachines(u.alloc)
-			s.fstats.WorkLost += time.Duration(u.carry[i] * float64(u.iterTime[i]))
-			if s.cfg.RecordTimeline {
-				s.recordAt(f.at, "fault", j.ID, engine.UnitKey(u.spec), origin)
-			}
-			if s.cfg.Trace.Enabled() {
-				s.traceFault(fmt.Sprintf("transient fault job %d", j.ID), f.at, map[string]any{"job": int64(j.ID)})
-			}
-			j.State = job.Pending
-			// The fault record follows the engine's requeue decision, as the
-			// daemon commits them. The retry policy has no backoff, but the
-			// release time is computed the same way regardless.
-			backoff, deadlettered := s.eng.RecordFault(j.ID)
-			s.fault(&wal.FaultRecord{Job: int64(j.ID), Origin: origin, Err: "transient fault",
-				Faults: s.eng.FaultsOf(j.ID), DeadLettered: deadlettered,
-				NotBeforeV: int64(s.now) + int64(backoff)})
-			s.pending = append(s.pending, j)
-			s.removeMember(u, i)
-			return
-		}
+// failJob applies member i's transient fault, drawn for its current
+// attempt to strike at at: the job is removed from its unit and requeued,
+// and survivors keep running at their recomputed speed. A unit left empty
+// stays in the running set until the caller drops it.
+func (s *sim) failJob(u *unit, i int, at time.Duration) {
+	j := u.spec.Jobs[i]
+	origin := allocMachines(u.alloc)
+	s.fstats.WorkLost += time.Duration(u.carry[i] * float64(u.iterTime[i]))
+	if s.cfg.RecordTimeline {
+		s.recordAt(at, "fault", j.ID, engine.UnitKey(u.spec), origin)
 	}
-}
-
-// removeMember drops member index i from a unit, releasing the unit when
-// it empties and retiming the survivors otherwise.
-func (s *sim) removeMember(u *unit, i int) {
+	if s.cfg.Trace.Enabled() {
+		s.traceFault(fmt.Sprintf("transient fault job %d", j.ID), at, map[string]any{"job": int64(j.ID)})
+	}
+	j.State = job.Pending
+	// The fault record follows the engine's requeue decision, as the
+	// daemon commits them. The retry policy has no backoff, but the
+	// release time is computed the same way regardless.
+	backoff, deadlettered := s.eng.RecordFault(j.ID)
+	s.fault(&wal.FaultRecord{Job: int64(j.ID), Origin: origin, Err: "transient fault",
+		Faults: s.eng.FaultsOf(j.ID), DeadLettered: deadlettered,
+		NotBeforeV: int64(s.now) + int64(backoff)})
+	s.pending = append(s.pending, j)
 	u.dropMember(i)
-	if len(u.spec.Jobs) == 0 {
-		s.cluster.Release(u.alloc)
-		k := slices.Index(s.running, u)
-		s.running = slices.Delete(s.running, k, k+1)
-		s.recycle(u)
-	} else {
-		s.retime(u)
-	}
-	s.heap.markStale()
+	s.retime(u)
 }
 
 // earliestCompletion predicts the soonest member completion across all
@@ -845,14 +836,14 @@ func (s *sim) schedule() {
 	if s.plan != nil && capacity == 0 {
 		return
 	}
-	// Remember per-job fractional progress so continuing jobs lose no
-	// partial iterations across intervals.
-	oldCarry := s.oldCarry
-	clear(oldCarry)
+	// Remember each running attempt so continuing jobs lose no partial
+	// iterations across intervals and keep their drawn fault.
+	carried := s.carried
+	clear(carried)
 	current := s.current[:0]
 	for _, u := range s.running {
 		for i, j := range u.spec.Jobs {
-			oldCarry[j.ID] = u.carry[i]
+			carried[j.ID] = attempt{carry: u.carry[i], faultAt: u.faultAt[i]}
 		}
 		current = append(current, engine.Current{Spec: u.spec, Handle: u})
 	}
@@ -884,7 +875,9 @@ func (s *sim) schedule() {
 		u := p.Handle.(*unit)
 		u.spec, u.readyAt = p.Spec, s.now
 		u.iterTime, u.carry = slices.Grow(u.iterTime, n)[:n], slices.Grow(u.carry, n)[:n]
+		u.faultAt = slices.Grow(u.faultAt, n)[:n]
 		clear(u.carry)
+		clear(u.faultAt)
 		memberIterTimes(u.iterTime, p.Spec, s.cfg.Interleave)
 		if s.plan != nil {
 			// A unit runs at the pace of its slowest machine: distributed
@@ -903,7 +896,8 @@ func (s *sim) schedule() {
 		}
 		for i, m := range p.Members {
 			if m.Continues {
-				u.carry[i] = oldCarry[m.Job.ID]
+				a := carried[m.Job.ID]
+				u.carry[i], u.faultAt[i] = a.carry, a.faultAt
 			}
 		}
 		var machines string
@@ -935,29 +929,24 @@ func (s *sim) schedule() {
 		}
 		if s.plan != nil {
 			// Transient-fault draws: exactly one per execution attempt
-			// (attempt = restart count), even though preemptive policies
-			// re-place running jobs every interval. The fault, if drawn,
-			// strikes at a hash-chosen fraction of the attempt's estimated
-			// remaining work.
-			for i, j := range p.Spec.Jobs {
-				attempt := j.Restarts
-				if prev, ok := s.drawn[j.ID]; ok && prev >= attempt {
+			// (attempt = restart count). Fresh and restarted members start
+			// one; continuing members kept theirs above. The fault, if
+			// drawn, strikes at a hash-chosen fraction of the attempt's
+			// estimated remaining work (carry is zero on a new attempt).
+			for i, m := range p.Members {
+				if m.Continues {
 					continue
 				}
-				s.drawn[j.ID] = attempt
-				frac, fault := s.plan.TransientFault(int64(j.ID), attempt)
+				frac, fault := s.plan.TransientFault(int64(m.Job.ID), m.Job.Restarts)
 				if !fault {
 					continue
 				}
-				remaining := float64(j.RemainingIterations()) - u.carry[i]
-				if remaining < 0 {
-					remaining = 0
-				}
+				remaining := max(float64(m.Job.RemainingIterations()), 0)
 				at := u.readyAt + time.Duration(frac*remaining*float64(u.iterTime[i]))
 				if at <= s.now {
 					at = s.now + time.Millisecond
 				}
-				s.jobFaults = append(s.jobFaults, jobFault{at: at, job: j.ID, attempt: attempt})
+				u.faultAt[i] = at
 			}
 		}
 		placed = append(placed, u)
@@ -991,21 +980,7 @@ func (s *sim) advance(deadline time.Duration) {
 		return
 	}
 	// Drop units whose members all finished; release their GPUs.
-	still := s.running[:0]
-	for _, u := range s.running {
-		if len(u.spec.Jobs) == 0 {
-			s.cluster.Release(u.alloc)
-			s.recycle(u)
-			continue
-		}
-		s.invalidateUnit(u)
-		still = append(still, u)
-	}
-	clear(s.running[len(still):])
-	s.running = still
-	// Completions shrank the running set (and rewrote member slices):
-	// force a heap re-index at the next clock query.
-	s.heap.markStale()
+	s.dropEmptyUnits()
 }
 
 // advanceUnit advances one unit over [from, to], processing completions
