@@ -25,6 +25,9 @@ var goldenHashes = map[string]string{
 	"muri-l-chaos":       "e2fb218751738a228aa0c29cd2e3b9642bcf0e44c0a18271aa75d936217ff4d5",
 	"srtf-chaos-event":   "9017f4325023aecaaa354e348a4e58922d83c47d42652aadb61215c19a2ccf67",
 	"muri-l-chaos-event": "9224865bc2fceec41089b5a2f2dffe1a43e28b2228deea03788f4421ee67e513",
+	"fifo-event":         "a1fc4d4c0647dff3dae759ea07e803b2845aa8cc1dffb3fe03045c6be360d0ee",
+	"antman-event":       "ddab981a581868e86c19c3737df7bb7b1e65f3482d1f70d2ae0b2d3a4bfc03df",
+	"fifo-chaos-event":   "acb0e334ed90fd3396744229262007e851ce4c0220f9b00fc6587751d9f0a77f",
 }
 
 // goldenCases builds each pinned configuration fresh (policies carry
@@ -50,6 +53,13 @@ func goldenCases() map[string]func() Result {
 		},
 		"muri-l-chaos-event": func() Result {
 			return Run(event(chaosConfig(chaosPlan(7, 4))), ct, sched.NewMuriL())
+		},
+		// Non-preemptive event-driven runs keep units across rounds, so
+		// completions shrink running units between clock queries.
+		"fifo-event":   func() Result { return Run(event(DefaultConfig()), dt, sched.FIFO()) },
+		"antman-event": func() Result { return Run(event(DefaultConfig()), dt, sched.AntMan{}) },
+		"fifo-chaos-event": func() Result {
+			return Run(event(chaosConfig(chaosPlan(4, 4))), ct, sched.FIFO())
 		},
 	}
 }
