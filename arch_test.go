@@ -89,6 +89,15 @@ var archRules = []archRule{
 			"no dirty marks, no settable estimate quantization",
 		example: `p.EnableIncremental()`,
 	},
+	{
+		name:         "deleted-clock-index",
+		pattern:      `completionHeap|noteDirty|markStale|estValid|heapIdx`,
+		scope:        []string{"internal/sim"},
+		skipComments: true,
+		reason: "the event-driven clock scans the running units: no completion index, " +
+			"no per-unit estimate memo, no stale or dirty marks",
+		example: `s.heap.markStale()`,
+	},
 }
 
 // violations lists the lines under root that break the rule, as

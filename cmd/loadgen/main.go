@@ -333,7 +333,7 @@ func httpWorker(addr string, batch int, ratePerSec float64, deadline time.Time, 
 	start := time.Now()
 	var lastErr error
 	for time.Now().Before(deadline) {
-		req := proto.HTTPBatchRequest{Jobs: make([]proto.JobSpec, batch)}
+		req := proto.SubmitBatch{Jobs: make([]proto.JobSpec, batch)}
 		for i := range req.Jobs {
 			req.Jobs[i] = specs.next()
 		}
@@ -351,7 +351,7 @@ func httpWorker(addr string, batch int, ratePerSec float64, deadline time.Time, 
 			pace(start, ws.sent, ratePerSec)
 			continue
 		}
-		var br proto.HTTPBatchResponse
+		var br proto.SubmitBatchAck
 		err = json.NewDecoder(resp.Body).Decode(&br)
 		resp.Body.Close()
 		if err != nil || len(br.Results) != batch {

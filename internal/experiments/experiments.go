@@ -606,9 +606,9 @@ func (o Options) Figure14() ([]Figure14Result, Table) {
 // ScaleResult is one end-to-end scale run's outcome: the usual summary
 // plus wall-clock runtime, the garbage the run made (bytes allocated and
 // collector cycles, process-wide around the run) and the scheduling-path
-// performance counters (engine decision activity, completion-heap
-// activity, Blossom matcher-pool reuse, and the sharded/incremental
-// planner counters for this run alone).
+// performance counters (engine decision activity, Blossom matcher-pool
+// reuse, and the sharded/incremental planner counters for this run
+// alone).
 type ScaleResult struct {
 	Trace   string
 	Sched   string
@@ -619,7 +619,6 @@ type ScaleResult struct {
 	GCs     uint32
 	Summary metrics.Summary
 	Engine  metrics.EngineStats
-	Heap    metrics.HeapStats
 	Pool    metrics.MatcherPoolStats
 	Plan    metrics.ShardStats
 }
@@ -691,7 +690,6 @@ func (o Options) Scale() ([]ScaleResult, Table) {
 			GCs:     mem1.NumGC - mem0.NumGC,
 			Summary: res.Summary,
 			Engine:  res.Engine,
-			Heap:    res.Heap,
 			Pool:    metrics.MatcherPoolStats{Gets: after.Gets - before.Gets, News: after.News - before.News},
 			Plan:    plan,
 		}

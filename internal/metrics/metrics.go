@@ -269,16 +269,17 @@ type EngineStats struct {
 	Reprofiles int
 }
 
-// HeapStats describes the simulator's completion-estimate min-heap (the
-// event-driven clock; see DESIGN.md §6).
+// HeapStats counts the scans of the simulator's event-driven clock, each
+// a pass over the running units for the earliest completion (DESIGN.md
+// §6). The names predate the scan; bench/ reads them.
 type HeapStats struct {
-	// Size is the heap occupancy at snapshot time.
+	// Size is the running-set size at the last scan.
 	Size int
-	// Peak is the largest occupancy observed over the run.
+	// Peak is the largest running set scanned over the run.
 	Peak int
-	// Rebuilds counts full heapify passes (running-set membership changed).
+	// Rebuilds counts scans.
 	Rebuilds uint64
-	// Fixes counts single-unit re-positionings after estimate invalidation.
+	// Fixes is always zero.
 	Fixes uint64
 }
 

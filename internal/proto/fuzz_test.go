@@ -117,19 +117,19 @@ func FuzzHTTPSubmitJSON(f *testing.F) {
 	f.Add([]byte(`{"job":{"stages":[1,2,3]}}`))
 	f.Add([]byte(`not json`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var single HTTPSubmitRequest
+		var single Submit
 		if err := json.Unmarshal(data, &single); err == nil {
 			if _, err := json.Marshal(single); err != nil {
 				t.Fatalf("re-encode single: %v", err)
 			}
 		}
-		var batch HTTPBatchRequest
+		var batch SubmitBatch
 		if err := json.Unmarshal(data, &batch); err == nil {
 			if _, err := json.Marshal(batch); err != nil {
 				t.Fatalf("re-encode batch: %v", err)
 			}
 		}
-		var resp HTTPBatchResponse
+		var resp SubmitBatchAck
 		if err := json.Unmarshal(data, &resp); err == nil {
 			if _, err := json.Marshal(resp); err != nil {
 				t.Fatalf("re-encode response: %v", err)

@@ -201,7 +201,8 @@ type Profiled struct {
 	Err    string           `json:"err,omitempty"`
 }
 
-// Submit is a client request to enqueue a job.
+// Submit is a client request to enqueue a job, on the framed stream and
+// as the JSON body of POST /api/v1/submit.
 type Submit struct {
 	Job JobSpec `json:"job"`
 	// Seq is an optional client-chosen sequence number echoed in the
@@ -232,8 +233,9 @@ type SubmitAck struct {
 	Retryable bool   `json:"retryable,omitempty"`
 }
 
-// SubmitBatch enqueues many jobs in one frame: arrivals within one
-// scheduling interval cost one admission round, not N (batched ingest).
+// SubmitBatch enqueues many jobs in one frame or one POST
+// /api/v1/submit/batch body: arrivals within one scheduling interval cost
+// one admission round, not N (batched ingest).
 type SubmitBatch struct {
 	Jobs []JobSpec `json:"jobs"`
 }
@@ -247,23 +249,9 @@ type SubmitResult struct {
 	Retryable bool   `json:"retryable,omitempty"`
 }
 
-// SubmitBatchAck carries per-job results for a SubmitBatch, in order.
+// SubmitBatchAck carries per-job results for a SubmitBatch, in order, on
+// both transports.
 type SubmitBatchAck struct {
-	Results []SubmitResult `json:"results"`
-}
-
-// HTTPSubmitRequest is the JSON body of POST /api/v1/submit.
-type HTTPSubmitRequest struct {
-	Job JobSpec `json:"job"`
-}
-
-// HTTPBatchRequest is the JSON body of POST /api/v1/submit/batch.
-type HTTPBatchRequest struct {
-	Jobs []JobSpec `json:"jobs"`
-}
-
-// HTTPBatchResponse is the JSON body answering a batch submission.
-type HTTPBatchResponse struct {
 	Results []SubmitResult `json:"results"`
 }
 

@@ -850,34 +850,4 @@ func (s *Server) replLagLocked() uint64 {
 // and background loops stop. Disk state afterwards is at least what
 // fsync had made durable, plus whatever was written through before an
 // fsync that never finished.
-func (s *Server) Crash() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	close(s.stopCh)
-	s.adm.SetDraining(true)
-	if s.w != nil {
-		s.w.Abandon()
-	}
-	ln := s.ln
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	sc := s.standbyConn
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	if sc != nil {
-		sc.Close()
-	}
-	s.kickSchedule()
-	s.wg.Wait()
-}
+func (s *Server) Crash() { s.shutdown(true) }

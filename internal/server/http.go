@@ -42,12 +42,6 @@ func (s *Server) apiRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("/api/v1/status", s.handleHTTPStatus)
 }
 
-// submitResult converts a submit outcome to the shared wire result.
-func submitResult(id int64, err error) proto.SubmitResult {
-	ack := submitAck(id, err)
-	return proto.SubmitResult{ID: ack.ID, Err: ack.Err, Code: ack.Code, Retryable: ack.Retryable}
-}
-
 // statusFor maps a rejection onto its HTTP status code.
 func statusFor(err error) int {
 	if err == nil {
@@ -101,7 +95,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 
 // handleHTTPSubmit admits one job.
 func (s *Server) handleHTTPSubmit(w http.ResponseWriter, r *http.Request) {
-	var req proto.HTTPSubmitRequest
+	var req proto.Submit
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
@@ -113,16 +107,11 @@ func (s *Server) handleHTTPSubmit(w http.ResponseWriter, r *http.Request) {
 // handleHTTPSubmitBatch admits many jobs in one request: one admission
 // kick for the whole body, per-job results in order.
 func (s *Server) handleHTTPSubmitBatch(w http.ResponseWriter, r *http.Request) {
-	var req proto.HTTPBatchRequest
+	var req proto.SubmitBatch
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	results := make([]proto.SubmitResult, len(req.Jobs))
-	for i, spec := range req.Jobs {
-		id, err := s.submit(spec)
-		results[i] = submitResult(id, err)
-	}
-	s.writeJSON(w, http.StatusOK, false, proto.HTTPBatchResponse{Results: results})
+	s.writeJSON(w, http.StatusOK, false, s.submitBatch(req.Jobs))
 }
 
 // handleHTTPStatus serves the same snapshot as the status RPC.

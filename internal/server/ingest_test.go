@@ -377,7 +377,7 @@ func TestHTTPSubmitEndpoint(t *testing.T) {
 // 200, per-job results in order.
 func TestHTTPBatchEndpoint(t *testing.T) {
 	s := New(Config{IngestCapacity: 1, Logf: t.Logf})
-	var resp proto.HTTPBatchResponse
+	var resp proto.SubmitBatchAck
 	body := `{"jobs":[
 		{"model":"gpt2","gpus":1,"iterations":10},
 		{"model":"no-such-model","iterations":10},

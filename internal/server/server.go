@@ -518,7 +518,14 @@ func (s *Server) Addr() net.Addr {
 
 // Close stops the daemon: the listener closes, executors are
 // disconnected, and background loops drain.
-func (s *Server) Close() {
+func (s *Server) Close() { s.shutdown(false) }
+
+// shutdown marks the daemon closed, stops the loops and ingest, closes the
+// listener, connections and standby link, and waits for the loops. Only
+// the WAL step depends on crash: a graceful close fsyncs the tail before
+// any listener closes and closes the log after the wait; a crash abandons
+// it unflushed.
+func (s *Server) shutdown(crash bool) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -528,9 +535,10 @@ func (s *Server) Close() {
 	close(s.stopCh)
 	s.adm.SetDraining(true)
 	if s.w != nil {
-		// Graceful shutdown flushes and fsyncs the WAL tail before any
-		// listener closes: every acked decision is durable.
-		if err := s.w.Sync(); err != nil {
+		if crash {
+			s.w.Abandon()
+		} else if err := s.w.Sync(); err != nil {
+			// Every acked decision is durable before any listener closes.
 			s.log.Error("wal sync on close failed", "err", err)
 		}
 	}
@@ -552,6 +560,9 @@ func (s *Server) Close() {
 	}
 	s.kickSchedule() // wake the schedule loop so it observes closed
 	s.wg.Wait()
+	if crash {
+		return
+	}
 	s.mu.Lock()
 	if s.w != nil {
 		if err := s.w.Close(); err != nil {
@@ -777,20 +788,12 @@ func (s *Server) handleClient(conn net.Conn, codec *proto.Codec, first *proto.Me
 		var reply proto.Message
 		switch m.Type {
 		case proto.TypeSubmit:
-			id, err := s.submit(m.Submit.Job)
-			ack := submitAck(id, err)
-			ack.Seq = m.Submit.Seq
-			reply = proto.Message{Type: proto.TypeSubmitAck, SubmitAck: &ack}
+			r := submitResult(s.submit(m.Submit.Job))
+			reply = proto.Message{Type: proto.TypeSubmitAck, SubmitAck: &proto.SubmitAck{
+				ID: r.ID, Err: r.Err, Seq: m.Submit.Seq, Code: r.Code, Retryable: r.Retryable}}
 		case proto.TypeSubmitBatch:
-			results := make([]proto.SubmitResult, len(m.SubmitBatch.Jobs))
-			for i, spec := range m.SubmitBatch.Jobs {
-				id, err := s.submit(spec)
-				ack := submitAck(id, err)
-				results[i] = proto.SubmitResult{ID: ack.ID, Err: ack.Err,
-					Code: ack.Code, Retryable: ack.Retryable}
-			}
-			reply = proto.Message{Type: proto.TypeSubmitBatchAck,
-				SubmitBatchAck: &proto.SubmitBatchAck{Results: results}}
+			ack := s.submitBatch(m.SubmitBatch.Jobs)
+			reply = proto.Message{Type: proto.TypeSubmitBatchAck, SubmitBatchAck: &ack}
 		case proto.TypeStatus:
 			st := s.status()
 			reply = proto.Message{Type: proto.TypeStatusAck, StatusAck: &st}
@@ -895,22 +898,31 @@ func (s *Server) submit(spec proto.JobSpec) (int64, error) {
 	return id, nil
 }
 
-// submitAck maps a submit outcome onto the wire ack, carrying the typed
-// rejection code and retryability for backpressure-aware clients.
-func submitAck(id int64, err error) proto.SubmitAck {
-	ack := proto.SubmitAck{ID: id}
+// submitResult maps a submit outcome onto the wire result, carrying the
+// typed rejection code and retryability for backpressure-aware clients.
+func submitResult(id int64, err error) proto.SubmitResult {
+	res := proto.SubmitResult{ID: id}
 	if err == nil {
-		return ack
+		return res
 	}
-	ack.Err = err.Error()
+	res.Err = err.Error()
 	var ie *ingest.Error
 	if errors.As(err, &ie) {
-		ack.Code = ie.Code
-		ack.Retryable = ie.Retryable
+		res.Code, res.Retryable = ie.Code, ie.Retryable
 	} else {
-		ack.Code = proto.CodeInvalid
+		res.Code = proto.CodeInvalid
 	}
-	return ack
+	return res
+}
+
+// submitBatch admits jobs in order, one result each: the batch answer of
+// both transports.
+func (s *Server) submitBatch(jobs []proto.JobSpec) proto.SubmitBatchAck {
+	results := make([]proto.SubmitResult, len(jobs))
+	for i, spec := range jobs {
+		results[i] = submitResult(s.submit(spec))
+	}
+	return proto.SubmitBatchAck{Results: results}
 }
 
 // drainIngestLocked admits every queued submission into the engine as one

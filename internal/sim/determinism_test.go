@@ -34,8 +34,7 @@ func fingerprint(r Result) string {
 // scheduling path: repeated runs over the same seeded trace must be
 // byte-identical in summary and per-job completion times, for both Muri
 // variants, with and without event-driven wake-ups. The pair-efficiency
-// cache and the simulator's completion-estimate memo must be invisible in
-// the results.
+// cache must be invisible in the results.
 func TestRunDeterministic(t *testing.T) {
 	tr := determinismTrace()
 	cases := []struct {

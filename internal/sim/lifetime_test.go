@@ -20,8 +20,7 @@ import (
 // non-preemptive one (FIFO keeps units for many rounds) and the sharded
 // grouping policy, each with and without crashes and transient faults.
 // A unit is recycled only once nothing can read it: no free unit is
-// running, in a heap that will be read without a rebuild, or queued for a
-// heap fix; a free unit pins no job; and no two running units share
+// running; a free unit pins no job; and no two running units share
 // member, iteration-time or carry storage. The stepped run must also be
 // the run Run makes.
 func TestUnitLifetime(t *testing.T) {
@@ -73,7 +72,7 @@ func TestUnitLifetime(t *testing.T) {
 					t.Fatalf("the plan never bit: %+v", s.fstats)
 				}
 				ref := Run(cfg, tr, p.new())
-				got := fmt.Sprintf("%+v %+v %+v %+v", metrics.Summarize(s.done), s.eng.Stats(), s.heap.snapshot(), s.fstats)
+				got := fmt.Sprintf("%+v %+v %+v %+v", metrics.Summarize(s.done), s.eng.Stats(), s.scans, s.fstats)
 				if want := fmt.Sprintf("%+v %+v %+v %+v", ref.Summary, ref.Engine, ref.Heap, ref.Faults); got != want {
 					t.Fatalf("stepped run diverges from Run:\n got %s\nwant %s", got, want)
 				}
@@ -94,7 +93,6 @@ func checkUnitLifetimes(s *sim) error {
 			return fmt.Errorf("free unit %p still pins its jobs", u)
 		}
 	}
-	running := make(map[*unit]bool, len(s.running))
 	members := map[**job.Job]bool{}
 	times := map[*time.Duration]bool{}
 	carries := map[*float64]bool{}
@@ -102,7 +100,6 @@ func checkUnitLifetimes(s *sim) error {
 		if free[u] {
 			return fmt.Errorf("running unit %p is on the free list", u)
 		}
-		running[u] = true
 		if n := len(u.spec.Jobs); n == 0 || len(u.iterTime) != n || len(u.carry) != n {
 			return fmt.Errorf("unit %p has %d members, %d iteration times, %d carries", u, n, len(u.iterTime), len(u.carry))
 		}
@@ -126,23 +123,6 @@ func checkUnitLifetimes(s *sim) error {
 			} else {
 				return fmt.Errorf("unit %p shares carry storage", u)
 			}
-		}
-	}
-	// A heap that is not stale is read as it stands: it must hold exactly
-	// the running set. A stale one is rebuilt from s.running first.
-	if !s.heap.stale {
-		if len(s.heap.units) != len(s.running) {
-			return fmt.Errorf("heap holds %d units, %d running", len(s.heap.units), len(s.running))
-		}
-		for _, u := range s.heap.units {
-			if !running[u] {
-				return fmt.Errorf("heap slot %d holds unit %p, which left the running set (free: %v)", u.heapIdx, u, free[u])
-			}
-		}
-	}
-	for _, u := range s.heap.dirty {
-		if !running[u] {
-			return fmt.Errorf("unit %p queued for a heap fix left the running set", u)
 		}
 	}
 	return nil

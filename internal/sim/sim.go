@@ -132,8 +132,8 @@ type Result struct {
 	Preemptions int
 	// Timeline holds per-job lifecycle events (with RecordTimeline).
 	Timeline []Event
-	// Heap reports the event-driven completion heap's counters; all zero
-	// on fixed-interval runs, which never build the heap.
+	// Heap counts the event-driven clock's completion scans; all zero on
+	// fixed-interval runs, which never scan.
 	Heap metrics.HeapStats
 	// Faults reports failure-plan activity; all zero without a plan.
 	Faults metrics.FaultStats
@@ -185,19 +185,6 @@ type unit struct {
 	// It lives and dies with the attempt: a member that leaves the unit
 	// (completion, preemption, crash, an earlier fault) takes it along.
 	faultAt []time.Duration
-	// estAt memoizes the earliest absolute completion among live members
-	// (-1 when none can complete). It is valid only while estValid holds,
-	// i.e. until the next progress credit, retime, or member change —
-	// any of which must call invalidate(). While the cache is valid the
-	// unit's state is frozen (typically restart overhead still pending),
-	// so the memo is bit-identical to a fresh scan at any query time.
-	estAt    time.Duration
-	estValid bool
-	// heapIdx is the unit's slot in the event-driven completion heap
-	// (meaningful only while the heap holds the unit); dirty marks it as
-	// queued for a heap fix after an estimate invalidation.
-	heapIdx int
-	dirty   bool
 	// slow is the straggler slowdown baked into iterTime (> 1 when the
 	// unit landed on a slow machine of the fault plan); retime reapplies
 	// it after completions shrink the unit. Zero without a fault plan.
@@ -210,39 +197,6 @@ func (u *unit) dropMember(i int) {
 	u.iterTime = slices.Delete(u.iterTime, i, i+1)
 	u.carry = slices.Delete(u.carry, i, i+1)
 	u.faultAt = slices.Delete(u.faultAt, i, i+1)
-}
-
-// invalidate drops the unit's memoized completion estimate. Every
-// mutation of carry, iterTime, readyAt, or membership goes through here.
-func (u *unit) invalidate() { u.estValid = false }
-
-// earliest returns the soonest absolute completion among the unit's live
-// members as of query time now, memoized until the unit next changes.
-// Member order and strict-< selection mirror the historical full rescan,
-// so ties break identically.
-func (u *unit) earliest(now time.Duration) (time.Duration, bool) {
-	if !u.estValid {
-		start := now
-		if u.readyAt > start {
-			start = u.readyAt
-		}
-		u.estAt = -1
-		for i, j := range u.spec.Jobs {
-			if j.State == job.Done || u.iterTime[i] <= 0 {
-				continue
-			}
-			remaining := float64(j.RemainingIterations()) - u.carry[i]
-			if remaining < 0 {
-				remaining = 0
-			}
-			at := start + time.Duration(remaining*float64(u.iterTime[i]))
-			if u.estAt < 0 || at < u.estAt {
-				u.estAt = at
-			}
-		}
-		u.estValid = true
-	}
-	return u.estAt, u.estAt >= 0
 }
 
 // memberIterTimes writes each member's effective iteration time under
@@ -311,9 +265,8 @@ type sim struct {
 	nextSample  time.Duration
 	preemptions int
 	timeline    []Event
-	// heap indexes running units by earliest completion for the
-	// event-driven clock; unused (never built) on fixed-interval runs.
-	heap completionHeap
+	// scans counts the event-driven clock's completion scans.
+	scans metrics.HeapStats
 
 	// Failure-model state; all nil/zero when the plan is nil or empty.
 	plan *faults.Plan
@@ -335,7 +288,7 @@ type sim struct {
 }
 
 // recycle frees a unit that left the running set, keeping its per-member
-// capacity; every caller marks the heap stale, so no slot is read again.
+// capacity.
 func (s *sim) recycle(u *unit) {
 	*u = unit{iterTime: u.iterTime[:0], carry: u.carry[:0], faultAt: u.faultAt[:0]}
 	s.free = append(s.free, u)
@@ -348,8 +301,7 @@ type attempt struct {
 	faultAt time.Duration
 }
 
-// dropEmptyUnits releases the running units whose members all left and
-// marks the heap for a re-index, since the running set changed.
+// dropEmptyUnits releases the running units whose members all left.
 func (s *sim) dropEmptyUnits() {
 	still := s.running[:0]
 	for _, u := range s.running {
@@ -358,21 +310,10 @@ func (s *sim) dropEmptyUnits() {
 			s.recycle(u)
 			continue
 		}
-		s.invalidateUnit(u)
 		still = append(still, u)
 	}
 	clear(s.running[len(still):])
 	s.running = still
-	s.heap.markStale()
-}
-
-// invalidateUnit drops a unit's memoized completion estimate and, on
-// event-driven runs, queues it for a heap fix at the next clock query.
-func (s *sim) invalidateUnit(u *unit) {
-	u.invalidate()
-	if s.cfg.EventDriven {
-		s.heap.noteDirty(u)
-	}
 }
 
 // record appends a timeline event when recording is enabled.
@@ -393,7 +334,7 @@ func Run(cfg Config, tr trace.Trace, policy sched.Policy) Result {
 		Jobs:        s.done,
 		Preemptions: s.preemptions,
 		Timeline:    s.timeline,
-		Heap:        s.heap.snapshot(),
+		Heap:        s.scans,
 		Faults:      s.fstats,
 		Engine:      s.eng.Stats(),
 	}
@@ -665,7 +606,6 @@ func (s *sim) crashMachine(e faults.MachineEvent) {
 	}
 	clear(s.running[len(still):])
 	s.running = still
-	s.heap.markStale()
 	s.cluster.SetDown(e.Machine)
 	// As on the daemon, one loss record naming the machine and listing the
 	// requeued jobs precedes their requeue decisions. The engine forgets
@@ -717,21 +657,29 @@ func (s *sim) failJob(u *unit, i int, at time.Duration) {
 	s.retime(u)
 }
 
-// earliestCompletion predicts the soonest member completion across all
-// running units, for event-driven rescheduling. The completion heap
-// answers in O(1) from its root: a full O(n) heapify happens only when
-// running-set membership changed since the last query, and otherwise
-// only units whose estimates were invalidated are re-positioned
-// (O(log n) each) from their indexed slots. The returned time is
-// bit-identical to a linear scan of unit.earliest over s.running — the
-// heap can permute equal keys but never the minimum value.
+// earliestCompletion predicts the soonest completion among the running
+// units' live members, for event-driven rescheduling: one scan of
+// s.running, counted in s.scans (Rebuilds scans, Peak and Size running
+// units). False when no member can complete.
 func (s *sim) earliestCompletion() (time.Duration, bool) {
-	if s.heap.stale {
-		s.heap.rebuild(s.running, s.now)
-	} else {
-		s.heap.fix(s.now)
+	s.scans.Rebuilds++
+	s.scans.Size = len(s.running)
+	s.scans.Peak = max(s.scans.Peak, len(s.running))
+	var first time.Duration
+	found := false
+	for _, u := range s.running {
+		start := max(s.now, u.readyAt)
+		for i, j := range u.spec.Jobs {
+			if j.State == job.Done || u.iterTime[i] <= 0 {
+				continue
+			}
+			remaining := max(float64(j.RemainingIterations())-u.carry[i], 0)
+			if at := start + time.Duration(remaining*float64(u.iterTime[i])); !found || at < first {
+				first, found = at, true
+			}
+		}
 	}
-	return s.heap.peek()
+	return first, found
 }
 
 // refreshBelief updates one job's scheduler-visible profile from the
@@ -951,11 +899,6 @@ func (s *sim) schedule() {
 		}
 		placed = append(placed, u)
 	}
-	// The heap must re-index when the running set's membership changes:
-	// placed units come off the free list, so none of them is in old.
-	if !slices.Equal(placed, old) {
-		s.heap.markStale()
-	}
 	clear(old)
 	s.running, s.spareRunning = placed, old[:0]
 }
@@ -1056,7 +999,6 @@ func (s *sim) credit(u *unit, from, to time.Duration) {
 	if dt <= 0 {
 		return
 	}
-	s.invalidateUnit(u)
 	for i, j := range u.spec.Jobs {
 		if u.iterTime[i] <= 0 {
 			continue
@@ -1074,7 +1016,6 @@ func (s *sim) credit(u *unit, from, to time.Duration) {
 // retime recomputes member iteration times after a completion shrinks the
 // unit (survivors speed up: fewer members to interleave or contend with).
 func (s *sim) retime(u *unit) {
-	s.invalidateUnit(u)
 	if len(u.spec.Jobs) == 0 {
 		return
 	}
