@@ -59,6 +59,15 @@ var archRules = []archRule{
 		example: `s.eng.MarkDone(id)`,
 	},
 	{
+		name:    "engine-mutation-outside-apply",
+		pattern: `e\.prevKeys\[[^]]*\] *=|delete\(e\.prevKeys|e\.stats\.(Decisions|Launches|Preemptions|Requeues|DeadLettered)\+\+`,
+		scope:   []string{"internal/engine"},
+		except:  []string{"internal/engine/snapshot.go"},
+		reason: "the engine changes its placement memory and decision counters only in internal/engine/snapshot.go: " +
+			"apply (one decision, live at emit and replayed alike), Restore, MarkDone and the shrink re-key",
+		example: `e.prevKeys[j.ID] = key`,
+	},
+	{
 		name:    "fault-ledger-by-hand",
 		pattern: `\.(Crashes|Transient|Requeues|DeadLettered)[[:space:]]*(\+\+|\+=)`,
 		scope:   []string{"internal/sim", "internal/server"},

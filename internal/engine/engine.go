@@ -152,8 +152,9 @@ type Record struct {
 // simulator is single-threaded.
 type Engine struct {
 	cfg Config
-	// prevKeys remembers each running job's unit key from the previous
-	// round; an unchanged key means the job continues without a restart.
+	// prevKeys is the placement memory: each running job's unit key, as
+	// its decisions left it (snapshot.go holds every write); an unchanged
+	// key means the job continues without a restart.
 	prevKeys map[job.ID]string
 	// bypassed counts consecutive rounds a job's unit was skipped for
 	// capacity while a lower-priority unit was admitted.
@@ -318,12 +319,14 @@ func (e *Engine) NoteCompletion(j *job.Job, measured workload.StageTimes, servic
 	return false
 }
 
-// emit stamps and publishes one decision. Every decision also reaches
-// the policy's DecisionSink (when it has one).
+// emit stamps, applies and publishes one decision: the engine's state
+// changes by exactly what replaying the decision changes (apply), before
+// the observer sees it. Every decision also reaches the policy's
+// DecisionSink (when it has one).
 func (e *Engine) emit(d Decision) Decision {
 	e.seq++
 	d.Seq = e.seq
-	e.stats.Decisions++
+	e.apply(d)
 	if e.cfg.Observer != nil {
 		e.cfg.Observer(d)
 	}
@@ -446,32 +449,14 @@ func (e *Engine) SetPhase(id job.ID, to Phase) bool {
 	return true
 }
 
-// markRunning moves a tracked job to running at placement time.
-func (e *Engine) markRunning(id job.ID) {
-	if r := e.records[id]; r != nil && r.Phase.CanTransition(PhaseRunning) {
-		r.Phase = PhaseRunning
-	}
-}
-
-// Requeue records a job pushed back to the queue through no fault of its
-// own (machine crash, evicted executor): the placement memory is
-// forgotten — so the next admission charges a full restart even if the
-// unit reforms identically — but no retry budget is spent. Tracked jobs
-// move running → pending.
-func (e *Engine) Requeue(id job.ID, reason Reason) Decision {
-	return e.RequeueWithCause(id, reason, "")
-}
-
-// RequeueWithCause is Requeue with a provenance annotation supplied by
-// the driver (e.g. the identity of the lost machine). The cause rides
-// the decision only while provenance is enabled.
+// RequeueWithCause records a job pushed back to the queue through no
+// fault of its own (machine crash, evicted executor) as a requeue
+// decision: the placement memory is forgotten — so the next admission
+// charges a full restart even if the unit reforms identically — but no
+// retry budget is spent. Tracked jobs move running → pending. The cause,
+// a provenance annotation supplied by the driver (e.g. the identity of
+// the lost machine), rides the decision only while provenance is enabled.
 func (e *Engine) RequeueWithCause(id job.ID, reason Reason, cause string) Decision {
-	delete(e.prevKeys, id)
-	delete(e.lastWaitCause, id)
-	if r := e.records[id]; r != nil && r.Phase == PhaseRunning {
-		r.Phase = PhasePending
-	}
-	e.stats.Requeues++
 	d := Decision{Action: ActRequeue, Jobs: []job.ID{id}, Reason: reason}
 	if e.cfg.Provenance != nil {
 		d.Cause = cause
@@ -481,27 +466,13 @@ func (e *Engine) RequeueWithCause(id job.ID, reason Reason, cause string) Decisi
 
 // Preempt records a unit the driver killed outside a round (the daemon's
 // injected job fault takes the victim's whole group down) as a kill
-// decision for its key, with the state change replaying that decision
-// makes (ApplyDecision).
+// decision for its key.
 func (e *Engine) Preempt(key string, ids []job.ID, cause string) Decision {
-	e.preempt(ids)
 	d := Decision{Action: ActKill, Key: key, Jobs: ids}
 	if e.cfg.Provenance != nil {
 		d.Cause = cause
 	}
 	return e.emit(d)
-}
-
-// preempt counts one killed unit: its members leave the placement memory
-// and tracked running ones return to pending.
-func (e *Engine) preempt(ids []job.ID) {
-	e.stats.Preemptions++
-	for _, id := range ids {
-		delete(e.prevKeys, id)
-		if r := e.records[id]; r != nil && r.Phase == PhaseRunning {
-			r.Phase = PhasePending
-		}
-	}
 }
 
 // RecordFault records a job-level fault: retry budget is spent and the
@@ -516,11 +487,7 @@ func (e *Engine) RecordFault(id job.ID) (backoff time.Duration, deadlettered boo
 		e.records[id] = r
 	}
 	r.Faults++
-	delete(e.prevKeys, id)
-	delete(e.lastWaitCause, id)
 	if e.cfg.Retry.Exhausted(r.Faults) {
-		r.Phase = PhaseDeadletter
-		e.stats.DeadLettered++
 		d := Decision{Action: ActDeadletter, Jobs: []job.ID{id}}
 		if e.cfg.Provenance != nil {
 			d.Cause = "retry budget exhausted after " + strconv.Itoa(r.Faults) + " faults"
@@ -528,8 +495,6 @@ func (e *Engine) RecordFault(id job.ID) (backoff time.Duration, deadlettered boo
 		e.emit(d)
 		return 0, true
 	}
-	r.Phase = PhasePending
-	e.stats.Requeues++
 	d := Decision{Action: ActRequeue, Jobs: []job.ID{id}, Reason: ReasonFault}
 	if e.cfg.Provenance != nil {
 		budget := "unlimited"
@@ -634,9 +599,10 @@ type Outcome struct {
 
 // Reconcile runs one scheduling round: invoke the policy, order units
 // with anti-starvation, admit into capacity, reconcile preemptions,
-// place, and rebuild the queue and placement memory. The admission and
-// placement path is the simulator's historical loop moved here verbatim,
-// so fixed-seed simulations stay bit-identical.
+// place, emit the round's decisions (which change the placement memory)
+// and rebuild the queue. The admission and placement path is the
+// simulator's historical loop moved here verbatim, so fixed-seed
+// simulations stay bit-identical.
 func (e *Engine) Reconcile(in Input) Outcome {
 	if overlaps(in.PendingInto, in.Pending) || overlaps(in.PendingInto, in.Candidates) {
 		panic("engine: Input.PendingInto shares a backing array with Pending or Candidates")
@@ -785,10 +751,12 @@ func (e *Engine) Reconcile(in Input) Outcome {
 			m.Continues = wasRunning && prev == key
 			p.Members[i] = m
 		}
+		if p.Restart && r.currentKeys[key] {
+			e.rekey(key, spec.Jobs) // a unit that shrank continues: no decision
+		}
 		for _, j := range spec.Jobs {
 			j.State = job.Running
 			j.Sched.Placed = stamp
-			e.markRunning(j.ID)
 		}
 		r.placements = append(r.placements, p)
 	}
@@ -816,7 +784,6 @@ func (e *Engine) Reconcile(in Input) Outcome {
 		killCause = e.preemptorDetail(&out, r.currentKeys)
 	}
 	for _, c := range out.Killed {
-		e.stats.Preemptions++
 		r.decisions = append(r.decisions,
 			e.emit(Decision{Action: ActKill, Key: c.key, Jobs: memberIDs(c.Spec), Cause: killCause}))
 	}
@@ -824,7 +791,6 @@ func (e *Engine) Reconcile(in Input) Outcome {
 		if r.currentKeys[p.Key] {
 			continue
 		}
-		e.stats.Launches++
 		d := Decision{Action: ActLaunch, Key: p.Key, Jobs: memberIDs(p.Spec)}
 		if e.cfg.Provenance != nil {
 			d.Cause = launchDetail(p.Spec)
@@ -833,7 +799,7 @@ func (e *Engine) Reconcile(in Input) Outcome {
 	}
 	out.Decisions = r.decisions
 
-	// Rebuild the pending queue and the placement memory.
+	// Rebuild the pending queue.
 	newPending := slices.Grow(in.PendingInto[:0], max(len(in.Pending), len(in.Candidates)))
 	for _, j := range in.Pending {
 		if j.Sched.Placed != stamp {
@@ -855,13 +821,6 @@ func (e *Engine) Reconcile(in Input) Outcome {
 		r.requeued = sortBySubmit(newPending, kept, r.requeued)
 	}
 	out.Pending = newPending
-	clear(e.prevKeys)
-	for _, c := range out.Kept {
-		e.remember(c.key, c.Spec.Jobs)
-	}
-	for _, p := range out.Placements {
-		e.remember(p.Key, p.Spec.Jobs)
-	}
 
 	depth := 0
 	for _, j := range in.Candidates {
@@ -913,15 +872,6 @@ func overlaps(a, b []*job.Job) bool {
 	const size = unsafe.Sizeof((*job.Job)(nil))
 	pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
 	return cap(a) > 0 && cap(b) > 0 && pa < pb+uintptr(cap(b))*size && pb < pa+uintptr(cap(a))*size
-}
-
-// remember records a running unit's members in the placement memory.
-func (e *Engine) remember(key string, jobs []*job.Job) {
-	for _, j := range jobs {
-		e.prevKeys[j.ID] = key
-		delete(e.bypassed, j.ID)      // running resets starvation credit
-		delete(e.lastWaitCause, j.ID) // next wait re-classifies from scratch
-	}
 }
 
 // boostStarving applies anti-starvation to the planner's order: units

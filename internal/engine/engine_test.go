@@ -362,7 +362,7 @@ func TestRequeueDecisionString(t *testing.T) {
 	})
 	e.Track(4, engine.PhasePending)
 	e.SetPhase(4, engine.PhaseRunning)
-	d := e.Requeue(4, engine.ReasonMachineLost)
+	d := e.RequeueWithCause(4, engine.ReasonMachineLost, "")
 	if d.String() != "requeue 4 (machine-lost)" {
 		t.Errorf("decision = %q, want %q", d.String(), "requeue 4 (machine-lost)")
 	}

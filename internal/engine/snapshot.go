@@ -100,29 +100,39 @@ func (e *Engine) Restore(s Snapshot) {
 
 // ApplyDecision replays one logged decision into the engine's state
 // silently: no observer, no sink, no trace, no new sequence number —
-// the decision already happened; replay only reproduces its effects.
-// The rules mirror what emit-time code did around each decision:
+// the decision already happened; replay only reproduces its effects,
+// through the same apply the live engine ran when it emitted it.
 //
-//   - launch: members enter the placement memory under the unit key,
-//     phases move to running, starvation credit resets.
-//   - kill: members leave the placement memory, running phases return to
-//     pending. (The live path rebuilds prevKeys wholesale each round;
-//     deleting the killed keys is the equivalent incremental form,
-//     because every kept or placed unit re-inserts its own members.)
-//   - requeue: placement memory forgotten, running → pending.
-//   - deadletter: placement memory forgotten, phase parked.
-//
-// Fault-budget spend and counter increments are NOT derived from the
-// decision kind alone — requeue is ambiguous between the free
-// (machine-lost) and budget-spending (fault) paths — so replay drives
-// them from the richer WAL fault records via ReplayFault. Stats
-// counters (requeues, preemptions, launches, deadletters, decisions)
-// are restored from the snapshot and advanced here to match the
-// emit-time increments exactly.
+// Fault-budget spend is NOT derived from the decision kind alone —
+// requeue is ambiguous between the free (machine-lost) and
+// budget-spending (fault) paths — so replay drives it from the richer
+// WAL fault records via ReplayFault.
 func (e *Engine) ApplyDecision(d Decision) {
 	if d.Seq > e.seq {
 		e.seq = d.Seq
 	}
+	e.apply(d)
+}
+
+// apply changes the engine's state by one decision, live (emit) and
+// replayed (ApplyDecision) alike:
+//
+//   - launch: members enter the placement memory under the unit key,
+//     tracked phases move to running, starvation credit and the
+//     wait-cause gate reset.
+//   - kill: members leave the placement memory, running phases return to
+//     pending.
+//   - requeue: placement memory and wait cause forgotten; running phases
+//     return to pending, and a fault requeue moves a tracked job to
+//     pending from any phase (its group may have been killed moments
+//     before).
+//   - deadletter: placement memory and wait cause forgotten, phase
+//     parked.
+//
+// Each kind also advances its counter and the decision count. The only
+// other writes to the placement memory are Restore, rekey and MarkDone,
+// all in this file.
+func (e *Engine) apply(d Decision) {
 	e.stats.Decisions++
 	switch d.Action {
 	case ActLaunch:
@@ -131,16 +141,24 @@ func (e *Engine) ApplyDecision(d Decision) {
 			e.prevKeys[id] = d.Key
 			delete(e.bypassed, id)
 			delete(e.lastWaitCause, id)
-			e.markRunning(id)
+			if r := e.records[id]; r != nil && r.Phase.CanTransition(PhaseRunning) {
+				r.Phase = PhaseRunning
+			}
 		}
 	case ActKill:
-		e.preempt(d.Jobs)
+		e.stats.Preemptions++
+		for _, id := range d.Jobs {
+			delete(e.prevKeys, id)
+			if r := e.records[id]; r != nil && r.Phase == PhaseRunning {
+				r.Phase = PhasePending
+			}
+		}
 	case ActRequeue:
 		e.stats.Requeues++
 		for _, id := range d.Jobs {
 			delete(e.prevKeys, id)
 			delete(e.lastWaitCause, id)
-			if r := e.records[id]; r != nil && r.Phase == PhaseRunning {
+			if r := e.records[id]; r != nil && (r.Phase == PhaseRunning || d.Reason == ReasonFault) {
 				r.Phase = PhasePending
 			}
 		}
@@ -155,6 +173,18 @@ func (e *Engine) ApplyDecision(d Decision) {
 				r.Phase = PhaseDeadletter
 			}
 		}
+	}
+}
+
+// rekey moves a continuing unit's members to its key. It is the one
+// change to the placement memory without a decision: a completion (or a
+// member's fault) shrank the unit, and the survivors, re-planned as that
+// same shrunk unit, continue under its key with no launch. They were
+// classified Restart against the pre-shrink key first (DESIGN.md §15,
+// silent restarts).
+func (e *Engine) rekey(key string, jobs []*job.Job) {
+	for _, j := range jobs {
+		e.prevKeys[j.ID] = key
 	}
 }
 
@@ -175,17 +205,15 @@ func (e *Engine) ReplayFault(id job.ID, faults int) {
 }
 
 // MarkDone completes a job's lifecycle (running/pending/deadletter →
-// done) and clears its placement memory, reporting whether the
-// transition applied. The daemon's one completion path — live and
-// replayed alike — ends here.
+// done), reporting whether the transition applied, and forgets its
+// placement memory either way: untracked jobs (the simulator's) finish
+// here too. Both drivers' completion paths — the daemon's live and
+// replayed alike — end here.
 func (e *Engine) MarkDone(id job.ID) bool {
-	if !e.SetPhase(id, PhaseDone) {
-		return false
-	}
 	delete(e.prevKeys, id)
 	delete(e.bypassed, id)
 	delete(e.lastWaitCause, id)
-	return true
+	return e.SetPhase(id, PhaseDone)
 }
 
 // RunningKeys returns the placement memory as a sorted job → key list,

@@ -4,9 +4,10 @@
 // record and hands it to commitLocked; restart recovery and standby
 // promotion run the same applyLocked over the log (restoreLocked). What a
 // handler does besides — RPC sends, histograms, logs, kicks, executor and
-// group bookkeeping — is soft state replay must not repeat. `make
-// lint-sort` keeps the engine's state-changing entry points out of every
-// other file of this package, so a second interpreter cannot grow back.
+// group bookkeeping — is soft state replay must not repeat.
+// TestArchitectureRules keeps the engine's state-changing entry points out
+// of every other file of this package, so a second interpreter cannot
+// grow back.
 package server
 
 import (
@@ -124,11 +125,12 @@ func (s *Server) applyAdmitLocked(a *wal.AdmitRecord) {
 
 // applyDecisionLocked applies one engine decision. Its daemon half: a
 // requeued or dead-lettered job loses its group binding, and a
-// dead-lettered one leaves the live index. The engine half is the one place
-// live and replay part ways — live, the engine changed its own state before
-// the observer handed the decision over, and a kill's members were
-// preempted at the Kill callback, before placement could re-bind them — so
-// only replay runs either.
+// dead-lettered one leaves the live index. The engine half runs only on
+// replay, and is the same change either way: live, the engine applied
+// the decision itself when it emitted it (ApplyDecision and emit share
+// one apply), before the observer handed it over; and a kill's members
+// were preempted at the Kill callback, before placement could re-bind
+// them.
 func (s *Server) applyDecisionLocked(d *wal.DecisionRecord) {
 	if s.replaying {
 		if d.Action == string(engine.ActKill) {

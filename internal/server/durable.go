@@ -330,11 +330,12 @@ func (s *Server) fenceLocked(term uint64) {
 }
 
 // freezeForAdoptionLocked gates scheduling while recovered running jobs
-// await their executors. Running a round with orphans missing from
-// Current would wipe their placement memory (Reconcile rebuilds it from
-// kept+placed units) and diverge the decision stream, so the scheduler
-// holds rounds until every orphan is adopted or the grace expires —
-// then the machines are treated as lost and the orphans requeue.
+// await their executors. A round with orphans missing from Current would
+// see them as running candidates with no unit behind them, and a
+// preemptive policy re-places them as new units: a second launch of a
+// group its executor may still run. So the scheduler holds rounds until
+// every orphan is adopted or the grace expires — then the machines are
+// treated as lost and the orphans requeue.
 // Returns true when the round must be skipped. Callers hold s.mu.
 func (s *Server) freezeForAdoptionLocked(wallNow time.Time) bool {
 	if s.w == nil || s.adoptUntil.IsZero() {

@@ -232,16 +232,6 @@ func maskUnlogged(sn *wal.Snapshot) {
 	// wait-cause gate.
 	e := &sn.Engine
 	e.Stats.Rounds, e.Stats.QueueDepth, e.LastNow, e.Bypassed, e.WaitCauses = 0, 0, 0, nil, nil
-	// Placement memory is compared for running jobs: a round re-remembers
-	// every member a kept unit was launched with, finished ones included.
-	for id := range e.PrevKeys {
-		if e.Records[id].Phase != string(engine.PhaseRunning) {
-			delete(e.PrevKeys, id)
-		}
-	}
-	if len(e.PrevKeys) == 0 {
-		e.PrevKeys = nil
-	}
 }
 
 // checkReplay is the live ≡ replay oracle: recover a copy of the state dir

@@ -965,6 +965,7 @@ func (s *sim) advanceUnit(u *unit, from, to time.Duration) {
 		j.State = job.Done
 		j.FinishedAt = firstAt
 		s.done = append(s.done, j)
+		s.eng.MarkDone(j.ID) // as the daemon's: the engine forgets its placement
 		if s.cfg.RecordTimeline {
 			s.timeline = append(s.timeline, Event{Time: firstAt, Kind: "finish", Job: j.ID})
 		}
