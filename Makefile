@@ -69,7 +69,9 @@ bench-sched-scale:
 bench-ingest:
 	$(GO) run ./cmd/loadgen -selfhost -transport both -rate 120000 -duration 30s -json
 
-# Full evaluation benchmark sweep (regenerates every table/figure once).
+# Full evaluation benchmark sweep: BenchmarkPaper regenerates every
+# ledger table (experiments.Paper) once at Quick scale, reporting each
+# claim's measured range, alongside the design-ablation benchmarks.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 

@@ -1,10 +1,10 @@
-// Benchmarks that regenerate every table and figure of the paper's
-// evaluation (§6). Each benchmark runs the corresponding experiment at
-// reduced scale (truncated traces, same 64-GPU cluster) and reports the
-// headline numbers as custom metrics, so `go test -bench=.` both times
-// the harness and reproduces the paper's shape:
+// Benchmarks for the paper's evaluation (§6) and this reproduction's
+// design choices. BenchmarkPaper runs every ledger experiment at reduced
+// scale (truncated traces, same 64-GPU cluster) and reports each claim's
+// measured range as custom metrics, so `go test -bench=.` both times the
+// harness and reproduces the paper's shape:
 //
-//	go test -bench=Table4 -benchtime=1x
+//	go test -bench=Paper/table4 -benchtime=1x
 //	go test -bench=. -benchmem          # everything
 //
 // Paper-scale runs go through cmd/murisim instead.
@@ -28,207 +28,25 @@ import (
 	"muri/internal/workload"
 )
 
-// benchOpts returns reduced-scale experiment options: four truncated
-// traces on the full 8×8 cluster. Small enough that a full figure sweep
-// stays in seconds, large enough to preserve the contention the paper's
-// results depend on.
-func benchOpts() experiments.Options {
-	cfgs := trace.PhillyConfigs(64)
-	var traces []trace.Trace
-	for i := range cfgs {
-		cfgs[i].Jobs = 250
-		traces = append(traces, trace.Generate(cfgs[i]))
+// BenchmarkPaper regenerates every table and figure of the reproduction
+// ledger (experiments.Paper), one sub-benchmark each, at Quick scale, and
+// reports each paper claim's measured range as two custom metrics,
+// <claim>-min and <claim>-max. The paper's own ranges and the verdicts
+// at full scale live in REPRO.json.
+func BenchmarkPaper(b *testing.B) {
+	opt := experiments.Quick()
+	for _, e := range experiments.Paper {
+		b.Run(e.Name, func(b *testing.B) {
+			var tbl experiments.Table
+			for i := 0; i < b.N; i++ {
+				tbl = e.Run(opt)
+			}
+			for _, c := range tbl.Claims {
+				b.ReportMetric(c.Measured[0], c.ID+"-min")
+				b.ReportMetric(c.Measured[1], c.ID+"-max")
+			}
+		})
 	}
-	return experiments.Options{Machines: 8, GPUsPerMachine: 8, Traces: traces}
-}
-
-// speedup reports baseline/muri as a bench metric.
-func speedup(results []experiments.PolicyResult, baseline, ref string) float64 {
-	var b, r metrics.Summary
-	for _, x := range results {
-		switch x.Policy {
-		case baseline:
-			b = x.Summary
-		case ref:
-			r = x.Summary
-		}
-	}
-	return metrics.Speedup(b.AvgJCT, r.AvgJCT)
-}
-
-// BenchmarkTable1StageBreakdown regenerates Table 1 (stage-duration
-// percentages per model).
-func BenchmarkTable1StageBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.Table1()
-		if len(tbl.Rows) != 4 {
-			b.Fatal("table 1 incomplete")
-		}
-	}
-}
-
-// BenchmarkTable2InterleaveThroughput regenerates Table 2 (4-job
-// interleaving) and reports the total normalized throughput (paper: 2.00).
-func BenchmarkTable2InterleaveThroughput(b *testing.B) {
-	var total float64
-	for i := 0; i < b.N; i++ {
-		total = experiments.Table2().Total
-	}
-	b.ReportMetric(total, "total-norm-tput")
-}
-
-// BenchmarkTable4TestbedKnown regenerates Table 4 (testbed, known
-// durations) and reports Muri-S's JCT speedups (paper: 2.12× over SRTF,
-// 2.03× over SRSF).
-func BenchmarkTable4TestbedKnown(b *testing.B) {
-	opt := benchOpts()
-	var results []experiments.PolicyResult
-	for i := 0; i < b.N; i++ {
-		results, _ = opt.Table4()
-	}
-	b.ReportMetric(speedup(results, "srtf", "muri-s"), "jct-speedup-vs-srtf")
-	b.ReportMetric(speedup(results, "srsf", "muri-s"), "jct-speedup-vs-srsf")
-}
-
-// BenchmarkTable5TestbedUnknown regenerates Table 5 (testbed, unknown
-// durations) and reports Muri-L's JCT speedups (paper: 2.59× over
-// Tiresias, 3.56× over Themis).
-func BenchmarkTable5TestbedUnknown(b *testing.B) {
-	opt := benchOpts()
-	var results []experiments.PolicyResult
-	for i := 0; i < b.N; i++ {
-		results, _ = opt.Table5()
-	}
-	b.ReportMetric(speedup(results, "tiresias", "muri-l"), "jct-speedup-vs-tiresias")
-	b.ReportMetric(speedup(results, "themis", "muri-l"), "jct-speedup-vs-themis")
-}
-
-// BenchmarkFigure8DetailedMetrics regenerates the Figure 8 time series
-// and reports Muri-S's mean queue length against SRSF's (the paper shows
-// Muri draining the queue much faster).
-func BenchmarkFigure8DetailedMetrics(b *testing.B) {
-	opt := benchOpts()
-	var results []experiments.PolicyResult
-	for i := 0; i < b.N; i++ {
-		results, _ = opt.Figure8()
-	}
-	for _, r := range results {
-		switch r.Policy {
-		case "srsf":
-			b.ReportMetric(r.Series.MeanQueueLen(), "srsf-mean-queue")
-		case "muri-s":
-			b.ReportMetric(r.Series.MeanQueueLen(), "muri-s-mean-queue")
-			b.ReportMetric(r.Series.MeanUtil(workload.GPU), "muri-s-gpu-util")
-		}
-	}
-}
-
-// BenchmarkFigure9SimKnown regenerates Figure 9 (traces 1–4 and 1'–4',
-// known durations) and reports the mean JCT speedup of Muri-S over SRTF
-// across all eight traces (paper range: 1.13–2.26×).
-func BenchmarkFigure9SimKnown(b *testing.B) {
-	opt := benchOpts()
-	var results []experiments.PolicyResult
-	for i := 0; i < b.N; i++ {
-		results, _ = opt.Figure9()
-	}
-	b.ReportMetric(meanSpeedupByTrace(results, "srtf", "muri-s"), "mean-jct-speedup-vs-srtf")
-	b.ReportMetric(meanSpeedupByTrace(results, "srsf", "muri-s"), "mean-jct-speedup-vs-srsf")
-}
-
-// BenchmarkFigure10SimUnknown regenerates Figure 10 (unknown durations,
-// AntMan included; paper JCT range 1.53–6.15×).
-func BenchmarkFigure10SimUnknown(b *testing.B) {
-	opt := benchOpts()
-	var results []experiments.PolicyResult
-	for i := 0; i < b.N; i++ {
-		results, _ = opt.Figure10()
-	}
-	b.ReportMetric(meanSpeedupByTrace(results, "tiresias", "muri-l"), "mean-jct-speedup-vs-tiresias")
-	b.ReportMetric(meanSpeedupByTrace(results, "antman", "muri-l"), "mean-jct-speedup-vs-antman")
-}
-
-// meanSpeedupByTrace averages baseline/ref JCT ratios per trace.
-func meanSpeedupByTrace(results []experiments.PolicyResult, baseline, ref string) float64 {
-	type pair struct{ b, r metrics.Summary }
-	byTrace := make(map[string]*pair)
-	for _, x := range results {
-		p := byTrace[x.Trace]
-		if p == nil {
-			p = &pair{}
-			byTrace[x.Trace] = p
-		}
-		switch x.Policy {
-		case baseline:
-			p.b = x.Summary
-		case ref:
-			p.r = x.Summary
-		}
-	}
-	sum, n := 0.0, 0
-	for _, p := range byTrace {
-		if p.b.Jobs > 0 && p.r.Jobs > 0 {
-			sum += metrics.Speedup(p.b.AvgJCT, p.r.AvgJCT)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// BenchmarkFigure11AblationOrderingBlossom regenerates Figure 11 (worst
-// ordering and no-Blossom ablations; the paper reports ≤14% JCT and ≤6%
-// makespan inflation for no-Blossom).
-func BenchmarkFigure11AblationOrderingBlossom(b *testing.B) {
-	opt := benchOpts()
-	var results []experiments.PolicyResult
-	for i := 0; i < b.N; i++ {
-		results, _ = opt.Figure11()
-	}
-	b.ReportMetric(meanSpeedupByTrace(results, "muri-l-worst-order", "muri-l"), "jct-vs-worst-order")
-	b.ReportMetric(meanSpeedupByTrace(results, "muri-l-no-blossom", "muri-l"), "jct-vs-no-blossom")
-}
-
-// BenchmarkFigure12GroupSize regenerates Figure 12 (group-size cap 2–4
-// against AntMan on zero-submit traces).
-func BenchmarkFigure12GroupSize(b *testing.B) {
-	opt := benchOpts()
-	var results []experiments.PolicyResult
-	for i := 0; i < b.N; i++ {
-		results, _ = opt.Figure12()
-	}
-	for _, cap := range []string{"muri-l-2", "muri-l-3", "muri-l-4"} {
-		b.ReportMetric(meanSpeedupByTrace(results, "antman", cap), "jct-speedup-"+cap)
-	}
-}
-
-// BenchmarkFigure13WorkloadMix regenerates Figure 13 (speedup versus the
-// number of bottleneck job types; paper: 1→2.26× over SRTF, 1→3.92× over
-// Tiresias as types go 1→4).
-func BenchmarkFigure13WorkloadMix(b *testing.B) {
-	opt := benchOpts()
-	opt.MaxJobs = 250
-	var results []experiments.Figure13Result
-	for i := 0; i < b.N; i++ {
-		results, _ = opt.Figure13()
-	}
-	b.ReportMetric(results[0].SpeedupKnown, "speedup-1type")
-	b.ReportMetric(results[3].SpeedupKnown, "speedup-4types")
-}
-
-// BenchmarkFigure14ProfilingNoise regenerates Figure 14 (profiling noise
-// 0→1; paper: normalized JCT grows to ~1.3×, makespan stays ~1×).
-func BenchmarkFigure14ProfilingNoise(b *testing.B) {
-	opt := benchOpts()
-	opt.MaxJobs = 250
-	var results []experiments.Figure14Result
-	for i := 0; i < b.N; i++ {
-		results, _ = opt.Figure14()
-	}
-	b.ReportMetric(results[len(results)-1].NormJCT, "norm-jct-at-noise-1")
-	b.ReportMetric(results[len(results)-1].NormMakespan, "norm-makespan-at-noise-1")
 }
 
 // BenchmarkBlossomScalability validates the paper's §5 scalability claim:

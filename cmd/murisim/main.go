@@ -3,14 +3,21 @@
 //
 // Usage:
 //
-//	murisim -experiment all                 # everything, paper scale
+//	murisim -experiment all -o REPRO.json   # the paper ledger, paper scale
 //	murisim -experiment table4 -quick       # one experiment, reduced scale
 //	murisim -experiment figure9 -maxjobs 500
 //	murisim -experiment figure10 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// Experiments: table1, table2, table4, table5, figure8, figure9,
-// figure10, figure11, figure12, figure13, figure14, fidelity, scale,
-// faults, prediction, all.
+// Experiments: the ledger list experiments.Paper — table1, table2,
+// table4, table5, figure8 … figure14, faults, prediction — which `all`
+// (the default) runs in that order; and scale and fidelity, which
+// measure wall-clock time rather than paper claims and run only when
+// named. Each table prints with its claims: the paper's range beside
+// the measured one, and the verdict derived from the two.
+//
+// -o writes the JSON of the tables run (cells and claims, no wall-clock
+// field). The simulator is deterministic, so `-experiment all -o F`
+// reproduces the committed REPRO.json byte for byte; CI diffs the two.
 //
 // The scale experiment replays the 2,000- and 5,755-job Philly traces
 // end-to-end (event-driven Muri-L), sweeps the sharded incremental
@@ -61,6 +68,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -75,7 +83,8 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "which table/figure to regenerate")
+		experiment = flag.String("experiment", "all", "which table/figure to regenerate (all = the paper ledger)")
+		out        = flag.String("o", "", "write the JSON of the tables run to this file (the ledger format of REPRO.json)")
 		quick      = flag.Bool("quick", false, "reduced scale for a fast smoke run")
 		machines   = flag.Int("machines", 8, "number of machines in the simulated cluster")
 		gpus       = flag.Int("gpus", 8, "GPUs per machine")
@@ -104,8 +113,7 @@ func main() {
 
 	if *traceOut != "" || *timelineOut != "" || *explainRun || *explainJob > 0 {
 		if err := runSingle(*machines, *gpus, *maxJobs, *policy, *traceOut, *timelineOut, shardList, *explainRun || *explainJob > 0, *explainJob); err != nil {
-			fmt.Fprintf(os.Stderr, "murisim: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		return
 	}
@@ -113,13 +121,11 @@ func main() {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "murisim: cpuprofile: %v\n", err)
-			os.Exit(1)
+			fatal(fmt.Errorf("cpuprofile: %w", err))
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "murisim: cpuprofile: %v\n", err)
-			os.Exit(1)
+			fatal(fmt.Errorf("cpuprofile: %w", err))
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -127,14 +133,12 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "murisim: memprofile: %v\n", err)
-				os.Exit(1)
+				fatal(fmt.Errorf("memprofile: %w", err))
 			}
 			defer f.Close()
 			runtime.GC() // up-to-date allocation statistics
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "murisim: memprofile: %v\n", err)
-				os.Exit(1)
+				fatal(fmt.Errorf("memprofile: %w", err))
 			}
 		}()
 	}
@@ -151,69 +155,72 @@ func main() {
 	opt.Shards = shardList
 	opt.Scale50k = *scale50k
 
-	type runner struct {
-		name string
-		run  func() experiments.Table
-	}
-	runners := []runner{
-		{"table1", func() experiments.Table { return experiments.Table1() }},
-		{"table2", func() experiments.Table { return experiments.Table2().Table }},
-		{"table4", func() experiments.Table { _, t := opt.Table4(); return t }},
-		{"table5", func() experiments.Table { _, t := opt.Table5(); return t }},
-		{"figure8", func() experiments.Table {
-			results, t := opt.Figure8()
-			if *seriesDir != "" {
-				for _, r := range results {
-					path := filepath.Join(*seriesDir, "figure8-"+r.Policy+".csv")
-					f, err := os.Create(path)
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "murisim: %v\n", err)
-						os.Exit(1)
-					}
-					if err := experiments.WriteSeriesCSV(f, r); err != nil {
-						fmt.Fprintf(os.Stderr, "murisim: %v\n", err)
-						os.Exit(1)
-					}
-					f.Close()
-					fmt.Fprintf(os.Stderr, "murisim: wrote %s\n", path)
-				}
-			}
-			return t
-		}},
-		{"figure9", func() experiments.Table { _, t := opt.Figure9(); return t }},
-		{"figure10", func() experiments.Table { _, t := opt.Figure10(); return t }},
-		{"figure11", func() experiments.Table { _, t := opt.Figure11(); return t }},
-		{"figure12", func() experiments.Table { _, t := opt.Figure12(); return t }},
-		{"figure13", func() experiments.Table { _, t := opt.Figure13(); return t }},
-		{"figure14", func() experiments.Table { _, t := opt.Figure14(); return t }},
-		{"scale", func() experiments.Table { _, t := opt.Scale(); return t }},
-		{"faults", func() experiments.Table { _, t := opt.Faults(); return t }},
-		{"prediction", func() experiments.Table { _, t := opt.Prediction(); return t }},
-		{"fidelity", func() experiments.Table {
-			res, err := experiments.RunFidelity(experiments.DefaultFidelityConfig())
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "murisim: fidelity: %v\n", err)
-				os.Exit(1)
-			}
-			return experiments.FidelityTable(res)
-		}},
-	}
-
-	ran := false
-	for _, r := range runners {
-		if *experiment != "all" && *experiment != r.name {
+	named := append(slices.Clip(experiments.Paper),
+		experiments.Experiment{Name: "scale", Run: experiments.Options.Scale},
+		experiments.Experiment{Name: "fidelity", Run: fidelity})
+	var ledger []experiments.Entry
+	for i, e := range named {
+		if e.Name != *experiment && (*experiment != "all" || i >= len(experiments.Paper)) {
 			continue
 		}
-		ran = true
 		start := time.Now()
-		tbl := r.run()
+		var tbl experiments.Table
+		if e.Name == "figure8" && *seriesDir != "" {
+			var results []experiments.PolicyResult
+			results, tbl = opt.Figure8()
+			writeSeries(*seriesDir, results)
+		} else {
+			tbl = e.Run(opt)
+		}
 		fmt.Println(tbl.String())
-		fmt.Printf("(%s completed in %v)\n\n", r.name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(%s completed in %v)\n\n", e.Name, time.Since(start).Round(time.Millisecond))
+		ledger = append(ledger, experiments.Entry{Experiment: e.Name, Table: tbl})
 	}
-	if !ran {
+	if len(ledger) == 0 {
 		fmt.Fprintf(os.Stderr, "murisim: unknown experiment %q\n", *experiment)
 		flag.Usage()
 		os.Exit(2)
+	}
+	if *out != "" {
+		b, err := json.MarshalIndent(ledger, "", "  ")
+		if err == nil {
+			err = os.WriteFile(*out, append(b, '\n'), 0o644)
+		}
+		if err != nil {
+			fatal(err)
+		}
+	}
+}
+
+// fatal reports err and exits with status 1.
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "murisim: %v\n", err)
+	os.Exit(1)
+}
+
+// fidelity runs the simulator-vs-prototype comparison (wall-clock, so
+// not a ledger experiment).
+func fidelity(experiments.Options) experiments.Table {
+	res, err := experiments.RunFidelity(experiments.DefaultFidelityConfig())
+	if err != nil {
+		fatal(fmt.Errorf("fidelity: %w", err))
+	}
+	return experiments.FidelityTable(res)
+}
+
+// writeSeries dumps each Figure 8 policy's time series as CSV into dir.
+func writeSeries(dir string, results []experiments.PolicyResult) {
+	for _, r := range results {
+		path := filepath.Join(dir, "figure8-"+r.Policy+".csv")
+		f, err := os.Create(path)
+		if err != nil {
+			fatal(err)
+		}
+		if err := experiments.WriteSeriesCSV(f, r); err != nil {
+			fatal(err)
+		}
+		f.Close()
+		fmt.Fprintf(os.Stderr, "murisim: wrote %s\n", path)
 	}
 }
 

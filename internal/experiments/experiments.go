@@ -1,9 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§2 Table 1–2, §6 Tables 4–5, Figures 8–14). Each function
-// runs the corresponding workload through the simulator and returns both
-// structured results and a formatted table whose rows mirror what the
-// paper reports. cmd/murisim and the top-level benchmarks are thin
-// wrappers around this package.
+// runs the corresponding workload through the simulator and returns one
+// Table: rows that mirror what the paper reports, plus the Claims that
+// set the paper's numbers beside the measured ones. Paper lists the
+// experiments of the reproduction ledger (REPRO.json); cmd/murisim and
+// the top-level benchmarks are thin wrappers around this package.
 package experiments
 
 import (
@@ -15,6 +16,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"text/tabwriter"
 	"time"
 
 	"muri/internal/blossom"
@@ -94,41 +96,30 @@ func (o Options) traces() []trace.Trace {
 	return out
 }
 
-// Table is a generic formatted result: a header plus rows of cells.
+// Table is a generic formatted result: a header plus rows of cells, and
+// the paper claims the run measured.
 type Table struct {
-	Title  string
-	Header []string
-	Rows   [][]string
+	Title  string     `json:"title"`
+	Header []string   `json:"header"`
+	Rows   [][]string `json:"rows"`
+	Claims []Claim    `json:"claims,omitempty"`
 }
 
-// String renders the table with aligned columns.
+// String renders the table with aligned columns, then its claims.
 func (t Table) String() string {
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", t.Title)
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
+	tw := tabwriter.NewWriter(&b, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, t.Title)
+	for _, row := range append([][]string{t.Header}, t.Rows...) {
+		fmt.Fprintln(tw, strings.Join(row, "\t"))
 	}
-	writeRow(t.Header)
-	for _, row := range t.Rows {
-		writeRow(row)
+	if len(t.Claims) > 0 {
+		fmt.Fprintln(tw, "claims (paper vs measured):")
 	}
+	for _, c := range t.Claims {
+		fmt.Fprintf(tw, "  %s\tpaper %v\tmeasured %v\t%s\n", c.ID, c.Paper, c.Measured, c.Verdict)
+	}
+	tw.Flush()
 	return b.String()
 }
 
@@ -136,43 +127,35 @@ func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 
 // Table1 reproduces the stage-duration percentages of Table 1 for the
 // four exemplar models (computed from the model zoo profiles rather than
-// a PyTorch profiler — see DESIGN.md).
+// a PyTorch profiler — see DESIGN.md). The paper's profiler rows need not
+// sum to 100% (overlap, idle), so each claim renormalizes the paper's
+// bottleneck share onto the four serial stages.
 func Table1() Table {
 	t := Table{
 		Title:  "Table 1: stage duration percentage per iteration",
 		Header: []string{"model", "load data", "preprocess", "propagate", "synchronize", "bottleneck"},
 	}
+	paper := map[string][4]float64{"shufflenet": {60, 18, 6, 2}, "vgg19": {24, 4, 26, 41}, "gpt2": {0.06, 0.03, 85, 28}, "a2c": {0, 91, 3, 0.2}}
 	for _, name := range []string{"shufflenet", "vgg19", "gpt2", "a2c"} {
 		m, err := workload.ByName(name)
 		if err != nil {
 			panic(err)
 		}
-		fr := m.Stages.Fractions()
-		t.Rows = append(t.Rows, []string{
-			m.Name,
-			fmt.Sprintf("%.1f%%", 100*fr[workload.Storage]),
-			fmt.Sprintf("%.1f%%", 100*fr[workload.CPU]),
-			fmt.Sprintf("%.1f%%", 100*fr[workload.GPU]),
-			fmt.Sprintf("%.1f%%", 100*fr[workload.Network]),
-			m.Bottleneck().String(),
-		})
+		row, fr, b, p := []string{m.Name}, m.Stages.Fractions(), m.Bottleneck(), paper[name]
+		for _, f := range fr {
+			row = append(row, fmt.Sprintf("%.1f%%", 100*f))
+		}
+		t.Rows = append(t.Rows, append(row, b.String()))
+		t.Claims = append(t.Claims, claim("table1."+name, about(100*p[b]/(p[0]+p[1]+p[2]+p[3])), 100*fr[b]))
 	}
 	return t
 }
 
-// Table2Result carries the 4-job interleaving demonstration of Table 2.
-type Table2Result struct {
-	Models     []string
-	Normalized []float64
-	Total      float64
-	Table      Table
-}
-
 // Table2 interleaves ShuffleNet, A2C, GPT-2 and VGG16 on one resource set
-// and reports each job's normalized throughput plus the total (the paper
-// measures ≈2.0× on its testbed).
-func Table2() Table2Result {
-	names := []string{"shufflenet", "a2c", "gpt2", "vgg16"}
+// and reports each job's normalized throughput plus the total, against
+// the paper's per-job values and its total of 2.00.
+func Table2() Table {
+	names, paper := []string{"shufflenet", "a2c", "gpt2", "vgg16"}, []float64{0.86, 0.48, 0.41, 0.25}
 	var times []workload.StageTimes
 	for _, n := range names {
 		m, err := workload.ByName(n)
@@ -189,17 +172,17 @@ func Table2() Table2Result {
 		Header: []string{"model", "bottleneck", "norm. tput"},
 	}
 	for i, n := range names {
-		m, _ := workload.ByName(n)
 		total += norm[i]
-		t.Rows = append(t.Rows, []string{n, m.Bottleneck().String(), f2(norm[i])})
+		t.Rows = append(t.Rows, []string{n, times[i].Bottleneck().String(), f2(norm[i])})
+		t.Claims = append(t.Claims, claim("table2."+n, about(paper[i]), norm[i]))
 	}
 	t.Rows = append(t.Rows, []string{"total", "", f2(total)})
-	return Table2Result{Models: names, Normalized: norm, Total: total, Table: t}
+	t.Claims = append(t.Claims, claim("table2.total", about(2.00), total))
+	return t
 }
 
 // PolicyResult is one policy's summary on one trace.
 type PolicyResult struct {
-	Trace   string
 	Policy  string
 	Summary metrics.Summary
 	Series  metrics.Series
@@ -251,11 +234,26 @@ func (o Options) runPolicies(tr trace.Trace, sample time.Duration, policies ...s
 			cfg := o.simConfig()
 			cfg.SampleEvery = sample
 			res := sim.Run(cfg, tr, p)
-			out[i] = PolicyResult{Trace: tr.Name, Policy: p.Name(), Summary: res.Summary, Series: res.Series}
+			out[i] = PolicyResult{Policy: p.Name(), Summary: res.Summary, Series: res.Series}
 		}(i, p)
 	}
 	wg.Wait()
 	return out
+}
+
+// sweep runs the policies on every trace, the traces over the bounded
+// forEach pool (each fanning out further per policy). Results land in
+// index-distinct slots, keeping table order deterministic.
+func (o Options) sweep(traces []trace.Trace, policies func() []sched.Policy) [][]PolicyResult {
+	out := make([][]PolicyResult, len(traces))
+	forEach(len(traces), func(i int) { out[i] = o.runPolicies(traces[i], 0, policies()...) })
+	return out
+}
+
+// speedups are num's avg JCT, makespan and p99 JCT over den's.
+func speedups(num, den metrics.Summary) [3]float64 {
+	return [3]float64{metrics.Speedup(num.AvgJCT, den.AvgJCT),
+		metrics.Speedup(num.Makespan, den.Makespan), metrics.Speedup(num.P99JCT, den.P99JCT)}
 }
 
 // testbedTrace is the busiest-400-jobs window of trace 1 — the paper's
@@ -275,52 +273,51 @@ func (o Options) testbedTrace() trace.Trace {
 	return tr.BusiestWindow(n)
 }
 
-// normalizedTable renders baselines normalized to the reference policy
-// (the paper's presentation: "Normalized JCT" of each baseline with Muri
-// = 1).
-func normalizedTable(title string, results []PolicyResult, ref string) Table {
-	var refSum metrics.Summary
-	for _, r := range results {
-		if r.Policy == ref {
-			refSum = r.Summary
-		}
-	}
+// testbedTable runs the policies on the testbed trace and renders the
+// baselines normalized to the last policy, Muri (the paper's
+// presentation: "Normalized JCT" of each baseline with Muri = 1), with
+// a claim per paper ratio: avg JCT, makespan and p99 JCT per baseline.
+func (o Options) testbedTable(id, title string, paper map[string][3]float64, policies ...sched.Policy) Table {
+	results := o.runPolicies(o.testbedTrace(), 0, policies...)
+	ref := results[len(results)-1].Summary
 	t := Table{
 		Title:  title,
 		Header: []string{"policy", "norm. JCT", "norm. makespan", "norm. p99 JCT", "avg JCT", "makespan"},
 	}
 	for _, r := range results {
-		t.Rows = append(t.Rows, []string{
-			r.Policy,
-			f2(metrics.Speedup(r.Summary.AvgJCT, refSum.AvgJCT)),
-			f2(metrics.Speedup(r.Summary.Makespan, refSum.Makespan)),
-			f2(metrics.Speedup(r.Summary.P99JCT, refSum.P99JCT)),
-			r.Summary.AvgJCT.Round(time.Second).String(),
-			r.Summary.Makespan.Round(time.Minute).String(),
-		})
+		v := speedups(r.Summary, ref)
+		t.Rows = append(t.Rows, []string{r.Policy, f2(v[0]), f2(v[1]), f2(v[2]),
+			r.Summary.AvgJCT.Round(time.Second).String(), r.Summary.Makespan.Round(time.Minute).String()})
+		for i, m := range []string{"jct", "makespan", "p99"} {
+			if p, ok := paper[r.Policy]; ok {
+				t.Claims = append(t.Claims, claim(id+"."+m+"."+r.Policy, about(p[i]), v[i]))
+			}
+		}
 	}
 	return t
 }
 
 // Table4 runs the testbed experiment with known durations: SRTF and SRSF
 // versus Muri-S on the busiest 400-job window.
-func (o Options) Table4() ([]PolicyResult, Table) {
-	tr := o.testbedTrace()
-	results := o.runPolicies(tr, 0, sched.SRTF(), sched.SRSF(), sched.NewMuriS())
-	return results, normalizedTable("Table 4: testbed, known durations (normalized to Muri-S)", results, "muri-s")
+func (o Options) Table4() Table {
+	return o.testbedTable("table4", "Table 4: testbed, known durations (normalized to Muri-S)",
+		map[string][3]float64{"srtf": {2.12, 1.56, 3.31}, "srsf": {2.03, 1.59, 3.82}},
+		sched.SRTF(), sched.SRSF(), sched.NewMuriS())
 }
 
 // Table5 runs the testbed experiment with unknown durations: Tiresias and
 // Themis versus Muri-L.
-func (o Options) Table5() ([]PolicyResult, Table) {
-	tr := o.testbedTrace()
-	results := o.runPolicies(tr, 0, sched.Tiresias(), sched.Themis(), sched.NewMuriL())
-	return results, normalizedTable("Table 5: testbed, unknown durations (normalized to Muri-L)", results, "muri-l")
+func (o Options) Table5() Table {
+	return o.testbedTable("table5", "Table 5: testbed, unknown durations (normalized to Muri-L)",
+		map[string][3]float64{"tiresias": {2.59, 1.48, 2.54}, "themis": {3.56, 1.47, 2.60}},
+		sched.Tiresias(), sched.Themis(), sched.NewMuriL())
 }
 
 // Figure8 collects the detailed time series (queue length, blocking
 // index, resource utilization) for the testbed workload under both the
-// known- and unknown-duration policy sets.
+// known- and unknown-duration policy sets. Its claims are the paper's
+// shape: each Muri keeps a shorter queue and a lower blocking index than
+// the baselines of its class, and uses every resource more.
 func (o Options) Figure8() ([]PolicyResult, Table) {
 	tr := o.testbedTrace()
 	sample := 30 * time.Minute
@@ -332,17 +329,23 @@ func (o Options) Figure8() ([]PolicyResult, Table) {
 		Header: []string{"policy", "mean queue", "mean blocking idx",
 			"io util", "cpu util", "gpu util", "net util"},
 	}
-	for _, r := range results {
-		t.Rows = append(t.Rows, []string{
-			r.Policy,
-			f2(r.Series.MeanQueueLen()),
-			f2(r.Series.MeanBlockingIndex()),
-			f2(r.Series.MeanUtil(workload.Storage)),
-			f2(r.Series.MeanUtil(workload.CPU)),
-			f2(r.Series.MeanUtil(workload.GPU)),
-			f2(r.Series.MeanUtil(workload.Network)),
-		})
+	var queue, blocking, util []float64
+	for i, r := range results {
+		s := r.Series
+		row := []string{r.Policy, f2(s.MeanQueueLen()), f2(s.MeanBlockingIndex())}
+		for res := workload.Resource(0); res < workload.NumResources; res++ {
+			row = append(row, f2(s.MeanUtil(res)))
+		}
+		t.Rows = append(t.Rows, row)
+		if muri := results[i/3*3+2].Series; i%3 != 2 { // each class of three ends with its Muri
+			queue = append(queue, ratio(s.MeanQueueLen(), muri.MeanQueueLen()))
+			blocking = append(blocking, ratio(s.MeanBlockingIndex(), muri.MeanBlockingIndex()))
+			for res := workload.Resource(0); res < workload.NumResources; res++ {
+				util = append(util, ratio(muri.MeanUtil(res), s.MeanUtil(res)))
+			}
+		}
 	}
+	t.Claims = []Claim{shape("figure8.queue", queue...), shape("figure8.blocking", blocking...), shape("figure8.util", util...)}
 	return results, t
 }
 
@@ -376,64 +379,60 @@ func WriteSeriesCSV(w io.Writer, r PolicyResult) error {
 }
 
 // sweepTraces runs the given policies over traces 1–4 and their
-// zero-submit variants, normalizing to ref. This is the engine behind
-// Figures 9 and 10. The per-trace sweeps are independent, so they run
-// over the bounded forEach pool (each one fanning out further per
-// policy); results land in index-distinct slots and the table is
-// assembled serially afterwards, keeping row order deterministic.
-func (o Options) sweepTraces(title, ref string, policies func() []sched.Policy) ([]PolicyResult, Table) {
+// zero-submit variants and renders each baseline's speedups, normalized
+// to the last policy (Muri). This is the engine behind Figures 9 and 10.
+// The claims set the paper's avg JCT, makespan and p99 JCT ranges against
+// every (trace, baseline) speedup, and hold trace 3's makespan speedups
+// to ≈ 1 (the paper: "for trace 3, Muri has no speedup in makespan
+// because the trace is lightly loaded").
+func (o Options) sweepTraces(id, title string, paper [3]Range, policies func() []sched.Policy) Table {
 	var variants []trace.Trace
 	for _, base := range o.traces() {
 		variants = append(variants, base, base.ZeroSubmit())
 	}
-	perTrace := make([][]PolicyResult, len(variants))
-	forEach(len(variants), func(i int) {
-		perTrace[i] = o.runPolicies(variants[i], 0, policies()...)
-	})
-	var all []PolicyResult
 	t := Table{
 		Title:  title,
 		Header: []string{"trace", "policy", "norm. JCT", "norm. makespan", "norm. p99 JCT"},
 	}
-	for i, tr := range variants {
-		results := perTrace[i]
-		all = append(all, results...)
-		var refSum metrics.Summary
-		for _, r := range results {
-			if r.Policy == ref {
-				refSum = r.Summary
+	var measured [3][]float64
+	var trace3 []float64
+	for i, results := range o.sweep(variants, policies) {
+		ref := results[len(results)-1].Summary
+		for _, r := range results[:len(results)-1] {
+			v := speedups(r.Summary, ref)
+			t.Rows = append(t.Rows, []string{variants[i].Name, r.Policy, f2(v[0]), f2(v[1]), f2(v[2])})
+			for m := range v {
+				measured[m] = append(measured[m], v[m])
 			}
-		}
-		for _, r := range results {
-			if r.Policy == ref {
-				continue
+			if i == 4 { // trace 3 as submitted
+				trace3 = append(trace3, v[1])
 			}
-			t.Rows = append(t.Rows, []string{
-				tr.Name, r.Policy,
-				f2(metrics.Speedup(r.Summary.AvgJCT, refSum.AvgJCT)),
-				f2(metrics.Speedup(r.Summary.Makespan, refSum.Makespan)),
-				f2(metrics.Speedup(r.Summary.P99JCT, refSum.P99JCT)),
-			})
 		}
 	}
-	return all, t
+	for m, name := range []string{"jct", "makespan", "p99"} {
+		t.Claims = append(t.Claims, claim(id+"."+name, paper[m], measured[m]...))
+	}
+	if len(trace3) > 0 {
+		t.Claims = append(t.Claims, claim(id+".makespan.trace3", about(1), trace3...))
+	}
+	return t
 }
 
 // Figure9 sweeps traces 1–4 and 1'–4' with known durations (SRTF, SRSF
 // vs Muri-S).
-func (o Options) Figure9() ([]PolicyResult, Table) {
-	return o.sweepTraces(
+func (o Options) Figure9() Table {
+	return o.sweepTraces("figure9",
 		"Figure 9: simulation, known durations (speedups of Muri-S over each baseline)",
-		"muri-s",
+		[3]Range{{1.13, 2.26}, {1, 1.65}, {1.36, 4.57}},
 		func() []sched.Policy { return []sched.Policy{sched.SRTF(), sched.SRSF(), sched.NewMuriS()} })
 }
 
 // Figure10 sweeps traces 1–4 and 1'–4' with unknown durations (Tiresias,
 // AntMan, Themis vs Muri-L).
-func (o Options) Figure10() ([]PolicyResult, Table) {
-	return o.sweepTraces(
+func (o Options) Figure10() Table {
+	return o.sweepTraces("figure10",
 		"Figure 10: simulation, unknown durations (speedups of Muri-L over each baseline)",
-		"muri-l",
+		[3]Range{{1.53, 6.15}, {1, 1.55}, {1.21, 5.37}},
 		func() []sched.Policy {
 			return []sched.Policy{sched.Tiresias(), sched.AntMan{}, sched.Themis(), sched.NewMuriL()}
 		})
@@ -448,41 +447,39 @@ func muriLVariant(label string, mutate func(*core.Config)) *sched.Muri {
 }
 
 // Figure11 compares Muri-L against its two ablations: worst stage
-// ordering and greedy packing instead of Blossom matching.
-func (o Options) Figure11() ([]PolicyResult, Table) {
-	var all []PolicyResult
+// ordering and greedy packing instead of Blossom matching. The paper
+// finds worst ordering clearly worse and no-Blossom up to 14% worse in
+// avg JCT and 6% in makespan.
+func (o Options) Figure11() Table {
 	t := Table{
 		Title:  "Figure 11: scheduling-algorithm ablations (normalized to Muri-L)",
 		Header: []string{"trace", "variant", "norm. JCT", "norm. makespan"},
 	}
 	traces := o.traces()
-	perTrace := make([][]PolicyResult, len(traces))
-	forEach(len(traces), func(i int) {
-		perTrace[i] = o.runPolicies(traces[i], 0,
-			sched.NewMuriL(),
+	var vals [2][2][]float64 // per variant: avg JCT, makespan
+	for i, results := range o.sweep(traces, func() []sched.Policy {
+		return []sched.Policy{sched.NewMuriL(),
 			muriLVariant("muri-l-worst-order", func(c *core.Config) { c.WorstOrdering = true }),
-			muriLVariant("muri-l-no-blossom", func(c *core.Config) { c.UseBlossom = false }),
-		)
-	})
-	for i, tr := range traces {
-		results := perTrace[i]
-		all = append(all, results...)
-		ref := results[0].Summary
-		for _, r := range results[1:] {
-			t.Rows = append(t.Rows, []string{
-				tr.Name, r.Policy,
-				f2(metrics.Speedup(r.Summary.AvgJCT, ref.AvgJCT)),
-				f2(metrics.Speedup(r.Summary.Makespan, ref.Makespan)),
-			})
+			muriLVariant("muri-l-no-blossom", func(c *core.Config) { c.UseBlossom = false })}
+	}) {
+		for k, r := range results[1:] {
+			v := speedups(r.Summary, results[0].Summary)
+			t.Rows = append(t.Rows, []string{traces[i].Name, r.Policy, f2(v[0]), f2(v[1])})
+			vals[k][0], vals[k][1] = append(vals[k][0], v[0]), append(vals[k][1], v[1])
 		}
 	}
-	return all, t
+	t.Claims = []Claim{
+		shape("figure11.worstorder.jct", vals[0][0]...),
+		claim("figure11.noblossom.jct", Range{1, 1.14}, vals[1][0]...),
+		claim("figure11.noblossom.makespan", Range{1, 1.06}, vals[1][1]...),
+	}
+	return t
 }
 
 // Figure12 varies the maximum group size (2–4) against AntMan on the
-// zero-submit variants of traces 1–4.
-func (o Options) Figure12() ([]PolicyResult, Table) {
-	var all []PolicyResult
+// zero-submit variants of traces 1–4. The paper finds avg JCT and
+// makespan improving with the cap, with 2-job and 3-job groups close.
+func (o Options) Figure12() Table {
 	t := Table{
 		Title:  "Figure 12: jobs per group, zero-submit traces (normalized to AntMan)",
 		Header: []string{"trace", "policy", "norm. JCT", "norm. makespan"},
@@ -491,86 +488,76 @@ func (o Options) Figure12() ([]PolicyResult, Table) {
 	for _, base := range o.traces() {
 		traces = append(traces, base.ZeroSubmit())
 	}
-	perTrace := make([][]PolicyResult, len(traces))
-	forEach(len(traces), func(i int) {
-		perTrace[i] = o.runPolicies(traces[i], 0,
-			sched.AntMan{},
+	var step [2][]float64 // speedup growth per cap step, avg JCT and makespan
+	var threeVsTwo []float64
+	for i, results := range o.sweep(traces, func() []sched.Policy {
+		return []sched.Policy{sched.AntMan{},
 			muriLVariant("muri-l-2", func(c *core.Config) { c.MaxGroupSize = 2 }),
 			muriLVariant("muri-l-3", func(c *core.Config) { c.MaxGroupSize = 3 }),
-			muriLVariant("muri-l-4", func(c *core.Config) { c.MaxGroupSize = 4 }),
-		)
-	})
-	for i, tr := range traces {
-		results := perTrace[i]
-		all = append(all, results...)
-		ref := results[0].Summary
-		for _, r := range results[1:] {
-			t.Rows = append(t.Rows, []string{
-				tr.Name, r.Policy,
-				f2(metrics.Speedup(ref.AvgJCT, r.Summary.AvgJCT)),
-				f2(metrics.Speedup(ref.Makespan, r.Summary.Makespan)),
-			})
+			muriLVariant("muri-l-4", func(c *core.Config) { c.MaxGroupSize = 4 })}
+	}) {
+		var prev [3]float64
+		for k, r := range results[1:] {
+			v := speedups(results[0].Summary, r.Summary)
+			t.Rows = append(t.Rows, []string{traces[i].Name, r.Policy, f2(v[0]), f2(v[1])})
+			for m := range step {
+				if k > 0 {
+					step[m] = append(step[m], ratio(v[m], prev[m]))
+				}
+				if k == 1 {
+					threeVsTwo = append(threeVsTwo, ratio(v[m], prev[m]))
+				}
+			}
+			prev = v
 		}
 	}
-	return all, t
-}
-
-// Figure13Result carries the workload-mix sensitivity sweep.
-type Figure13Result struct {
-	JobTypes        int
-	SpeedupKnown    float64 // Muri-S over SRTF
-	SpeedupUnknown  float64 // Muri-L over Tiresias
-	MuriS, SRTF     metrics.Summary
-	MuriL, Tiresias metrics.Summary
+	t.Claims = []Claim{
+		shape("figure12.jct.cap", step[0]...),
+		shape("figure12.makespan.cap", step[1]...),
+		claim("figure12.3vs2", about(1), threeVsTwo...),
+	}
+	return t
 }
 
 // Figure13 varies the number of bottleneck job types (1–4) and reports
 // Muri's average-JCT speedup over SRTF (known durations) and Tiresias
-// (unknown durations).
-func (o Options) Figure13() ([]Figure13Result, Table) {
+// (unknown durations). The paper's speedups grow from ≈ 1 with one type
+// to 2.26× (SRTF) and 3.92× (Tiresias) with four.
+func (o Options) Figure13() Table {
 	t := Table{
 		Title:  "Figure 13: impact of workload mix (average-JCT speedups)",
 		Header: []string{"job types", "muri-s / srtf", "muri-l / tiresias"},
 	}
 	base := trace.PhillyConfigs(o.capacity())[0]
-	out := make([]Figure13Result, 4)
+	known, unknown := make([]float64, 4), make([]float64, 4)
 	forEach(4, func(i int) {
-		types := i + 1
 		cfg := base
-		cfg.Name = fmt.Sprintf("mix%d", types)
-		cfg.JobTypes = types
-		tr := trace.Generate(cfg).ZeroSubmit()
-		results := o.runPolicies(tr, 0,
+		cfg.Name = fmt.Sprintf("mix%d", i+1)
+		cfg.JobTypes = i + 1
+		r := o.runPolicies(trace.Generate(cfg).ZeroSubmit(), 0,
 			sched.SRTF(), sched.NewMuriS(), sched.Tiresias(), sched.NewMuriL())
-		byName := make(map[string]metrics.Summary)
-		for _, r := range results {
-			byName[r.Policy] = r.Summary
-		}
-		out[i] = Figure13Result{
-			JobTypes:       types,
-			SpeedupKnown:   metrics.Speedup(byName["srtf"].AvgJCT, byName["muri-s"].AvgJCT),
-			SpeedupUnknown: metrics.Speedup(byName["tiresias"].AvgJCT, byName["muri-l"].AvgJCT),
-			MuriS:          byName["muri-s"], SRTF: byName["srtf"],
-			MuriL: byName["muri-l"], Tiresias: byName["tiresias"],
-		}
+		known[i] = metrics.Speedup(r[0].Summary.AvgJCT, r[1].Summary.AvgJCT)
+		unknown[i] = metrics.Speedup(r[2].Summary.AvgJCT, r[3].Summary.AvgJCT)
 	})
-	for _, r := range out {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(r.JobTypes), f2(r.SpeedupKnown), f2(r.SpeedupUnknown)})
+	for i := range known {
+		t.Rows = append(t.Rows, []string{fmt.Sprint(i + 1), f2(known[i]), f2(unknown[i])})
 	}
-	return out, t
-}
-
-// Figure14Result carries the profiling-noise sensitivity sweep.
-type Figure14Result struct {
-	Noise        float64
-	NormJCT      float64 // average JCT normalized to the noise-free run
-	NormMakespan float64
+	t.Claims = []Claim{
+		claim("figure13.srtf.types1", about(1), known[0]),
+		claim("figure13.srtf.types2", about(1.42), known[1]),
+		claim("figure13.srtf.types4", about(2.26), known[3]),
+		claim("figure13.tiresias.types1", about(1), unknown[0]),
+		claim("figure13.tiresias.types2", about(1.49), unknown[1]),
+		claim("figure13.tiresias.types4", about(3.92), unknown[3]),
+	}
+	return t
 }
 
 // Figure14 sweeps profiling noise n_p from 0 to 1 and reports Muri-L's
-// average JCT and makespan normalized to the noise-free run.
-func (o Options) Figure14() ([]Figure14Result, Table) {
+// average JCT and makespan normalized to the noise-free run. The paper's
+// normalized JCT rises to ~1.3× at noise 1 (under 1% at noise 0.2) while
+// makespan stays ~1×.
+func (o Options) Figure14() Table {
 	tr := trace.Generate(trace.PhillyConfigs(o.capacity())[0])
 	run := func(noise float64) metrics.Summary {
 		cfg := o.simConfig()
@@ -578,57 +565,30 @@ func (o Options) Figure14() ([]Figure14Result, Table) {
 		return sim.Run(cfg, tr, sched.NewMuriL()).Summary
 	}
 	noises := []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0}
-	baseline := run(0)
 	summaries := make([]metrics.Summary, len(noises))
-	summaries[0] = baseline
 	// The noise-free baseline is shared; the noisy runs are independent.
+	summaries[0] = run(0)
 	forEach(len(noises)-1, func(i int) {
 		summaries[i+1] = run(noises[i+1])
 	})
-	var out []Figure14Result
 	t := Table{
 		Title:  "Figure 14: impact of profiling noise on Muri-L (normalized to noise-free)",
 		Header: []string{"noise", "norm. JCT", "norm. makespan"},
 	}
+	var jct, makespan []float64
 	for i, noise := range noises {
-		s := summaries[i]
-		r := Figure14Result{
-			Noise:        noise,
-			NormJCT:      metrics.Speedup(s.AvgJCT, baseline.AvgJCT),
-			NormMakespan: metrics.Speedup(s.Makespan, baseline.Makespan),
-		}
-		out = append(out, r)
-		t.Rows = append(t.Rows, []string{f2(noise), f2(r.NormJCT), f2(r.NormMakespan)})
+		v := speedups(summaries[i], summaries[0])
+		jct, makespan = append(jct, v[0]), append(makespan, v[1])
+		t.Rows = append(t.Rows, []string{f2(noise), f2(v[0]), f2(v[1])})
 	}
-	return out, t
-}
-
-// ScaleResult is one end-to-end scale run's outcome: the usual summary
-// plus wall-clock runtime, the garbage the run made (bytes allocated and
-// collector cycles, process-wide around the run) and the scheduling-path
-// performance counters (engine decision activity, Blossom matcher-pool
-// reuse, and the sharded/incremental planner counters for this run
-// alone).
-type ScaleResult struct {
-	Trace   string
-	Sched   string
-	Shards  int
-	Jobs    int
-	Wall    time.Duration
-	AllocMB float64
-	GCs     uint32
-	Summary metrics.Summary
-	Engine  metrics.EngineStats
-	Pool    metrics.MatcherPoolStats
-	Plan    metrics.ShardStats
-}
-
-// scaleShards resolves the shard counts the scale experiment sweeps.
-func (o Options) scaleShards() []int {
-	if len(o.Shards) > 0 {
-		return o.Shards
+	t.Claims = []Claim{
+		claim("figure14.noise0", about(1), jct[0], makespan[0]),
+		claim("figure14.jct", Range{1, about(1.3)[1]}, jct...),
+		claim("figure14.jct.noise0.2", Range{0.99, 1.01}, jct[1]),
+		claim("figure14.jct.noise1", about(1.3), jct[len(jct)-1]),
+		claim("figure14.makespan", about(1), makespan...),
 	}
-	return []int{1, 2, 4, 8}
+	return t
 }
 
 // Scale runs Muri-L end-to-end, event-driven, on the scheduling-path
@@ -638,16 +598,22 @@ func (o Options) scaleShards() []int {
 // the philly-10000 tier at the largest shard count. With Scale50k set it
 // also runs the 50,000-job tier (muri-l-scale plus a backfill-window
 // cap — an explicit approximation, see sched.Muri.BackfillLimit).
+// Each row reports wall-clock time, the garbage the run made (bytes
+// allocated and collector cycles, process-wide around the run) and the
+// scheduling-path counters (engine rounds, Blossom matcher-pool reuse,
+// and the sharded/incremental planner counters for this run alone).
 // `make bench-sched-scale` runs it.
-func (o Options) Scale() ([]ScaleResult, Table) {
-	var out []ScaleResult
+func (o Options) Scale() Table {
 	t := Table{
 		Title:  "Scheduling-path scale runs (Muri-L, event-driven)",
 		Header: []string{"trace", "jobs", "sched", "shards", "wall", "avg JCT", "makespan", "rounds", "reuse%", "tasks", "pool hit%", "alloc MB", "GCs"},
 	}
 	all := o.traces()
 	scale := trace.ScaleConfigs(o.capacity())
-	shards := o.scaleShards()
+	shards := o.Shards
+	if len(shards) == 0 {
+		shards = []int{1, 2, 4, 8}
+	}
 	maxShards := shards[len(shards)-1]
 
 	type run struct {
@@ -680,38 +646,22 @@ func (o Options) Scale() ([]ScaleResult, Table) {
 		runtime.ReadMemStats(&mem1)
 		after := blossom.PoolStats()
 		plan := ru.policy.PlanStats()
-		r := ScaleResult{
-			Trace:   ru.tr.Name,
-			Sched:   ru.policy.Name(),
-			Shards:  ru.policy.Grouping.Shards,
-			Jobs:    res.Summary.Jobs,
-			Wall:    wall,
-			AllocMB: float64(mem1.TotalAlloc-mem0.TotalAlloc) / (1 << 20),
-			GCs:     mem1.NumGC - mem0.NumGC,
-			Summary: res.Summary,
-			Engine:  res.Engine,
-			Pool:    metrics.MatcherPoolStats{Gets: after.Gets - before.Gets, News: after.News - before.News},
-			Plan:    plan,
-		}
-		if r.Shards == 0 {
-			r.Shards = 1
-		}
-		out = append(out, r)
+		pool := metrics.MatcherPoolStats{Gets: after.Gets - before.Gets, News: after.News - before.News}
 		t.Rows = append(t.Rows, []string{
-			r.Trace,
-			strconv.Itoa(r.Jobs),
-			r.Sched,
-			strconv.Itoa(r.Shards),
+			ru.tr.Name,
+			strconv.Itoa(res.Summary.Jobs),
+			ru.policy.Name(),
+			strconv.Itoa(max(ru.policy.Grouping.Shards, 1)),
 			wall.Round(time.Millisecond).String(),
-			r.Summary.AvgJCT.Round(time.Second).String(),
-			r.Summary.Makespan.Round(time.Second).String(),
-			strconv.Itoa(r.Engine.Rounds),
+			res.Summary.AvgJCT.Round(time.Second).String(),
+			res.Summary.Makespan.Round(time.Second).String(),
+			strconv.Itoa(res.Engine.Rounds),
 			f2(100 * plan.ReuseRatio()),
 			strconv.FormatUint(plan.ShardTasks, 10),
-			f2(100 * r.Pool.HitRate()),
-			strconv.FormatFloat(r.AllocMB, 'f', 0, 64),
-			strconv.FormatUint(uint64(r.GCs), 10),
+			f2(100 * pool.HitRate()),
+			strconv.FormatFloat(float64(mem1.TotalAlloc-mem0.TotalAlloc)/(1<<20), 'f', 0, 64),
+			strconv.FormatUint(uint64(mem1.NumGC-mem0.NumGC), 10),
 		})
 	}
-	return out, t
+	return t
 }

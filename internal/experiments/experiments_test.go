@@ -35,45 +35,50 @@ func TestTable1MatchesPaperBottlenecks(t *testing.T) {
 	}
 }
 
-func TestTable2ShapeMatchesPaper(t *testing.T) {
-	res := Table2()
-	// The paper measures a total normalized throughput of 2.00; the
-	// simulated substrate should land in the same region.
-	if res.Total < 1.5 || res.Total > 3.0 {
-		t.Errorf("total normalized throughput = %.2f, want ≈2 (Table 2)", res.Total)
-	}
-	for i, v := range res.Normalized {
-		if v <= 0 || v > 1.01 {
-			t.Errorf("normalized[%d] = %v, want in (0, 1]", i, v)
+// claimOf returns the table's claim with the given ID.
+func claimOf(t *testing.T, tbl Table, id string) Claim {
+	t.Helper()
+	for _, c := range tbl.Claims {
+		if c.ID == id {
+			return c
 		}
 	}
-	if !strings.Contains(res.Table.String(), "total") {
+	t.Fatalf("%s has no claim %q", tbl.Title, id)
+	return Claim{}
+}
+
+func TestTable2ShapeMatchesPaper(t *testing.T) {
+	tbl := Table2()
+	// The paper measures a total normalized throughput of 2.00; the
+	// simulated substrate should land in the same region.
+	if total := claimOf(t, tbl, "table2.total").Measured[0]; total < 1.5 || total > 3.0 {
+		t.Errorf("total normalized throughput = %.2f, want ≈2 (Table 2)", total)
+	}
+	for _, m := range []string{"shufflenet", "a2c", "gpt2", "vgg16"} {
+		if v := claimOf(t, tbl, "table2."+m).Measured[0]; v <= 0 || v > 1.01 {
+			t.Errorf("normalized[%s] = %v, want in (0, 1]", m, v)
+		}
+	}
+	if !strings.Contains(tbl.String(), "total") {
 		t.Error("Table 2 output missing total row")
 	}
 }
 
 func TestTable4Shape(t *testing.T) {
-	results, tbl := tiny().Table4()
-	if len(results) != 3 {
-		t.Fatalf("Table 4 ran %d policies, want 3", len(results))
-	}
-	byName := summaryByName(results)
-	// Muri-S should not lose to SRTF on the saturated testbed window.
-	if byName["muri-s"].AvgJCT > byName["srtf"].AvgJCT {
-		t.Errorf("Muri-S avg JCT %v worse than SRTF %v on testbed window",
-			byName["muri-s"].AvgJCT, byName["srtf"].AvgJCT)
-	}
+	tbl := tiny().Table4()
 	if len(tbl.Rows) != 3 {
-		t.Errorf("table rows = %d, want 3", len(tbl.Rows))
+		t.Fatalf("Table 4 ran %d policies, want 3", len(tbl.Rows))
+	}
+	// Muri-S should not lose to SRTF on the saturated testbed window.
+	if v := claimOf(t, tbl, "table4.jct.srtf").Measured[0]; v < 1 {
+		t.Errorf("SRTF / Muri-S avg JCT = %v, want ≥ 1 on testbed window", v)
 	}
 }
 
 func TestTable5Shape(t *testing.T) {
-	results, _ := tiny().Table5()
-	byName := summaryByName(results)
-	if byName["muri-l"].AvgJCT > byName["themis"].AvgJCT {
-		t.Errorf("Muri-L avg JCT %v worse than Themis %v on testbed window",
-			byName["muri-l"].AvgJCT, byName["themis"].AvgJCT)
+	tbl := tiny().Table5()
+	if v := claimOf(t, tbl, "table5.jct.themis").Measured[0]; v < 1 {
+		t.Errorf("Themis / Muri-L avg JCT = %v, want ≥ 1 on testbed window", v)
 	}
 }
 
@@ -92,35 +97,34 @@ func TestFigure8SeriesPresent(t *testing.T) {
 func TestFigure13SpeedupGrowsWithJobTypes(t *testing.T) {
 	opt := tiny()
 	opt.MaxJobs = 120
-	results, _ := opt.Figure13()
-	if len(results) != 4 {
-		t.Fatalf("Figure 13 has %d points, want 4", len(results))
+	tbl := opt.Figure13()
+	if len(tbl.Rows) != 4 {
+		t.Fatalf("Figure 13 has %d points, want 4", len(tbl.Rows))
 	}
+	one := claimOf(t, tbl, "figure13.srtf.types1").Measured[0]
+	four := claimOf(t, tbl, "figure13.srtf.types4").Measured[0]
 	// The four-type mix should beat the one-type mix for Muri-S (the
 	// paper's headline sensitivity result).
-	if results[3].SpeedupKnown <= results[0].SpeedupKnown {
-		t.Errorf("speedup(4 types)=%.2f not greater than speedup(1 type)=%.2f",
-			results[3].SpeedupKnown, results[0].SpeedupKnown)
+	if four <= one {
+		t.Errorf("speedup(4 types)=%.2f not greater than speedup(1 type)=%.2f", four, one)
 	}
 	// With one job type Muri must roughly match the baseline, never be
 	// dramatically worse.
-	if results[0].SpeedupKnown < 0.8 {
-		t.Errorf("speedup with 1 job type = %.2f, want ≥ 0.8 (Muri ≈ SRTF)", results[0].SpeedupKnown)
+	if one < 0.8 {
+		t.Errorf("speedup with 1 job type = %.2f, want ≥ 0.8 (Muri ≈ SRTF)", one)
 	}
 }
 
 func TestFigure14NoiseFreeIsUnity(t *testing.T) {
 	opt := tiny()
 	opt.MaxJobs = 120
-	results, _ := opt.Figure14()
-	if results[0].Noise != 0 || results[0].NormJCT != 1 || results[0].NormMakespan != 1 {
-		t.Errorf("noise-free row = %+v, want exactly 1.0", results[0])
+	tbl := opt.Figure14()
+	if c := claimOf(t, tbl, "figure14.noise0"); c.Measured != (Range{1, 1}) {
+		t.Errorf("noise-free JCT and makespan = %v, want exactly 1.0", c.Measured)
 	}
 	// High noise must not break the run (values stay finite and positive).
-	for _, r := range results {
-		if r.NormJCT <= 0 || r.NormJCT > 5 {
-			t.Errorf("noise %v: norm JCT %v out of plausible range", r.Noise, r.NormJCT)
-		}
+	if c := claimOf(t, tbl, "figure14.jct"); c.Measured[0] <= 0 || c.Measured[1] > 5 {
+		t.Errorf("norm JCT over the noise sweep = %v, out of plausible range", c.Measured)
 	}
 }
 
@@ -153,19 +157,6 @@ func TestQuickAndFullOptions(t *testing.T) {
 	}
 }
 
-func summaryByName(results []PolicyResult) map[string]summaryLike {
-	out := make(map[string]summaryLike)
-	for _, r := range results {
-		out[r.Policy] = summaryLike{AvgJCT: r.Summary.AvgJCT, Makespan: r.Summary.Makespan}
-	}
-	return out
-}
-
-type summaryLike struct {
-	AvgJCT   time.Duration
-	Makespan time.Duration
-}
-
 func TestWriteSeriesCSV(t *testing.T) {
 	results, _ := tiny().Figure8()
 	var buf strings.Builder
@@ -191,13 +182,13 @@ func TestWriteSeriesCSV(t *testing.T) {
 func TestSweepDeterministic(t *testing.T) {
 	opt := tiny()
 	opt.MaxJobs = 60
-	_, first := opt.Figure9()
-	_, second := opt.Figure9()
+	first := opt.Figure9()
+	second := opt.Figure9()
 	if first.String() != second.String() {
 		t.Errorf("Figure 9 sweep not deterministic:\n%s\nvs\n%s", first.String(), second.String())
 	}
-	_, f13a := opt.Figure13()
-	_, f13b := opt.Figure13()
+	f13a := opt.Figure13()
+	f13b := opt.Figure13()
 	if f13a.String() != f13b.String() {
 		t.Errorf("Figure 13 sweep not deterministic:\n%s\nvs\n%s", f13a.String(), f13b.String())
 	}

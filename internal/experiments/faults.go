@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"muri/internal/faults"
-	"muri/internal/metrics"
 	"muri/internal/sched"
 	"muri/internal/sim"
 	"muri/internal/trace"
@@ -14,20 +13,6 @@ import (
 // faultsSeed fixes the failure plans so the experiment is reproducible
 // run to run.
 const faultsSeed = 7
-
-// FaultsResult is one (failure rate, policy) cell of the experiment.
-type FaultsResult struct {
-	// Rate names the failure regime ("none", "low", "med", "high").
-	Rate string
-	// MTBF is the per-machine mean time between crashes (0 for "none").
-	MTBF time.Duration
-	// Policy is the scheduling policy evaluated.
-	Policy string
-	// Summary holds the end-of-run metrics under that regime.
-	Summary metrics.Summary
-	// Faults counts the failure-plan activity the run absorbed.
-	Faults metrics.FaultStats
-}
 
 // faultRegime parameterizes one failure intensity.
 type faultRegime struct {
@@ -71,7 +56,7 @@ func (o Options) faultPlan(reg faultRegime, tr trace.Trace) *faults.Plan {
 // plan (shared read-only by every policy, so all policies face the
 // exact same crash schedule) and every policy replays the first trace
 // against it.
-func (o Options) Faults() ([]FaultsResult, Table) {
+func (o Options) Faults() Table {
 	tr := o.traces()[0]
 	policies := func() []sched.Policy {
 		return []sched.Policy{sched.SRTF(), sched.SRSF(), sched.NewMuriL()}
@@ -81,31 +66,23 @@ func (o Options) Faults() ([]FaultsResult, Table) {
 		plans[i] = o.faultPlan(reg, tr)
 	}
 	nPol := len(policies())
-	out := make([]FaultsResult, len(faultRegimes)*nPol)
+	out := make([]sim.Result, len(faultRegimes)*nPol)
 	forEach(len(out), func(i int) {
-		reg, p := faultRegimes[i/nPol], policies()[i%nPol]
 		cfg := o.simConfig()
 		cfg.Faults = plans[i/nPol]
-		res := sim.Run(cfg, tr, p)
-		out[i] = FaultsResult{
-			Rate:    reg.name,
-			MTBF:    reg.mtbf,
-			Policy:  res.Policy,
-			Summary: res.Summary,
-			Faults:  res.Faults,
-		}
+		out[i] = sim.Run(cfg, tr, policies()[i%nPol])
 	})
 	t := Table{
 		Title:  "Faults: scheduling under machine crashes, transient job faults, and stragglers (trace " + tr.Name + ")",
 		Header: []string{"rate", "mtbf", "policy", "avg JCT", "p99 JCT", "makespan", "crashes", "transient", "requeues", "work lost"},
 	}
-	for _, r := range out {
-		mtbf := "-"
-		if r.MTBF > 0 {
-			mtbf = r.MTBF.String()
+	for i, r := range out {
+		reg, mtbf := faultRegimes[i/nPol], "-"
+		if reg.mtbf > 0 {
+			mtbf = reg.mtbf.String()
 		}
 		t.Rows = append(t.Rows, []string{
-			r.Rate, mtbf, r.Policy,
+			reg.name, mtbf, r.Policy,
 			r.Summary.AvgJCT.Round(time.Second).String(),
 			r.Summary.P99JCT.Round(time.Second).String(),
 			r.Summary.Makespan.Round(time.Second).String(),
@@ -113,7 +90,7 @@ func (o Options) Faults() ([]FaultsResult, Table) {
 			r.Faults.WorkLost.Round(time.Second).String(),
 		})
 	}
-	return out, t
+	return t
 }
 
 // faultsHorizon bounds crash generation to the trace's active window

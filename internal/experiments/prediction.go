@@ -14,41 +14,6 @@ import (
 // to run.
 const predictionSeed = 11
 
-// PredictionResult is one (error regime, policy mode) cell of the
-// online-prediction experiment.
-type PredictionResult struct {
-	// Regime names the prediction-error intensity ("none", "low", "med",
-	// "high"); Amplitude is the drift bound behind it (true stage times
-	// land uniformly within ±Amplitude of the submitted profile).
-	Regime    string
-	Amplitude float64
-	// Policy is the scheduling policy evaluated; Mode says where its
-	// duration beliefs came from: "oracle" reads the drifted truth,
-	// "stale" trusts the submitted (pre-drift) profile, "online" learns
-	// from completions through the running estimator.
-	Policy string
-	Mode   string
-	// Summary holds the end-of-run metrics; NormJCT is AvgJCT normalized
-	// to the same policy family's oracle run in the same regime (1.00 =
-	// no degradation from imperfect prediction).
-	Summary metrics.Summary
-	NormJCT float64
-	// PredErr is the online estimator's mean absolute relative prediction
-	// error over ErrSamples scored completions; Reseeds counts beliefs
-	// re-seeded after deviating completions; Reprofiles is the engine-side
-	// trigger count. All zero for oracle/stale modes.
-	PredErr    float64
-	ErrSamples int
-	Reseeds    int
-	Reprofiles int
-}
-
-// predRegime parameterizes one prediction-error intensity.
-type predRegime struct {
-	name      string
-	amplitude float64
-}
-
 // Prediction runs the online-prediction sweep. The paper's evaluation
 // assumes oracle stage profiles; this experiment drifts the execution
 // truth away from the submitted profiles at increasing amplitudes and
@@ -56,94 +21,76 @@ type predRegime struct {
 // oracle (reads the drifted truth — the paper's assumption restored),
 // stale profiles (trusts the submission), and the online estimator
 // (learns per-model running estimates from completions, re-profiling
-// past the engine's deviation threshold). The reported NormJCT is the
-// JCT cost of imperfect prediction against the oracle upper bound.
-func (o Options) Prediction() ([]PredictionResult, Table) {
+// past the engine's deviation threshold). Each row's norm JCT is its
+// avg JCT over the same policy family's oracle run in the same regime:
+// the JCT cost of imperfect prediction against the oracle upper bound.
+// For online rows, pred err is the estimator's mean absolute relative
+// prediction error and reseeds counts beliefs re-seeded after deviating
+// completions.
+func (o Options) Prediction() Table {
 	tr := o.traces()[0]
-	regimes := []predRegime{
-		{"none", 0},
-		{"low", 0.2},
-		{"med", 0.5},
-		{"high", 1.0},
+	regimes := []struct {
+		name      string
+		amplitude float64
+	}{{"none", 0}, {"low", 0.2}, {"med", 0.5}, {"high", 1.0}}
+	runs := []struct{ family, mode string }{
+		{"srtf", "oracle"}, {"srtf", "stale"}, {"srtf", "online"}, {"muri-l", "oracle"}, {"muri-l", "online"},
 	}
-	type predRun struct {
-		family, mode string
-		make         func() (sched.Policy, profile.Estimator, *profile.Online)
-	}
-	runs := []predRun{
-		{"srtf", "oracle", func() (sched.Policy, profile.Estimator, *profile.Online) {
-			return sched.SRTF(), profile.NewOracle(), nil
-		}},
-		{"srtf", "stale", func() (sched.Policy, profile.Estimator, *profile.Online) {
-			return sched.SRTF(), nil, nil
-		}},
-		{"srtf", "online", func() (sched.Policy, profile.Estimator, *profile.Online) {
-			est := profile.NewOnline()
-			return sched.SRTFPredicted(est), est, est
-		}},
-		{"muri-l", "oracle", func() (sched.Policy, profile.Estimator, *profile.Online) {
-			return sched.NewMuriL(), profile.NewOracle(), nil
-		}},
-		{"muri-l", "online", func() (sched.Policy, profile.Estimator, *profile.Online) {
-			est := profile.NewOnline()
-			return sched.NewMuriLPredicted(est), est, est
-		}},
-	}
-	out := make([]PredictionResult, len(regimes)*len(runs))
+	out := make([]sim.Result, len(regimes)*len(runs))
+	predErr, reseeds := make([]string, len(out)), make([]string, len(out))
 	forEach(len(out), func(i int) {
 		reg, ru := regimes[i/len(runs)], runs[i%len(runs)]
-		p, est, online := ru.make()
 		cfg := o.simConfig()
-		if est != nil {
-			cfg.Estimator = est
+		var online *profile.Online
+		switch ru.mode {
+		case "oracle":
+			cfg.Estimator = profile.NewOracle()
+		case "online":
+			online = profile.NewOnline()
+			cfg.Estimator = online
+		}
+		var p sched.Policy
+		switch {
+		case ru.family == "srtf" && online == nil:
+			p = sched.SRTF()
+		case ru.family == "srtf":
+			p = sched.SRTFPredicted(online)
+		case online == nil:
+			p = sched.NewMuriL()
+		default:
+			p = sched.NewMuriLPredicted(online)
 		}
 		if reg.amplitude > 0 {
 			cfg.Drift = &profile.Drift{Amplitude: reg.amplitude, Seed: predictionSeed}
 		}
-		res := sim.Run(cfg, tr, p)
-		r := PredictionResult{
-			Regime:     reg.name,
-			Amplitude:  reg.amplitude,
-			Policy:     res.Policy,
-			Mode:       ru.mode,
-			Summary:    res.Summary,
-			Reprofiles: res.Engine.Reprofiles,
-		}
+		out[i] = sim.Run(cfg, tr, p)
+		predErr[i], reseeds[i] = "-", "-"
 		if online != nil {
-			r.PredErr, r.ErrSamples = online.Error()
-			_, _, r.Reseeds = online.Stats()
+			e, _ := online.Error()
+			_, _, n := online.Stats()
+			predErr[i], reseeds[i] = f2(e), strconv.Itoa(n)
 		}
-		out[i] = r
 	})
-	// Normalize each cell against its family's oracle run in the same
-	// regime (the runs slice keeps families contiguous with oracle first).
-	oracleJCT := make(map[string]time.Duration)
-	for i, r := range out {
-		if r.Mode == "oracle" {
-			oracleJCT[strconv.Itoa(i/len(runs))+"/"+runs[i%len(runs)].family] = r.Summary.AvgJCT
-		}
-	}
 	t := Table{
 		Title: "Prediction: online duration estimation vs oracle profiles under drift (trace " + tr.Name + ")",
 		Header: []string{"regime", "drift", "policy", "mode", "avg JCT", "p99 JCT", "makespan",
 			"norm JCT", "pred err", "reseeds"},
 	}
-	for i := range out {
-		r := &out[i]
-		r.NormJCT = metrics.Speedup(r.Summary.AvgJCT,
-			oracleJCT[strconv.Itoa(i/len(runs))+"/"+runs[i%len(runs)].family])
-		predErr, reseeds := "-", "-"
-		if r.Mode == "online" {
-			predErr = f2(r.PredErr)
-			reseeds = strconv.Itoa(r.Reseeds)
+	// The runs slice keeps families contiguous with oracle first, so a
+	// row's oracle is the last oracle row before it.
+	var oracle time.Duration
+	for i, r := range out {
+		reg, ru := regimes[i/len(runs)], runs[i%len(runs)]
+		if ru.mode == "oracle" {
+			oracle = r.Summary.AvgJCT
 		}
 		t.Rows = append(t.Rows, []string{
-			r.Regime, f2(r.Amplitude), r.Policy, r.Mode,
+			reg.name, f2(reg.amplitude), r.Policy, ru.mode,
 			r.Summary.AvgJCT.Round(time.Second).String(),
 			r.Summary.P99JCT.Round(time.Second).String(),
 			r.Summary.Makespan.Round(time.Second).String(),
-			f2(r.NormJCT), predErr, reseeds,
+			f2(metrics.Speedup(r.Summary.AvgJCT, oracle)), predErr[i], reseeds[i],
 		})
 	}
-	return out, t
+	return t
 }

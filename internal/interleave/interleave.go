@@ -188,9 +188,11 @@ func searchOrdering(times []workload.StageTimes, best bool) (Ordering, time.Dura
 // jobs. Overhead = 0 recovers the ideal model of Figures 1–6.
 type Config struct {
 	// Overhead is the per-additional-job slowdown factor α. The default
-	// used across the reproduction is 0.08, which reproduces the Figure 12
-	// finding that 3-job groups can underperform 2-job groups while 4-job
-	// groups still win.
+	// used across the reproduction is 0.08. Linear in group size, it does
+	// not reproduce the paper's Figure 12 finding that 3-job groups can
+	// underperform 2-job groups: at full scale the speedup over AntMan
+	// grows strictly with the cap (REPRO.json claims figure12.jct.cap and
+	// figure12.3vs2).
 	Overhead float64
 }
 
