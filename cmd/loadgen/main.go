@@ -31,6 +31,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -107,7 +108,7 @@ func main() {
 	for i := 0; i < *conns; i++ {
 		specs := newSpecSource(*seed+int64(i), *tenants)
 		if useProto {
-			ws := newWorkerStats()
+			ws := &workerStats{}
 			workers = append(workers, ws)
 			wg.Add(1)
 			go func() {
@@ -118,7 +119,7 @@ func main() {
 			}()
 		}
 		if useHTTP {
-			ws := newWorkerStats()
+			ws := &workerStats{}
 			workers = append(workers, ws)
 			wg.Add(1)
 			go func() {
@@ -137,10 +138,11 @@ func main() {
 		log.Fatalf("loadgen: status: %v", err)
 	}
 
-	total := newWorkerStats()
+	total := &workerStats{}
 	for _, ws := range workers {
 		total.merge(ws)
 	}
+	slices.Sort(total.lat)
 	rounds := 0
 	batches := 0
 	if st0.Engine != nil && st1.Engine != nil {
@@ -160,8 +162,8 @@ func main() {
 		Throttled:  total.throttled,
 		Errors:     total.failed,
 		RatePerMin: float64(total.sent) / elapsed.Minutes(),
-		P50Ms:      total.lat.Quantile(0.50) * 1000,
-		P99Ms:      total.lat.Quantile(0.99) * 1000,
+		P50Ms:      percentileMs(total.lat, 0.50),
+		P99Ms:      percentileMs(total.lat, 0.99),
 		Rounds:     rounds,
 		RoundsPS:   float64(rounds) / elapsed.Seconds(),
 		Batches:    batches,
@@ -180,6 +182,15 @@ func main() {
 	if total.accepted == 0 {
 		log.Fatal("loadgen: no submission was accepted")
 	}
+}
+
+// percentileMs is the exact nearest-rank p-quantile of the sorted
+// latencies, in milliseconds (0 with no samples).
+func percentileMs(sorted []time.Duration, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return metrics.Percentile(sorted, p).Seconds() * 1000
 }
 
 func avg(n, d int) float64 {
@@ -207,16 +218,11 @@ type report struct {
 	Batches    int     `json:"admission_batches"`
 }
 
-// workerStats accumulates one worker's counters and latency histogram;
+// workerStats accumulates one worker's counters and submit latencies;
 // workers are single-goroutine, merged after the run.
 type workerStats struct {
 	sent, accepted, rejected, throttled, failed int
-	lat                                         *metrics.Histogram
-}
-
-func newWorkerStats() *workerStats {
-	// 10µs .. ~80s in ×1.5 steps: fine enough for sub-millisecond p50s.
-	return &workerStats{lat: metrics.NewHistogram(metrics.ExponentialBounds(10e-6, 1.5, 40)...)}
+	lat                                         []time.Duration
 }
 
 func (w *workerStats) merge(o *workerStats) {
@@ -225,7 +231,7 @@ func (w *workerStats) merge(o *workerStats) {
 	w.rejected += o.rejected
 	w.throttled += o.throttled
 	w.failed += o.failed
-	w.lat.Merge(o.lat)
+	w.lat = append(w.lat, o.lat...)
 }
 
 func (w *workerStats) countResult(err error) {
@@ -299,7 +305,7 @@ func protoWorker(addr string, window int, ratePerSec float64, deadline time.Time
 		for res := range stream.Results() {
 			mu.Lock()
 			ws.countResult(res.Err)
-			ws.lat.ObserveDuration(res.RTT)
+			ws.lat = append(ws.lat, res.RTT)
 			mu.Unlock()
 		}
 	}()
@@ -368,7 +374,7 @@ func httpWorker(addr string, batch int, ratePerSec float64, deadline time.Time, 
 			} else {
 				ws.rejected++
 			}
-			ws.lat.ObserveDuration(rtt)
+			ws.lat = append(ws.lat, rtt)
 		}
 		pace(start, ws.sent, ratePerSec)
 	}

@@ -18,62 +18,28 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	"muri/internal/profile"
 	"muri/internal/sched"
 	"muri/internal/server"
-	"muri/internal/telemetry"
 )
-
-// policyByName resolves a policy; the -pred variants read their duration
-// beliefs from est, the daemon's online predictor (every completion the
-// daemon observes updates it), instead of submitted oracle profiles.
-func policyByName(name string, est *profile.Online) (sched.Policy, error) {
-	switch name {
-	case "fifo":
-		return sched.FIFO(), nil
-	case "srtf":
-		return sched.SRTF(), nil
-	case "srtf-pred":
-		return sched.SRTFPredicted(est), nil
-	case "srsf":
-		return sched.SRSF(), nil
-	case "srsf-pred":
-		return sched.SRSFPredicted(est), nil
-	case "tiresias":
-		return sched.Tiresias(), nil
-	case "themis":
-		return sched.Themis(), nil
-	case "antman":
-		return sched.AntMan{}, nil
-	case "gittins-pred":
-		return sched.NewGittinsFromEstimator(est), nil
-	case "muri-s":
-		return sched.NewMuriS(), nil
-	case "muri-l":
-		return sched.NewMuriL(), nil
-	case "muri-l-pred":
-		return sched.NewMuriLPredicted(est), nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q", name)
-	}
-}
 
 func main() {
 	var (
 		addr      = flag.String("addr", ":7800", "listen address")
-		policy    = flag.String("policy", "muri-l", "scheduling policy (fifo|srtf|srsf|tiresias|themis|antman|muri-s|muri-l; -pred variants use the online predictor: srtf-pred|srsf-pred|muri-l-pred|gittins-pred)")
+		policy    = flag.String("policy", "muri-l", "scheduling policy ("+strings.Join(sched.Names(), "|")+"); the -pred variants read the daemon's online predictor")
 		interval  = flag.Duration("interval", time.Second, "scheduling interval (wall time)")
 		timeScale = flag.Float64("timescale", 0.001, "virtual-to-wall time scale forwarded to executors")
 		report    = flag.Duration("report", 200*time.Millisecond, "executor progress-report period")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/pprof, and the JSON API on this address")
 		httpAddr  = flag.String("http-addr", "", "serve the JSON submission API (/api/v1/...) on this address")
-		logLevel  = flag.String("log-level", "info", "minimum log level (debug|info|warn|error)")
 
 		ingestCap   = flag.Int("ingest-cap", 0, "admission queue capacity (0 = default 65536)")
 		batchDelay  = flag.Duration("max-batch-delay", 0, "minimum spacing between event-driven scheduling rounds: an event on a quiet scheduler runs its round at once, one sooner after a round waits out the rest and batches with what arrives meanwhile (0 = a round per event)")
@@ -90,17 +56,14 @@ func main() {
 		electionTTL  = flag.Duration("election-ttl", 0, "leader lease: standby promotes after this much silence (0 = default 2s)")
 		unsafeDebug  = flag.Bool("unsafe-debug", false, "enable the crash-injection debug RPC (murictl debug crash); never in production")
 	)
+	var level slog.Level
+	flag.TextVar(&level, "log-level", slog.LevelInfo, "minimum log `level` (debug|info|warn|error)")
 	flag.Parse()
 
 	// One predictor serves both the daemon (which feeds it completions)
 	// and any prediction-aware policy (which reads beliefs from it).
 	predictor := profile.NewOnline()
-	p, err := policyByName(*policy, predictor)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "murisched: %v\n", err)
-		os.Exit(2)
-	}
-	level, err := telemetry.ParseLevel(*logLevel)
+	p, err := sched.ByName(*policy, predictor)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "murisched: %v\n", err)
 		os.Exit(2)

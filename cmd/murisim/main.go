@@ -75,6 +75,7 @@ import (
 
 	"muri/internal/experiments"
 	"muri/internal/explain"
+	"muri/internal/profile"
 	"muri/internal/sched"
 	"muri/internal/sim"
 	"muri/internal/telemetry"
@@ -93,13 +94,13 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 
-		shardsFlag = flag.String("shards", "", "comma-separated shard counts: the scale experiment's sweep (default 1,2,4,8); the first value parameterizes -policy muri-l-scale")
+		shardsFlag = flag.String("shards", "", "comma-separated shard counts: the scale experiment's sweep (default 1,2,4,8); the first value sets a single Muri run's shard count (muri-l-scale defaults to 4)")
 		scale50k   = flag.Bool("scale50k", false, "scale experiment: include the 50,000-job tier (slow)")
 
 		// Single-run observability mode.
 		traceOut    = flag.String("trace-out", "", "single run: write a Chrome trace-event JSON file (Perfetto)")
 		timelineOut = flag.String("timeline-out", "", "single run: write the job-lifecycle timeline as JSONL")
-		policy      = flag.String("policy", "muri-l", "single run: scheduling policy")
+		policy      = flag.String("policy", "muri-l", "single run: scheduling policy ("+strings.Join(sched.Names(), "|")+")")
 		explainRun  = flag.Bool("explain", false, "single run: fold decision provenance and print the wait-time attribution sweep")
 		explainJob  = flag.Int64("explain-job", 0, "single run: also print this job's full explanation (implies -explain)")
 	)
@@ -243,13 +244,22 @@ func parseShards(s string) ([]int, error) {
 // runSingle simulates the trace1 workload once with instrumentation
 // attached and writes the requested artifacts.
 func runSingle(machines, gpus, maxJobs int, policyName, traceOut, timelineOut string, shards []int, explainRun bool, explainJob int64) error {
-	p, err := singlePolicy(policyName, shards)
+	est := profile.NewOnline()
+	p, err := sched.ByName(policyName, est)
 	if err != nil {
 		return err
+	}
+	if m, ok := p.(*sched.Muri); ok && len(shards) > 0 {
+		m.Grouping.Shards = shards[0]
 	}
 	cfg := sim.DefaultConfig()
 	cfg.Machines = machines
 	cfg.GPUsPerMachine = gpus
+	if strings.HasSuffix(policyName, "-pred") {
+		// The online predictor learns from the run's completions, as in
+		// the prediction experiment's online rows.
+		cfg.Estimator = est
+	}
 	var tracer *telemetry.Tracer
 	if traceOut != "" {
 		tracer = telemetry.NewTracer(0)
@@ -354,30 +364,4 @@ func writeTimeline(path string, events []sim.Event) error {
 		return err
 	}
 	return f.Close()
-}
-
-// singlePolicy maps a policy name to its constructor (the subset of
-// murisched's table that makes sense for a one-off simulation). The
-// first shards value parameterizes muri-l-scale (default 4).
-func singlePolicy(name string, shards []int) (sched.Policy, error) {
-	shard := 4
-	if len(shards) > 0 {
-		shard = shards[0]
-	}
-	switch name {
-	case "fifo":
-		return sched.FIFO(), nil
-	case "srtf":
-		return sched.SRTF(), nil
-	case "srsf":
-		return sched.SRSF(), nil
-	case "muri-s":
-		return sched.NewMuriS(), nil
-	case "muri-l":
-		return sched.NewMuriL(), nil
-	case "muri-l-scale":
-		return sched.NewMuriLScale(shard), nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q", name)
-	}
 }

@@ -86,20 +86,17 @@ func (a *Agent) Run(ctx context.Context, addr string) error {
 	return err
 }
 
-// RunWithRetry keeps the executor connected across scheduler restarts:
-// it dials, serves, and on disconnect retries with exponential backoff
-// (capped at maxBackoff) until ctx is cancelled. Running groups keep
-// running through the disconnect; the next registration offers them
-// back for adoption, and only groups the scheduler declines are killed.
-func (a *Agent) RunWithRetry(ctx context.Context, addr string, maxBackoff time.Duration) error {
-	return a.RunHA(ctx, []string{addr}, maxBackoff)
-}
-
-// RunHA is RunWithRetry over an ordered scheduler address list (leader
-// plus standbys): on disconnect the agent tries each address in turn —
-// a standby rejects registration until promoted — and backs off only
-// after a full sweep fails. This is how executors re-register against a
-// newly promoted leader without losing running groups.
+// RunHA keeps the executor connected across scheduler restarts and
+// failovers: it dials, serves, and on disconnect retries with
+// exponential backoff (capped at maxBackoff) until ctx is cancelled.
+// addrs is an ordered scheduler address list (leader plus standbys): on
+// disconnect the agent tries each address in turn — a standby rejects
+// registration until promoted — and backs off only after a full sweep
+// fails. Running groups keep running through the disconnect; the next
+// registration offers them back for adoption, and only groups the
+// scheduler declines are killed. This is how executors re-register
+// against a restarted or newly promoted leader without losing running
+// groups.
 func (a *Agent) RunHA(ctx context.Context, addrs []string, maxBackoff time.Duration) error {
 	if len(addrs) == 0 {
 		return fmt.Errorf("executor: no scheduler addresses")

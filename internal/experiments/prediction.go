@@ -49,16 +49,13 @@ func (o Options) Prediction() Table {
 			online = profile.NewOnline()
 			cfg.Estimator = online
 		}
-		var p sched.Policy
-		switch {
-		case ru.family == "srtf" && online == nil:
-			p = sched.SRTF()
-		case ru.family == "srtf":
-			p = sched.SRTFPredicted(online)
-		case online == nil:
-			p = sched.NewMuriL()
-		default:
-			p = sched.NewMuriLPredicted(online)
+		name := ru.family
+		if online != nil {
+			name += "-pred"
+		}
+		p, err := sched.ByName(name, online)
+		if err != nil {
+			panic(err)
 		}
 		if reg.amplitude > 0 {
 			cfg.Drift = &profile.Drift{Amplitude: reg.amplitude, Seed: predictionSeed}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
-	"time"
 )
 
 // Histogram is a fixed-bucket cumulative histogram: values are counted
@@ -71,9 +69,6 @@ func (h *Histogram) Observe(v float64) {
 	h.count++
 }
 
-// ObserveDuration counts one duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 { return h.count }
 
@@ -94,98 +89,4 @@ func (h *Histogram) Cumulative() []uint64 {
 		out[i] = run
 	}
 	return out
-}
-
-// Quantile estimates the p-quantile (0 ≤ p ≤ 1) by linear interpolation
-// within the owning bucket; observations above every finite bound clamp
-// to the largest bound. The domain endpoints are exact bucket edges,
-// never interpolations: p=0 returns the lower edge of the lowest
-// nonempty bucket and p=1 the upper bound of the highest nonempty one,
-// so extreme quantiles cannot extrapolate past the observed buckets or
-// pick up float rounding. It returns 0 on an empty histogram.
-func (h *Histogram) Quantile(p float64) float64 {
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		panic(fmt.Sprintf("metrics: invalid quantile %v", p))
-	}
-	if h.count == 0 {
-		return 0
-	}
-	if p == 0 {
-		for i, c := range h.counts {
-			if c == 0 {
-				continue
-			}
-			if i >= len(h.bounds) {
-				return h.bounds[len(h.bounds)-1]
-			}
-			if i == 0 {
-				return 0
-			}
-			return h.bounds[i-1]
-		}
-	}
-	if p == 1 {
-		for i := len(h.counts) - 1; i >= 0; i-- {
-			if h.counts[i] == 0 {
-				continue
-			}
-			if i >= len(h.bounds) {
-				return h.bounds[len(h.bounds)-1]
-			}
-			return h.bounds[i]
-		}
-	}
-	rank := p * float64(h.count)
-	var cum uint64
-	for i, c := range h.counts {
-		if c == 0 {
-			cum += c
-			continue
-		}
-		if float64(cum+c) >= rank {
-			if i >= len(h.bounds) {
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			frac := (rank - float64(cum)) / float64(c)
-			return lo + (hi-lo)*frac
-		}
-		cum += c
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
-// Merge adds o's observations into h. The bucket layouts must match.
-func (h *Histogram) Merge(o *Histogram) {
-	if len(h.bounds) != len(o.bounds) {
-		panic("metrics: merging histograms with different bucket layouts")
-	}
-	for i, b := range h.bounds {
-		if b != o.bounds[i] {
-			panic("metrics: merging histograms with different bucket layouts")
-		}
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.sum += o.sum
-	h.count += o.count
-}
-
-// String renders a compact summary for logs and tables.
-func (h *Histogram) String() string {
-	if h.count == 0 {
-		return "Histogram{empty}"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Histogram{n=%d sum=%.4g", h.count, h.sum)
-	for _, p := range []float64{0.5, 0.9, 0.99} {
-		fmt.Fprintf(&b, " p%.0f=%.4g", p*100, h.Quantile(p))
-	}
-	b.WriteByte('}')
-	return b.String()
 }

@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 func TestHistogramBucketing(t *testing.T) {
@@ -27,106 +26,6 @@ func TestHistogramBucketing(t *testing.T) {
 	}
 	if h.Sum() != 0.5+1+1.5+2+3+4+100 {
 		t.Errorf("sum = %v", h.Sum())
-	}
-}
-
-func TestHistogramObserveDuration(t *testing.T) {
-	h := NewHistogram(0.1, 1)
-	h.ObserveDuration(500 * time.Millisecond)
-	if got := h.Cumulative(); got[0] != 0 || got[1] != 1 {
-		t.Errorf("cumulative = %v, want [0 1 1]", got)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(1, 2, 4, 8)
-	if h.Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile should be 0")
-	}
-	for i := 0; i < 100; i++ {
-		h.Observe(1.5) // all in (1, 2]
-	}
-	q := h.Quantile(0.5)
-	if q < 1 || q > 2 {
-		t.Errorf("p50 = %v, want within owning bucket (1, 2]", q)
-	}
-	h2 := NewHistogram(1)
-	h2.Observe(50) // above every bound: clamps to the largest bound
-	if got := h2.Quantile(0.99); got != 1 {
-		t.Errorf("overflow quantile = %v, want clamp to 1", got)
-	}
-}
-
-// TestHistogramQuantileEdges pins the boundary semantics: p=0 and p=1
-// return the exact edges of the lowest/highest nonempty bucket — no
-// interpolation, no extrapolation past the observed buckets, and no
-// float rounding below the upper bound at p=1.
-func TestHistogramQuantileEdges(t *testing.T) {
-	h := NewHistogram(1, 2, 4, 8)
-	if h.Quantile(0) != 0 || h.Quantile(1) != 0 {
-		t.Error("empty histogram edge quantiles should be 0")
-	}
-	for i := 0; i < 3; i++ {
-		h.Observe(1.5) // (1, 2]
-	}
-	for i := 0; i < 7; i++ {
-		h.Observe(3) // (2, 4]
-	}
-	if got := h.Quantile(0); got != 1 {
-		t.Errorf("p0 = %v, want exact lower edge 1 of the lowest nonempty bucket", got)
-	}
-	if got := h.Quantile(1); got != 4 {
-		t.Errorf("p100 = %v, want exact upper bound 4 of the highest nonempty bucket", got)
-	}
-	// Interior quantiles still interpolate strictly inside their bucket.
-	if q := h.Quantile(0.999); q <= 2 || q > 4 {
-		t.Errorf("p99.9 = %v, want within (2, 4]", q)
-	}
-
-	// Lowest bucket occupied: p0 is that bucket's lower edge, zero.
-	lo := NewHistogram(1, 2)
-	lo.Observe(0.5)
-	if got := lo.Quantile(0); got != 0 {
-		t.Errorf("p0 = %v, want 0 for the first bucket", got)
-	}
-	if got := lo.Quantile(1); got != 1 {
-		t.Errorf("p100 = %v, want upper bound 1", got)
-	}
-
-	// Only the +Inf bucket occupied: both edges clamp to the largest
-	// finite bound rather than extrapolating.
-	inf := NewHistogram(1, 2)
-	inf.Observe(50)
-	if got := inf.Quantile(0); got != 2 {
-		t.Errorf("overflow p0 = %v, want clamp to 2", got)
-	}
-	if got := inf.Quantile(1); got != 2 {
-		t.Errorf("overflow p100 = %v, want clamp to 2", got)
-	}
-
-	for _, bad := range []float64{-0.01, 1.01, math.NaN()} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Quantile(%v) did not panic", bad)
-				}
-			}()
-			h.Quantile(bad)
-		}()
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(1, 2), NewHistogram(1, 2)
-	a.Observe(0.5)
-	b.Observe(1.5)
-	b.Observe(10)
-	a.Merge(b)
-	if a.Count() != 3 {
-		t.Errorf("merged count = %d, want 3", a.Count())
-	}
-	if got := a.Cumulative(); got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("merged cumulative = %v", got)
 	}
 }
 

@@ -132,13 +132,13 @@ func killRestartStream(t *testing.T, crash bool) []string {
 		cur.Close()
 		wg.Wait()
 	}()
-	// RunWithRetry keeps the group running through the daemon outage and
+	// RunHA keeps the group running through the daemon outage and
 	// re-registers against the restarted daemon, offering it back.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		agent := &executor.Agent{MachineID: "machine-0", GPUs: 8, Logf: t.Logf}
-		_ = agent.RunWithRetry(ctx, addr, time.Second)
+		_ = agent.RunHA(ctx, []string{addr}, time.Second)
 	}()
 
 	c := dialRetry(t, addr)

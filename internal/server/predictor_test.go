@@ -54,7 +54,7 @@ func TestPredictorStateSurvivesRestart(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		agent := &executor.Agent{MachineID: "machine-0", GPUs: 8, Logf: t.Logf}
-		_ = agent.RunWithRetry(ctx, addr, time.Second)
+		_ = agent.RunHA(ctx, []string{addr}, time.Second)
 	}()
 
 	c := dialRetry(t, addr)

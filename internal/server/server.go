@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"log/slog"
 	"net"
 	"slices"
 	"sync"
@@ -79,12 +80,11 @@ type Config struct {
 	// issued (the parity harness taps the decision stream here).
 	Observer func(engine.Decision)
 	// Logf receives diagnostics; nil uses log.Printf. Lines are rendered
-	// by the structured logger (level=... component=server key=value), so
-	// any printf-shaped sink works unchanged.
+	// by the structured logger (level=... msg=... component=server
+	// key=value), so any printf-shaped sink works unchanged.
 	Logf func(format string, args ...any)
-	// LogLevel is the minimum severity emitted; the zero value (debug)
-	// keeps everything.
-	LogLevel telemetry.Level
+	// LogLevel is the minimum severity emitted; the zero value is info.
+	LogLevel slog.Level
 	// TraceEvents bounds the daemon's always-on trace ring (scheduler
 	// rounds and decisions on the virtual clock, snapshotted by the
 	// TraceSnapshot RPC). Zero uses telemetry.DefaultMaxEvents.
@@ -281,7 +281,7 @@ type Server struct {
 
 	// log is the structured logger (component=server), rendered through
 	// cfg.Logf.
-	log *telemetry.Logger
+	log *slog.Logger
 	// tracer records scheduler rounds and decisions on the virtual clock
 	// for the TraceSnapshot RPC. Always on, bounded by cfg.TraceEvents.
 	tracer *telemetry.Tracer
@@ -427,7 +427,7 @@ func New(cfg Config) *Server {
 	if sink == nil {
 		sink = log.Printf
 	}
-	s.log = telemetry.NewLogger(sink, cfg.LogLevel).With("component", "server")
+	s.log = newLogger(sink, cfg.LogLevel).With("component", "server")
 	s.eng = engine.New(engine.Config{
 		Policy:             cfg.Policy,
 		Style:              engine.Differential,

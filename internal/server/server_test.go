@@ -410,8 +410,8 @@ func TestHeartbeatKeepsExecutorAlive(t *testing.T) {
 	}
 }
 
-// TestRunWithRetryReconnects restarts the scheduler and checks the agent
-// re-registers.
+// TestRunWithRetryReconnects restarts the scheduler and checks the agent,
+// retrying its one address under RunHA, re-registers.
 func TestRunWithRetryReconnects(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -429,7 +429,7 @@ func TestRunWithRetryReconnects(t *testing.T) {
 	agent := &executor.Agent{MachineID: "retry", GPUs: 8, Logf: t.Logf,
 		HeartbeatEvery: 30 * time.Millisecond}
 	wg.Add(1)
-	go func() { defer wg.Done(); _ = agent.RunWithRetry(ctx, addr, time.Second) }()
+	go func() { defer wg.Done(); _ = agent.RunHA(ctx, []string{addr}, time.Second) }()
 	t.Cleanup(func() { cancel(); wg.Wait() })
 
 	waitFor(t, 2*time.Second, func() bool {

@@ -1,12 +1,14 @@
-// Daemon observability surface: the /metrics registry, the debug HTTP
-// handler (murisched -debug-addr), and the trace snapshot served to
-// murictl. See DESIGN.md §9.
+// Daemon observability surface: the structured logger, the /metrics
+// registry, the debug HTTP handler (murisched -debug-addr), and the
+// trace snapshot served to murictl. See DESIGN.md §9.
 package server
 
 import (
 	"expvar"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"strings"
 	"time"
 
 	"muri/internal/ingest"
@@ -15,6 +17,34 @@ import (
 	"muri/internal/wal"
 	"muri/internal/workload"
 )
+
+// newLogger builds the daemon's structured logger: slog's logfmt text
+// handler, one line per entry, handed to the printf-shaped sink. The
+// sink stamps its own time, so the time key is dropped, and levels
+// print lower-case: `level=warn msg="..." component=server k=v`.
+func newLogger(sink func(format string, args ...any), level slog.Level) *slog.Logger {
+	return slog.New(slog.NewTextHandler(sinkWriter(sink), &slog.HandlerOptions{
+		Level: level,
+		ReplaceAttr: func(_ []string, a slog.Attr) slog.Attr {
+			switch a.Key {
+			case slog.TimeKey:
+				return slog.Attr{}
+			case slog.LevelKey:
+				return slog.String(slog.LevelKey, strings.ToLower(a.Value.String()))
+			}
+			return a
+		},
+	}))
+}
+
+// sinkWriter adapts a printf-shaped sink to the writer a slog handler
+// writes each entry to, in one call, newline-terminated.
+type sinkWriter func(format string, args ...any)
+
+func (w sinkWriter) Write(p []byte) (int, error) {
+	w("%s", strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
+}
 
 // initMetrics registers the daemon's metric set. Engine, fault, and
 // capacity figures are func-backed: each scrape samples the live state

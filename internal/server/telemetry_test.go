@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"log/slog"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -140,6 +141,21 @@ func TestTraceSnapshotRPC(t *testing.T) {
 	}
 	if launches == 0 {
 		t.Error("trace snapshot holds no launch decisions")
+	}
+}
+
+// TestNewLoggerLine pins the daemon logger's rendering: the exact logfmt
+// line, with msg before the With fields and no time key (the sink stamps
+// its own), and the level filter dropping the info line.
+func TestNewLoggerLine(t *testing.T) {
+	var lines []string
+	sink := func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
+	l := newLogger(sink, slog.LevelWarn).With("component", "server")
+	l.Info("dropped below the level")
+	l.Warn("executor dropped", "machine", "m-1", "requeued", 2, "lease", 1500*time.Millisecond)
+	want := `level=warn msg="executor dropped" component=server machine=m-1 requeued=2 lease=1.5s`
+	if len(lines) != 1 || lines[0] != want {
+		t.Fatalf("lines = %q, want [%q]", lines, want)
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package telemetry is the observability layer over the scheduling
 // stack (DESIGN.md §9): a deterministic span tracer exporting Chrome
-// trace-event JSON (viewable in Perfetto / chrome://tracing), a small
+// trace-event JSON (viewable in Perfetto / chrome://tracing) and a small
 // Prometheus-text metrics registry served by the daemon's debug
-// endpoint, and a leveled key=value logger threaded through the
-// daemon's Logf hook.
+// endpoint.
 //
 // Everything here is opt-in and passive: a nil *Tracer records nothing,
 // a driver that never constructs a Registry pays nothing, and no
