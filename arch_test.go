@@ -51,7 +51,7 @@ var archRules = []archRule{
 	},
 	{
 		name:    "engine-state-outside-apply",
-		pattern: `eng\.(Track|SetPhase|MarkDone|ApplyDecision|ReplayFault)\(`,
+		pattern: `eng\.(Track|SetState|MarkDone|ApplyDecision|ReplayFault)\(`,
 		scope:   []string{"internal/server"},
 		except:  []string{"internal/server/apply.go"},
 		reason: "the daemon changes the engine's recoverable state only from internal/server/apply.go, " +
@@ -66,6 +66,24 @@ var archRules = []archRule{
 		reason: "the engine changes its placement memory and decision counters only in internal/engine/snapshot.go: " +
 			"apply (one decision, live at emit and replayed alike), Restore, MarkDone and the shrink re-key",
 		example: `e.prevKeys[j.ID] = key`,
+	},
+	{
+		name:    "job-state-outside-apply",
+		pattern: `(\bj|\.job)\.(State|Faults)[[:space:]]*(=[^=]|\+\+|\+=|-=|--)`,
+		scope:   []string{"internal"},
+		except:  []string{"internal/engine/snapshot.go"},
+		reason: "a job's lifecycle (job.State, job.Faults) is written only by the engine, in " +
+			"internal/engine/snapshot.go: apply, Track, SetState, MarkDone, RecordFault and ReplayFault; " +
+			"job.New leaves it pending",
+		example: `js.job.State = job.Done`,
+	},
+	{
+		name:         "deleted-lifecycle-copy",
+		pattern:      `PhaseOf|FaultsOf|engine\.Phase|RecordSnapshot`,
+		scope:        []string{"."},
+		skipComments: true,
+		reason:       "job.State is the one lifecycle type: the engine keeps no phase map of its own beside it",
+		example:      `if s.eng.PhaseOf(id) == engine.PhaseRunning {`,
 	},
 	{
 		name:    "fault-ledger-by-hand",

@@ -10,10 +10,10 @@ import (
 	"muri/internal/sched"
 )
 
-// TestMarkDoneForgetsUntrackedPlacement: the simulator tracks no jobs, so
-// a completion must clear the placement memory of an untracked job too,
-// or finished jobs would stay remembered as running.
-func TestMarkDoneForgetsUntrackedPlacement(t *testing.T) {
+// TestMarkDoneForgetsPlacement: a completion finishes the job and clears
+// its placement memory, or finished jobs would stay remembered as
+// running; a second completion report is rejected.
+func TestMarkDoneForgetsPlacement(t *testing.T) {
 	j := newJob(t, 1, 1)
 	e := engine.New(engine.Config{Style: engine.ReplaceAll, Policy: scriptedPolicy{preempt: true,
 		plan: func(_ time.Duration, jobs []*job.Job, _ int) []sched.Unit {
@@ -23,18 +23,22 @@ func TestMarkDoneForgetsUntrackedPlacement(t *testing.T) {
 			}
 			return units
 		}}})
+	e.Track(j, job.Pending)
 	out := e.Reconcile(engine.Input{Candidates: []*job.Job{j}, Pending: []*job.Job{j}, Capacity: 1, Placer: newFakePlacer(1)})
 	if got := decisionStrings(out.Decisions); !equalStrings(got, []string{"launch exclusive:1"}) {
 		t.Fatalf("decisions = %v, want one launch", got)
 	}
-	if keys := e.RunningKeys(); keys[1] != "exclusive:1" {
-		t.Fatalf("running keys after launch = %v", keys)
+	if keys := e.RunningKeys(); keys[1] != "exclusive:1" || j.State != job.Running {
+		t.Fatalf("after launch: running keys = %v, state %v", keys, j.State)
 	}
-	if e.MarkDone(1) {
-		t.Error("MarkDone applied a transition to an untracked job")
+	if !e.MarkDone(1) || j.State != job.Done {
+		t.Errorf("MarkDone: state %v, want done", j.State)
 	}
 	if keys := e.RunningKeys(); len(keys) != 0 {
 		t.Errorf("running keys after completion = %v, want none", keys)
+	}
+	if e.MarkDone(1) {
+		t.Error("a second completion applied a transition to a done job")
 	}
 }
 
@@ -74,32 +78,49 @@ func TestLifecycleCallsEqualReplay(t *testing.T) {
 					}},
 				})
 			}
-			jobs := []*job.Job{newJob(t, 1, 2), newJob(t, 2, 2), newJob(t, 3, 1)}
+			newJobs := func() []*job.Job { return []*job.Job{newJob(t, 1, 2), newJob(t, 2, 2), newJob(t, 3, 1)} }
+			jobs := newJobs()
 			live := newEngine()
 			for _, j := range jobs {
-				live.Track(j.ID, engine.PhasePending)
+				live.Track(j, job.Pending)
 			}
 			live.Reconcile(engine.Input{Candidates: jobs, Capacity: 3, Placer: newFakePlacer(3)})
-			if live.PhaseOf(1) != engine.PhaseRunning || live.PhaseOf(2) != engine.PhasePending || live.PhaseOf(3) != engine.PhaseRunning {
-				t.Fatalf("setup phases = %v %v %v", live.PhaseOf(1), live.PhaseOf(2), live.PhaseOf(3))
+			if jobs[0].State != job.Running || jobs[1].State != job.Pending || jobs[2].State != job.Running {
+				t.Fatalf("setup states = %v %v %v", jobs[0].State, jobs[1].State, jobs[2].State)
 			}
 			before := live.Snapshot()
 			if len(before.Bypassed) == 0 || len(before.WaitCauses) == 0 {
 				t.Fatalf("setup left no bypass credit or wait cause: %+v", before)
+			}
+			// The driver's half of the snapshot: each job's state and faults.
+			states, faults := make([]job.State, len(jobs)), make([]int, len(jobs))
+			for i, j := range jobs {
+				states[i], faults[i] = j.State, j.Faults
 			}
 			emitted = emitted[:0]
 			c.call(live)
 
 			twin := newEngine()
 			twin.Restore(before)
+			twinJobs := newJobs()
+			for i, j := range twinJobs {
+				twin.Track(j, states[i])
+				twin.ReplayFault(j.ID, faults[i])
+			}
 			for _, d := range emitted {
 				twin.ApplyDecision(d)
 				if d.Reason == engine.ReasonFault || d.Action == engine.ActDeadletter {
-					twin.ReplayFault(d.Jobs[0], live.FaultsOf(d.Jobs[0]))
+					twin.ReplayFault(d.Jobs[0], jobs[d.Jobs[0]-1].Faults)
 				}
 			}
 			if got, want := twin.Snapshot(), live.Snapshot(); !reflect.DeepEqual(got, want) {
 				t.Errorf("replayed state differs\n  live   %+v\n  replay %+v", want, got)
+			}
+			for i, j := range twinJobs {
+				if j.State != jobs[i].State || j.Faults != jobs[i].Faults {
+					t.Errorf("job %d: replayed %v with %d faults, live %v with %d",
+						j.ID, j.State, j.Faults, jobs[i].State, jobs[i].Faults)
+				}
 			}
 		})
 	}

@@ -139,14 +139,6 @@ type PlanStatsProvider interface {
 	PlanStats() metrics.ShardStats
 }
 
-// Record is the engine's lifecycle state for one tracked job.
-type Record struct {
-	// Phase is the job's current lifecycle phase.
-	Phase Phase
-	// Faults counts recorded faults (retry-budget spend).
-	Faults int
-}
-
 // Engine owns the scheduling decision path. It is not safe for
 // concurrent use; the daemon drives it under its own mutex and the
 // simulator is single-threaded.
@@ -159,12 +151,11 @@ type Engine struct {
 	// bypassed counts consecutive rounds a job's unit was skipped for
 	// capacity while a lower-priority unit was admitted.
 	bypassed map[job.ID]int
-	// records holds lifecycle state for tracked jobs. The simulator does
-	// not track jobs (it keeps job.State); the daemon tracks every
-	// submission.
-	records map[job.ID]*Record
-	stats   metrics.EngineStats
-	seq     uint64
+	// jobs are the jobs whose lifecycle (job.State, job.Faults) the
+	// engine drives: both drivers track every job they admit.
+	jobs  map[job.ID]*job.Job
+	stats metrics.EngineStats
+	seq   uint64
 	// lastNow is the clock value of the most recent round, used to stamp
 	// trace events issued between rounds when cfg.Now is unset.
 	lastNow time.Duration
@@ -204,7 +195,7 @@ func New(cfg Config) *Engine {
 		cfg:           cfg,
 		prevKeys:      make(map[job.ID]string),
 		bypassed:      make(map[job.ID]int),
-		records:       make(map[job.ID]*Record),
+		jobs:          make(map[job.ID]*job.Job),
 		sink:          sink,
 		keyer:         keyer,
 		lastWaitCause: make(map[job.ID]string),
@@ -414,46 +405,11 @@ func (e *Engine) traceShards(pid int, now time.Duration) {
 	})
 }
 
-// Track registers a job in the lifecycle state machine at the given
-// phase (the daemon: profiling or pending at submission).
-func (e *Engine) Track(id job.ID, p Phase) {
-	e.records[id] = &Record{Phase: p}
-}
-
-// PhaseOf returns a tracked job's phase ("" when untracked).
-func (e *Engine) PhaseOf(id job.ID) Phase {
-	if r := e.records[id]; r != nil {
-		return r.Phase
-	}
-	return ""
-}
-
-// FaultsOf returns a tracked job's recorded fault count.
-func (e *Engine) FaultsOf(id job.ID) int {
-	if r := e.records[id]; r != nil {
-		return r.Faults
-	}
-	return 0
-}
-
-// SetPhase applies a lifecycle transition if the state machine permits
-// it, reporting whether it was applied. The transition table doubles as
-// the guard the daemon historically wrote by hand (e.g. a completion
-// for an already-done job is a no-op).
-func (e *Engine) SetPhase(id job.ID, to Phase) bool {
-	r := e.records[id]
-	if r == nil || !r.Phase.CanTransition(to) {
-		return false
-	}
-	r.Phase = to
-	return true
-}
-
 // RequeueWithCause records a job pushed back to the queue through no
 // fault of its own (machine crash, evicted executor) as a requeue
 // decision: the placement memory is forgotten — so the next admission
 // charges a full restart even if the unit reforms identically — but no
-// retry budget is spent. Tracked jobs move running → pending. The cause,
+// retry budget is spent. The job moves running → pending. The cause,
 // a provenance annotation supplied by the driver (e.g. the identity of
 // the lost machine), rides the decision only while provenance is enabled.
 func (e *Engine) RequeueWithCause(id job.ID, reason Reason, cause string) Decision {
@@ -475,38 +431,6 @@ func (e *Engine) Preempt(key string, ids []job.ID, cause string) Decision {
 	return e.emit(d)
 }
 
-// RecordFault records a job-level fault: retry budget is spent and the
-// job is either requeued (with the returned backoff) or dead-lettered.
-// The job's progress is untouched — the next launch resumes from its
-// checkpoint. Untracked jobs are tracked on first fault so the budget
-// accumulates.
-func (e *Engine) RecordFault(id job.ID) (backoff time.Duration, deadlettered bool) {
-	r := e.records[id]
-	if r == nil {
-		r = &Record{}
-		e.records[id] = r
-	}
-	r.Faults++
-	if e.cfg.Retry.Exhausted(r.Faults) {
-		d := Decision{Action: ActDeadletter, Jobs: []job.ID{id}}
-		if e.cfg.Provenance != nil {
-			d.Cause = "retry budget exhausted after " + strconv.Itoa(r.Faults) + " faults"
-		}
-		e.emit(d)
-		return 0, true
-	}
-	d := Decision{Action: ActRequeue, Jobs: []job.ID{id}, Reason: ReasonFault}
-	if e.cfg.Provenance != nil {
-		budget := "unlimited"
-		if e.cfg.Retry.Budget >= 0 {
-			budget = strconv.Itoa(e.cfg.Retry.Budget)
-		}
-		d.Cause = "fault " + strconv.Itoa(r.Faults) + " of budget " + budget
-	}
-	e.emit(d)
-	return e.cfg.Retry.Backoff(int64(id), r.Faults), false
-}
-
 // Input is everything one scheduling round needs from the driver.
 type Input struct {
 	// Now is the driver's clock (virtual for the simulator, virtualized
@@ -518,7 +442,7 @@ type Input struct {
 	Candidates []*job.Job
 	// Pending is the driver's pending queue; Reconcile returns its
 	// rebuilt successor in Outcome.Pending. Nil when the driver keeps no
-	// explicit queue (the daemon derives it from phases).
+	// explicit queue (the daemon derives it from job states).
 	Pending []*job.Job
 	// PendingInto, when non-nil, is the buffer Outcome.Pending is rebuilt
 	// into (as Matcher.SolveInto takes mate's); nil allocates. It must not
@@ -755,7 +679,6 @@ func (e *Engine) Reconcile(in Input) Outcome {
 			e.rekey(key, spec.Jobs) // a unit that shrank continues: no decision
 		}
 		for _, j := range spec.Jobs {
-			j.State = job.Running
 			j.Sched.Placed = stamp
 		}
 		r.placements = append(r.placements, p)
@@ -803,7 +726,6 @@ func (e *Engine) Reconcile(in Input) Outcome {
 	newPending := slices.Grow(in.PendingInto[:0], max(len(in.Pending), len(in.Candidates)))
 	for _, j := range in.Pending {
 		if j.Sched.Placed != stamp {
-			j.State = job.Pending
 			j.Sched.Seen = stamp
 			newPending = append(newPending, j)
 		}
@@ -813,7 +735,6 @@ func (e *Engine) Reconcile(in Input) Outcome {
 		kept := len(newPending)
 		for _, j := range in.Candidates {
 			if j.Sched.Placed != stamp && j.Sched.Seen != stamp && j.State != job.Done {
-				j.State = job.Pending
 				j.Sched.Seen = stamp
 				newPending = append(newPending, j)
 			}

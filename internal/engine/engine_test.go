@@ -58,6 +58,13 @@ func newJob(t *testing.T, id int64, gpus int) *job.Job {
 	return job.New(job.ID(id), m, gpus, 1000, 0)
 }
 
+// track registers jobs with e at pending, as a driver's admission does.
+func track(e *engine.Engine, jobs ...*job.Job) {
+	for _, j := range jobs {
+		e.Track(j, job.Pending)
+	}
+}
+
 func decisionStrings(ds []engine.Decision) []string {
 	out := make([]string, len(ds))
 	for i, d := range ds {
@@ -87,6 +94,7 @@ func TestReconcileAdmitsIntoCapacity(t *testing.T) {
 			return []sched.Unit{u1, u2}
 		}},
 	})
+	track(e, j1, j2)
 	out := e.Reconcile(engine.Input{
 		Candidates: []*job.Job{j1, j2},
 		Pending:    []*job.Job{j1, j2},
@@ -119,6 +127,7 @@ func TestStarvationBoostPromotesBypassedUnit(t *testing.T) {
 			return []sched.Unit{uA, uC, uB}
 		}},
 	})
+	track(e, jA, jB, jC)
 	placer := newFakePlacer(2)
 	round := func(current []engine.Current) engine.Outcome {
 		return e.Reconcile(engine.Input{
@@ -161,6 +170,7 @@ func TestDifferentialKeepsSameKeyKillsRest(t *testing.T) {
 			return []sched.Unit{uX, uZ}
 		}},
 	})
+	track(e, j1, j2, j3)
 	placer := newFakePlacer(2)
 	placer.free = 0 // X and Y hold both GPUs as the round begins
 	var killed []string
@@ -204,6 +214,7 @@ func TestMemberRestartClassification(t *testing.T) {
 			return plans[roundIdx]
 		}},
 	})
+	track(e, j1, j2)
 	placer := newFakePlacer(2)
 	var current []engine.Current
 	run := func() engine.Outcome {
@@ -264,7 +275,8 @@ func TestRecordFaultBudgetAndDeadletter(t *testing.T) {
 		Retry:    retry,
 		Observer: func(d engine.Decision) { seen = append(seen, d.String()) },
 	})
-	e.Track(5, engine.PhasePending)
+	j := newJob(t, 5, 1)
+	e.Track(j, job.Pending)
 	for attempt := 1; attempt <= 2; attempt++ {
 		backoff, dead := e.RecordFault(5)
 		if dead {
@@ -273,18 +285,18 @@ func TestRecordFaultBudgetAndDeadletter(t *testing.T) {
 		if want := retry.Backoff(5, attempt); backoff != want {
 			t.Errorf("fault %d backoff = %v, want %v", attempt, backoff, want)
 		}
-		if ph := e.PhaseOf(5); ph != engine.PhasePending {
-			t.Errorf("fault %d phase = %v, want pending", attempt, ph)
+		if j.State != job.Pending {
+			t.Errorf("fault %d state = %v, want pending", attempt, j.State)
 		}
 	}
 	if _, dead := e.RecordFault(5); !dead {
 		t.Fatal("third fault should exhaust a budget of 2")
 	}
-	if ph := e.PhaseOf(5); ph != engine.PhaseDeadletter {
-		t.Errorf("phase = %v, want deadletter", ph)
+	if j.State != job.Deadletter {
+		t.Errorf("state = %v, want deadletter", j.State)
 	}
-	if n := e.FaultsOf(5); n != 3 {
-		t.Errorf("faults = %d, want 3", n)
+	if j.Faults != 3 {
+		t.Errorf("faults = %d, want 3", j.Faults)
 	}
 	want := []string{"requeue 5 (fault)", "requeue 5 (fault)", "deadletter 5"}
 	if !equalStrings(seen, want) {
@@ -317,22 +329,22 @@ func TestRetryBackoffDoublesToCapDeterministically(t *testing.T) {
 
 func TestPhaseTransitions(t *testing.T) {
 	cases := []struct {
-		from, to engine.Phase
+		from, to job.State
 		ok       bool
 	}{
-		{engine.PhaseProfiling, engine.PhasePending, true},
-		{engine.PhaseProfiling, engine.PhaseRunning, false},
-		{engine.PhasePending, engine.PhaseRunning, true},
-		{engine.PhasePending, engine.PhasePending, true},
-		{engine.PhasePending, engine.PhaseDone, true},
-		{engine.PhasePending, engine.PhaseDeadletter, true},
-		{engine.PhaseRunning, engine.PhasePending, true},
-		{engine.PhaseRunning, engine.PhaseDone, true},
-		{engine.PhaseRunning, engine.PhaseProfiling, false},
-		{engine.PhaseDeadletter, engine.PhaseDone, true},
-		{engine.PhaseDeadletter, engine.PhasePending, false},
-		{engine.PhaseDone, engine.PhasePending, false},
-		{engine.PhaseDone, engine.PhaseDone, false},
+		{job.Profiling, job.Pending, true},
+		{job.Profiling, job.Running, false},
+		{job.Pending, job.Running, true},
+		{job.Pending, job.Pending, true},
+		{job.Pending, job.Done, true},
+		{job.Pending, job.Deadletter, true},
+		{job.Running, job.Pending, true},
+		{job.Running, job.Done, true},
+		{job.Running, job.Profiling, false},
+		{job.Deadletter, job.Done, true},
+		{job.Deadletter, job.Pending, false},
+		{job.Done, job.Pending, false},
+		{job.Done, job.Done, false},
 	}
 	for _, c := range cases {
 		if got := c.from.CanTransition(c.to); got != c.ok {
@@ -342,15 +354,13 @@ func TestPhaseTransitions(t *testing.T) {
 	e := engine.New(engine.Config{
 		Policy: scriptedPolicy{plan: func(time.Duration, []*job.Job, int) []sched.Unit { return nil }},
 	})
-	e.Track(1, engine.PhaseProfiling)
-	if e.SetPhase(1, engine.PhaseDone) {
+	j := newJob(t, 1, 1)
+	e.Track(j, job.Profiling)
+	if e.SetState(1, job.Done) {
 		t.Error("profiling -> done applied; the state machine should reject it")
 	}
-	if !e.SetPhase(1, engine.PhasePending) || e.PhaseOf(1) != engine.PhasePending {
+	if !e.SetState(1, job.Pending) || j.State != job.Pending {
 		t.Error("profiling -> pending rejected")
-	}
-	if e.SetPhase(2, engine.PhasePending) {
-		t.Error("transition applied to an untracked job")
 	}
 }
 
@@ -360,17 +370,18 @@ func TestRequeueDecisionString(t *testing.T) {
 		Policy:   scriptedPolicy{plan: func(time.Duration, []*job.Job, int) []sched.Unit { return nil }},
 		Observer: func(d engine.Decision) { seen = append(seen, d.String()) },
 	})
-	e.Track(4, engine.PhasePending)
-	e.SetPhase(4, engine.PhaseRunning)
+	j := newJob(t, 4, 1)
+	e.Track(j, job.Pending)
+	e.SetState(4, job.Running)
 	d := e.RequeueWithCause(4, engine.ReasonMachineLost, "")
 	if d.String() != "requeue 4 (machine-lost)" {
 		t.Errorf("decision = %q, want %q", d.String(), "requeue 4 (machine-lost)")
 	}
-	if ph := e.PhaseOf(4); ph != engine.PhasePending {
-		t.Errorf("phase = %v, want pending after machine-lost requeue", ph)
+	if j.State != job.Pending {
+		t.Errorf("state = %v, want pending after machine-lost requeue", j.State)
 	}
-	if n := e.FaultsOf(4); n != 0 {
-		t.Errorf("machine-lost requeue charged %d faults; it must not spend budget", n)
+	if j.Faults != 0 {
+		t.Errorf("machine-lost requeue charged %d faults; it must not spend budget", j.Faults)
 	}
 	if !equalStrings(seen, []string{"requeue 4 (machine-lost)"}) {
 		t.Errorf("observer saw %v", seen)

@@ -49,6 +49,7 @@ func (d *queueDriver) round(t *testing.T, r int) ([]job.ID, []string) {
 		d.nextID++
 		j := newJob(t, d.nextID, 1<<d.rng.Intn(3))
 		j.Submit, j.Iterations = now, int64(500+d.rng.Intn(3000))
+		d.e.Track(j, job.Pending)
 		d.pending = append(d.pending, j)
 	}
 	d.running = slices.DeleteFunc(d.running, func(p engine.Placement) bool {
@@ -150,6 +151,7 @@ func TestPendingIntoAliasingPanics(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			e := engine.New(engine.Config{Policy: policy, Style: engine.ReplaceAll})
+			track(e, jobs...)
 			c.in.Capacity, c.in.Placer = 4, newFakePlacer(4)
 			var msg any
 			func() {
@@ -185,6 +187,7 @@ func TestKeyReuse(t *testing.T) {
 	r := 0
 	e := engine.New(engine.Config{Style: engine.ReplaceAll, Policy: scriptedPolicy{preempt: true,
 		plan: func(time.Duration, []*job.Job, int) []sched.Unit { return []sched.Unit{rounds[r]} }}})
+	track(e, jobs...)
 	var current []engine.Current
 	var prevKey string
 	for ; r < len(rounds); r++ {
@@ -233,6 +236,7 @@ func TestKeyReuseWarmRoundAllocsNoKey(t *testing.T) {
 	}
 	e := engine.New(engine.Config{Style: engine.ReplaceAll, Policy: scriptedPolicy{preempt: true,
 		plan: func(time.Duration, []*job.Job, int) []sched.Unit { return units }}})
+	track(e, jobs...)
 	placer := &budgetPlacer{capacity: gpus, free: gpus}
 	var current []engine.Current
 	var queue, spare []*job.Job

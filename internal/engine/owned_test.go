@@ -49,6 +49,7 @@ func TestPlacedUnitsOwnTheirJobs(t *testing.T) {
 					nextID++
 					j := newJob(t, nextID, 1<<rng.Intn(3))
 					j.Submit, j.Iterations = now, int64(500+rng.Intn(3000))
+					e.Track(j, job.Pending)
 					pending = append(pending, j)
 				}
 				// A few running units finish: their jobs leave for good.

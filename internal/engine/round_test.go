@@ -211,6 +211,9 @@ func runExitScript(t *testing.T, sc exitScript, provenance bool) {
 		}
 	}
 	e := engine.New(cfg)
+	for _, u := range sc.order {
+		track(e, u.Jobs...)
+	}
 	ref := &refRound{patience: patience, bypassed: map[job.ID]int{}, lastCause: map[job.ID]string{}}
 	placer := newFakePlacer(sc.capacity)
 	var current []engine.Current
@@ -360,6 +363,7 @@ func (d *markDriver) play(e *engine.Engine, causes *[]causeMark, setup markSetup
 	if r > 0 {
 		first = arrived(r - 1)
 	}
+	track(e, jobs[first:arrived(r)]...)
 	d.pending = append(d.pending, jobs[first:arrived(r)]...)
 	d.pending = slices.DeleteFunc(d.pending, func(j *job.Job) bool { return gone[j] })
 	d.current = slices.DeleteFunc(d.current, func(c engine.Current) bool {
@@ -505,6 +509,7 @@ func TestPendingRebuildMatchesStableSort(t *testing.T) {
 				}
 				return units
 			}}})
+		track(e, jobs...)
 		capacity := rng.Intn(n + 1)
 		out := e.Reconcile(engine.Input{Candidates: jobs, Pending: pending, Capacity: capacity, Placer: newFakePlacer(capacity)})
 		placed := map[*job.Job]bool{}
@@ -583,6 +588,7 @@ func TestReconcileAllocBudget(t *testing.T) {
 	// placed. The driver lends the engine two queue buffers in turn.
 	drive := func(jobs []*job.Job) func() []engine.Current {
 		e := engine.New(engine.Config{Policy: sched.SRTF(), Style: engine.ReplaceAll})
+		track(e, jobs...)
 		placer := &budgetPlacer{capacity: gpus, free: gpus}
 		var current []engine.Current
 		var queue, spare []*job.Job

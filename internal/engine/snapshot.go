@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strconv"
 	"time"
 
 	"muri/internal/job"
@@ -9,10 +10,11 @@ import (
 
 // Snapshot is the engine's replayable state: everything Reconcile and
 // the lifecycle methods consult that cannot be rebuilt from the drivers'
-// own state. Restoring a snapshot and re-applying the decision records
-// logged after it reproduces the engine bit-for-bit, which is what makes
-// the recovered daemon's decision stream byte-identical to an
-// uninterrupted run.
+// own state. Each job's State and Faults are the driver's to store (the
+// daemon's wal.JobSnapshot), and it re-tracks its jobs after Restore.
+// Restoring a snapshot and re-applying the decision records logged after
+// it reproduces the engine bit-for-bit, which is what makes the recovered
+// daemon's decision stream byte-identical to an uninterrupted run.
 type Snapshot struct {
 	// Seq is the last assigned decision sequence number.
 	Seq uint64 `json:"seq"`
@@ -23,20 +25,12 @@ type Snapshot struct {
 	// Bypassed is the anti-starvation ledger: job → consecutive rounds
 	// skipped for capacity.
 	Bypassed map[int64]int `json:"bypassed,omitempty"`
-	// Records is the lifecycle state machine: job → phase + fault count.
-	Records map[int64]RecordSnapshot `json:"records,omitempty"`
 	// Stats are the engine counters.
 	Stats metrics.EngineStats `json:"stats"`
 	// WaitCauses is the provenance transition gate: job → last emitted
 	// wait cause. Restored so a recovered daemon does not re-emit a cause
 	// record an uninterrupted run would have suppressed.
 	WaitCauses map[int64]string `json:"wait_causes,omitempty"`
-}
-
-// RecordSnapshot is one job's lifecycle record on disk.
-type RecordSnapshot struct {
-	Phase  string `json:"phase"`
-	Faults int    `json:"faults,omitempty"`
 }
 
 // Snapshot captures the engine's replayable state.
@@ -58,12 +52,6 @@ func (e *Engine) Snapshot() Snapshot {
 			s.Bypassed[int64(id)] = n
 		}
 	}
-	if len(e.records) > 0 {
-		s.Records = make(map[int64]RecordSnapshot, len(e.records))
-		for id, r := range e.records {
-			s.Records[int64(id)] = RecordSnapshot{Phase: string(r.Phase), Faults: r.Faults}
-		}
-	}
 	if len(e.lastWaitCause) > 0 {
 		s.WaitCauses = make(map[int64]string, len(e.lastWaitCause))
 		for id, c := range e.lastWaitCause {
@@ -73,9 +61,10 @@ func (e *Engine) Snapshot() Snapshot {
 	return s
 }
 
-// Restore overwrites the engine's replayable state from a snapshot. The
-// engine keeps its Config (policy, observer, tracer): those are wiring,
-// not state, and the restoring driver reconstructs them.
+// Restore overwrites the engine's replayable state from a snapshot and
+// forgets every tracked job. The engine keeps its Config (policy,
+// observer, tracer): those are wiring, not state, and the restoring
+// driver reconstructs them, as it re-tracks its jobs.
 func (e *Engine) Restore(s Snapshot) {
 	e.seq = s.Seq
 	e.lastNow = time.Duration(s.LastNow)
@@ -88,10 +77,7 @@ func (e *Engine) Restore(s Snapshot) {
 	for id, n := range s.Bypassed {
 		e.bypassed[job.ID(id)] = n
 	}
-	e.records = make(map[job.ID]*Record, len(s.Records))
-	for id, r := range s.Records {
-		e.records[job.ID(id)] = &Record{Phase: Phase(r.Phase), Faults: r.Faults}
-	}
+	clear(e.jobs)
 	e.lastWaitCause = make(map[job.ID]string, len(s.WaitCauses))
 	for id, c := range s.WaitCauses {
 		e.lastWaitCause[job.ID(id)] = c
@@ -117,21 +103,19 @@ func (e *Engine) ApplyDecision(d Decision) {
 // apply changes the engine's state by one decision, live (emit) and
 // replayed (ApplyDecision) alike:
 //
-//   - launch: members enter the placement memory under the unit key,
-//     tracked phases move to running, starvation credit and the
-//     wait-cause gate reset.
-//   - kill: members leave the placement memory, running phases return to
+//   - launch: members enter the placement memory under the unit key and
+//     move to running, starvation credit and the wait-cause gate reset.
+//   - kill: members leave the placement memory, running ones return to
 //     pending.
-//   - requeue: placement memory and wait cause forgotten; running phases
-//     return to pending, and a fault requeue moves a tracked job to
-//     pending from any phase (its group may have been killed moments
-//     before).
-//   - deadletter: placement memory and wait cause forgotten, phase
-//     parked.
+//   - requeue: placement memory and wait cause forgotten; a running job
+//     returns to pending, and a fault requeue moves it to pending from
+//     any state (its group may have been killed moments before).
+//   - deadletter: placement memory and wait cause forgotten, job parked.
 //
-// Each kind also advances its counter and the decision count. The only
-// other writes to the placement memory are Restore, rekey and MarkDone,
-// all in this file.
+// Each kind also advances its counter and the decision count. Every
+// write to a job's State and Faults is in this file: apply, Track,
+// SetState, MarkDone, RecordFault and ReplayFault. The only other writes
+// to the placement memory are Restore, rekey and MarkDone.
 func (e *Engine) apply(d Decision) {
 	e.stats.Decisions++
 	switch d.Action {
@@ -141,16 +125,16 @@ func (e *Engine) apply(d Decision) {
 			e.prevKeys[id] = d.Key
 			delete(e.bypassed, id)
 			delete(e.lastWaitCause, id)
-			if r := e.records[id]; r != nil && r.Phase.CanTransition(PhaseRunning) {
-				r.Phase = PhaseRunning
+			if j := e.jobs[id]; j.State.CanTransition(job.Running) {
+				j.State = job.Running
 			}
 		}
 	case ActKill:
 		e.stats.Preemptions++
 		for _, id := range d.Jobs {
 			delete(e.prevKeys, id)
-			if r := e.records[id]; r != nil && r.Phase == PhaseRunning {
-				r.Phase = PhasePending
+			if j := e.jobs[id]; j.State == job.Running {
+				j.State = job.Pending
 			}
 		}
 	case ActRequeue:
@@ -158,8 +142,8 @@ func (e *Engine) apply(d Decision) {
 		for _, id := range d.Jobs {
 			delete(e.prevKeys, id)
 			delete(e.lastWaitCause, id)
-			if r := e.records[id]; r != nil && (r.Phase == PhaseRunning || d.Reason == ReasonFault) {
-				r.Phase = PhasePending
+			if j := e.jobs[id]; j.State == job.Running || d.Reason == ReasonFault {
+				j.State = job.Pending
 			}
 		}
 	case ActDeadletter:
@@ -167,13 +151,57 @@ func (e *Engine) apply(d Decision) {
 		for _, id := range d.Jobs {
 			delete(e.prevKeys, id)
 			delete(e.lastWaitCause, id)
-			if r := e.records[id]; r == nil {
-				e.records[id] = &Record{Phase: PhaseDeadletter}
-			} else {
-				r.Phase = PhaseDeadletter
-			}
+			e.jobs[id].State = job.Deadletter
 		}
 	}
+}
+
+// Track registers a job in the lifecycle at state s: the daemon's
+// admission (profiling or pending) and recovery (any state), the
+// simulator's arrival (pending).
+func (e *Engine) Track(j *job.Job, s job.State) {
+	j.State = s
+	e.jobs[j.ID] = j
+}
+
+// SetState applies a lifecycle transition if the state machine permits
+// it, reporting whether it was applied. The transition table doubles as
+// the guard the daemon historically wrote by hand (e.g. a completion
+// for an already-done job is a no-op).
+func (e *Engine) SetState(id job.ID, to job.State) bool {
+	j := e.jobs[id]
+	if !j.State.CanTransition(to) {
+		return false
+	}
+	j.State = to
+	return true
+}
+
+// RecordFault records a job-level fault: retry budget is spent and the
+// job is either requeued (with the returned backoff) or dead-lettered.
+// The job's progress is untouched — the next launch resumes from its
+// checkpoint.
+func (e *Engine) RecordFault(id job.ID) (backoff time.Duration, deadlettered bool) {
+	j := e.jobs[id]
+	j.Faults++
+	if e.cfg.Retry.Exhausted(j.Faults) {
+		d := Decision{Action: ActDeadletter, Jobs: []job.ID{id}}
+		if e.cfg.Provenance != nil {
+			d.Cause = "retry budget exhausted after " + strconv.Itoa(j.Faults) + " faults"
+		}
+		e.emit(d)
+		return 0, true
+	}
+	d := Decision{Action: ActRequeue, Jobs: []job.ID{id}, Reason: ReasonFault}
+	if e.cfg.Provenance != nil {
+		budget := "unlimited"
+		if e.cfg.Retry.Budget >= 0 {
+			budget = strconv.Itoa(e.cfg.Retry.Budget)
+		}
+		d.Cause = "fault " + strconv.Itoa(j.Faults) + " of budget " + budget
+	}
+	e.emit(d)
+	return e.cfg.Retry.Backoff(int64(id), j.Faults), false
 }
 
 // rekey moves a continuing unit's members to its key. It is the one
@@ -191,29 +219,23 @@ func (e *Engine) rekey(key string, jobs []*job.Job) {
 // ReplayFault replays one WAL fault record's budget spend: the fault
 // count is set absolutely (idempotent under re-replay of the same
 // record, and a no-op live, where RecordFault already spent it) without
-// emitting the requeue/deadletter decision — that decision, phase
+// emitting the requeue/deadletter decision — that decision, state
 // included, is its own WAL record and flows through ApplyDecision.
 func (e *Engine) ReplayFault(id job.ID, faults int) {
-	r := e.records[id]
-	if r == nil {
-		r = &Record{}
-		e.records[id] = r
-	}
-	if faults > r.Faults {
-		r.Faults = faults
+	if j := e.jobs[id]; faults > j.Faults {
+		j.Faults = faults
 	}
 }
 
 // MarkDone completes a job's lifecycle (running/pending/deadletter →
 // done), reporting whether the transition applied, and forgets its
-// placement memory either way: untracked jobs (the simulator's) finish
-// here too. Both drivers' completion paths — the daemon's live and
-// replayed alike — end here.
+// placement memory either way. Both drivers' completion paths — the
+// daemon's live and replayed alike — end here.
 func (e *Engine) MarkDone(id job.ID) bool {
 	delete(e.prevKeys, id)
 	delete(e.bypassed, id)
 	delete(e.lastWaitCause, id)
-	return e.SetPhase(id, PhaseDone)
+	return e.SetState(id, job.Done)
 }
 
 // RunningKeys returns the placement memory as a sorted job → key list,

@@ -6,6 +6,7 @@ package job
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"muri/internal/workload"
@@ -14,29 +15,75 @@ import (
 // ID uniquely identifies a job within one scheduler instance.
 type ID int64
 
-// State is the lifecycle state of a job.
+// State is a job's place in its lifecycle, the one state machine the
+// scheduler drives (paper §3, Figure 3):
+//
+//	profiling ──► pending ──► running ──► done
+//	                 ▲  │         │
+//	                 │  │         ├──► pending   (preemption / requeue)
+//	                 │  └──► deadletter ◄┘       (retry budget exhausted)
+//	                 │
+//	              (requeue after fault, with backoff)
+//
+// The scheduling engine is its only writer (internal/engine/snapshot.go).
+// The zero value is Pending, and String returns the daemon's wire states.
 type State int
 
 const (
+	// Profiling jobs wait for a dry-run profile of their model.
+	Profiling State = iota - 1
 	// Pending jobs sit in the scheduler queue.
-	Pending State = iota
+	Pending
 	// Running jobs hold resources on the cluster.
 	Running
-	// Done jobs have completed all iterations.
+	// Done jobs have completed all iterations. Terminal.
 	Done
+	// Deadletter jobs exhausted their fault-retry budget and are parked.
+	// A straggling completion report may still finish them.
+	Deadletter
 )
+
+var stateNames = [...]string{"profiling", "pending", "running", "done", "deadletter"}
 
 // String returns the lowercase state name.
 func (s State) String() string {
-	switch s {
-	case Pending:
-		return "pending"
-	case Running:
-		return "running"
-	case Done:
-		return "done"
-	default:
+	if s < Profiling || s > Deadletter {
 		return fmt.Sprintf("state(%d)", int(s))
+	}
+	return stateNames[s-Profiling]
+}
+
+// MarshalText encodes the state as its name.
+func (s State) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText decodes a state name.
+func (s *State) UnmarshalText(b []byte) error {
+	i := slices.Index(stateNames[:], string(b))
+	if i < 0 {
+		return fmt.Errorf("job: unknown state %q", b)
+	}
+	*s = Profiling + State(i)
+	return nil
+}
+
+// CanTransition reports whether the lifecycle permits moving from s to
+// to. The table encodes the daemon's historical guards: a completion may
+// arrive for a job that was already requeued (pending → done) or parked
+// (deadletter → done), a fault may strike a job whose group was killed
+// moments before (pending → pending requeue, pending → deadletter), and
+// done is terminal.
+func (s State) CanTransition(to State) bool {
+	switch s {
+	case Profiling:
+		return to == Pending
+	case Pending:
+		return to == Pending || to == Running || to == Done || to == Deadletter
+	case Running:
+		return to == Pending || to == Done || to == Deadletter
+	case Deadletter:
+		return to == Done
+	default: // Done
+		return false
 	}
 }
 
@@ -63,6 +110,8 @@ type Job struct {
 
 	// State is the current lifecycle state.
 	State State
+	// Faults counts recorded faults (retry-budget spend).
+	Faults int
 	// DoneIterations counts completed iterations.
 	DoneIterations int64
 	// Attained is the total virtual time the job has spent running,

@@ -32,10 +32,19 @@ func TestNewDefaults(t *testing.T) {
 }
 
 func TestStateString(t *testing.T) {
-	for s, want := range map[State]string{Pending: "pending", Running: "running", Done: "done", State(9): "state(9)"} {
+	for s, want := range map[State]string{Profiling: "profiling", Pending: "pending", Running: "running",
+		Done: "done", Deadletter: "deadletter", State(9): "state(9)"} {
 		if got := s.String(); got != want {
 			t.Errorf("State(%d) = %q, want %q", int(s), got, want)
 		}
+		var back State
+		if err := back.UnmarshalText([]byte(want)); (err == nil) != (s != State(9)) || (err == nil && back != s) {
+			t.Errorf("UnmarshalText(%q) = %v, %v", want, back, err)
+		}
+	}
+	var zero State
+	if zero != Pending {
+		t.Errorf("zero state = %v, want pending", zero)
 	}
 }
 

@@ -13,11 +13,6 @@ import (
 	"muri/internal/workload"
 )
 
-// DryRunIterations is how many iterations the profiler executes to obtain
-// a stable profile. The paper uses "tens of iterations" (§5); the exact
-// count only matters for the (negligible) profiling overhead accounting.
-const DryRunIterations = 20
-
 // Profiler measures and caches model resource profiles.
 type Profiler struct {
 	// Noise is the profiling-noise amplitude n_p ∈ [0, 1]: each measured
@@ -28,7 +23,6 @@ type Profiler struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
 	cache map[string]workload.StageTimes
-	runs  int
 }
 
 // New creates a profiler with the given noise amplitude and RNG seed.
@@ -63,7 +57,6 @@ func (p *Profiler) Profile(m workload.Model) workload.StageTimes {
 // measure simulates the dry run: the true stage times perturbed by the
 // configured noise. Callers must hold p.mu.
 func (p *Profiler) measure(m workload.Model) workload.StageTimes {
-	p.runs++
 	var out workload.StageTimes
 	for r, d := range m.Stages {
 		factor := 1.0
@@ -73,34 +66,4 @@ func (p *Profiler) measure(m workload.Model) workload.StageTimes {
 		out[r] = time.Duration(float64(d) * factor)
 	}
 	return out
-}
-
-// DryRuns returns how many dry-run profilings have been performed — one
-// per distinct model, regardless of how many jobs were submitted.
-func (p *Profiler) DryRuns() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.runs
-}
-
-// Overhead returns the total virtual time spent profiling so far: dry-run
-// iterations × the serial iteration time of each profiled model. The paper
-// argues this is negligible versus training (~136k iterations per job).
-func (p *Profiler) Overhead() time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var total time.Duration
-	for _, st := range p.cache {
-		total += time.Duration(DryRunIterations) * st.Total()
-	}
-	return total
-}
-
-// Invalidate drops the cached profile for a model, forcing the next
-// Profile call to re-measure — used when the worker monitor reports that
-// observed iteration times diverge from the profile.
-func (p *Profiler) Invalidate(model string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.cache, model)
 }

@@ -31,12 +31,15 @@ func TestCacheReuse(t *testing.T) {
 	if first != second {
 		t.Errorf("cached profile differs: %v vs %v", first, second)
 	}
-	if p.DryRuns() != 1 {
-		t.Errorf("DryRuns = %d, want 1 after two Profile calls", p.DryRuns())
+	if len(p.cache) != 1 {
+		t.Errorf("%d cached profiles, want 1 after two Profile calls", len(p.cache))
 	}
 	p.Profile(model("other"))
-	if p.DryRuns() != 2 {
-		t.Errorf("DryRuns = %d, want 2 after second model", p.DryRuns())
+	if len(p.cache) != 2 {
+		t.Errorf("%d cached profiles, want 2 after second model", len(p.cache))
+	}
+	if again := p.Profile(m); again != first {
+		t.Errorf("profile re-measured after another model: %v vs %v", again, first)
 	}
 }
 
@@ -80,31 +83,6 @@ func TestInvalidNoisePanics(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	p := New(0.9, 7)
-	m := model("m")
-	first := p.Profile(m)
-	p.Invalidate("m")
-	second := p.Profile(m)
-	if p.DryRuns() != 2 {
-		t.Errorf("DryRuns = %d, want 2 after invalidation", p.DryRuns())
-	}
-	// With 90% noise two measurements almost surely differ.
-	if first == second {
-		t.Log("warning: re-measured profile identical (possible but unlikely)")
-	}
-}
-
-func TestOverhead(t *testing.T) {
-	p := New(0, 1)
-	m := model("m")
-	p.Profile(m)
-	want := time.Duration(DryRunIterations) * m.Stages.Total()
-	if got := p.Overhead(); got != want {
-		t.Errorf("Overhead = %v, want %v", got, want)
-	}
-}
-
 func TestConcurrentProfile(t *testing.T) {
 	p := New(0.3, 1)
 	var wg sync.WaitGroup
@@ -120,8 +98,8 @@ func TestConcurrentProfile(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if p.DryRuns() != 3 {
-		t.Errorf("DryRuns = %d, want 3 under concurrency", p.DryRuns())
+	if len(p.cache) != 3 {
+		t.Errorf("%d cached profiles, want 3 under concurrency", len(p.cache))
 	}
 	// Every goroutine must have observed the same cached profile per model.
 	for g := 1; g < 8; g++ {

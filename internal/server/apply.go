@@ -2,9 +2,10 @@
 // state is one WAL record, and each record kind has exactly one function
 // here that performs it. A live handler validates its event, builds the
 // record and hands it to commitLocked; restart recovery and standby
-// promotion run the same applyLocked over the log (restoreLocked). What a
-// handler does besides — RPC sends, histograms, logs, kicks, executor and
-// group bookkeeping — is soft state replay must not repeat.
+// promotion load the last snapshot (applySnapshotLocked) and run the same
+// applyLocked over the log after it (restoreLocked). What a handler does
+// besides — RPC sends, histograms, logs, kicks, executor and group
+// bookkeeping — is soft state replay must not repeat.
 // TestArchitectureRules keeps the engine's state-changing entry points out
 // of every other file of this package, so a second interpreter cannot
 // grow back.
@@ -111,11 +112,11 @@ func (s *Server) applyAdmitLocked(a *wal.AdmitRecord) {
 		if js == nil {
 			continue
 		}
-		phase := engine.PhasePending
+		st := job.Pending
 		if it.Profiling {
-			phase = engine.PhaseProfiling
+			st = job.Profiling
 		}
-		s.eng.Track(job.ID(it.Spec.ID), phase)
+		s.eng.Track(js.job, st)
 		s.live = insertSorted(s.live, js, cmpJobState)
 		last = max(last, it.Spec.ID)
 	}
@@ -152,13 +153,12 @@ func (s *Server) applyDecisionLocked(d *wal.DecisionRecord) {
 	}
 }
 
-// applyKillLocked preempts a killed unit's running members: back to
-// pending with their progress, unbound, one restart charged. Callers hold
-// s.mu.
+// applyKillLocked preempts a killed unit's running members: unbound, one
+// restart charged; the kill decision's apply returns them to pending with
+// their progress. Callers hold s.mu.
 func (s *Server) applyKillLocked(ids []int64) {
 	for _, id := range ids {
-		if js := s.jobs[id]; js != nil && s.eng.PhaseOf(job.ID(id)) == engine.PhaseRunning {
-			s.eng.SetPhase(job.ID(id), engine.PhasePending)
+		if js := s.jobs[id]; js != nil && js.job.State == job.Running {
 			js.groupID = 0
 			js.job.Restarts++
 		}
@@ -186,8 +186,8 @@ func (s *Server) applyFaultLocked(f *wal.FaultRecord, wall int64) {
 		}
 		return
 	}
-	s.eng.ReplayFault(job.ID(f.Job), f.Faults)
 	if js := s.jobs[f.Job]; js != nil {
+		s.eng.ReplayFault(js.job.ID, f.Faults)
 		js.faultLog = append(js.faultLog, entry)
 		if !f.DeadLettered {
 			js.notBefore = time.Unix(0, f.NotBeforeWall)
@@ -207,7 +207,6 @@ func (s *Server) applyDoneLocked(d *wal.DoneRecord) {
 	js.groupID = 0
 	js.finishedAt = time.Unix(0, d.FinishedWall)
 	js.job.DoneIterations = js.job.Iterations
-	js.job.State = job.Done
 	js.job.FinishedAt = time.Duration(d.FinishedV)
 	s.eng.NoteCompletion(js.job, js.job.TrueProfile, time.Duration(d.ServiceV))
 }
@@ -218,10 +217,62 @@ func (s *Server) applyProfileLocked(p *wal.ProfileRecord) {
 	s.profiles[p.Model] = p.Stages
 	st := workload.StageTimes(p.Stages)
 	for _, js := range s.live {
-		if id := job.ID(js.spec.ID); js.spec.Model == p.Model && s.eng.PhaseOf(id) == engine.PhaseProfiling {
+		if js.spec.Model == p.Model && js.job.State == job.Profiling {
 			js.spec.Stages = p.Stages
 			js.job.Profile, js.job.TrueProfile = st, st
-			s.eng.SetPhase(id, engine.PhasePending)
+			s.eng.SetState(js.job.ID, job.Pending)
 		}
+	}
+}
+
+// applySnapshotLocked loads one full checkpoint: the engine's state, then
+// every job, tracked again at the state and fault count its snapshot
+// logged. Callers hold s.mu.
+func (s *Server) applySnapshotLocked(sn *wal.Snapshot) {
+	s.eng.Restore(sn.Engine)
+	s.jobs = make(map[int64]*jobState, len(sn.Jobs))
+	s.live = s.live[:0]
+	for i := range sn.Jobs {
+		j := &sn.Jobs[i]
+		js := s.newJobLocked(j.Spec, j.SubmitV, j.SubmittedWall)
+		if js == nil {
+			continue
+		}
+		s.eng.Track(js.job, j.Phase)
+		s.eng.ReplayFault(js.job.ID, j.Faults)
+		if j.Phase != job.Done && j.Phase != job.Deadletter {
+			s.live = insertSorted(s.live, js, cmpJobState)
+		}
+		js.job.DoneIterations = j.DoneIterations
+		js.job.StartedAt = time.Duration(j.StartedV)
+		js.job.Attained = time.Duration(j.AttainedV)
+		js.job.Restarts = j.Restarts
+		if j.FinishedWall != 0 {
+			js.finishedAt = time.Unix(0, j.FinishedWall)
+			js.job.FinishedAt = time.Duration(j.FinishedV)
+		}
+		if j.NotBeforeWall != 0 {
+			js.notBefore = time.Unix(0, j.NotBeforeWall)
+		}
+		js.faultLog = j.FaultLog
+	}
+	if len(sn.Profiles) > 0 {
+		s.profiles = make(map[string][4]time.Duration, len(sn.Profiles))
+		for m, st := range sn.Profiles {
+			s.profiles[m] = st
+		}
+	}
+	s.nextGroup = sn.NextGroup
+	s.adm.BumpNextID(sn.NextJobID)
+	s.faults = sn.Faults
+	s.leaseEvictions = sn.LeaseEvictions
+	if sn.Predictor != nil {
+		s.est.Restore(*sn.Predictor)
+	}
+	if err := s.expl.Restore(sn.Explain); err != nil {
+		s.log.Error("recovery: explain state unreadable; provenance resets", "err", err)
+	}
+	if sn.Term > s.term.Load() {
+		s.term.Store(sn.Term)
 	}
 }

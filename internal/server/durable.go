@@ -147,21 +147,12 @@ func (s *Server) restoreLocked(rec *wal.Recovery) {
 	// resumes from the last durable virtual instant instead of zero.
 	now := time.Now()
 	s.started = now.Add(-time.Duration(float64(clockV) * s.cfg.TimeScale))
-	// Reconcile job.State with the engine's replayed phases and find
-	// orphans: jobs running at crash time whose executors have not yet
+	// Orphans are jobs running at crash time whose executors have not yet
 	// re-registered. They get one liveness window to be adopted back.
 	orphans := 0
-	for id, js := range s.jobs {
-		switch s.eng.PhaseOf(job.ID(id)) {
-		case engine.PhaseRunning:
-			js.job.State = job.Running
-			if js.groupID == 0 {
-				orphans++
-			}
-		case engine.PhaseDone:
-			js.job.State = job.Done
-		default:
-			js.job.State = job.Pending
+	for _, js := range s.jobs {
+		if js.job.State == job.Running && js.groupID == 0 {
+			orphans++
 		}
 	}
 	if orphans > 0 {
@@ -170,54 +161,6 @@ func (s *Server) restoreLocked(rec *wal.Recovery) {
 	if s.walReplayed > 0 || rec.Snapshot != nil {
 		s.log.Info("recovered from wal", "records", s.walReplayed,
 			"jobs", len(s.jobs), "orphans", orphans, "term", s.term.Load())
-	}
-}
-
-// applySnapshotLocked loads one full checkpoint. Callers hold s.mu.
-func (s *Server) applySnapshotLocked(sn *wal.Snapshot) {
-	s.eng.Restore(sn.Engine)
-	s.jobs = make(map[int64]*jobState, len(sn.Jobs))
-	s.live = s.live[:0]
-	for i := range sn.Jobs {
-		j := &sn.Jobs[i]
-		js := s.newJobLocked(j.Spec, j.SubmitV, j.SubmittedWall)
-		if js == nil {
-			continue
-		}
-		if ph := engine.Phase(j.Phase); ph != engine.PhaseDone && ph != engine.PhaseDeadletter {
-			s.live = insertSorted(s.live, js, cmpJobState)
-		}
-		js.job.DoneIterations = j.DoneIterations
-		js.job.StartedAt = time.Duration(j.StartedV)
-		js.job.Attained = time.Duration(j.AttainedV)
-		js.job.Restarts = j.Restarts
-		if j.FinishedWall != 0 {
-			js.finishedAt = time.Unix(0, j.FinishedWall)
-			js.job.FinishedAt = time.Duration(j.FinishedV)
-		}
-		if j.NotBeforeWall != 0 {
-			js.notBefore = time.Unix(0, j.NotBeforeWall)
-		}
-		js.faultLog = j.FaultLog
-	}
-	if len(sn.Profiles) > 0 {
-		s.profiles = make(map[string][4]time.Duration, len(sn.Profiles))
-		for m, st := range sn.Profiles {
-			s.profiles[m] = st
-		}
-	}
-	s.nextGroup = sn.NextGroup
-	s.adm.BumpNextID(sn.NextJobID)
-	s.faults = sn.Faults
-	s.leaseEvictions = sn.LeaseEvictions
-	if sn.Predictor != nil {
-		s.est.Restore(*sn.Predictor)
-	}
-	if err := s.expl.Restore(sn.Explain); err != nil {
-		s.log.Error("recovery: explain state unreadable; provenance resets", "err", err)
-	}
-	if sn.Term > s.term.Load() {
-		s.term.Store(sn.Term)
 	}
 }
 
@@ -281,13 +224,14 @@ func (s *Server) buildSnapshotLocked() *wal.Snapshot {
 		js := s.jobs[id]
 		j := wal.JobSnapshot{
 			Spec:           js.spec,
-			Phase:          string(s.eng.PhaseOf(job.ID(id))),
+			Phase:          js.job.State,
 			DoneIterations: js.job.DoneIterations,
 			SubmittedWall:  js.submittedAt.UnixNano(),
 			SubmitV:        int64(js.job.Submit),
 			StartedV:       int64(js.job.StartedAt),
 			AttainedV:      int64(js.job.Attained),
 			Restarts:       js.job.Restarts,
+			Faults:         js.job.Faults,
 			FaultLog:       js.faultLog,
 		}
 		if !js.finishedAt.IsZero() {
@@ -343,7 +287,7 @@ func (s *Server) freezeForAdoptionLocked(wallNow time.Time) bool {
 	}
 	var orphans []int64 // ascending job ID, as live is: a deterministic requeue stream
 	for _, js := range s.live {
-		if js.groupID == 0 && s.eng.PhaseOf(job.ID(js.spec.ID)) == engine.PhaseRunning {
+		if js.groupID == 0 && js.job.State == job.Running {
 			orphans = append(orphans, js.spec.ID)
 		}
 	}
@@ -380,7 +324,7 @@ func (s *Server) adoptGroupLocked(e *executorConn, rg *proto.RunningGroup) bool 
 		rj := &rg.Jobs[i]
 		js := s.jobs[rj.ID]
 		if js == nil || js.groupID != 0 ||
-			s.eng.PhaseOf(job.ID(rj.ID)) != engine.PhaseRunning ||
+			js.job.State != job.Running ||
 			keys[job.ID(rj.ID)] != rg.Key {
 			return false
 		}

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"muri/internal/engine"
 	"muri/internal/executor"
 	"muri/internal/job"
 	"muri/internal/proto"
@@ -163,8 +162,8 @@ func TestStopDrains(t *testing.T) {
 	}
 	h.srv.mu.Lock()
 	groups, done := len(h.srv.groups), 0
-	for id := range h.srv.jobs {
-		if h.srv.eng.PhaseOf(job.ID(id)) == engine.PhaseDone {
+	for _, js := range h.srv.jobs {
+		if js.job.State == job.Done {
 			done++
 		}
 	}
@@ -186,7 +185,7 @@ func TestInjectFaultJob(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		h.srv.mu.Lock()
-		running := h.srv.jobs[id] != nil && h.srv.eng.PhaseOf(job.ID(id)) == engine.PhaseRunning
+		running := h.srv.jobs[id] != nil && h.srv.jobs[id].job.State == job.Running
 		h.srv.mu.Unlock()
 		if running {
 			break

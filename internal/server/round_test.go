@@ -92,11 +92,11 @@ func referenceRoundLocked(s *Server, wallNow time.Time) ([]*job.Job, []engine.Cu
 	var candidates []*job.Job
 	for _, id := range ids {
 		js := s.jobs[id]
-		ph := s.eng.PhaseOf(job.ID(id))
-		if ph == engine.PhasePending && wallNow.Before(js.notBefore) {
+		st := js.job.State
+		if st == job.Pending && wallNow.Before(js.notBefore) {
 			continue
 		}
-		if ph == engine.PhasePending || (s.cfg.Policy.Preemptive() && ph == engine.PhaseRunning) {
+		if st == job.Pending || (s.cfg.Policy.Preemptive() && st == job.Running) {
 			candidates = append(candidates, js.job)
 		}
 	}
@@ -129,8 +129,8 @@ func indexMismatchLocked(s *Server) string {
 		return fmt.Sprintf("indexed current groups %v, full scan %v", got, wantG)
 	}
 	var live []int64
-	for id := range s.jobs {
-		if ph := s.eng.PhaseOf(job.ID(id)); ph != engine.PhaseDone && ph != engine.PhaseDeadletter {
+	for id, js := range s.jobs {
+		if st := js.job.State; st != job.Done && st != job.Deadletter {
 			live = append(live, id)
 		}
 	}
@@ -349,14 +349,14 @@ func roundLifecycle(t *testing.T, seed int64) {
 		}
 	}
 
-	// pick returns a random job in one of the given phases, or nil.
-	pick := func(phases ...engine.Phase) *jobState {
+	// pick returns a random job in one of the given states, or nil.
+	pick := func(states ...job.State) *jobState {
 		s := rig.srv
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		var in []*jobState
-		for id, js := range s.jobs {
-			if slices.Contains(phases, s.eng.PhaseOf(job.ID(id))) {
+		for _, js := range s.jobs {
+			if slices.Contains(states, js.job.State) {
 				in = append(in, js)
 			}
 		}
@@ -383,24 +383,24 @@ func roundLifecycle(t *testing.T, seed int64) {
 		case op < 35:
 			s.onProfiled(&proto.Profiled{Model: "dqn", Stages: pendSpec("").Stages})
 		case op < 50:
-			if js := pick(engine.PhaseRunning); js != nil {
+			if js := pick(job.Running); js != nil {
 				s.onProgress(&proto.Progress{GroupID: js.groupID, Jobs: []proto.JobProgress{
 					{ID: js.spec.ID, DoneIterations: js.job.DoneIterations + int64(rng.Intn(200))}}})
 			}
 		case op < 65:
-			if js := pick(engine.PhaseRunning); js != nil {
+			if js := pick(job.Running); js != nil {
 				s.onJobDone(&proto.JobDone{GroupID: js.groupID, JobID: js.spec.ID})
 			}
 		case op < 68: // a completion straggling in for a requeued or parked job
-			if js := pick(engine.PhasePending, engine.PhaseDeadletter); js != nil {
+			if js := pick(job.Pending, job.Deadletter); js != nil {
 				s.onJobDone(&proto.JobDone{GroupID: js.groupID, JobID: js.spec.ID})
 			}
 		case op < 80: // fault: backs off, and past the budget dead-letters
-			if js := pick(engine.PhaseRunning); js != nil {
+			if js := pick(job.Running); js != nil {
 				s.onFault(&proto.Fault{GroupID: js.groupID, JobID: js.spec.ID, Error: "boom"}, "")
 			}
 		case op < 85: // kill the whole group under a running job
-			if js := pick(engine.PhaseRunning); js != nil {
+			if js := pick(job.Running); js != nil {
 				if err := s.injectFault(&proto.InjectFault{JobID: js.spec.ID}); err != nil {
 					t.Fatal(err)
 				}

@@ -138,11 +138,9 @@ type Config struct {
 	UnsafeDebug bool
 }
 
-// jobState tracks one submitted job's daemon-side bookkeeping. The
-// job's lifecycle phase and fault count live in the scheduling engine
-// (engine.PhaseOf / engine.FaultsOf); the daemon keeps only what the
-// engine has no business knowing: wire specs, wall-clock timestamps,
-// and the fault attribution log.
+// jobState tracks one submitted job's daemon-side bookkeeping around its
+// job.Job, whose State and Faults the scheduling engine writes: wire
+// specs, wall-clock timestamps, and the fault attribution log.
 type jobState struct {
 	spec    proto.JobSpec
 	job     *job.Job
@@ -752,7 +750,7 @@ func (s *Server) dropExecutor(e *executorConn) {
 			continue
 		}
 		for _, jid := range g.jobs {
-			if s.eng.PhaseOf(job.ID(jid)) == engine.PhaseRunning {
+			if js := s.jobs[jid]; js != nil && js.job.State == job.Running {
 				lost = append(lost, jid)
 			}
 		}
@@ -1014,14 +1012,14 @@ func (s *Server) onProgress(p *proto.Progress) {
 	defer s.mu.Unlock()
 	for _, jp := range p.Jobs {
 		js := s.jobs[jp.ID]
-		if js == nil || s.eng.PhaseOf(job.ID(jp.ID)) == engine.PhaseDone {
+		if js == nil || js.job.State == job.Done {
 			continue
 		}
 		if jp.DoneIterations > js.job.DoneIterations {
 			js.job.DoneIterations = jp.DoneIterations
 		}
 		now := time.Now()
-		if s.eng.PhaseOf(job.ID(jp.ID)) == engine.PhaseRunning {
+		if js.job.State == job.Running {
 			wall := now.Sub(js.lastSeen)
 			js.job.Attained += time.Duration(float64(wall) / s.cfg.TimeScale)
 		}
@@ -1040,7 +1038,7 @@ func (s *Server) onJobDone(d *proto.JobDone) {
 		// replay events for reassigned work).
 		return
 	}
-	if s.closed || !s.eng.PhaseOf(job.ID(d.JobID)).CanTransition(engine.PhaseDone) {
+	if s.closed || !js.job.State.CanTransition(job.Done) {
 		// The state machine rejects the transition (the job already
 		// completed); nothing to finalize.
 		return
@@ -1076,7 +1074,7 @@ func (s *Server) onFault(f *proto.Fault, from string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	js := s.jobs[f.JobID]
-	if js == nil || s.eng.PhaseOf(job.ID(f.JobID)) == engine.PhaseDone {
+	if js == nil || js.job.State == job.Done {
 		return
 	}
 	if js.groupID != 0 && js.groupID != f.GroupID {
@@ -1098,11 +1096,10 @@ func (s *Server) onFault(f *proto.Fault, from string) {
 // progress is untouched — js.job.DoneIterations survives, so the next
 // launch resumes the remaining iterations. Callers hold s.mu.
 func (s *Server) recordJobFaultLocked(js *jobState, origin, errMsg string) {
-	id := job.ID(js.spec.ID)
 	s.checkpointLocked(js)
-	backoff, deadlettered := s.eng.RecordFault(id)
+	backoff, deadlettered := s.eng.RecordFault(js.job.ID)
 	fr := &wal.FaultRecord{Job: js.spec.ID, Origin: origin, Err: errMsg,
-		Faults: s.eng.FaultsOf(id), DeadLettered: deadlettered}
+		Faults: js.job.Faults, DeadLettered: deadlettered}
 	if !deadlettered {
 		fr.NotBeforeWall = time.Now().Add(backoff).UnixNano()
 		// The backoff release on the virtual clock, so wait attribution can
@@ -1272,7 +1269,7 @@ func (s *Server) scheduleLocked() {
 	// Retry profiling for jobs stuck without an executor earlier (a no-op
 	// while the model's dry run is in flight).
 	for _, js := range s.live {
-		if s.eng.PhaseOf(job.ID(js.spec.ID)) == engine.PhaseProfiling {
+		if js.job.State == job.Profiling {
 			s.requestProfileLocked(js.spec.Model)
 		}
 	}
@@ -1310,9 +1307,9 @@ func (s *Server) roundCandidatesLocked(wallNow time.Time) []*job.Job {
 	preemptive := s.cfg.Policy.Preemptive()
 	s.candidates = s.candidates[:0]
 	for _, js := range s.live {
-		ph := s.eng.PhaseOf(job.ID(js.spec.ID))
-		if (ph == engine.PhasePending && !wallNow.Before(js.notBefore)) ||
-			(ph == engine.PhaseRunning && preemptive) {
+		st := js.job.State
+		if (st == job.Pending && !wallNow.Before(js.notBefore)) ||
+			(st == job.Running && preemptive) {
 			s.candidates = append(s.candidates, js.job)
 		}
 	}
@@ -1470,8 +1467,8 @@ func (s *Server) injectFault(req *proto.InjectFault) error {
 	if js == nil {
 		return fmt.Errorf("server: unknown job %d", req.JobID)
 	}
-	if ph := s.eng.PhaseOf(job.ID(req.JobID)); ph != engine.PhaseRunning {
-		return fmt.Errorf("server: job %d is %s, not running", req.JobID, ph)
+	if st := js.job.State; st != job.Running {
+		return fmt.Errorf("server: job %d is %s, not running", req.JobID, st)
 	}
 	origin := ""
 	if g := s.groups[js.groupID]; g != nil {
@@ -1506,26 +1503,25 @@ func (s *Server) status() proto.StatusAck {
 	var jctSum, jctMax time.Duration
 	for _, id := range ids {
 		js := s.jobs[id]
-		phase := s.eng.PhaseOf(job.ID(id))
 		st := proto.JobStatus{
 			ID:             id,
 			Model:          js.spec.Model,
-			State:          string(phase),
+			State:          js.job.State.String(),
 			DoneIterations: js.job.DoneIterations,
 			Iterations:     js.spec.Iterations,
-			Faults:         s.eng.FaultsOf(job.ID(id)),
+			Faults:         js.job.Faults,
 		}
 		if n := len(js.faultLog); n > 0 {
 			st.FaultExecutor = js.faultLog[n-1].Executor
 		}
-		switch phase {
-		case engine.PhasePending, engine.PhaseProfiling:
+		switch js.job.State {
+		case job.Pending, job.Profiling:
 			ack.Pending++
-		case engine.PhaseRunning:
+		case job.Running:
 			ack.Running++
-		case engine.PhaseDeadletter:
+		case job.Deadletter:
 			ack.DeadLetter++
-		case engine.PhaseDone:
+		case job.Done:
 			ack.Done++
 			st.JCT = time.Duration(float64(js.finishedAt.Sub(js.submittedAt)) / s.cfg.TimeScale)
 			jctSum += st.JCT

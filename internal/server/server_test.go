@@ -9,8 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"muri/internal/engine"
 	"muri/internal/executor"
+	"muri/internal/job"
 	"muri/internal/proto"
 	"muri/internal/sched"
 	"muri/internal/trace"
@@ -210,7 +210,7 @@ func TestFaultRequeuesAndCompletes(t *testing.T) {
 		t.Error("fault was never injected")
 	}
 	h.srv.mu.Lock()
-	faults := h.srv.eng.FaultsOf(1)
+	faults := h.srv.jobs[1].job.Faults
 	h.srv.mu.Unlock()
 	if faults != 1 {
 		t.Errorf("recorded faults = %d, want 1", faults)
@@ -242,9 +242,9 @@ func TestProfilingOnFirstSubmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.srv.mu.Lock()
-	state := h.srv.eng.PhaseOf(2)
+	state := h.srv.jobs[2].job.State
 	h.srv.mu.Unlock()
-	if state == engine.PhaseProfiling {
+	if state == job.Profiling {
 		t.Error("second submission re-profiled instead of reusing the cache")
 	}
 	if _, err := c.WaitAllDone(20*time.Second, 20*time.Millisecond); err != nil {

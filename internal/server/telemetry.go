@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"muri/internal/ingest"
-	"muri/internal/metrics"
 	"muri/internal/telemetry"
 	"muri/internal/wal"
 	"muri/internal/workload"
@@ -130,10 +129,10 @@ func (s *Server) initMetrics() {
 		func() float64 { return float64(s.adm.Depth()) })
 	s.batchHist = r.Histogram("muri_ingest_batch_size",
 		"Jobs admitted per batched admission round.",
-		metrics.ExponentialBounds(1, 2, 16)...)
+		telemetry.ExponentialBounds(1, 2, 16)...)
 	s.submitWaitHist = r.Histogram("muri_submit_latency_seconds",
 		"Queue wait between submission accept and engine admission.",
-		metrics.ExponentialBounds(1e-6, 10, 8)...)
+		telemetry.ExponentialBounds(1e-6, 10, 8)...)
 
 	// Online predictor: func-backed off the estimator's own lock (never
 	// s.mu), so scrapes agree with the status RPC's PredictorSummary.
@@ -169,19 +168,19 @@ func (s *Server) initMetrics() {
 	// wall time in the microsecond-to-second range.
 	s.jctHist = r.Histogram("muri_jct_seconds",
 		"Virtual job completion time of finished jobs.",
-		metrics.ExponentialBounds(1, 2, 16)...)
+		telemetry.ExponentialBounds(1, 2, 16)...)
 	// Per-cause wait attribution: each finished job contributes one
 	// observation per cause with nonzero time, in virtual seconds. The
 	// sum over causes of _sum equals the total attributed JCT exactly.
 	s.waitAttrHist = r.HistogramVec("muri_wait_attribution_seconds",
 		"Virtual seconds of finished jobs' lifetime attributed to each wait cause.",
-		"cause", metrics.ExponentialBounds(1, 2, 16)...)
+		"cause", telemetry.ExponentialBounds(1, 2, 16)...)
 	s.roundHist = r.Histogram("muri_round_latency_seconds",
 		"Wall-clock latency of scheduling rounds, admission drain included.",
-		metrics.ExponentialBounds(1e-6, 10, 8)...)
+		telemetry.ExponentialBounds(1e-6, 10, 8)...)
 	s.firstDispatchHist = r.Histogram("muri_first_dispatch_seconds",
 		"Wall-clock seconds from a submission's accept to its first launch.",
-		metrics.ExponentialBounds(1e-4, 2, 20)...)
+		telemetry.ExponentialBounds(1e-4, 2, 20)...)
 
 	// Durability & failover. Everything is func-backed off the same
 	// state the status RPC's DurabilitySummary reads, so the two can
@@ -264,10 +263,10 @@ func (s *Server) initMetrics() {
 		})
 	s.fsyncHist = r.Histogram("muri_wal_fsync_seconds",
 		"WAL fsync batch latency.",
-		metrics.ExponentialBounds(1e-6, 10, 8)...)
+		telemetry.ExponentialBounds(1e-6, 10, 8)...)
 	s.applyLagHist = r.Histogram("muri_repl_apply_lag_seconds",
 		"Standby apply lag behind the leader append (wall clock).",
-		metrics.ExponentialBounds(1e-6, 10, 8)...)
+		telemetry.ExponentialBounds(1e-6, 10, 8)...)
 }
 
 // Metrics exposes the daemon's registry (tests scrape it directly).

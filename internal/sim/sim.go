@@ -598,7 +598,6 @@ func (s *sim) crashMachine(e faults.MachineEvent) {
 			}
 			s.fstats.WorkLost += time.Duration(u.carry[i] * float64(u.iterTime[i]))
 			s.recordAt(e.Time, "fault", j.ID, key, label)
-			j.State = job.Pending
 			s.pending = append(s.pending, j)
 			loss.Jobs = append(loss.Jobs, int64(j.ID))
 		}
@@ -644,13 +643,12 @@ func (s *sim) failJob(u *unit, i int, at time.Duration) {
 	if s.cfg.Trace.Enabled() {
 		s.traceFault(fmt.Sprintf("transient fault job %d", j.ID), at, map[string]any{"job": int64(j.ID)})
 	}
-	j.State = job.Pending
 	// The fault record follows the engine's requeue decision, as the
 	// daemon commits them. The retry policy has no backoff, but the
 	// release time is computed the same way regardless.
 	backoff, deadlettered := s.eng.RecordFault(j.ID)
 	s.fault(&wal.FaultRecord{Job: int64(j.ID), Origin: origin, Err: "transient fault",
-		Faults: s.eng.FaultsOf(j.ID), DeadLettered: deadlettered,
+		Faults: j.Faults, DeadLettered: deadlettered,
 		NotBeforeV: int64(s.now) + int64(backoff)})
 	s.pending = append(s.pending, j)
 	u.dropMember(i)
@@ -703,8 +701,10 @@ func (s *sim) refreshBelief(j *job.Job) {
 func (s *sim) admitArrivals() {
 	first := s.arrived
 	for s.arrived < len(s.all) && s.all[s.arrived].Submit <= s.now {
-		s.record("submit", s.all[s.arrived].ID, "", "")
-		s.pending = append(s.pending, s.all[s.arrived])
+		j := s.all[s.arrived]
+		s.record("submit", j.ID, "", "")
+		s.eng.Track(j, job.Pending)
+		s.pending = append(s.pending, j)
 		s.arrived++
 	}
 	if s.cfg.Record == nil || s.arrived == first {
@@ -962,10 +962,9 @@ func (s *sim) advanceUnit(u *unit, from, to time.Duration) {
 		j := u.spec.Jobs[first]
 		u.dropMember(first)
 		j.DoneIterations = j.Iterations
-		j.State = job.Done
 		j.FinishedAt = firstAt
 		s.done = append(s.done, j)
-		s.eng.MarkDone(j.ID) // as the daemon's: the engine forgets its placement
+		s.eng.MarkDone(j.ID) // as the daemon's: done, and the engine forgets its placement
 		if s.cfg.RecordTimeline {
 			s.timeline = append(s.timeline, Event{Time: firstAt, Kind: "finish", Job: j.ID})
 		}

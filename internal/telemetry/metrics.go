@@ -3,13 +3,12 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
-
-	"muri/internal/metrics"
 )
 
 // Counter is a monotonically increasing metric, safe for concurrent use.
@@ -36,31 +35,85 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Histogram wraps a deterministic fixed-bucket metrics.Histogram with a
-// mutex so concurrent observers (the daemon's RPC handlers) can share
-// it. See DESIGN.md §9 for the determinism rationale.
+// Histogram is a fixed-bucket cumulative histogram, safe for concurrent
+// use (the daemon's RPC handlers share one): values are counted into the
+// first bucket whose upper bound is ≥ the observation, with an implicit
+// +Inf bucket at the end. Buckets are fixed at construction, so two
+// histograms observing the same sequence are bit-identical (DESIGN.md
+// §9). Construct with NewHistogram.
 type Histogram struct {
 	mu sync.Mutex
-	h  *metrics.Histogram
+	// bounds are the finite bucket upper bounds, strictly ascending.
+	bounds []float64
+	// counts[i] is the number of observations ≤ bounds[i]; the final
+	// element counts observations above every finite bound (+Inf).
+	counts []uint64
+	sum    float64
+	count  uint64
 }
 
-// NewHistogram builds a concurrent histogram over the bounds.
+// NewHistogram builds a histogram over the given finite upper bounds,
+// which must be strictly ascending and non-empty. A trailing +Inf bucket
+// is implicit and must not be passed.
 func NewHistogram(bounds ...float64) *Histogram {
-	return &Histogram{h: metrics.NewHistogram(bounds...)}
+	if len(bounds) == 0 {
+		panic("telemetry: histogram needs at least one bucket bound")
+	}
+	for i, b := range bounds {
+		if math.IsInf(b, 0) || math.IsNaN(b) {
+			panic("telemetry: histogram bounds must be finite")
+		}
+		if i > 0 && b <= bounds[i-1] {
+			panic(fmt.Sprintf("telemetry: histogram bounds not ascending: %v after %v", b, bounds[i-1]))
+		}
+	}
+	return &Histogram{
+		bounds: append([]float64(nil), bounds...),
+		counts: make([]uint64, len(bounds)+1),
+	}
 }
 
-// Observe counts one value.
+// ExponentialBounds returns n strictly ascending bounds starting at
+// start, each factor× the previous — the usual latency-bucket shape.
+func ExponentialBounds(start, factor float64, n int) []float64 {
+	if start <= 0 || factor <= 1 || n <= 0 {
+		panic("telemetry: exponential bounds need start > 0, factor > 1, n > 0")
+	}
+	out := make([]float64, n)
+	v := start
+	for i := range out {
+		out[i] = v
+		v *= factor
+	}
+	return out
+}
+
+// Observe counts one value. NaN observations are ignored.
 func (h *Histogram) Observe(v float64) {
+	if math.IsNaN(v) {
+		return
+	}
+	i := sort.SearchFloat64s(h.bounds, v)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.h.Observe(v)
+	h.counts[i]++
+	h.sum += v
+	h.count++
 }
 
-// Snapshot returns a copy of the underlying histogram's state.
+// Snapshot returns the finite bucket bounds (callers must not mutate
+// them), the number of observations at or below each bound plus the +Inf
+// bucket (the Prometheus `le` semantics), their sum and their count.
 func (h *Histogram) Snapshot() (bounds []float64, cumulative []uint64, sum float64, count uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.h.Bounds(), h.h.Cumulative(), h.h.Sum(), h.h.Count()
+	cumulative = make([]uint64, len(h.counts))
+	var run uint64
+	for i, c := range h.counts {
+		run += c
+		cumulative[i] = run
+	}
+	return h.bounds, cumulative, h.sum, h.count
 }
 
 // HistogramVec is a family of histograms sharing one name and bucket

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -110,5 +111,67 @@ func TestCounterGaugeConcurrency(t *testing.T) {
 	}
 	if g.Value() != 4000 {
 		t.Errorf("gauge = %d, want 4000", g.Value())
+	}
+}
+
+func TestHistogramBucketing(t *testing.T) {
+	h := NewHistogram(1, 2, 4)
+	for _, v := range []float64{0.5, 1, 1.5, 2, 3, 4, 100} {
+		h.Observe(v)
+	}
+	// le=1: {0.5, 1}; le=2: +{1.5, 2}; le=4: +{3, 4}; +Inf: +{100}.
+	want := []uint64{2, 4, 6, 7}
+	_, got, sum, count := h.Snapshot()
+	if len(got) != len(want) {
+		t.Fatalf("cumulative has %d buckets, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("bucket %d: got %d, want %d", i, got[i], want[i])
+		}
+	}
+	if count != 7 {
+		t.Errorf("count = %d, want 7", count)
+	}
+	if sum != 0.5+1+1.5+2+3+4+100 {
+		t.Errorf("sum = %v", sum)
+	}
+}
+
+func TestHistogramDeterminism(t *testing.T) {
+	mk := func() *Histogram {
+		h := NewHistogram(ExponentialBounds(0.001, 2, 12)...)
+		for i := 0; i < 1000; i++ {
+			h.Observe(float64(i%97) * 0.013)
+		}
+		return h
+	}
+	_, ca, sa, na := mk().Snapshot()
+	_, cb, sb, nb := mk().Snapshot()
+	for i := range ca {
+		if ca[i] != cb[i] {
+			t.Fatalf("bucket %d diverged: %d vs %d", i, ca[i], cb[i])
+		}
+	}
+	if sa != sb || na != nb {
+		t.Fatal("sum/count diverged across identical observation sequences")
+	}
+}
+
+func TestHistogramIgnoresNaN(t *testing.T) {
+	h := NewHistogram(1)
+	h.Observe(math.NaN())
+	if _, _, _, count := h.Snapshot(); count != 0 {
+		t.Error("NaN observation was counted")
+	}
+}
+
+func TestExponentialBounds(t *testing.T) {
+	b := ExponentialBounds(1, 2, 4)
+	want := []float64{1, 2, 4, 8}
+	for i := range want {
+		if b[i] != want[i] {
+			t.Fatalf("bounds = %v, want %v", b, want)
+		}
 	}
 }

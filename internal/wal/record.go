@@ -237,7 +237,7 @@ type TermRecord struct {
 // JobSnapshot is one job's recoverable state inside a snapshot.
 type JobSnapshot struct {
 	Spec           proto.JobSpec   `json:"spec"`
-	Phase          string          `json:"phase"`
+	Phase          job.State       `json:"phase"`
 	DoneIterations int64           `json:"done_iterations"`
 	SubmittedWall  int64           `json:"submitted_wall"`
 	FinishedWall   int64           `json:"finished_wall,omitempty"`
@@ -246,6 +246,7 @@ type JobSnapshot struct {
 	FinishedV      int64           `json:"finished_v,omitempty"`
 	AttainedV      int64           `json:"attained_v,omitempty"`
 	Restarts       int             `json:"restarts,omitempty"`
+	Faults         int             `json:"faults,omitempty"`
 	NotBeforeWall  int64           `json:"not_before_wall,omitempty"`
 	FaultLog       []FaultLogEntry `json:"fault_log,omitempty"`
 }

@@ -90,9 +90,10 @@ func DefaultGrouping() GroupingConfig { return core.DefaultConfig() }
 type Policy = sched.Policy
 
 // MuriScheduler is the paper's scheduler; its exported fields select the
-// ablation variants (group-size cap, ordering, Blossom on/off, sticky
-// groups). A MuriScheduler instance carries state (sticky-group memory)
-// and must not be shared across concurrent simulations.
+// ablation variants (group-size cap, ordering, Blossom on/off). A
+// MuriScheduler instance carries state between rounds (its ranker's last
+// order, the buffers its units are built in, and, under muri-l-scale, the
+// planner memo) and must not be shared across concurrent simulations.
 type MuriScheduler = sched.Muri
 
 // MuriS returns the Muri scheduler with SRSF priorities (known job
