@@ -30,7 +30,7 @@ var paperGoldens = map[string]string{
 	"figure12":   "4bbacff03d0e12df179c081fec2074382709b19e2551dd0bb1f8aec0ecbc4b99",
 	"figure13":   "1b22bec2432829d254c84cc93d83bedfe88f0d34a204db3ccf9068d6a5240964",
 	"figure14":   "fa36f7a5916ad71a8a5f293d664b798dbab64333f08df29452356ed411185ba8",
-	"faults":     "e4ce2fbb1b6aedd76d511c1869ad5e5e7d1bac9449e1908e0d4cd8e5496b5349",
+	"faults":     "4d36678d3a328b836f9b2c2ac146960c5336dd3fab6e6a5de59ebc3266403fa7",
 	"prediction": "f13826fd81a479c5f3071cf5a264900f7ed93a34475b8203bfe61958d571d8cc",
 }
 

@@ -21,10 +21,10 @@ var goldenHashes = map[string]string{
 	"antman":             "e8a4719c82e55dd5c5595867828cf6d927d0dea59c1575672014dcb513648af7",
 	"muri-s":             "bef2371d89bdf86aa90e9c890b4ff0743673097be645b854cfcef996008f2cd7",
 	"muri-l":             "de8db3578ad4ec4f3e2eea461f5dc391766896ddf818324ba8b58aec630e868c",
-	"muri-l-event":       "7c9191ff7285c589feb7056cdf4d8139bd9f4ec1b359fc9dbeca7b0a3d0189e7",
-	"muri-l-chaos":       "e2fb218751738a228aa0c29cd2e3b9642bcf0e44c0a18271aa75d936217ff4d5",
-	"srtf-chaos-event":   "9017f4325023aecaaa354e348a4e58922d83c47d42652aadb61215c19a2ccf67",
-	"muri-l-chaos-event": "9224865bc2fceec41089b5a2f2dffe1a43e28b2228deea03788f4421ee67e513",
+	"muri-l-event":       "141124c9360a5db22df203c282bb9728be09c27c32973546354e6e5c751837d1",
+	"muri-l-chaos":       "fab78744580bec528540ea917d87a7bd5de1c14a2e7538125b3426edbd3b39a1",
+	"srtf-chaos-event":   "b96bb21e995b2da71b5c46660fba5a7a18b48143cb920396ec4350a73843398c",
+	"muri-l-chaos-event": "8fd33b2f696bf212acbddaa999c6e812419e72418cbf3eb84e1c21ce95cc0d66",
 	"fifo-event":         "a1fc4d4c0647dff3dae759ea07e803b2845aa8cc1dffb3fe03045c6be360d0ee",
 	"antman-event":       "ddab981a581868e86c19c3737df7bb7b1e65f3482d1f70d2ae0b2d3a4bfc03df",
 	"fifo-chaos-event":   "acb0e334ed90fd3396744229262007e851ce4c0220f9b00fc6587751d9f0a77f",

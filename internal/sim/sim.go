@@ -39,8 +39,11 @@ type Config struct {
 	Machines, GPUsPerMachine int
 	// Interval is the scheduling interval (default 6 minutes, §5).
 	Interval time.Duration
-	// RestartOverhead is the virtual time lost when a job is started or
-	// restarted in a new unit (preemption, checkpoint reload).
+	// RestartOverhead is the virtual time a unit loses when one of its
+	// members restarts (resumes after preemption or joins a changed unit:
+	// checkpoint reload). A first start pays nothing, and a unit that
+	// continues into the next round keeps waiting out overhead it was
+	// already charged.
 	RestartOverhead time.Duration
 	// Interleave is the contention model used to execute shared units.
 	Interleave interleave.Config
@@ -295,10 +298,12 @@ func (s *sim) recycle(u *unit) {
 }
 
 // attempt is what a member carries into its next round when it continues
-// in the same unit: its fractional progress and its attempt's drawn fault.
+// in the same unit: its fractional progress, its attempt's drawn fault and
+// when its unit finishes paying restart overhead.
 type attempt struct {
 	carry   float64
 	faultAt time.Duration
+	readyAt time.Duration
 }
 
 // dropEmptyUnits releases the running units whose members all left.
@@ -785,13 +790,14 @@ func (s *sim) schedule() {
 		return
 	}
 	// Remember each running attempt so continuing jobs lose no partial
-	// iterations across intervals and keep their drawn fault.
+	// iterations across intervals, keep their drawn fault and still wait
+	// out a restart overhead they were charged.
 	carried := s.carried
 	clear(carried)
 	current := s.current[:0]
 	for _, u := range s.running {
 		for i, j := range u.spec.Jobs {
-			carried[j.ID] = attempt{carry: u.carry[i], faultAt: u.faultAt[i]}
+			carried[j.ID] = attempt{carry: u.carry[i], faultAt: u.faultAt[i], readyAt: u.readyAt}
 		}
 		current = append(current, engine.Current{Spec: u.spec, Handle: u})
 	}
@@ -846,6 +852,7 @@ func (s *sim) schedule() {
 			if m.Continues {
 				a := carried[m.Job.ID]
 				u.carry[i], u.faultAt[i] = a.carry, a.faultAt
+				u.readyAt = max(u.readyAt, a.readyAt)
 			}
 		}
 		var machines string

@@ -189,6 +189,37 @@ func TestRestartOverheadCountsPreemptions(t *testing.T) {
 	}
 }
 
+// TestContinuingUnitKeepsPendingOverhead re-plans a unit inside its
+// restart overhead: job 0 is preempted at 1m by a 10-minute job, resumes
+// at 11m (ready at 11m30s), and the event-driven round at job 2's arrival
+// (11m10s) keeps it in the same unit. The continuing unit must still wait
+// out the overhead it was charged, so job 0 finishes ~30 s + 1 h + 10m of
+// preemption after its submission, not 20 s earlier.
+func TestContinuingUnitKeepsPendingOverhead(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Machines, cfg.GPUsPerMachine = 1, 1
+	cfg.EventDriven = true
+	tr := trace.Trace{Name: "overhead", Specs: []trace.Spec{
+		spec(0, 0, time.Hour, 1, "gpt2"),
+		spec(1, time.Minute, 10*time.Minute, 1, "gpt2"),
+		spec(2, 11*time.Minute+10*time.Second, 2*time.Hour, 1, "gpt2"),
+	}}
+	res := Run(cfg, tr, sched.SRTF())
+	for _, j := range res.Jobs {
+		if j.ID != 0 {
+			continue
+		}
+		if j.Restarts != 1 {
+			t.Fatalf("job 0 restarted %d times, want 1", j.Restarts)
+		}
+		if want := time.Hour + 10*time.Minute + 29*time.Second; j.FinishedAt < want {
+			t.Fatalf("job 0 finished at %v, want ≥ %v (restart overhead forgiven)", j.FinishedAt, want)
+		}
+		return
+	}
+	t.Fatal("job 0 did not finish")
+}
+
 func TestProfilingNoiseDegradesButCompletes(t *testing.T) {
 	tr := trace.Generate(trace.GenConfig{
 		Name: "t", Jobs: 50, Seed: 4, MaxGPUs: 8,
