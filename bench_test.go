@@ -5,12 +5,15 @@
 // harness and reproduces the paper's shape:
 //
 //	go test -bench=Paper/table4 -benchtime=1x
-//	go test -bench=. -benchmem          # everything
+//	go test -short -bench=. -benchmem   # everything but the philly-50k tier
 //
-// Paper-scale runs go through cmd/murisim instead.
+// Paper-scale ledger runs go through cmd/murisim instead; the fleet tiers
+// and the simulator-vs-prototype comparison, which measure wall-clock
+// time rather than paper claims, are BenchmarkFleet and BenchmarkFidelity.
 package muri_test
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -45,6 +48,60 @@ func BenchmarkPaper(b *testing.B) {
 				b.ReportMetric(c.Measured[0], c.ID+"-min")
 				b.ReportMetric(c.Measured[1], c.ID+"-max")
 			}
+		})
+	}
+}
+
+// BenchmarkFleet replays the scheduling-path stress tiers end to end on
+// the 8×8 testbed, event-driven (DESIGN.md §6, §10): the 2,000- and
+// 5,755-job Philly traces under the exact paper policy, the 5,755-job
+// trace under the sharded incremental muri-l-scale policy across a shard
+// sweep, and the philly-10000 and philly-50k tiers at eight shards
+// (philly-50k takes minutes and is skipped under -short). Each tier
+// reports its outcome (avg JCT, makespan, engine rounds) and the sharded
+// planner's memo reuse and shard tasks; -benchmem adds the garbage a
+// replay makes:
+//
+//	go test -run '^$' -bench Fleet -benchtime 1x -benchmem .
+func BenchmarkFleet(b *testing.B) {
+	philly, scale := trace.PhillyConfigs(64), trace.ScaleConfigs(64)
+	type tier struct {
+		cfg    trace.GenConfig
+		shards int // 0 = plain Muri-L
+	}
+	tiers := []tier{{philly[1], 0}, {philly[3], 0}}
+	for _, s := range []int{1, 2, 4, 8} {
+		tiers = append(tiers, tier{philly[3], s})
+	}
+	tiers = append(tiers, tier{scale[0], 8}, tier{scale[1], 8})
+	for _, t := range tiers {
+		name := t.cfg.Name + "/muri-l"
+		if t.shards > 0 {
+			name += "-scale-" + strconv.Itoa(t.shards)
+		}
+		b.Run(name, func(b *testing.B) {
+			if t.cfg.Jobs > 10000 && testing.Short() {
+				b.Skip("the 50,000-job tier takes minutes")
+			}
+			tr := trace.Generate(t.cfg)
+			cfg := sim.DefaultConfig()
+			cfg.EventDriven = true
+			var p *sched.Muri
+			var res sim.Result
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p = sched.NewMuriL()
+				if t.shards > 0 {
+					p = sched.NewMuriLScale(t.shards)
+				}
+				res = sim.Run(cfg, tr, p)
+			}
+			plan := p.PlanStats()
+			b.ReportMetric(res.Summary.AvgJCT.Hours(), "avg-jct-h")
+			b.ReportMetric(res.Summary.Makespan.Hours(), "makespan-h")
+			b.ReportMetric(float64(res.Engine.Rounds), "rounds")
+			b.ReportMetric(100*plan.ReuseRatio(), "reuse-%")
+			b.ReportMetric(float64(plan.ShardTasks), "shard-tasks")
 		})
 	}
 }

@@ -10,21 +10,13 @@
 //
 // Experiments: the ledger list experiments.Paper — table1, table2,
 // table4, table5, figure8 … figure14, faults, prediction — which `all`
-// (the default) runs in that order; and scale and fidelity, which
-// measure wall-clock time rather than paper claims and run only when
-// named. Each table prints with its claims: the paper's range beside
-// the measured one, and the verdict derived from the two.
+// (the default) runs in that order. Each table prints with its claims:
+// the paper's range beside the measured one, and the verdict derived
+// from the two.
 //
 // -o writes the JSON of the tables run (cells and claims, no wall-clock
 // field). The simulator is deterministic, so `-experiment all -o F`
 // reproduces the committed REPRO.json byte for byte; CI diffs the two.
-//
-// The scale experiment replays the 2,000- and 5,755-job Philly traces
-// end-to-end (event-driven Muri-L), sweeps the sharded incremental
-// muri-l-scale policy over -shards (default 1,2,4,8) on the 5,755-job
-// trace, and adds the philly-10000 tier (plus philly-50k with -scale50k).
-// It reports wall-clock time alongside the scheduling-path counters;
-// `-quick` truncates the traces like every other experiment.
 //
 // The faults experiment replays trace 1 under the deterministic failure
 // model at increasing failure rates (machine crashes, transient job
@@ -37,15 +29,24 @@
 // Muri-L, reporting the JCT cost of imperfect prediction plus the
 // estimator's error score.
 //
+// Wall-clock measurements are Go benchmarks in the root package, not
+// experiments: BenchmarkFleet replays the fleet tiers (trace2/trace4
+// under Muri-L, the muri-l-scale shard sweep, philly-10000 and
+// philly-50k) and BenchmarkFidelity compares the simulator with the live
+// prototype:
+//
+//	go test -run '^$' -bench 'Fleet|Fidelity' -benchtime 1x -benchmem .
+//
 // -cpuprofile and -memprofile write pprof profiles of the run (inspect
-// with `go tool pprof`), so scheduling-path regressions can be diagnosed
-// against real experiment workloads.
+// with `go tool pprof`), of the experiments or of a single run, so
+// scheduling-path regressions can be diagnosed against real workloads.
 //
 // -trace-out, -timeline-out, and -explain switch murisim into
 // single-run mode: one simulation of the trace1 workload under -policy
 // (default muri-l), writing a Chrome trace-event JSON file (open in
 // Perfetto or chrome://tracing to see the per-resource stage
-// interleaving) and/or a JSONL job-lifecycle timeline. -explain folds
+// interleaving) and/or a JSONL job-lifecycle timeline; -shards sets a
+// Muri policy's shard count (muri-l-scale defaults to 4). -explain folds
 // the run's record stream (sim.Config.Record) through the
 // decision-provenance builder (DESIGN.md §14) and prints
 // the attribution sweep — where the workload's aggregate JCT went,
@@ -68,8 +69,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -94,29 +93,18 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 
-		shardsFlag = flag.String("shards", "", "comma-separated shard counts: the scale experiment's sweep (default 1,2,4,8); the first value sets a single Muri run's shard count (muri-l-scale defaults to 4)")
-		scale50k   = flag.Bool("scale50k", false, "scale experiment: include the 50,000-job tier (slow)")
-
 		// Single-run observability mode.
 		traceOut    = flag.String("trace-out", "", "single run: write a Chrome trace-event JSON file (Perfetto)")
 		timelineOut = flag.String("timeline-out", "", "single run: write the job-lifecycle timeline as JSONL")
 		policy      = flag.String("policy", "muri-l", "single run: scheduling policy ("+strings.Join(sched.Names(), "|")+")")
 		explainRun  = flag.Bool("explain", false, "single run: fold decision provenance and print the wait-time attribution sweep")
 		explainJob  = flag.Int64("explain-job", 0, "single run: also print this job's full explanation (implies -explain)")
+		shards      = flag.Int("shards", 0, "single run: a Muri policy's shard count (0 = the policy's own; muri-l-scale uses 4)")
 	)
 	flag.Parse()
-
-	shardList, err := parseShards(*shardsFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "murisim: %v\n", err)
+	if *shards < 0 {
+		fmt.Fprintf(os.Stderr, "murisim: bad -shards value %d\n", *shards)
 		os.Exit(2)
-	}
-
-	if *traceOut != "" || *timelineOut != "" || *explainRun || *explainJob > 0 {
-		if err := runSingle(*machines, *gpus, *maxJobs, *policy, *traceOut, *timelineOut, shardList, *explainRun || *explainJob > 0, *explainJob); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	if *cpuProfile != "" {
@@ -144,6 +132,13 @@ func main() {
 		}()
 	}
 
+	if *traceOut != "" || *timelineOut != "" || *explainRun || *explainJob > 0 {
+		if err := runSingle(*machines, *gpus, *maxJobs, *policy, *traceOut, *timelineOut, *shards, *explainRun || *explainJob > 0, *explainJob); err != nil {
+			fatal(err)
+		}
+		return
+	}
+
 	opt := experiments.Full()
 	if *quick {
 		opt = experiments.Quick()
@@ -153,15 +148,10 @@ func main() {
 	if *maxJobs > 0 {
 		opt.MaxJobs = *maxJobs
 	}
-	opt.Shards = shardList
-	opt.Scale50k = *scale50k
 
-	named := append(slices.Clip(experiments.Paper),
-		experiments.Experiment{Name: "scale", Run: experiments.Options.Scale},
-		experiments.Experiment{Name: "fidelity", Run: fidelity})
 	var ledger []experiments.Entry
-	for i, e := range named {
-		if e.Name != *experiment && (*experiment != "all" || i >= len(experiments.Paper)) {
+	for _, e := range experiments.Paper {
+		if e.Name != *experiment && *experiment != "all" {
 			continue
 		}
 		start := time.Now()
@@ -199,16 +189,6 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// fidelity runs the simulator-vs-prototype comparison (wall-clock, so
-// not a ledger experiment).
-func fidelity(experiments.Options) experiments.Table {
-	res, err := experiments.RunFidelity(experiments.DefaultFidelityConfig())
-	if err != nil {
-		fatal(fmt.Errorf("fidelity: %w", err))
-	}
-	return experiments.FidelityTable(res)
-}
-
 // writeSeries dumps each Figure 8 policy's time series as CSV into dir.
 func writeSeries(dir string, results []experiments.PolicyResult) {
 	for _, r := range results {
@@ -225,32 +205,16 @@ func writeSeries(dir string, results []experiments.PolicyResult) {
 	}
 }
 
-// parseShards parses a comma-separated shard-count list ("" = default).
-func parseShards(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -shards value %q", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
 // runSingle simulates the trace1 workload once with instrumentation
 // attached and writes the requested artifacts.
-func runSingle(machines, gpus, maxJobs int, policyName, traceOut, timelineOut string, shards []int, explainRun bool, explainJob int64) error {
+func runSingle(machines, gpus, maxJobs int, policyName, traceOut, timelineOut string, shards int, explainRun bool, explainJob int64) error {
 	est := profile.NewOnline()
 	p, err := sched.ByName(policyName, est)
 	if err != nil {
 		return err
 	}
-	if m, ok := p.(*sched.Muri); ok && len(shards) > 0 {
-		m.Grouping.Shards = shards[0]
+	if m, ok := p.(*sched.Muri); ok && shards > 0 {
+		m.Grouping.Shards = shards
 	}
 	cfg := sim.DefaultConfig()
 	cfg.Machines = machines

@@ -19,7 +19,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"muri/internal/blossom"
 	"muri/internal/core"
 	"muri/internal/interleave"
 	"muri/internal/metrics"
@@ -40,12 +39,6 @@ type Options struct {
 	MaxJobs int
 	// Traces overrides the default four Philly-like traces.
 	Traces []trace.Trace
-	// Shards overrides the shard counts the Scale experiment sweeps
-	// (default 1, 2, 4, 8).
-	Shards []int
-	// Scale50k includes the 50,000-job tier in the Scale experiment. Off
-	// by default: the run takes minutes even sharded.
-	Scale50k bool
 }
 
 // Full returns the paper-scale options: the 8×8 testbed and the four
@@ -587,81 +580,6 @@ func (o Options) Figure14() Table {
 		claim("figure14.jct.noise0.2", Range{0.99, 1.01}, jct[1]),
 		claim("figure14.jct.noise1", about(1.3), jct[len(jct)-1]),
 		claim("figure14.makespan", about(1), makespan...),
-	}
-	return t
-}
-
-// Scale runs Muri-L end-to-end, event-driven, on the scheduling-path
-// stress tiers (DESIGN.md §6, §10): the 2000- and 5755-job Philly traces
-// under the exact paper policy, then the 5755-job trace under the
-// sharded incremental muri-l-scale policy across the shard sweep, and
-// the philly-10000 tier at the largest shard count. With Scale50k set it
-// also runs the 50,000-job tier (muri-l-scale plus a backfill-window
-// cap — an explicit approximation, see sched.Muri.BackfillLimit).
-// Each row reports wall-clock time, the garbage the run made (bytes
-// allocated and collector cycles, process-wide around the run) and the
-// scheduling-path counters (engine rounds, Blossom matcher-pool reuse,
-// and the sharded/incremental planner counters for this run alone).
-// `make bench-sched-scale` runs it.
-func (o Options) Scale() Table {
-	t := Table{
-		Title:  "Scheduling-path scale runs (Muri-L, event-driven)",
-		Header: []string{"trace", "jobs", "sched", "shards", "wall", "avg JCT", "makespan", "rounds", "reuse%", "tasks", "pool hit%", "alloc MB", "GCs"},
-	}
-	all := o.traces()
-	scale := trace.ScaleConfigs(o.capacity())
-	shards := o.Shards
-	if len(shards) == 0 {
-		shards = []int{1, 2, 4, 8}
-	}
-	maxShards := shards[len(shards)-1]
-
-	type run struct {
-		tr     trace.Trace
-		policy *sched.Muri
-	}
-	runs := []run{
-		{all[1], sched.NewMuriL()}, // trace2: 2,000 jobs, exact paper policy
-		{all[3], sched.NewMuriL()}, // trace4: 5,755 jobs, exact paper policy
-	}
-	for _, s := range shards {
-		runs = append(runs, run{all[3], sched.NewMuriLScale(s)})
-	}
-	runs = append(runs, run{trace.Generate(scale[0]), sched.NewMuriLScale(maxShards)})
-	if o.Scale50k {
-		p := sched.NewMuriLScale(maxShards)
-		p.BackfillLimit = 2048
-		runs = append(runs, run{trace.Generate(scale[1]), p})
-	}
-
-	for _, ru := range runs {
-		cfg := o.simConfig()
-		cfg.EventDriven = true
-		before := blossom.PoolStats()
-		var mem0, mem1 runtime.MemStats
-		runtime.ReadMemStats(&mem0)
-		start := time.Now()
-		res := sim.Run(cfg, ru.tr, ru.policy)
-		wall := time.Since(start)
-		runtime.ReadMemStats(&mem1)
-		after := blossom.PoolStats()
-		plan := ru.policy.PlanStats()
-		pool := metrics.MatcherPoolStats{Gets: after.Gets - before.Gets, News: after.News - before.News}
-		t.Rows = append(t.Rows, []string{
-			ru.tr.Name,
-			strconv.Itoa(res.Summary.Jobs),
-			ru.policy.Name(),
-			strconv.Itoa(max(ru.policy.Grouping.Shards, 1)),
-			wall.Round(time.Millisecond).String(),
-			res.Summary.AvgJCT.Round(time.Second).String(),
-			res.Summary.Makespan.Round(time.Second).String(),
-			strconv.Itoa(res.Engine.Rounds),
-			f2(100 * plan.ReuseRatio()),
-			strconv.FormatUint(plan.ShardTasks, 10),
-			f2(100 * pool.HitRate()),
-			strconv.FormatFloat(float64(mem1.TotalAlloc-mem0.TotalAlloc)/(1<<20), 'f', 0, 64),
-			strconv.FormatUint(uint64(mem1.NumGC-mem0.NumGC), 10),
-		})
 	}
 	return t
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -174,20 +173,4 @@ func relError(live, sim time.Duration) float64 {
 		d = -d
 	}
 	return d / float64(sim)
-}
-
-// FidelityTable renders the comparison.
-func FidelityTable(r FidelityResult) Table {
-	return Table{
-		Title:  "Simulator fidelity: trace-driven simulator vs live prototype",
-		Header: []string{"metric", "simulator", "prototype", "error"},
-		Rows: [][]string{
-			{"avg JCT", r.SimAvgJCT.Round(time.Millisecond).String(),
-				r.LiveAvgJCT.Round(time.Millisecond).String(),
-				fmt.Sprintf("%.1f%%", 100*r.JCTError)},
-			{"makespan", r.SimMakespan.Round(time.Millisecond).String(),
-				r.LiveMakespan.Round(time.Millisecond).String(),
-				fmt.Sprintf("%.1f%%", 100*r.MakespanError)},
-		},
-	}
 }

@@ -16,8 +16,9 @@ type Experiment struct {
 // figure of the paper's evaluation, plus faults and prediction, whose
 // cells are pinned but which carry no claims. `murisim -experiment all
 // -o REPRO.json` runs exactly these at full scale, TestPaperGoldens pins
-// them at Quick scale and BenchmarkPaper times them. The wall-clock
-// experiments (Scale, fidelity) are not paper claims and stay off it.
+// them at Quick scale and BenchmarkPaper times them. Wall-clock
+// measurements are not paper claims: they are the root package's
+// BenchmarkFleet and BenchmarkFidelity.
 var Paper = []Experiment{
 	{"table1", func(Options) Table { return Table1() }},
 	{"table2", func(Options) Table { return Table2() }},

@@ -194,7 +194,7 @@ func TestOrderingMatchesReference(t *testing.T) {
 			// Muri's grouping sits behind the same ordering step; the order it
 			// feeds Algorithm 1 (and backfills from) is what must not move.
 			for _, m := range muris {
-				got := m.orderJobs(jobs, 3*capacity)
+				got := m.orderJobs(jobs)
 				want := refOrder(jobs, func(j *job.Job) float64 { return m.PriorityKey(now, j) }, false)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("queue %d round %d, %s: orderJobs diverges from the reference sort", q, round, m.Name())

@@ -32,8 +32,6 @@ type rankCase struct {
 	name string
 	rank func(now time.Duration, jobs []*job.Job) []*job.Job
 	key  func(now time.Duration, j *job.Job) float64
-	// keep is where BackfillLimit truncates the order (0 = nowhere).
-	keep int
 }
 
 func viaPolicy(p Policy) rankCase {
@@ -48,14 +46,9 @@ func viaPolicy(p Policy) rankCase {
 		}}
 }
 
-func viaMuri(m *Muri, budget int) rankCase {
-	c := rankCase{name: m.Name(), key: m.PriorityKey,
-		rank: func(_ time.Duration, jobs []*job.Job) []*job.Job { return m.orderJobs(jobs, budget) }}
-	if m.BackfillLimit > 0 {
-		c.name += "+backfill-limit"
-		c.keep = budget + m.BackfillLimit
-	}
-	return c
+func viaMuri(m *Muri) rankCase {
+	return rankCase{name: m.Name(), key: m.PriorityKey,
+		rank: func(_ time.Duration, jobs []*job.Job) []*job.Job { return m.orderJobs(jobs) }}
 }
 
 // keyRegime drives a table of keys the way one family of policies moves
@@ -127,11 +120,9 @@ func TestRankerMatchesFullSort(t *testing.T) {
 		table := map[job.ID]float64{}
 		tabled := &priorityPolicy{name: "table/" + regime.name, preemptive: true,
 			key: func(_ time.Duration, j *job.Job) float64 { return table[j.ID] }}
-		scale := NewMuriLScale(1)
-		scale.BackfillLimit = 1 + rng.Intn(20)
 		cases := []rankCase{
 			viaPolicy(tabled), viaPolicy(SRTF()), viaPolicy(Tiresias()), viaPolicy(Themis()),
-			viaMuri(NewMuriS(), 24), viaMuri(NewMuriL(), 24), viaMuri(scale, 3+rng.Intn(30)),
+			viaMuri(NewMuriS()), viaMuri(NewMuriL()), viaMuri(NewMuriLScale(1)),
 		}
 		// One owner per queue keeps its hints; a shared queue has two.
 		owners := []rankCase{cases[(q/len(regimes))%len(cases)]}
@@ -181,9 +172,6 @@ func TestRankerMatchesFullSort(t *testing.T) {
 			}
 			for _, c := range owners {
 				want := fullSort(in, func(j *job.Job) float64 { return c.key(now, j) })
-				if c.keep > 0 && c.keep < len(want) {
-					want = want[:c.keep]
-				}
 				got := c.rank(now, in)
 				if !slices.Equal(got, want) {
 					t.Fatalf("queue %d (%s, %d owners), round %d, %s: order diverges from the full sort\n got %v\nwant %v",

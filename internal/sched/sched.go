@@ -389,13 +389,6 @@ type Muri struct {
 	// KnownDurations selects the priority function: true = SRSF (Muri-S),
 	// false = 2D-LAS (Muri-L).
 	KnownDurations bool
-	// BackfillLimit caps how many beyond-budget jobs are appended as
-	// exclusive backfill units (0 = unlimited, the exact behavior).
-	// Massive fleets pay O(queue) per round for backfill units that can
-	// never place; bounding them is an explicit approximation for the
-	// philly-50k scale tier and changes admission behavior only past the
-	// limit.
-	BackfillLimit int
 	// Label overrides the reported name (used by ablation variants).
 	Label string
 
@@ -540,7 +533,7 @@ func (m *Muri) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
 	// summed GPU demand reaches k × capacity — "these n jobs can be fully
 	// grouped and they can fully utilize the cluster".
 	budget := maxGroup * capacity
-	ordered := m.orderJobs(jobs, budget)
+	ordered := m.orderJobs(jobs)
 	cut := len(ordered)
 	taken := 0
 	for i, j := range ordered {
@@ -573,9 +566,6 @@ func (m *Muri) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
 	// high-priority multi-GPU unit cannot be placed, the spare capacity
 	// must not idle while the queue has work.
 	backfill := ordered[cut:]
-	if m.BackfillLimit > 0 && len(backfill) > m.BackfillLimit {
-		backfill = backfill[:m.BackfillLimit]
-	}
 	m.units = resized(m.units, len(groups)+len(backfill))
 	for i, r := range ranked {
 		g := groups[r.group]
@@ -629,13 +619,7 @@ func entryCmp(a, b muriEntry) int {
 	return cmp.Compare(a.j.ID, b.j.ID)
 }
 
-// orderJobs returns jobs in priority order. With BackfillLimit set, only
-// the top budget+BackfillLimit jobs (by GPU-demand accounting, every job
-// needs ≥1 GPU) can ever be used, so the order is truncated there.
-func (m *Muri) orderJobs(jobs []*job.Job, budget int) []*job.Job {
-	ordered := m.order.rank(jobs, func(j *job.Job) float64 { return m.PriorityKey(0, j) })
-	if need := budget + m.BackfillLimit; m.BackfillLimit > 0 && need < len(ordered) {
-		ordered = ordered[:need]
-	}
-	return ordered
+// orderJobs returns jobs in priority order.
+func (m *Muri) orderJobs(jobs []*job.Job) []*job.Job {
+	return m.order.rank(jobs, func(j *job.Job) float64 { return m.PriorityKey(0, j) })
 }
