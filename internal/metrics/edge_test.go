@@ -101,15 +101,3 @@ func TestCacheHitRateZeroLookups(t *testing.T) {
 		t.Errorf("HitRate with zero lookups = %v, want 0", got)
 	}
 }
-
-func TestMatcherPoolHitRateZeroGets(t *testing.T) {
-	var s MatcherPoolStats
-	if got := s.HitRate(); got != 0 {
-		t.Errorf("HitRate with zero gets = %v, want 0", got)
-	}
-	// News > Gets (snapshot torn between counters) must not underflow.
-	s = MatcherPoolStats{Gets: 1, News: 2}
-	if got := s.Hits(); got != 0 {
-		t.Errorf("Hits with torn snapshot = %d, want 0", got)
-	}
-}

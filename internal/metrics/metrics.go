@@ -202,22 +202,6 @@ type MatcherPoolStats struct {
 	News uint64
 }
 
-// Hits returns the calls served by recycled matcher state.
-func (s MatcherPoolStats) Hits() uint64 {
-	if s.News > s.Gets {
-		return 0
-	}
-	return s.Gets - s.News
-}
-
-// HitRate returns Hits/Gets, or 0 when the pool was never used.
-func (s MatcherPoolStats) HitRate() float64 {
-	if s.Gets > 0 {
-		return float64(s.Hits()) / float64(s.Gets)
-	}
-	return 0
-}
-
 // FaultStats aggregates failure-model activity over a run: the
 // simulator fills it from its fault plan (sim.Result.Faults), and the
 // scheduler daemon maintains the live-path equivalent, exported through
