@@ -60,8 +60,8 @@ bench-compare:
 # the 2,000- and 5,755-job Philly traces under Muri-L, the muri-l-scale
 # shard sweep on the 5,755-job trace, and the philly-10000 and philly-50k
 # tiers, each with its outcome, planner counters and allocations
-# (bench/README.md). The 50k tier alone takes minutes, past go test's
-# default 10-minute timeout for the whole set.
+# (bench/README.md). The set takes about 8 minutes on two vCPUs (6 of
+# them philly-50k), too close to go test's 10-minute default timeout.
 bench-sched-scale:
 	$(GO) test -run '^$$' -bench Fleet -benchtime 1x -benchmem -timeout 30m .
 

@@ -62,18 +62,18 @@ func BenchmarkPaper(b *testing.B) {
 // planner's memo reuse and shard tasks; -benchmem adds the garbage a
 // replay makes:
 //
-//	go test -run '^$' -bench Fleet -benchtime 1x -benchmem .
+//	go test -run '^$' -bench Fleet -benchtime 1x -benchmem -timeout 30m .
 func BenchmarkFleet(b *testing.B) {
 	philly, scale := trace.PhillyConfigs(64), trace.ScaleConfigs(64)
 	type tier struct {
 		cfg    trace.GenConfig
 		shards int // 0 = plain Muri-L
 	}
-	tiers := []tier{{philly[1], 0}, {philly[3], 0}}
-	for _, s := range []int{1, 2, 4, 8} {
-		tiers = append(tiers, tier{philly[3], s})
+	tiers := []tier{
+		{philly[1], 0}, {philly[3], 0},
+		{philly[3], 1}, {philly[3], 2}, {philly[3], 4}, {philly[3], 8},
+		{scale[0], 8}, {scale[1], 8},
 	}
-	tiers = append(tiers, tier{scale[0], 8}, tier{scale[1], 8})
 	for _, t := range tiers {
 		name := t.cfg.Name + "/muri-l"
 		if t.shards > 0 {

@@ -35,7 +35,7 @@
 // philly-50k) and BenchmarkFidelity compares the simulator with the live
 // prototype:
 //
-//	go test -run '^$' -bench 'Fleet|Fidelity' -benchtime 1x -benchmem .
+//	go test -run '^$' -bench 'Fleet|Fidelity' -benchtime 1x -benchmem -timeout 30m .
 //
 // -cpuprofile and -memprofile write pprof profiles of the run (inspect
 // with `go tool pprof`), of the experiments or of a single run, so
