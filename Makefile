@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test test-race race smoke-recover smoke-explain bench bench-e2e bench-compare bench-sched-scale bench-ingest clean
+.PHONY: check fmt build vet test test-race race smoke-recover smoke-explain repro bench bench-e2e bench-compare bench-sched-scale bench-ingest clean
 
 check: fmt build vet test-race smoke-recover
 
@@ -45,6 +45,17 @@ smoke-recover:
 # byte-identical to the live RPC text.
 smoke-explain:
 	./scripts/smoke_explain.sh
+
+# The paper ledger: every experiments.Paper table at full scale into
+# REPRO.json (about 85 s on two vCPUs), and the Markdown murisim prints
+# for it spliced between EXPERIMENTS.md's ledger markers.
+# TestExperimentsDocRendersLedger checks that the two agree.
+repro:
+	$(GO) run ./cmd/murisim -experiment all -o REPRO.json > .ledger.md
+	awk 'FNR == NR { block = block $$0 "\n"; next } \
+		/<!-- ledger:end -->/ { printf "%s", block; skip = 0 } \
+		!skip { print } /<!-- ledger:begin -->/ { skip = 1 }' .ledger.md EXPERIMENTS.md > .ledger.doc
+	mv .ledger.doc EXPERIMENTS.md && rm .ledger.md
 
 # The repository's benchmark (BENCHMARK.json, bench/README.md): five
 # workloads end to end and layer by layer, one result file under

@@ -10,13 +10,17 @@
 //
 // Experiments: the ledger list experiments.Paper — table1, table2,
 // table4, table5, figure8 … figure14, faults, prediction — which `all`
-// (the default) runs in that order. Each table prints with its claims:
-// the paper's range beside the measured one, and the verdict derived
-// from the two.
+// (the default) runs in that order. Stdout is the Markdown render of the
+// tables run (experiments.Render): each table with its claims — the
+// paper's range beside the measured one, and the verdict derived from
+// the two — then how many claims reproduce. Per-experiment timings go
+// to stderr.
 //
 // -o writes the JSON of the tables run (cells and claims, no wall-clock
 // field). The simulator is deterministic, so `-experiment all -o F`
-// reproduces the committed REPRO.json byte for byte; CI diffs the two.
+// reproduces the committed REPRO.json byte for byte, and its stdout is
+// the block between EXPERIMENTS.md's ledger markers; `make repro`
+// rewrites both and CI diffs them against the committed files.
 //
 // The faults experiment replays trace 1 under the deterministic failure
 // model at increasing failure rates (machine crashes, transient job
@@ -163,8 +167,7 @@ func main() {
 		} else {
 			tbl = e.Run(opt)
 		}
-		fmt.Println(tbl.String())
-		fmt.Printf("(%s completed in %v)\n\n", e.Name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "(%s completed in %v)\n", e.Name, time.Since(start).Round(time.Millisecond))
 		ledger = append(ledger, experiments.Entry{Experiment: e.Name, Table: tbl})
 	}
 	if len(ledger) == 0 {
@@ -172,6 +175,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	fmt.Print(experiments.Render(ledger))
 	if *out != "" {
 		b, err := json.MarshalIndent(ledger, "", "  ")
 		if err == nil {

@@ -16,7 +16,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"text/tabwriter"
 	"time"
 
 	"muri/internal/core"
@@ -98,22 +97,30 @@ type Table struct {
 	Claims []Claim    `json:"claims,omitempty"`
 }
 
-// String renders the table with aligned columns, then its claims.
+// String renders the table as Markdown: its title as a heading, the
+// cells as a pipe table and, if the run measured any, its claims as a
+// second one (paper range, measured range, verdict).
 func (t Table) String() string {
 	var b strings.Builder
-	tw := tabwriter.NewWriter(&b, 0, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, t.Title)
-	for _, row := range append([][]string{t.Header}, t.Rows...) {
-		fmt.Fprintln(tw, strings.Join(row, "\t"))
-	}
+	fmt.Fprintf(&b, "### %s\n\n", t.Title)
+	pipeTable(&b, t.Header, t.Rows)
 	if len(t.Claims) > 0 {
-		fmt.Fprintln(tw, "claims (paper vs measured):")
+		rows := make([][]string, len(t.Claims))
+		for i, c := range t.Claims {
+			rows[i] = []string{"`" + c.ID + "`", c.Paper.String(), c.Measured.String(), c.Verdict}
+		}
+		b.WriteString("\n")
+		pipeTable(&b, []string{"claim", "paper", "measured", "verdict"}, rows)
 	}
-	for _, c := range t.Claims {
-		fmt.Fprintf(tw, "  %s\tpaper %v\tmeasured %v\t%s\n", c.ID, c.Paper, c.Measured, c.Verdict)
-	}
-	tw.Flush()
 	return b.String()
+}
+
+func pipeTable(b *strings.Builder, header []string, rows [][]string) {
+	sep := strings.Repeat("|---", len(header)) + "|\n"
+	b.WriteString("| " + strings.Join(header, " | ") + " |\n" + sep)
+	for _, row := range rows {
+		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
+	}
 }
 
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

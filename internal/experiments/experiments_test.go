@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"muri/internal/sched"
 	"muri/internal/trace"
 )
 
@@ -128,19 +130,49 @@ func TestFigure14NoiseFreeIsUnity(t *testing.T) {
 	}
 }
 
-func TestTableStringAligned(t *testing.T) {
+func TestTableStringMarkdown(t *testing.T) {
 	tbl := Table{
 		Title:  "t",
 		Header: []string{"a", "longheader"},
 		Rows:   [][]string{{"xxxxxx", "y"}},
+		Claims: []Claim{claim("t.a", wins, 0.5)},
 	}
-	s := tbl.String()
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("rendered %d lines, want 3", len(lines))
+	want := "### t\n\n" +
+		"| a | longheader |\n|---|---|\n| xxxxxx | y |\n\n" +
+		"| claim | paper | measured | verdict |\n|---|---|---|---|\n" +
+		"| `t.a` | >= 1.00 | 0.50 | deviates |\n"
+	if got := tbl.String(); got != want {
+		t.Errorf("rendered\n%s\nwant\n%s", got, want)
 	}
-	if !strings.HasPrefix(lines[1], "a     ") {
-		t.Errorf("header not padded: %q", lines[1])
+	tbl.Claims = nil
+	if got := tbl.String(); strings.Contains(got, "| claim |") {
+		t.Errorf("a table without claims rendered a claims table:\n%s", got)
+	}
+}
+
+// TestCapOneMuriIsItsOrdering pins what every headline ratio is made
+// of: with groups capped at one job, Muri-S schedules as SRSF and Muri-L
+// as Tiresias, to the whole metrics.Summary, so what a Muri policy wins
+// over its own ordering is interleaving alone. The inputs are the
+// testbed window, traces 1–4 and 1'–4', and Figure 13's one-type trace.
+func TestCapOneMuriIsItsOrdering(t *testing.T) {
+	o := Quick()
+	inputs := []trace.Trace{o.testbedTrace()}
+	for _, tr := range o.traces() {
+		inputs = append(inputs, tr, tr.ZeroSubmit())
+	}
+	mix := trace.PhillyConfigs(o.capacity())[0]
+	mix.Name, mix.JobTypes = "mix1", 1
+	inputs = append(inputs, trace.Generate(mix).ZeroSubmit())
+	capOne := func(m *sched.Muri) *sched.Muri { m.Grouping.MaxGroupSize = 1; return m }
+	for _, tr := range inputs {
+		r := o.runPolicies(tr, 0, sched.SRSF(), capOne(sched.NewMuriS()), sched.Tiresias(), capOne(sched.NewMuriL()))
+		for i := 0; i < len(r); i += 2 {
+			if !reflect.DeepEqual(r[i+1].Summary, r[i].Summary) {
+				t.Errorf("%s: %s at cap 1 gave %+v, want %s's %+v",
+					tr.Name, r[i+1].Policy, r[i+1].Summary, r[i].Policy, r[i].Summary)
+			}
+		}
 	}
 }
 

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"slices"
+	"strings"
 )
 
 // Experiment is one named table-producing run.
@@ -39,6 +41,26 @@ var Paper = []Experiment{
 type Entry struct {
 	Experiment string `json:"experiment"`
 	Table
+}
+
+// Render is the ledger as Markdown: every table's String, then how many
+// of its claims reproduce. murisim prints it for the tables it runs, and
+// EXPERIMENTS.md holds the render of REPRO.json between its ledger
+// markers (`make repro` writes both).
+func Render(ledger []Entry) string {
+	var b strings.Builder
+	reproduced, claims := 0, 0
+	for _, e := range ledger {
+		b.WriteString(e.String() + "\n")
+		for _, c := range e.Claims {
+			if c.Verdict == "reproduced" {
+				reproduced++
+			}
+		}
+		claims += len(e.Claims)
+	}
+	fmt.Fprintf(&b, "%d of %d claims reproduce.\n", reproduced, claims)
+	return b.String()
 }
 
 // Range is a closed interval [lo, hi]. A paper range with hi = +Inf is

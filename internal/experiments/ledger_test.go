@@ -70,14 +70,7 @@ func TestPaperGoldens(t *testing.T) {
 // every claim ID DESIGN.md §3 indexes, and only verdicts that verdict
 // derives from each claim's own paper and measured ranges.
 func TestReproLedgerConsistent(t *testing.T) {
-	b, err := os.ReadFile("../../REPRO.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ledger []Entry
-	if err := json.Unmarshal(b, &ledger); err != nil {
-		t.Fatal(err)
-	}
+	ledger := readLedger(t)
 	if len(ledger) != len(Paper) {
 		t.Errorf("REPRO.json has %d tables, want %d (the Paper list)", len(ledger), len(Paper))
 	}
@@ -112,6 +105,72 @@ func TestReproLedgerConsistent(t *testing.T) {
 	for id := range claims {
 		t.Errorf("REPRO.json claim %q is missing from DESIGN.md §3's index", id)
 	}
+}
+
+// readLedger decodes the committed REPRO.json.
+func readLedger(t *testing.T) []Entry {
+	t.Helper()
+	b, err := os.ReadFile("../../REPRO.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ledger []Entry
+	if err := json.Unmarshal(b, &ledger); err != nil {
+		t.Fatal(err)
+	}
+	return ledger
+}
+
+// TestExperimentsDocRendersLedger reads the committed REPRO.json and
+// EXPERIMENTS.md, runs no simulation, and checks that the block between
+// the doc's ledger markers is Render of the ledger byte for byte, and
+// that the prose around it quotes none of the ledger's measured numbers
+// (a decimal or a duration that is a cell or a claim's measured bound).
+func TestExperimentsDocRendersLedger(t *testing.T) {
+	b, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const begin, end = "<!-- ledger:begin -->\n", "<!-- ledger:end -->"
+	head, rest, ok := strings.Cut(string(b), begin)
+	block, tail, ok2 := strings.Cut(rest, end)
+	if !ok || !ok2 {
+		t.Fatalf("EXPERIMENTS.md lacks the %q … %q markers", strings.TrimSpace(begin), end)
+	}
+	ledger := readLedger(t)
+	if want := Render(ledger); block != want {
+		got, exp := strings.Split(block, "\n"), strings.Split(want, "\n")
+		i := 0
+		for i < len(got) && i < len(exp) && got[i] == exp[i] {
+			i++
+		}
+		t.Errorf("EXPERIMENTS.md's ledger block is not the render of REPRO.json: run `make repro`.\n"+
+			"block line %d\n got %q\nwant %q", i+1, at(got, i), at(exp, i))
+	}
+	measured := make(map[string]bool)
+	for _, e := range ledger {
+		for _, row := range e.Rows {
+			for _, cell := range row {
+				measured[cell] = true
+			}
+		}
+		for _, c := range e.Claims {
+			measured[f2(c.Measured[0])], measured[f2(c.Measured[1])] = true, true
+		}
+	}
+	number := regexp.MustCompile(`\d+\.\d+%?|\d+h\d+m[\d.]+s`)
+	for _, n := range number.FindAllString(head+tail, -1) {
+		if measured[n] {
+			t.Errorf("EXPERIMENTS.md quotes the ledger's %s outside the ledger block; cite the claim ID instead", n)
+		}
+	}
+}
+
+func at(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return "<end>"
 }
 
 // designClaimIDs returns the claim IDs in the last column of DESIGN.md

@@ -139,8 +139,11 @@ func (m Model) Bottleneck() Resource { return m.Stages.Bottleneck() }
 // (b) the duration percentages of the four exemplars match Table 1 closely.
 //
 // Absolute durations are in the tens-to-hundreds of milliseconds per
-// iteration, consistent with V100-class measurements; only the ratios
-// matter to the scheduler.
+// iteration, consistent with V100-class measurements. They are not just
+// a scale: under Eq. 3 every member of a group advances one iteration
+// per group cycle T, so member i's normalized throughput is
+// t_i.Total()/T, and the serial totals set how a group splits its
+// throughput (Table 2).
 func Zoo() []Model { return slices.Clone(zoo) }
 
 // zoo is the table ByName and ByBottleneck read; Zoo hands out copies
