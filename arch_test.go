@@ -86,6 +86,15 @@ var archRules = []archRule{
 		example:      `if s.eng.PhaseOf(id) == engine.PhaseRunning {`,
 	},
 	{
+		name:         "deleted-timeline",
+		pattern:      `RecordTimeline|\.Timeline\b|\bsim\.Event\b`,
+		scope:        []string{"."},
+		skipComments: true,
+		reason: "a simulated run has one lifecycle log, the wal.Record stream it writes to sim.Config.Record, " +
+			"as the daemon's WAL is its log: no second event type, switch or result field beside it",
+		example: `cfg.RecordTimeline = true`,
+	},
+	{
 		name:    "fault-ledger-by-hand",
 		pattern: `\.(Crashes|Transient|Requeues|DeadLettered)[[:space:]]*(\+\+|\+=)`,
 		scope:   []string{"internal/sim", "internal/server"},

@@ -49,14 +49,16 @@
 // single-run mode: one simulation of the trace1 workload under -policy
 // (default muri-l), writing a Chrome trace-event JSON file (open in
 // Perfetto or chrome://tracing to see the per-resource stage
-// interleaving) and/or a JSONL job-lifecycle timeline; -shards sets a
-// Muri policy's shard count (muri-l-scale defaults to 4). -explain folds
-// the run's record stream (sim.Config.Record) through the
-// decision-provenance builder (DESIGN.md §14) and prints
-// the attribution sweep — where the workload's aggregate JCT went,
-// cause by cause — plus one job's full explanation with -explain-job;
-// combined with -trace-out, the per-job lifecycle spans land in the
-// trace as real duration events:
+// interleaving, with a "launch" instant naming each launched unit's
+// machines) and/or the run's record stream (sim.Config.Record) as
+// JSONL: one wal.Record per line, under the WAL's own field names, as a
+// daemon would log the same run. -shards sets a Muri policy's shard
+// count (muri-l-scale defaults to 4). -explain folds the same record
+// stream through the decision-provenance builder (DESIGN.md §14) and
+// prints the attribution sweep — where the workload's aggregate JCT
+// went, cause by cause — plus one job's full explanation with
+// -explain-job; combined with -trace-out, the per-job lifecycle spans
+// land in the trace as real duration events:
 //
 //	murisim -trace-out trace.json -maxjobs 100
 //	murisim -timeline-out timeline.jsonl -policy muri-s -maxjobs 200
@@ -83,6 +85,7 @@ import (
 	"muri/internal/sim"
 	"muri/internal/telemetry"
 	"muri/internal/trace"
+	"muri/internal/wal"
 )
 
 func main() {
@@ -99,7 +102,7 @@ func main() {
 
 		// Single-run observability mode.
 		traceOut    = flag.String("trace-out", "", "single run: write a Chrome trace-event JSON file (Perfetto)")
-		timelineOut = flag.String("timeline-out", "", "single run: write the job-lifecycle timeline as JSONL")
+		timelineOut = flag.String("timeline-out", "", "single run: write the run's record stream (one wal.Record per line) as JSONL")
 		policy      = flag.String("policy", "muri-l", "single run: scheduling policy ("+strings.Join(sched.Names(), "|")+")")
 		explainRun  = flag.Bool("explain", false, "single run: fold decision provenance and print the wait-time attribution sweep")
 		explainJob  = flag.Int64("explain-job", 0, "single run: also print this job's full explanation (implies -explain)")
@@ -233,11 +236,21 @@ func runSingle(machines, gpus, maxJobs int, policyName, traceOut, timelineOut st
 		tracer = telemetry.NewTracer(0)
 		cfg.Trace = tracer
 	}
-	cfg.RecordTimeline = timelineOut != ""
 	var expl *explain.Builder
 	if explainRun {
 		expl = explain.NewBuilder()
 		cfg.Record = expl.Apply
+	}
+	var finishTimeline func() (int, error)
+	if timelineOut != "" {
+		var write func(*wal.Record)
+		if write, finishTimeline, err = writeTimeline(timelineOut); err != nil {
+			return err
+		}
+		cfg.Record = write
+		if expl != nil {
+			cfg.Record = func(r *wal.Record) { write(r); expl.Apply(r) }
+		}
 	}
 	tc := trace.PhillyConfigs(machines * gpus)[0]
 	if maxJobs > 0 && maxJobs < tc.Jobs {
@@ -250,21 +263,22 @@ func runSingle(machines, gpus, maxJobs int, policyName, traceOut, timelineOut st
 		// duration events (one thread per job under an "explain" process).
 		expl.EmitSpans(tracer)
 	}
-	fmt.Printf("single run: policy=%s jobs=%d avgJCT=%v makespan=%v preemptions=%d (wall %v)\n",
+	fmt.Printf("single run: policy=%s jobs=%d avgJCT=%v makespan=%v overhead-restarts=%d (wall %v)\n",
 		res.Policy, res.Summary.Jobs, res.Summary.AvgJCT.Round(time.Second),
 		res.Summary.Makespan.Round(time.Second), res.Preemptions,
 		time.Since(start).Round(time.Millisecond))
+	if finishTimeline != nil {
+		n, err := finishTimeline()
+		if err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s (%d records)\n", timelineOut, n)
+	}
 	if traceOut != "" {
 		if err := tracer.WriteFile(traceOut); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s (%d events, %d dropped)\n", traceOut, tracer.Len(), tracer.Dropped())
-	}
-	if timelineOut != "" {
-		if err := writeTimeline(timelineOut, res.Timeline); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d events)\n", timelineOut, len(res.Timeline))
 	}
 	if expl != nil {
 		printAttributionSweep(expl)
@@ -313,23 +327,31 @@ func printAttributionSweep(b *explain.Builder) {
 	}
 }
 
-// writeTimeline dumps timeline events as JSONL, one event per line.
-func writeTimeline(path string, events []sim.Event) error {
+// writeTimeline creates path and returns the run's record sink, which
+// encodes each wal.Record as one JSON line under the WAL's own field
+// names, and a finish that flushes and closes the file, returning the
+// record count and the first encode, flush or close error.
+func writeTimeline(path string) (write func(*wal.Record), finish func() (int, error), err error) {
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
-	for _, e := range events {
-		if err := enc.Encode(e); err != nil {
-			f.Close()
-			return err
+	enc, n := json.NewEncoder(w), 0
+	write = func(r *wal.Record) {
+		if err == nil {
+			err = enc.Encode(r)
+			n++
 		}
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
+	finish = func() (int, error) {
+		if err == nil {
+			err = w.Flush()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return n, err
 	}
-	return f.Close()
+	return write, finish, nil
 }

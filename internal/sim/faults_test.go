@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"muri/internal/job"
 	"muri/internal/metrics"
 	"muri/internal/sched"
+	"muri/internal/telemetry"
 	"muri/internal/trace"
 	"muri/internal/wal"
 )
@@ -209,83 +212,85 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	}
 }
 
-// TestFaultTimelineEvents: with recording enabled, the timeline carries
-// machine-level "fault"/"repair" markers and per-job fault entries, and
-// fault counters line up with the recorded events.
-func TestFaultTimelineEvents(t *testing.T) {
-	tr := chaosTrace()
+// tracedChaosRun replays the chaos trace under Muri-L on plan (3, 4)
+// with a tracer and the record sink attached, and returns the result with
+// the parsed trace export.
+func tracedChaosRun(t *testing.T, record func(*wal.Record)) (Result, telemetry.File) {
+	t.Helper()
+	tr := telemetry.NewTracer(0)
 	cfg := chaosConfig(chaosPlan(3, 4))
-	cfg.RecordTimeline = true
-	r := Run(cfg, tr, sched.NewMuriL())
-	machineFaults, machineRepairs, jobFaults := 0, 0, 0
-	for _, e := range r.Timeline {
-		machineEvent := strings.HasPrefix(e.Unit, "machine-")
-		switch e.Kind {
-		case "fault":
-			if machineEvent {
-				machineFaults++
-			} else {
-				jobFaults++
-			}
-		case "repair":
-			if !machineEvent {
-				t.Errorf("repair event on non-machine unit %q", e.Unit)
-			}
-			machineRepairs++
+	cfg.Trace = tr
+	cfg.Record = record
+	r := Run(cfg, chaosTrace(), sched.NewMuriL())
+	data, err := tr.ExportJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := telemetry.ParseTrace(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, f
+}
+
+// TestFaultTimelineEvents: the trace's fault row carries one instant per
+// machine crash, repair and transient job fault, and the counts line up
+// with the run's fault stats.
+func TestFaultTimelineEvents(t *testing.T) {
+	r, f := tracedChaosRun(t, nil)
+	crashes, repairs, transient := 0, 0, 0
+	for _, e := range f.Instants() {
+		switch {
+		case e.Cat != "fault":
+		case strings.HasPrefix(e.Name, "crash "):
+			crashes++
+		case strings.HasPrefix(e.Name, "repair "):
+			repairs++
+		case strings.HasPrefix(e.Name, "transient fault"):
+			transient++
 		}
 	}
-	if machineFaults != r.Faults.Crashes {
-		t.Errorf("timeline has %d machine faults, stats say %d crashes", machineFaults, r.Faults.Crashes)
+	if crashes != r.Faults.Crashes {
+		t.Errorf("trace has %d crash instants, stats say %d crashes", crashes, r.Faults.Crashes)
 	}
-	if machineRepairs != r.Faults.Repairs {
-		t.Errorf("timeline has %d repairs, stats say %d", machineRepairs, r.Faults.Repairs)
+	if repairs != r.Faults.Repairs {
+		t.Errorf("trace has %d repair instants, stats say %d", repairs, r.Faults.Repairs)
 	}
-	if jobFaults != r.Faults.Requeues {
-		t.Errorf("timeline has %d job fault events, stats say %d requeues", jobFaults, r.Faults.Requeues)
+	if transient != r.Faults.Transient {
+		t.Errorf("trace has %d transient-fault instants, stats say %d", transient, r.Faults.Transient)
 	}
-	if r.Faults.Crashes == 0 {
-		t.Error("chaos run recorded no crashes")
+	if r.Faults.Crashes == 0 || r.Faults.Transient == 0 {
+		t.Errorf("chaos run recorded %d crashes and %d transient faults; want both", r.Faults.Crashes, r.Faults.Transient)
 	}
 }
 
-// TestFaultTimelineMachineAttribution: every placement-bearing timeline
-// event names the machine(s) it happened on. Machine-level fault/repair
-// events carry the crashed machine, crash-induced job faults carry the
-// machine whose loss requeued them, and start/restart events carry the
-// unit's full allocation; submit and finish events have no placement and
-// stay blank.
+// TestFaultTimelineMachineAttribution: every placement names the machines
+// it happened on. Each launch instant in the trace carries the unit's full
+// allocation, and each fault record names its origin: the crashed machine
+// on a loss, the machines hosting the unit on a transient fault.
 func TestFaultTimelineMachineAttribution(t *testing.T) {
-	tr := chaosTrace()
-	cfg := chaosConfig(chaosPlan(3, 4))
-	cfg.RecordTimeline = true
-	r := Run(cfg, tr, sched.NewMuriL())
-	attributed := 0
-	for _, e := range r.Timeline {
-		switch e.Kind {
-		case "submit", "finish":
-			if e.Machine != "" {
-				t.Errorf("%s event carries machine %q", e.Kind, e.Machine)
-			}
+	machines := regexp.MustCompile(`^machine-\d+(,machine-\d+)*$`)
+	faultRecords := 0
+	_, f := tracedChaosRun(t, func(r *wal.Record) {
+		if r.Kind != wal.KindFault {
+			return
+		}
+		faultRecords++
+		if !machines.MatchString(r.Fault.Origin) {
+			t.Errorf("fault record %+v names origin %q", *r.Fault, r.Fault.Origin)
+		}
+	})
+	launches := 0
+	for _, e := range f.Instants() {
+		if e.Name != "launch" {
 			continue
-		case "start", "restart", "fault", "repair":
-			if e.Machine == "" {
-				t.Errorf("%s event at %v (job %d, unit %q) has no machine attribution",
-					e.Kind, e.Time, e.Job, e.Unit)
-				continue
-			}
 		}
-		attributed++
-		for _, m := range strings.Split(e.Machine, ",") {
-			if !strings.HasPrefix(m, "machine-") {
-				t.Errorf("%s event names malformed machine %q", e.Kind, m)
-			}
-		}
-		// Machine-level events attribute to exactly the machine in Unit.
-		if strings.HasPrefix(e.Unit, "machine-") && e.Machine != e.Unit {
-			t.Errorf("machine-level %s on %q attributed to %q", e.Kind, e.Unit, e.Machine)
+		launches++
+		if m, _ := e.Args["machines"].(string); !machines.MatchString(m) {
+			t.Errorf("launch instant at %vµs names machines %q", e.TS, m)
 		}
 	}
-	if attributed == 0 {
-		t.Error("no timeline event carries machine attribution")
+	if launches == 0 || faultRecords == 0 {
+		t.Errorf("%d launch instants and %d fault records; want both", launches, faultRecords)
 	}
 }

@@ -79,9 +79,6 @@ type Config struct {
 	// job arrival and job completion"), instead of only at fixed
 	// intervals (§5 prototype behavior, the default).
 	EventDriven bool
-	// RecordTimeline captures per-job lifecycle events (start, restart,
-	// finish) into Result.Timeline for post-hoc analysis.
-	RecordTimeline bool
 	// Faults, when non-nil and non-empty, injects the deterministic
 	// failure plan: seeded machine crash/repair events preempt and
 	// requeue affected jobs against degraded capacity, straggler
@@ -131,10 +128,9 @@ type Result struct {
 	Series metrics.Series
 	// Jobs are the completed jobs with full progress history.
 	Jobs []*job.Job
-	// Preemptions counts unit restarts across the run.
+	// Preemptions counts the launches charged RestartOverhead (zero when the
+	// overhead is); the engine's kills are Engine.Preemptions.
 	Preemptions int
-	// Timeline holds per-job lifecycle events (with RecordTimeline).
-	Timeline []Event
 	// Heap counts the event-driven clock's completion scans; all zero on
 	// fixed-interval runs, which never scan.
 	Heap metrics.HeapStats
@@ -142,32 +138,6 @@ type Result struct {
 	Faults metrics.FaultStats
 	// Engine reports the shared scheduling engine's decision counters.
 	Engine metrics.EngineStats
-}
-
-// Event is one job-lifecycle event in a run's timeline. The JSON tags
-// define the `murisim -timeline-out` JSONL schema.
-type Event struct {
-	// Time is the virtual timestamp.
-	Time time.Duration `json:"t"`
-	// Kind is "submit", "start", "restart", "finish", "fault", or
-	// "repair". Fault events carry the affected job (zero for a machine
-	// crash) and repair events mark a machine returning to service.
-	Kind string `json:"kind"`
-	// Job identifies the job. It is kept even when zero so a JSONL dump
-	// can tell job 0 apart from machine-level fault/repair events, which
-	// carry a machine-name Unit instead.
-	Job job.ID `json:"job"`
-	// Unit names the unit the job runs in (member IDs), empty on submit
-	// and finish events; on machine-level fault/repair events it names
-	// the machine ("machine-3").
-	Unit string `json:"unit,omitempty"`
-	// Machine attributes the event to cluster machines: the crashed or
-	// repaired machine on machine-level fault/repair events, the machine
-	// whose crash requeued the job on crash-induced job faults, and the
-	// (comma-joined) machines hosting the unit on start, restart, and
-	// transient-fault events. Empty on submit and finish events, which
-	// have no placement.
-	Machine string `json:"machine,omitempty"`
 }
 
 // unit is a placed schedulable unit at run time, and its own placement
@@ -267,7 +237,6 @@ type sim struct {
 	series      metrics.Series
 	nextSample  time.Duration
 	preemptions int
-	timeline    []Event
 	// scans counts the event-driven clock's completion scans.
 	scans metrics.HeapStats
 
@@ -321,13 +290,6 @@ func (s *sim) dropEmptyUnits() {
 	s.running = still
 }
 
-// record appends a timeline event when recording is enabled.
-func (s *sim) record(kind string, id job.ID, unit, machine string) {
-	if s.cfg.RecordTimeline {
-		s.timeline = append(s.timeline, Event{Time: s.now, Kind: kind, Job: id, Unit: unit, Machine: machine})
-	}
-}
-
 // Run simulates the trace under the policy and returns the result.
 func Run(cfg Config, tr trace.Trace, policy sched.Policy) Result {
 	s := newSim(cfg, tr, policy)
@@ -338,7 +300,6 @@ func Run(cfg Config, tr trace.Trace, policy sched.Policy) Result {
 		Series:      s.series,
 		Jobs:        s.done,
 		Preemptions: s.preemptions,
-		Timeline:    s.timeline,
 		Heap:        s.scans,
 		Faults:      s.fstats,
 		Engine:      s.eng.Stats(),
@@ -544,33 +505,18 @@ func (s *sim) nextFault() (time.Duration, bool) {
 	return at, ok
 }
 
-// machineLabel names a machine in timeline events.
+// machineLabel names a machine in fault records and trace instants.
 func machineLabel(id int) string { return "machine-" + strconv.Itoa(id) }
-
-// recordAt appends a timeline event with an explicit timestamp (fault
-// and repair events carry the plan's time, which can precede s.now after
-// an idle fast-forward).
-func (s *sim) recordAt(at time.Duration, kind string, id job.ID, unit, machine string) {
-	if s.cfg.RecordTimeline {
-		s.timeline = append(s.timeline, Event{Time: at, Kind: kind, Job: id, Unit: unit, Machine: machine})
-	}
-}
 
 // allocMachines names an allocation's machines, comma-joined in
 // ascending ID order ("machine-1,machine-3").
 func allocMachines(a cluster.Alloc) string {
 	ids := a.Machines()
-	if len(ids) == 0 {
-		return ""
-	}
-	var b strings.Builder
+	labels := make([]string, len(ids))
 	for i, id := range ids {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(machineLabel(id))
+		labels[i] = machineLabel(id)
 	}
-	return b.String()
+	return strings.Join(labels, ",")
 }
 
 // crashMachine takes a machine down: every unit with GPUs on it is
@@ -582,7 +528,6 @@ func (s *sim) crashMachine(e faults.MachineEvent) {
 		return // double crash cannot happen in a generated plan
 	}
 	label := machineLabel(e.Machine)
-	s.recordAt(e.Time, "fault", 0, label, label)
 	s.traceFault("crash "+label, e.Time, map[string]any{"machine": e.Machine})
 	loss := &wal.FaultRecord{Origin: label, Err: "machine crashed"}
 	queued := len(s.pending)
@@ -593,16 +538,11 @@ func (s *sim) crashMachine(e faults.MachineEvent) {
 			continue
 		}
 		s.cluster.Release(u.alloc)
-		var key string
-		if s.cfg.RecordTimeline {
-			key = engine.UnitKey(u.spec)
-		}
 		for i, j := range u.spec.Jobs {
 			if j.State == job.Done {
 				continue
 			}
 			s.fstats.WorkLost += time.Duration(u.carry[i] * float64(u.iterTime[i]))
-			s.recordAt(e.Time, "fault", j.ID, key, label)
 			s.pending = append(s.pending, j)
 			loss.Jobs = append(loss.Jobs, int64(j.ID))
 		}
@@ -629,7 +569,6 @@ func (s *sim) repairMachine(e faults.MachineEvent) {
 		return
 	}
 	s.fstats.Repairs++
-	s.recordAt(e.Time, "repair", 0, machineLabel(e.Machine), machineLabel(e.Machine))
 	s.traceFault("repair "+machineLabel(e.Machine), e.Time, map[string]any{"machine": e.Machine})
 	s.cluster.SetUp(e.Machine)
 }
@@ -640,11 +579,7 @@ func (s *sim) repairMachine(e faults.MachineEvent) {
 // stays in the running set until the caller drops it.
 func (s *sim) failJob(u *unit, i int, at time.Duration) {
 	j := u.spec.Jobs[i]
-	origin := allocMachines(u.alloc)
 	s.fstats.WorkLost += time.Duration(u.carry[i] * float64(u.iterTime[i]))
-	if s.cfg.RecordTimeline {
-		s.recordAt(at, "fault", j.ID, engine.UnitKey(u.spec), origin)
-	}
 	if s.cfg.Trace.Enabled() {
 		s.traceFault(fmt.Sprintf("transient fault job %d", j.ID), at, map[string]any{"job": int64(j.ID)})
 	}
@@ -652,7 +587,7 @@ func (s *sim) failJob(u *unit, i int, at time.Duration) {
 	// daemon commits them. The retry policy has no backoff, but the
 	// release time is computed the same way regardless.
 	backoff, deadlettered := s.eng.RecordFault(j.ID)
-	s.fault(&wal.FaultRecord{Job: int64(j.ID), Origin: origin, Err: "transient fault",
+	s.fault(&wal.FaultRecord{Job: int64(j.ID), Origin: allocMachines(u.alloc), Err: "transient fault",
 		Faults: j.Faults, DeadLettered: deadlettered,
 		NotBeforeV: int64(s.now) + int64(backoff)})
 	s.pending = append(s.pending, j)
@@ -707,7 +642,6 @@ func (s *sim) admitArrivals() {
 	first := s.arrived
 	for s.arrived < len(s.all) && s.all[s.arrived].Submit <= s.now {
 		j := s.all[s.arrived]
-		s.record("submit", j.ID, "", "")
 		s.eng.Track(j, job.Pending)
 		s.pending = append(s.pending, j)
 		s.arrived++
@@ -855,21 +789,15 @@ func (s *sim) schedule() {
 				u.readyAt = max(u.readyAt, a.readyAt)
 			}
 		}
-		var machines string
-		if s.cfg.RecordTimeline {
-			machines = allocMachines(u.alloc)
-		}
 		launched := false
 		for _, m := range p.Members {
 			if m.Fresh {
 				m.Job.StartedAt = s.now
-				s.record("start", m.Job.ID, p.Key, machines)
 				launched = true
 			} else if m.Restart {
 				// Either the job resumes after preemption or its unit's
 				// composition changed — both restart the worker process.
 				m.Job.Restarts++
-				s.record("restart", m.Job.ID, p.Key, machines)
 				launched = true
 			}
 		}
@@ -972,9 +900,6 @@ func (s *sim) advanceUnit(u *unit, from, to time.Duration) {
 		j.FinishedAt = firstAt
 		s.done = append(s.done, j)
 		s.eng.MarkDone(j.ID) // as the daemon's: done, and the engine forgets its placement
-		if s.cfg.RecordTimeline {
-			s.timeline = append(s.timeline, Event{Time: firstAt, Kind: "finish", Job: j.ID})
-		}
 		if s.cfg.Record != nil {
 			// Completions carry their own instant (mid-advance, between
 			// scheduling points): the finish time the metrics see.

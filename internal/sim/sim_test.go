@@ -389,41 +389,38 @@ func TestHeapStatsExposure(t *testing.T) {
 // and emits no launch, but the survivors' placement memory still holds the
 // pre-shrink key, so each survivor is classified Restart: it loses its
 // carry, pays RestartOverhead, bumps Restarts and takes a new fault draw,
-// with no decision or record saying so. Fixing it moves the goldens; this
-// test pins the count until then.
+// with no decision or record saying so. Every start and counted restart
+// beyond the launch decisions' memberships is one of them. Fixing it
+// moves the goldens; this test pins the count until then.
 func TestSilentRestarts(t *testing.T) {
 	gc := trace.PhillyConfigs(64)[0]
 	gc.Jobs = 400
 	cfg := DefaultConfig()
-	cfg.RecordTimeline = true
-	type launch struct {
-		at time.Duration
-		id job.ID
-	}
-	launched := map[launch]bool{}
-	cfg.Record = func(r *wal.Record) {
-		if r.Kind == wal.KindDecision && r.Decision.Action == string(engine.ActLaunch) {
-			for _, id := range r.Decision.Jobs {
-				launched[launch{time.Duration(r.V), job.ID(id)}] = true
-			}
+	memberships := 0
+	cfg.Observer = func(d engine.Decision) {
+		if d.Action == engine.ActLaunch {
+			memberships += len(d.Jobs)
 		}
 	}
 	res := Run(cfg, trace.Generate(gc), sched.NewMuriL())
-	silent := 0
-	for _, ev := range res.Timeline {
-		if ev.Kind != "start" && ev.Kind != "restart" || launched[launch{ev.Time, ev.Job}] {
-			continue
-		}
-		if ev.Kind == "start" {
-			t.Fatalf("job %d started at %v without a launch decision", ev.Job, ev.Time)
-		}
-		silent++
+	if len(res.Jobs) != gc.Jobs {
+		t.Fatalf("%d of %d jobs completed", len(res.Jobs), gc.Jobs)
 	}
-	if silent != 6 {
-		t.Fatalf("%d silent restarts over %d launched members, want 6", silent, len(launched))
+	starts := 0
+	for _, j := range res.Jobs {
+		starts += 1 + j.Restarts
+	}
+	if silent := starts - memberships; silent != 6 {
+		t.Fatalf("%d starts and restarts against %d launch memberships: %d silent restarts, want 6",
+			starts, memberships, silent)
 	}
 }
 
+// TestTimelineRecording reads a run's lifecycle from its record stream:
+// every job has one admit item, at least one launch membership and one
+// done record, in that order on the virtual clock. Done records carry
+// their mid-advance completion instant, so V is ordered per job, not
+// across the stream.
 func TestTimelineRecording(t *testing.T) {
 	tr := trace.Generate(trace.GenConfig{
 		Name: "t", Jobs: 20, Seed: 19, MaxGPUs: 8,
@@ -431,38 +428,57 @@ func TestTimelineRecording(t *testing.T) {
 		MedianDuration:   8 * time.Minute,
 		MaxDuration:      30 * time.Minute,
 	})
+	type lifecycle struct {
+		admits, launches, dones int
+		admitV, launchV, doneV  int64
+	}
+	jobs := map[int64]*lifecycle{}
+	of := func(id int64) *lifecycle {
+		if jobs[id] == nil {
+			jobs[id] = &lifecycle{}
+		}
+		return jobs[id]
+	}
 	cfg := quickCfg()
-	cfg.RecordTimeline = true
+	cfg.Record = func(r *wal.Record) {
+		switch r.Kind {
+		case wal.KindAdmit:
+			for _, it := range r.Admit.Items {
+				l := of(it.Spec.ID)
+				l.admits++
+				l.admitV = r.V
+			}
+		case wal.KindDecision:
+			if r.Decision.Action != string(engine.ActLaunch) {
+				return
+			}
+			for _, id := range r.Decision.Jobs {
+				l := of(id)
+				if l.launches == 0 {
+					l.launchV = r.V
+				}
+				l.launches++
+			}
+		case wal.KindDone:
+			l := of(r.Done.Job)
+			l.dones++
+			l.doneV = r.V
+		}
+	}
 	res := Run(cfg, tr, sched.SRSF())
-	if len(res.Timeline) == 0 {
-		t.Fatal("no timeline events recorded")
+	if res.Summary.Jobs != 20 || len(jobs) != 20 {
+		t.Fatalf("%d jobs completed, %d in the record stream; want 20", res.Summary.Jobs, len(jobs))
 	}
-	kinds := make(map[string]int)
-	perJob := make(map[job.ID]map[string]int)
-	var prev time.Duration
-	for _, e := range res.Timeline {
-		if e.Time < prev {
-			t.Fatalf("timeline out of order: %v after %v", e.Time, prev)
+	for id, l := range jobs {
+		if l.admits != 1 || l.launches == 0 || l.dones != 1 {
+			t.Errorf("job %d: %d admit items, %d launch memberships, %d done records; want 1, ≥ 1, 1",
+				id, l.admits, l.launches, l.dones)
+			continue
 		}
-		prev = e.Time
-		kinds[e.Kind]++
-		if perJob[e.Job] == nil {
-			perJob[e.Job] = make(map[string]int)
+		if l.admitV > l.launchV || l.launchV > l.doneV {
+			t.Errorf("job %d: admit at %v, first launch at %v, done at %v: out of order",
+				id, time.Duration(l.admitV), time.Duration(l.launchV), time.Duration(l.doneV))
 		}
-		perJob[e.Job][e.Kind]++
-	}
-	if kinds["submit"] != 20 || kinds["start"] != 20 || kinds["finish"] != 20 {
-		t.Errorf("event counts = %v, want 20 submits/starts/finishes", kinds)
-	}
-	for id, k := range perJob {
-		if k["submit"] != 1 || k["start"] != 1 || k["finish"] != 1 {
-			t.Errorf("job %d events = %v, want exactly one of each lifecycle kind", id, k)
-		}
-	}
-	// Default runs record nothing.
-	res = Run(quickCfg(), tr, sched.SRSF())
-	if len(res.Timeline) != 0 {
-		t.Errorf("timeline recorded without RecordTimeline: %d events", len(res.Timeline))
 	}
 }
 

@@ -35,29 +35,36 @@ func (s *sim) traceFault(name string, at time.Duration, args map[string]any) {
 		return
 	}
 	pid := tr.Process("faults")
-	tid := tr.Thread(pid, "events")
-	tr.Instant(pid, tid, name, "fault", at, args)
+	tr.Instant(pid, tr.Thread(pid, "events"), name, "fault", at, args)
 }
 
-// traceUnitStages renders the first few group iterations of a freshly
-// launched (or restarted) unit as per-resource stage spans, starting at
-// the unit's readyAt (restart overhead already applied). Emission
-// happens only on actual launches, never on round-to-round
-// continuations, which bounds the event volume under preemptive
-// policies that re-place every unit every round.
+// traceUnitStages renders a freshly launched (or restarted) unit on its
+// group process: one "launch" instant naming the members and the machines
+// they landed on, then the first few group iterations as per-resource
+// stage spans, starting at the unit's readyAt (restart overhead already
+// applied). Emission happens only on actual launches, never on
+// round-to-round continuations, which bounds the event volume under
+// preemptive policies that re-place every unit every round.
 func (s *sim) traceUnitStages(u *unit, key string) {
 	tr := s.cfg.Trace
 	if !tr.Enabled() {
 		return
 	}
+	pid := tr.Process("group " + key)
 	switch u.spec.Mode {
 	case sched.Interleaved:
-		s.traceInterleavedStages(u, key)
+		s.traceInterleavedStages(u, pid)
 	case sched.Exclusive:
-		s.traceSerialStages(u, key)
+		s.traceSerialStages(u, pid)
 	default: // space-shared
-		s.traceSpaceSharedStages(u, key)
+		s.traceSpaceSharedStages(u, pid)
 	}
+	jobs := make([]int64, len(u.spec.Jobs))
+	for i, j := range u.spec.Jobs {
+		jobs[i] = int64(j.ID)
+	}
+	tr.Instant(pid, tr.Thread(pid, "launches"), "launch", "launch", s.now,
+		map[string]any{"jobs": jobs, "machines": allocMachines(u.alloc)})
 }
 
 // resourceThreads registers (or looks up) the per-resource thread rows
@@ -76,7 +83,7 @@ func resourceThreads(tr *telemetry.Tracer, pid int) [workload.NumResources]int {
 // ordering position i occupies resource (i+j) mod k. Distinct members
 // always occupy distinct resources in a slot (i is distinct mod k and
 // group size ≤ k), so each resource row holds at most one span per slot.
-func (s *sim) traceInterleavedStages(u *unit, key string) {
+func (s *sim) traceInterleavedStages(u *unit, pid int) {
 	tr := s.cfg.Trace
 	times := make([]workload.StageTimes, len(u.spec.Jobs))
 	for i, j := range u.spec.Jobs {
@@ -89,7 +96,6 @@ func (s *sim) traceInterleavedStages(u *unit, key string) {
 		}
 	}
 	const k = workload.NumResources
-	pid := tr.Process("group " + key)
 	tids := resourceThreads(tr, pid)
 	start := u.readyAt
 	for c := 0; c < traceStageCycles; c++ {
@@ -118,7 +124,7 @@ func (s *sim) traceInterleavedStages(u *unit, key string) {
 // member cycles through its four stages back to back, each on its own
 // resource row, scaled so one rendered cycle spans exactly iterTime[0]
 // (which folds in any straggler slowdown).
-func (s *sim) traceSerialStages(u *unit, key string) {
+func (s *sim) traceSerialStages(u *unit, pid int) {
 	tr := s.cfg.Trace
 	j := u.spec.Jobs[0]
 	profile := j.TrueProfile
@@ -127,7 +133,6 @@ func (s *sim) traceSerialStages(u *unit, key string) {
 		return
 	}
 	scale := float64(u.iterTime[0]) / float64(total)
-	pid := tr.Process("group " + key)
 	tids := resourceThreads(tr, pid)
 	start := u.readyAt
 	for c := 0; c < traceStageCycles; c++ {
@@ -147,9 +152,8 @@ func (s *sim) traceSerialStages(u *unit, key string) {
 // its own serial stage sequence concurrently at its contended speed, so
 // each member gets its own thread row (stages overlap on every
 // resource, which per-resource rows cannot render).
-func (s *sim) traceSpaceSharedStages(u *unit, key string) {
+func (s *sim) traceSpaceSharedStages(u *unit, pid int) {
 	tr := s.cfg.Trace
-	pid := tr.Process("group " + key)
 	for i, j := range u.spec.Jobs {
 		profile := j.TrueProfile
 		total := profile.Total()

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -10,14 +11,15 @@ import (
 	"muri/internal/sched"
 	"muri/internal/telemetry"
 	"muri/internal/trace"
+	"muri/internal/wal"
 )
 
 // traceRun simulates a 100-job Philly trace under Muri-L with the given
-// tracer attached.
-func traceRun(tr *telemetry.Tracer) Result {
+// tracer and record sink attached (either may be nil).
+func traceRun(tr *telemetry.Tracer, record func(*wal.Record)) Result {
 	cfg := DefaultConfig()
 	cfg.Trace = tr
-	cfg.RecordTimeline = true
+	cfg.Record = record
 	tc := trace.PhillyConfigs(64)[0]
 	tc.Jobs = 100
 	return Run(cfg, trace.Generate(tc), sched.NewMuriL())
@@ -29,7 +31,7 @@ func traceRun(tr *telemetry.Tracer) Result {
 // in time — the visual proof that interleaving actually interleaves.
 func TestTraceShowsInterleaving(t *testing.T) {
 	tr := telemetry.NewTracer(0)
-	res := traceRun(tr)
+	res := traceRun(tr, nil)
 	if res.Summary.Jobs != 100 {
 		t.Fatalf("run incomplete: %d/100 jobs", res.Summary.Jobs)
 	}
@@ -89,15 +91,24 @@ func TestTraceShowsInterleaving(t *testing.T) {
 
 // TestTraceDoesNotPerturbRun pins the determinism guarantee: a run with
 // a tracer attached must be bit-identical, in everything the metrics
-// depend on, to the same run without one.
+// depend on and in its record stream, to the same run without one.
 func TestTraceDoesNotPerturbRun(t *testing.T) {
-	off := traceRun(nil)
-	on := traceRun(telemetry.NewTracer(0))
-	if fingerprint(off) != fingerprint(on) {
+	var logs [2]bytes.Buffer
+	var res [2]Result
+	for i, tr := range []*telemetry.Tracer{nil, telemetry.NewTracer(0)} {
+		enc := json.NewEncoder(&logs[i])
+		res[i] = traceRun(tr, func(r *wal.Record) {
+			if err := enc.Encode(r); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if fingerprint(res[0]) != fingerprint(res[1]) {
 		t.Error("attaching a tracer changed the simulation outcome")
 	}
-	if len(off.Timeline) != len(on.Timeline) {
-		t.Errorf("timeline length differs: off=%d on=%d", len(off.Timeline), len(on.Timeline))
+	if logs[0].Len() == 0 || !bytes.Equal(logs[0].Bytes(), logs[1].Bytes()) {
+		t.Errorf("attaching a tracer changed the record stream (%d bytes without, %d with)",
+			logs[0].Len(), logs[1].Len())
 	}
 }
 
@@ -105,8 +116,8 @@ func TestTraceDoesNotPerturbRun(t *testing.T) {
 // runs must produce byte-identical trace JSON.
 func TestTraceDeterministicAcrossRuns(t *testing.T) {
 	a, b := telemetry.NewTracer(0), telemetry.NewTracer(0)
-	traceRun(a)
-	traceRun(b)
+	traceRun(a, nil)
+	traceRun(b, nil)
 	ja, err := a.ExportJSON()
 	if err != nil {
 		t.Fatal(err)
