@@ -95,6 +95,15 @@ var archRules = []archRule{
 		example: `cfg.RecordTimeline = true`,
 	},
 	{
+		name:         "deleted-queue-rebuild",
+		pattern:      `PendingInto|sortBySubmit|Outcome\.Pending`,
+		scope:        []string{"."},
+		skipComments: true,
+		reason: "both drivers read a round's candidates from job.State, written only through the engine's " +
+			"apply: no second queue that Reconcile rebuilds, sorts or writes into a lent buffer",
+		example: `out := eng.Reconcile(engine.Input{Candidates: jobs, PendingInto: spare})`,
+	},
+	{
 		name:    "fault-ledger-by-hand",
 		pattern: `\.(Crashes|Transient|Requeues|DeadLettered)[[:space:]]*(\+\+|\+=)`,
 		scope:   []string{"internal/sim", "internal/server"},

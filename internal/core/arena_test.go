@@ -158,7 +158,7 @@ func TestArenaShardedPlansConcurrent(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	queues := [][]*job.Job{singleGPUJobs(300, 11), mixedJobs(260), singleGPUJobs(120, 12)}
 	serial := scaleConfig()
-	serial.Cache, serial.Planner = nil, nil
+	serial.Cache, serial.Planner = interleave.NewEffCache(0), nil
 	want := make([]string, len(queues))
 	for i, q := range queues {
 		want[i] = fullFingerprint(serial.plan(new(planArena), q, 64))

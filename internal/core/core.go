@@ -53,8 +53,8 @@ type Config struct {
 	// into the class IDs the grouping graph is indexed by. Everything is
 	// keyed by profile contents, so cached values are bit-identical to
 	// fresh computation, schedules do not depend on cache state, and a job
-	// whose profile is rewritten simply lands in another class. Nil
-	// disables memoization (every node is then its own class).
+	// whose profile is rewritten simply lands in another class. Required:
+	// DefaultConfig sets one.
 	Cache *interleave.EffCache
 	// Shards splits buckets of shardNodeThreshold nodes or more into
 	// deterministic shards that are edge-constructed and matched
@@ -97,18 +97,6 @@ type Group struct {
 	// member needs exactly this many GPUs and the whole group shares one
 	// allocation of that size.
 	GPUs int
-}
-
-// ExecutionIterTime returns the group's actual per-iteration duration:
-// Eq. 3 evaluated on the members' true profiles (in plan order) with the
-// contention model applied. This is what the simulator and the executor
-// advance jobs by; it differs from Plan.IterTime when profiles are noisy.
-func (g Group) ExecutionIterTime(cfg interleave.Config) time.Duration {
-	times := make([]workload.StageTimes, len(g.Jobs))
-	for i, j := range g.Jobs {
-		times[i] = j.TrueProfile
-	}
-	return interleave.IterationTime(cfg.Inflate(times))
 }
 
 // node is one vertex of the grouping graph: a set of jobs merged across
@@ -219,10 +207,9 @@ func (c Config) plan(a *planArena, jobs []*job.Job, capacityGPUs int) []Group {
 }
 
 // classes returns the node's member classes, interning them (and merging
-// them into the node's sorted key) on first use. With a nil Cache both
-// stay zero: the node is its own class.
+// them into the node's sorted key) on first use.
 func (c Config) classes(n *node) interleave.Classes {
-	if n.cls[0] == 0 && c.Cache != nil {
+	if n.cls[0] == 0 {
 		n.key = interleave.Classes{}
 		for i, p := range n.profiles {
 			n.cls[i] = c.Cache.Class(p)
@@ -313,8 +300,7 @@ var scratchPool = sync.Pool{New: func() any { return new(graphScratch) }}
 
 // classify assigns every node its local class — a dense index over the
 // distinct canonical (sorted) class tuples present, in order of first
-// appearance — and returns the class count. Unclassified nodes (nil Cache)
-// each form their own class.
+// appearance — and returns the class count.
 func (c Config) classify(nodes []*node, s *graphScratch) int {
 	if s.index == nil {
 		s.index = make(map[interleave.Classes]int32)
@@ -322,16 +308,13 @@ func (c Config) classify(nodes []*node, s *graphScratch) int {
 	clear(s.index)
 	s.local, s.rep, s.multi = s.local[:0], s.rep[:0], s.multi[:0]
 	for i, nd := range nodes {
-		k := int32(len(s.rep))
-		if c.classes(nd)[0] != 0 {
-			if prev, ok := s.index[nd.key]; ok {
-				k = prev
-				s.multi[k] = true
-			} else {
-				s.index[nd.key] = k
-			}
-		}
-		if int(k) == len(s.rep) {
+		c.classes(nd)
+		k, ok := s.index[nd.key]
+		if ok {
+			s.multi[k] = true
+		} else {
+			k = int32(len(s.rep))
+			s.index[nd.key] = k
 			s.rep = append(s.rep, int32(i))
 			s.multi = append(s.multi, false)
 		}

@@ -149,20 +149,6 @@ func TestGroupPlanOrderIsIdentityAfterFinalize(t *testing.T) {
 	}
 }
 
-func TestExecutionIterTimeUsesTrueProfile(t *testing.T) {
-	a := cpuHeavy(0)
-	b := gpuHeavy(1)
-	// Scheduler believes the profiles, but true execution is 2× slower.
-	a.TrueProfile = a.Profile.Scale(2)
-	b.TrueProfile = b.Profile.Scale(2)
-	cfg := ideal()
-	g := cfg.Plan([]*job.Job{a, b}, 0)[0]
-	exec := g.ExecutionIterTime(cfg.Interleave)
-	if exec != 2*g.Plan.IterTime {
-		t.Errorf("execution iter time = %v, want 2× plan %v", exec, g.Plan.IterTime)
-	}
-}
-
 func TestRoundsCount(t *testing.T) {
 	for max, want := range map[int]int{2: 1, 3: 2, 4: 2} {
 		c := Config{MaxGroupSize: max}

@@ -53,12 +53,15 @@ func randomBucket(rng *rand.Rand, n int, distinct bool) []*node {
 }
 
 // pairwiseGraph is the reference construction: every pair evaluated on
-// its own from fresh group statistics and the gate, with no classes, no
-// table and no cache.
+// its own from fresh best-ordering statistics (interleave.BestOrdering)
+// and the gate, with no classes, no table and no cache.
 func pairwiseGraph(c Config, nodes []*node) ([]blossom.Edge, []float64) {
-	var fresh *interleave.EffCache
+	fresh := func(times []workload.StageTimes) (time.Duration, float64) {
+		_, t, eff := interleave.BestOrdering(c.Interleave.Inflate(times))
+		return t, eff
+	}
 	self := func(nd *node) stat {
-		t, eff := fresh.GroupStats(c.Interleave, nd.profiles)
+		t, eff := fresh(nd.profiles)
 		return stat{t: t, eff: eff}
 	}
 	var edges []blossom.Edge
@@ -70,7 +73,7 @@ func pairwiseGraph(c Config, nodes []*node) ([]blossom.Edge, []float64) {
 				continue
 			}
 			both := append(append([]workload.StageTimes{}, nu.profiles...), nv.profiles...)
-			t, eff := fresh.GroupStats(c.Interleave, both)
+			t, eff := fresh(both)
 			if eff <= 0 {
 				continue
 			}
@@ -90,9 +93,10 @@ func pairwiseGraph(c Config, nodes []*node) ([]blossom.Edge, []float64) {
 // TestBucketGraphMatchesPairwise is the property behind the class-indexed
 // graph: over random buckets and every configuration axis the table
 // depends on — the gate in both production shapes, true remaining
-// iterations (Muri-S) and an LAS-style estimate (Muri-L) — bucketGraph's
-// edges and gains equal (==, bit for bit) the pair-by-pair reference, on a
-// cold scratch and on a reused one. The 256- and 300-node buckets at the
+// iterations (Muri-S) and an LAS-style estimate (Muri-L), and a cache so
+// small its interner and generations turn over — bucketGraph's edges and
+// gains equal (==, bit for bit) the pair-by-pair reference, on a cold
+// scratch and on a reused one. The 256- and 300-node buckets at the
 // default config pin that no gated edge is withheld from the matcher at
 // any size.
 func TestBucketGraphMatchesPairwise(t *testing.T) {
@@ -119,16 +123,17 @@ func TestBucketGraphMatchesPairwise(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		c := DefaultConfig()
 		c.MaxGroupSize = 2 + trial%3
-		if trial%2 == 0 {
-			c.Cache = nil
+		tiny := trial%2 == 0
+		if tiny {
+			c.Cache = interleave.NewEffCache(8)
 		}
 		if (trial/3)%2 == 1 {
 			c.RemainingIters = las
 		}
 		n := 2 + rng.Intn(30)
 		distinct := rng.Intn(3) == 0
-		label := fmt.Sprintf("trial %d (n=%d k=%d las=%v cache=%v distinct=%v)",
-			trial, n, c.MaxGroupSize, c.RemainingIters != nil, c.Cache != nil, distinct)
+		label := fmt.Sprintf("trial %d (n=%d k=%d las=%v tiny-cache=%v distinct=%v)",
+			trial, n, c.MaxGroupSize, c.RemainingIters != nil, tiny, distinct)
 		check(label, c, randomBucket(rng, n, distinct))
 	}
 	for _, n := range []int{256, 300} {
@@ -139,14 +144,23 @@ func TestBucketGraphMatchesPairwise(t *testing.T) {
 	}
 }
 
-// TestFinalizeMemoColdWarm checks the ordering memo: finalize returns the
-// same Group from a cold cache, a warm one, and no cache at all — also
+// TestFinalizeMemoColdWarm checks the ordering memo: finalize returns,
+// from a cold cache and from a warm one, the Group that
+// interleave.Config.PlanGroup's best ordering makes of the node — also
 // for two nodes that hold the same profiles in different member order,
 // whose chosen permutations differ.
 func TestFinalizeMemoColdWarm(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	render := func(g Group) string {
-		return fmt.Sprintf("%s order=%v", planFingerprint([]Group{g}), g.Plan.Order)
+	render := func(g Group) string { return fullFingerprint([]Group{g}) }
+	cached := DefaultConfig()
+	fresh := func(n *node) Group {
+		p := cached.Interleave.PlanGroup(n.profiles, false)
+		g := Group{GPUs: 1, Plan: interleave.Plan{IterTime: p.IterTime, Efficiency: p.Efficiency}}
+		for pos, idx := range p.Order {
+			g.Jobs = append(g.Jobs, n.jobs[idx])
+			g.Plan.Order = append(g.Plan.Order, pos)
+		}
+		return g
 	}
 	for trial := 0; trial < 200; trial++ {
 		nd := randomBucket(rng, 1, trial%2 == 0)[0]
@@ -160,10 +174,9 @@ func TestFinalizeMemoColdWarm(t *testing.T) {
 			flipped.jobs = append(flipped.jobs, nd.jobs[i])
 			flipped.profiles = append(flipped.profiles, nd.profiles[i])
 		}
-		cached, bare := DefaultConfig(), DefaultConfig()
-		bare.Cache = nil
+		cached.Cache = interleave.NewEffCache(0)
 		for _, n := range []*node{nd, flipped} {
-			want := render(bare.finalize(n, 1))
+			want := render(fresh(n))
 			cold := render(cached.finalize(n, 1))
 			n.cls = interleave.Classes{} // re-intern, as the next Plan call would
 			warm := render(cached.finalize(n, 1))

@@ -39,9 +39,10 @@ func groupsFingerprint(groups []Group) string {
 }
 
 // TestPlanParallelAndCachedUnchanged is the determinism guard for the
-// shared cache: cacheless, cached and evicting (tiny) caches must produce
-// identical plans under both production shapes of the merge gate — true
-// remaining iterations (Muri-S) and an LAS-style estimate (Muri-L).
+// shared cache: a cold cache, the same cache warm and an evicting (tiny)
+// one must produce identical plans under both production shapes of the
+// merge gate — true remaining iterations (Muri-S) and an LAS-style
+// estimate (Muri-L).
 func TestPlanParallelAndCachedUnchanged(t *testing.T) {
 	las := func(j *job.Job) int64 {
 		if j.DoneIterations > 100 {
@@ -57,16 +58,17 @@ func TestPlanParallelAndCachedUnchanged(t *testing.T) {
 				cfg.RemainingIters = remaining
 				return groupsFingerprint(cfg.Plan(mixedJobs(160), capacity))
 			}
-			base := variant(nil)
+			shared := interleave.NewEffCache(0)
+			base := variant(shared)
 			if base == "" {
 				t.Fatalf("gate %v cap %d: empty plan", gate, capacity)
 			}
 			for name, got := range map[string]string{
-				"cache":     variant(interleave.NewEffCache(0)),
+				"warm":      variant(shared),
 				"tinycache": variant(interleave.NewEffCache(16)),
 			} {
 				if got != base {
-					t.Errorf("gate %s cap %d: %s plan differs from nocache\nbase:\n%s\ngot:\n%s",
+					t.Errorf("gate %s cap %d: %s plan differs from a cold cache's\nbase:\n%s\ngot:\n%s",
 						gate, capacity, name, base, got)
 				}
 			}

@@ -230,10 +230,9 @@ func (c Config) rebalance(st *bucketState, a *planArena, out []cachedProp) []cac
 // by idx (ascending; nil selects all of nodes): build the gain-gated
 // grouping graph, run Blossom, and append the matched pairs to dst (a fresh
 // stream when nil) in deterministic u-major edge order, by bucket-global
-// node index, with their recorded weights and gains. With a PlanState and
-// a Cache the matching comes from the memo when these nodes' contents were
-// matched this plan or the last; with a nil Cache nodes have no content
-// key and every call matches fresh.
+// node index, with their recorded weights and gains. With a PlanState the
+// matching comes from the memo when these nodes' contents were matched
+// this plan or the last.
 func (c Config) matchShard(nodes []*node, idx []int32, dst []cachedProp) []cachedProp {
 	s := scratchPool.Get().(*graphScratch)
 	defer scratchPool.Put(s)
@@ -249,10 +248,6 @@ func (c Config) matchShard(nodes []*node, idx []int32, dst []cachedProp) []cache
 		return dst
 	}
 	ps, hit := c.Planner, false
-	if ps != nil && c.Cache == nil {
-		ps.fresh.Add(1) // no class IDs, so no content key to memoize by
-		ps = nil
-	}
 	if ps != nil {
 		s.key = c.memoKey(nodes, s.key)
 		s.pairs, hit = ps.lookup(s.key, s.pairs[:0])

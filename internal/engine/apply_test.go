@@ -15,7 +15,8 @@ import (
 // running; a second completion report is rejected.
 func TestMarkDoneForgetsPlacement(t *testing.T) {
 	j := newJob(t, 1, 1)
-	e := engine.New(engine.Config{Style: engine.ReplaceAll, Policy: scriptedPolicy{preempt: true,
+	var log decisionLog
+	e := engine.New(engine.Config{Observer: log.observe, Style: engine.ReplaceAll, Policy: scriptedPolicy{preempt: true,
 		plan: func(_ time.Duration, jobs []*job.Job, _ int) []sched.Unit {
 			units := make([]sched.Unit, len(jobs))
 			for i, j := range jobs {
@@ -24,8 +25,8 @@ func TestMarkDoneForgetsPlacement(t *testing.T) {
 			return units
 		}}})
 	e.Track(j, job.Pending)
-	out := e.Reconcile(engine.Input{Candidates: []*job.Job{j}, Pending: []*job.Job{j}, Capacity: 1, Placer: newFakePlacer(1)})
-	if got := decisionStrings(out.Decisions); !equalStrings(got, []string{"launch exclusive:1"}) {
+	e.Reconcile(engine.Input{Candidates: []*job.Job{j}, Capacity: 1, Placer: newFakePlacer(1)})
+	if got := log.take(); !equalStrings(got, []string{"launch exclusive:1"}) {
 		t.Fatalf("decisions = %v, want one launch", got)
 	}
 	if keys := e.RunningKeys(); keys[1] != "exclusive:1" || j.State != job.Running {

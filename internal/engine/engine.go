@@ -21,7 +21,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"muri/internal/job"
 	"muri/internal/metrics"
@@ -220,17 +219,15 @@ type admittedUnit struct {
 var stamps atomic.Uint64
 
 // roundScratch is one Reconcile round's working memory, reused by the
-// next. Of the Outcome, Placements (and their Members), Decisions and
-// Killed live here and are valid until the next Reconcile; a placed
-// unit's Jobs, allocated per round, and the rebuilt queue, in the buffer
-// the driver lends (Input.PendingInto), are the driver's to keep.
+// next. Of the Outcome, Placements (and their Members) and Killed live
+// here and are valid until the next Reconcile; a placed unit's Jobs,
+// allocated per round, are the driver's to keep.
 //
 // The round's per-job sets live on the jobs themselves (job.Sched), each
 // set while its field equals stamp: Placed — the job holds resources
 // after this round; Claimed — admitted this round or untouchably running;
-// Bumped — its bypass count already rose this round; Seen — already in
-// the rebuilt pending queue (the wait-cause walk dedups on Seen under a
-// stamp of its own).
+// Bumped — its bypass count already rose this round. The wait-cause walk
+// dedups on Seen under a stamp of its own.
 type roundScratch struct {
 	stamp uint64
 	// currentKeys are the keys running as the round begins; keySet the
@@ -239,14 +236,11 @@ type roundScratch struct {
 	admitted            []admittedUnit
 	skipped             []sched.Unit
 	// boostedAt are the planner positions, ascending, of the units a
-	// starvation-boosted round admits first; requeued the
-	// preempted-but-unplaced tail of the pending rebuild.
+	// starvation-boosted round admits first.
 	boostedAt []int
-	requeued  []*job.Job
 	// The Outcome's engine-owned slices.
 	placements []Placement
 	members    []Member
-	decisions  []Decision
 	killed     []Current
 }
 
@@ -259,11 +253,9 @@ func (r *roundScratch) reset() {
 	clear(r.skipped)
 	clear(r.placements)
 	clear(r.members)
-	clear(r.decisions)
 	clear(r.killed)
 	r.admitted, r.skipped, r.boostedAt = r.admitted[:0], r.skipped[:0], r.boostedAt[:0]
-	r.placements, r.members = r.placements[:0], r.members[:0]
-	r.decisions, r.killed = r.decisions[:0], r.killed[:0]
+	r.placements, r.members, r.killed = r.placements[:0], r.members[:0], r.killed[:0]
 }
 
 // emitCause publishes one provenance annotation (no-op without a hook).
@@ -363,8 +355,8 @@ func (e *Engine) traceDecision(d Decision) {
 }
 
 // traceRound records one Reconcile round as an instant event carrying
-// the round's headline numbers.
-func (e *Engine) traceRound(in Input, out *Outcome) {
+// the round's headline numbers (planned counts the policy's units).
+func (e *Engine) traceRound(in Input, planned int, out *Outcome) {
 	tr := e.cfg.Tracer
 	if tr == nil {
 		return
@@ -374,7 +366,7 @@ func (e *Engine) traceRound(in Input, out *Outcome) {
 	tr.Instant(pid, tid, "round "+strconv.Itoa(e.stats.Rounds), "round", in.Now, map[string]any{
 		"candidates": len(in.Candidates),
 		"capacity":   in.Capacity,
-		"planned":    len(out.Planned),
+		"planned":    planned,
 		"placed":     len(out.Placements),
 		"kept":       len(out.Kept),
 		"killed":     len(out.Killed),
@@ -436,19 +428,11 @@ type Input struct {
 	// Now is the driver's clock (virtual for the simulator, virtualized
 	// wall time for the daemon).
 	Now time.Duration
-	// Candidates are the jobs the policy may plan over: pending jobs,
-	// plus running jobs for preemptive policies. Jobs held back (fault
-	// backoff) are simply omitted.
+	// Candidates are the jobs the policy may plan over: those whose State
+	// is pending, plus running ones for preemptive policies. Jobs held
+	// back (fault backoff) are simply omitted. Their order is the
+	// driver's and reaches no decision: policies rank by total orders.
 	Candidates []*job.Job
-	// Pending is the driver's pending queue; Reconcile returns its
-	// rebuilt successor in Outcome.Pending. Nil when the driver keeps no
-	// explicit queue (the daemon derives it from job states).
-	Pending []*job.Job
-	// PendingInto, when non-nil, is the buffer Outcome.Pending is rebuilt
-	// into (as Matcher.SolveInto takes mate's); nil allocates. It must not
-	// share a backing array with Pending or Candidates — Reconcile panics —
-	// so a driver that keeps its queue alternates two buffers.
-	PendingInto []*job.Job
 	// Capacity is the total in-service GPU capacity, passed to the
 	// policy.
 	Capacity int
@@ -493,15 +477,12 @@ type Placement struct {
 	Restart bool
 }
 
-// Outcome is the result of one scheduling round. What a driver keeps past
-// the round is its own: each Placement's Spec.Jobs and Pending. The rest
-// is lent (DESIGN.md §8): Planned belongs to the policy until its next
-// Plan; Placements, their Members, Decisions and Killed to the engine
-// until the next Reconcile; Kept aliases Input.Current on non-preemptive
-// rounds.
+// Outcome is the result of one scheduling round; its decisions went to
+// Config.Observer as they were issued. Each Placement's Spec.Jobs is the
+// driver's to keep. The rest is lent (DESIGN.md §8): Placements, their
+// Members and Killed to the engine until the next Reconcile; Kept aliases
+// Input.Current on non-preemptive rounds.
 type Outcome struct {
-	// Planned is the policy's raw unit list, before admission.
-	Planned []sched.Unit
 	// Placements are the units placed this round, in placement order
 	// (descending GPUs).
 	Placements []Placement
@@ -511,31 +492,21 @@ type Outcome struct {
 	// executed through Input.Kill; ReplaceAll: their re-placement failed
 	// or was not re-admitted).
 	Killed []Current
-	// Pending is the rebuilt pending queue (Input.Pending minus placed
-	// jobs, plus preempted-but-unplaced candidates, sorted by submit
-	// time for preemptive policies).
-	Pending []*job.Job
-	// Decisions is the round's decision stream: kills in current order,
-	// then launches in placement order. Same-key re-placements are
-	// continuations and appear in neither.
-	Decisions []Decision
 }
 
 // Reconcile runs one scheduling round: invoke the policy, order units
 // with anti-starvation, admit into capacity, reconcile preemptions,
-// place, emit the round's decisions (which change the placement memory)
-// and rebuild the queue. The admission and placement path is the
-// simulator's historical loop moved here verbatim, so fixed-seed
-// simulations stay bit-identical.
+// place, and emit the round's decisions (which change the placement
+// memory and the jobs' states): kills in current order, then launches in
+// placement order; same-key re-placements are continuations and emit
+// nothing. The admission and placement path is the simulator's historical
+// loop moved here verbatim, so fixed-seed simulations stay bit-identical.
 func (e *Engine) Reconcile(in Input) Outcome {
-	if overlaps(in.PendingInto, in.Pending) || overlaps(in.PendingInto, in.Candidates) {
-		panic("engine: Input.PendingInto shares a backing array with Pending or Candidates")
-	}
 	e.stats.Rounds++
 	e.lastNow = in.Now
 	preempt := e.cfg.Policy.Preemptive()
 	units := e.cfg.Policy.Plan(in.Now, in.Candidates, in.Capacity)
-	out := Outcome{Planned: units}
+	var out Outcome
 	r := &e.round
 	r.reset()
 	for i := range in.Current {
@@ -707,8 +678,7 @@ func (e *Engine) Reconcile(in Input) Outcome {
 		killCause = e.preemptorDetail(&out, r.currentKeys)
 	}
 	for _, c := range out.Killed {
-		r.decisions = append(r.decisions,
-			e.emit(Decision{Action: ActKill, Key: c.key, Jobs: memberIDs(c.Spec), Cause: killCause}))
+		e.emit(Decision{Action: ActKill, Key: c.key, Jobs: memberIDs(c.Spec), Cause: killCause})
 	}
 	for _, p := range out.Placements {
 		if r.currentKeys[p.Key] {
@@ -718,30 +688,8 @@ func (e *Engine) Reconcile(in Input) Outcome {
 		if e.cfg.Provenance != nil {
 			d.Cause = launchDetail(p.Spec)
 		}
-		r.decisions = append(r.decisions, e.emit(d))
+		e.emit(d)
 	}
-	out.Decisions = r.decisions
-
-	// Rebuild the pending queue.
-	newPending := slices.Grow(in.PendingInto[:0], max(len(in.Pending), len(in.Candidates)))
-	for _, j := range in.Pending {
-		if j.Sched.Placed != stamp {
-			j.Sched.Seen = stamp
-			newPending = append(newPending, j)
-		}
-	}
-	if preempt {
-		// Preempted-but-not-replaced jobs rejoin the queue.
-		kept := len(newPending)
-		for _, j := range in.Candidates {
-			if j.Sched.Placed != stamp && j.Sched.Seen != stamp && j.State != job.Done {
-				j.Sched.Seen = stamp
-				newPending = append(newPending, j)
-			}
-		}
-		r.requeued = sortBySubmit(newPending, kept, r.requeued)
-	}
-	out.Pending = newPending
 
 	depth := 0
 	for _, j := range in.Candidates {
@@ -753,46 +701,8 @@ func (e *Engine) Reconcile(in Input) Outcome {
 	if e.cfg.Provenance != nil {
 		e.emitWaitCauses(in, units, &out)
 	}
-	e.traceRound(in, &out)
+	e.traceRound(in, len(units), &out)
 	return out
-}
-
-// sortBySubmit stable-sorts queue by submission time, given that
-// queue[:kept] is the driver's own queue (sorted last round, arrivals
-// appended in submit order) and queue[kept:] this round's requeued jobs.
-// The whole is usually in order already; otherwise only the tail is
-// sorted and merged in from the back, the head winning ties — the
-// permutation a stable sort of the whole yields. tail is the merge's
-// scratch, returned for reuse.
-func sortBySubmit(queue []*job.Job, kept int, tail []*job.Job) []*job.Job {
-	bySubmit := func(a, b *job.Job) int { return cmp.Compare(a.Submit, b.Submit) }
-	if !slices.IsSortedFunc(queue[:kept], bySubmit) {
-		slices.SortStableFunc(queue, bySubmit) // a driver that queues out of order
-		return tail
-	}
-	// The tail together with the head's last entry: in order, so is the whole.
-	if slices.IsSortedFunc(queue[max(kept-1, 0):], bySubmit) {
-		return tail
-	}
-	tail = append(tail[:0], queue[kept:]...)
-	slices.SortStableFunc(tail, bySubmit)
-	i, w := kept-1, len(queue)-1
-	for k := len(tail) - 1; k >= 0; w-- {
-		if i >= 0 && queue[i].Submit > tail[k].Submit {
-			queue[w], i = queue[i], i-1
-		} else {
-			queue[w], k = tail[k], k-1
-		}
-	}
-	clear(tail)
-	return tail
-}
-
-// overlaps reports whether appending to a can overwrite b or vice versa.
-func overlaps(a, b []*job.Job) bool {
-	const size = unsafe.Sizeof((*job.Job)(nil))
-	pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
-	return cap(a) > 0 && cap(b) > 0 && pa < pb+uintptr(cap(b))*size && pb < pa+uintptr(cap(a))*size
 }
 
 // boostStarving applies anti-starvation to the planner's order: units

@@ -65,10 +65,26 @@ func track(e *engine.Engine, jobs ...*job.Job) {
 	}
 }
 
-func decisionStrings(ds []engine.Decision) []string {
-	out := make([]string, len(ds))
-	for i, d := range ds {
-		out[i] = d.String()
+// decisionLog collects the decision stream as a Config.Observer sees it.
+type decisionLog []string
+
+func (l *decisionLog) observe(d engine.Decision) { *l = append(*l, d.String()) }
+
+// take returns the decisions logged since the last take.
+func (l *decisionLog) take() []string {
+	got := *l
+	*l = nil
+	return got
+}
+
+// candidatesOf returns the jobs a round may plan over, read from job.State
+// as both drivers read them: pending ones, plus running ones when preempt.
+func candidatesOf(jobs []*job.Job, preempt bool) []*job.Job {
+	var out []*job.Job
+	for _, j := range jobs {
+		if j.State == job.Pending || (preempt && j.State == job.Running) {
+			out = append(out, j)
+		}
 	}
 	return out
 }
@@ -89,24 +105,25 @@ func TestReconcileAdmitsIntoCapacity(t *testing.T) {
 	j1, j2 := newJob(t, 1, 1), newJob(t, 2, 1)
 	u1 := sched.Unit{Jobs: []*job.Job{j1}, GPUs: 1, Mode: sched.Exclusive}
 	u2 := sched.Unit{Jobs: []*job.Job{j2}, GPUs: 1, Mode: sched.Exclusive}
+	var log decisionLog
 	e := engine.New(engine.Config{
+		Observer: log.observe,
 		Policy: scriptedPolicy{plan: func(time.Duration, []*job.Job, int) []sched.Unit {
 			return []sched.Unit{u1, u2}
 		}},
 	})
 	track(e, j1, j2)
-	out := e.Reconcile(engine.Input{
+	e.Reconcile(engine.Input{
 		Candidates: []*job.Job{j1, j2},
-		Pending:    []*job.Job{j1, j2},
 		Capacity:   1,
 		Placer:     newFakePlacer(1),
 	})
 	want := []string{"launch exclusive:1"}
-	if got := decisionStrings(out.Decisions); !equalStrings(got, want) {
+	if got := log.take(); !equalStrings(got, want) {
 		t.Errorf("decisions = %v, want %v", got, want)
 	}
-	if len(out.Pending) != 1 || out.Pending[0] != j2 {
-		t.Errorf("pending = %v, want just job 2", out.Pending)
+	if j1.State != job.Running || j2.State != job.Pending {
+		t.Errorf("states = %v, %v; want job 1 running, job 2 still pending", j1.State, j2.State)
 	}
 	if st := e.Stats(); st.Rounds != 1 || st.Launches != 1 || st.QueueDepth != 1 {
 		t.Errorf("stats = %+v, want 1 round, 1 launch, queue depth 1", st)
@@ -118,7 +135,9 @@ func TestStarvationBoostPromotesBypassedUnit(t *testing.T) {
 	uA := sched.Unit{Jobs: []*job.Job{jA}, GPUs: 1, Mode: sched.Exclusive}
 	uB := sched.Unit{Jobs: []*job.Job{jB}, GPUs: 1, Mode: sched.Exclusive}
 	uC := sched.Unit{Jobs: []*job.Job{jC}, GPUs: 2, Mode: sched.Exclusive}
+	var log decisionLog
 	e := engine.New(engine.Config{
+		Observer:           log.observe,
 		Style:              engine.ReplaceAll,
 		StarvationPatience: 1,
 		// C is planned ahead of B, so admitting B past it charges C one
@@ -129,17 +148,17 @@ func TestStarvationBoostPromotesBypassedUnit(t *testing.T) {
 	})
 	track(e, jA, jB, jC)
 	placer := newFakePlacer(2)
-	round := func(current []engine.Current) engine.Outcome {
-		return e.Reconcile(engine.Input{
+	round := func(current []engine.Current) []string {
+		e.Reconcile(engine.Input{
 			Candidates: []*job.Job{jA, jB, jC},
 			Capacity:   2,
 			Current:    current,
 			Placer:     placer,
 		})
+		return log.take()
 	}
-	out := round(nil)
 	want := []string{"launch exclusive:1", "launch exclusive:2"}
-	if got := decisionStrings(out.Decisions); !equalStrings(got, want) {
+	if got := round(nil); !equalStrings(got, want) {
 		t.Fatalf("round 1 decisions = %v, want %v", got, want)
 	}
 	// Round 2: C has been bypassed past its patience, so it is boosted to
@@ -148,9 +167,8 @@ func TestStarvationBoostPromotesBypassedUnit(t *testing.T) {
 		{Spec: uA, Handle: "a"},
 		{Spec: uB, Handle: "b"},
 	}
-	out = round(current)
 	want = []string{"kill exclusive:1", "kill exclusive:2", "launch exclusive:3"}
-	if got := decisionStrings(out.Decisions); !equalStrings(got, want) {
+	if got := round(current); !equalStrings(got, want) {
 		t.Errorf("round 2 decisions = %v, want %v", got, want)
 	}
 	if st := e.Stats(); st.Preemptions != 2 || st.Launches != 3 {
@@ -163,14 +181,18 @@ func TestDifferentialKeepsSameKeyKillsRest(t *testing.T) {
 	uX := sched.Unit{Jobs: []*job.Job{j1}, GPUs: 1, Mode: sched.Exclusive}
 	uY := sched.Unit{Jobs: []*job.Job{j2}, GPUs: 1, Mode: sched.Exclusive}
 	uZ := sched.Unit{Jobs: []*job.Job{j3}, GPUs: 1, Mode: sched.Exclusive}
+	var log decisionLog
 	e := engine.New(engine.Config{
-		Style: engine.Differential,
+		Observer: log.observe,
+		Style:    engine.Differential,
 		// The plan keeps X, drops Y, introduces Z.
 		Policy: scriptedPolicy{preempt: true, plan: func(time.Duration, []*job.Job, int) []sched.Unit {
 			return []sched.Unit{uX, uZ}
 		}},
 	})
-	track(e, j1, j2, j3)
+	track(e, j3)
+	e.Track(j1, job.Running)
+	e.Track(j2, job.Running)
 	placer := newFakePlacer(2)
 	placer.free = 0 // X and Y hold both GPUs as the round begins
 	var killed []string
@@ -194,11 +216,11 @@ func TestDifferentialKeepsSameKeyKillsRest(t *testing.T) {
 		t.Errorf("kept = %v, want the X unit", out.Kept)
 	}
 	want := []string{"kill exclusive:2", "launch exclusive:3"}
-	if got := decisionStrings(out.Decisions); !equalStrings(got, want) {
+	if got := log.take(); !equalStrings(got, want) {
 		t.Errorf("decisions = %v, want %v", got, want)
 	}
-	if len(out.Pending) != 1 || out.Pending[0] != j2 {
-		t.Errorf("pending = %v, want just the preempted job 2", out.Pending)
+	if got := candidatesOf([]*job.Job{j1, j2, j3}, false); len(got) != 1 || got[0] != j2 {
+		t.Errorf("pending = %v, want just the preempted job 2", got)
 	}
 }
 

@@ -38,19 +38,19 @@ func TestPlacedUnitsOwnTheirJobs(t *testing.T) {
 			p := policy()
 			e := engine.New(engine.Config{Policy: p, Style: engine.ReplaceAll})
 			placer := newFakePlacer(capacity)
-			var pending []*job.Job
+			var arrived []*job.Job
 			var units []running
 			nextID := int64(0)
 			longest := 0
 			age := map[string]int{}
 			for round := 0; round < rounds; round++ {
 				now := time.Duration(round) * 6 * time.Minute
-				for k := 1 + rng.Intn(4); k > 0 && len(pending) < 60; k-- {
+				for k := 1 + rng.Intn(4); k > 0 && len(candidatesOf(arrived, false)) < 60; k-- {
 					nextID++
 					j := newJob(t, nextID, 1<<rng.Intn(3))
 					j.Submit, j.Iterations = now, int64(500+rng.Intn(3000))
 					e.Track(j, job.Pending)
-					pending = append(pending, j)
+					arrived = append(arrived, j)
 				}
 				// A few running units finish: their jobs leave for good.
 				units = slices.DeleteFunc(units, func(u running) bool {
@@ -63,19 +63,14 @@ func TestPlacedUnitsOwnTheirJobs(t *testing.T) {
 					placer.free += u.spec.GPUs
 					return true
 				})
-				candidates := slices.Clone(pending)
 				current := make([]engine.Current, len(units))
 				for i, u := range units {
 					current[i] = engine.Current{Spec: u.spec, Handle: u.key}
-					if p.Preemptive() {
-						candidates = append(candidates, u.spec.Jobs...)
-					}
 				}
 				out := e.Reconcile(engine.Input{
-					Now: now, Candidates: candidates, Pending: pending,
+					Now: now, Candidates: candidatesOf(arrived, p.Preemptive()),
 					Capacity: capacity, Current: current, Placer: placer,
 				})
-				pending = out.Pending
 				if p.Preemptive() {
 					units = units[:0] // ReplaceAll re-placed the whole running set
 				}

@@ -2,7 +2,6 @@ package engine_test
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -192,17 +191,20 @@ func runExitScript(t *testing.T, sc exitScript, provenance bool) {
 		u.Jobs[0].State, u.Jobs[0].StartedAt = job.Pending, -1
 	}
 	var marks []causeMark
+	var log decisionLog
+	var planned []sched.Unit // the policy's units of the round in progress
 	cfg := engine.Config{
 		Style:              engine.ReplaceAll,
 		StarvationPatience: patience,
+		Observer:           log.observe,
 		Policy: scriptedPolicy{preempt: sc.preempt, plan: func(_ time.Duration, jobs []*job.Job, _ int) []sched.Unit {
-			var plan []sched.Unit
+			planned = planned[:0]
 			for _, u := range sc.order {
 				if slices.Contains(jobs, u.Jobs[0]) {
-					plan = append(plan, u)
+					planned = append(planned, u)
 				}
 			}
-			return plan
+			return planned
 		}},
 	}
 	if provenance {
@@ -240,12 +242,12 @@ func runExitScript(t *testing.T, sc exitScript, provenance bool) {
 		out := e.Reconcile(engine.Input{
 			Candidates: candidates, Capacity: sc.capacity, Current: current, Placer: placer,
 		})
-		admitted, wantMarks := ref.walk(out.Planned, free, sc.capacity, running)
+		admitted, wantMarks := ref.walk(planned, free, sc.capacity, running)
 		used := 0
 		for _, u := range admitted {
 			used += u.GPUs
 		}
-		sawExit = sawExit || (used == free && len(out.Planned) > len(admitted))
+		sawExit = sawExit || (used == free && len(planned) > len(admitted))
 		sawLedger = sawLedger || len(ref.bypassed) > 0
 		sawBoost = sawBoost || slices.ContainsFunc(wantMarks, func(m causeMark) bool { return m.Note })
 
@@ -270,7 +272,7 @@ func runExitScript(t *testing.T, sc exitScript, provenance bool) {
 				want = append(want, "launch "+key)
 			}
 		}
-		if got := decisionStrings(out.Decisions); !equalStrings(got, want) {
+		if got := log.take(); !equalStrings(got, want) {
 			t.Fatalf("round %d decisions = %v, reference %v", round, got, want)
 		}
 		gotBypassed := map[job.ID]int{}
@@ -319,7 +321,7 @@ type markSetup struct {
 }
 
 // markDriver is the driver's side of one engine over one job set: its
-// placer, its running units and its pending queue.
+// placer, its running units and the jobs it left waiting.
 type markDriver struct {
 	placer  *fakePlacer
 	current []engine.Current
@@ -347,11 +349,19 @@ func markSet(t *testing.T, base int64) []*job.Job {
 	return jobs
 }
 
+// markLog is what one engine's hooks collect during a round.
+type markLog struct {
+	causes    []causeMark
+	decisions decisionLog
+}
+
 // play runs round r of the script for one engine over one job set: six
 // jobs at the start and two more every round, one departure a round from
 // the fourth on. The script is a function of r alone, so every engine
-// given the set sees the same queue events.
-func (d *markDriver) play(e *engine.Engine, causes *[]causeMark, setup markSetup, jobs []*job.Job, r int) markRound {
+// given the set sees the same queue events. The engines share the jobs'
+// State, so the driver keeps its own waiting list: what it offered and
+// the round did not place.
+func (d *markDriver) play(e *engine.Engine, log *markLog, setup markSetup, jobs []*job.Job, r int) markRound {
 	arrived := func(n int) int { return min(len(jobs), 6+2*n) }
 	gone := map[*job.Job]bool{}
 	for q := 3; q <= r; q++ {
@@ -382,18 +392,22 @@ func (d *markDriver) play(e *engine.Engine, causes *[]causeMark, setup markSetup
 			}
 		}
 	}
-	*causes = (*causes)[:0]
+	log.causes = log.causes[:0]
 	out := e.Reconcile(engine.Input{
-		Now: time.Duration(r) * time.Minute, Candidates: candidates, Pending: d.pending,
+		Now: time.Duration(r) * time.Minute, Candidates: candidates,
 		Capacity: setup.capacity, Current: d.current, Placer: d.placer,
 	})
-	d.pending = out.Pending
+	placed := map[*job.Job]bool{}
 	d.current = slices.Clone(out.Kept)
 	for _, p := range out.Placements {
 		d.current = append(d.current, engine.Current{Spec: p.Spec, Handle: p.Key})
+		for _, j := range p.Spec.Jobs {
+			placed[j] = true
+		}
 	}
-	rec := markRound{Decisions: decisionStrings(out.Decisions), Causes: slices.Clone(*causes), Bypassed: map[int64]int{}}
-	for _, j := range out.Pending {
+	d.pending = slices.DeleteFunc(slices.Clone(candidates), func(j *job.Job) bool { return placed[j] })
+	rec := markRound{Decisions: log.decisions.take(), Causes: slices.Clone(log.causes), Bypassed: map[int64]int{}}
+	for _, j := range d.pending {
 		rec.Pending = append(rec.Pending, j.ID)
 	}
 	for id, n := range e.Snapshot().Bypassed {
@@ -417,17 +431,18 @@ func TestRoundMarksIsolatedAcrossEngines(t *testing.T) {
 		{policy: sched.FIFO, capacity: 12},
 	}
 	type actor struct {
-		setup  markSetup
-		e      *engine.Engine
-		d      *markDriver
-		causes *[]causeMark
+		setup markSetup
+		e     *engine.Engine
+		d     *markDriver
+		log   *markLog
 	}
 	newActor := func(setup markSetup, d *markDriver) *actor {
-		causes := &[]causeMark{}
-		return &actor{setup: setup, d: d, causes: causes, e: engine.New(engine.Config{
+		log := &markLog{}
+		return &actor{setup: setup, d: d, log: log, e: engine.New(engine.Config{
 			Policy: setup.policy(), Style: engine.ReplaceAll, StarvationPatience: 2,
+			Observer: log.decisions.observe,
 			Provenance: func(ev engine.CauseEvent) {
-				*causes = append(*causes, causeMark{ev.Job, ev.Cause, ev.Note})
+				log.causes = append(log.causes, causeMark{ev.Job, ev.Cause, ev.Note})
 			},
 		})}
 	}
@@ -436,7 +451,7 @@ func TestRoundMarksIsolatedAcrossEngines(t *testing.T) {
 		a, jobs := newActor(setup, newDriver(setup)), markSet(t, base)
 		recs := make([]markRound, rounds)
 		for r := range recs {
-			recs[r] = a.d.play(a.e, a.causes, setup, jobs, r)
+			recs[r] = a.d.play(a.e, a.log, setup, jobs, r)
 		}
 		return recs
 	}
@@ -456,7 +471,7 @@ func TestRoundMarksIsolatedAcrossEngines(t *testing.T) {
 	actors := []*actor{newActor(setups[0], newDriver(setups[0])), newActor(setups[1], newDriver(setups[1]))}
 	for r := 0; r < rounds; r++ {
 		for i, a := range actors {
-			if got := a.d.play(a.e, a.causes, a.setup, shared, r); !reflect.DeepEqual(got, want[i][r]) {
+			if got := a.d.play(a.e, a.log, a.setup, shared, r); !reflect.DeepEqual(got, want[i][r]) {
 				t.Fatalf("engine %d of two over one job set, round %d:\n got %+v\nalone %+v", i, r, got, want[i][r])
 			}
 		}
@@ -469,79 +484,19 @@ func TestRoundMarksIsolatedAcrossEngines(t *testing.T) {
 	drivers := []*markDriver{newDriver(setups[0]), newDriver(setups[0])}
 	for r := 0; r < rounds; r++ {
 		for i, jobs := range sets {
-			if got := drivers[i].play(one.e, one.causes, one.setup, jobs, r); !reflect.DeepEqual(got, wantSets[i][r]) {
+			if got := drivers[i].play(one.e, one.log, one.setup, jobs, r); !reflect.DeepEqual(got, wantSets[i][r]) {
 				t.Fatalf("one engine over two job sets, set %d, round %d:\n got %+v\nalone %+v", i, r, got, wantSets[i][r])
 			}
 		}
 	}
 }
 
-// TestPendingRebuildMatchesStableSort: the rebuilt queue is the driver's
-// queue minus what was placed, plus the preempted-but-unplaced
-// candidates, stably sorted by submit time — whether the engine gets
-// there by finding it sorted, by merging the sorted tail in, or (a driver
-// that queues out of order) by sorting the whole.
-func TestPendingRebuildMatchesStableSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(40)
-		jobs := make([]*job.Job, n)
-		for i := range jobs {
-			jobs[i] = newJob(t, int64(i+1), 1)
-			jobs[i].Submit = time.Duration(rng.Intn(8)) * time.Minute // heavy ties
-		}
-		// Some jobs are queued, the rest were running; the policy ranks
-		// them in ID order and capacity decides who stays out.
-		var pending []*job.Job
-		for _, j := range jobs {
-			if rng.Intn(2) == 0 {
-				pending = append(pending, j)
-			}
-		}
-		if trial%5 != 0 { // every fifth driver queues out of order
-			slices.SortStableFunc(pending, func(a, b *job.Job) int { return int(a.Submit - b.Submit) })
-		}
-		e := engine.New(engine.Config{Style: engine.ReplaceAll,
-			Policy: scriptedPolicy{preempt: true, plan: func(_ time.Duration, jobs []*job.Job, _ int) []sched.Unit {
-				units := make([]sched.Unit, len(jobs))
-				for i, j := range jobs {
-					units[i] = sched.Unit{Jobs: []*job.Job{j}, GPUs: 1, Mode: sched.Exclusive}
-				}
-				return units
-			}}})
-		track(e, jobs...)
-		capacity := rng.Intn(n + 1)
-		out := e.Reconcile(engine.Input{Candidates: jobs, Pending: pending, Capacity: capacity, Placer: newFakePlacer(capacity)})
-		placed := map[*job.Job]bool{}
-		for _, p := range out.Placements {
-			placed[p.Spec.Jobs[0]] = true
-		}
-		var want []*job.Job
-		queued := map[*job.Job]bool{}
-		for _, j := range pending {
-			if !placed[j] {
-				want, queued[j] = append(want, j), true
-			}
-		}
-		for _, j := range jobs {
-			if !placed[j] && !queued[j] {
-				want = append(want, j)
-			}
-		}
-		slices.SortStableFunc(want, func(a, b *job.Job) int { return int(a.Submit - b.Submit) })
-		if !slices.Equal(out.Pending, want) {
-			t.Fatalf("trial %d: rebuilt queue diverges from the stable sort", trial)
-		}
-	}
-}
-
 // reconcileAllocCeiling bounds a warm preemptive ReplaceAll round over
-// 1,000 single-job candidates on 64 GPUs whose driver lends the queue
-// buffer (Input.PendingInto). A unit that continues keeps last round's
-// key string, so what remains is one allocation per round — the array the
-// placed units' members are copied into — plus a key and a decision's
-// member IDs per unit that launches. The policy's order and units and the
-// round's placements, members and decisions live in reused buffers.
+// 1,000 single-job candidates on 64 GPUs. A unit that continues keeps
+// last round's key string, so what remains is one allocation per round —
+// the array the placed units' members are copied into — plus a key and a
+// decision's member IDs per unit that launches. The policy's order and
+// units and the round's placements and members live in reused buffers.
 // Measured 1 in a round where every unit continues and 18 in the rounds
 // around a starvation boost; 130 when every unit's key was rebuilt and
 // the queue allocated, and 1,884 with the per-candidate unit slices,
@@ -585,18 +540,16 @@ func TestReconcileAllocBudget(t *testing.T) {
 		return jobs, jobs[59]
 	}
 	// drive returns a function that runs one round and reports the units it
-	// placed. The driver lends the engine two queue buffers in turn.
+	// placed.
 	drive := func(jobs []*job.Job) func() []engine.Current {
 		e := engine.New(engine.Config{Policy: sched.SRTF(), Style: engine.ReplaceAll})
 		track(e, jobs...)
 		placer := &budgetPlacer{capacity: gpus, free: gpus}
 		var current []engine.Current
-		var queue, spare []*job.Job
 		return func() []engine.Current {
 			out := e.Reconcile(engine.Input{
-				Candidates: jobs, Pending: queue, PendingInto: spare, Capacity: gpus, Current: current, Placer: placer,
+				Candidates: jobs, Capacity: gpus, Current: current, Placer: placer,
 			})
-			queue, spare = out.Pending, queue
 			current = current[:0]
 			for _, p := range out.Placements {
 				current = append(current, engine.Current{Spec: p.Spec})
@@ -662,8 +615,8 @@ func TestReconcileAllocBudget(t *testing.T) {
 	})
 
 	// A round's garbage follows what it places, not what it ranks: the same
-	// 64 GPUs under four times the candidates cost the same bytes, the
-	// rebuilt queue included — whether or not the round is boosted.
+	// 64 GPUs under four times the candidates cost the same bytes, whether
+	// or not the round is boosted.
 	t.Run("flat-in-candidates", func(t *testing.T) {
 		type cost struct{ plain, boosted uint64 }
 		var costs []cost

@@ -112,8 +112,7 @@ func NewEffCache(maxEntries int) *EffCache {
 // Batch is an EffCache held under its lock for a run of statistics
 // lookups — one grouping sweep's class-pair table — so the run pays for
 // the lock and the counters once, not per cell. Between Begin and End the
-// goroutine must call no other method of the cache. A Batch of a nil cache
-// computes fresh.
+// goroutine must call no other method of the cache.
 type Batch struct {
 	ec         *EffCache
 	cfg        Config
@@ -122,22 +121,15 @@ type Batch struct {
 
 // Begin locks the cache for a run of lookups under cfg's contention model.
 func (ec *EffCache) Begin(cfg Config) Batch {
-	if ec != nil {
-		ec.mu.Lock()
-	}
+	ec.mu.Lock()
 	return Batch{ec: ec, cfg: cfg}
 }
 
 // Stats returns the best-ordering iteration time and efficiency of the
-// group with the given canonical class tuple (MergeSorted) and profiles,
-// which may come in any member order. An unclassified tuple
-// computes fresh.
+// group with the given canonical class tuple (MergeSorted of the members'
+// Class IDs) and profiles, which may come in any member order.
 func (b *Batch) Stats(sorted Classes, times []workload.StageTimes) (time.Duration, float64) {
 	ec := b.ec
-	if ec == nil || sorted[0] == 0 {
-		_, t, eff := BestOrdering(b.cfg.Inflate(times))
-		return t, eff
-	}
 	key := tupleKey{overhead: b.cfg.Overhead, cls: sorted}
 	if e, ok := ec.cur[key]; ok {
 		b.hits++
@@ -163,9 +155,6 @@ func (b *Batch) Stats(sorted Classes, times []workload.StageTimes) (time.Duratio
 
 // End releases the cache and publishes the run's hit and miss counts.
 func (b *Batch) End() {
-	if b.ec == nil {
-		return
-	}
 	b.ec.mu.Unlock()
 	b.ec.hits.Add(b.hits)
 	b.ec.miss.Add(b.miss)
@@ -173,15 +162,12 @@ func (b *Batch) End() {
 
 // GroupStats returns the best-ordering iteration time and efficiency of
 // the group under cfg's contention model, memoizing by the multiset of the
-// members' classes. A nil receiver computes fresh (no caching), so callers
-// need not guard.
+// members' classes.
 func (ec *EffCache) GroupStats(cfg Config, times []workload.StageTimes) (time.Duration, float64) {
 	var key Classes
 	b := ec.Begin(cfg)
-	if ec != nil {
-		for i, p := range times {
-			key = MergeSorted(key, i, Classes{ec.classLocked(p)}, 1)
-		}
+	for i, p := range times {
+		key = MergeSorted(key, i, Classes{ec.classLocked(p)}, 1)
 	}
 	t, eff := b.Stats(key, times)
 	b.End()
@@ -191,12 +177,8 @@ func (ec *EffCache) GroupStats(cfg Config, times []workload.StageTimes) (time.Du
 // Class interns a stage-time vector: equal vectors get equal IDs, distinct
 // vectors distinct ones. The values depend on interning order and carry no
 // meaning beyond equality; an ID is never handed out twice, so it denotes
-// the same vector for the cache's lifetime. A nil receiver returns 0 (not
-// classified).
+// the same vector for the cache's lifetime.
 func (ec *EffCache) Class(p workload.StageTimes) uint32 {
-	if ec == nil {
-		return 0
-	}
 	ec.mu.RLock()
 	id, ok := ec.classes[p]
 	ec.mu.RUnlock()
@@ -221,8 +203,7 @@ func (ec *EffCache) classLocked(p workload.StageTimes) uint32 {
 }
 
 // PlanGroup is the memoized form of Config.PlanGroup with the best
-// ordering. cls must hold the classes of times, in the same order; a nil
-// receiver or an unclassified tuple computes fresh.
+// ordering. cls must hold the classes (Class) of times, in the same order.
 func (ec *EffCache) PlanGroup(cfg Config, cls Classes, times []workload.StageTimes) Plan {
 	perm, t, eff := ec.PlanOrder(cfg, cls, times)
 	order := make(Ordering, len(times))
@@ -236,39 +217,31 @@ func (ec *EffCache) PlanGroup(cfg Config, cls Classes, times []workload.StageTim
 // perm[i] runs with stage offset i. It is what the planner calls, once per
 // group per plan, so a hit allocates nothing.
 func (ec *EffCache) PlanOrder(cfg Config, cls Classes, times []workload.StageTimes) (perm [MaxGroupSize]int8, iterTime time.Duration, eff float64) {
-	cached := ec != nil && cls[0] != 0
 	key := tupleKey{overhead: cfg.Overhead, cls: cls}
-	if cached {
-		ec.mu.RLock()
-		e, ok := ec.plans[key]
-		ec.mu.RUnlock()
-		if ok {
-			ec.hits.Add(1)
-			return e.order, e.iterTime, e.eff
-		}
-		ec.miss.Add(1)
+	ec.mu.RLock()
+	e, ok := ec.plans[key]
+	ec.mu.RUnlock()
+	if ok {
+		ec.hits.Add(1)
+		return e.order, e.iterTime, e.eff
 	}
+	ec.miss.Add(1)
 	plan := cfg.PlanGroup(times, false)
-	e := planEntry{iterTime: plan.IterTime, eff: plan.Efficiency}
+	e = planEntry{iterTime: plan.IterTime, eff: plan.Efficiency}
 	for i, idx := range plan.Order {
 		e.order[i] = int8(idx)
 	}
-	if cached {
-		ec.mu.Lock()
-		if ec.plans == nil || len(ec.plans) >= ec.max {
-			ec.plans = make(map[tupleKey]planEntry)
-		}
-		ec.plans[key] = e
-		ec.mu.Unlock()
+	ec.mu.Lock()
+	if ec.plans == nil || len(ec.plans) >= ec.max {
+		ec.plans = make(map[tupleKey]planEntry)
 	}
+	ec.plans[key] = e
+	ec.mu.Unlock()
 	return e.order, e.iterTime, e.eff
 }
 
-// Stats snapshots the cache counters. Safe on a nil receiver.
+// Stats snapshots the cache counters.
 func (ec *EffCache) Stats() metrics.CacheStats {
-	if ec == nil {
-		return metrics.CacheStats{}
-	}
 	ec.mu.RLock()
 	entries := len(ec.cur) + len(ec.old) + len(ec.plans)
 	ec.mu.RUnlock()

@@ -141,28 +141,6 @@ func TestCacheBounded(t *testing.T) {
 	}
 }
 
-// TestCacheNilReceiver: a nil cache must behave exactly like fresh
-// computation so callers need no guards.
-func TestCacheNilReceiver(t *testing.T) {
-	var cache *EffCache
-	cfg := Config{Overhead: 0.08}
-	times := []workload.StageTimes{
-		{10 * time.Millisecond, 0, 5 * time.Millisecond, 0},
-		{0, 8 * time.Millisecond, 0, 3 * time.Millisecond},
-	}
-	_, wantT, wantEff := BestOrdering(cfg.Inflate(times))
-	gotT, gotEff := cache.GroupStats(cfg, times)
-	if gotT != wantT || gotEff != wantEff {
-		t.Fatalf("nil GroupStats (%v, %v) != fresh (%v, %v)", gotT, gotEff, wantT, wantEff)
-	}
-	if pair := cfg.PairEfficiency(times[:1], times[1:]); gotEff != pair {
-		t.Fatalf("nil GroupStats efficiency %v != PairEfficiency %v", gotEff, pair)
-	}
-	if st := cache.Stats(); st.Lookups() != 0 || st.Entries != 0 {
-		t.Fatalf("nil Stats not empty: %+v", st)
-	}
-}
-
 // TestTupleMemoMatchesFresh is the soundness property of keying the
 // statistics memo by class IDs instead of profile contents: over random
 // multisets from a pool larger than a tiny cache's bound — so the interner

@@ -142,7 +142,8 @@ type Sched struct {
 	// Placed, Claimed, Bumped and Seen are the engine's round marks: each
 	// is set when it holds the stamp of the round in progress. Stamps are
 	// process-unique, so a mark left by another round — or another engine
-	// — reads as unset.
+	// — reads as unset. Seen's one user is the wait-cause walk, which
+	// dedups jobs that several planned units name under a stamp of its own.
 	Placed, Claimed, Bumped, Seen uint64
 }
 

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"muri/internal/engine"
 	"muri/internal/profile"
 	"muri/internal/sched"
 )
@@ -130,5 +133,49 @@ func TestDriftDeterministicInSim(t *testing.T) {
 	base := Run(DefaultConfig(), tr, sched.SRTF())
 	if a.Summary.AvgJCT == base.Summary.AvgJCT && a.Summary.Makespan == base.Summary.Makespan {
 		t.Error("drift at amplitude 0.3 left the run unchanged")
+	}
+}
+
+// In the simulator the -pred variants duplicate their base policies:
+// with an estimator set, refreshBelief rewrites every candidate's Profile
+// from the estimator's belief before each round, so srtf, srsf and muri-l
+// already rank and group on what srtf-pred, srsf-pred and muri-l-pred
+// read from the estimator themselves. Under one online estimator each
+// pair must issue the same decision stream and the same results, at every
+// drift amplitude (DESIGN.md §13). The daemon has no belief refresh, so
+// there the pairs differ.
+func TestPredictedPoliciesDuplicateBeliefRefresh(t *testing.T) {
+	tr := determinismTrace()
+	run := func(name string, amplitude float64) (decisions []string, fp string) {
+		est := profile.NewOnline()
+		p, err := sched.ByName(name, est)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.Estimator = est
+		if amplitude > 0 {
+			cfg.Drift = &profile.Drift{Amplitude: amplitude, Seed: 11}
+		}
+		cfg.Observer = func(d engine.Decision) { decisions = append(decisions, d.String()) }
+		r := Run(cfg, tr, p)
+		return decisions, faultFingerprint(r)[len("policy="+r.Policy):]
+	}
+	for _, base := range []string{"srtf", "srsf", "muri-l"} {
+		for _, amplitude := range []float64{0, 0.5, 1.0} {
+			t.Run(fmt.Sprintf("%s/drift=%g", base, amplitude), func(t *testing.T) {
+				wantD, wantFP := run(base, amplitude)
+				gotD, gotFP := run(base+"-pred", amplitude)
+				if len(wantD) == 0 {
+					t.Fatal("the run issued no decisions")
+				}
+				if !slices.Equal(gotD, wantD) {
+					t.Errorf("%s-pred issued %d decisions, %s %d: the streams differ", base, len(gotD), base, len(wantD))
+				}
+				if gotFP != wantFP {
+					t.Errorf("%s-pred results differ from %s's", base, base)
+				}
+			})
+		}
 	}
 }

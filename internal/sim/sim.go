@@ -227,9 +227,11 @@ type sim struct {
 	// against virtual time.
 	eng *engine.Engine
 
-	now     time.Duration
-	pending []*job.Job // submitted, not running
-	arrived int        // index into all (sorted by submit)
+	now time.Duration
+	// live holds the arrived jobs in arrival order, finished ones until
+	// schedule's walk drops them; each job's State says whether it waits.
+	live    []*job.Job
+	arrived int // index into all (sorted by submit)
 	all     []*job.Job
 	running []*unit
 	done    []*job.Job
@@ -252,11 +254,10 @@ type sim struct {
 	candidates []*job.Job
 	current    []engine.Current
 	carried    map[job.ID]attempt
-	// free holds units nothing can read any more; spareRunning and
-	// spareQueue double-buffer the running set and the pending queue.
+	// free holds units nothing can read any more; spareRunning
+	// double-buffers the running set.
 	free         []*unit
 	spareRunning []*unit
-	spareQueue   []*job.Job
 }
 
 // recycle frees a unit that left the running set, keeping its per-member
@@ -432,9 +433,9 @@ func (s *sim) nextWake() time.Duration {
 			next = s.now + time.Millisecond
 		}
 	}
-	// Fast-forward across idle gaps: if nothing is running and the
-	// queue is empty, jump to the next arrival.
-	if len(s.running) == 0 && len(s.pending) == 0 && s.arrived < len(s.all) {
+	// Fast-forward across idle gaps: if no arrived job is left (schedule
+	// just dropped the finished ones), jump to the next arrival.
+	if len(s.live) == 0 && s.arrived < len(s.all) {
 		if a := s.all[s.arrived].Submit; a > next {
 			next = a
 		}
@@ -530,7 +531,6 @@ func (s *sim) crashMachine(e faults.MachineEvent) {
 	label := machineLabel(e.Machine)
 	s.traceFault("crash "+label, e.Time, map[string]any{"machine": e.Machine})
 	loss := &wal.FaultRecord{Origin: label, Err: "machine crashed"}
-	queued := len(s.pending)
 	still := s.running[:0]
 	for _, u := range s.running {
 		if u.alloc.On(e.Machine) == 0 {
@@ -543,7 +543,6 @@ func (s *sim) crashMachine(e faults.MachineEvent) {
 				continue
 			}
 			s.fstats.WorkLost += time.Duration(u.carry[i] * float64(u.iterTime[i]))
-			s.pending = append(s.pending, j)
 			loss.Jobs = append(loss.Jobs, int64(j.ID))
 		}
 		s.recycle(u)
@@ -558,8 +557,8 @@ func (s *sim) crashMachine(e faults.MachineEvent) {
 	// names the lost machine (inert — and absent from the decision stream —
 	// unless provenance is enabled).
 	s.fault(loss)
-	for _, j := range s.pending[queued:] {
-		s.eng.RequeueWithCause(j.ID, engine.ReasonMachineLost, label+" lost")
+	for _, id := range loss.Jobs {
+		s.eng.RequeueWithCause(job.ID(id), engine.ReasonMachineLost, label+" lost")
 	}
 }
 
@@ -590,7 +589,6 @@ func (s *sim) failJob(u *unit, i int, at time.Duration) {
 	s.fault(&wal.FaultRecord{Job: int64(j.ID), Origin: allocMachines(u.alloc), Err: "transient fault",
 		Faults: j.Faults, DeadLettered: deadlettered,
 		NotBeforeV: int64(s.now) + int64(backoff)})
-	s.pending = append(s.pending, j)
 	u.dropMember(i)
 	s.retime(u)
 }
@@ -643,9 +641,9 @@ func (s *sim) admitArrivals() {
 	for s.arrived < len(s.all) && s.all[s.arrived].Submit <= s.now {
 		j := s.all[s.arrived]
 		s.eng.Track(j, job.Pending)
-		s.pending = append(s.pending, j)
 		s.arrived++
 	}
+	s.live = append(s.live, s.all[first:s.arrived]...)
 	if s.cfg.Record == nil || s.arrived == first {
 		return
 	}
@@ -699,14 +697,22 @@ func (p simPlacer) Place(_ string, u sched.Unit) (any, bool) {
 // become live simulation state (iteration times, straggler slowdowns,
 // carry restoration, restart overhead, transient-fault draws).
 func (s *sim) schedule() {
-	candidates := append(s.candidates[:0], s.pending...)
-	if s.policy.Preemptive() {
-		// Preemptive policies reconsider everything unfinished.
-		for _, u := range s.running {
-			candidates = append(candidates, u.spec.Jobs...)
+	// Candidates come from job.State, as the daemon's do: pending jobs,
+	// plus running ones for preemptive policies, which reconsider
+	// everything unfinished. The walk drops finished jobs from the live list.
+	preempt := s.policy.Preemptive()
+	candidates, live := s.candidates[:0], s.live[:0]
+	for _, j := range s.live {
+		if j.State == job.Done {
+			continue
 		}
+		if j.State == job.Pending || (j.State == job.Running && preempt) {
+			candidates = append(candidates, j)
+		}
+		live = append(live, j)
 	}
-	s.candidates = candidates
+	clear(s.live[len(live):])
+	s.candidates, s.live = candidates, live
 	// Prediction mode: re-read every candidate's believed profile before
 	// the policy sees it, so completions observed since the last round
 	// reshape this round's priorities and groupings.
@@ -737,18 +743,15 @@ func (s *sim) schedule() {
 	}
 	s.current = current
 	out := s.eng.Reconcile(engine.Input{
-		Now:         s.now,
-		Candidates:  candidates,
-		Pending:     s.pending,
-		PendingInto: s.spareQueue,
-		Capacity:    capacity,
-		Current:     current,
-		Placer:      simPlacer{s},
+		Now:        s.now,
+		Candidates: candidates,
+		Capacity:   capacity,
+		Current:    current,
+		Placer:     simPlacer{s},
 	})
-	s.spareQueue, s.pending = s.pending, out.Pending
 	old := s.running
 	placed := s.spareRunning[:0]
-	if s.policy.Preemptive() {
+	if preempt {
 		// ReplaceAll re-placed everything: the engine's placements are the
 		// entire new running set, and the previous one — read through
 		// Input.Current until Reconcile returned — goes back to the free list.
@@ -966,7 +969,7 @@ func (s *sim) retime(u *unit) {
 // sample records one point of the Figure 8 time series.
 func (s *sim) sample(at time.Duration) {
 	var pending []*job.Job
-	for _, j := range s.pending {
+	for _, j := range s.live {
 		if j.State == job.Pending {
 			pending = append(pending, j)
 		}
