@@ -272,8 +272,8 @@ func BenchmarkGittinsPolicy(b *testing.B) {
 }
 
 // BenchmarkFidelity compares the simulator against the live prototype —
-// the reproduction of the paper's "<3% simulator error" validation
-// (wider tolerance here: the prototype's hardware is time-scaled sleeps).
+// the reproduction of the paper's "<3% simulator error" validation (the
+// prototype's hardware is time-scaled sleeps to stage-slot deadlines).
 func BenchmarkFidelity(b *testing.B) {
 	var res experiments.FidelityResult
 	var err error

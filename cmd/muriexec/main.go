@@ -1,6 +1,8 @@
 // Command muriexec runs a Muri executor agent on one machine: it
 // registers its GPU inventory with the scheduler and executes
-// interleaving groups with per-stage synchronization barriers.
+// interleaving groups stage slot by stage slot, one clock per group:
+// each slot lasts as long as its slowest member's stage and ends at a
+// deadline counted from the group's launch.
 //
 // Usage:
 //

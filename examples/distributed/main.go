@@ -3,8 +3,8 @@
 // A Muri scheduler daemon starts, two executor "machines" register, a
 // client submits twelve jobs with mixed bottlenecks, the scheduler
 // profiles first-seen models with dry runs, groups jobs with the
-// Blossom-based algorithm, and the executors run the groups with
-// per-stage synchronization barriers. Virtual time is compressed 2000×
+// Blossom-based algorithm, and the executors run the groups stage slot
+// by stage slot. Virtual time is compressed 2000×
 // so the whole run takes a few seconds.
 package main
 

@@ -12,81 +12,6 @@ import (
 	"muri/internal/proto"
 )
 
-func TestBarrierReleasesAllParties(t *testing.T) {
-	b := newBarrier(3)
-	var wg sync.WaitGroup
-	var released atomic.Int32
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := b.Await(); err != nil {
-				t.Errorf("Await: %v", err)
-			}
-			released.Add(1)
-		}()
-	}
-	wg.Wait()
-	if released.Load() != 3 {
-		t.Errorf("released %d, want 3", released.Load())
-	}
-}
-
-func TestBarrierCyclic(t *testing.T) {
-	b := newBarrier(2)
-	const rounds = 50
-	var wg sync.WaitGroup
-	for p := 0; p < 2; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				if err := b.Await(); err != nil {
-					t.Errorf("round %d: %v", r, err)
-					return
-				}
-			}
-		}()
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("cyclic barrier deadlocked")
-	}
-}
-
-func TestBarrierLeaveUnblocksWaiters(t *testing.T) {
-	b := newBarrier(2)
-	done := make(chan error, 1)
-	go func() { done <- b.Await() }()
-	time.Sleep(20 * time.Millisecond) // let the waiter arrive
-	b.Leave()                         // the second party finishes instead of arriving
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Errorf("Await after Leave = %v, want nil", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("waiter not released by Leave")
-	}
-}
-
-func TestBarrierClose(t *testing.T) {
-	b := newBarrier(2)
-	done := make(chan error, 1)
-	go func() { done <- b.Await() }()
-	time.Sleep(10 * time.Millisecond)
-	b.Close()
-	if err := <-done; !errors.Is(err, ErrBarrierClosed) {
-		t.Errorf("Await after Close = %v, want ErrBarrierClosed", err)
-	}
-	if err := b.Await(); !errors.Is(err, ErrBarrierClosed) {
-		t.Errorf("Await on closed barrier = %v, want ErrBarrierClosed", err)
-	}
-}
-
 // twoJobs builds a complementary pair: job 0 heavy on CPU, job 1 heavy on
 // GPU, 1ms units so tests run fast at scale 1.
 func twoJobs(iters int64) []proto.JobSpec {
@@ -214,6 +139,77 @@ func TestGroupRunFaultInjection(t *testing.T) {
 	}
 	if _, ok := doneJobs.Load(int64(1)); ok {
 		t.Error("faulted job 1 reported done")
+	}
+	// The faulted member stops at the iteration its check failed; its
+	// partner runs on to the end.
+	for _, p := range g.Progress() {
+		want := map[int64]int64{1: 5, 2: 20}[p.ID]
+		if p.DoneIterations != want {
+			t.Errorf("job %d done = %d, want %d", p.ID, p.DoneIterations, want)
+		}
+	}
+}
+
+func TestGroupRunAlreadyCompleteMemberReportsDone(t *testing.T) {
+	// A relaunch can land on a job that finished before its group was
+	// killed: it must still report JobDone, or the scheduler waits on it
+	// forever.
+	jobs := twoJobs(10)
+	jobs[0].DoneIterations = 10
+	var done sync.Map
+	g := NewGroupRun(jobs, 1.0, GroupEvents{
+		JobDone: func(id int64) { done.Store(id, true) },
+	}, nil)
+	if err := g.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int64{1, 2} {
+		if _, ok := done.Load(id); !ok {
+			t.Errorf("job %d did not report done", id)
+		}
+	}
+}
+
+func TestGroupRunLateWakeupsDoNotAccumulate(t *testing.T) {
+	// 800 stage slots of 25µs each sit far below the OS timer floor. Slot
+	// ends are deadlines from the launch instant, so a late wakeup
+	// shortens the following waits and the run ends near its nominal
+	// 20ms; a relative sleep per slot pays every overshoot (about 6×).
+	const iters, stage = 200, 25 * time.Microsecond
+	jobs := []proto.JobSpec{{ID: 1, Stages: [4]time.Duration{stage, stage, stage, stage}, Iterations: iters}}
+	g := NewGroupRun(jobs, 1.0, GroupEvents{}, nil)
+	start := time.Now()
+	if err := g.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+	nominal := iters * 4 * stage
+	if wall < nominal || wall > nominal*3/2 {
+		t.Errorf("wall %v, want within [1, 1.5]× nominal %v", wall, nominal)
+	}
+}
+
+func TestGroupRunSlotLastsLongestStage(t *testing.T) {
+	// Job 1 (offset 0) runs its 2ms stage 1 in slot 1, where job 2
+	// (offset 1) runs its 2ms stage 2: the slot lasts the longer of the
+	// two, so an iteration takes 2ms, not the 4ms sum of both members'
+	// stages.
+	const iters = 50
+	ms := time.Millisecond
+	jobs := []proto.JobSpec{
+		{ID: 1, Stages: [4]time.Duration{0, 2 * ms, 0, 0}, Iterations: iters},
+		{ID: 2, Stages: [4]time.Duration{0, 0, 2 * ms, 0}, Iterations: iters},
+	}
+	g := NewGroupRun(jobs, 1.0, GroupEvents{}, nil)
+	start := time.Now()
+	if err := g.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+	nominal := iters * 2 * ms // Σ over slots of the slot's longest stage
+	if wall < nominal || wall > nominal*3/2 {
+		t.Errorf("wall %v, want within [1, 1.5]× Σ max-stage %v (members' sum %v)",
+			wall, nominal, 2*nominal)
 	}
 }
 

@@ -1,15 +1,15 @@
 // Package executor implements the Muri executor (paper Figure 3, §5):
-// it runs interleaving groups with per-stage synchronization barriers,
-// reports progress and faults to the scheduler, and answers dry-run
-// profiling requests. Stage execution is simulated by sleeping the
-// (time-scaled) stage duration, which preserves the exact concurrency
-// structure of the prototype without GPUs.
+// it runs interleaving groups stage slot by stage slot, reports progress
+// and faults to the scheduler, and answers dry-run profiling requests.
+// Stage execution is simulated by sleeping to (time-scaled) stage-slot
+// deadlines on one clock per group, which preserves the slot structure
+// of the prototype without GPUs.
 package executor
 
 import (
 	"context"
 	"fmt"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -21,8 +21,9 @@ import (
 // before every iteration and returns a non-nil error to fail the job.
 type FaultFunc func(jobID int64, iteration int64) error
 
-// GroupEvents receives runner callbacks. Callbacks run on runner
-// goroutines and must not block for long.
+// GroupEvents receives runner callbacks. Callbacks run on the group's
+// one goroutine and must not block for long: the group's next stage
+// slot starts only when they return.
 type GroupEvents struct {
 	// JobDone fires when a member completes all iterations.
 	JobDone func(jobID int64)
@@ -31,8 +32,8 @@ type GroupEvents struct {
 }
 
 // GroupRun executes one interleaving group: each member runs with a
-// distinct stage offset and a barrier separates consecutive stage slots,
-// so at any instant each resource type is used by at most one member
+// distinct stage offset and consecutive stage slots do not overlap, so
+// at any instant each resource type is used by at most one member
 // (paper §4.1). The zero value is not usable; construct with NewGroupRun.
 type GroupRun struct {
 	jobs   []proto.JobSpec
@@ -84,89 +85,103 @@ func (g *GroupRun) Progress() []proto.JobProgress {
 	return out
 }
 
-// sleep waits for the scaled duration or until ctx is cancelled.
-func (g *GroupRun) sleep(ctx context.Context, d time.Duration) error {
-	scaled := time.Duration(float64(d) * g.scale)
-	if scaled <= 0 {
-		// Still yield so zero-length stages cannot starve the scheduler.
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
-			return nil
-		}
+// clock paces a run against absolute deadlines counted from its start:
+// each advance moves the deadline by a scaled virtual duration and sleeps
+// until it, so a late wakeup shortens the next wait instead of stretching
+// the run. One timer serves every wait; between waits it is stopped with
+// its channel drained, as Reset requires under go.mod's go 1.22 timers.
+type clock struct {
+	start time.Time
+	scale float64
+	virt  time.Duration // virtual time elapsed at the current deadline
+	timer *time.Timer
+}
+
+func newClock(scale float64) *clock {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &clock{start: time.Now(), scale: scale, timer: t}
+}
+
+// advance moves the deadline by d of virtual time and waits for it. A
+// deadline already passed only checks ctx. It returns ctx.Err() on
+// cancellation; the clock is unusable afterwards.
+func (c *clock) advance(ctx context.Context, d time.Duration) error {
+	c.virt += d
+	wait := time.Until(c.start.Add(time.Duration(float64(c.virt) * c.scale)))
+	if wait <= 0 {
+		return ctx.Err()
 	}
-	t := time.NewTimer(scaled)
-	defer t.Stop()
+	c.timer.Reset(wait)
 	select {
 	case <-ctx.Done():
+		c.timer.Stop()
 		return ctx.Err()
-	case <-t.C:
+	case <-c.timer.C:
 		return nil
 	}
 }
 
 // Run executes the group until all members finish or ctx is cancelled.
 // It returns ctx.Err() on cancellation and nil on completion.
+//
+// One goroutine drives every member on one clock. In stage slot s the
+// member at offset i runs stage (i+s) mod k, and the slot lasts as long
+// as the slowest live member's stage: the paper's barrier after the
+// overlapped stages (§4.1), computed rather than synchronized. Each
+// iteration is k slots; before it, every live member passes its fault
+// check, and after it, finished members leave, so the remaining
+// members' slots shrink.
 func (g *GroupRun) Run(ctx context.Context) error {
-	bar := newBarrier(len(g.jobs))
-	stop := bar.watchContext(ctx)
-	defer stop()
-	var wg sync.WaitGroup
-	for i := range g.jobs {
-		wg.Add(1)
-		go func(offset int) {
-			defer wg.Done()
-			g.runMember(ctx, bar, offset)
-		}(i)
-	}
-	wg.Wait()
-	if ctx.Err() != nil {
-		return ctx.Err()
-	}
-	return nil
-}
-
-// runMember executes one member's iterations. The member at `offset`
-// executes stage (offset+slot) mod k in stage slot `slot`; a barrier
-// separates consecutive slots so members never use a resource
-// concurrently.
-func (g *GroupRun) runMember(ctx context.Context, bar *barrier, offset int) {
 	k := workload.NumResources
-	spec := g.jobs[offset]
-	iterStart := time.Now()
-	for g.done[offset].Load() < spec.Iterations {
+	live := make([]int, 0, len(g.jobs)) // offsets of running members
+	for i, spec := range g.jobs {
+		if spec.DoneIterations < spec.Iterations {
+			live = append(live, i)
+		} else if g.events.JobDone != nil {
+			g.events.JobDone(spec.ID)
+		}
+	}
+	c := newClock(g.scale)
+	defer c.timer.Stop()
+	for len(live) > 0 {
 		if g.fault != nil {
-			if err := g.fault(spec.ID, g.done[offset].Load()); err != nil {
-				bar.Leave()
-				if g.events.Fault != nil {
-					g.events.Fault(spec.ID, err)
+			live = slices.DeleteFunc(live, func(i int) bool {
+				err := g.fault(g.jobs[i].ID, g.done[i].Load())
+				if err != nil && g.events.Fault != nil {
+					g.events.Fault(g.jobs[i].ID, err)
 				}
-				return
+				return err != nil
+			})
+			if len(live) == 0 {
+				break
 			}
 		}
 		for slot := 0; slot < k; slot++ {
-			stage := (offset + slot) % k
-			if err := g.sleep(ctx, spec.Stages[stage]); err != nil {
-				bar.Leave()
-				return
+			var longest time.Duration
+			for _, i := range live {
+				longest = max(longest, g.jobs[i].Stages[(i+slot)%k])
 			}
-			if err := bar.Await(); err != nil {
-				return
+			if err := c.advance(ctx, longest); err != nil {
+				return err
 			}
 		}
-		g.done[offset].Add(1)
-		elapsed := time.Since(iterStart)
-		iters := g.done[offset].Load() - spec.DoneIterations
-		if iters > 0 {
+		elapsed := time.Since(c.start)
+		live = slices.DeleteFunc(live, func(i int) bool {
+			spec := g.jobs[i]
+			done := g.done[i].Add(1)
 			// Report virtual time: wall time divided by the time scale.
-			g.iterNS[offset].Store(int64(float64(elapsed.Nanoseconds()) / float64(iters) / g.scale))
-		}
+			g.iterNS[i].Store(int64(float64(elapsed) / float64(done-spec.DoneIterations) / g.scale))
+			if done < spec.Iterations {
+				return false
+			}
+			if g.events.JobDone != nil {
+				g.events.JobDone(spec.ID)
+			}
+			return true
+		})
 	}
-	bar.Leave()
-	if g.events.JobDone != nil {
-		g.events.JobDone(spec.ID)
-	}
+	return ctx.Err()
 }
 
 // ProfileModel dry-runs a model alone for the given iterations and
@@ -180,21 +195,22 @@ func ProfileModel(ctx context.Context, model string, iterations int, timeScale f
 	if iterations <= 0 {
 		iterations = 5
 	}
+	// Stages end at deadlines on one clock and each is measured from the
+	// previous wakeup: a late wakeup shortens the next stage by what it
+	// added to this one, so timer overshoot cancels out over the run
+	// instead of inflating every stage.
 	var measured [workload.NumResources]time.Duration
+	c := newClock(timeScale)
+	defer c.timer.Stop()
+	last := c.start
 	for it := 0; it < iterations; it++ {
 		for r := 0; r < workload.NumResources; r++ {
-			start := time.Now()
-			scaled := time.Duration(float64(m.Stages[r]) * timeScale)
-			if scaled > 0 {
-				t := time.NewTimer(scaled)
-				select {
-				case <-ctx.Done():
-					t.Stop()
-					return proto.Profiled{Model: model, Err: ctx.Err().Error()}, ctx.Err()
-				case <-t.C:
-				}
+			if err := c.advance(ctx, m.Stages[r]); err != nil {
+				return proto.Profiled{Model: model, Err: err.Error()}, err
 			}
-			measured[r] += time.Duration(float64(time.Since(start)) / timeScale)
+			now := time.Now()
+			measured[r] += time.Duration(float64(now.Sub(last)) / timeScale)
+			last = now
 		}
 	}
 	var out proto.Profiled

@@ -18,9 +18,10 @@ import (
 // FidelityResult compares the trace-driven simulator against the live
 // scheduler⇄executor prototype on an identical workload. The paper
 // validates its simulator against the 64-GPU testbed and reports <3%
-// metric error (§6.1); this reproduction validates against the prototype
-// (whose "hardware" is time-scaled sleeps, so the tolerance is wider —
-// timer granularity inflates short stages).
+// metric error (§6.1); this reproduction validates against the prototype,
+// whose "hardware" is time-scaled sleeps to stage-slot deadlines. Late
+// timer wakeups do not accumulate into a job's length, so the remaining
+// gap is progress-report and round quantization.
 type FidelityResult struct {
 	// SimAvgJCT and LiveAvgJCT are the mean job completion times, in
 	// virtual time, from the simulator and the prototype.
@@ -40,7 +41,7 @@ type FidelityConfig struct {
 	// IterationsPerJob fixes every job's training length.
 	IterationsPerJob int64
 	// TimeScale compresses virtual time in the live run; coarser scales
-	// are more faithful (timer floor) but slower in wall time.
+	// are slower in wall time, and quantize less relative to a job.
 	TimeScale float64
 	// VirtualInterval is the scheduling interval in virtual time, used by
 	// both sides.

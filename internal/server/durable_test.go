@@ -392,8 +392,10 @@ func TestFailoverPromotesStandbyAndFencesOldLeader(t *testing.T) {
 	waitStatus(t, cL, "standby attached", func(st proto.StatusAck) bool {
 		return st.Durability != nil && st.Durability.Standbys == 1
 	})
+	// The job must outlast the failover to be adopted: 6000 iterations
+	// of 1s virtual run ~3s wall, and adoption lands after ~0.8s.
 	if _, err := cL.SubmitSpec(proto.JobSpec{
-		Model: "gpt2", GPUs: 8, Iterations: 1500, Stages: parityStages,
+		Model: "gpt2", GPUs: 8, Iterations: 6000, Stages: parityStages,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -1300,8 +1300,8 @@ func (s *Server) scheduleLocked() {
 
 // roundCandidatesLocked fills s.candidates with the jobs the policy may
 // plan over: pending plus (for preemptive policies) running jobs, in
-// ascending job-ID order so the engine's decision stream is
-// deterministic. Jobs still in their post-fault backoff window sit out
+// s.live's ascending-ID order. The order reaches no decision: every
+// policy ranks candidates by a total order of its own. Jobs still in their post-fault backoff window sit out
 // this round. Callers hold s.mu.
 func (s *Server) roundCandidatesLocked(wallNow time.Time) []*job.Job {
 	preemptive := s.cfg.Policy.Preemptive()

@@ -120,10 +120,12 @@ func TestEndToEndInterleavedGroup(t *testing.T) {
 	c := h.client(t)
 	// Four complementary jobs on a single 8-GPU machine, demand 4×... to
 	// force grouping we need demand > capacity: submit 12 single-GPU jobs
-	// across the four bottleneck classes on one 8-GPU machine.
+	// across the four bottleneck classes on one 8-GPU machine. Each job
+	// runs ~3000 × 0.1s virtual = ~150ms wall, long enough to outlast
+	// several 30ms rounds and be grouped with later arrivals.
 	models := []string{"shufflenet", "a2c", "gpt2", "vgg16"}
 	for i := 0; i < 12; i++ {
-		if _, err := c.Submit(models[i%4], 1, 60); err != nil {
+		if _, err := c.Submit(models[i%4], 1, 3000); err != nil {
 			t.Fatal(err)
 		}
 	}

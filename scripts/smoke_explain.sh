@@ -56,7 +56,8 @@ EXEC_PID=$!
 poll "executor registration" 10 'executors=1'
 
 echo "== load: a long job, then a shorter one that preempts it (SRTF)"
-ctl submit -model gpt2 -gpus 8 -iters 2400
+# Job 1 runs ~1.4 s of wall, so it is still running when job 2 arrives.
+ctl submit -model gpt2 -gpus 8 -iters 24000
 poll "job 1 running" 20 'running=1'
 ctl submit -model gpt2 -gpus 8 -iters 1200
 ctl wait -timeout 2m
