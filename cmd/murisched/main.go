@@ -42,7 +42,7 @@ func main() {
 		httpAddr  = flag.String("http-addr", "", "serve the JSON submission API (/api/v1/...) on this address")
 
 		ingestCap   = flag.Int("ingest-cap", 0, "admission queue capacity (0 = default 65536)")
-		batchDelay  = flag.Duration("max-batch-delay", 0, "minimum spacing between event-driven scheduling rounds: an event on a quiet scheduler runs its round at once, one sooner after a round waits out the rest and batches with what arrives meanwhile (0 = a round per event)")
+		batchDelay  = flag.Duration("max-batch-delay", 0, "minimum spacing between an event-driven scheduling round and the last round that admitted a job or issued a decision: an event sooner than that waits out the rest and batches with what arrives meanwhile, any other runs its round at once (0 = a round per event)")
 		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant sustained submission rate in jobs/sec (0 = unlimited)")
 		tenantBurst = flag.Int("tenant-burst", 0, "per-tenant submission burst size (0 = derive from -tenant-rate)")
 		drainWait   = flag.Duration("drain-timeout", time.Minute, "on SIGINT, how long to wait for running groups before closing")

@@ -5,6 +5,8 @@
 package proto
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -520,31 +522,47 @@ type Message struct {
 
 // Codec reads and writes framed messages on a stream. Reads and writes
 // are independently safe for one reader plus one writer; concurrent
-// writers must synchronize externally (see LockedCodec).
+// writers must synchronize externally. A codec buffers its reads, so it
+// must be the only reader of its stream.
 type Codec struct {
-	r io.Reader
-	w io.Writer
+	r   *bufio.Reader
+	w   io.Writer
+	out bytes.Buffer  // the frame being written: length prefix, then body
+	enc *json.Encoder // encodes into out
 }
 
-// NewCodec wraps a stream (typically a net.Conn).
-func NewCodec(rw io.ReadWriter) *Codec { return &Codec{r: rw, w: rw} }
+// maxRetainedFrame bounds the write buffer a codec keeps between frames;
+// a larger frame (a trace snapshot, say) gets a fresh one.
+const maxRetainedFrame = 64 << 10
 
-// Write frames and sends one message.
+// NewCodec wraps a stream (typically a net.Conn).
+func NewCodec(rw io.ReadWriter) *Codec {
+	c := &Codec{r: bufio.NewReader(rw), w: rw}
+	c.enc = json.NewEncoder(&c.out)
+	return c
+}
+
+// Write frames and sends one message in a single Write call.
 func (c *Codec) Write(m *Message) error {
-	body, err := json.Marshal(m)
-	if err != nil {
+	c.out.Reset()
+	c.out.Write([]byte{0, 0, 0, 0}) // length prefix, filled in below
+	// Encode writes what json.Marshal returns, plus a newline.
+	if err := c.enc.Encode(m); err != nil {
 		return fmt.Errorf("proto: marshal %s: %w", m.Type, err)
 	}
-	if len(body) > MaxMessageSize {
-		return fmt.Errorf("proto: message of %d bytes exceeds limit", len(body))
+	frame := c.out.Bytes()
+	frame = frame[:len(frame)-1]
+	n := len(frame) - 4
+	if n > MaxMessageSize {
+		return fmt.Errorf("proto: message of %d bytes exceeds limit", n)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := c.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("proto: write header: %w", err)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	_, err := c.w.Write(frame)
+	if c.out.Cap() > maxRetainedFrame {
+		c.out = bytes.Buffer{}
 	}
-	if _, err := c.w.Write(body); err != nil {
-		return fmt.Errorf("proto: write body: %w", err)
+	if err != nil {
+		return fmt.Errorf("proto: write frame: %w", err)
 	}
 	return nil
 }

@@ -3,9 +3,12 @@ package proto
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"io"
 	"net"
+	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 	"time"
 )
@@ -236,6 +239,81 @@ func TestManySequentialFrames(t *testing.T) {
 		}
 		if m.JobDone.GroupID != int64(i) {
 			t.Fatalf("frame %d: group %d", i, m.JobDone.GroupID)
+		}
+	}
+}
+
+// stream joins a reader and a writer into the codec's io.ReadWriter.
+type stream struct {
+	io.Reader
+	io.Writer
+}
+
+// countingWriter keeps what it is sent and counts the Write calls.
+type countingWriter struct {
+	bytes.Buffer
+	calls int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.calls++
+	return w.Buffer.Write(p)
+}
+
+// TestWriteIsOneCallPerFrame: a frame reaches the stream in one Write
+// (one syscall on a socket), and its bytes are the length prefix followed
+// by exactly what json.Marshal makes of the message. A frame larger than
+// the write buffer a codec retains goes out whole, and so does the next.
+func TestWriteIsOneCallPerFrame(t *testing.T) {
+	msgs := []*Message{
+		{Type: TypeRegister, Register: &Register{MachineID: "m0", GPUs: 8}},
+		{Type: TypeSubmit, Submit: &Submit{Job: JobSpec{Model: "a2c", Tenant: "<t&>"}, Seq: 1}},
+		{Type: TypeTraceAck, TraceAck: &TraceAck{Trace: []byte(`["` + strings.Repeat("x", 2*maxRetainedFrame) + `"]`)}},
+		{Type: TypeJobDone, JobDone: &JobDone{GroupID: 7, JobID: 1}},
+	}
+	var w countingWriter
+	var wire []byte
+	c := NewCodec(stream{nil, &w})
+	for i, m := range msgs {
+		if err := c.Write(m); err != nil {
+			t.Fatal(err)
+		}
+		if w.calls != i+1 {
+			t.Fatalf("%d frames took %d Write calls", i+1, w.calls)
+		}
+		body, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire = append(binary.BigEndian.AppendUint32(wire, uint32(len(body))), body...)
+	}
+	if !bytes.Equal(w.Bytes(), wire) {
+		t.Fatal("frames differ from length prefix + json.Marshal")
+	}
+}
+
+// TestReadAcrossChunkedStream: the buffered reader reassembles frames
+// whatever sizes the stream hands them out in.
+func TestReadAcrossChunkedStream(t *testing.T) {
+	var wire bytes.Buffer
+	w := NewCodec(&wire)
+	for i := 0; i < 3; i++ {
+		if err := w.Write(&Message{Type: TypeJobDone, JobDone: &JobDone{GroupID: int64(i), JobID: 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, chunked := range map[string]func(io.Reader) io.Reader{
+		"one-byte": iotest.OneByteReader, "half": iotest.HalfReader,
+	} {
+		c := NewCodec(stream{chunked(bytes.NewReader(wire.Bytes())), io.Discard})
+		for i := 0; i < 3; i++ {
+			m, err := c.Read()
+			if err != nil || m.JobDone == nil || m.JobDone.GroupID != int64(i) {
+				t.Fatalf("%s: frame %d = %+v, %v", name, i, m, err)
+			}
+		}
+		if _, err := c.Read(); err != io.EOF {
+			t.Errorf("%s: read past the last frame = %v, want io.EOF", name, err)
 		}
 	}
 }

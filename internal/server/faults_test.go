@@ -121,25 +121,14 @@ func TestRetryBudgetDeadLetter(t *testing.T) {
 // TestStopDrains: Stop lets the in-flight group finish, rejects new
 // submissions while draining, and returns nil once idle.
 func TestStopDrains(t *testing.T) {
-	h := startHarness(t, fastFaultConfig(), 1, nil)
+	cfg, launched := launchTap(fastFaultConfig(), 1)
+	h := startHarness(t, cfg, 1, nil)
 	c := h.client(t)
-	if _, err := c.Submit("gpt2", 1, 200); err != nil {
+	// ~110 ms of wall time: still in flight when Stop begins.
+	if _, err := c.Submit("gpt2", 1, 2000); err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the job is actually running.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		h.srv.mu.Lock()
-		running := len(h.srv.groups) > 0
-		h.srv.mu.Unlock()
-		if running {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never launched")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	nextLaunch(t, launched)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	stopErr := make(chan error, 1)
@@ -176,25 +165,15 @@ func TestStopDrains(t *testing.T) {
 // TestInjectFaultJob: a client-injected job fault goes through the
 // normal fault path (recorded, backed off) and the job still completes.
 func TestInjectFaultJob(t *testing.T) {
-	h := startHarness(t, fastFaultConfig(), 1, nil)
+	cfg, launched := launchTap(fastFaultConfig(), 1)
+	h := startHarness(t, cfg, 1, nil)
 	c := h.client(t)
-	id, err := c.Submit("gpt2", 1, 300)
+	// ~165 ms of wall time: still running when the fault lands.
+	id, err := c.Submit("gpt2", 1, 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		h.srv.mu.Lock()
-		running := h.srv.jobs[id] != nil && h.srv.jobs[id].job.State == job.Running
-		h.srv.mu.Unlock()
-		if running {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never started running")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	nextLaunch(t, launched)
 	if err := c.InjectFault(id, ""); err != nil {
 		t.Fatalf("inject: %v", err)
 	}

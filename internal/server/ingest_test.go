@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"muri/internal/engine"
+	"muri/internal/executor"
 	"muri/internal/ingest"
 	"muri/internal/proto"
 	"muri/internal/sched"
@@ -30,6 +31,35 @@ func pendSpec(tenant string) proto.JobSpec {
 		Model: "gpt2", GPUs: 1, Iterations: 1 << 20, Tenant: tenant,
 		Stages: [4]time.Duration{250 * time.Millisecond, 250 * time.Millisecond,
 			250 * time.Millisecond, 250 * time.Millisecond},
+	}
+}
+
+// launchTap taps cfg's decision stream: the returned channel receives
+// the wall time of each launch decision, up to n of them; later ones are
+// dropped rather than block the round. Waiting on it cannot miss a job
+// shorter than a poll would be.
+func launchTap(cfg Config, n int) (Config, <-chan time.Time) {
+	launched := make(chan time.Time, n)
+	cfg.Observer = func(d engine.Decision) {
+		if d.Action == engine.ActLaunch {
+			select {
+			case launched <- time.Now():
+			default:
+			}
+		}
+	}
+	return cfg, launched
+}
+
+// nextLaunch waits for the next launch launchTap reports.
+func nextLaunch(t *testing.T, launched <-chan time.Time) time.Time {
+	t.Helper()
+	select {
+	case at := <-launched:
+		return at
+	case <-time.After(10 * time.Second):
+		t.Fatal("no launch decision")
+		return time.Time{}
 	}
 }
 
@@ -79,6 +109,78 @@ func TestIdleArrivalDispatchesWithoutLinger(t *testing.T) {
 	if gap := awaitLaunch().Sub(first); gap < delay {
 		t.Errorf("arrival %v behind a round launched %v after it, want at least MaxBatchDelay %v",
 			time.Since(first), gap, delay)
+	}
+}
+
+// TestNoOpRoundStartsNoLinger pins which rounds start the MaxBatchDelay
+// spacing: only one that admitted a job or issued a decision. A second
+// executor's registration kicks a round that has no candidates, so it
+// changes nothing, and an arrival right behind it must launch at once
+// rather than wait out the delay from that round.
+func TestNoOpRoundStartsNoLinger(t *testing.T) {
+	const delay = 300 * time.Millisecond
+	cfg, launched := launchTap(Config{
+		Interval:      time.Minute, // rounds come from kicks, not the ticker
+		MaxBatchDelay: delay,
+	}, 1)
+	h := startHarness(t, cfg, 1, nil)
+	c := h.client(t)
+	// The first registration's round changed nothing either, but let the
+	// loop go quiet: under a rule where every round starts the spacing,
+	// only the round below would then hold the arrival back.
+	time.Sleep(delay + 50*time.Millisecond)
+	rounds := func() uint64 { _, _, _, n := h.srv.roundHist.Snapshot(); return n }
+	before := rounds()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var agents sync.WaitGroup
+	agents.Add(1)
+	go func() {
+		defer agents.Done()
+		_ = (&executor.Agent{MachineID: "machine-1", GPUs: 8, Logf: t.Logf}).Run(ctx, h.addr)
+	}()
+	t.Cleanup(func() { cancel(); agents.Wait() })
+	waitFor(t, 5*time.Second, func() bool { return rounds() > before },
+		"the second executor's registration ran no round")
+
+	sent := time.Now()
+	if _, err := c.SubmitSpec(pendSpec("")); err != nil {
+		t.Fatal(err)
+	}
+	if took := nextLaunch(t, launched).Sub(sent); took > delay/2 {
+		t.Errorf("arrival behind a round that changed nothing launched after %v, want well under MaxBatchDelay %v", took, delay)
+	}
+}
+
+// TestDecidingRoundStartsLinger pins the other half of the rule: a round
+// that admits nothing but issues a decision still starts the spacing,
+// which is what caps relaunches under churn. A completion frees the
+// machine and its round launches the queued job; an arrival right
+// behind that round waits out the delay.
+func TestDecidingRoundStartsLinger(t *testing.T) {
+	const delay = 300 * time.Millisecond
+	cfg, launched := launchTap(Config{
+		Policy:        sched.FIFO(), // non-preemptive: the queued job waits for the machine
+		Interval:      time.Minute,  // rounds come from kicks, not the ticker
+		MaxBatchDelay: delay,
+	}, 3)
+	h := startHarness(t, cfg, 1, nil)
+	c := h.client(t)
+	// The first job holds all 8 GPUs for about two delays of wall time,
+	// so its completion round runs at once; the second queues behind it.
+	first, queued := pendSpec(""), pendSpec("")
+	first.GPUs, first.Iterations = 8, 1200
+	queued.GPUs = 7
+	if res, err := c.SubmitBatch([]proto.JobSpec{first, queued}); err != nil || res[0].Err != "" || res[1].Err != "" {
+		t.Fatalf("submit: %v %+v", err, res)
+	}
+	nextLaunch(t, launched)
+	relaunch := nextLaunch(t, launched) // the completion round: a decision, no admission
+	if _, err := c.SubmitSpec(pendSpec("")); err != nil {
+		t.Fatal(err)
+	}
+	if gap := nextLaunch(t, launched).Sub(relaunch); gap < delay {
+		t.Errorf("arrival behind a round that only decided launched %v after it, want at least MaxBatchDelay %v", gap, delay)
 	}
 }
 
@@ -157,14 +259,22 @@ func TestBurstSubmissionsCollapseRounds(t *testing.T) {
 func TestIngestBackpressureAndShutdown(t *testing.T) {
 	before := runtime.NumGoroutine()
 	t.Run("saturate", func(t *testing.T) {
-		h := startHarness(t, Config{
+		cfg, launched := launchTap(Config{
 			IngestCapacity: 8,
 			Interval:       time.Hour,
-			// A long spacing between event-driven rounds holds the drain
-			// back (the executor's registration just ran one), so concurrent
-			// submitters deterministically overrun the 8-slot queue.
+			// A long spacing after a round that changed something holds the
+			// drain back, so concurrent submitters deterministically overrun
+			// the 8-slot queue.
 			MaxBatchDelay: 400 * time.Millisecond,
-		}, 1, nil)
+		}, 1)
+		h := startHarness(t, cfg, 1, nil)
+		// Start the hold on purpose: the primer's round admits and
+		// launches it, and the senders below land inside the spacing.
+		const primed = 1
+		if _, err := h.client(t).SubmitSpec(pendSpec("")); err != nil {
+			t.Fatal(err)
+		}
+		nextLaunch(t, launched)
 		const senders, per = 4, 10
 		var mu sync.Mutex
 		var accepted, rejected int
@@ -214,9 +324,9 @@ func TestIngestBackpressureAndShutdown(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Ingest.Accepted != accepted || st.Ingest.Rejected != rejected {
-			t.Errorf("ingest summary %+v, clients saw %d accepted / %d rejected",
-				st.Ingest, accepted, rejected)
+		if st.Ingest.Accepted != primed+accepted || st.Ingest.Rejected != rejected {
+			t.Errorf("ingest summary %+v, clients saw %d primed + %d accepted / %d rejected",
+				st.Ingest, primed, accepted, rejected)
 		}
 		// Graceful stop: running groups won't finish within the context, so
 		// Stop falls back to Close on expiry. Either way every loop exits.

@@ -94,14 +94,16 @@ type Config struct {
 	// rejected with a typed, retryable queue-full error instead of
 	// blocking a connection handler. Zero means 65536.
 	IngestCapacity int
-	// MaxBatchDelay is the minimum spacing between event-driven
-	// scheduling rounds. An event (arrival, completion, fault) that finds
-	// the schedule loop quiet for at least this long runs its round at
-	// once; one that lands sooner waits out the remainder, and every
-	// event arriving meanwhile joins the same round. It caps the round
-	// rate under churn — and with it preemption relaunches — at
-	// 1/MaxBatchDelay without delaying an isolated arrival. Zero runs a
-	// round per event.
+	// MaxBatchDelay is the minimum spacing between an event-driven
+	// scheduling round and the last round that changed something
+	// (admitted a job or issued a decision). An event (arrival,
+	// completion, fault) that lands sooner waits out the remainder, and
+	// every event arriving meanwhile joins the same round; any other
+	// event runs its round at once. A round that changed nothing starts
+	// no spacing, so an arrival behind an idle completion round is not
+	// delayed. It caps admission rounds under a burst, and relaunching
+	// rounds under churn, at 1/MaxBatchDelay. Zero runs a round per
+	// event.
 	MaxBatchDelay time.Duration
 	// TenantRate is each tenant's sustained submission rate in jobs per
 	// second (token bucket keyed on JobSpec.Tenant); zero disables rate
@@ -288,9 +290,10 @@ type Server struct {
 	reg *telemetry.Registry
 	// jctHist observes each finished job's virtual JCT in seconds;
 	// roundHist observes each scheduling round's wall latency in seconds;
-	// firstDispatchHist observes each job's wall seconds from accept to
-	// its first launch.
-	jctHist, roundHist, firstDispatchHist *telemetry.Histogram
+	// lingerHist observes how long each kicked round waited out
+	// MaxBatchDelay (0 for one that ran at once); firstDispatchHist
+	// observes each job's wall seconds from accept to its first launch.
+	jctHist, roundHist, lingerHist, firstDispatchHist *telemetry.Histogram
 	// waitAttrHist observes, per cause, each finished job's exact
 	// wait-time attribution in virtual seconds.
 	waitAttrHist *telemetry.HistogramVec
@@ -929,11 +932,12 @@ func (s *Server) submitBatch(jobs []proto.JobSpec) proto.SubmitBatchAck {
 // the determinism the decision-stream goldens pin. Each job's stage
 // durations come from, in order, the submitted spec, the profile cache, or
 // a dry-run profiling round on an executor (the job waits in "profiling"
-// state meanwhile). Callers hold s.mu.
-func (s *Server) drainIngestLocked() {
+// state meanwhile). It reports whether it admitted anything. Callers
+// hold s.mu.
+func (s *Server) drainIngestLocked() bool {
 	items := s.adm.Drain(0)
 	if len(items) == 0 {
-		return
+		return false
 	}
 	now := time.Now()
 	ar := &wal.AdmitRecord{Items: make([]wal.AdmitItem, len(items))}
@@ -959,6 +963,7 @@ func (s *Server) drainIngestLocked() {
 		// A bounded batch left items behind; run another round promptly.
 		s.kickSchedule()
 	}
+	return true
 }
 
 // requestProfileLocked asks any executor to dry-run the model. Callers
@@ -1154,21 +1159,30 @@ func (s *Server) removeGroupLocked(g *groupState) {
 // scheduleLoop replans periodically and on events: the paper's scheduler
 // "is periodically invoked on events like job arrival and job
 // completion" (§3). Event kicks coalesce through a 1-slot channel, and
-// MaxBatchDelay throttles them: a kick that finds the loop quiet for at
-// least that long runs its round at once, one that lands sooner lingers
-// only the remainder, absorbing further kicks — so an isolated arrival
-// is not delayed, and a burst still costs one round per MaxBatchDelay.
+// MaxBatchDelay throttles them: a kick that lands within MaxBatchDelay
+// of the last round that changed something (admitted a job or issued a
+// decision) lingers the remainder, absorbing further kicks; any other
+// kick runs its round at once. A round that changed nothing relaunched
+// nothing, so it holds back no later kick. An isolated arrival is not
+// delayed, a burst still costs one round per MaxBatchDelay (every one
+// of its rounds admits), and relaunches under churn stay capped at one
+// round per MaxBatchDelay (every relaunching round decides).
 func (s *Server) scheduleLoop() {
 	defer s.wg.Done()
 	t := time.NewTicker(s.cfg.Interval)
 	defer t.Stop()
-	var lastRound time.Time // when the previous round finished
+	linger := time.NewTimer(time.Hour) // stopped; re-armed only after its fire was received
+	linger.Stop()
+	var lastChange time.Time // when the last round that changed something finished
 	for {
+		kicked, waited := false, time.Duration(0)
 		select {
 		case <-t.C:
 		case <-s.kick:
-			if wait := s.cfg.MaxBatchDelay - time.Since(lastRound); wait > 0 {
-				linger := time.NewTimer(wait)
+			kicked = true
+			if wait := s.cfg.MaxBatchDelay - time.Since(lastChange); wait > 0 {
+				start := time.Now()
+				linger.Reset(wait)
 			coalesce:
 				for {
 					select {
@@ -1177,6 +1191,7 @@ func (s *Server) scheduleLoop() {
 						break coalesce
 					}
 				}
+				waited = time.Since(start)
 			}
 		}
 		s.mu.Lock()
@@ -1184,9 +1199,16 @@ func (s *Server) scheduleLoop() {
 			s.mu.Unlock()
 			return
 		}
-		s.scheduleLocked()
+		changed := s.scheduleLocked()
+		// Observed after the round's latency: read in that order, a
+		// leader's lingers never outnumber its rounds.
+		if kicked {
+			s.lingerHist.Observe(waited.Seconds())
+		}
 		s.mu.Unlock()
-		lastRound = time.Now()
+		if changed {
+			lastChange = time.Now()
+		}
 	}
 }
 
@@ -1209,8 +1231,10 @@ func (s *Server) creditLeasesLocked(held time.Duration) {
 	}
 }
 
-// scheduleLocked runs one scheduling round. Callers hold s.mu.
-func (s *Server) scheduleLocked() {
+// scheduleLocked runs one scheduling round and reports whether it
+// changed anything: admitted at least one job or issued at least one
+// decision (launch, kill, requeue or dead-letter). Callers hold s.mu.
+func (s *Server) scheduleLocked() (changed bool) {
 	// A standby or fenced daemon plans nothing: its engine state is
 	// either a replica (applied only at promotion) or deposed.
 	if s.notLeader.Load() {
@@ -1224,7 +1248,7 @@ func (s *Server) scheduleLocked() {
 	}()
 	// Batched admission first: every submission accepted since the last
 	// round joins the candidate set in one engine round.
-	s.drainIngestLocked()
+	changed = s.drainIngestLocked()
 	crashpoint.Hit(crashpoint.MidRound)
 	// Worker-monitor liveness: evict executors whose lease expired. A
 	// hung machine keeps its TCP connection open, so read errors alone
@@ -1288,6 +1312,7 @@ func (s *Server) scheduleLocked() {
 	// preemptions (kills run through killGroupLocked so capacity frees
 	// before placement), and place via the executor best-fit placer (the
 	// Launch RPCs happen inside Place).
+	decisions := s.eng.Stats().Decisions
 	s.eng.Reconcile(engine.Input{
 		Now:        s.virtualNowLocked(),
 		Candidates: candidates,
@@ -1296,6 +1321,7 @@ func (s *Server) scheduleLocked() {
 		Placer:     &serverPlacer{s: s},
 		Kill:       func(c engine.Current) { s.killGroupLocked(c.Handle.(int64)) },
 	})
+	return changed || s.eng.Stats().Decisions != decisions
 }
 
 // roundCandidatesLocked fills s.candidates with the jobs the policy may

@@ -178,6 +178,9 @@ func (s *Server) initMetrics() {
 	s.roundHist = r.Histogram("muri_round_latency_seconds",
 		"Wall-clock latency of scheduling rounds, admission drain included.",
 		telemetry.ExponentialBounds(1e-6, 10, 8)...)
+	s.lingerHist = r.Histogram("muri_round_linger_seconds",
+		"Wall-clock seconds each kicked scheduling round waited out MaxBatchDelay; 0 for one that ran at once.",
+		telemetry.ExponentialBounds(1e-6, 10, 8)...)
 	s.firstDispatchHist = r.Histogram("muri_first_dispatch_seconds",
 		"Wall-clock seconds from a submission's accept to its first launch.",
 		telemetry.ExponentialBounds(1e-4, 2, 20)...)

@@ -105,6 +105,20 @@ func TestMetricsEndpointMatchesStatus(t *testing.T) {
 	if samples["muri_round_latency_seconds_count"] == 0 {
 		t.Error("round-latency histogram never observed a round")
 	}
+	// Every kicked round observes its linger, after its latency, so read
+	// in this order the lingers never outnumber the rounds run; with no
+	// MaxBatchDelay no round waits.
+	if _, ok := samples["muri_round_linger_seconds_count"]; !ok {
+		t.Error("scrape missing muri_round_linger_seconds")
+	}
+	_, _, lingerSum, lingers := h.srv.lingerHist.Snapshot()
+	_, _, _, rounds := h.srv.roundHist.Snapshot()
+	if lingers == 0 || lingers > rounds {
+		t.Errorf("round-linger histogram holds %d observations, want 1..%d (the rounds run)", lingers, rounds)
+	}
+	if lingerSum != 0 {
+		t.Errorf("round-linger sum = %v, want 0 without a MaxBatchDelay", lingerSum)
+	}
 }
 
 // TestTraceSnapshotRPC drives a workload, snapshots the daemon's trace
