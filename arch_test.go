@@ -104,6 +104,23 @@ var archRules = []archRule{
 		example: `out := eng.Reconcile(engine.Input{Candidates: jobs, PendingInto: spare})`,
 	},
 	{
+		name:         "deleted-pred-policies",
+		pattern:      `SRTFPredicted|SRSFPredicted|NewMuriLPredicted|refreshBelief|predictedRemaining`,
+		scope:        []string{"."},
+		skipComments: true,
+		reason: "beliefs reach a policy only through the engine, which rewrites each candidate's Profile " +
+			"from Config.Estimator for both drivers: no policy variant or driver reads the estimator beside it",
+		example: `p := sched.SRTFPredicted(est)`,
+	},
+	{
+		name:    "belief-read-outside-engine",
+		pattern: `\.EstimateFor\(`,
+		scope:   []string{"internal/sim", "internal/sched", "internal/server", "cmd"},
+		reason: "only the engine reads beliefs (internal/engine: the candidate refresh and the re-profile " +
+			"check), so the simulator and the daemon plan on the same ones",
+		example: `if e, ok := s.cfg.Estimator.EstimateFor(j); ok {`,
+	},
+	{
 		name:    "fault-ledger-by-hand",
 		pattern: `\.(Crashes|Transient|Requeues|DeadLettered)[[:space:]]*(\+\+|\+=)`,
 		scope:   []string{"internal/sim", "internal/server"},

@@ -245,7 +245,7 @@ func BenchmarkPredictionOnline(b *testing.B) {
 		cfg := sim.DefaultConfig()
 		cfg.Estimator = est
 		cfg.Drift = &profile.Drift{Amplitude: 0.5, Seed: 11}
-		res := sim.Run(cfg, tr, sched.SRTFPredicted(est))
+		res := sim.Run(cfg, tr, sched.SRTF())
 		if res.Summary.Jobs != len(tr.Specs) {
 			b.Fatal("incomplete run")
 		}

@@ -34,7 +34,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":7800", "listen address")
-		policy    = flag.String("policy", "muri-l", "scheduling policy ("+strings.Join(sched.Names(), "|")+"); the -pred variants read the daemon's online predictor")
+		policy    = flag.String("policy", "muri-l", "scheduling policy ("+strings.Join(sched.Names(), "|")+"); every policy plans on the daemon's online predictor (gittins-pred also ranks by its service history)")
 		interval  = flag.Duration("interval", time.Second, "scheduling interval (wall time)")
 		timeScale = flag.Float64("timescale", 0.001, "virtual-to-wall time scale forwarded to executors")
 		report    = flag.Duration("report", 200*time.Millisecond, "executor progress-report period")
@@ -60,8 +60,9 @@ func main() {
 	flag.TextVar(&level, "log-level", slog.LevelInfo, "minimum log `level` (debug|info|warn|error)")
 	flag.Parse()
 
-	// One predictor serves both the daemon (which feeds it completions)
-	// and any prediction-aware policy (which reads beliefs from it).
+	// One predictor serves both the daemon (which feeds it completions
+	// and plans every policy on its beliefs) and gittins-pred (which
+	// ranks on its service history).
 	predictor := profile.NewOnline()
 	p, err := sched.ByName(*policy, predictor)
 	if err != nil {

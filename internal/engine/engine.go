@@ -76,10 +76,12 @@ type Config struct {
 	// consulted while Tracer is non-nil; when nil, decisions issued
 	// outside a round reuse the last round's timestamp.
 	Now func() time.Duration
-	// Estimator, when non-nil, receives every completion the driver
-	// reports through NoteCompletion, replacing the oracle-profile
-	// assumption with learned beliefs. Nil (the default) keeps the
-	// completion path inert and every fixed-seed run bit-identical.
+	// Estimator, when non-nil, replaces the oracle-profile assumption
+	// with beliefs, for both drivers: Reconcile rewrites every
+	// candidate's Profile from its belief before the policy plans (a
+	// model with no belief yet keeps its profile), and every completion a
+	// driver reports through NoteCompletion feeds it. Nil (the default)
+	// keeps both paths inert and every fixed-seed run bit-identical.
 	Estimator profile.Estimator
 	// Provenance, when non-nil, receives structured cause annotations
 	// from each decision site: wait-cause transitions for jobs left
@@ -238,6 +240,8 @@ type roundScratch struct {
 	// boostedAt are the planner positions, ascending, of the units a
 	// starvation-boosted round admits first.
 	boostedAt []int
+	// candidates are the offered jobs the candidate rule kept.
+	candidates []*job.Job
 	// The Outcome's engine-owned slices.
 	placements []Placement
 	members    []Member
@@ -248,13 +252,14 @@ func (r *roundScratch) reset() {
 	r.stamp = stamps.Add(1)
 	clear(r.currentKeys)
 	clear(r.keySet)
-	// Dropped specs would otherwise pin last round's job slices.
+	// Dropped jobs and specs would otherwise pin last round's job slices.
+	clear(r.candidates)
 	clear(r.admitted)
 	clear(r.skipped)
 	clear(r.placements)
 	clear(r.members)
 	clear(r.killed)
-	r.admitted, r.skipped, r.boostedAt = r.admitted[:0], r.skipped[:0], r.boostedAt[:0]
+	r.candidates, r.admitted, r.skipped, r.boostedAt = r.candidates[:0], r.admitted[:0], r.skipped[:0], r.boostedAt[:0]
 	r.placements, r.members, r.killed = r.placements[:0], r.members[:0], r.killed[:0]
 }
 
@@ -428,10 +433,11 @@ type Input struct {
 	// Now is the driver's clock (virtual for the simulator, virtualized
 	// wall time for the daemon).
 	Now time.Duration
-	// Candidates are the jobs the policy may plan over: those whose State
-	// is pending, plus running ones for preemptive policies. Jobs held
-	// back (fault backoff) are simply omitted. Their order is the
-	// driver's and reaches no decision: policies rank by total orders.
+	// Candidates are the jobs the driver offers this round. The engine
+	// plans over those whose State is pending, plus running ones for
+	// preemptive policies, and skips the rest. Jobs the driver holds back
+	// (fault backoff) are simply omitted. Their order is the driver's and
+	// reaches no decision: policies rank by total orders.
 	Candidates []*job.Job
 	// Capacity is the total in-service GPU capacity, passed to the
 	// policy.
@@ -494,21 +500,23 @@ type Outcome struct {
 	Killed []Current
 }
 
-// Reconcile runs one scheduling round: invoke the policy, order units
-// with anti-starvation, admit into capacity, reconcile preemptions,
-// place, and emit the round's decisions (which change the placement
-// memory and the jobs' states): kills in current order, then launches in
-// placement order; same-key re-placements are continuations and emit
-// nothing. The admission and placement path is the simulator's historical
-// loop moved here verbatim, so fixed-seed simulations stay bit-identical.
+// Reconcile runs one scheduling round: pick the candidates and refresh
+// their beliefs, invoke the policy, order units with anti-starvation,
+// admit into capacity, reconcile preemptions, place, and emit the round's
+// decisions (which change the placement memory and the jobs' states):
+// kills in current order, then launches in placement order; same-key
+// re-placements are continuations and emit nothing. The admission and
+// placement path is the simulator's historical loop moved here verbatim,
+// so fixed-seed simulations stay bit-identical.
 func (e *Engine) Reconcile(in Input) Outcome {
 	e.stats.Rounds++
 	e.lastNow = in.Now
 	preempt := e.cfg.Policy.Preemptive()
-	units := e.cfg.Policy.Plan(in.Now, in.Candidates, in.Capacity)
-	var out Outcome
 	r := &e.round
 	r.reset()
+	in.Candidates = e.candidates(in.Candidates, preempt)
+	units := e.cfg.Policy.Plan(in.Now, in.Candidates, in.Capacity)
+	var out Outcome
 	for i := range in.Current {
 		c := &in.Current[i]
 		c.key = unitKey(c.Spec, e.prevKeys)
@@ -693,7 +701,7 @@ func (e *Engine) Reconcile(in Input) Outcome {
 
 	depth := 0
 	for _, j := range in.Candidates {
-		if j.Sched.Placed != stamp && j.State != job.Done {
+		if j.Sched.Placed != stamp {
 			depth++
 		}
 	}
@@ -703,6 +711,29 @@ func (e *Engine) Reconcile(in Input) Outcome {
 	}
 	e.traceRound(in, len(units), &out)
 	return out
+}
+
+// candidates applies the candidate rule to the offered jobs — pending
+// ones, plus running ones when the policy preempts — into the round's
+// scratch, and rewrites each kept job's Profile from the estimator's
+// belief, so both drivers' policies rank and group on the same beliefs. A
+// model with no belief yet (or a zero one) keeps the profile it has; jobs
+// the rule skips are not rewritten.
+func (e *Engine) candidates(offered []*job.Job, preempt bool) []*job.Job {
+	r := &e.round
+	est := e.cfg.Estimator
+	for _, j := range offered {
+		if j.State != job.Pending && (j.State != job.Running || !preempt) {
+			continue
+		}
+		if est != nil {
+			if b, ok := est.EstimateFor(j); ok && b.Stages.Total() > 0 {
+				j.Profile = b.Stages
+			}
+		}
+		r.candidates = append(r.candidates, j)
+	}
+	return r.candidates
 }
 
 // boostStarving applies anti-starvation to the planner's order: units

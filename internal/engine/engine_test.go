@@ -78,7 +78,7 @@ func (l *decisionLog) take() []string {
 }
 
 // candidatesOf returns the jobs a round may plan over, read from job.State
-// as both drivers read them: pending ones, plus running ones when preempt.
+// as the engine reads them: pending ones, plus running ones when preempt.
 func candidatesOf(jobs []*job.Job, preempt bool) []*job.Job {
 	var out []*job.Job
 	for _, j := range jobs {

@@ -62,8 +62,8 @@ func mix(id job.ID, r int) uint64 {
 	return h * 0xBF58476D1CE4E5B9 >> 32
 }
 
-// round admits the arrivals, runs one Reconcile over the candidates read
-// from job.State, then advances what runs and completes some of it.
+// round admits the arrivals, runs one Reconcile offered every unfinished
+// job, then advances what runs and completes some of it.
 func (s *orderSide) round(arrivals []*job.Job, r int) {
 	now := time.Duration(r) * 6 * time.Minute
 	for _, j := range arrivals {
@@ -71,7 +71,7 @@ func (s *orderSide) round(arrivals []*job.Job, r int) {
 	}
 	s.live = append(s.live, arrivals...)
 	s.live = slices.DeleteFunc(s.live, func(j *job.Job) bool { return j.State == job.Done })
-	candidates := candidatesOf(s.live, s.policy.Preemptive())
+	candidates := slices.Clone(s.live) // the engine keeps the ones job.State makes candidates
 	if s.shuffle != nil {
 		s.shuffle.Shuffle(len(candidates), func(a, b int) { candidates[a], candidates[b] = candidates[b], candidates[a] })
 	}
@@ -115,7 +115,7 @@ func (s *orderSide) round(arrivals []*job.Job, r int) {
 // reaches no decision and no cause annotation, because every policy
 // ranks by a total order and the wait-cause walk follows admission order.
 // The simulator offers its candidates in arrival order and the daemon in
-// job-ID order, so this is what lets both read them from job.State. Two
+// job-ID order, so this is what lets the engine pick them from job.State. Two
 // engines play the same seeded rounds on clones of one job set, one of
 // them offered its candidates shuffled; their decision streams and cause
 // events must be identical under both reconciliation styles.

@@ -68,7 +68,7 @@ func TestPlacedUnitsOwnTheirJobs(t *testing.T) {
 					current[i] = engine.Current{Spec: u.spec, Handle: u.key}
 				}
 				out := e.Reconcile(engine.Input{
-					Now: now, Candidates: candidatesOf(arrived, p.Preemptive()),
+					Now: now, Candidates: arrived,
 					Capacity: capacity, Current: current, Placer: placer,
 				})
 				if p.Preemptive() {

@@ -31,7 +31,7 @@ var paperGoldens = map[string]string{
 	"figure13":   "1b22bec2432829d254c84cc93d83bedfe88f0d34a204db3ccf9068d6a5240964",
 	"figure14":   "fa36f7a5916ad71a8a5f293d664b798dbab64333f08df29452356ed411185ba8",
 	"faults":     "4d36678d3a328b836f9b2c2ac146960c5336dd3fab6e6a5de59ebc3266403fa7",
-	"prediction": "f13826fd81a479c5f3071cf5a264900f7ed93a34475b8203bfe61958d571d8cc",
+	"prediction": "a61814c95a71fe28d4173a72ab92936291743530bf89e12aa1745a253bbd8c30",
 }
 
 func TestPaperGoldens(t *testing.T) {

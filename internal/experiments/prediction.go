@@ -49,11 +49,7 @@ func (o Options) Prediction() Table {
 			online = profile.NewOnline()
 			cfg.Estimator = online
 		}
-		name := ru.family
-		if online != nil {
-			name += "-pred"
-		}
-		p, err := sched.ByName(name, online)
+		p, err := sched.ByName(ru.family, online)
 		if err != nil {
 			panic(err)
 		}

@@ -8,8 +8,9 @@ import (
 
 // policies is the one name → constructor table: murisched's -policy,
 // murisim's single run and the prediction experiment all resolve names
-// here. The -pred variants read their duration beliefs from est, the
-// online predictor, instead of the submitted oracle profiles.
+// here. Duration beliefs reach every policy through the engine, which
+// rewrites each candidate's profile from its estimator; only
+// gittins-pred reads est, the online predictor's service history.
 var policies = []struct {
 	name string
 	new  func(est *profile.Online) Policy
@@ -23,9 +24,6 @@ var policies = []struct {
 	{"muri-s", func(*profile.Online) Policy { return NewMuriS() }},
 	{"muri-l", func(*profile.Online) Policy { return NewMuriL() }},
 	{"muri-l-scale", func(*profile.Online) Policy { return NewMuriLScale(4) }},
-	{"srtf-pred", func(est *profile.Online) Policy { return SRTFPredicted(est) }},
-	{"srsf-pred", func(est *profile.Online) Policy { return SRSFPredicted(est) }},
-	{"muri-l-pred", func(est *profile.Online) Policy { return NewMuriLPredicted(est) }},
 	{"gittins-pred", func(est *profile.Online) Policy { return NewGittinsFromEstimator(est) }},
 }
 
@@ -38,7 +36,7 @@ func Names() []string {
 	return out
 }
 
-// ByName constructs the named policy; the -pred variants read est.
+// ByName constructs the named policy; gittins-pred reads est.
 // muri-l-scale shards its buckets four ways (set Grouping.Shards on the
 // returned *Muri to change it).
 func ByName(name string, est *profile.Online) (Policy, error) {

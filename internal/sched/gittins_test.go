@@ -1,10 +1,13 @@
 package sched
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"muri/internal/job"
+	"muri/internal/profile"
+	"muri/internal/workload"
 )
 
 func TestGittinsColdStartIsStable(t *testing.T) {
@@ -80,5 +83,66 @@ func TestGittins2DUsesGPUWeightedService(t *testing.T) {
 	units := g.Plan(0, []*job.Job{wide, narrow}, 64)
 	if units[0].Jobs[0].ID != 1 {
 		t.Errorf("order = %v, want the 1-GPU job first (less 2D service)", ids(units))
+	}
+}
+
+// Gittins with a Source must rank against the predictor's completed
+// service history and ignore its private log.
+func TestGittinsConsumesPredictorHistory(t *testing.T) {
+	est := profile.NewOnline()
+	m, err := workload.ByName("gpt2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		est.ObserveCompletion(m.Name, m.Stages, 10*time.Minute)
+	}
+	for i := 0; i < 5; i++ {
+		est.ObserveCompletion(m.Name, m.Stages, 48*time.Hour)
+	}
+	g := NewGittinsFromEstimator(est)
+	if g.Name() != "gittins-pred" {
+		t.Fatalf("name = %q, want gittins-pred", g.Name())
+	}
+	g.Observe(time.Second) // must be a no-op with a Source attached
+	fresh := mk(0, "gpt2", 1, 1000, time.Second)
+	survivor := mk(1, "gpt2", 1, 1000, 0)
+	survivor.Attained = 2 * time.Hour // outlived the short mass → long
+	units := g.Plan(0, []*job.Job{survivor, fresh}, 64)
+	if units[0].Jobs[0].ID != 0 {
+		t.Errorf("order = %v, want the fresh (probably short) job first", ids(units))
+	}
+}
+
+// Concurrent Observe and Plan must be race-free (run under -race): the
+// sharded scheduling path and the daemon's schedule loop can hit the
+// policy from different goroutines.
+func TestGittinsConcurrentObservePlan(t *testing.T) {
+	g := NewGittins()
+	jobs := []*job.Job{
+		mk(0, "gpt2", 1, 100, 0),
+		mk(1, "resnet18", 2, 200, time.Second),
+		mk(2, "vgg19", 4, 300, 2*time.Second),
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				g.Observe(time.Duration(w*1000+i) * time.Second)
+			}
+		}(w)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				g.Plan(0, jobs, 64)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := len(g.snapshotHistory()); got != 800 {
+		t.Fatalf("history lost observations under concurrency: %d, want 800", got)
 	}
 }

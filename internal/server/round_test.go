@@ -82,7 +82,9 @@ func (r *roundRig) stop() {
 }
 
 // referenceRoundLocked is the round assembly the indexes replaced, kept
-// as the oracle: collect every job and group ID, sort, filter.
+// as the oracle: collect every job and group ID, sort, filter. The
+// offered jobs are the unfinished ones outside their fault backoff; the
+// engine applies the State rule itself.
 func referenceRoundLocked(s *Server, wallNow time.Time) ([]*job.Job, []engine.Current) {
 	ids := make([]int64, 0, len(s.jobs))
 	for id := range s.jobs {
@@ -92,13 +94,10 @@ func referenceRoundLocked(s *Server, wallNow time.Time) ([]*job.Job, []engine.Cu
 	var candidates []*job.Job
 	for _, id := range ids {
 		js := s.jobs[id]
-		st := js.job.State
-		if st == job.Pending && wallNow.Before(js.notBefore) {
+		if st := js.job.State; st == job.Done || st == job.Deadletter || wallNow.Before(js.notBefore) {
 			continue
 		}
-		if st == job.Pending || (s.cfg.Policy.Preemptive() && st == job.Running) {
-			candidates = append(candidates, js.job)
-		}
+		candidates = append(candidates, js.job)
 	}
 	gids := make([]int64, 0, len(s.groups))
 	for gid := range s.groups {

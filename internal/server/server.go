@@ -71,10 +71,11 @@ type Config struct {
 	// the front of the admission order. Zero uses the engine default.
 	StarvationPatience int
 	// Predictor is the online duration estimator fed by every job
-	// completion; nil constructs a fresh one. Pass the same instance to a
-	// prediction-aware policy (sched.SRTFPredicted and friends) so the
-	// policy reads the beliefs the daemon learns. Its state rides WAL
-	// snapshots and Done-record replay, surviving restarts.
+	// completion; nil constructs a fresh one. It is the engine's
+	// estimator, so every policy plans on the beliefs the daemon learns;
+	// pass the same instance to sched.NewGittinsFromEstimator to rank on
+	// its service history. Its state rides WAL snapshots and Done-record
+	// replay, surviving restarts.
 	Predictor *profile.Online
 	// Observer, when non-nil, receives every engine decision as it is
 	// issued (the parity harness taps the decision stream here).
@@ -1324,18 +1325,15 @@ func (s *Server) scheduleLocked() (changed bool) {
 	return changed || s.eng.Stats().Decisions != decisions
 }
 
-// roundCandidatesLocked fills s.candidates with the jobs the policy may
-// plan over: pending plus (for preemptive policies) running jobs, in
-// s.live's ascending-ID order. The order reaches no decision: every
-// policy ranks candidates by a total order of its own. Jobs still in their post-fault backoff window sit out
-// this round. Callers hold s.mu.
+// roundCandidatesLocked fills s.candidates with the jobs a round offers
+// the engine: every live job, in s.live's ascending-ID order, less those
+// still in their post-fault backoff window. The engine keeps the ones
+// job.State makes candidates. The order reaches no decision: every policy
+// ranks candidates by a total order of its own. Callers hold s.mu.
 func (s *Server) roundCandidatesLocked(wallNow time.Time) []*job.Job {
-	preemptive := s.cfg.Policy.Preemptive()
 	s.candidates = s.candidates[:0]
 	for _, js := range s.live {
-		st := js.job.State
-		if (st == job.Pending && !wallNow.Before(js.notBefore)) ||
-			(st == job.Running && preemptive) {
+		if !wallNow.Before(js.notBefore) {
 			s.candidates = append(s.candidates, js.job)
 		}
 	}

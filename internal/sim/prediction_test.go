@@ -1,11 +1,8 @@
 package sim
 
 import (
-	"fmt"
-	"slices"
 	"testing"
 
-	"muri/internal/engine"
 	"muri/internal/profile"
 	"muri/internal/sched"
 )
@@ -46,42 +43,6 @@ func TestOracleEstimatorMatchesGoldens(t *testing.T) {
 	}
 }
 
-// The predicted policy variants under the oracle estimator must also
-// reproduce their originals' fingerprints exactly (modulo the policy
-// name, which the fingerprint includes — so compare fingerprints with
-// the name stripped).
-func TestPredictedPoliciesOracleParity(t *testing.T) {
-	dt := determinismTrace()
-	oracle := profile.NewOracle()
-	strip := func(r Result) string {
-		fp := faultFingerprint(r)
-		return fp[len("policy="+r.Policy):]
-	}
-	cases := []struct {
-		name string
-		base func() sched.Policy
-		pred func() sched.Policy
-	}{
-		{"srtf", func() sched.Policy { return sched.SRTF() },
-			func() sched.Policy { return sched.SRTFPredicted(oracle) }},
-		{"srsf", func() sched.Policy { return sched.SRSF() },
-			func() sched.Policy { return sched.SRSFPredicted(oracle) }},
-		{"muri-l", func() sched.Policy { return sched.NewMuriL() },
-			func() sched.Policy { return sched.NewMuriLPredicted(oracle) }},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Estimator = oracle
-			base := strip(Run(DefaultConfig(), dt, c.base()))
-			pred := strip(Run(cfg, dt, c.pred()))
-			if base != pred {
-				t.Errorf("predicted variant under the oracle diverged from %s", c.name)
-			}
-		})
-	}
-}
-
 // Under drift with the online estimator, a run must actually learn:
 // completions accumulate into the estimator and its error score is
 // populated. This is the smoke test for the full sim threading
@@ -92,7 +53,7 @@ func TestOnlineEstimatorLearnsUnderDrift(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Estimator = est
 	cfg.Drift = &profile.Drift{Amplitude: 0.5, Seed: 21}
-	res := Run(cfg, tr, sched.SRTFPredicted(est))
+	res := Run(cfg, tr, sched.SRTF())
 	if res.Summary.Jobs == 0 {
 		t.Fatal("no jobs completed")
 	}
@@ -133,49 +94,5 @@ func TestDriftDeterministicInSim(t *testing.T) {
 	base := Run(DefaultConfig(), tr, sched.SRTF())
 	if a.Summary.AvgJCT == base.Summary.AvgJCT && a.Summary.Makespan == base.Summary.Makespan {
 		t.Error("drift at amplitude 0.3 left the run unchanged")
-	}
-}
-
-// In the simulator the -pred variants duplicate their base policies:
-// with an estimator set, refreshBelief rewrites every candidate's Profile
-// from the estimator's belief before each round, so srtf, srsf and muri-l
-// already rank and group on what srtf-pred, srsf-pred and muri-l-pred
-// read from the estimator themselves. Under one online estimator each
-// pair must issue the same decision stream and the same results, at every
-// drift amplitude (DESIGN.md §13). The daemon has no belief refresh, so
-// there the pairs differ.
-func TestPredictedPoliciesDuplicateBeliefRefresh(t *testing.T) {
-	tr := determinismTrace()
-	run := func(name string, amplitude float64) (decisions []string, fp string) {
-		est := profile.NewOnline()
-		p, err := sched.ByName(name, est)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig()
-		cfg.Estimator = est
-		if amplitude > 0 {
-			cfg.Drift = &profile.Drift{Amplitude: amplitude, Seed: 11}
-		}
-		cfg.Observer = func(d engine.Decision) { decisions = append(decisions, d.String()) }
-		r := Run(cfg, tr, p)
-		return decisions, faultFingerprint(r)[len("policy="+r.Policy):]
-	}
-	for _, base := range []string{"srtf", "srsf", "muri-l"} {
-		for _, amplitude := range []float64{0, 0.5, 1.0} {
-			t.Run(fmt.Sprintf("%s/drift=%g", base, amplitude), func(t *testing.T) {
-				wantD, wantFP := run(base, amplitude)
-				gotD, gotFP := run(base+"-pred", amplitude)
-				if len(wantD) == 0 {
-					t.Fatal("the run issued no decisions")
-				}
-				if !slices.Equal(gotD, wantD) {
-					t.Errorf("%s-pred issued %d decisions, %s %d: the streams differ", base, len(gotD), base, len(wantD))
-				}
-				if gotFP != wantFP {
-					t.Errorf("%s-pred results differ from %s's", base, base)
-				}
-			})
-		}
 	}
 }

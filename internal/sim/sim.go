@@ -49,13 +49,13 @@ type Config struct {
 	Interleave interleave.Config
 	// Profiler supplies (possibly noisy) profiles; nil means exact.
 	Profiler *profile.Profiler
-	// Estimator, when non-nil, replaces the oracle-profile assumption:
-	// scheduler-visible profiles are refreshed from the estimator's
-	// current beliefs before every round, and completions feed back into
-	// it through the engine (which re-profiles past its deviation
-	// threshold). The oracle estimator reproduces an estimator-free run
-	// bit-identically (pinned by the golden tests); the online estimator
-	// schedules on learned durations.
+	// Estimator, when non-nil, replaces the oracle-profile assumption.
+	// It is the engine's Config.Estimator: every round's candidates plan
+	// on its current beliefs, and completions feed back into it (with a
+	// re-profile past the engine's deviation threshold). The oracle
+	// estimator reproduces an estimator-free run bit-identically (pinned
+	// by the golden tests); the online estimator schedules on learned
+	// durations.
 	Estimator profile.Estimator
 	// Drift, when non-nil, deterministically perturbs each job's true
 	// stage durations away from the model zoo at construction — the
@@ -251,9 +251,8 @@ type sim struct {
 	// Per-round scratch of schedule, reused across rounds. The engine
 	// and the policies read these during Reconcile and retain none of
 	// them (Outcome.Kept may alias current, and is not kept here).
-	candidates []*job.Job
-	current    []engine.Current
-	carried    map[job.ID]attempt
+	current []engine.Current
+	carried map[job.ID]attempt
 	// free holds units nothing can read any more; spareRunning
 	// double-buffers the running set.
 	free         []*unit
@@ -391,7 +390,6 @@ func (s *sim) buildJobs(tr trace.Trace) {
 			// zoo-derived belief until an estimator corrects it.
 			j.TrueProfile = s.cfg.Drift.Apply(int64(j.ID), j.TrueProfile)
 		}
-		s.refreshBelief(j)
 		s.all = append(s.all, j)
 	}
 	slices.SortStableFunc(s.all, func(a, b *job.Job) int { return cmp.Compare(a.Submit, b.Submit) })
@@ -618,20 +616,6 @@ func (s *sim) earliestCompletion() (time.Duration, bool) {
 	return first, found
 }
 
-// refreshBelief updates one job's scheduler-visible profile from the
-// estimator's current belief. Cold-started jobs (no belief for the
-// model yet) keep their existing profile; with the oracle estimator the
-// write is the identity (Profile already equals TrueProfile absent a
-// profiler), so estimator-free runs stay bit-identical.
-func (s *sim) refreshBelief(j *job.Job) {
-	if s.cfg.Estimator == nil {
-		return
-	}
-	if e, ok := s.cfg.Estimator.EstimateFor(j); ok && e.Stages.Total() > 0 {
-		j.Profile = e.Stages
-	}
-}
-
 // admitArrivals moves jobs whose submit time has passed into the queue,
 // writing them as one admission batch. The simulator has no ingest queue,
 // so WaitV is zero: each job's timeline origin is its trace submit time,
@@ -697,30 +681,17 @@ func (p simPlacer) Place(_ string, u sched.Unit) (any, bool) {
 // become live simulation state (iteration times, straggler slowdowns,
 // carry restoration, restart overhead, transient-fault draws).
 func (s *sim) schedule() {
-	// Candidates come from job.State, as the daemon's do: pending jobs,
-	// plus running ones for preemptive policies, which reconsider
-	// everything unfinished. The walk drops finished jobs from the live list.
-	preempt := s.policy.Preemptive()
-	candidates, live := s.candidates[:0], s.live[:0]
+	// Every arrived, unfinished job is offered, as the daemon offers its
+	// live jobs: the engine keeps the ones job.State makes candidates. The
+	// walk drops finished jobs from the live list.
+	live := s.live[:0]
 	for _, j := range s.live {
-		if j.State == job.Done {
-			continue
+		if j.State != job.Done {
+			live = append(live, j)
 		}
-		if j.State == job.Pending || (j.State == job.Running && preempt) {
-			candidates = append(candidates, j)
-		}
-		live = append(live, j)
 	}
 	clear(s.live[len(live):])
-	s.candidates, s.live = candidates, live
-	// Prediction mode: re-read every candidate's believed profile before
-	// the policy sees it, so completions observed since the last round
-	// reshape this round's priorities and groupings.
-	if s.cfg.Estimator != nil {
-		for _, j := range candidates {
-			s.refreshBelief(j)
-		}
-	}
+	s.live = live
 	// Plan against in-service capacity. Without a fault plan no machine is
 	// ever down, so AvailableGPUs equals TotalGPUs and behavior is
 	// unchanged; under a plan, a fully-crashed cluster has nothing to
@@ -744,14 +715,14 @@ func (s *sim) schedule() {
 	s.current = current
 	out := s.eng.Reconcile(engine.Input{
 		Now:        s.now,
-		Candidates: candidates,
+		Candidates: live,
 		Capacity:   capacity,
 		Current:    current,
 		Placer:     simPlacer{s},
 	})
 	old := s.running
 	placed := s.spareRunning[:0]
-	if preempt {
+	if s.policy.Preemptive() {
 		// ReplaceAll re-placed everything: the engine's placements are the
 		// entire new running set, and the previous one — read through
 		// Input.Current until Reconcile returned — goes back to the free list.
