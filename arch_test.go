@@ -51,12 +51,12 @@ var archRules = []archRule{
 	},
 	{
 		name:    "engine-state-outside-apply",
-		pattern: `eng\.(Track|SetState|MarkDone|ApplyDecision|ReplayFault)\(`,
+		pattern: `eng\.(Track|Complete|ApplyDecision|ReplayFault)\(`,
 		scope:   []string{"internal/server"},
 		except:  []string{"internal/server/apply.go"},
 		reason: "the daemon changes the engine's recoverable state only from internal/server/apply.go, " +
 			"where each WAL record kind has the one function live handlers and replay share",
-		example: `s.eng.MarkDone(id)`,
+		example: `s.eng.Complete(id, service)`,
 	},
 	{
 		name:    "engine-mutation-outside-apply",
@@ -64,7 +64,7 @@ var archRules = []archRule{
 		scope:   []string{"internal/engine"},
 		except:  []string{"internal/engine/snapshot.go"},
 		reason: "the engine changes its placement memory and decision counters only in internal/engine/snapshot.go: " +
-			"apply (one decision, live at emit and replayed alike), Restore, MarkDone and the shrink re-key",
+			"apply (one decision, live at emit and replayed alike), Restore, Complete and the shrink re-key",
 		example: `e.prevKeys[j.ID] = key`,
 	},
 	{
@@ -73,7 +73,7 @@ var archRules = []archRule{
 		scope:   []string{"internal"},
 		except:  []string{"internal/engine/snapshot.go"},
 		reason: "a job's lifecycle (job.State, job.Faults) is written only by the engine, in " +
-			"internal/engine/snapshot.go: apply, Track, SetState, MarkDone, RecordFault and ReplayFault; " +
+			"internal/engine/snapshot.go: apply, Track, Complete, RecordFault and ReplayFault; " +
 			"job.New leaves it pending",
 		example: `js.job.State = job.Done`,
 	},
@@ -111,6 +111,17 @@ var archRules = []archRule{
 		reason: "beliefs reach a policy only through the engine, which rewrites each candidate's Profile " +
 			"from Config.Estimator for both drivers: no policy variant or driver reads the estimator beside it",
 		example: `p := sched.SRTFPredicted(est)`,
+	},
+	{
+		name: "deleted-engine-contract",
+		pattern: `NoteCompletion|engine\.Outcome|engine\.Placer|simPlacer|serverPlacer|LastNow|` +
+			`interface\{ *Observe\(time\.Duration\) *\}`,
+		scope:        []string{"internal", "cmd", "examples"},
+		skipComments: true,
+		reason: "the engine asks its drivers only for what they use: a completion is one Engine.Complete, " +
+			"which feeds the policy's CompletionObserver and the estimator; placement is Input.Free and " +
+			"Input.Place; Reconcile returns the placements; and no round clock rides snapshots",
+		example: `if obs, ok := s.policy.(interface{ Observe(time.Duration) }); ok {`,
 	},
 	{
 		name:    "belief-read-outside-engine",

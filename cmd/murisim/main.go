@@ -212,13 +212,15 @@ func writeSeries(dir string, results []experiments.PolicyResult) {
 	}
 }
 
-// runSingle simulates the trace1 workload once with instrumentation
-// attached and writes the requested artifacts.
-func runSingle(machines, gpus, maxJobs int, policyName, traceOut, timelineOut string, shards int, explainRun bool, explainJob int64) error {
+// singleConfig builds a single run's simulator config and policy. Every
+// policy plans on the online predictor's beliefs, which learn from the
+// run's completions, as murisched's do; gittins-pred ranks on the same
+// predictor's history.
+func singleConfig(machines, gpus int, policyName string, shards int) (sim.Config, sched.Policy, error) {
 	est := profile.NewOnline()
 	p, err := sched.ByName(policyName, est)
 	if err != nil {
-		return err
+		return sim.Config{}, nil, err
 	}
 	if m, ok := p.(*sched.Muri); ok && shards > 0 {
 		m.Grouping.Shards = shards
@@ -226,10 +228,16 @@ func runSingle(machines, gpus, maxJobs int, policyName, traceOut, timelineOut st
 	cfg := sim.DefaultConfig()
 	cfg.Machines = machines
 	cfg.GPUsPerMachine = gpus
-	if strings.HasSuffix(policyName, "-pred") {
-		// The online predictor learns from the run's completions, as in
-		// the prediction experiment's online rows.
-		cfg.Estimator = est
+	cfg.Estimator = est
+	return cfg, p, nil
+}
+
+// runSingle simulates the trace1 workload once with instrumentation
+// attached and writes the requested artifacts.
+func runSingle(machines, gpus, maxJobs int, policyName, traceOut, timelineOut string, shards int, explainRun bool, explainJob int64) error {
+	cfg, p, err := singleConfig(machines, gpus, policyName, shards)
+	if err != nil {
+		return err
 	}
 	var tracer *telemetry.Tracer
 	if traceOut != "" {

@@ -27,7 +27,7 @@ func beliefRound(est profile.Estimator, tracked, offered []*job.Job) []string {
 	var log decisionLog
 	e := engine.New(engine.Config{Policy: sched.SRTF(), Estimator: est, Observer: log.observe})
 	track(e, tracked...)
-	e.Reconcile(engine.Input{Candidates: offered, Capacity: 1, Placer: newFakePlacer(1)})
+	e.Reconcile(engine.Input{Candidates: offered, Capacity: 1, Free: 1, Place: newFakePlacer(1).place})
 	return log.take()
 }
 
@@ -90,10 +90,10 @@ func TestReconcileBeliefsSkipHeldAndDone(t *testing.T) {
 	}
 	var log decisionLog
 	e := engine.New(engine.Config{Policy: sched.SRTF(), Estimator: profile.NewOracle(), Observer: log.observe})
-	track(e, live, held, done)
-	e.SetState(done.ID, job.Running)
-	e.MarkDone(done.ID)
-	e.Reconcile(engine.Input{Candidates: []*job.Job{live, done}, Capacity: 1, Placer: newFakePlacer(1)})
+	track(e, live, held)
+	e.Track(done, job.Running)
+	e.Complete(done.ID, time.Hour)
+	e.Reconcile(engine.Input{Candidates: []*job.Job{live, done}, Capacity: 1, Free: 1, Place: newFakePlacer(1).place})
 	if got := log.take(); !equalStrings(got, []string{"launch exclusive:1"}) {
 		t.Errorf("decisions = %v, want only the live job launched", got)
 	}

@@ -73,14 +73,13 @@ type Config struct {
 	Tracer *telemetry.Tracer
 	// Now supplies the driver's clock for trace timestamps (virtual time
 	// for the simulator, virtualized wall time for the daemon). Only
-	// consulted while Tracer is non-nil; when nil, decisions issued
-	// outside a round reuse the last round's timestamp.
+	// consulted while Tracer is non-nil, and required then.
 	Now func() time.Duration
 	// Estimator, when non-nil, replaces the oracle-profile assumption
 	// with beliefs, for both drivers: Reconcile rewrites every
 	// candidate's Profile from its belief before the policy plans (a
 	// model with no belief yet keeps its profile), and every completion a
-	// driver reports through NoteCompletion feeds it. Nil (the default)
+	// driver reports through Complete feeds it. Nil (the default)
 	// keeps both paths inert and every fixed-seed run bit-identical.
 	Estimator profile.Estimator
 	// Provenance, when non-nil, receives structured cause annotations
@@ -125,6 +124,13 @@ type PriorityKeyer interface {
 	PriorityKey(now time.Duration, j *job.Job) float64
 }
 
+// CompletionObserver is implemented by policies that learn from
+// completions (sched.Gittins's private service log): Complete hands it
+// each finished job's 2D service demand, before the estimator sees it.
+type CompletionObserver interface {
+	Observe(service time.Duration)
+}
+
 // DecisionSink is implemented by policies that want the decision stream
 // fed back to them: every emitted decision (launch, kill, requeue,
 // deadletter) describes a change to the candidate set or the running
@@ -157,14 +163,12 @@ type Engine struct {
 	jobs  map[job.ID]*job.Job
 	stats metrics.EngineStats
 	seq   uint64
-	// lastNow is the clock value of the most recent round, used to stamp
-	// trace events issued between rounds when cfg.Now is unset.
-	lastNow time.Duration
 	// sink is the policy's decision feedback hook, resolved once at
 	// construction (nil when the policy is not a DecisionSink).
 	sink DecisionSink
 	// round is Reconcile's working memory, reused across rounds so a
-	// steady-state round allocates only what its Outcome hands out.
+	// steady-state round allocates only the members its placements hand
+	// out.
 	round roundScratch
 	// lastWaitCause gates provenance emission to cause transitions: one
 	// record when a waiting job's classification changes, not one per
@@ -174,6 +178,9 @@ type Engine struct {
 	// keyer is cfg.Policy as a PriorityKeyer, resolved once (nil when the
 	// policy does not expose comparator keys).
 	keyer PriorityKeyer
+	// completions is cfg.Policy as a CompletionObserver, resolved once
+	// (nil when the policy does not learn from completions).
+	completions CompletionObserver
 }
 
 // reprofileThreshold is the relative deviation between a completion's
@@ -182,16 +189,21 @@ type Engine struct {
 // engine-level re-profiling trigger).
 const reprofileThreshold = 0.25
 
-// New creates an engine. It panics without a policy.
+// New creates an engine. It panics without a policy, or given a Tracer
+// without a Now.
 func New(cfg Config) *Engine {
 	if cfg.Policy == nil {
 		panic("engine: config needs a policy")
+	}
+	if cfg.Tracer != nil && cfg.Now == nil {
+		panic("engine: a tracer needs a clock")
 	}
 	if cfg.StarvationPatience <= 0 {
 		cfg.StarvationPatience = 5
 	}
 	sink, _ := cfg.Policy.(DecisionSink)
 	keyer, _ := cfg.Policy.(PriorityKeyer)
+	completions, _ := cfg.Policy.(CompletionObserver)
 	return &Engine{
 		cfg:           cfg,
 		prevKeys:      make(map[job.ID]string),
@@ -199,6 +211,7 @@ func New(cfg Config) *Engine {
 		jobs:          make(map[job.ID]*job.Job),
 		sink:          sink,
 		keyer:         keyer,
+		completions:   completions,
 		lastWaitCause: make(map[job.ID]string),
 		round: roundScratch{
 			currentKeys: make(map[string]bool),
@@ -221,9 +234,9 @@ type admittedUnit struct {
 var stamps atomic.Uint64
 
 // roundScratch is one Reconcile round's working memory, reused by the
-// next. Of the Outcome, Placements (and their Members) and Killed live
-// here and are valid until the next Reconcile; a placed unit's Jobs,
-// allocated per round, are the driver's to keep.
+// next. The returned placements (and their Members) live here and are
+// valid until the next Reconcile; a placed unit's Jobs, allocated per
+// round, are the driver's to keep.
 //
 // The round's per-job sets live on the jobs themselves (job.Sched), each
 // set while its field equals stamp: Placed — the job holds resources
@@ -242,9 +255,13 @@ type roundScratch struct {
 	boostedAt []int
 	// candidates are the offered jobs the candidate rule kept.
 	candidates []*job.Job
-	// The Outcome's engine-owned slices.
+	// placements and their members are what Reconcile returns; kept and
+	// killed are the current units the round left running and preempted
+	// (Differential's kept only: a non-preemptive round keeps
+	// Input.Current whole, and ReplaceAll keeps nothing).
 	placements []Placement
 	members    []Member
+	kept       []Current
 	killed     []Current
 }
 
@@ -258,9 +275,10 @@ func (r *roundScratch) reset() {
 	clear(r.skipped)
 	clear(r.placements)
 	clear(r.members)
+	clear(r.kept)
 	clear(r.killed)
 	r.candidates, r.admitted, r.skipped, r.boostedAt = r.candidates[:0], r.admitted[:0], r.skipped[:0], r.boostedAt[:0]
-	r.placements, r.members, r.killed = r.placements[:0], r.members[:0], r.killed[:0]
+	r.placements, r.members, r.kept, r.killed = r.placements[:0], r.members[:0], r.kept[:0], r.killed[:0]
 }
 
 // emitCause publishes one provenance annotation (no-op without a hook).
@@ -279,32 +297,32 @@ type reseeder interface {
 	Reseed(model string, measured workload.StageTimes, service time.Duration)
 }
 
-// NoteCompletion feeds one job completion to the configured estimator:
-// the measured per-iteration stage durations and the job's total 2D
-// service demand. When the measurement deviates from the current belief
-// beyond reprofileThreshold, the belief is discarded and re-seeded from
-// the measurement (the re-profiling trigger); otherwise the measurement
-// folds into the running estimate. Both drivers call this — the
-// simulator at virtual completions, the daemon at real ones and during
-// WAL replay — so learned state reconstructs identically on recovery.
-// A nil estimator makes the call a no-op.
-func (e *Engine) NoteCompletion(j *job.Job, measured workload.StageTimes, service time.Duration) (reprofiled bool) {
+// feedEstimator folds one completed job into the configured estimator:
+// its measured per-iteration stage durations (the true profile) and its
+// total 2D service demand. When the measurement deviates from the current
+// belief beyond reprofileThreshold, the belief is discarded and re-seeded
+// from the measurement (the re-profiling trigger); otherwise the
+// measurement folds into the running estimate. Complete calls it for both
+// drivers — the simulator at virtual completions, the daemon at real ones
+// and during WAL replay — so learned state reconstructs identically on
+// recovery. A nil estimator makes the call a no-op.
+func (e *Engine) feedEstimator(j *job.Job, service time.Duration) {
 	est := e.cfg.Estimator
 	if est == nil {
-		return false
+		return
 	}
+	measured := j.TrueProfile
 	if b, ok := est.EstimateFor(j); ok && b.Samples > 0 {
 		bt, mt := b.Stages.Total().Seconds(), measured.Total().Seconds()
 		if mt > 0 && bt > 0 && math.Abs(bt-mt)/mt > reprofileThreshold {
 			if r, ok := est.(reseeder); ok {
 				r.Reseed(j.Model.Name, measured, service)
 				e.stats.Reprofiles++
-				return true
+				return
 			}
 		}
 	}
 	est.ObserveCompletion(j.Model.Name, measured, service)
-	return false
 }
 
 // emit stamps, applies and publishes one decision: the engine's state
@@ -323,14 +341,6 @@ func (e *Engine) emit(d Decision) Decision {
 	}
 	e.traceDecision(d)
 	return d
-}
-
-// traceNow returns the timestamp trace events should carry.
-func (e *Engine) traceNow() time.Duration {
-	if e.cfg.Now != nil {
-		return e.cfg.Now()
-	}
-	return e.lastNow
 }
 
 // traceDecision records one decision as an instant event on the
@@ -356,12 +366,12 @@ func (e *Engine) traceDecision(d Decision) {
 	if d.Reason != "" {
 		args["reason"] = string(d.Reason)
 	}
-	tr.Instant(pid, tid, d.String(), "decision", e.traceNow(), args)
+	tr.Instant(pid, tid, d.String(), "decision", e.cfg.Now(), args)
 }
 
 // traceRound records one Reconcile round as an instant event carrying
 // the round's headline numbers (planned counts the policy's units).
-func (e *Engine) traceRound(in Input, planned int, out *Outcome) {
+func (e *Engine) traceRound(in Input, planned int, kept []Current) {
 	tr := e.cfg.Tracer
 	if tr == nil {
 		return
@@ -372,9 +382,9 @@ func (e *Engine) traceRound(in Input, planned int, out *Outcome) {
 		"candidates": len(in.Candidates),
 		"capacity":   in.Capacity,
 		"planned":    planned,
-		"placed":     len(out.Placements),
-		"kept":       len(out.Kept),
-		"killed":     len(out.Killed),
+		"placed":     len(e.round.placements),
+		"kept":       len(kept),
+		"killed":     len(e.round.killed),
 		"queue":      e.stats.QueueDepth,
 	})
 	e.traceShards(pid, in.Now)
@@ -445,12 +455,35 @@ type Input struct {
 	// Current lists the units running as the round begins, in the
 	// driver's stable order.
 	Current []Current
-	// Placer places admitted units. Required.
-	Placer Placer
+	// Free is the unallocated GPU capacity as the round begins. A
+	// preemptive ReplaceAll round re-places everything, so its driver
+	// releases every allocation first and reports the freed capacity.
+	Free int
+	// Place tries to place u, whose Jobs is the unit's own copy: the
+	// driver may keep u. The returned handle is opaque to the engine and
+	// comes back on the unit's Placement (the simulator's *unit holding
+	// the allocation, the daemon's group ID). ok=false means the unit does
+	// not fit right now (fragmentation, send failure) and is skipped this
+	// round. Required.
+	Place func(key string, u sched.Unit) (handle any, ok bool)
 	// Kill executes a preemption under the Differential style, freeing
 	// the unit's capacity before new placements. Ignored by ReplaceAll
-	// (Placer.Reset already released everything).
+	// (the driver released everything before the round).
 	Kill func(Current)
+}
+
+// Current describes one unit that is running as a round begins. The
+// engine keys it by UnitKey(Spec); Handle is the driver's own identifier
+// for the unit and is passed back verbatim on kills.
+type Current struct {
+	// Spec is the unit's composition as the driver currently sees it.
+	Spec sched.Unit
+	// Handle identifies the unit to the driver (simulator *unit, daemon
+	// group ID).
+	Handle any
+	// key is UnitKey(Spec), stamped by Reconcile as the round begins so
+	// the round's kept and killed copies carry it.
+	key string
 }
 
 // Member is one job of a placement, with its restart classification
@@ -467,37 +500,20 @@ type Member struct {
 	Continues bool
 }
 
-// Placement is one unit the placer accepted this round.
+// Placement is one unit Input.Place accepted this round.
 type Placement struct {
 	// Key is the unit's canonical key.
 	Key string
 	// Spec is the placed unit. Its Jobs is the unit's own copy, not a
 	// window into the policy's buffers, and the driver may keep it.
 	Spec sched.Unit
-	// Handle is the placer's opaque placement handle.
+	// Handle is Input.Place's opaque placement handle.
 	Handle any
 	// Members classifies each member, in Spec.Jobs order.
 	Members []Member
 	// Restart reports whether any member restarted (the driver charges
 	// restart overhead once per unit).
 	Restart bool
-}
-
-// Outcome is the result of one scheduling round; its decisions went to
-// Config.Observer as they were issued. Each Placement's Spec.Jobs is the
-// driver's to keep. The rest is lent (DESIGN.md §8): Placements, their
-// Members and Killed to the engine until the next Reconcile; Kept aliases
-// Input.Current on non-preemptive rounds.
-type Outcome struct {
-	// Placements are the units placed this round, in placement order
-	// (descending GPUs).
-	Placements []Placement
-	// Kept are the current units that keep running untouched.
-	Kept []Current
-	// Killed are the current units preempted this round (Differential:
-	// executed through Input.Kill; ReplaceAll: their re-placement failed
-	// or was not re-admitted).
-	Killed []Current
 }
 
 // Reconcile runs one scheduling round: pick the candidates and refresh
@@ -508,15 +524,18 @@ type Outcome struct {
 // re-placements are continuations and emit nothing. The admission and
 // placement path is the simulator's historical loop moved here verbatim,
 // so fixed-seed simulations stay bit-identical.
-func (e *Engine) Reconcile(in Input) Outcome {
+//
+// It returns the units placed this round, in placement order (descending
+// GPUs); the decisions went to Config.Observer as they were issued. Each
+// Placement's Spec.Jobs is the driver's to keep; the slice and the
+// Members are lent until the next Reconcile (DESIGN.md §8).
+func (e *Engine) Reconcile(in Input) []Placement {
 	e.stats.Rounds++
-	e.lastNow = in.Now
 	preempt := e.cfg.Policy.Preemptive()
 	r := &e.round
 	r.reset()
 	in.Candidates = e.candidates(in.Candidates, preempt)
 	units := e.cfg.Policy.Plan(in.Now, in.Candidates, in.Capacity)
-	var out Outcome
 	for i := range in.Current {
 		c := &in.Current[i]
 		c.key = unitKey(c.Spec, e.prevKeys)
@@ -524,27 +543,22 @@ func (e *Engine) Reconcile(in Input) Outcome {
 	}
 
 	// Capacity budget and already-claimed jobs. Preemptive rounds
-	// reconsider everything: ReplaceAll physically releases all
+	// reconsider everything: under ReplaceAll the driver released all
 	// allocations, Differential counts running units as reclaimable.
 	// Non-preemptive rounds keep running units and their members off the
 	// table.
 	stamp := r.stamp
-	var free int
+	free := in.Free
 	switch {
-	case preempt && e.cfg.Style == ReplaceAll:
-		in.Placer.Reset()
-		free = in.Placer.Free()
-	case preempt:
-		free = in.Placer.Free()
-		for _, c := range in.Current {
-			free += c.Spec.GPUs
-		}
-	default:
-		free = in.Placer.Free()
+	case !preempt:
 		for _, c := range in.Current {
 			for _, j := range c.Spec.Jobs {
 				j.Sched.Placed, j.Sched.Claimed = stamp, stamp
 			}
+		}
+	case e.cfg.Style == Differential:
+		for _, c := range in.Current {
+			free += c.Spec.GPUs
 		}
 	}
 
@@ -589,13 +603,14 @@ func (e *Engine) Reconcile(in Input) Outcome {
 	// placement), and places only the new keys. ReplaceAll re-places the
 	// whole admitted set; kills fall out of the key diff afterwards.
 	toPlace := r.admitted
+	var kept []Current
 	if preempt && e.cfg.Style == Differential {
 		for _, a := range r.admitted {
 			r.keySet[a.key] = true
 		}
 		for _, c := range in.Current {
 			if r.keySet[c.key] {
-				out.Kept = append(out.Kept, c)
+				r.kept = append(r.kept, c)
 				for _, j := range c.Spec.Jobs {
 					j.Sched.Placed = stamp
 				}
@@ -606,6 +621,7 @@ func (e *Engine) Reconcile(in Input) Outcome {
 				in.Kill(c)
 			}
 		}
+		kept = r.kept
 		// An admitted unit whose key is current was just kept.
 		toPlace = toPlace[:0]
 		for _, a := range r.admitted {
@@ -614,7 +630,7 @@ func (e *Engine) Reconcile(in Input) Outcome {
 			}
 		}
 	} else if !preempt {
-		out.Kept = in.Current
+		kept = in.Current
 	}
 
 	// Placement: descending GPU order so large units claim whole machines
@@ -636,7 +652,7 @@ func (e *Engine) Reconcile(in Input) Outcome {
 		n := len(spec.Jobs)
 		copy(owned[:n], spec.Jobs)
 		spec.Jobs, owned = owned[:n:n], owned[n:]
-		handle, ok := in.Placer.Place(key, spec)
+		handle, ok := in.Place(key, spec)
 		if !ok {
 			continue // fragmentation despite descending order; rare
 		}
@@ -662,12 +678,11 @@ func (e *Engine) Reconcile(in Input) Outcome {
 		}
 		r.placements = append(r.placements, p)
 	}
-	out.Placements = r.placements
 
 	// ReplaceAll kill diff: current units whose key did not survive into
 	// the placed set were preempted.
 	if preempt && e.cfg.Style == ReplaceAll {
-		for _, p := range out.Placements {
+		for _, p := range r.placements {
 			r.keySet[p.Key] = true
 		}
 		for _, c := range in.Current {
@@ -676,19 +691,18 @@ func (e *Engine) Reconcile(in Input) Outcome {
 			}
 		}
 	}
-	out.Killed = r.killed
 
 	// Decision stream: kills first (current order), then launches
 	// (placement order). Same-key re-placements are continuations and
 	// emit nothing.
 	var killCause string
-	if e.cfg.Provenance != nil && len(out.Killed) > 0 {
-		killCause = e.preemptorDetail(&out, r.currentKeys)
+	if e.cfg.Provenance != nil && len(r.killed) > 0 {
+		killCause = e.preemptorDetail(r.currentKeys)
 	}
-	for _, c := range out.Killed {
+	for _, c := range r.killed {
 		e.emit(Decision{Action: ActKill, Key: c.key, Jobs: memberIDs(c.Spec), Cause: killCause})
 	}
-	for _, p := range out.Placements {
+	for _, p := range r.placements {
 		if r.currentKeys[p.Key] {
 			continue
 		}
@@ -707,10 +721,10 @@ func (e *Engine) Reconcile(in Input) Outcome {
 	}
 	e.stats.QueueDepth = depth
 	if e.cfg.Provenance != nil {
-		e.emitWaitCauses(in, units, &out)
+		e.emitWaitCauses(in, units, kept)
 	}
-	e.traceRound(in, len(units), &out)
-	return out
+	e.traceRound(in, len(units), kept)
+	return r.placements
 }
 
 // candidates applies the candidate rule to the offered jobs — pending
@@ -790,9 +804,9 @@ func admissionOrder(units []sched.Unit, boostedAt []int, visit func(sched.Unit) 
 
 // preemptorDetail names the work that displaced this round's kills: the
 // members of the round's new launches, capped for readability.
-func (e *Engine) preemptorDetail(out *Outcome, currentKeys map[string]bool) string {
+func (e *Engine) preemptorDetail(currentKeys map[string]bool) string {
 	var ids []job.ID
-	for _, p := range out.Placements {
+	for _, p := range e.round.placements {
 		if currentKeys[p.Key] {
 			continue
 		}
@@ -843,8 +857,8 @@ func launchDetail(spec sched.Unit) string {
 // the comparator key values and blocker identities when the policy
 // exposes them. Walk order follows the admission order, so emission is
 // deterministic.
-func (e *Engine) emitWaitCauses(in Input, units []sched.Unit, out *Outcome) {
-	blockers := e.blockerDetail(in.Now, out)
+func (e *Engine) emitWaitCauses(in Input, units []sched.Unit, kept []Current) {
+	blockers := e.blockerDetail(in.Now, kept)
 	stamp, seen := e.round.stamp, stamps.Add(1)
 	admissionOrder(units, e.round.boostedAt, func(spec sched.Unit) bool {
 		for _, j := range spec.Jobs {
@@ -880,8 +894,9 @@ func (e *Engine) emitWaitCauses(in Input, units []sched.Unit, out *Outcome) {
 }
 
 // blockerDetail renders the round's highest-priority placed work (the
-// jobs that consumed the capacity), with comparator keys when known.
-func (e *Engine) blockerDetail(now time.Duration, out *Outcome) string {
+// kept units, then the placements: the jobs that consumed the capacity),
+// with comparator keys when known.
+func (e *Engine) blockerDetail(now time.Duration, kept []Current) string {
 	var b strings.Builder
 	n := 0
 	add := func(spec sched.Unit) {
@@ -899,10 +914,10 @@ func (e *Engine) blockerDetail(now time.Duration, out *Outcome) string {
 			n++
 		}
 	}
-	for _, c := range out.Kept {
+	for _, c := range kept {
 		add(c.Spec)
 	}
-	for _, p := range out.Placements {
+	for _, p := range e.round.placements {
 		add(p.Spec)
 	}
 	if n == 0 {

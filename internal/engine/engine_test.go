@@ -7,6 +7,7 @@ import (
 	"muri/internal/engine"
 	"muri/internal/job"
 	"muri/internal/sched"
+	"muri/internal/telemetry"
 	"muri/internal/workload"
 )
 
@@ -22,30 +23,26 @@ func (p scriptedPolicy) Plan(now time.Duration, jobs []*job.Job, capacity int) [
 	return p.plan(now, jobs, capacity)
 }
 
-// fakePlacer is a counting placer over a fixed GPU budget.
+// fakePlacer is a test driver's counting placement over a fixed GPU
+// budget: free is its Input.Free and place its Input.Place.
 type fakePlacer struct {
 	capacity int
 	free     int
-	placed   []string
 }
 
 func newFakePlacer(capacity int) *fakePlacer {
 	return &fakePlacer{capacity: capacity, free: capacity}
 }
 
-func (p *fakePlacer) Free() int { return p.free }
+// reset releases every allocation, as a driver does before a preemptive
+// ReplaceAll round.
+func (p *fakePlacer) reset() { p.free = p.capacity }
 
-func (p *fakePlacer) Reset() {
-	p.free = p.capacity
-	p.placed = nil
-}
-
-func (p *fakePlacer) Place(key string, u sched.Unit) (any, bool) {
+func (p *fakePlacer) place(key string, u sched.Unit) (any, bool) {
 	if u.GPUs > p.free {
 		return nil, false
 	}
 	p.free -= u.GPUs
-	p.placed = append(p.placed, key)
 	return key, true
 }
 
@@ -116,7 +113,8 @@ func TestReconcileAdmitsIntoCapacity(t *testing.T) {
 	e.Reconcile(engine.Input{
 		Candidates: []*job.Job{j1, j2},
 		Capacity:   1,
-		Placer:     newFakePlacer(1),
+		Free:       1,
+		Place:      newFakePlacer(1).place,
 	})
 	want := []string{"launch exclusive:1"}
 	if got := log.take(); !equalStrings(got, want) {
@@ -149,11 +147,13 @@ func TestStarvationBoostPromotesBypassedUnit(t *testing.T) {
 	track(e, jA, jB, jC)
 	placer := newFakePlacer(2)
 	round := func(current []engine.Current) []string {
+		placer.reset() // a preemptive ReplaceAll round re-places everything
 		e.Reconcile(engine.Input{
 			Candidates: []*job.Job{jA, jB, jC},
 			Capacity:   2,
 			Current:    current,
-			Placer:     placer,
+			Free:       placer.free,
+			Place:      placer.place,
 		})
 		return log.take()
 	}
@@ -196,14 +196,15 @@ func TestDifferentialKeepsSameKeyKillsRest(t *testing.T) {
 	placer := newFakePlacer(2)
 	placer.free = 0 // X and Y hold both GPUs as the round begins
 	var killed []string
-	out := e.Reconcile(engine.Input{
+	placements := e.Reconcile(engine.Input{
 		Candidates: []*job.Job{j1, j2, j3},
 		Capacity:   2,
 		Current: []engine.Current{
 			{Spec: uX, Handle: "x"},
 			{Spec: uY, Handle: "y"},
 		},
-		Placer: placer,
+		Free:  placer.free,
+		Place: placer.place,
 		Kill: func(c engine.Current) {
 			killed = append(killed, c.Handle.(string))
 			placer.free += c.Spec.GPUs
@@ -212,8 +213,8 @@ func TestDifferentialKeepsSameKeyKillsRest(t *testing.T) {
 	if len(killed) != 1 || killed[0] != "y" {
 		t.Errorf("killed handles = %v, want [y]", killed)
 	}
-	if len(out.Kept) != 1 || out.Kept[0].Handle != "x" {
-		t.Errorf("kept = %v, want the X unit", out.Kept)
+	if len(placements) != 1 || placements[0].Key != "exclusive:3" || j1.State != job.Running {
+		t.Errorf("placements = %v, job 1 %v: want only Z placed and X kept running", placements, j1.State)
 	}
 	want := []string{"kill exclusive:2", "launch exclusive:3"}
 	if got := log.take(); !equalStrings(got, want) {
@@ -239,15 +240,17 @@ func TestMemberRestartClassification(t *testing.T) {
 	track(e, j1, j2)
 	placer := newFakePlacer(2)
 	var current []engine.Current
-	run := func() engine.Outcome {
-		out := e.Reconcile(engine.Input{
+	run := func() []engine.Placement {
+		placer.reset() // a preemptive ReplaceAll round re-places everything
+		placements := e.Reconcile(engine.Input{
 			Candidates: []*job.Job{j1, j2},
 			Capacity:   2,
 			Current:    current,
-			Placer:     placer,
+			Free:       placer.free,
+			Place:      placer.place,
 		})
 		current = current[:0]
-		for _, p := range out.Placements {
+		for _, p := range placements {
 			current = append(current, engine.Current{Spec: p.Spec, Handle: p.Key})
 			// The driver stamps first-start times; the engine's Fresh flag
 			// keys off StartedAt.
@@ -258,22 +261,22 @@ func TestMemberRestartClassification(t *testing.T) {
 			}
 		}
 		roundIdx++
-		return out
+		return placements
 	}
 
-	out := run()
-	if m := out.Placements[0].Members[0]; !m.Fresh || m.Restart || m.Continues {
+	placements := run()
+	if m := placements[0].Members[0]; !m.Fresh || m.Restart || m.Continues {
 		t.Errorf("round 1: job 1 = %+v, want fresh", m)
 	}
-	out = run()
-	if m := out.Placements[0].Members[0]; !m.Continues || m.Fresh || m.Restart {
+	placements = run()
+	if m := placements[0].Members[0]; !m.Continues || m.Fresh || m.Restart {
 		t.Errorf("round 2: job 1 = %+v, want continues (same key)", m)
 	}
-	if out.Placements[0].Restart {
+	if placements[0].Restart {
 		t.Error("round 2: same-key re-placement charged a unit restart")
 	}
-	out = run()
-	p := out.Placements[0]
+	placements = run()
+	p := placements[0]
 	if m := p.Members[0]; !m.Restart || m.Continues {
 		t.Errorf("round 3: job 1 = %+v, want restart (unit composition changed)", m)
 	}
@@ -373,17 +376,18 @@ func TestPhaseTransitions(t *testing.T) {
 			t.Errorf("CanTransition(%s -> %s) = %v, want %v", c.from, c.to, got, c.ok)
 		}
 	}
-	e := engine.New(engine.Config{
-		Policy: scriptedPolicy{plan: func(time.Duration, []*job.Job, int) []sched.Unit { return nil }},
-	})
-	j := newJob(t, 1, 1)
-	e.Track(j, job.Profiling)
-	if e.SetState(1, job.Done) {
-		t.Error("profiling -> done applied; the state machine should reject it")
-	}
-	if !e.SetState(1, job.Pending) || j.State != job.Pending {
-		t.Error("profiling -> pending rejected")
-	}
+}
+
+// TestNewRejectsTracerWithoutClock: trace events carry the driver's
+// clock, so a tracer without one is a configuration error, not a trace
+// of zero timestamps.
+func TestNewRejectsTracerWithoutClock(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("New accepted a Tracer without a Now")
+		}
+	}()
+	engine.New(engine.Config{Policy: sched.FIFO(), Tracer: telemetry.NewTracer(0)})
 }
 
 func TestRequeueDecisionString(t *testing.T) {
@@ -393,8 +397,7 @@ func TestRequeueDecisionString(t *testing.T) {
 		Observer: func(d engine.Decision) { seen = append(seen, d.String()) },
 	})
 	j := newJob(t, 4, 1)
-	e.Track(j, job.Pending)
-	e.SetState(4, job.Running)
+	e.Track(j, job.Running)
 	d := e.RequeueWithCause(4, engine.ReasonMachineLost, "")
 	if d.String() != "requeue 4 (machine-lost)" {
 		t.Errorf("decision = %q, want %q", d.String(), "requeue 4 (machine-lost)")

@@ -91,11 +91,11 @@ func TestKeyReuse(t *testing.T) {
 	var current []engine.Current
 	var prevKey string
 	for ; r < len(rounds); r++ {
-		out := e.Reconcile(engine.Input{Candidates: jobs, Capacity: 4, Current: current, Placer: newFakePlacer(4)})
-		if len(out.Placements) != 1 {
-			t.Fatalf("round %d placed %d units", r, len(out.Placements))
+		placements := e.Reconcile(engine.Input{Candidates: jobs, Capacity: 4, Current: current, Free: 4, Place: newFakePlacer(4).place})
+		if len(placements) != 1 {
+			t.Fatalf("round %d placed %d units", r, len(placements))
 		}
-		p := out.Placements[0]
+		p := placements[0]
 		if want := engine.UnitKey(p.Spec); p.Key != want {
 			t.Fatalf("round %d: key %q, UnitKey says %q", r, p.Key, want)
 		}
@@ -138,12 +138,12 @@ func TestKeyReuseWarmRoundAllocsNoKey(t *testing.T) {
 	e := engine.New(engine.Config{Style: engine.ReplaceAll, Policy: scriptedPolicy{preempt: true,
 		plan: func(time.Duration, []*job.Job, int) []sched.Unit { return units }}})
 	track(e, jobs...)
-	placer := &budgetPlacer{capacity: gpus, free: gpus}
+	placer := newBudgetPlacer(gpus)
 	var current []engine.Current
 	round := func() {
-		out := e.Reconcile(engine.Input{Candidates: jobs, Capacity: gpus, Current: current, Placer: placer})
+		placements := e.Reconcile(placer.replaceAll(engine.Input{Candidates: jobs, Capacity: gpus, Current: current}))
 		current = current[:0]
-		for _, p := range out.Placements {
+		for _, p := range placements {
 			current = append(current, engine.Current{Spec: p.Spec})
 			p.Spec.Jobs[0].StartedAt = 0
 		}

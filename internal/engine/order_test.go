@@ -19,6 +19,7 @@ import (
 type orderSide struct {
 	e       *engine.Engine
 	policy  sched.Policy
+	style   engine.Style
 	est     *profile.Online
 	placer  *fakePlacer
 	live    []*job.Job
@@ -31,7 +32,7 @@ type orderSide struct {
 
 func newOrderSide(t *testing.T, name string, style engine.Style, capacity int, shuffle *rand.Rand) *orderSide {
 	t.Helper()
-	s := &orderSide{est: profile.NewOnline(), placer: newFakePlacer(capacity), shuffle: shuffle}
+	s := &orderSide{est: profile.NewOnline(), style: style, placer: newFakePlacer(capacity), shuffle: shuffle}
 	switch name {
 	case "drf":
 		s.policy = sched.DRF{}
@@ -75,12 +76,23 @@ func (s *orderSide) round(arrivals []*job.Job, r int) {
 	if s.shuffle != nil {
 		s.shuffle.Shuffle(len(candidates), func(a, b int) { candidates[a], candidates[b] = candidates[b], candidates[a] })
 	}
-	out := s.e.Reconcile(engine.Input{
-		Now: now, Candidates: candidates, Capacity: s.placer.capacity, Current: s.current, Placer: s.placer,
-		Kill: func(c engine.Current) { s.placer.free += c.Spec.GPUs },
+	// A preemptive ReplaceAll round re-places everything: the driver
+	// releases it all first. Otherwise the units not killed keep running.
+	replaceAll := s.policy.Preemptive() && s.style == engine.ReplaceAll
+	if replaceAll {
+		s.placer.reset()
+	}
+	killed := map[any]bool{}
+	placements := s.e.Reconcile(engine.Input{
+		Now: now, Candidates: candidates, Capacity: s.placer.capacity, Current: s.current,
+		Free: s.placer.free, Place: s.placer.place,
+		Kill: func(c engine.Current) { s.placer.free += c.Spec.GPUs; killed[c.Handle] = true },
 	})
-	s.current = slices.Clone(out.Kept)
-	for _, p := range out.Placements {
+	if replaceAll {
+		s.current = s.current[:0]
+	}
+	s.current = slices.DeleteFunc(s.current, func(c engine.Current) bool { return killed[c.Handle] })
+	for _, p := range placements {
 		s.current = append(s.current, engine.Current{Spec: p.Spec, Handle: p.Key})
 		for _, m := range p.Members {
 			if m.Fresh {
@@ -99,12 +111,7 @@ func (s *orderSide) round(arrivals []*job.Job, r int) {
 			return false
 		}
 		for _, j := range c.Spec.Jobs {
-			service := time.Duration(float64(j.Attained) * float64(j.GPUs))
-			s.e.NoteCompletion(j, j.TrueProfile, service)
-			if g, ok := s.policy.(*sched.Gittins); ok {
-				g.Observe(service)
-			}
-			s.e.MarkDone(j.ID)
+			s.e.Complete(j.ID, time.Duration(float64(j.Attained)*float64(j.GPUs)))
 		}
 		s.placer.free += c.Spec.GPUs
 		return true

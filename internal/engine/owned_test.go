@@ -67,14 +67,17 @@ func TestPlacedUnitsOwnTheirJobs(t *testing.T) {
 				for i, u := range units {
 					current[i] = engine.Current{Spec: u.spec, Handle: u.key}
 				}
-				out := e.Reconcile(engine.Input{
+				if p.Preemptive() {
+					placer.reset() // ReplaceAll re-places the whole running set
+				}
+				placements := e.Reconcile(engine.Input{
 					Now: now, Candidates: arrived,
-					Capacity: capacity, Current: current, Placer: placer,
+					Capacity: capacity, Current: current, Free: placer.free, Place: placer.place,
 				})
 				if p.Preemptive() {
-					units = units[:0] // ReplaceAll re-placed the whole running set
+					units = units[:0]
 				}
-				for _, pl := range out.Placements {
+				for _, pl := range placements {
 					ids := make([]job.ID, len(pl.Spec.Jobs))
 					for i, j := range pl.Spec.Jobs {
 						ids[i] = j.ID

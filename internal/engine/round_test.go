@@ -234,13 +234,14 @@ func runExitScript(t *testing.T, sc exitScript, provenance bool) {
 				candidates = append(candidates, j)
 			}
 		}
-		free := placer.Free()
 		if sc.preempt {
-			free, running = sc.capacity, nil
+			placer.reset() // a preemptive ReplaceAll round re-places everything
+			running = nil
 		}
+		free := placer.free
 		marks = marks[:0]
-		out := e.Reconcile(engine.Input{
-			Candidates: candidates, Capacity: sc.capacity, Current: current, Placer: placer,
+		placements := e.Reconcile(engine.Input{
+			Candidates: candidates, Capacity: sc.capacity, Current: current, Free: free, Place: placer.place,
 		})
 		admitted, wantMarks := ref.walk(planned, free, sc.capacity, running)
 		used := 0
@@ -291,7 +292,7 @@ func runExitScript(t *testing.T, sc exitScript, provenance bool) {
 		if sc.preempt {
 			current = current[:0]
 		}
-		for _, p := range out.Placements {
+		for _, p := range placements {
 			current = append(current, engine.Current{Spec: p.Spec, Handle: p.Key})
 			p.Spec.Jobs[0].StartedAt = 0
 		}
@@ -393,13 +394,18 @@ func (d *markDriver) play(e *engine.Engine, log *markLog, setup markSetup, jobs 
 		}
 	}
 	log.causes = log.causes[:0]
-	out := e.Reconcile(engine.Input{
+	if preempt { // ReplaceAll re-places everything: release it all first
+		d.placer.reset()
+	}
+	placements := e.Reconcile(engine.Input{
 		Now: time.Duration(r) * time.Minute, Candidates: candidates,
-		Capacity: setup.capacity, Current: d.current, Placer: d.placer,
+		Capacity: setup.capacity, Current: d.current, Free: d.placer.free, Place: d.placer.place,
 	})
 	placed := map[*job.Job]bool{}
-	d.current = slices.Clone(out.Kept)
-	for _, p := range out.Placements {
+	if preempt {
+		d.current = nil
+	}
+	for _, p := range placements {
 		d.current = append(d.current, engine.Current{Spec: p.Spec, Handle: p.Key})
 		for _, j := range p.Spec.Jobs {
 			placed[j] = true
@@ -504,17 +510,31 @@ func TestRoundMarksIsolatedAcrossEngines(t *testing.T) {
 const reconcileAllocCeiling = 25
 
 // budgetPlacer counts capacity and nothing else, so the measured
-// allocations are the engine's and the policy's.
-type budgetPlacer struct{ capacity, free int }
+// allocations are the engine's and the policy's. Its round input binds
+// place once, as the simulator does, so passing it allocates nothing.
+type budgetPlacer struct {
+	capacity, free int
+	place          func(string, sched.Unit) (any, bool)
+}
 
-func (p *budgetPlacer) Free() int { return p.free }
-func (p *budgetPlacer) Reset()    { p.free = p.capacity }
-func (p *budgetPlacer) Place(_ string, u sched.Unit) (any, bool) {
-	if u.GPUs > p.free {
-		return nil, false
+func newBudgetPlacer(gpus int) *budgetPlacer {
+	p := &budgetPlacer{capacity: gpus, free: gpus}
+	p.place = func(_ string, u sched.Unit) (any, bool) {
+		if u.GPUs > p.free {
+			return nil, false
+		}
+		p.free -= u.GPUs
+		return nil, true
 	}
-	p.free -= u.GPUs
-	return nil, true
+	return p
+}
+
+// replaceAll is the input of a preemptive ReplaceAll round: every
+// allocation released first.
+func (p *budgetPlacer) replaceAll(in engine.Input) engine.Input {
+	p.free = p.capacity
+	in.Free, in.Place = p.free, p.place
+	return in
 }
 
 func TestReconcileAllocBudget(t *testing.T) {
@@ -544,14 +564,14 @@ func TestReconcileAllocBudget(t *testing.T) {
 	drive := func(jobs []*job.Job) func() []engine.Current {
 		e := engine.New(engine.Config{Policy: sched.SRTF(), Style: engine.ReplaceAll})
 		track(e, jobs...)
-		placer := &budgetPlacer{capacity: gpus, free: gpus}
+		placer := newBudgetPlacer(gpus)
 		var current []engine.Current
 		return func() []engine.Current {
-			out := e.Reconcile(engine.Input{
-				Candidates: jobs, Capacity: gpus, Current: current, Placer: placer,
-			})
+			placements := e.Reconcile(placer.replaceAll(engine.Input{
+				Candidates: jobs, Capacity: gpus, Current: current,
+			}))
 			current = current[:0]
-			for _, p := range out.Placements {
+			for _, p := range placements {
 				current = append(current, engine.Current{Spec: p.Spec})
 				p.Spec.Jobs[0].StartedAt = 0
 			}

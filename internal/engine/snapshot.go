@@ -18,8 +18,6 @@ import (
 type Snapshot struct {
 	// Seq is the last assigned decision sequence number.
 	Seq uint64 `json:"seq"`
-	// LastNow is the clock of the most recent round, in nanoseconds.
-	LastNow int64 `json:"last_now,omitempty"`
 	// PrevKeys is the placement memory: running job → unit key.
 	PrevKeys map[int64]string `json:"prev_keys,omitempty"`
 	// Bypassed is the anti-starvation ledger: job → consecutive rounds
@@ -36,9 +34,8 @@ type Snapshot struct {
 // Snapshot captures the engine's replayable state.
 func (e *Engine) Snapshot() Snapshot {
 	s := Snapshot{
-		Seq:     e.seq,
-		LastNow: int64(e.lastNow),
-		Stats:   e.stats,
+		Seq:   e.seq,
+		Stats: e.stats,
 	}
 	if len(e.prevKeys) > 0 {
 		s.PrevKeys = make(map[int64]string, len(e.prevKeys))
@@ -67,7 +64,6 @@ func (e *Engine) Snapshot() Snapshot {
 // driver reconstructs them, as it re-tracks its jobs.
 func (e *Engine) Restore(s Snapshot) {
 	e.seq = s.Seq
-	e.lastNow = time.Duration(s.LastNow)
 	e.stats = s.Stats
 	e.prevKeys = make(map[job.ID]string, len(s.PrevKeys))
 	for id, k := range s.PrevKeys {
@@ -114,8 +110,8 @@ func (e *Engine) ApplyDecision(d Decision) {
 //
 // Each kind also advances its counter and the decision count. Every
 // write to a job's State and Faults is in this file: apply, Track,
-// SetState, MarkDone, RecordFault and ReplayFault. The only other writes
-// to the placement memory are Restore, rekey and MarkDone.
+// Complete, RecordFault and ReplayFault. The only other writes to the
+// placement memory are Restore, rekey and Complete.
 func (e *Engine) apply(d Decision) {
 	e.stats.Decisions++
 	switch d.Action {
@@ -157,24 +153,11 @@ func (e *Engine) apply(d Decision) {
 }
 
 // Track registers a job in the lifecycle at state s: the daemon's
-// admission (profiling or pending) and recovery (any state), the
-// simulator's arrival (pending).
+// admission (profiling or pending), release from profiling (pending) and
+// recovery (any state), the simulator's arrival (pending).
 func (e *Engine) Track(j *job.Job, s job.State) {
 	j.State = s
 	e.jobs[j.ID] = j
-}
-
-// SetState applies a lifecycle transition if the state machine permits
-// it, reporting whether it was applied. The transition table doubles as
-// the guard the daemon historically wrote by hand (e.g. a completion
-// for an already-done job is a no-op).
-func (e *Engine) SetState(id job.ID, to job.State) bool {
-	j := e.jobs[id]
-	if !j.State.CanTransition(to) {
-		return false
-	}
-	j.State = to
-	return true
 }
 
 // RecordFault records a job-level fault: retry budget is spent and the
@@ -227,15 +210,28 @@ func (e *Engine) ReplayFault(id job.ID, faults int) {
 	}
 }
 
-// MarkDone completes a job's lifecycle (running/pending/deadletter →
-// done), reporting whether the transition applied, and forgets its
-// placement memory either way. Both drivers' completion paths — the
+// Complete ends a job's lifecycle (running/pending/deadletter → done),
+// reporting whether the transition applied, and forgets its placement
+// memory, bypass count and wait cause either way. The transition table
+// is the guard: a second completion, or one for a profiling job, changes
+// no state and feeds nothing. An applied one feeds the job's 2D service
+// demand to the policy's CompletionObserver, then the job to the
+// estimator (feedEstimator). Both drivers' completion paths — the
 // daemon's live and replayed alike — end here.
-func (e *Engine) MarkDone(id job.ID) bool {
+func (e *Engine) Complete(id job.ID, service time.Duration) bool {
 	delete(e.prevKeys, id)
 	delete(e.bypassed, id)
 	delete(e.lastWaitCause, id)
-	return e.SetState(id, job.Done)
+	j := e.jobs[id]
+	if !j.State.CanTransition(job.Done) {
+		return false
+	}
+	j.State = job.Done
+	if e.completions != nil {
+		e.completions.Observe(service)
+	}
+	e.feedEstimator(j, service)
+	return true
 }
 
 // RunningKeys returns the placement memory as a sorted job → key list,

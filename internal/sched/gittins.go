@@ -34,15 +34,9 @@ type HistorySource interface {
 // GPU count, exactly as Tiresias does for LAS.
 //
 // The policy is safe for concurrent use: the private history is guarded
-// by a mutex (the sharded scheduling path at core.Config.Shards > 1 and
-// the daemon's schedule loop may Observe and Plan from different
-// goroutines), and each Plan works against an immutable snapshot of the
-// distribution.
+// by a mutex (a caller may Observe and Plan from different goroutines),
+// and each Plan works against an immutable snapshot of the distribution.
 type Gittins struct {
-	// Quanta are the candidate service deltas Δ evaluated for the index.
-	// Empty uses a geometric ladder from one minute to one day.
-	Quanta []time.Duration
-
 	// Source, when non-nil, replaces the private completion log with the
 	// shared predictor history: Plan reads Source.ServiceHistory() and
 	// Observe becomes a no-op (the driver feeds the predictor, which
@@ -57,8 +51,8 @@ type Gittins struct {
 	history []float64 // completed total service (gpu-seconds), sorted
 }
 
-// NewGittins returns the policy with the default quantum ladder and a
-// private completion log fed through Observe.
+// NewGittins returns the policy with a private completion log fed
+// through Observe.
 func NewGittins() *Gittins { return &Gittins{} }
 
 // NewGittinsFromEstimator returns the policy reading its empirical
@@ -79,9 +73,10 @@ func (g *Gittins) Name() string {
 // Preemptive implements Policy.
 func (g *Gittins) Preemptive() bool { return true }
 
-// Observe records the total service demand of a completed job. The
-// simulator calls it on every completion so the empirical prior sharpens
-// as the trace plays out. With a Source attached the call is a no-op:
+// Observe records the total service demand of a completed job: it is the
+// policy's engine.CompletionObserver hook, which both drivers' completions
+// reach through engine.Complete, so the empirical prior sharpens as jobs
+// finish. With a Source attached the call is a no-op:
 // the predictor already holds the completion.
 func (g *Gittins) Observe(totalService time.Duration) {
 	if g.Source != nil {
@@ -93,14 +88,11 @@ func (g *Gittins) Observe(totalService time.Duration) {
 	g.mu.Unlock()
 }
 
-func (g *Gittins) quanta() []time.Duration {
-	if len(g.Quanta) > 0 {
-		return g.Quanta
-	}
-	return []time.Duration{
-		time.Minute, 5 * time.Minute, 15 * time.Minute, time.Hour,
-		4 * time.Hour, 12 * time.Hour, 24 * time.Hour,
-	}
+// gittinsQuanta are the candidate service deltas Δ evaluated for the
+// index: a geometric ladder from one minute to one day.
+var gittinsQuanta = []time.Duration{
+	time.Minute, 5 * time.Minute, 15 * time.Minute, time.Hour,
+	4 * time.Hour, 12 * time.Hour, 24 * time.Hour,
 }
 
 // snapshotHistory returns the sorted distribution Plan should rank
@@ -164,9 +156,8 @@ func gittinsIndex(history []float64, quanta []time.Duration, a float64) float64 
 // snapshot per round.
 func (g *Gittins) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
 	history := g.snapshotHistory()
-	quanta := g.quanta()
 	return exclusiveUnits(sortJobs(jobs, func(j *job.Job) float64 {
 		a := j.Attained.Seconds() * float64(j.GPUs)
-		return -gittinsIndex(history, quanta, a) // highest index first
+		return -gittinsIndex(history, gittinsQuanta, a) // highest index first
 	}))
 }

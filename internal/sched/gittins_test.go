@@ -35,7 +35,7 @@ func TestGittinsIndexMonotonicity(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		g.Observe(100000 * time.Second)
 	}
-	history, quanta := g.snapshotHistory(), g.quanta()
+	history, quanta := g.snapshotHistory(), gittinsQuanta
 	// A fresh job (attained 0) is very likely short → high index.
 	fresh := gittinsIndex(history, quanta, 0)
 	// A job that survived 1000s is certainly long → low index.

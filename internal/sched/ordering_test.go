@@ -166,10 +166,10 @@ func TestOrderingMatchesReference(t *testing.T) {
 		{Themis(), keyed(Themis())},
 		{gittins, func(jobs []*job.Job) []Unit {
 			return refExclusive(refOrder(jobs, func(j *job.Job) float64 {
-				return gittinsIndex(history, gittins.quanta(), j.Attained.Seconds()*float64(j.GPUs))
+				return gittinsIndex(history, gittinsQuanta, j.Attained.Seconds()*float64(j.GPUs))
 			}, true))
 		}},
-		{AntMan{ShareDegree: 2}, func(jobs []*job.Job) []Unit { return refAntMan(2, jobs) }},
+		{AntMan{}, func(jobs []*job.Job) []Unit { return refAntMan(2, jobs) }},
 		{DRF{}, func(jobs []*job.Job) []Unit {
 			return refExclusive(refOrder(jobs, refDRFKey(capacity), false))
 		}},

@@ -294,16 +294,15 @@ func Themis() Policy {
 }
 
 // AntMan models AntMan's opportunistic GPU sharing: non-preemptive FIFO
-// order, with up to ShareDegree jobs of equal GPU requirement co-located
-// on one allocation. Sharing is spatial (no stage coordination), so
-// co-located jobs slow each other down in proportion to how much their
-// resource usage overlaps.
-type AntMan struct {
-	// ShareDegree is the maximum number of jobs per GPU allocation
-	// (AntMan packs one resource-guaranteed job plus opportunistic ones;
-	// 2 is the common case).
-	ShareDegree int
-}
+// order, with up to antmanShareDegree jobs of equal GPU requirement
+// co-located on one allocation. Sharing is spatial (no stage
+// coordination), so co-located jobs slow each other down in proportion to
+// how much their resource usage overlaps.
+type AntMan struct{}
+
+// antmanShareDegree is the most jobs AntMan packs per GPU allocation: one
+// resource-guaranteed job plus an opportunistic one, the common case.
+const antmanShareDegree = 2
 
 // Name implements Policy.
 func (a AntMan) Name() string { return "antman" }
@@ -314,10 +313,6 @@ func (a AntMan) Preemptive() bool { return false }
 // Plan implements Policy: FIFO order, pairing adjacent jobs with the same
 // GPU requirement.
 func (a AntMan) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
-	degree := a.ShareDegree
-	if degree < 1 {
-		degree = 2
-	}
 	ordered := sortJobs(jobs, func(j *job.Job) float64 { return j.Submit.Seconds() })
 	var units []Unit
 	pendingByGPU := make(map[int][]*job.Job)
@@ -335,7 +330,7 @@ func (a AntMan) Plan(now time.Duration, jobs []*job.Job, capacity int) []Unit {
 	}
 	for _, j := range ordered {
 		pendingByGPU[j.GPUs] = append(pendingByGPU[j.GPUs], j)
-		if len(pendingByGPU[j.GPUs]) == degree {
+		if len(pendingByGPU[j.GPUs]) == antmanShareDegree {
 			flush(j.GPUs)
 		}
 	}

@@ -96,7 +96,7 @@ func TestThemisPrefersMostDelayed(t *testing.T) {
 }
 
 func TestAntManPairsSameGPUJobs(t *testing.T) {
-	p := AntMan{ShareDegree: 2}
+	p := AntMan{}
 	jobs := []*job.Job{
 		mk(0, "gpt2", 1, 100, 0),
 		mk(1, "a2c", 1, 100, time.Second),

@@ -195,12 +195,14 @@ func (s *Server) applyFaultLocked(f *wal.FaultRecord, wall int64) {
 	}
 }
 
-// applyDoneLocked finishes one job. The logged ServiceV pins the
-// predictor's input (attained time itself is soft state), so the
-// estimator's beliefs after a replay match the ones before the crash.
+// applyDoneLocked finishes one job through the engine's Complete, live
+// and on replay alike. The logged ServiceV pins the predictor's input
+// (attained time itself is soft state), so the estimator's beliefs after
+// a replay match the ones before the crash. A policy's completion hook
+// hears it too, but its own log does not ride snapshots (DESIGN.md §13).
 func (s *Server) applyDoneLocked(d *wal.DoneRecord) {
 	js := s.jobs[d.Job]
-	if js == nil || !s.eng.MarkDone(job.ID(d.Job)) {
+	if js == nil || !s.eng.Complete(job.ID(d.Job), time.Duration(d.ServiceV)) {
 		return // the state machine rejected it: the job already completed
 	}
 	s.live = removeSorted(s.live, js, cmpJobState) // a no-op if it was dead-lettered first
@@ -208,7 +210,6 @@ func (s *Server) applyDoneLocked(d *wal.DoneRecord) {
 	js.finishedAt = time.Unix(0, d.FinishedWall)
 	js.job.DoneIterations = js.job.Iterations
 	js.job.FinishedAt = time.Duration(d.FinishedV)
-	s.eng.NoteCompletion(js.job, js.job.TrueProfile, time.Duration(d.ServiceV))
 }
 
 // applyProfileLocked caches one measured profile and releases every job
@@ -220,7 +221,7 @@ func (s *Server) applyProfileLocked(p *wal.ProfileRecord) {
 		if js.spec.Model == p.Model && js.job.State == job.Profiling {
 			js.spec.Stages = p.Stages
 			js.job.Profile, js.job.TrueProfile = st, st
-			s.eng.SetState(js.job.ID, job.Pending)
+			s.eng.Track(js.job, job.Pending)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -91,5 +92,48 @@ func TestPredictorStateSurvivesRestart(t *testing.T) {
 	if *post.Predictor != *pre.Predictor {
 		t.Errorf("predictor state diverged across restart:\n  pre  = %+v\n  post = %+v",
 			*pre.Predictor, *post.Predictor)
+	}
+}
+
+// observingPolicy is a policy with a completion hook that counts its
+// calls.
+type observingPolicy struct {
+	sched.Policy
+	observed atomic.Int64
+}
+
+func (p *observingPolicy) Observe(time.Duration) { p.observed.Add(1) }
+
+// TestCompletionHookHearsLiveAndReplayedDone: a policy with a completion
+// hook hears every live completion once, and a daemon restarted from the
+// same state dir hears each again as it replays the Done records logged
+// after the newest snapshot (none here: the whole log replays).
+func TestCompletionHookHearsLiveAndReplayedDone(t *testing.T) {
+	const jobs = 3
+	live := &observingPolicy{Policy: sched.SRTF()}
+	cfg := Config{Policy: live, StateDir: t.TempDir(), FsyncEvery: 1, SnapshotEvery: time.Hour}
+	h := startHarness(t, cfg, 1, nil)
+	c := h.client(t)
+	for i := 0; i < jobs; i++ {
+		if _, err := c.Submit("gpt2", 1, 20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitStatus(t, c, "all jobs done", func(st proto.StatusAck) bool { return st.Done == jobs })
+	if n := live.observed.Load(); n != jobs {
+		t.Fatalf("live daemon: completion hook heard %d completions, want %d", n, jobs)
+	}
+	h.srv.Crash()
+
+	replayed := &observingPolicy{Policy: sched.SRTF()}
+	next := cfg
+	next.Policy, next.Logf = replayed, t.Logf
+	srv := New(next)
+	if err := srv.startDurability(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Crash()
+	if n := replayed.observed.Load(); n != jobs {
+		t.Fatalf("restarted daemon: completion hook heard %d replayed completions, want %d", n, jobs)
 	}
 }

@@ -227,10 +227,9 @@ func maskUnlogged(sn *wal.Snapshot) {
 	// (3) Registrations and lease evictions are not logged.
 	sn.Faults.Repairs, sn.LeaseEvictions = 0, 0
 	// (4) Round state only snapshots carry: the round count and queue
-	// gauge, the last round's clock, the starvation ledger and the
-	// wait-cause gate.
+	// gauge, the starvation ledger and the wait-cause gate.
 	e := &sn.Engine
-	e.Stats.Rounds, e.Stats.QueueDepth, e.LastNow, e.Bypassed, e.WaitCauses = 0, 0, 0, nil, nil
+	e.Stats.Rounds, e.Stats.QueueDepth, e.Bypassed, e.WaitCauses = 0, 0, nil, nil
 }
 
 // checkReplay is the live ≡ replay oracle: recover a copy of the state dir

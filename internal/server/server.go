@@ -262,7 +262,7 @@ type Server struct {
 	started   time.Time
 	closed    bool
 	// est is the online duration estimator (cfg.Predictor or a fresh
-	// one): every completion folds in through eng.NoteCompletion, and its
+	// one): every completion folds in through eng.Complete, and its
 	// learned state checkpoints into WAL snapshots. It has its own lock,
 	// so metrics scrape it without s.mu.
 	est *profile.Online
@@ -1298,9 +1298,10 @@ func (s *Server) scheduleLocked() (changed bool) {
 			s.requestProfileLocked(js.spec.Model)
 		}
 	}
-	capacity := 0
+	capacity, free := 0, 0
 	for _, e := range s.executors {
 		capacity += e.gpus
+		free += e.free
 	}
 	if capacity == 0 {
 		return
@@ -1311,15 +1312,16 @@ func (s *Server) scheduleLocked() (changed bool) {
 	}
 	// One engine round: plan, admit (with anti-starvation), reconcile
 	// preemptions (kills run through killGroupLocked so capacity frees
-	// before placement), and place via the executor best-fit placer (the
-	// Launch RPCs happen inside Place).
+	// before placement), and place via placeLocked (the Launch RPCs happen
+	// inside it).
 	decisions := s.eng.Stats().Decisions
 	s.eng.Reconcile(engine.Input{
 		Now:        s.virtualNowLocked(),
 		Candidates: candidates,
 		Capacity:   capacity,
 		Current:    s.roundCurrentLocked(),
-		Placer:     &serverPlacer{s: s},
+		Free:       free,
+		Place:      s.placeLocked,
 		Kill:       func(c engine.Current) { s.killGroupLocked(c.Handle.(int64)) },
 	})
 	return changed || s.eng.Stats().Decisions != decisions
@@ -1352,37 +1354,20 @@ func (s *Server) roundCurrentLocked() []engine.Current {
 	return s.current
 }
 
-// serverPlacer adapts the daemon's executor pool to the engine's Placer
-// interface: free capacity is the sum over registered executors, and
-// placing a unit best-fits it onto one executor and sends the Launch
-// RPC. Methods are called with s.mu held (Reconcile runs under it).
-type serverPlacer struct {
-	s *Server
-}
-
-func (p *serverPlacer) Free() int {
-	free := 0
-	for _, e := range p.s.executors {
-		free += e.free
-	}
-	return free
-}
-
-func (p *serverPlacer) Place(key string, u sched.Unit) (any, bool) {
-	exec := p.s.pickExecutorLocked(u.GPUs)
+// placeLocked is the engine's Input.Place on the executor pool: it
+// best-fits u onto one executor and sends the Launch RPC; the handle is
+// the new group's ID. Callers hold s.mu (Reconcile runs under it).
+func (s *Server) placeLocked(key string, u sched.Unit) (any, bool) {
+	exec := s.pickExecutorLocked(u.GPUs)
 	if exec == nil {
 		return nil, false
 	}
-	gid, ok := p.s.launchLocked(exec, u, key)
+	gid, ok := s.launchLocked(exec, u, key)
 	if !ok {
 		return nil, false
 	}
 	return gid, true
 }
-
-// Reset is never called under the Differential style; the daemon cannot
-// release real processes wholesale.
-func (p *serverPlacer) Reset() {}
 
 // pickExecutorLocked returns the executor with the least sufficient free
 // GPUs (best fit). Callers hold s.mu.

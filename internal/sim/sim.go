@@ -141,7 +141,7 @@ type Result struct {
 }
 
 // unit is a placed schedulable unit at run time, and its own placement
-// handle: simPlacer takes it from the free list, recycle puts it back.
+// handle: placeUnit takes it from the free list, recycle puts it back.
 type unit struct {
 	spec  sched.Unit
 	alloc cluster.Alloc
@@ -223,9 +223,12 @@ type sim struct {
 	policy  sched.Policy
 	// eng is the shared scheduling decision core: policy invocation,
 	// admission, anti-starvation, placement memory, and the decision
-	// stream all live there; the simulator only executes the outcome
+	// stream all live there; the simulator only executes the placements
 	// against virtual time.
 	eng *engine.Engine
+	// place is placeUnit, bound once so a round hands it to the engine
+	// without allocating.
+	place func(key string, u sched.Unit) (any, bool)
 
 	now time.Duration
 	// live holds the arrived jobs in arrival order, finished ones until
@@ -250,7 +253,7 @@ type sim struct {
 
 	// Per-round scratch of schedule, reused across rounds. The engine
 	// and the policies read these during Reconcile and retain none of
-	// them (Outcome.Kept may alias current, and is not kept here).
+	// them.
 	current []engine.Current
 	carried map[job.ID]attempt
 	// free holds units nothing can read any more; spareRunning
@@ -320,6 +323,7 @@ func newSim(cfg Config, tr trace.Trace, policy sched.Policy) *sim {
 		policy:  policy,
 		carried: make(map[job.ID]attempt),
 	}
+	s.place = s.placeUnit
 	// With a record sink, tee the decision stream into it as decision
 	// records and hook the engine's cause annotations, as the daemon does.
 	observer := cfg.Observer
@@ -655,21 +659,16 @@ func (s *sim) fault(f *wal.FaultRecord) {
 	}
 }
 
-// simPlacer adapts the modeled cluster to the engine's Placer
-// interface: placement is a GPU allocation held by a recycled unit, and
-// preemptive rounds reset the cluster (down-state survives a Reset).
-type simPlacer struct{ s *sim }
-
-func (p simPlacer) Free() int { return p.s.cluster.FreeGPUs() }
-func (p simPlacer) Reset()    { p.s.cluster.Reset() }
-func (p simPlacer) Place(_ string, u sched.Unit) (any, bool) {
-	alloc, ok := p.s.cluster.Allocate(u.GPUs)
+// placeUnit is the engine's Input.Place on the modeled cluster: a
+// placement is a GPU allocation held by a recycled unit.
+func (s *sim) placeUnit(_ string, u sched.Unit) (any, bool) {
+	alloc, ok := s.cluster.Allocate(u.GPUs)
 	if !ok {
 		return nil, false
 	}
 	var placed *unit
-	if n := len(p.s.free); n > 0 {
-		placed, p.s.free = p.s.free[n-1], p.s.free[:n-1]
+	if n := len(s.free); n > 0 {
+		placed, s.free = s.free[n-1], s.free[:n-1]
 	} else {
 		placed = new(unit)
 	}
@@ -677,7 +676,7 @@ func (p simPlacer) Place(_ string, u sched.Unit) (any, bool) {
 	return placed, true
 }
 
-// schedule runs one engine round and executes its outcome: placed units
+// schedule runs one engine round and executes its placements: placed units
 // become live simulation state (iteration times, straggler slowdowns,
 // carry restoration, restart overhead, transient-fault draws).
 func (s *sim) schedule() {
@@ -713,16 +712,23 @@ func (s *sim) schedule() {
 		current = append(current, engine.Current{Spec: u.spec, Handle: u})
 	}
 	s.current = current
-	out := s.eng.Reconcile(engine.Input{
+	// A preemptive round re-places the whole admitted set (ReplaceAll), so
+	// every allocation is released first; down-state survives the reset.
+	preempt := s.policy.Preemptive()
+	if preempt {
+		s.cluster.Reset()
+	}
+	placements := s.eng.Reconcile(engine.Input{
 		Now:        s.now,
 		Candidates: live,
 		Capacity:   capacity,
 		Current:    current,
-		Placer:     simPlacer{s},
+		Free:       s.cluster.FreeGPUs(),
+		Place:      s.place,
 	})
 	old := s.running
 	placed := s.spareRunning[:0]
-	if s.policy.Preemptive() {
+	if preempt {
 		// ReplaceAll re-placed everything: the engine's placements are the
 		// entire new running set, and the previous one — read through
 		// Input.Current until Reconcile returned — goes back to the free list.
@@ -732,7 +738,7 @@ func (s *sim) schedule() {
 	} else {
 		placed = append(placed, old...) // keep current units
 	}
-	for _, p := range out.Placements {
+	for _, p := range placements {
 		n := len(p.Spec.Jobs)
 		u := p.Handle.(*unit)
 		u.spec, u.readyAt = p.Spec, s.now
@@ -873,23 +879,14 @@ func (s *sim) advanceUnit(u *unit, from, to time.Duration) {
 		j.DoneIterations = j.Iterations
 		j.FinishedAt = firstAt
 		s.done = append(s.done, j)
-		s.eng.MarkDone(j.ID) // as the daemon's: done, and the engine forgets its placement
+		// As the daemon's: done, the engine forgets its placement, and the
+		// policy and the estimator learn the job's 2D service demand.
+		s.eng.Complete(j.ID, time.Duration(float64(j.Attained)*float64(j.GPUs)))
 		if s.cfg.Record != nil {
 			// Completions carry their own instant (mid-advance, between
 			// scheduling points): the finish time the metrics see.
 			s.cfg.Record(&wal.Record{Kind: wal.KindDone, V: int64(firstAt),
 				Done: &wal.DoneRecord{Job: int64(j.ID), FinishedV: int64(firstAt)}})
-		}
-		// Policies that learn from completions (e.g. the Gittins index)
-		// observe the job's 2D service demand.
-		if obs, ok := s.policy.(interface{ Observe(time.Duration) }); ok {
-			obs.Observe(time.Duration(float64(j.Attained) * float64(j.GPUs)))
-		}
-		// The estimator observes the measured per-iteration stages and the
-		// 2D service demand (no-op without one).
-		if s.cfg.Estimator != nil {
-			s.eng.NoteCompletion(j, j.TrueProfile,
-				time.Duration(float64(j.Attained)*float64(j.GPUs)))
 		}
 		from = firstAt
 		s.retime(u)
