@@ -132,6 +132,17 @@ var archRules = []archRule{
 		example: `if e, ok := s.cfg.Estimator.EstimateFor(j); ok {`,
 	},
 	{
+		name: "group-membership-copy",
+		pattern: `\b(groupOrder|execOrder)\b|map\[(int64|string)\]\*(groupState|executorConn)|` +
+			`\bg\.(jobs|members|key|gpus)\b|groupState\{[^}]*\b(jobs|members|key|gpus):`,
+		scope:        []string{"internal/server"},
+		skipComments: true,
+		reason: "a launched group's placed unit (groupState.spec) is its only membership record, and the " +
+			"group and executor tables are one ascending-ID slice each: no map beside a sorted view, " +
+			"no second member list",
+		example: `s.addGroupLocked(&groupState{id: gid, exec: exec, jobs: ids, spec: u})`,
+	},
+	{
 		name:    "fault-ledger-by-hand",
 		pattern: `\.(Crashes|Transient|Requeues|DeadLettered)[[:space:]]*(\+\+|\+=)`,
 		scope:   []string{"internal/sim", "internal/server"},

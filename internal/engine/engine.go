@@ -131,10 +131,10 @@ type CompletionObserver interface {
 	Observe(service time.Duration)
 }
 
-// DecisionSink is implemented by policies that want the decision stream
-// fed back to them: every emitted decision (launch, kill, requeue,
-// deadletter) describes a change to the candidate set or the running
-// layout. No scheduling policy implements it.
+// DecisionSink is a decision-feedback hook that no policy implements and
+// the engine never calls. It is declared only because bench/policy.go's
+// Plan-timing wrapper still forwards it; ROADMAP item 6's benchmark
+// change deletes the forwarder and this declaration together.
 type DecisionSink interface {
 	NoteDecisions(n int)
 }
@@ -163,9 +163,6 @@ type Engine struct {
 	jobs  map[job.ID]*job.Job
 	stats metrics.EngineStats
 	seq   uint64
-	// sink is the policy's decision feedback hook, resolved once at
-	// construction (nil when the policy is not a DecisionSink).
-	sink DecisionSink
 	// round is Reconcile's working memory, reused across rounds so a
 	// steady-state round allocates only the members its placements hand
 	// out.
@@ -201,7 +198,6 @@ func New(cfg Config) *Engine {
 	if cfg.StarvationPatience <= 0 {
 		cfg.StarvationPatience = 5
 	}
-	sink, _ := cfg.Policy.(DecisionSink)
 	keyer, _ := cfg.Policy.(PriorityKeyer)
 	completions, _ := cfg.Policy.(CompletionObserver)
 	return &Engine{
@@ -209,7 +205,6 @@ func New(cfg Config) *Engine {
 		prevKeys:      make(map[job.ID]string),
 		bypassed:      make(map[job.ID]int),
 		jobs:          make(map[job.ID]*job.Job),
-		sink:          sink,
 		keyer:         keyer,
 		completions:   completions,
 		lastWaitCause: make(map[job.ID]string),
@@ -327,17 +322,13 @@ func (e *Engine) feedEstimator(j *job.Job, service time.Duration) {
 
 // emit stamps, applies and publishes one decision: the engine's state
 // changes by exactly what replaying the decision changes (apply), before
-// the observer sees it. Every decision also reaches the policy's
-// DecisionSink (when it has one).
+// the observer sees it.
 func (e *Engine) emit(d Decision) Decision {
 	e.seq++
 	d.Seq = e.seq
 	e.apply(d)
 	if e.cfg.Observer != nil {
 		e.cfg.Observer(d)
-	}
-	if e.sink != nil {
-		e.sink.NoteDecisions(1)
 	}
 	e.traceDecision(d)
 	return d

@@ -146,12 +146,15 @@ type parityDaemon struct {
 }
 
 // startParityDaemon serves a daemon on cfg, which it completes with the
-// decision tap, a state directory and the parity timing, and dials it.
-// Stopping it is registered as a test cleanup.
+// decision tap, a state directory and the parity timing (a 20ms round
+// interval unless cfg sets one), and dials it. Stopping it is registered
+// as a test cleanup.
 func startParityDaemon(t *testing.T, cfg server.Config) *parityDaemon {
 	t.Helper()
 	d := &parityDaemon{t: t, tap: &streamTap{}, dir: t.TempDir()}
-	cfg.Interval = 20 * time.Millisecond
+	if cfg.Interval == 0 {
+		cfg.Interval = 20 * time.Millisecond
+	}
 	cfg.TimeScale = 0.0005
 	cfg.ReportEvery = 10 * time.Millisecond
 	cfg.StarvationPatience = 1 << 30
@@ -372,6 +375,74 @@ func serverPredictionStream(t *testing.T) (decisions, records []string) {
 	return decisions, records
 }
 
+// The shrink script: one 8-GPU machine under Muri-S, four jobs queued
+// before it comes up. Job 1 runs alone; jobs 2 and 3 then run as one
+// interleaved group until job 2 finishes, and the survivor, re-planned
+// exclusive, is killed under the shrunk group's key and relaunched.
+// Every round follows an event (an arrival, the machine registering, a
+// completion): Muri-S regroups as progress moves, so the drivers'
+// different periodic round counts would otherwise steer them apart. The
+// members' lengths differ, because the simulator splits completions that
+// fall on one instant across rounds.
+var shrinkWant = []string{
+	"launch exclusive:1",
+	"launch interleaved:2,3",
+	"kill interleaved:3",
+	"launch exclusive:3",
+	"launch exclusive:4",
+}
+
+var shrinkJobs = []struct {
+	model string
+	iters int64
+}{{"resnet18", 900}, {"gpt2", 2700}, {"a2c", 3900}, {"vgg16", 5100}}
+
+// simShrinkStream replays the shrink script through the simulator, with
+// event-driven rounds and no periodic one within the run.
+func simShrinkStream(t *testing.T) (decisions, records []string) {
+	t.Helper()
+	tr := trace.Trace{Name: "shrink"}
+	for i, j := range shrinkJobs {
+		m, err := workload.ByName(j.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Specs = append(tr.Specs, trace.Spec{ID: int64(i + 1), GPUs: 8, Model: j.model,
+			Duration: time.Duration(j.iters) * m.Stages.Total()})
+	}
+	cfg := sim.Config{
+		Machines:           1,
+		GPUsPerMachine:     8,
+		Interval:           24 * time.Hour,
+		EventDriven:        true,
+		StarvationPatience: 1 << 30,
+	}
+	decisions, records, res := simRun(cfg, tr, sched.NewMuriS())
+	if len(res.Jobs) != len(shrinkJobs) {
+		t.Fatalf("simulator finished %d jobs, want %d", len(res.Jobs), len(shrinkJobs))
+	}
+	return decisions, records
+}
+
+// serverShrinkStream replays the shrink script through the live daemon,
+// with a round interval (30 virtual hours) no run reaches: its rounds
+// follow events too.
+func serverShrinkStream(t *testing.T) (decisions, records []string) {
+	t.Helper()
+	d := startParityDaemon(t, server.Config{Policy: sched.NewMuriS(), Interval: time.Minute})
+	for _, j := range shrinkJobs {
+		m, err := workload.ByName(j.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.submit(j.model, j.iters, m.Stages)
+	}
+	d.waitFor("every job admitted", func(st proto.StatusAck) bool { return len(st.Jobs) == len(shrinkJobs) })
+	d.startExecutor()
+	_, decisions, records = d.finish(len(shrinkJobs))
+	return decisions, records
+}
+
 // TestDriverParity replays scripted event sequences through both the
 // simulator and the live daemon, and asserts the shared engine emitted
 // byte-identical decision streams, and that both drivers wrote the same
@@ -379,7 +450,8 @@ func serverPredictionStream(t *testing.T) (decisions, records []string) {
 // daemon to its WAL. The fault script covers arrivals, an SRTF preemption
 // and an injected machine fault (the machine loss is one record, ahead of
 // the requeue); the prediction script, a round planning on a belief that a
-// completion seeded.
+// completion seeded; the shrink script, a group that loses a member and
+// runs on until a round re-plans its survivor.
 func TestDriverParity(t *testing.T) {
 	check := func(t *testing.T, want, simStream, simRecords, srvStream, srvRecords []string) {
 		t.Helper()
@@ -410,5 +482,10 @@ func TestDriverParity(t *testing.T) {
 		simStream, simRecords := simPredictionStream(t, profile.NewOnline())
 		srvStream, srvRecords := serverPredictionStream(t)
 		check(t, predictionWant, simStream, simRecords, srvStream, srvRecords)
+	})
+	t.Run("shrink", func(t *testing.T) {
+		simStream, simRecords := simShrinkStream(t)
+		srvStream, srvRecords := serverShrinkStream(t)
+		check(t, shrinkWant, simStream, simRecords, srvStream, srvRecords)
 	})
 }

@@ -81,7 +81,7 @@ func (e *Engine) Restore(s Snapshot) {
 }
 
 // ApplyDecision replays one logged decision into the engine's state
-// silently: no observer, no sink, no trace, no new sequence number —
+// silently: no observer, no trace, no new sequence number —
 // the decision already happened; replay only reproduces its effects,
 // through the same apply the live engine ran when it emitted it.
 //

@@ -117,7 +117,7 @@ func (s *Server) applyAdmitLocked(a *wal.AdmitRecord) {
 			st = job.Profiling
 		}
 		s.eng.Track(js.job, st)
-		s.live = insertSorted(s.live, js, cmpJobState)
+		s.live = insertSorted(s.live, js, jobIDOf)
 		last = max(last, it.Spec.ID)
 	}
 	// Submissions after a recovery never reuse an admitted ID.
@@ -147,7 +147,7 @@ func (s *Server) applyDecisionLocked(d *wal.DecisionRecord) {
 		if js := s.jobs[id]; js != nil {
 			js.groupID = 0
 			if dead {
-				s.live = removeSorted(s.live, js, cmpJobState)
+				s.live = removeSorted(s.live, js, jobIDOf)
 			}
 		}
 	}
@@ -205,7 +205,7 @@ func (s *Server) applyDoneLocked(d *wal.DoneRecord) {
 	if js == nil || !s.eng.Complete(job.ID(d.Job), time.Duration(d.ServiceV)) {
 		return // the state machine rejected it: the job already completed
 	}
-	s.live = removeSorted(s.live, js, cmpJobState) // a no-op if it was dead-lettered first
+	s.live = removeSorted(s.live, js, jobIDOf) // a no-op if it was dead-lettered first
 	js.groupID = 0
 	js.finishedAt = time.Unix(0, d.FinishedWall)
 	js.job.DoneIterations = js.job.Iterations
@@ -242,7 +242,7 @@ func (s *Server) applySnapshotLocked(sn *wal.Snapshot) {
 		s.eng.Track(js.job, j.Phase)
 		s.eng.ReplayFault(js.job.ID, j.Faults)
 		if j.Phase != job.Done && j.Phase != job.Deadletter {
-			s.live = insertSorted(s.live, js, cmpJobState)
+			s.live = insertSorted(s.live, js, jobIDOf)
 		}
 		js.job.DoneIterations = j.DoneIterations
 		js.job.StartedAt = time.Duration(j.StartedV)

@@ -307,58 +307,64 @@ func (s *Server) freezeForAdoptionLocked(wallNow time.Time) bool {
 }
 
 // adoptGroupLocked validates and re-binds one surviving group offered
-// by a re-registering executor: every member must still be running
-// under exactly the offered unit key with no other group binding, and
-// the executor must have the capacity. Adopted groups emit no decisions
-// — the engine's placement memory already holds them, so the next
-// Differential round keeps them untouched. Callers hold s.mu.
+// by a re-registering executor. The executor offers every member it
+// launched under the launch key, finished ones included, so a group that
+// shrank before the crash comes back whole: each offered member must be
+// done, or running under that key with no other group binding; the key
+// must be the canonical key of all offered members; and the executor
+// must have the capacity. The running members become the group's spec,
+// the shrunk unit the lost daemon ran. Adopted groups emit no decisions —
+// the engine's placement memory still holds the survivors under the
+// launch key, so the next Differential round keeps the unit when the
+// policy re-plans it. Callers hold s.mu.
 func (s *Server) adoptGroupLocked(e *executorConn, rg *proto.RunningGroup) bool {
 	if rg.GroupID <= 0 || rg.GPUs <= 0 || len(rg.Jobs) == 0 ||
-		s.groups[rg.GroupID] != nil || e.free < rg.GPUs {
+		find(s.groups, rg.GroupID, groupIDOf) != nil || e.free < rg.GPUs {
 		return false
-	}
-	keys := s.eng.RunningKeys()
-	jobs := make([]*job.Job, 0, len(rg.Jobs))
-	ids := make([]int64, 0, len(rg.Jobs))
-	for i := range rg.Jobs {
-		rj := &rg.Jobs[i]
-		js := s.jobs[rj.ID]
-		if js == nil || js.groupID != 0 ||
-			js.job.State != job.Running ||
-			keys[job.ID(rj.ID)] != rg.Key {
-			return false
-		}
-		jobs = append(jobs, js.job)
-		ids = append(ids, rj.ID)
 	}
 	mode, ok := modeFromKey(rg.Key)
 	if !ok {
 		return false
 	}
-	unit := sched.Unit{Jobs: jobs, GPUs: rg.GPUs, Mode: mode}
-	if engine.UnitKey(unit) != rg.Key {
+	keys := s.eng.RunningKeys()
+	offered := sched.Unit{Jobs: make([]*job.Job, 0, len(rg.Jobs)), GPUs: rg.GPUs, Mode: mode}
+	var running []*job.Job
+	for i := range rg.Jobs {
+		js := s.jobs[rg.Jobs[i].ID]
+		switch {
+		case js == nil:
+			return false
+		case js.job.State == job.Running && js.groupID == 0 && keys[js.job.ID] == rg.Key:
+			running = append(running, js.job)
+		case js.job.State != job.Done:
+			return false
+		}
+		offered.Jobs = append(offered.Jobs, js.job)
+	}
+	if len(running) == 0 || engine.UnitKey(offered) != rg.Key {
 		return false
 	}
 	now := time.Now()
 	for i := range rg.Jobs {
 		rj := &rg.Jobs[i]
 		js := s.jobs[rj.ID]
-		if rj.DoneIterations > js.job.DoneIterations {
-			js.job.DoneIterations = rj.DoneIterations
+		if js.job.State != job.Running {
+			continue
 		}
+		js.job.DoneIterations = max(js.job.DoneIterations, rj.DoneIterations)
 		js.groupID = rg.GroupID
 		js.lastSeen = now
 	}
 	e.free -= rg.GPUs
-	s.addGroupLocked(&groupState{id: rg.GroupID, key: rg.Key, exec: e,
-		gpus: rg.GPUs, jobs: ids, spec: unit, since: now})
+	s.groups = insertSorted(s.groups, &groupState{id: rg.GroupID, exec: e,
+		spec: sched.Unit{Jobs: running, GPUs: rg.GPUs, Mode: mode}}, groupIDOf)
 	if rg.GroupID > s.nextGroup {
 		// The launch that made this group fell in the lost tail (its members
 		// ran under the same key before it): log the ID as taken.
 		s.commitLocked(&wal.Record{Kind: wal.KindGroup, Group: &wal.GroupRecord{ID: rg.GroupID}})
 	}
 	s.log.Info("adopted running group", "group", rg.GroupID, "machine", e.id,
-		"key", rg.Key, "jobs", len(ids))
+		"key", rg.Key, "jobs", len(running), "finished", len(rg.Jobs)-len(running))
 	return true
 }
 

@@ -436,7 +436,7 @@ func TestHungExecutorDoesNotHoldServerLock(t *testing.T) {
 		lease := func() time.Time {
 			h.srv.mu.Lock()
 			defer h.srv.mu.Unlock()
-			return h.srv.executors["b-healthy"].leaseExpiry
+			return find(h.srv.executors, "b-healthy", machineOf).leaseExpiry
 		}
 		registered := lease()
 
@@ -458,8 +458,8 @@ func TestHungExecutorDoesNotHoldServerLock(t *testing.T) {
 		}
 		h.srv.mu.Lock()
 		defer h.srv.mu.Unlock()
-		if h.srv.leaseEvictions != 0 || h.srv.executors["b-healthy"] == nil {
-			t.Fatalf("%d lease evictions, healthy executor registered: %v", h.srv.leaseEvictions, h.srv.executors["b-healthy"] != nil)
+		if h.srv.leaseEvictions != 0 || find(h.srv.executors, "b-healthy", machineOf) == nil {
+			t.Fatalf("%d lease evictions, healthy executor registered: %v", h.srv.leaseEvictions, find(h.srv.executors, "b-healthy", machineOf) != nil)
 		}
 	})
 }

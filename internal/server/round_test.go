@@ -1,11 +1,16 @@
-// Tests for round assembly: the ascending-ID indexes scheduleLocked
-// walks must always equal a scan-and-sort of the maps they shadow, and a
-// round's cost must not grow with the jobs that have finished.
+// Tests for round assembly: the live index scheduleLocked walks must
+// always equal a scan-and-sort of the job map it shadows, the group and
+// executor tables must stay in ascending ID order, a group's spec must
+// list exactly the jobs bound to it, and a round's cost must not grow
+// with the jobs that have finished.
 package server
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net"
 	"os"
@@ -18,7 +23,6 @@ import (
 	"testing"
 	"time"
 
-	"muri/internal/engine"
 	"muri/internal/job"
 	"muri/internal/proto"
 	"muri/internal/wal"
@@ -33,12 +37,49 @@ type roundRig struct {
 	srv   *Server
 	execs sync.WaitGroup
 	pipes []net.Conn
+	// runs is each machine's latest registration, keeping the groups it
+	// was sent.
+	runs map[string]*execRuns
+}
+
+// execRuns is the daemon's end of a fake executor's pipe. It decodes each
+// frame as the daemon sends it (one Write per frame), so it holds the
+// groups a real executor would be running: the offered groups the
+// RegisterAck adopted, then every launched member under the launch key
+// until a Kill. Launch and Kill frames are written under Server.mu, the
+// RegisterAck before register returns.
+type execRuns struct {
+	net.Conn
+	groups map[int64]proto.RunningGroup
+}
+
+func (c *execRuns) Write(p []byte) (int, error) {
+	if m, err := proto.NewCodec(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(p), io.Discard}).Read(); err == nil {
+		switch m.Type {
+		case proto.TypeRegisterAck:
+			maps.DeleteFunc(c.groups, func(gid int64, _ proto.RunningGroup) bool {
+				return !slices.Contains(m.RegisterAck.AdoptedGroups, gid)
+			})
+		case proto.TypeLaunch:
+			rg := proto.RunningGroup{GroupID: m.Launch.GroupID, Key: m.Launch.Key, GPUs: m.Launch.GPUs}
+			for _, j := range m.Launch.Jobs {
+				rg.Jobs = append(rg.Jobs, proto.RunningJob{ID: j.ID})
+			}
+			c.groups[rg.GroupID] = rg
+		case proto.TypeKill:
+			delete(c.groups, m.Kill.GroupID)
+		}
+	}
+	return c.Conn.Write(p)
 }
 
 func newRoundRig(t *testing.T, cfg Config) *roundRig {
 	t.Helper()
 	cfg.Logf = func(string, ...any) {}
-	r := &roundRig{t: t, srv: New(cfg)}
+	r := &roundRig{t: t, srv: New(cfg), runs: make(map[string]*execRuns)}
 	if err := r.srv.startDurability(); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +91,12 @@ func newRoundRig(t *testing.T, cfg Config) *roundRig {
 // returns once the daemon has accepted or refused it.
 func (r *roundRig) register(id string, gpus int, groups []proto.RunningGroup) {
 	r.t.Helper()
-	near, far := net.Pipe()
+	pipe, far := net.Pipe()
+	near := &execRuns{Conn: pipe, groups: make(map[int64]proto.RunningGroup)}
+	for _, rg := range groups {
+		near.groups[rg.GroupID] = rg
+	}
+	r.runs[id] = near
 	r.pipes = append(r.pipes, far)
 	acked := make(chan struct{})
 	go func() {
@@ -81,11 +127,11 @@ func (r *roundRig) stop() {
 	r.execs.Wait()
 }
 
-// referenceRoundLocked is the round assembly the indexes replaced, kept
-// as the oracle: collect every job and group ID, sort, filter. The
+// referenceCandidatesLocked is the candidate assembly the live index
+// replaced, kept as the oracle: collect every job ID, sort, filter. The
 // offered jobs are the unfinished ones outside their fault backoff; the
 // engine applies the State rule itself.
-func referenceRoundLocked(s *Server, wallNow time.Time) ([]*job.Job, []engine.Current) {
+func referenceCandidatesLocked(s *Server, wallNow time.Time) []*job.Job {
 	ids := make([]int64, 0, len(s.jobs))
 	for id := range s.jobs {
 		ids = append(ids, id)
@@ -99,33 +145,18 @@ func referenceRoundLocked(s *Server, wallNow time.Time) ([]*job.Job, []engine.Cu
 		}
 		candidates = append(candidates, js.job)
 	}
-	gids := make([]int64, 0, len(s.groups))
-	for gid := range s.groups {
-		gids = append(gids, gid)
-	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
-	current := make([]engine.Current, 0, len(gids))
-	for _, gid := range gids {
-		current = append(current, engine.Current{Spec: s.groups[gid].spec, Handle: gid})
-	}
-	return candidates, current
+	return candidates
 }
 
-// indexMismatchLocked compares the indexed round input with the
-// reference, and each index with the map it shadows; it returns the
-// first difference, or "" (returned, not failed: the caller holds s.mu,
-// which the rig's cleanup needs).
+// indexMismatchLocked compares the indexed candidates with the
+// reference, checks the group and executor tables' order and every
+// group's membership, and returns the first difference, or "" (returned,
+// not failed: the caller holds s.mu, which the rig's cleanup needs).
 func indexMismatchLocked(s *Server) string {
 	now := time.Now()
-	wantC, wantG := referenceRoundLocked(s, now)
-	if got := s.roundCandidatesLocked(now); !slices.Equal(got, wantC) {
-		return fmt.Sprintf("indexed candidates %v, full scan %v", jobIDs(got), jobIDs(wantC))
-	}
-	sameGroup := func(a, b engine.Current) bool {
-		return a.Handle == b.Handle && reflect.DeepEqual(a.Spec, b.Spec)
-	}
-	if got := s.roundCurrentLocked(); !slices.EqualFunc(got, wantG, sameGroup) {
-		return fmt.Sprintf("indexed current groups %v, full scan %v", got, wantG)
+	want := referenceCandidatesLocked(s, now)
+	if got := s.roundCandidatesLocked(now); !slices.Equal(got, want) {
+		return fmt.Sprintf("indexed candidates %v, full scan %v", jobIDs(got), jobIDs(want))
 	}
 	var live []int64
 	for id, js := range s.jobs {
@@ -141,17 +172,39 @@ func indexMismatchLocked(s *Server) string {
 	if !slices.Equal(gotLive, live) {
 		return fmt.Sprintf("live index %v, non-terminal jobs %v", gotLive, live)
 	}
-	var execs []string
-	for id := range s.executors {
-		execs = append(execs, id)
+	for i := 1; i < len(s.executors); i++ {
+		if a, b := s.executors[i-1].id, s.executors[i].id; a >= b {
+			return fmt.Sprintf("executor table lists %s before %s", a, b)
+		}
 	}
-	slices.Sort(execs)
-	var gotExecs []string
-	for _, e := range s.execOrder {
-		gotExecs = append(gotExecs, e.id)
+	for i := 1; i < len(s.groups); i++ {
+		if a, b := s.groups[i-1].id, s.groups[i].id; a >= b {
+			return fmt.Sprintf("group table lists %d before %d", a, b)
+		}
 	}
-	if !slices.Equal(gotExecs, execs) {
-		return fmt.Sprintf("executor order %v, registered %v", gotExecs, execs)
+	// A group's spec lists exactly the running jobs bound to it.
+	bound := make(map[int64][]job.ID)
+	for _, js := range s.live {
+		if js.groupID != 0 {
+			bound[js.groupID] = append(bound[js.groupID], js.job.ID)
+		}
+	}
+	for _, g := range s.groups {
+		var members []job.ID
+		for _, j := range g.spec.Jobs {
+			if j.State != job.Running {
+				return fmt.Sprintf("group %d lists job %d, which is %s", g.id, j.ID, j.State)
+			}
+			members = append(members, j.ID)
+		}
+		slices.Sort(members)
+		if !slices.Equal(members, bound[g.id]) {
+			return fmt.Sprintf("group %d lists jobs %v, jobs bound to it %v", g.id, members, bound[g.id])
+		}
+		delete(bound, g.id)
+	}
+	if len(bound) > 0 {
+		return fmt.Sprintf("jobs bound to groups that do not exist: %v", bound)
 	}
 	return ""
 }
@@ -195,18 +248,25 @@ func (r *roundRig) round() {
 }
 
 // offers snapshots the groups each executor would re-offer after the
-// daemon dies under it.
+// daemon dies under it: every group it was sent and the daemon still
+// runs (a group whose members all left has ended on its machine too),
+// each member with its progress.
 func (r *roundRig) offers() map[string][]proto.RunningGroup {
 	s := r.srv
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make(map[string][]proto.RunningGroup)
-	for _, g := range s.groups {
-		rg := proto.RunningGroup{GroupID: g.id, Key: g.key, GPUs: g.gpus}
-		for _, id := range g.jobs {
-			rg.Jobs = append(rg.Jobs, proto.RunningJob{ID: id, DoneIterations: s.jobs[id].job.DoneIterations})
+	for id, runs := range r.runs {
+		for gid, rg := range runs.groups {
+			if find(s.groups, gid, groupIDOf) == nil {
+				continue
+			}
+			rg.Jobs = slices.Clone(rg.Jobs)
+			for i := range rg.Jobs {
+				rg.Jobs[i].DoneIterations = s.jobs[rg.Jobs[i].ID].job.DoneIterations
+			}
+			out[id] = append(out[id], rg)
 		}
-		out[g.exec.id] = append(out[g.exec.id], rg)
 	}
 	return out
 }
@@ -361,7 +421,7 @@ func roundLifecycle(t *testing.T, seed int64) {
 		if len(in) == 0 {
 			return nil
 		}
-		slices.SortFunc(in, cmpJobState) // map order must not leak into the seeded walk
+		slices.SortFunc(in, func(a, b *jobState) int { return cmp.Compare(a.spec.ID, b.spec.ID) }) // map order must not leak into the seeded walk
 		return in[rng.Intn(len(in))]
 	}
 

@@ -198,31 +198,49 @@ func (e *executorConn) send(m *proto.Message) error {
 	return err
 }
 
-// groupState is one launched group.
+// groupState is one launched group. Its spec is the placed unit and the
+// only record of membership: a member that finishes or faults leaves
+// spec.Jobs (detachFromGroupLocked) as it leaves the executor's run, so
+// every round offers the engine the composition that is really running,
+// and a kill, a requeue or a status count names only live members.
 type groupState struct {
-	id    int64
-	key   string
-	exec  *executorConn
-	gpus  int
-	jobs  []int64
-	spec  sched.Unit
-	since time.Time
+	id   int64
+	exec *executorConn
+	spec sched.Unit
 }
 
-func cmpJobState(a, b *jobState) int     { return cmp.Compare(a.spec.ID, b.spec.ID) }
-func cmpGroupState(a, b *groupState) int { return cmp.Compare(a.id, b.id) }
-func cmpExecutor(a, b *executorConn) int { return cmp.Compare(a.id, b.id) }
+// The daemon's tables — live jobs, launched groups, registered executors
+// — are slices in ascending ID order: a round walks them in
+// decision-stream order, and a lookup is a binary search.
+func jobIDOf(js *jobState) int64       { return js.spec.ID }
+func groupIDOf(g *groupState) int64    { return g.id }
+func machineOf(e *executorConn) string { return e.id }
 
-// insertSorted adds v to the ascending slice s; the newest job or group
+// search finds id in the ascending table s: the index of its element, or
+// of where one would go, and whether it is there.
+func search[T any, K cmp.Ordered](s []T, id K, idOf func(T) K) (int, bool) {
+	return slices.BinarySearchFunc(s, id, func(v T, id K) int { return cmp.Compare(idOf(v), id) })
+}
+
+// find returns the element of the ascending table s whose ID is id, or
+// nil when there is none.
+func find[T any, K cmp.Ordered](s []T, id K, idOf func(T) K) (v T) {
+	if i, ok := search(s, id, idOf); ok {
+		v = s[i]
+	}
+	return v
+}
+
+// insertSorted adds v to the ascending table s; the newest job or group
 // carries the highest ID, so the usual case is an append.
-func insertSorted[T any](s []T, v T, by func(T, T) int) []T {
-	i, _ := slices.BinarySearchFunc(s, v, by)
+func insertSorted[T any, K cmp.Ordered](s []T, v T, idOf func(T) K) []T {
+	i, _ := search(s, idOf(v), idOf)
 	return slices.Insert(s, i, v)
 }
 
-// removeSorted drops v from the ascending slice s if present.
-func removeSorted[T any](s []T, v T, by func(T, T) int) []T {
-	if i, ok := slices.BinarySearchFunc(s, v, by); ok {
+// removeSorted drops v from the ascending table s if present.
+func removeSorted[T any, K cmp.Ordered](s []T, v T, idOf func(T) K) []T {
+	if i, ok := search(s, idOf(v), idOf); ok {
 		return slices.Delete(s, i, i+1)
 	}
 	return s
@@ -237,19 +255,16 @@ type Server struct {
 	// eng is the shared scheduling decision core (internal/engine): job
 	// lifecycle phases, admission, preemption reconciliation, and the
 	// fault/retry state machine all live there. Driven under s.mu.
-	eng       *engine.Engine
-	executors map[string]*executorConn
-	jobs      map[int64]*jobState
-	groups    map[int64]*groupState
-	// Ascending-ID views kept next to the maps, so a round walks them in
-	// decision-stream order without collecting and sorting keys: live is
-	// every job that is neither done nor dead-lettered (jobs is never
-	// pruned, so a round must not scale with it), groupOrder is groups'
-	// values, execOrder is executors' values. Updated where the maps are;
-	// recovery rebuilds live wholesale (rebuildLiveLocked).
-	live       []*jobState
-	groupOrder []*groupState
-	execOrder  []*executorConn
+	eng  *engine.Engine
+	jobs map[int64]*jobState
+	// live is every job that is neither done nor dead-lettered, in
+	// ascending ID order: jobs is never pruned, so a round must not scale
+	// with it. Recovery rebuilds it wholesale. groups are the launched
+	// groups and executors the registered machines, each in ascending ID
+	// order and nowhere else.
+	live      []*jobState
+	groups    []*groupState
+	executors []*executorConn
 	// candidates and current are scheduleLocked's engine-input buffers,
 	// refilled every round (neither the engine nor a policy retains them).
 	candidates []*job.Job
@@ -406,9 +421,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:          cfg,
 		est:          cfg.Predictor,
-		executors:    make(map[string]*executorConn),
 		jobs:         make(map[int64]*jobState),
-		groups:       make(map[int64]*groupState),
 		profiles:     make(map[string][4]time.Duration),
 		profiling:    make(map[string]string),
 		seenMachines: make(map[string]bool),
@@ -651,15 +664,14 @@ func (s *Server) handleExecutor(conn net.Conn, codec *proto.Codec, reg *proto.Re
 		conn.Close()
 		return
 	}
-	if _, dup := s.executors[e.id]; dup || reg.GPUs <= 0 {
+	if find(s.executors, e.id, machineOf) != nil || reg.GPUs <= 0 {
 		s.mu.Unlock()
 		_ = e.send(&proto.Message{Type: proto.TypeRegisterAck,
 			RegisterAck: &proto.RegisterAck{OK: false, Reason: "duplicate machine id or no GPUs"}})
 		conn.Close()
 		return
 	}
-	s.executors[e.id] = e
-	s.execOrder = insertSorted(s.execOrder, e, cmpExecutor)
+	s.executors = insertSorted(s.executors, e, machineOf)
 	rejoined := s.seenMachines[e.id]
 	s.seenMachines[e.id] = true
 	if rejoined {
@@ -724,8 +736,7 @@ func (s *Server) dropExecutor(e *executorConn) {
 		return
 	}
 	e.gone = true
-	delete(s.executors, e.id)
-	s.execOrder = removeSorted(s.execOrder, e, cmpExecutor)
+	s.executors = removeSorted(s.executors, e, machineOf)
 	if s.closed {
 		// The daemon is dying, not the machine: connections drop because
 		// Close/Crash closed them. Leave the jobs bound so recovery sees
@@ -745,23 +756,17 @@ func (s *Server) dropExecutor(e *executorConn) {
 	}
 	// Walk the dead executor's groups in ascending group-ID order so the
 	// engine's requeue decision stream is deterministic, filtering them
-	// out of groupOrder in place.
+	// out of groups in place.
 	var lost []int64
-	kept := s.groupOrder[:0]
-	for _, g := range s.groupOrder {
+	s.groups = slices.DeleteFunc(s.groups, func(g *groupState) bool {
 		if g.exec != e {
-			kept = append(kept, g)
-			continue
+			return false
 		}
-		for _, jid := range g.jobs {
-			if js := s.jobs[jid]; js != nil && js.job.State == job.Running {
-				lost = append(lost, jid)
-			}
+		for _, j := range g.spec.Jobs {
+			lost = append(lost, int64(j.ID))
 		}
-		delete(s.groups, g.id)
-	}
-	clear(s.groupOrder[len(kept):])
-	s.groupOrder = kept
+		return true
+	})
 	s.requeueLostLocked(lost, e.id, "executor lost", "machine "+e.id+" lost")
 	s.log.Warn("executor dropped", "machine", e.id, "requeued", len(lost))
 	s.kickSchedule()
@@ -973,7 +978,7 @@ func (s *Server) requestProfileLocked(model string) {
 	if _, inflight := s.profiling[model]; inflight {
 		return
 	}
-	for _, e := range s.executors {
+	for _, e := range s.executors { // the lowest machine ID serves it
 		s.profiling[model] = e.id
 		req := &proto.Message{Type: proto.TypeProfileReq, ProfileReq: &proto.ProfileReq{
 			Model: model, Iterations: s.cfg.ProfileIterations, TimeScale: profileTimeScale,
@@ -1131,30 +1136,22 @@ func (s *Server) checkpointLocked(js *jobState) {
 		Progress: &wal.ProgressRecord{Job: js.spec.ID, Done: js.job.DoneIterations}})
 }
 
-// detachFromGroupLocked removes a job from its group, freeing the
-// executor when the group empties. Callers hold s.mu.
+// detachFromGroupLocked removes a finished or faulted job from its
+// group's spec, as the executor's run drops it, and frees the executor
+// when the group empties. The survivors keep running: the next round
+// offers the engine the shrunk unit, which it keeps with no decision when
+// the policy re-plans that same unit, and kills under its shrunk key when
+// it does not. Callers hold s.mu.
 func (s *Server) detachFromGroupLocked(groupID, jobID int64) {
-	g := s.groups[groupID]
+	g := find(s.groups, groupID, groupIDOf)
 	if g == nil {
 		return
 	}
-	g.jobs = slices.DeleteFunc(g.jobs, func(id int64) bool { return id == jobID })
-	if len(g.jobs) == 0 {
-		g.exec.free += g.gpus
-		s.removeGroupLocked(g)
+	g.spec.Jobs = slices.DeleteFunc(g.spec.Jobs, func(j *job.Job) bool { return int64(j.ID) == jobID })
+	if len(g.spec.Jobs) == 0 {
+		g.exec.free += g.spec.GPUs
+		s.groups = removeSorted(s.groups, g, groupIDOf)
 	}
-}
-
-// addGroupLocked and removeGroupLocked keep groups and its ascending
-// view groupOrder in step. Callers hold s.mu.
-func (s *Server) addGroupLocked(g *groupState) {
-	s.groups[g.id] = g
-	s.groupOrder = insertSorted(s.groupOrder, g, cmpGroupState)
-}
-
-func (s *Server) removeGroupLocked(g *groupState) {
-	delete(s.groups, g.id)
-	s.groupOrder = removeSorted(s.groupOrder, g, cmpGroupState)
 }
 
 // scheduleLoop replans periodically and on events: the paper's scheduler
@@ -1227,7 +1224,7 @@ func (s *Server) kickSchedule() {
 // on one hung executor (a send blocks for up to LivenessTimeout) would
 // otherwise leave every healthy executor's lease expired as well.
 func (s *Server) creditLeasesLocked(held time.Duration) {
-	for _, e := range s.execOrder {
+	for _, e := range s.executors {
 		e.leaseExpiry = e.leaseExpiry.Add(held)
 	}
 }
@@ -1348,7 +1345,7 @@ func (s *Server) roundCandidatesLocked(wallNow time.Time) []*job.Job {
 // group ID, passed back verbatim on kills. Callers hold s.mu.
 func (s *Server) roundCurrentLocked() []engine.Current {
 	s.current = s.current[:0]
-	for _, g := range s.groupOrder {
+	for _, g := range s.groups {
 		s.current = append(s.current, engine.Current{Spec: g.spec, Handle: g.id})
 	}
 	return s.current
@@ -1373,7 +1370,7 @@ func (s *Server) placeLocked(key string, u sched.Unit) (any, bool) {
 // GPUs (best fit). Callers hold s.mu.
 func (s *Server) pickExecutorLocked(gpus int) *executorConn {
 	var best *executorConn
-	for _, e := range s.execOrder { // ascending machine ID breaks ties
+	for _, e := range s.executors { // ascending machine ID breaks ties
 		if e.free >= gpus && (best == nil || e.free < best.free) {
 			best = e
 		}
@@ -1388,13 +1385,10 @@ func (s *Server) pickExecutorLocked(gpus int) *executorConn {
 func (s *Server) launchLocked(exec *executorConn, u sched.Unit, key string) (int64, bool) {
 	gid := s.nextGroup + 1 // taken by the group record: a failed send spends no ID
 	specs := make([]proto.JobSpec, len(u.Jobs))
-	ids := make([]int64, len(u.Jobs))
 	for i, j := range u.Jobs {
 		js := s.jobs[int64(j.ID)]
-		spec := js.spec
-		spec.DoneIterations = js.job.DoneIterations
-		specs[i] = spec
-		ids[i] = int64(j.ID)
+		specs[i] = js.spec
+		specs[i].DoneIterations = j.DoneIterations
 	}
 	msg := &proto.Message{Type: proto.TypeLaunch, Launch: &proto.Launch{
 		GroupID:     gid,
@@ -1412,13 +1406,13 @@ func (s *Server) launchLocked(exec *executorConn, u sched.Unit, key string) (int
 	// The group outlives the round; u.Jobs is the unit's own copy already
 	// (the engine makes it before Place).
 	now := time.Now()
-	s.addGroupLocked(&groupState{id: gid, key: key, exec: exec, gpus: u.GPUs, jobs: ids, spec: u, since: now})
-	gr := &wal.GroupRecord{ID: gid, Members: make([]wal.GroupMember, len(ids))}
-	for i, id := range ids {
-		js := s.jobs[id]
+	s.groups = insertSorted(s.groups, &groupState{id: gid, exec: exec, spec: u}, groupIDOf)
+	gr := &wal.GroupRecord{ID: gid, Members: make([]wal.GroupMember, len(u.Jobs))}
+	for i, j := range u.Jobs {
+		js := s.jobs[int64(j.ID)]
 		js.groupID = gid
 		js.lastSeen = now
-		gr.Members[i] = wal.GroupMember{Job: id, StartedV: int64(js.job.StartedAt)}
+		gr.Members[i] = wal.GroupMember{Job: int64(j.ID), StartedV: int64(js.job.StartedAt)}
 		if js.job.StartedAt < 0 {
 			gr.Members[i].StartedV = int64(s.virtualNowLocked())
 			s.firstDispatchHist.Observe(now.Sub(js.submittedAt).Seconds())
@@ -1432,20 +1426,22 @@ func (s *Server) launchLocked(exec *executorConn, u sched.Unit, key string) (int
 // first half of an injected job fault: members go back to pending with
 // their current progress checkpointed. Callers hold s.mu.
 func (s *Server) killGroupLocked(gid int64) {
-	g := s.groups[gid]
+	g := find(s.groups, gid, groupIDOf)
 	if g == nil {
 		return
 	}
 	_ = g.exec.send(&proto.Message{Type: proto.TypeKill, Kill: &proto.Kill{GroupID: gid}})
-	for _, id := range g.jobs {
-		s.checkpointLocked(s.jobs[id])
+	ids := make([]int64, len(g.spec.Jobs))
+	for i, j := range g.spec.Jobs {
+		ids[i] = int64(j.ID)
+		s.checkpointLocked(s.jobs[ids[i]])
 	}
 	// The members' half of the kill decision the engine emits after this
 	// callback: it cannot wait for the record, because placement may
 	// re-bind them first (applyDecisionLocked).
-	s.applyKillLocked(g.jobs)
-	g.exec.free += g.gpus
-	s.removeGroupLocked(g)
+	s.applyKillLocked(ids)
+	g.exec.free += g.spec.GPUs
+	s.groups = removeSorted(s.groups, g, groupIDOf)
 }
 
 // injectFault applies a client-requested chaos injection: kill a running
@@ -1458,7 +1454,7 @@ func (s *Server) injectFault(req *proto.InjectFault) error {
 	}
 	if req.Machine != "" {
 		s.mu.Lock()
-		e := s.executors[req.Machine]
+		e := find(s.executors, req.Machine, machineOf)
 		s.mu.Unlock()
 		if e == nil {
 			return fmt.Errorf("server: unknown machine %q", req.Machine)
@@ -1480,18 +1476,19 @@ func (s *Server) injectFault(req *proto.InjectFault) error {
 		return fmt.Errorf("server: job %d is %s, not running", req.JobID, st)
 	}
 	origin := ""
-	if g := s.groups[js.groupID]; g != nil {
+	if g := find(s.groups, js.groupID, groupIDOf); g != nil {
 		origin = g.exec.id
 		// Kill the whole group (the executor cannot stop one member of an
-		// interleaved unit): a kill decision for its key, so replay, the
-		// decision stream and the explain fold see the innocent members
-		// preempted; only the target is charged a fault.
-		members := make([]job.ID, len(g.jobs))
-		for i, id := range g.jobs {
-			members[i] = job.ID(id)
+		// interleaved unit): a kill decision for the composition running
+		// now, so replay, the decision stream and the explain fold see the
+		// innocent members preempted; only the target is charged a fault.
+		key := engine.UnitKey(g.spec)
+		members := make([]job.ID, len(g.spec.Jobs))
+		for i, j := range g.spec.Jobs {
+			members[i] = j.ID
 		}
 		s.killGroupLocked(g.id)
-		s.eng.Preempt(g.key, members, fmt.Sprintf("injected fault on job %d", req.JobID))
+		s.eng.Preempt(key, members, fmt.Sprintf("injected fault on job %d", req.JobID))
 	}
 	s.recordJobFaultLocked(js, origin, "injected fault")
 	s.kickSchedule()

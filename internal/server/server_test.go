@@ -135,7 +135,7 @@ func TestEndToEndInterleavedGroup(t *testing.T) {
 		for {
 			h.srv.mu.Lock()
 			for _, g := range h.srv.groups {
-				if len(g.jobs) > 1 {
+				if len(g.spec.Jobs) > 1 {
 					select {
 					case sawGroup <- struct{}{}:
 					default:

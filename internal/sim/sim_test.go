@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -506,5 +507,42 @@ func TestWorkConservationProperty(t *testing.T) {
 					p.Name(), j.ID, j.Attained, serial)
 			}
 		}
+	}
+}
+
+// withoutObserve forwards a policy's Plan and nothing else: the engine
+// finds no completion hook on it.
+type withoutObserve struct{ sched.Policy }
+
+// TestGittinsHearsCompletions pins the standalone Gittins policy's
+// completion feed in the simulator: its private service log fills only
+// through engine.Complete's hook. Two short jobs finish, then a long job
+// runs; a fresh arrival's Gittins index against that history beats the
+// long job's (it has outlived every observed demand), so it preempts.
+// Behind a wrapper without Observe the log stays empty, every index ties
+// at zero and the long job keeps its machine: the streams must differ.
+func TestGittinsHearsCompletions(t *testing.T) {
+	tr := trace.Trace{Name: "gittins", Specs: []trace.Spec{
+		spec(1, 0, 10*time.Minute, 8, "gpt2"),
+		spec(2, 0, 10*time.Minute, 8, "gpt2"),
+		spec(3, 0, 5*time.Hour, 8, "gpt2"),
+		spec(4, 2*time.Hour, 30*time.Minute, 8, "gpt2"),
+	}}
+	stream := func(p sched.Policy) []string {
+		var out []string
+		cfg := quickCfg()
+		cfg.Machines = 1
+		cfg.Observer = func(d engine.Decision) { out = append(out, d.String()) }
+		if res := Run(cfg, tr, p); len(res.Jobs) != len(tr.Specs) {
+			t.Fatalf("%s finished %d of %d jobs", p.Name(), len(res.Jobs), len(tr.Specs))
+		}
+		return out
+	}
+	heard := stream(sched.NewGittins())
+	deaf := stream(withoutObserve{sched.NewGittins()})
+	t.Logf("with the hook: %v", heard)
+	t.Logf("without it:    %v", deaf)
+	if slices.Equal(heard, deaf) {
+		t.Errorf("Gittins planned the same run with and without its completion feed: %v", heard)
 	}
 }
