@@ -124,6 +124,18 @@ var archRules = []archRule{
 		example: `if obs, ok := s.policy.(interface{ Observe(time.Duration) }); ok {`,
 	},
 	{
+		name: "per-member-continuation",
+		pattern: `\brekey\(|\b(engine\.|type )Member\b|\bMembers +\[\]Member\b|\b(p|pl|placement)\.Members\b|` +
+			`\bcarried\b|map\[job\.ID\]attempt\b`,
+		scope:        []string{"internal", "cmd", "examples"},
+		skipComments: true,
+		reason: "a placed unit either continues (its key was running as the round began, and Placement.Prev " +
+			"is the unit it continues) or launches: no per-member restart classification, no re-keying of " +
+			"a shrunk unit's survivors and no per-round carry map beside the running units (a daemon " +
+			"group's wal.GroupRecord.Members is its launch record, not a classification)",
+		example: `for i, m := range p.Members {`,
+	},
+	{
 		name:    "belief-read-outside-engine",
 		pattern: `\.EstimateFor\(`,
 		scope:   []string{"internal/sim", "internal/sched", "internal/server", "cmd"},

@@ -152,8 +152,10 @@ type PlanStatsProvider interface {
 type Engine struct {
 	cfg Config
 	// prevKeys is the placement memory: each running job's unit key, as
-	// its decisions left it (snapshot.go holds every write); an unchanged
-	// key means the job continues without a restart.
+	// its last launch left it (snapshot.go holds every write). No round
+	// classifies by it: whether a unit continues is whether its key is
+	// running as the round begins. The daemon's recovery reads it, and
+	// unitKey reuses its strings.
 	prevKeys map[job.ID]string
 	// bypassed counts consecutive rounds a job's unit was skipped for
 	// capacity while a lower-priority unit was admitted.
@@ -209,7 +211,7 @@ func New(cfg Config) *Engine {
 		completions:   completions,
 		lastWaitCause: make(map[job.ID]string),
 		round: roundScratch{
-			currentKeys: make(map[string]bool),
+			currentKeys: make(map[string]any),
 			keySet:      make(map[string]bool),
 		},
 	}
@@ -229,9 +231,9 @@ type admittedUnit struct {
 var stamps atomic.Uint64
 
 // roundScratch is one Reconcile round's working memory, reused by the
-// next. The returned placements (and their Members) live here and are
-// valid until the next Reconcile; a placed unit's Jobs, allocated per
-// round, are the driver's to keep.
+// next. The returned placements live here and are valid until the next
+// Reconcile; a placed unit's Jobs, allocated per round, are the driver's
+// to keep.
 //
 // The round's per-job sets live on the jobs themselves (job.Sched), each
 // set while its field equals stamp: Placed — the job holds resources
@@ -240,22 +242,23 @@ var stamps atomic.Uint64
 // dedups on Seen under a stamp of its own.
 type roundScratch struct {
 	stamp uint64
-	// currentKeys are the keys running as the round begins; keySet the
-	// admitted (Differential) or placed (ReplaceAll) keys of the kill diff.
-	currentKeys, keySet map[string]bool
-	admitted            []admittedUnit
-	skipped             []sched.Unit
+	// currentKeys maps each key running as the round begins to its
+	// Current.Handle; keySet holds the admitted (Differential) or placed
+	// (ReplaceAll) keys of the kill diff.
+	currentKeys map[string]any
+	keySet      map[string]bool
+	admitted    []admittedUnit
+	skipped     []sched.Unit
 	// boostedAt are the planner positions, ascending, of the units a
 	// starvation-boosted round admits first.
 	boostedAt []int
 	// candidates are the offered jobs the candidate rule kept.
 	candidates []*job.Job
-	// placements and their members are what Reconcile returns; kept and
-	// killed are the current units the round left running and preempted
-	// (Differential's kept only: a non-preemptive round keeps
-	// Input.Current whole, and ReplaceAll keeps nothing).
+	// placements are what Reconcile returns; kept and killed are the
+	// current units the round left running and preempted (Differential's
+	// kept only: a non-preemptive round keeps Input.Current whole, and
+	// ReplaceAll keeps nothing).
 	placements []Placement
-	members    []Member
 	kept       []Current
 	killed     []Current
 }
@@ -269,11 +272,10 @@ func (r *roundScratch) reset() {
 	clear(r.admitted)
 	clear(r.skipped)
 	clear(r.placements)
-	clear(r.members)
 	clear(r.kept)
 	clear(r.killed)
 	r.candidates, r.admitted, r.skipped, r.boostedAt = r.candidates[:0], r.admitted[:0], r.skipped[:0], r.boostedAt[:0]
-	r.placements, r.members, r.kept, r.killed = r.placements[:0], r.members[:0], r.kept[:0], r.killed[:0]
+	r.placements, r.kept, r.killed = r.placements[:0], r.kept[:0], r.killed[:0]
 }
 
 // emitCause publishes one provenance annotation (no-op without a hook).
@@ -470,25 +472,12 @@ type Current struct {
 	// Spec is the unit's composition as the driver currently sees it.
 	Spec sched.Unit
 	// Handle identifies the unit to the driver (simulator *unit, daemon
-	// group ID).
+	// group ID). It is never nil: a placement that continues the unit
+	// carries it back as Placement.Prev.
 	Handle any
 	// key is UnitKey(Spec), stamped by Reconcile as the round begins so
 	// the round's kept and killed copies carry it.
 	key string
-}
-
-// Member is one job of a placement, with its restart classification
-// relative to the previous round.
-type Member struct {
-	Job *job.Job
-	// Fresh means the job obtained resources for the first time.
-	Fresh bool
-	// Restart means the job resumes after preemption or its unit's
-	// composition changed — either way the worker process restarts.
-	Restart bool
-	// Continues means the job keeps running in the same unit as last
-	// round: fractional progress carries over and no restart is charged.
-	Continues bool
 }
 
 // Placement is one unit Input.Place accepted this round.
@@ -500,26 +489,28 @@ type Placement struct {
 	Spec sched.Unit
 	// Handle is Input.Place's opaque placement handle.
 	Handle any
-	// Members classifies each member, in Spec.Jobs order.
-	Members []Member
-	// Restart reports whether any member restarted (the driver charges
-	// restart overhead once per unit).
-	Restart bool
+	// Prev is the Current.Handle of the running unit this placement
+	// continues: its key was running as the round began, so the unit keeps
+	// running with no decision and no restart. Nil for a launch, which
+	// emits a launch decision and restarts every member that had started.
+	Prev any
 }
 
 // Reconcile runs one scheduling round: pick the candidates and refresh
 // their beliefs, invoke the policy, order units with anti-starvation,
 // admit into capacity, reconcile preemptions, place, and emit the round's
 // decisions (which change the placement memory and the jobs' states):
-// kills in current order, then launches in placement order; same-key
-// re-placements are continuations and emit nothing. The admission and
+// kills in current order, then launches in placement order. A placement
+// whose key was running as the round began continues (Placement.Prev) and
+// emits nothing; any other placement is a launch. The admission and
 // placement path is the simulator's historical loop moved here verbatim,
 // so fixed-seed simulations stay bit-identical.
 //
 // It returns the units placed this round, in placement order (descending
 // GPUs); the decisions went to Config.Observer as they were issued. Each
-// Placement's Spec.Jobs is the driver's to keep; the slice and the
-// Members are lent until the next Reconcile (DESIGN.md §8).
+// Placement's Spec.Jobs is the driver's to keep; the slice is lent until
+// the next Reconcile, and so is each Prev, which the driver must keep
+// readable until then (DESIGN.md §8).
 func (e *Engine) Reconcile(in Input) []Placement {
 	e.stats.Rounds++
 	preempt := e.cfg.Policy.Preemptive()
@@ -530,7 +521,7 @@ func (e *Engine) Reconcile(in Input) []Placement {
 	for i := range in.Current {
 		c := &in.Current[i]
 		c.key = unitKey(c.Spec, e.prevKeys)
-		r.currentKeys[c.key] = true
+		r.currentKeys[c.key] = c.Handle
 	}
 
 	// Capacity budget and already-claimed jobs. Preemptive rounds
@@ -616,7 +607,7 @@ func (e *Engine) Reconcile(in Input) []Placement {
 		// An admitted unit whose key is current was just kept.
 		toPlace = toPlace[:0]
 		for _, a := range r.admitted {
-			if !r.currentKeys[a.key] {
+			if _, running := r.currentKeys[a.key]; !running {
 				toPlace = append(toPlace, a)
 			}
 		}
@@ -625,8 +616,7 @@ func (e *Engine) Reconcile(in Input) []Placement {
 	}
 
 	// Placement: descending GPU order so large units claim whole machines
-	// before small units fragment them (§5). Member classification uses
-	// the previous round's placement memory. A placed unit outlives the
+	// before small units fragment them (§5). A placed unit outlives the
 	// round and the policy's buffers, so ownership starts here: each unit
 	// about to be placed gets its own copy of its members, all of them
 	// carved from the one array this round allocates for the purpose.
@@ -636,8 +626,6 @@ func (e *Engine) Reconcile(in Input) []Placement {
 		nMembers += len(a.spec.Jobs)
 	}
 	owned := make([]*job.Job, nMembers)
-	r.members = slices.Grow(r.members, nMembers)[:nMembers]
-	members := r.members
 	for _, a := range toPlace {
 		key, spec := a.key, a.spec
 		n := len(spec.Jobs)
@@ -647,27 +635,10 @@ func (e *Engine) Reconcile(in Input) []Placement {
 		if !ok {
 			continue // fragmentation despite descending order; rare
 		}
-		p := Placement{Key: key, Spec: spec, Handle: handle, Members: members[:n:n]}
-		members = members[n:]
-		for i, j := range spec.Jobs {
-			prev, wasRunning := e.prevKeys[j.ID]
-			m := Member{Job: j}
-			if j.StartedAt < 0 {
-				m.Fresh = true
-			} else if !wasRunning || prev != key {
-				m.Restart = true
-				p.Restart = true
-			}
-			m.Continues = wasRunning && prev == key
-			p.Members[i] = m
-		}
-		if p.Restart && r.currentKeys[key] {
-			e.rekey(key, spec.Jobs) // a unit that shrank continues: no decision
-		}
 		for _, j := range spec.Jobs {
 			j.Sched.Placed = stamp
 		}
-		r.placements = append(r.placements, p)
+		r.placements = append(r.placements, Placement{Key: key, Spec: spec, Handle: handle, Prev: r.currentKeys[key]})
 	}
 
 	// ReplaceAll kill diff: current units whose key did not survive into
@@ -688,13 +659,13 @@ func (e *Engine) Reconcile(in Input) []Placement {
 	// emit nothing.
 	var killCause string
 	if e.cfg.Provenance != nil && len(r.killed) > 0 {
-		killCause = e.preemptorDetail(r.currentKeys)
+		killCause = e.preemptorDetail()
 	}
 	for _, c := range r.killed {
 		e.emit(Decision{Action: ActKill, Key: c.key, Jobs: memberIDs(c.Spec), Cause: killCause})
 	}
 	for _, p := range r.placements {
-		if r.currentKeys[p.Key] {
+		if _, running := r.currentKeys[p.Key]; running {
 			continue
 		}
 		d := Decision{Action: ActLaunch, Key: p.Key, Jobs: memberIDs(p.Spec)}
@@ -795,10 +766,10 @@ func admissionOrder(units []sched.Unit, boostedAt []int, visit func(sched.Unit) 
 
 // preemptorDetail names the work that displaced this round's kills: the
 // members of the round's new launches, capped for readability.
-func (e *Engine) preemptorDetail(currentKeys map[string]bool) string {
+func (e *Engine) preemptorDetail() string {
 	var ids []job.ID
 	for _, p := range e.round.placements {
-		if currentKeys[p.Key] {
+		if _, running := e.round.currentKeys[p.Key]; running {
 			continue
 		}
 		ids = append(ids, memberIDs(p.Spec)...)

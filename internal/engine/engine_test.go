@@ -225,67 +225,76 @@ func TestDifferentialKeepsSameKeyKillsRest(t *testing.T) {
 	}
 }
 
-func TestMemberRestartClassification(t *testing.T) {
+// TestPlacementContinuesRunningKey: a placement whose key was running as
+// the round began continues the unit that ran it (Prev is that unit's
+// handle) and emits no decision, whatever the placement memory says about
+// its members; any other placement is a launch with a nil Prev. The third
+// round re-places a pair that shrank to one member when the other
+// completed: the survivor's placement memory still names the pair's key,
+// and the shrunk unit continues all the same.
+func TestPlacementContinuesRunningKey(t *testing.T) {
 	j1, j2 := newJob(t, 1, 1), newJob(t, 2, 1)
-	solo := sched.Unit{Jobs: []*job.Job{j1}, GPUs: 1, Mode: sched.Exclusive}
 	pair := sched.Unit{Jobs: []*job.Job{j1, j2}, GPUs: 1, Mode: sched.Interleaved}
-	plans := [][]sched.Unit{{solo}, {solo}, {pair}}
+	shrunk := sched.Unit{Jobs: []*job.Job{j1}, GPUs: 1, Mode: sched.Interleaved}
+	solo := sched.Unit{Jobs: []*job.Job{j1}, GPUs: 1, Mode: sched.Exclusive}
+	plans := [][]sched.Unit{{pair}, {pair}, {shrunk}, {solo}}
 	roundIdx := 0
+	var log decisionLog
 	e := engine.New(engine.Config{
-		Style: engine.ReplaceAll,
+		Style:    engine.ReplaceAll,
+		Observer: log.observe,
 		Policy: scriptedPolicy{preempt: true, plan: func(time.Duration, []*job.Job, int) []sched.Unit {
 			return plans[roundIdx]
 		}},
 	})
 	track(e, j1, j2)
-	placer := newFakePlacer(2)
+	handles := 0
 	var current []engine.Current
-	run := func() []engine.Placement {
-		placer.reset() // a preemptive ReplaceAll round re-places everything
+	run := func(candidates ...*job.Job) engine.Placement {
+		t.Helper()
 		placements := e.Reconcile(engine.Input{
-			Candidates: []*job.Job{j1, j2},
-			Capacity:   2,
+			Candidates: candidates,
+			Capacity:   1,
 			Current:    current,
-			Free:       placer.free,
-			Place:      placer.place,
+			Free:       1, // a preemptive ReplaceAll round re-places everything
+			Place: func(string, sched.Unit) (any, bool) {
+				handles++
+				return handles, true
+			},
 		})
-		current = current[:0]
-		for _, p := range placements {
-			current = append(current, engine.Current{Spec: p.Spec, Handle: p.Key})
-			// The driver stamps first-start times; the engine's Fresh flag
-			// keys off StartedAt.
-			for _, m := range p.Members {
-				if m.Fresh {
-					m.Job.StartedAt = 0
-				}
-			}
+		if len(placements) != 1 {
+			t.Fatalf("round %d placed %d units, want 1", roundIdx+1, len(placements))
 		}
+		p := placements[0]
+		current = []engine.Current{{Spec: p.Spec, Handle: p.Handle}}
 		roundIdx++
-		return placements
+		return p
+	}
+	want := func(p engine.Placement, prev any, decisions ...string) {
+		t.Helper()
+		if p.Prev != prev {
+			t.Errorf("round %d: %s Prev = %v, want %v", roundIdx, p.Key, p.Prev, prev)
+		}
+		if got := log.take(); !equalStrings(got, decisions) {
+			t.Errorf("round %d: decisions %q, want %q", roundIdx, got, decisions)
+		}
 	}
 
-	placements := run()
-	if m := placements[0].Members[0]; !m.Fresh || m.Restart || m.Continues {
-		t.Errorf("round 1: job 1 = %+v, want fresh", m)
+	p := run(j1, j2)
+	want(p, nil, "launch interleaved:1,2")
+	first := p.Handle
+	p = run(j1, j2)
+	want(p, first)
+	e.Complete(j2.ID, 0)
+	current[0].Spec.Jobs = current[0].Spec.Jobs[:1:1] // the simulator drops the finished member
+	second := current[0].Handle
+	p = run(j1)
+	want(p, second)
+	if k := e.RunningKeys()[j1.ID]; k != "interleaved:1,2" {
+		t.Errorf("survivor's placement memory = %q, want its launch key", k)
 	}
-	placements = run()
-	if m := placements[0].Members[0]; !m.Continues || m.Fresh || m.Restart {
-		t.Errorf("round 2: job 1 = %+v, want continues (same key)", m)
-	}
-	if placements[0].Restart {
-		t.Error("round 2: same-key re-placement charged a unit restart")
-	}
-	placements = run()
-	p := placements[0]
-	if m := p.Members[0]; !m.Restart || m.Continues {
-		t.Errorf("round 3: job 1 = %+v, want restart (unit composition changed)", m)
-	}
-	if m := p.Members[1]; !m.Fresh || m.Restart {
-		t.Errorf("round 3: job 2 = %+v, want fresh", m)
-	}
-	if !p.Restart {
-		t.Error("round 3: reformed unit should charge a restart")
-	}
+	p = run(j1)
+	want(p, nil, "kill interleaved:1", "launch exclusive:1")
 }
 
 func TestRecordFaultBudgetAndDeadletter(t *testing.T) {

@@ -19,8 +19,8 @@ import (
 func UnitKey(u sched.Unit) string { return unitKey(u, nil) }
 
 // unitKey is UnitKey returning prev[first member] when that is the key,
-// so a unit that continues reuses its string and only a new composition
-// allocates one.
+// so a unit that continues under its launch key reuses its string and
+// only a new composition allocates one.
 func unitKey(u sched.Unit, prev map[job.ID]string) string {
 	// Stack buffers: groups hold at most a handful of members, and a key
 	// is a short string, so the only allocation is the returned string.

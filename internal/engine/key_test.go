@@ -113,9 +113,6 @@ func TestKeyReuse(t *testing.T) {
 			t.Fatalf("round %d: continues %v, want %v", r, continues, wantContinues)
 		}
 		prevKey = p.Key
-		for _, j := range p.Spec.Jobs {
-			j.StartedAt = 0
-		}
 		current = []engine.Current{{Spec: p.Spec}}
 	}
 }
@@ -145,7 +142,6 @@ func TestKeyReuseWarmRoundAllocsNoKey(t *testing.T) {
 		current = current[:0]
 		for _, p := range placements {
 			current = append(current, engine.Current{Spec: p.Spec})
-			p.Spec.Jobs[0].StartedAt = 0
 		}
 	}
 	round()

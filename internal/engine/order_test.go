@@ -94,11 +94,6 @@ func (s *orderSide) round(arrivals []*job.Job, r int) {
 	s.current = slices.DeleteFunc(s.current, func(c engine.Current) bool { return killed[c.Handle] })
 	for _, p := range placements {
 		s.current = append(s.current, engine.Current{Spec: p.Spec, Handle: p.Key})
-		for _, m := range p.Members {
-			if m.Fresh {
-				m.Job.StartedAt = now
-			}
-		}
 	}
 	// Every running job progresses; a unit completes whole when its first
 	// member's draw says so, or when that member runs out of iterations.

@@ -382,8 +382,10 @@ func serverPredictionStream(t *testing.T) (decisions, records []string) {
 // Every round follows an event (an arrival, the machine registering, a
 // completion): Muri-S regroups as progress moves, so the drivers'
 // different periodic round counts would otherwise steer them apart. The
-// members' lengths differ, because the simulator splits completions that
-// fall on one instant across rounds.
+// members' lengths differ so that no two completions share an instant:
+// the simulator completes such members in one advance, while the daemon
+// hears each from its own JobDone report, and a round between two reports
+// would have no counterpart in the simulator.
 var shrinkWant = []string{
 	"launch exclusive:1",
 	"launch interleaved:2,3",

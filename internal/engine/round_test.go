@@ -188,7 +188,7 @@ func TestAdmissionEarlyExitExact(t *testing.T) {
 func runExitScript(t *testing.T, sc exitScript, provenance bool) {
 	const patience = 3
 	for _, u := range sc.order { // scripts are reused across subtests
-		u.Jobs[0].State, u.Jobs[0].StartedAt = job.Pending, -1
+		u.Jobs[0].State = job.Pending
 	}
 	var marks []causeMark
 	var log decisionLog
@@ -294,7 +294,6 @@ func runExitScript(t *testing.T, sc exitScript, provenance bool) {
 		}
 		for _, p := range placements {
 			current = append(current, engine.Current{Spec: p.Spec, Handle: p.Key})
-			p.Spec.Jobs[0].StartedAt = 0
 		}
 		for _, id := range sc.finish[round] {
 			done[id] = true
@@ -573,7 +572,6 @@ func TestReconcileAllocBudget(t *testing.T) {
 			current = current[:0]
 			for _, p := range placements {
 				current = append(current, engine.Current{Spec: p.Spec})
-				p.Spec.Jobs[0].StartedAt = 0
 			}
 			return current
 		}

@@ -111,7 +111,7 @@ func (e *Engine) ApplyDecision(d Decision) {
 // Each kind also advances its counter and the decision count. Every
 // write to a job's State and Faults is in this file: apply, Track,
 // Complete, RecordFault and ReplayFault. The only other writes to the
-// placement memory are Restore, rekey and Complete.
+// placement memory are Restore and Complete.
 func (e *Engine) apply(d Decision) {
 	e.stats.Decisions++
 	switch d.Action {
@@ -187,18 +187,6 @@ func (e *Engine) RecordFault(id job.ID) (backoff time.Duration, deadlettered boo
 	return e.cfg.Retry.Backoff(int64(id), j.Faults), false
 }
 
-// rekey moves a continuing unit's members to its key. It is the one
-// change to the placement memory without a decision: a completion (or a
-// member's fault) shrank the unit, and the survivors, re-planned as that
-// same shrunk unit, continue under its key with no launch. They were
-// classified Restart against the pre-shrink key first (DESIGN.md §15,
-// silent restarts).
-func (e *Engine) rekey(key string, jobs []*job.Job) {
-	for _, j := range jobs {
-		e.prevKeys[j.ID] = key
-	}
-}
-
 // ReplayFault replays one WAL fault record's budget spend: the fault
 // count is set absolutely (idempotent under re-replay of the same
 // record, and a no-op live, where RecordFault already spent it) without
@@ -234,8 +222,9 @@ func (e *Engine) Complete(id job.ID, service time.Duration) bool {
 	return true
 }
 
-// RunningKeys returns the placement memory as a sorted job → key list,
-// for recovery code that must rebuild driver-side group state.
+// RunningKeys returns a copy of the placement memory (job → the key its
+// last launch gave it), for recovery code that must rebuild driver-side
+// group state.
 func (e *Engine) RunningKeys() map[job.ID]string {
 	out := make(map[job.ID]string, len(e.prevKeys))
 	for id, k := range e.prevKeys {

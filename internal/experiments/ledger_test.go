@@ -22,16 +22,16 @@ var paperGoldens = map[string]string{
 	"table1":     "e91ae462ed5c42149652dfcebcd8921df62e6c86c09718080cf6f00b3705ac80",
 	"table2":     "ba0577399740513fce4eba7d4b5b1219dc2e2ef2ab3bcd8683c43119b0625ca8",
 	"table4":     "adfda95b07f9f60490c5237428463ed17043443fc191818737ff6037d4a96420",
-	"table5":     "81504d22f066498e8e1021309268c88073a976e5c7950c2c19c9b14d457db5c2",
-	"figure8":    "8692ee7af6ef6997708a3271874960e7666f49ac26397abb293bc018b86f3ea3",
-	"figure9":    "a0a18f86a454e79ee7769e66ba5db27eea275b43a50437e91d811cfa13e70ba7",
-	"figure10":   "0d7284e6b9820763cc97bb5b619e2f401472654fe07c4e66ea9e5e7024a6da32",
-	"figure11":   "b3a5c536f1d80f1f58449780ed4170dbf6a03d3de8c3d21be0c52fec40c8d253",
-	"figure12":   "4bbacff03d0e12df179c081fec2074382709b19e2551dd0bb1f8aec0ecbc4b99",
-	"figure13":   "1b22bec2432829d254c84cc93d83bedfe88f0d34a204db3ccf9068d6a5240964",
-	"figure14":   "fa36f7a5916ad71a8a5f293d664b798dbab64333f08df29452356ed411185ba8",
-	"faults":     "4d36678d3a328b836f9b2c2ac146960c5336dd3fab6e6a5de59ebc3266403fa7",
-	"prediction": "a61814c95a71fe28d4173a72ab92936291743530bf89e12aa1745a253bbd8c30",
+	"table5":     "0778ddcecae8f12368697ddef1035d15cc426a392cf0f7898299fb51fcc72d31",
+	"figure8":    "ce38f8c3ecfe0d230775b77ee11c06a390d307dc5d02b8d8fdcbfb5efa979e87",
+	"figure9":    "7820c92a5a5bbf3c4396c50a99a0dea488763e51d2a6a7f67440aa4b11a273f3",
+	"figure10":   "8e118cc5f0642c2177826cb8e3e15e1c30d666a982039565128e94b3691d9dcc",
+	"figure11":   "59c8a790c501e60d69c20771481e2e12fa3232743a4ca1a76a147c698205b5b8",
+	"figure12":   "7ed0439255bf0052b4f9b9bfb93ee210efa74cf73111c6183574a04d8d1b7320",
+	"figure13":   "4299fb6b17dcc9eca730e9c23953cd0ed6aa76ee3518c928cacd8ed3a29eda5b",
+	"figure14":   "4df7155506376870bcfc0b93baf53f1ab329774a5233de9c04e1c0482a0e8a3d",
+	"faults":     "1dc9bd21157b203efee1b2dd048ae5ac9c8aa6d72c4fe2228c7005d9a40ca6d2",
+	"prediction": "313e3aa3c0e2e8852a53629dc70bc06e74c2a28fe75eabd8e006d67d13be1aea",
 }
 
 func TestPaperGoldens(t *testing.T) {

@@ -77,7 +77,7 @@ func TestReplayAllocBudget(t *testing.T) {
 }
 
 // scaleAllocCeilingMB bounds one sim-scale replay of the ledger (600
-// trace4 jobs under muri-l-scale(4), 1,448 rounds): the grouping half of a
+// trace4 jobs under muri-l-scale(4), 1,447 rounds): the grouping half of a
 // round works in the plan arena, so what a replay allocates is the groups
 // it returns and the proposal streams PlanState keeps. Measured 15 MB and
 // 5–6 GC cycles; 44 MB and 19 while the non-grouping half re-created its
@@ -99,11 +99,11 @@ func TestScaleReplayAllocBudget(t *testing.T) {
 	res := Run(cfg, tr, sched.NewMuriLScale(4))
 	runtime.ReadMemStats(&after)
 
-	if got, want := res.Summary.AvgJCT, 8*time.Hour+58*time.Minute+42219914060*time.Nanosecond; got != want {
+	if got, want := res.Summary.AvgJCT, 8*time.Hour+59*time.Minute+26674938960*time.Nanosecond; got != want {
 		t.Errorf("avg JCT = %v, want %v", got, want)
 	}
-	if res.Summary.Jobs != 600 || res.Engine.Rounds != 1448 {
-		t.Errorf("jobs %d, rounds %d; want 600, 1448", res.Summary.Jobs, res.Engine.Rounds)
+	if res.Summary.Jobs != 600 || res.Engine.Rounds != 1447 {
+		t.Errorf("jobs %d, rounds %d; want 600, 1447", res.Summary.Jobs, res.Engine.Rounds)
 	}
 
 	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)

@@ -255,7 +255,6 @@ type sim struct {
 	// and the policies read these during Reconcile and retain none of
 	// them.
 	current []engine.Current
-	carried map[job.ID]attempt
 	// free holds units nothing can read any more; spareRunning
 	// double-buffers the running set.
 	free         []*unit
@@ -267,15 +266,6 @@ type sim struct {
 func (s *sim) recycle(u *unit) {
 	*u = unit{iterTime: u.iterTime[:0], carry: u.carry[:0], faultAt: u.faultAt[:0]}
 	s.free = append(s.free, u)
-}
-
-// attempt is what a member carries into its next round when it continues
-// in the same unit: its fractional progress, its attempt's drawn fault and
-// when its unit finishes paying restart overhead.
-type attempt struct {
-	carry   float64
-	faultAt time.Duration
-	readyAt time.Duration
 }
 
 // dropEmptyUnits releases the running units whose members all left.
@@ -321,7 +311,6 @@ func newSim(cfg Config, tr trace.Trace, policy sched.Policy) *sim {
 		cfg:     cfg,
 		cluster: cluster.New(cfg.Machines, cfg.GPUsPerMachine),
 		policy:  policy,
-		carried: make(map[job.ID]attempt),
 	}
 	s.place = s.placeUnit
 	// With a record sink, tee the decision stream into it as decision
@@ -699,16 +688,8 @@ func (s *sim) schedule() {
 	if s.plan != nil && capacity == 0 {
 		return
 	}
-	// Remember each running attempt so continuing jobs lose no partial
-	// iterations across intervals, keep their drawn fault and still wait
-	// out a restart overhead they were charged.
-	carried := s.carried
-	clear(carried)
 	current := s.current[:0]
 	for _, u := range s.running {
-		for i, j := range u.spec.Jobs {
-			carried[j.ID] = attempt{carry: u.carry[i], faultAt: u.faultAt[i], readyAt: u.readyAt}
-		}
 		current = append(current, engine.Current{Spec: u.spec, Handle: u})
 	}
 	s.current = current
@@ -728,14 +709,7 @@ func (s *sim) schedule() {
 	})
 	old := s.running
 	placed := s.spareRunning[:0]
-	if preempt {
-		// ReplaceAll re-placed everything: the engine's placements are the
-		// entire new running set, and the previous one — read through
-		// Input.Current until Reconcile returned — goes back to the free list.
-		for _, u := range old {
-			s.recycle(u)
-		}
-	} else {
+	if !preempt {
 		placed = append(placed, old...) // keep current units
 	}
 	for _, p := range placements {
@@ -744,8 +718,6 @@ func (s *sim) schedule() {
 		u.spec, u.readyAt = p.Spec, s.now
 		u.iterTime, u.carry = slices.Grow(u.iterTime, n)[:n], slices.Grow(u.carry, n)[:n]
 		u.faultAt = slices.Grow(u.faultAt, n)[:n]
-		clear(u.carry)
-		clear(u.faultAt)
 		memberIterTimes(u.iterTime, p.Spec, s.cfg.Interleave)
 		if s.plan != nil {
 			// A unit runs at the pace of its slowest machine: distributed
@@ -762,60 +734,74 @@ func (s *sim) schedule() {
 				}
 			}
 		}
-		for i, m := range p.Members {
-			if m.Continues {
-				a := carried[m.Job.ID]
-				u.carry[i], u.faultAt[i] = a.carry, a.faultAt
-				u.readyAt = max(u.readyAt, a.readyAt)
+		if prev, ok := p.Prev.(*unit); ok {
+			// The unit continues: each member keeps its attempt (fractional
+			// progress and drawn fault), and the unit keeps waiting out a
+			// restart overhead it was already charged.
+			for i, j := range u.spec.Jobs {
+				k := slices.Index(prev.spec.Jobs, j)
+				u.carry[i], u.faultAt[i] = prev.carry[k], prev.faultAt[k]
 			}
-		}
-		launched := false
-		for _, m := range p.Members {
-			if m.Fresh {
-				m.Job.StartedAt = s.now
-				launched = true
-			} else if m.Restart {
-				// Either the job resumes after preemption or its unit's
-				// composition changed — both restart the worker process.
-				m.Job.Restarts++
-				launched = true
-			}
-		}
-		if p.Restart && s.cfg.RestartOverhead > 0 {
-			u.readyAt = s.now + s.cfg.RestartOverhead
-			s.preemptions++
-		}
-		if launched {
-			// Render the first few group iterations of this launch as
-			// per-resource stage spans (tracing only; nil tracer is inert).
-			s.traceUnitStages(u, p.Key)
-		}
-		if s.plan != nil {
-			// Transient-fault draws: exactly one per execution attempt
-			// (attempt = restart count). Fresh and restarted members start
-			// one; continuing members kept theirs above. The fault, if
-			// drawn, strikes at a hash-chosen fraction of the attempt's
-			// estimated remaining work (carry is zero on a new attempt).
-			for i, m := range p.Members {
-				if m.Continues {
-					continue
-				}
-				frac, fault := s.plan.TransientFault(int64(m.Job.ID), m.Job.Restarts)
-				if !fault {
-					continue
-				}
-				remaining := max(float64(m.Job.RemainingIterations()), 0)
-				at := u.readyAt + time.Duration(frac*remaining*float64(u.iterTime[i]))
-				if at <= s.now {
-					at = s.now + time.Millisecond
-				}
-				u.faultAt[i] = at
-			}
+			u.readyAt = max(u.readyAt, prev.readyAt)
+		} else {
+			s.launch(u, p.Key)
 		}
 		placed = append(placed, u)
 	}
+	if preempt {
+		// ReplaceAll re-placed everything: the engine's placements are the
+		// entire new running set, and the previous one — read as Input.Current
+		// and Placement.Prev until now — goes back to the free list.
+		for _, u := range old {
+			s.recycle(u)
+		}
+	}
 	clear(old)
 	s.running, s.spareRunning = placed, old[:0]
+}
+
+// launch starts a new attempt for every member of a launched unit, with no
+// carried progress and no drawn fault yet: a first start stamps StartedAt;
+// any other member resumes after preemption or joins a changed unit, which
+// restarts its worker process, and the unit pays RestartOverhead once.
+func (s *sim) launch(u *unit, key string) {
+	clear(u.carry)
+	clear(u.faultAt)
+	restarted := false
+	for _, j := range u.spec.Jobs {
+		if j.StartedAt < 0 {
+			j.StartedAt = s.now
+		} else {
+			j.Restarts++
+			restarted = true
+		}
+	}
+	if restarted && s.cfg.RestartOverhead > 0 {
+		u.readyAt = s.now + s.cfg.RestartOverhead
+		s.preemptions++
+	}
+	// Render the first few group iterations of this launch as per-resource
+	// stage spans (tracing only; nil tracer is inert).
+	s.traceUnitStages(u, key)
+	if s.plan == nil {
+		return
+	}
+	// Transient-fault draws: exactly one per execution attempt (attempt =
+	// restart count). The fault, if drawn, strikes at a hash-chosen
+	// fraction of the attempt's estimated remaining work (carry is zero on
+	// a new attempt).
+	for i, j := range u.spec.Jobs {
+		frac, fault := s.plan.TransientFault(int64(j.ID), j.Restarts)
+		if !fault {
+			continue
+		}
+		remaining := max(float64(j.RemainingIterations()), 0)
+		at := u.readyAt + time.Duration(frac*remaining*float64(u.iterTime[i]))
+		if at <= s.now {
+			at = s.now + time.Millisecond
+		}
+		u.faultAt[i] = at
+	}
 }
 
 // advance simulates execution from s.now to deadline, handling member
@@ -843,6 +829,8 @@ func (s *sim) advance(deadline time.Duration) {
 
 // advanceUnit advances one unit over [from, to], processing completions
 // one at a time because each completion changes the survivors' speed.
+// Every member that finishes by to, at to itself included, completes here,
+// so no round at to sees a member with no iterations left.
 func (s *sim) advanceUnit(u *unit, from, to time.Duration) {
 	if u.readyAt > from {
 		from = u.readyAt
@@ -890,9 +878,6 @@ func (s *sim) advanceUnit(u *unit, from, to time.Duration) {
 		}
 		from = firstAt
 		s.retime(u)
-		if from >= to {
-			return
-		}
 	}
 }
 
